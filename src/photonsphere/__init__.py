@@ -29,7 +29,6 @@ from .calculus import (
     hessian,
     kulkarni_reconstruct,
     laplacian,
-    laplacian_split_residual,
     vacuum_residual,
 )
 from .hypersurfaces import (
@@ -39,6 +38,7 @@ from .hypersurfaces import (
     codazzi_residual,
     cylinder,
     gauss_residual,
+    laplacian_split_residual,
     lapse_level_set,
     shape,
     sphere_in_cylinder,
@@ -49,7 +49,6 @@ from .geodesics import (
     GeodesicTrajectory,
     energy_constancy_verdict,
     integrate_null,
-    observed_energy,
     tangency_persistence,
     tangent_null_seeds,
     trajectory_to_csv,

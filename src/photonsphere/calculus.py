@@ -53,25 +53,23 @@ def metric_taylor(sampler, coords, scheme="autodiff"):
     ``(..., d, d, d)`` and ``(..., d, d, d, d)`` where
     ``dg[a, b, c] = d_a g_bc`` and ``ddg[a, b, c, d] = d_a d_b g_cd``.
     """
+    if scheme != "autodiff":
+        return _fd_taylor(lambda pt: _sample_matrix(sampler, pt), coords, 2, scheme)
     d = sampler.dim
-    if scheme == "autodiff":
-        xs = jets.variables(list(coords), order=2)
-        comp = sampler.components(xs)
-        ref = xs[0]
-        shape = ref.val.shape
-        g = np.empty(shape + (d, d))
-        dg = np.empty(shape + (d, d, d))
-        ddg = np.empty(shape + (d, d, d, d))
-        for b in range(d):
-            for c in range(d):
-                e = _entry_to_jet(comp[b][c], ref)
-                g[..., b, c] = e.val
-                dg[..., :, b, c] = e.grad
-                ddg[..., :, :, b, c] = e.hess
-        return g, dg, ddg
-    if scheme == "finite-difference":
-        return _metric_taylor_fd(sampler, coords)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    xs = jets.variables(list(coords), order=2)
+    comp = sampler.components(xs)
+    ref = xs[0]
+    shape = ref.val.shape
+    g = np.empty(shape + (d, d))
+    dg = np.empty(shape + (d, d, d))
+    ddg = np.empty(shape + (d, d, d, d))
+    for b in range(d):
+        for c in range(d):
+            e = _entry_to_jet(comp[b][c], ref)
+            g[..., b, c] = e.val
+            dg[..., :, b, c] = e.grad
+            ddg[..., :, :, b, c] = e.hess
+    return g, dg, ddg
 
 
 def _sample_matrix(sampler, coords):
@@ -82,57 +80,81 @@ def _sample_matrix(sampler, coords):
                                for v in row], axis=-1) for row in vals], axis=-2)
 
 
-def _metric_taylor_fd(sampler, coords):
-    """4th-order central differences of the metric components."""
-    d = sampler.dim
+# Fourth-order five-point central stencils: {offset: weight}, over 12 h^order.
+_STENCILS = {1: {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0},
+             2: {2: -1.0, 1: 16.0, 0: -30.0, -1: 16.0, -2: -1.0}}
+
+
+def five_point(sample, x, axis, step, order=1):
+    """Fourth-order central difference d^order/dx_axis^order of ``sample(x)``.
+
+    ``sample`` maps a list of coordinate arrays to an array whose leading
+    axes broadcast with ``step``; trailing axes (a tensor's indices) are
+    carried through.
+    """
+    acc = 0.0
+    for offset, weight in _STENCILS[order].items():
+        pt = list(x)
+        pt[axis] = pt[axis] + offset * step
+        acc = acc + weight * np.asarray(sample(pt), dtype=float)
+    denom = 12.0 * np.asarray(step, dtype=float) ** order
+    return acc / np.reshape(denom, np.shape(denom) + (1,) * (acc.ndim - denom.ndim))
+
+
+def _fd_taylor(sample, coords, tail_ndim, scheme):
+    """Value, gradient and Hessian of ``sample`` by five-point stencils.
+
+    Derivative indices are inserted before the ``tail_ndim`` trailing
+    (tensor) axes of the sample.
+    """
+    if scheme != "finite-difference":
+        raise ValueError(f"unknown scheme {scheme!r}")
     x = [np.asarray(c, dtype=float) for c in coords]
+    d = len(x)
     h1 = [FD_STEP_FIRST * np.maximum(1.0, np.abs(xi)) for xi in x]
     h2 = [FD_STEP_SECOND * np.maximum(1.0, np.abs(xi)) for xi in x]
-
-    def at(offsets, steps):
-        pt = [x[i] + offsets.get(i, 0.0) * steps[i] for i in range(d)]
-        return _sample_matrix(sampler, pt)
-
-    g0 = at({}, h1)
-    shape = g0.shape[:-2]
-    dg = np.empty(shape + (d, d, d))
-    ddg = np.empty(shape + (d, d, d, d))
-    w1 = {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}  # /12h
-
-    def over(step):
-        return np.asarray(step)[..., None, None]
-
+    axis = -1 - tail_ndim
+    df = np.stack([five_point(sample, x, a, h1[a]) for a in range(d)], axis=axis)
+    rows = [[None] * d for _ in range(d)]
     for a in range(d):
-        acc = sum(w * at({a: o}, h1) for o, w in w1.items())
-        dg[..., a, :, :] = acc / over(12.0 * h1[a])
-    for a in range(d):
-        parts = (-at({a: 2}, h2) + 16.0 * at({a: 1}, h2) - 30.0 * at({}, h2)
-                 + 16.0 * at({a: -1}, h2) - at({a: -2}, h2))
-        ddg[..., a, a, :, :] = parts / over(12.0 * h2[a] ** 2)
-    for a in range(d):
+        rows[a][a] = five_point(sample, x, a, h2[a], order=2)
         for b in range(a + 1, d):
-            acc = sum(wa * wb * at({a: oa, b: ob}, h2)
-                      for oa, wa in w1.items() for ob, wb in w1.items())
-            mixed = acc / over(144.0 * h2[a] * h2[b])
-            ddg[..., a, b, :, :] = mixed
-            ddg[..., b, a, :, :] = mixed
-    return g0, dg, ddg
+            rows[a][b] = rows[b][a] = five_point(
+                lambda y, b=b: five_point(sample, y, b, h2[b]), x, a, h2[a])
+    ddf = np.stack([np.stack(row, axis=axis) for row in rows], axis=axis - 1)
+    return np.asarray(sample(x), dtype=float), df, ddf
 
 
 def christoffel(sampler, point, scheme="autodiff"):
     """Christoffel symbols Gamma^a_bc of the Levi-Civita connection."""
     g, dg, _ = metric_taylor(sampler, _coords_of(point), scheme)
-    return _christoffel_from(g, dg)
+    return _christoffel_from(_inverse_metric(g), dg)
 
 
-def _christoffel_from(g, dg):
+def _inverse_metric(g):
     ginv = np.linalg.inv(g)
     if not np.all(np.isfinite(ginv)):
         raise DomainError("metric is singular at the requested point")
+    return ginv
+
+
+def _christoffel_sum(dg):
+    """d_b g_dc + d_c g_db - d_d g_bc at [..., d, b, c].
+
+    Applied to ``ddg`` it gives the derivative d_e of the sum at
+    [..., e, d, b, c].
+    """
+    return np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
+
+
+def _christoffel_from(ginv, dg):
     # Gamma^a_bc = 1/2 g^ad (d_b g_dc + d_c g_db - d_d g_bc)
-    sym = (np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg)
-           - np.einsum("...dbc->...dbc", dg))
-    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, sym)
+    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, _christoffel_sum(dg))
+
+
+def inverse_metric_derivative(ginv, dg):
+    """d_e g^ad = -g^am (d_e g_mn) g^nd, indexed [..., e, a, d]."""
+    return -np.einsum("...am,...emn,...nd->...ead", ginv, dg, ginv)
 
 
 @dataclass(frozen=True)
@@ -195,19 +217,13 @@ def curvature(sampler, point, scheme="autodiff"):
     """Full curvature bundle (Christoffel, Riemann, Ricci, scalar) at a point."""
     coords = _coords_of(point)
     g, dg, ddg = metric_taylor(sampler, coords, scheme)
-    ginv = np.linalg.inv(g)
-    if not np.all(np.isfinite(ginv)):
-        raise DomainError("metric is singular at the requested point")
-    gamma = _christoffel_from(g, dg)
+    ginv = _inverse_metric(g)
+    gamma = _christoffel_from(ginv, dg)
 
-    # d_e Gamma^a_bc, via d_e g^ad = -g^am (d_e g_mn) g^nd
-    dginv = -np.einsum("...am,...emn,...nd->...ead", ginv, dg, ginv)
-    sym = (np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg)
-           - dg)
-    dsym = (np.einsum("...ebdc->...edbc", ddg)
-            + np.einsum("...ecdb->...edbc", ddg) - ddg)
-    dgamma = (0.5 * np.einsum("...ead,...dbc->...eabc", dginv, sym)
-              + 0.5 * np.einsum("...ad,...edbc->...eabc", ginv, dsym))
+    # d_e Gamma^a_bc
+    dginv = inverse_metric_derivative(ginv, dg)
+    dgamma = (0.5 * np.einsum("...ead,...dbc->...eabc", dginv, _christoffel_sum(dg))
+              + 0.5 * np.einsum("...ad,...edbc->...eabc", ginv, _christoffel_sum(ddg)))
 
     # Rm_kij^l = d_k Gamma^l_ij - d_i Gamma^l_kj + Gamma^l_ke Gamma^e_ij
     #            - Gamma^l_ie Gamma^e_kj
@@ -229,34 +245,13 @@ def curvature(sampler, point, scheme="autodiff"):
 
 def scalar_taylor(field, coords, dim, scheme="autodiff"):
     """Value, gradient and coordinate Hessian of a scalar field."""
-    if scheme == "autodiff":
-        xs = jets.variables(list(coords), order=2)
-        f = field(xs)
-        if not isinstance(f, jets.Jet):
-            f = _entry_to_jet(f, xs[0])
-        return f.val, f.grad, f.hess
-    x = [np.asarray(c, dtype=float) for c in coords]
-    h1 = [FD_STEP_FIRST * np.maximum(1.0, np.abs(xi)) for xi in x]
-    h2 = [FD_STEP_SECOND * np.maximum(1.0, np.abs(xi)) for xi in x]
-
-    def at(offsets, steps):
-        return np.asarray(field([x[i] + offsets.get(i, 0.0) * steps[i]
-                                 for i in range(dim)]), dtype=float)
-
-    f0 = at({}, h1)
-    df = np.empty(f0.shape + (dim,))
-    ddf = np.empty(f0.shape + (dim, dim))
-    w1 = {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}
-    for a in range(dim):
-        df[..., a] = sum(w * at({a: o}, h1) for o, w in w1.items()) / (12.0 * h1[a])
-        ddf[..., a, a] = (-at({a: 2}, h2) + 16.0 * at({a: 1}, h2) - 30.0 * f0
-                          + 16.0 * at({a: -1}, h2) - at({a: -2}, h2)) / (12.0 * h2[a] ** 2)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            acc = sum(wa * wb * at({a: oa, b: ob}, h2)
-                      for oa, wa in w1.items() for ob, wb in w1.items())
-            ddf[..., a, b] = ddf[..., b, a] = acc / (144.0 * h2[a] * h2[b])
-    return f0, df, ddf
+    if scheme != "autodiff":
+        return _fd_taylor(field, list(coords)[:dim], 0, scheme)
+    xs = jets.variables(list(coords), order=2)
+    f = field(xs)
+    if not isinstance(f, jets.Jet):
+        f = _entry_to_jet(f, xs[0])
+    return f.val, f.grad, f.hess
 
 
 def hessian(field, sampler, point, scheme="autodiff"):
@@ -359,7 +354,3 @@ def kulkarni_reconstruct(bundle):
                            e, e, e, e, diff)
     return rm, float(np.max(np.abs(diff_frame)))
 
-
-# laplacian_split_residual lives with the surface machinery; re-exported
-# here because it is part of the chart-calculus toolbox.
-from .hypersurfaces import laplacian_split_residual  # noqa: E402,F401

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geodesics, hypersurfaces, israel, photon
+from .calculus import curvature
 from .spacetimes import ChartPoint, DomainError, StaticSpacetime, load_profile
 
 EXIT_TRUE = 0
@@ -293,8 +294,6 @@ def run_scenario(scn, out_dir, dump_curvature=None):
 
 
 def _dump_curvature(scn, spacetime, path):
-    from .calculus import curvature
-
     loc = photon.locate_photon_sphere(spacetime.profile, scn.scan)
     r = loc.r_ps if loc.found else 0.5 * (scn.scan[0] + scn.scan[1])
     bundle = curvature(spacetime.metric4, (0.0, r, math.pi / 3, 0.0))

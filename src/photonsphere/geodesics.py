@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spacetimes import ChartPoint, DomainError
+from .spacetimes import ChartPoint
 
 TOL_NULL = 1e-9
 DEFAULT_TOL = 1e-10
@@ -237,14 +237,6 @@ def null_state(spacetime, position, spatial_velocity, time_sign=1.0,
                         prev_vt_sign=time_sign)
     vt = math.copysign(y[4], time_sign)
     return GeodesicState(position, (vt, vr, vth, vph), affine)
-
-
-def observed_energy(state, spacetime):
-    """Energy (and frequency, hbar = 1) seen by the static observers."""
-    g = spacetime.metric_at(state.position)
-    n = math.sqrt(-g[0, 0])
-    e = float(g[0, 0] * state.velocity[0] / n)
-    return e, e
 
 
 @dataclass(frozen=True)

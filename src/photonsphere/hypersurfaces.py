@@ -19,10 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
-from .spacetimes import ChartPoint, DomainError, MetricSampler
+from .calculus import (_christoffel_from, christoffel, curvature, five_point,
+                       hessian, inverse_metric_derivative, laplacian,
+                       metric_taylor, scalar_taylor)
+from .spacetimes import ChartPoint, MetricSampler
 
 FOLIATION_DN_FLOOR = 1e-12
+CODAZZI_FD_STEP = 5e-3   # surface-coordinate step for differencing II
 
 
 class FoliationError(RuntimeError):
@@ -144,8 +147,6 @@ def _level_function(surface):
 
 def _gradient_normal(surface, x, g, ginv, dg):
     """Unit normal covector and its coordinate derivatives for level sets."""
-    from .calculus import scalar_taylor
-
     field = _level_function(surface)
     _, w, dw = scalar_taylor(field, x, surface.ambient.dim)
     q = np.einsum("...ab,...a,...b->...", ginv, w, w)
@@ -153,7 +154,7 @@ def _gradient_normal(surface, x, g, ginv, dg):
         raise FoliationError(
             f"foliation failure: |d{surface.level_field}| < {FOLIATION_DN_FLOOR} "
             f"on {surface.kind} at level {surface.level_value}")
-    dginv = -np.einsum("...am,...emn,...nd->...ead", ginv, dg, ginv)
+    dginv = inverse_metric_derivative(ginv, dg)
     dq = (np.einsum("...eab,...a,...b->...e", dginv, w, w)
           + 2.0 * np.einsum("...ab,...ea,...b->...e", ginv, dw, w))
     qs = np.sqrt(q)
@@ -173,8 +174,6 @@ def _observer_normal(surface, x, g, ginv, dg):
     The lapse is read off the sampler's own g_tt so the normal stays exact
     for any ambient (including induced cylinder metrics).
     """
-    from .calculus import scalar_taylor
-
     n, dn, _ = scalar_taylor(lambda c: np.sqrt(-(surface.ambient.components(c)[0][0])),
                              x, surface.ambient.dim)
     shape = np.shape(n)
@@ -202,7 +201,9 @@ class ShapeData:
     coordinate components along the tangent axes.  ``tracefree_norm`` is the
     frame Frobenius norm of II - (H/n) * induced, which vanishes exactly on
     umbilic surfaces and equals the natural tensor norm in the Riemannian
-    case.
+    case.  ``metric_dd`` is the ambient metric g_ab at the embedded points
+    and ``normal_d`` / ``normal_u`` the unit normal eta_a / eta^a that II
+    is built from, so callers need not differentiate the metric again.
     """
 
     second_ff: np.ndarray
@@ -212,6 +213,9 @@ class ShapeData:
     frame_signs: tuple
     tau: int
     at: tuple
+    metric_dd: np.ndarray
+    normal_d: np.ndarray
+    normal_u: np.ndarray
 
     def recomputed_trace(self):
         eps = np.asarray(self.frame_signs)
@@ -224,8 +228,6 @@ def shape(surface, point):
     ``point`` is a tuple of surface coordinates; entries may be arrays for
     vectorized evaluation.
     """
-    from .calculus import metric_taylor
-
     ys = _asarrays(point)
     x = surface.embed(ys)
     g, dg, _ = metric_taylor(surface.ambient, x)
@@ -234,7 +236,7 @@ def shape(surface, point):
     norm2 = np.einsum("...a,...a->...", eta_d, eta_u)
     if np.max(np.abs(norm2 - surface.tau)) > 1e-8:
         raise ValueError(f"normal normalization drifted from tau = {surface.tau}")
-    gamma = _christoffel_local(g, dg, ginv)
+    gamma = _christoffel_from(ginv, dg)
 
     # nabla_a eta_b = d_a eta_b - Gamma^c_ab eta_c
     nabla = deta - np.einsum("...cab,...c->...ab", gamma, eta_d)
@@ -258,12 +260,8 @@ def shape(surface, point):
     n = len(axes)
     tracefree = ii_frame - (h[..., None, None] / n) * np.diag(eps_arr)
     tf_norm = np.sqrt(np.einsum("...AB,...AB->...", tracefree, tracefree))
-    return ShapeData(ii_frame, ii_coord, h, tf_norm, eps_const, surface.tau, ys)
-
-
-def _christoffel_local(g, dg, ginv):
-    sym = (np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg)
-    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, sym)
+    return ShapeData(ii_frame, ii_coord, h, tf_norm, eps_const, surface.tau, ys,
+                     g, eta_d, eta_u)
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +273,11 @@ def gauss_residual(surface, point):
 
     |R_ambient - 2 tau Ric(eta,eta) - R_induced + tau (tr II)^2 - tau |II|^2|
     """
-    from .calculus import curvature, metric_taylor
-
     ys = _asarrays(point)
-    x = surface.embed(ys)
-    amb = curvature(surface.ambient, x)
+    amb = curvature(surface.ambient, surface.embed(ys))
     ind = curvature(surface.induced_sampler(), ys)
     sh = shape(surface, ys)
-    g, dg, _ = metric_taylor(surface.ambient, x)
-    ginv = np.linalg.inv(g)
-    _, _, eta_u = normal_data(surface, x, g, ginv, dg)
-    ric_nn = np.einsum("...ab,...a,...b->...", amb.ricci_dd, eta_u, eta_u)
+    ric_nn = np.einsum("...ab,...a,...b->...", amb.ricci_dd, sh.normal_u, sh.normal_u)
     eps = np.asarray(sh.frame_signs, dtype=float)
     ii_sq = np.einsum("A,B,...AB,...AB->...", eps, eps, sh.second_ff, sh.second_ff)
     tau = surface.tau
@@ -294,7 +286,7 @@ def gauss_residual(surface, point):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def codazzi_residual(surface, X, Y, Z, point, fd_step=5e-3):
+def codazzi_residual(surface, X, Y, Z, point):
     """Residual of the Codazzi equation for tangent vectors X, Y, Z.
 
     |b(Rm(X,Y,eta), Z) - (nabla_X II)(Y,Z) + (nabla_Y II)(X,Z)|
@@ -304,16 +296,11 @@ def codazzi_residual(surface, X, Y, Z, point, fd_step=5e-3):
     finite differences in the surface coordinates (each II sample is
     autodiff-exact, so the differencing error is far below tol).
     """
-    from .calculus import christoffel, curvature, metric_taylor
-
     ys = _asarrays(point)
-    x = surface.embed(ys)
     X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-    amb = curvature(surface.ambient, x)
-    g = amb.metric_dd
-    ginv = amb.metric_uu
-    _, dg, _ = metric_taylor(surface.ambient, x)
-    eta_d, _, eta_u = normal_data(surface, x, g, ginv, dg)
+    amb = curvature(surface.ambient, surface.embed(ys))
+    sh = shape(surface, ys)
+    g, eta_d, eta_u = sh.metric_dd, sh.normal_d, sh.normal_u
     for v, name in ((X, "X"), (Y, "Y"), (Z, "Z")):
         normal_part = np.einsum("...a,...a->...", v, eta_d)
         vnorm = np.sqrt(np.abs(np.einsum("...ab,...a,...b->...", g, v, v)))
@@ -325,18 +312,10 @@ def codazzi_residual(surface, X, Y, Z, point, fd_step=5e-3):
     axes = list(surface.tangent_axes)
     Xs, Ys_, Zs = X[axes], Y[axes], Z[axes]
     gamma_ind = christoffel(surface.induced_sampler(), ys)
-    ii0 = shape(surface, ys).second_ff_coord
-
-    n = surface.surface_dim
-    dii = np.empty(ii0.shape[:-2] + (n, n, n))
-    w1 = {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}
-    for c in range(n):
-        acc = 0.0
-        for o, w in w1.items():
-            pt = list(ys)
-            pt[c] = pt[c] + o * fd_step
-            acc = acc + w * shape(surface, tuple(pt)).second_ff_coord
-        dii[..., c, :, :] = acc / (12.0 * fd_step)
+    ii0 = sh.second_ff_coord
+    dii = np.stack([five_point(lambda y: shape(surface, tuple(y)).second_ff_coord,
+                               ys, c, CODAZZI_FD_STEP)
+                    for c in range(surface.surface_dim)], axis=-3)
 
     nabla_ii = (dii
                 - np.einsum("...dca,...db->...cab", gamma_ind, ii0)
@@ -356,8 +335,6 @@ def laplacian_split_residual(field, surface, point):
     Stated for Riemannian normals only; tau = -1 surfaces are rejected.
     ``field`` maps ambient coordinates to a scalar and must accept jets.
     """
-    from .calculus import hessian, laplacian, metric_taylor, scalar_taylor
-
     if surface.tau != +1:
         raise ValueError("the Laplacian split requires a tau = +1 normal")
     ys = _asarrays(point)
@@ -365,12 +342,11 @@ def laplacian_split_residual(field, surface, point):
     lap_amb = laplacian(field, surface.ambient, x)
     restricted = lambda yy: field(surface.embed(yy))
     lap_surf = laplacian(restricted, surface.induced_sampler(), ys)
-    g, dg, _ = metric_taylor(surface.ambient, x)
-    ginv = np.linalg.inv(g)
-    _, _, eta_u = normal_data(surface, x, g, ginv, dg)
+    sh = shape(surface, ys)
+    eta_u = sh.normal_u
     hess = hessian(field, surface.ambient, x)
     hess_nn = np.einsum("...ab,...a,...b->...", hess, eta_u, eta_u)
     _, df, _ = scalar_taylor(field, x, surface.ambient.dim)
     eta_f = np.einsum("...a,...a->...", eta_u, df)
-    h = shape(surface, ys).mean_curvature
-    return float(np.max(np.abs(lap_amb - (lap_surf + hess_nn + h * eta_f))))
+    return float(np.max(np.abs(lap_amb - (lap_surf + hess_nn
+                                          + sh.mean_curvature * eta_f))))

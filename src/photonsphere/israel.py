@@ -26,6 +26,7 @@ single tolerance is meaningful across the whole foliation.
 """
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,7 +40,6 @@ from .spacetimes import DomainError
 
 TOL_LVL = 1e-5
 TAIL_RADIUS_FACTOR = 100.0
-DN_FLOOR = 1e-12
 
 
 class FlatnessError(RuntimeError):
@@ -116,23 +116,17 @@ def _solve_radius(profile, n_target, r_lo, r_hi):
     return 0.5 * (a + b)
 
 
-def _level_nodes(spacetime, r_level, n_theta, n_phi):
-    """All leaf fields at the quadrature nodes of one level."""
-    theta, x, phi, w = quad.sphere_grid(n_theta, n_phi)
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
-    surface = hs.lapse_level_set(spacetime, r_level)
+def _leaf_measure(surface, tg, w, coords, g, eta_d, eta_u):
+    """Area element and nu(N) of one leaf on its grid.
 
-    sd = hs.shape(surface, (tg, pg))
-    coords = surface.embed((tg, pg))
-    g, dg, _ = metric_taylor(surface.ambient, coords)
-    ginv = np.linalg.inv(g)
-    eta_d, _, eta_u = hs.normal_data(surface, coords, g, ginv, dg)
-    _, dn, _ = scalar_taylor(lambda c: spacetime.profile.lapse(c[0]), coords, 3)
+    Runs the DN-floor, adapted-form and roundness checks on the same grid.
+    """
+    lapse = surface.spacetime.profile.lapse
+    _, dn, _ = scalar_taylor(lambda c: lapse(c[0]), coords, 3)
     nuN = np.einsum("...a,...a->...", eta_u, dn)
-    if np.any(np.abs(nuN) < DN_FLOOR):
-        raise hs.FoliationError(
-            f"foliation failure: |dN| < {DN_FLOOR} on the leaf r = {r_level}")
-    rho = 1.0 / np.abs(nuN)
+    if np.any(np.abs(nuN) < hs.FOLIATION_DN_FLOOR):
+        raise hs.FoliationError(f"foliation failure: |dN| < {hs.FOLIATION_DN_FLOOR} "
+                                f"on the leaf r = {surface.level_value}")
 
     sigma = g[..., 1:, 1:]
     det_sigma = sigma[..., 0, 0] * sigma[..., 1, 1] - sigma[..., 0, 1] ** 2
@@ -145,9 +139,6 @@ def _level_nodes(spacetime, r_level, n_theta, n_phi):
         raise hs.FoliationError("adapted form violated: normal has tangential "
                                 f"components ~ {tangent_residual:.2e}")
 
-    ind = curvature(surface.induced_sampler(), (tg, pg))
-    gauss_k = 0.5 * ind.scalar
-
     # v1 scope: leaves are round up to parameterization
     r_area = math.sqrt(np.sum(w * jac) / (4.0 * math.pi))
     roundness = max(np.max(np.abs(sigma[..., 0, 0] / r_area ** 2 - 1.0)),
@@ -156,8 +147,32 @@ def _level_nodes(spacetime, r_level, n_theta, n_phi):
         raise hs.FoliationError("leaf is not a round sphere in this chart "
                                 f"(deviation {roundness:.2e}); general leaves "
                                 "are out of scope")
-    return theta, x, phi, w, jac, sqrt_s, rho, sd.mean_curvature, nuN, \
-        sd.tracefree_norm, gauss_k
+    return jac, sqrt_s, nuN
+
+
+def _level_nodes(spacetime, r_level, n_theta, n_phi):
+    """All leaf fields at the quadrature nodes of one level."""
+    theta, x, phi, w = quad.sphere_grid(n_theta, n_phi)
+    tg, pg = np.meshgrid(theta, phi, indexing="ij")
+    surface = hs.lapse_level_set(spacetime, r_level)
+    sd = hs.shape(surface, (tg, pg))
+    jac, sqrt_s, nuN = _leaf_measure(surface, tg, w, surface.embed((tg, pg)),
+                                     sd.metric_dd, sd.normal_d, sd.normal_u)
+    gauss_k = 0.5 * curvature(surface.induced_sampler(), (tg, pg)).scalar
+    return theta, x, phi, w, jac, sqrt_s, 1.0 / np.abs(nuN), sd.mean_curvature, \
+        nuN, sd.tracefree_norm, gauss_k
+
+
+def _flux_resample(spacetime, r_level, order):
+    """Mass flux of one leaf on a finer grid: only the metric and normal."""
+    theta, _, phi, w = quad.sphere_grid(*order)
+    tg, pg = np.meshgrid(theta, phi, indexing="ij")
+    surface = hs.lapse_level_set(spacetime, r_level)
+    coords = surface.embed((tg, pg))
+    g, dg, _ = metric_taylor(surface.ambient, coords)
+    eta_d, _, eta_u = hs.normal_data(surface, coords, g, np.linalg.inv(g), dg)
+    jac, _, nuN = _leaf_measure(surface, tg, w, coords, g, eta_d, eta_u)
+    return float(np.sum(w * jac * nuN) / (4.0 * math.pi))
 
 
 def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
@@ -198,12 +213,7 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
         theta, x, phi, w, jac, sqrt_s, rho, h, nuN, tf, gk = _level_nodes(
             spacetime, r_j, n_theta, n_phi)
 
-        def resampler(order, _r=r_j):
-            th2, x2, ph2, w2 = quad.sphere_grid(*order)
-            _, _, _, _, jac2, _, _, _, nuN2, _, _ = _level_nodes(
-                spacetime, _r, *order)
-            return float(np.sum(w2 * jac2 * nuN2) / (4.0 * math.pi))
-
+        resampler = functools.partial(_flux_resample, spacetime, r_j)
         out.append(LevelSetGeometry(j, float(nj), float(r_j), float(dn_ds[j]),
                                     theta, x, phi, w, jac, sqrt_s, rho, h,
                                     nuN, tf, gk, resampler))

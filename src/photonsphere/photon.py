@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geodesics, hypersurfaces
-from .spacetimes import DomainError
+from . import quadrature as quad
+from .calculus import curvature, is_vacuum, metric_taylor
+from .spacetimes import ChartPoint, DomainError
 
 TOL_CERT = 1e-7
 SCAN_POINTS = 512
@@ -117,8 +119,7 @@ class PhotonSurfaceCertificate:
     tangency_span: float
     seed_count: int
     rng_seed: int
-    lapse_std: float             # constancy of N over the surface
-    photon_sphere: bool          # photon surface that is a lapse level set
+    photon_sphere: bool          # certified (radial cylinders are lapse level sets)
     tol_cert: float
     tol_tangency: float
     vacuum: bool
@@ -145,19 +146,11 @@ class PhotonSurfaceCertificate:
         }
 
 
-def _surface_grid(n_theta=16, n_phi=32):
-    x, _ = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x)
-    phi = (np.arange(n_phi) + 0.5) * 2.0 * math.pi / n_phi
-    return np.meshgrid(theta, phi, indexing="ij")
-
-
 def timelike_signature(surface, n_samples=64):
     """Eigenvalue signs of the induced metric at sample points."""
-    from .calculus import metric_taylor
-
     n_theta = max(4, int(round(math.sqrt(n_samples / 2))))
-    theta, phi = _surface_grid(n_theta, 2 * n_theta)
+    theta, _, phi, _ = quad.sphere_grid(n_theta, 2 * n_theta)
+    theta, phi = np.meshgrid(theta, phi, indexing="ij")
     if surface.surface_dim == 3:
         pts = (np.zeros_like(theta), theta, phi)
     else:
@@ -177,9 +170,6 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
     integrating seeded null geodesics; both must agree for a "certified"
     or "refuted" verdict.  Non-timelike candidates are rejected outright.
     """
-    from .calculus import is_vacuum
-    from .spacetimes import ChartPoint
-
     if surface.kind != "cylinder":
         raise ValueError("certification expects a cylinder hypersurface")
     signs = timelike_signature(surface)
@@ -190,21 +180,18 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
             f"(expected (-,+,+))")
 
     r0 = surface.level_value
-    theta, phi = _surface_grid(n_theta, n_phi)
+    theta, _, phi, _ = quad.sphere_grid(n_theta, n_phi)
+    theta, phi = np.meshgrid(theta, phi, indexing="ij")
     sd = hypersurfaces.shape(surface, (np.zeros_like(theta), theta, phi))
     umb_sup = float(np.max(sd.tracefree_norm))
     h_mean = float(np.mean(sd.mean_curvature))
     h_std = float(np.std(sd.mean_curvature))
 
-    from .calculus import curvature
     ind = curvature(surface.induced_sampler(), (np.zeros_like(theta), theta, phi))
     rp_mean = float(np.mean(ind.scalar))
     rp_std = float(np.std(ind.scalar))
     expected_rp = (2.0 / 3.0) * h_mean ** 2
     scalar_residual = abs(rp_mean - expected_rp)
-
-    n_vals = spacetime.profile.lapse_d1(r0)[0] * np.ones_like(theta)
-    lapse_std = float(np.std(n_vals))
 
     seed_states = geodesics.tangent_null_seeds(spacetime, r0, seeds, rng_seed)
     tangency = geodesics.tangency_persistence(
@@ -237,8 +224,7 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
         tangency_span=span,
         seed_count=seeds,
         rng_seed=rng_seed,
-        lapse_std=lapse_std,
-        photon_sphere=(verdict == "certified" and lapse_std < tol_cert),
+        photon_sphere=verdict == "certified",
         tol_cert=tol_cert,
         tol_tangency=tol_tangency,
         vacuum=vac,
@@ -273,13 +259,13 @@ def cmc_scalar_check(spacetime, surface, certificate, n_theta=16, n_phi=32):
     """
     if certificate.umbilicity_sup >= certificate.tol_cert:
         raise ValueError("cmc_scalar_check requires an umbilic-certified surface")
-    theta, phi = _surface_grid(n_theta, n_phi)
+    theta, _, phi, _ = quad.sphere_grid(n_theta, n_phi)
+    theta, phi = np.meshgrid(theta, phi, indexing="ij")
     sd = hypersurfaces.shape(surface, (np.zeros_like(theta), theta, phi))
     h = sd.mean_curvature
     h_mean = float(np.mean(h))
     sup_dev = float(np.max(np.abs(h - h_mean)))
 
-    from .calculus import curvature
     ind = curvature(surface.induced_sampler(), (np.zeros_like(theta), theta, phi))
     rp = float(np.mean(ind.scalar))
 

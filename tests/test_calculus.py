@@ -112,6 +112,18 @@ class TestCurvature:
         ric_diff = np.einsum("...Aa,...Bb,...ab->...AB", e, e,
                              ba.ricci_dd - bf.ricci_dd)
         assert np.max(np.abs(ric_diff)) < 1e-6
+        slice_coords = coords[1:]
+        ha = calc.hessian(ST.lapse_field3(), ST.metric3, slice_coords, "autodiff")
+        hf = calc.hessian(ST.lapse_field3(), ST.metric3, slice_coords,
+                          "finite-difference")
+        assert np.max(np.abs(ha - hf)) < 1e-6 * max(1.0, np.max(np.abs(ha)))
+
+    def test_unknown_scheme_rejected(self):
+        field = ST.lapse_field3()
+        with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+            calc.scalar_taylor(field, (3.0, 1.0, 0.5), 3, scheme="bogus")
+        with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+            calc.metric_taylor(ST.metric3, (3.0, 1.0, 0.5), scheme="bogus")
 
     def test_debug_dump_has_fully_written_indices(self):
         b = calc.curvature(ST.metric4, (0.0, 3.0, 1.0, 0.5))

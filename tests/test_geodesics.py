@@ -66,14 +66,6 @@ class TestEnergyLaw:
         assert abs(e_at_5 / tr.energies[0]
                    - oracles.ENERGY_RATIO_10_TO_5) < 1e-6
 
-    def test_observed_energy_definition_unwind(self):
-        # static (non-geodesic) tangent: E = -N tdot by definition
-        st8 = geo.GeodesicState(ChartPoint(0.0, 8.0, 1.0, 0.0),
-                                (2.0, 0.0, 0.0, 0.0))
-        e, nu = geo.observed_energy(st8, ST)
-        n8 = ST.profile.lapse(8.0)
-        assert np.isclose(e, -n8 * 2.0) and nu == e
-
     def test_verdict_photon_orbit_vs_radial(self):
         # the instability amplifies local error into lapse (hence energy)
         # variation, so the orbit needs the tangency-grade tolerance
