@@ -155,6 +155,10 @@ def _run_trace(scn, spacetime, out):
         "energy_times_lapse_drift": traj.energy_times_lapse_drift(),
         "energy_constant": verdict.constant,
         "lapse_constant": verdict.lapse_constant,
+        "accepted_steps": traj.run.accepted_steps,
+        "rejected_steps": traj.run.rejected_steps,
+        "min_step": traj.run.min_step,
+        "max_null_residual": float(np.max(traj.null_residuals)),
     })
     return EXIT_TRUE if traj.status in ("completed", "domain-exit") else EXIT_ERROR
 

@@ -1,12 +1,33 @@
 """Null geodesic integration in static radial spacetimes.
 
 The geodesic equation is integrated with an embedded Dormand-Prince 5(4)
-pair.  After every accepted step the time component of the velocity is
-re-solved from the null constraint (choosing the root continuous with the
-previous step), which pins the state to the light cone without touching
-the spatial direction.  The observed energy E = g(v, N^-1 d_t) = -N tdot
-is recorded along the way; the combination E*N is the conserved constant
-of the t-equation and is what the constancy checks monitor.
+pair (Dormand & Prince 1980).  After every accepted step the time
+component of the velocity is re-solved from the null constraint (choosing
+the root continuous with the previous step), which pins the state to the
+light cone without touching the spatial direction.  The observed energy
+E = g(v, N^-1 d_t) = -N tdot is recorded along the way; the combination
+E*N is the conserved constant of the t-equation and is what the constancy
+checks monitor.
+
+One stepping loop serves every caller.  It advances a batch of
+trajectories held as the columns of an (8, S) array; each keeps its own
+affine parameter, step size, step counts, Kahan compensation and
+termination status, and leaves the batch when it ends.  ``integrate_null``
+is a batch of one; ``tangency_persistence`` runs all its seeds at once.
+
+Bit-identity: every column takes exactly the steps that the scalar loop
+over Python floats kept in ``tests/test_geodesics.py`` takes for it alone,
+whatever the batch around it.  The batch performs the same IEEE operations
+in the same order: stage sums are added left to right from 0.0 (the
+builtin ``sum`` of the former scalar loop did so up to CPython 3.11; from
+3.12 on it compensates, so there trajectories differ from that loop's in
+the last bits); the fifth-order increment is rounded once per entry, as
+``math.fsum`` rounds it; the squares of the error norm and the step-size
+factor go through Python's float ``pow``, which numpy's power does not
+reproduce; ``np.sin``/``np.cos`` agree with ``math.sin``/``math.cos``.
+Where a profile evaluation fails (the scalar loop catches ValueError or
+ZeroDivisionError), the batch sees a non-finite entry and shrinks that
+column's step alone.
 """
 
 import math
@@ -20,6 +41,7 @@ TOL_NULL = 1e-9
 DEFAULT_TOL = 1e-10
 THETA_GUARD = 1e-7          # terminate before the chart degenerates at poles
 DOMAIN_GUARD_RTOL = 1e-6    # stop this close (relative) to the domain edge
+MAX_STEPS = 2_000_000       # attempted steps before a trajectory is "stiff"
 
 # Dormand-Prince 5(4) tableau (7 stages, first-same-as-last not exploited
 # because the projection changes the state between steps)
@@ -37,6 +59,10 @@ _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+# the same weights as columns that broadcast over a (stage, 8, S) stack
+_A_COLS = tuple(np.reshape(row, (-1, 1, 1)) for row in _A)
+_B5_COL = np.reshape(_B5, (-1, 1, 1))
+_ERR_COL = np.reshape(_ERR, (-1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -52,6 +78,17 @@ class GeodesicState:
 
 
 @dataclass(frozen=True)
+class RunSummary:
+    """How one trajectory of a batch ended and what its stepping cost."""
+
+    status: str            # "completed" | "domain-exit" | "stiff" | "pole"
+    reason: str
+    accepted_steps: int
+    rejected_steps: int    # error-norm rejections and failed evaluations
+    min_step: float        # smallest accepted step size; None if none
+
+
+@dataclass(frozen=True)
 class GeodesicTrajectory:
     """Sampled null geodesic with conserved-quantity monitoring.
 
@@ -59,6 +96,7 @@ class GeodesicTrajectory:
     vt, vr, vtheta, vphi).  ``energies`` holds E = -N tdot per sample,
     ``null_residuals`` the pre-projection constraint |g(v,v)|, and
     ``c_estimate`` the constant C of tdot = C N^-2 (equal to -E*N).
+    ``run`` carries the step counts (its status and reason repeat these).
     """
 
     samples: np.ndarray
@@ -67,6 +105,7 @@ class GeodesicTrajectory:
     c_estimate: float
     status: str            # "completed" | "domain-exit" | "stiff" | "pole"
     reason: str = ""
+    run: RunSummary = None
 
     @property
     def affine(self):
@@ -94,135 +133,235 @@ class GeodesicTrajectory:
 
 
 def _rhs(profile, y):
-    """Geodesic right-hand side for -A dt^2 + B dr^2 + r^2 Omega."""
+    """Geodesic right-hand side for -A dt^2 + B dr^2 + r^2 Omega.
+
+    ``y`` holds one state per column; each column is computed as the same
+    expression on floats would compute it.
+    """
     t, r, th, ph, vt, vr, vth, vph = y
     a, ap, b, bp = profile.metric_factors_d1(r)
-    sth = math.sin(th)
-    cth = math.cos(th)
+    sth = np.sin(th)
+    cth = np.cos(th)
     rvr = vr / r
     at = -(ap / a) * vt * vr
     ar = (-0.5 * ap / b * vt * vt - 0.5 * bp / b * vr * vr
           + (r / b) * (vth * vth + sth * sth * vph * vph))
-    ath = -2.0 * rvr * vth + sth * cth * vph * vph
-    aph = -2.0 * rvr * vph - 2.0 * (cth / sth) * vth * vph
-    return (vt, vr, vth, vph, at, ar, ath, aph)
+    m2rvr = -2.0 * rvr
+    ath = m2rvr * vth + sth * cth * vph * vph
+    aph = m2rvr * vph - 2.0 * (cth / sth) * vth * vph
+    return np.array((vt, vr, vth, vph, at, ar, ath, aph))
 
 
 def null_project(profile, y, prev_vt_sign=1.0):
     """Re-solve tdot from g(v,v) = 0, keeping the spatial direction.
 
-    Returns the projected state and the pre-projection constraint value.
+    Returns the projected state and the pre-projection constraint value,
+    per column of ``y``; a column with no real null direction gets a nan
+    tdot.
     """
     t, r, th, ph, vt, vr, vth, vph = y
     a, _, b, _ = profile.metric_factors_d1(r)
-    sth = math.sin(th)
+    sth = np.sin(th)
     spatial = b * vr * vr + r * r * (vth * vth + sth * sth * vph * vph)
     residual = -a * vt * vt + spatial
-    sign = math.copysign(1.0, vt) if vt != 0.0 else prev_vt_sign
-    vt_new = sign * math.sqrt(spatial / a)
-    return (t, r, th, ph, vt_new, vr, vth, vph), residual
+    sign = np.where(vt != 0.0, np.copysign(1.0, vt), prev_vt_sign)
+    vt_new = sign * np.sqrt(spatial / a)
+    return np.array((t, r, th, ph, vt_new, vr, vth, vph)), residual
+
+
+def _stage_sum(coefs, k):
+    """sum_m coefs[m] k[m] over a stack k of stage derivatives.
+
+    The terms are added left to right from 0.0, as the builtin sum() of the
+    scalar loop added them (numpy's reductions may add pairwise).
+    """
+    terms = coefs * k
+    acc = 0.0 + terms[0]
+    for term in terms[1:]:
+        acc += term
+    return acc
+
+
+def _fsum_stages(coefs, k):
+    """sum_m coefs[m] k[m] with each entry rounded once, as math.fsum rounds it."""
+    terms = (coefs * k).reshape(len(k), -1).T.tolist()
+    return np.array(list(map(math.fsum, terms))).reshape(k.shape[1:])
 
 
 def _error_norm(err, y_old, y_new, atol, rtol):
-    acc = 0.0
-    for e, a_, b_ in zip(err, y_old, y_new):
-        sc = atol + rtol * max(abs(a_), abs(b_))
-        acc += (e / sc) ** 2
-    return math.sqrt(acc / len(err))
+    """RMS over the 8 components of err / (atol + rtol max(|y_old|, |y_new|)).
+
+    Returns one float per column.  The squares go through Python's float
+    pow, which numpy's does not reproduce bit for bit, and are added over
+    the components in order.
+    """
+    a_, b_ = np.abs(y_old), np.abs(y_new)
+    scaled = err / (atol + rtol * np.where(b_ > a_, b_, a_))
+    norms = []
+    for col in scaled.T.tolist():
+        acc = 0.0
+        for e in col:
+            acc += e ** 2
+        norms.append(math.sqrt(acc / len(col)))
+    return norms
 
 
-def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=2_000_000):
+def _integrate_batch(profile, states, span, tol, max_steps, on_accept):
+    """Integrate null states over [0, span] with one DOPRI 5(4) loop.
+
+    Each state is a column of an (8, S) array with its own affine
+    parameter, step size, accepted-step count, Kahan compensation and
+    termination status; a column leaves the batch when its trajectory
+    ends.  Every column steps exactly as it would alone.  A stage at which
+    the profile is not real or not finite shrinks that column's step by 4;
+    a column whose step underflows after such a failure, with no step
+    accepted since, ends in "domain-exit".
+
+    ``on_accept(seeds, lam, y, residual)`` is called with the projected
+    initial states and then after every accepted step, with the indices
+    (into ``states``) of the columns that took it, their affine
+    parameters, projected states and pre-projection |g(v, v)|.  Returns
+    one RunSummary per state.
+    """
+    y0 = np.array([s.as_array() for s in states], dtype=float).reshape(-1, 8).T
+    n = y0.shape[1]
+    with np.errstate(all="ignore"):
+        y, res0 = null_project(profile, y0)
+    vscale = np.max(np.abs(y0[4:]), axis=0, initial=0.0)
+    vscale[vscale == 0.0] = 1.0
+    for j, r in enumerate(y0[1].tolist()):
+        profile.check_point(r)
+        moved = abs(y[4, j] - y0[4, j])
+        if not math.isfinite(moved):
+            raise ValueError(f"no real null direction at r = {r:.6g}")
+        if moved > math.sqrt(TOL_NULL) * vscale[j]:
+            raise ValueError(f"initial velocity is not null (projection moved "
+                             f"tdot by {moved:.3e})")
+    on_accept(np.arange(n), np.zeros(n), y, np.abs(res0))
+
+    r_stop = profile.r_min * (1.0 + DOMAIN_GUARD_RTOL) if profile.r_min > 0 else 0.0
+    # stop at r <= r_stop (1 + 1e-12), or at r < 1e-9 when there is no r_min
+    r_exit = r_stop * (1.0 + 1e-12) if r_stop > 0.0 else math.nextafter(1e-9, 0.0)
+    h_floor = 1e-14 * max(1.0, span)
+    atol = rtol = tol
+    ends = [None] * n
+    live = np.arange(n)          # index into ``states`` of each column
+    lam = np.zeros(n)
+    step = 0                     # attempted steps, the same for every live column
+    taken = np.zeros(n, dtype=int)
+    h_min = np.full(n, math.inf)
+    comp = np.zeros((8, n))      # Kahan compensation: unstable orbits amplify roundoff
+    halted = np.zeros(n, dtype=bool)
+    status = {}                  # column -> (status, reason) for halted columns
+    with np.errstate(all="ignore"):
+        f = _rhs(profile, y)
+        # a profile value failed since the column's last accepted step
+        failed = ~np.isfinite(f).all(axis=0)
+        d0 = np.max(np.abs(y), axis=0, initial=0.0)
+        d1 = np.max(np.abs(f), axis=0, initial=0.0)
+        d0[d0 == 0.0] = 1.0
+        d1[d1 == 0.0] = 1.0
+        h = 0.01 * d0 / d1
+        h = np.where(span < h, span, h)
+        while live.size:
+            # the checks that open a step, in order
+            done = halted | ~(lam < span)
+            over = step >= max_steps
+            h = np.where(span - lam < h, span - lam, h)
+            out = done | over | ~(h >= h_floor)
+            if np.count_nonzero(out):
+                for j in np.flatnonzero(out).tolist():
+                    if done[j]:
+                        pass          # completed, or halted with its status
+                    elif over:
+                        status[j] = ("stiff", "max step count reached")
+                    elif failed[j]:
+                        status[j] = ("domain-exit", "profile not real or finite "
+                                     f"near r = {y[1, j]:.6g}")
+                    else:
+                        status[j] = ("stiff", "step size underflow")
+                    end_min = float(h_min[j]) if taken[j] else None
+                    ends[live[j]] = RunSummary(
+                        *status.get(j, ("completed", "")), int(taken[j]),
+                        step - int(taken[j]), end_min)
+                keep = ~out
+                live, lam, h, taken, h_min, failed = (
+                    v[keep] for v in (live, lam, h, taken, h_min, failed))
+                y, f, comp = y[:, keep], f[:, keep], comp[:, keep]
+                halted = np.zeros(live.size, dtype=bool)
+                status = {}
+                if not live.size:
+                    break
+
+            k = np.empty((7,) + y.shape)
+            k[0] = f
+            for i in range(1, 7):
+                k[i] = _rhs(profile, y + h * _stage_sum(_A_COLS[i], k[:i]))
+            bad = ~np.isfinite(k).all(axis=(0, 1))
+            if np.count_nonzero(bad):
+                k[:, :, bad] = 0.0
+            incr = h * _fsum_stages(_B5_COL, k)
+            err = h * _stage_sum(_ERR_COL, k)
+            enorm = _error_norm(err, y, y + incr, atol, rtol)
+            ok = ~bad & (np.array(enorm) <= 1.0)
+            if np.count_nonzero(ok):
+                dy = incr + comp
+                t = y + dy
+                y_proj, resid = null_project(profile, t, np.copysign(1.0, t[4]))
+                lost = ok & ~np.isfinite(y_proj[4])  # no real null direction
+                bad |= lost
+                ok &= ~lost
+                comp_new = dy - (t - y)
+                comp_new[4] = 0.0                    # tdot replaced by the projection
+                lam = np.where(ok, lam + h, lam)
+                y = np.where(ok, y_proj, y)
+                comp = np.where(ok, comp_new, comp)
+                taken += ok
+                h_min = np.where(ok & (h < h_min), h, h_min)
+                acc = np.flatnonzero(ok)
+                on_accept(live[acc], lam[acc], y[:, acc], np.abs(resid[acc]))
+                exits = ok & (y[1] <= r_exit)
+                th_mod = y[2] % math.pi
+                halted = exits | ok & (np.minimum(th_mod, math.pi - th_mod)
+                                       < THETA_GUARD)
+                if np.count_nonzero(halted):
+                    for j in np.flatnonzero(halted).tolist():
+                        status[j] = (("domain-exit", f"r reached {y[1, j]:.6g}")
+                                     if exits[j] else
+                                     ("pole", f"theta reached {y[2, j]:.6g}"))
+                f = np.where(ok, _rhs(profile, y), f)
+            step += 1
+            failed = (failed | bad) & ~ok
+            h = h * np.array([
+                0.25 if shrink else
+                min(5.0, max(0.2, 5.0 if e == 0.0 else 0.9 * e ** -0.2))
+                for shrink, e in zip(bad.tolist(), enorm)])
+    return ends
+
+
+def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=MAX_STEPS):
     """Integrate a null geodesic over an affine interval [0, span].
 
     The initial velocity is projected onto the null cone (rejected if the
     projection moves it by more than sqrt(tol_null) relative).  Terminates
     early with a descriptive status when the domain boundary or a pole is
-    approached, or when the adaptive step underflows.
+    approached, when the profile stops being real or finite, or when the
+    adaptive step underflows.
     """
     profile = spacetime.profile
-    y = initial.as_array().tolist()
-    profile.check_point(y[1])
-    y0 = tuple(y)
-    y_proj0, res0 = null_project(profile, y0)
-    y = list(y_proj0)
-    vscale = max(abs(v) for v in y0[4:]) or 1.0
-    if abs(y[4] - y0[4]) > math.sqrt(TOL_NULL) * vscale:
-        raise ValueError(f"initial velocity is not null (projection moved tdot "
-                         f"by {abs(y[4] - y0[4]):.3e})")
+    rows, residuals = [], []
 
-    r_stop = profile.r_min * (1.0 + DOMAIN_GUARD_RTOL) if profile.r_min > 0 else 0.0
-    atol = rtol = tol
-    lam = 0.0
-    rows = [(lam,) + tuple(y)]
-    residuals = [abs(res0)]
+    def record(seeds, lam, y, residual):
+        rows.append(np.concatenate((lam, y[:, 0])))
+        residuals.append(residual[0])
 
-    f = _rhs(profile, y)
-    d0 = max(abs(v) for v in y) or 1.0
-    d1 = max(abs(v) for v in f) or 1.0
-    h = min(0.01 * d0 / d1, span)
-    status, reason = "completed", ""
-    steps = 0
-    comp = [0.0] * 8  # Kahan compensation: unstable orbits amplify roundoff
-    while lam < span:
-        if steps >= max_steps:
-            status, reason = "stiff", "max step count reached"
-            break
-        h = min(h, span - lam)
-        if h < 1e-14 * max(1.0, span):
-            status, reason = "stiff", "step size underflow"
-            break
-        k = [f]
-        bad = False
-        for i in range(1, 7):
-            yi = [y[j] + h * sum(_A[i][m] * k[m][j] for m in range(i))
-                  for j in range(8)]
-            try:
-                k.append(_rhs(profile, yi))
-            except (ValueError, ZeroDivisionError):
-                bad = True
-                break
-        if bad:
-            h *= 0.25
-            steps += 1
-            continue
-        incr = [h * math.fsum(_B5[m] * k[m][j] for m in range(7)) for j in range(8)]
-        y_new = [y[j] + incr[j] for j in range(8)]
-        err = [h * sum(_ERR[m] * k[m][j] for m in range(7)) for j in range(8)]
-        enorm = _error_norm(err, y, y_new, atol, rtol)
-        if enorm <= 1.0:
-            lam += h
-            for j in range(8):
-                dy = incr[j] + comp[j]
-                t = y[j] + dy
-                comp[j] = dy - (t - y[j])
-                y[j] = t
-            y_proj, resid = null_project(profile, tuple(y),
-                                         math.copysign(1.0, y[4]))
-            comp[4] = 0.0  # tdot replaced by the projection
-            y = list(y_proj)
-            rows.append((lam,) + tuple(y))
-            residuals.append(abs(resid))
-            steps += 1
-            if y[1] <= r_stop * (1.0 + 1e-12) or (r_stop == 0.0 and y[1] < 1e-9):
-                status, reason = "domain-exit", f"r reached {y[1]:.6g}"
-                break
-            th_mod = y[2] % math.pi
-            if min(th_mod, math.pi - th_mod) < THETA_GUARD:
-                status, reason = "pole", f"theta reached {y[2]:.6g}"
-                break
-            f = _rhs(profile, y)
-        else:
-            steps += 1
-        factor = 5.0 if enorm == 0.0 else 0.9 * enorm ** -0.2
-        h *= min(5.0, max(0.2, factor))
-
-    samples = np.asarray(rows)
-    lapse = np.asarray([profile.lapse_d1(r)[0] for r in samples[:, 2]])
+    (run,) = _integrate_batch(profile, [initial], span, tol, max_steps, record)
+    samples = np.array(rows)
+    lapse = np.asarray(profile.lapse_d1(samples[:, 2])[0], dtype=float)
     energies = -lapse * samples[:, 5]
     c_est = float(np.mean(-energies * lapse))
-    traj = GeodesicTrajectory(samples, energies, np.asarray(residuals),
-                              c_est, status, reason, _lapse=lapse)
-    return traj
+    return GeodesicTrajectory(samples, energies, np.array(residuals), c_est,
+                              run.status, run.reason, run, _lapse=lapse)
 
 
 def null_state(spacetime, position, spatial_velocity, time_sign=1.0,
@@ -232,10 +371,13 @@ def null_state(spacetime, position, spatial_velocity, time_sign=1.0,
     The time component is solved from g(v, v) = 0 with the requested sign.
     """
     vr, vth, vph = spatial_velocity
-    y, _ = null_project(spacetime.profile,
-                        position.coords4() + (0.0, vr, vth, vph),
-                        prev_vt_sign=time_sign)
-    vt = math.copysign(y[4], time_sign)
+    y = np.array(position.coords4() + (0.0, vr, vth, vph), dtype=float)
+    with np.errstate(all="ignore"):
+        y, _ = null_project(spacetime.profile, y[:, None], prev_vt_sign=time_sign)
+    vt = float(y[4, 0])
+    if not math.isfinite(vt):
+        raise ValueError(f"no real null direction at r = {position.r:.6g}")
+    vt = math.copysign(vt, time_sign)
     return GeodesicState(position, (vt, vr, vth, vph), affine)
 
 
@@ -299,6 +441,7 @@ class TangencyReport:
     span: float
     seed_count: int
     rng_seed: int
+    runs: tuple               # per-seed RunSummary
 
 
 TANGENCY_TOL = 1e-14  # photon-sphere orbits amplify local error by e^(N span / r)
@@ -311,6 +454,8 @@ def tangency_persistence(spacetime, surface, seeds, span, tol=TANGENCY_TOL,
     ``surface`` is a cylinder hypersurface; deviation is |r - r0| when it
     is parameterized by radius and |N - N0| for lapse level sets.
     Per-seed integration failures are reported alongside partial results.
+    All seeds are integrated as one batch; only the running sup of each
+    seed's deviation is kept, never its trajectory.
 
     The default tolerance is much tighter than elsewhere: circular photon
     orbits are exponentially unstable, so local error injected at affine
@@ -318,20 +463,22 @@ def tangency_persistence(spacetime, surface, seeds, span, tol=TANGENCY_TOL,
     kappa = N0/r0; resolving deviations at the 1e-5 level over spans of
     order 1e2 requires local errors near the roundoff floor.
     """
+    profile = spacetime.profile
     r0 = surface.level_value
     use_lapse = surface.level_field == "lapse"
-    n0 = spacetime.profile.lapse_d1(r0)[0]
-    deviations, statuses = [], []
-    for state in seeds:
-        traj = integrate_null(spacetime, state, span, tol)
-        if use_lapse:
-            dev = float(np.max(np.abs(traj._lapse - n0)))
-        else:
-            dev = float(np.max(np.abs(traj.r - r0)))
-        deviations.append(dev)
-        statuses.append(traj.status)
-    return TangencyReport(r0, tuple(deviations), max(deviations),
-                          tuple(statuses), span, len(seeds), rng_seed)
+    n0 = profile.lapse_d1(r0)[0]
+    sup = np.zeros(len(seeds))
+
+    def track(idx, lam, y, residual):
+        off = (np.abs(profile.lapse_d1(y[1])[0] - n0) if use_lapse
+               else np.abs(y[1] - r0))
+        sup[idx] = np.maximum(sup[idx], off)
+
+    runs = _integrate_batch(profile, seeds, span, tol, MAX_STEPS, track)
+    deviations = tuple(sup.tolist())
+    return TangencyReport(r0, deviations, max(deviations),
+                          tuple(run.status for run in runs), span, len(seeds),
+                          rng_seed, tuple(runs))
 
 
 # ---------------------------------------------------------------------------

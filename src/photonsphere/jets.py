@@ -11,6 +11,8 @@ numpy expressions; evaluated on jets they yield exact first and second
 derivatives in one pass.
 """
 
+import math
+
 import numpy as np
 
 _LINEAR_UFUNCS = (np.add, np.subtract, np.negative, np.positive)
@@ -240,8 +242,33 @@ def compose_scalar(x, f0, f1, f2=None):
                     None if f2 is None else _asarray(f2))
 
 
+def _libm_pow(x, p):
+    """``x ** p`` through the libm ``pow`` of Python floats, elementwise.
+
+    numpy's vectorized power differs from libm's in the last bit on some
+    inputs, and a batch of geodesics must step exactly as single ones do.
+    On arrays, a result that is not real comes back as nan and one that
+    overflows (or divides by zero) as inf, so that a failure stays local to
+    its entry.
+    """
+    if np.ndim(x) == 0:
+        return x ** p
+    out = []
+    for v in np.ravel(x).tolist():
+        try:
+            w = v ** p
+        except (OverflowError, ZeroDivisionError):
+            w = math.inf
+        out.append(w if isinstance(w, float) else math.nan)
+    return np.reshape(out, np.shape(x))
+
+
 class Dual1:
-    """Scalar first-order dual number for hot loops (geodesic right-hand sides)."""
+    """First-order dual number for hot loops (geodesic right-hand sides).
+
+    ``val`` and ``dot`` are floats, or arrays holding one entry per
+    trajectory of a batch; every entry is computed as the float would be.
+    """
 
     __slots__ = ("val", "dot")
 
@@ -285,9 +312,9 @@ class Dual1:
         return Dual1(v, -v * self.dot / self.val)
 
     def __pow__(self, p):
-        v = self.val ** p
-        return Dual1(v, p * self.val ** (p - 1) * self.dot)
+        v = _libm_pow(self.val, p)
+        return Dual1(v, p * _libm_pow(self.val, p - 1) * self.dot)
 
     def sqrt(self):
-        s = self.val ** 0.5
+        s = _libm_pow(self.val, 0.5)
         return Dual1(s, 0.5 * self.dot / s)

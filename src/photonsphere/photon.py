@@ -123,6 +123,7 @@ class PhotonSurfaceCertificate:
     tol_cert: float
     tol_tangency: float
     vacuum: bool
+    tangency: geodesics.TangencyReport
 
     def to_json_dict(self):
         return {
@@ -139,7 +140,14 @@ class PhotonSurfaceCertificate:
             "tangency": {"span": self.tangency_span,
                          "deviation": self.tangency_deviation,
                          "seeds": self.seed_count,
-                         "rng_seed": self.rng_seed},
+                         "rng_seed": self.rng_seed,
+                         "per_seed": [
+                             {"deviation": dev, "status": run.status,
+                              "accepted_steps": run.accepted_steps,
+                              "rejected_steps": run.rejected_steps,
+                              "min_step": run.min_step}
+                             for dev, run in zip(self.tangency.deviations,
+                                                 self.tangency.runs)]},
             "photon_sphere": self.photon_sphere,
             "tolerances": {"certify": self.tol_cert,
                            "tangency": self.tol_tangency},
@@ -228,6 +236,7 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
         tol_cert=tol_cert,
         tol_tangency=tol_tangency,
         vacuum=vac,
+        tangency=tangency,
     )
 
 

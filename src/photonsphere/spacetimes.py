@@ -70,18 +70,21 @@ class RadialProfile:
         raise NotImplementedError
 
     def lapse_d1(self, r):
-        """(N, dN/dr) at a float radius."""
-        d = self.lapse(Dual1(r, 1.0))
+        """(N, dN/dr) at a float radius or an array of radii."""
+        d = _dual(self.lapse(Dual1(r, 1.0)), r)
         return d.val, d.dot
 
     def metric_factors_d1(self, r):
         """(A, A', B, B') with A = N^2, B = g_rr, at a float radius.
 
-        This is the hot path of the geodesic integrator; subclasses with
-        closed forms override it.
+        This is the hot path of the geodesic integrator, which passes one
+        radius per trajectory of its batch as an array: each entry equals
+        the float evaluation bit for bit, and an entry whose value is not
+        real or lies outside a table comes back non-finite instead of
+        raising.  Subclasses with closed forms override it.
         """
-        a = self.lapse(Dual1(r, 1.0))
-        b = self.radial_factor(Dual1(r, 1.0))
+        a = _dual(self.lapse(Dual1(r, 1.0)), r)
+        b = _dual(self.radial_factor(Dual1(r, 1.0)), r)
         return a.val * a.val, 2.0 * a.val * a.dot, b.val, b.dot
 
     def check_point(self, r):
@@ -92,6 +95,11 @@ class RadialProfile:
 
     def describe(self):
         return {"kind": "custom", "r_min": self.r_min}
+
+
+def _dual(x, r):
+    """A profile value at r as a Dual1 (a constant expression gives a float)."""
+    return x if isinstance(x, Dual1) else Dual1(x + 0.0 * r, 0.0 * r)
 
 
 @dataclass(frozen=True)
@@ -124,8 +132,8 @@ class SchwarzschildProfile(RadialProfile):
 
     def lapse_d1(self, r):
         if self.m == 0.0:
-            return 1.0, 0.0
-        n = math.sqrt(1.0 - 2.0 * self.m / r)
+            return (np.ones_like(r), np.zeros_like(r)) if np.ndim(r) else (1.0, 0.0)
+        n = (np.sqrt if np.ndim(r) else math.sqrt)(1.0 - 2.0 * self.m / r)
         return n, self.m / (r * r * n)
 
     def metric_factors_d1(self, r):
@@ -177,6 +185,7 @@ def _validate_expr(node, source):
         _validate_expr(node.operand, source)
         return
     if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        node.value = float(node.value)  # '^' is never an unbounded integer power
         return
     if isinstance(node, ast.Name) and node.id == "r":
         return
@@ -190,12 +199,24 @@ def _validate_expr(node, source):
 
 
 def compile_expression(source):
-    """Compile '^'-style arithmetic in the variable r to a fast callable."""
+    """Compile '^'-style arithmetic in the variable r to a fast callable.
+
+    Constants are floats; an evaluation that overflows raises ValueError.
+    """
     tree = ast.parse(source.replace("^", "**"), mode="eval")
-    _validate_expr(tree, source)
+    try:
+        _validate_expr(tree, source)
+    except OverflowError as exc:
+        raise ValueError(f"constant too large in expression {source!r}") from exc
     code = compile(tree, "<profile expression>", "eval")
     env = {"sqrt": np.sqrt, "__builtins__": {}}
-    return lambda r: eval(code, env, {"r": r})
+
+    def evaluate(r):
+        try:
+            return eval(code, env, {"r": r})
+        except OverflowError as exc:
+            raise ValueError(f"expression {source!r} overflows: {exc}") from exc
+    return evaluate
 
 
 @dataclass(frozen=True)
@@ -253,11 +274,16 @@ class TableProfile(RadialProfile):
     def _eval(self, spline, r):
         v = value_of(r) if isinstance(r, Jet) else (r.val if isinstance(r, Dual1) else r)
         v = np.asarray(v, dtype=float)
-        if np.any(v < self._r[0]) or np.any(v > self._r[-1]):
+        outside = (v < self._r[0]) | (v > self._r[-1])
+        if isinstance(r, Dual1) and v.shape:
+            v = np.where(outside, np.nan, v)  # one entry per trajectory
+        elif np.any(outside):
             raise DomainError(f"r outside table range [{self._r[0]}, {self._r[-1]}]")
         if isinstance(r, Jet):
             return compose_scalar(r, spline(v), spline(v, 1), spline(v, 2))
         if isinstance(r, Dual1):
+            if v.shape:
+                return Dual1(spline(v), spline(v, 1) * r.dot)
             return Dual1(float(spline(v)), float(spline(v, 1)) * r.dot)
         return spline(v) if v.shape else float(spline(v))
 

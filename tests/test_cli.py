@@ -110,16 +110,17 @@ class TestOutputs:
             assert run(["israel", "--scenario", "reissner_perturbed",
                         "--out", out]) == 1
         for name in sorted(os.listdir(out1)):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
-            assert a == b, f"{name} differs between runs"
+            with open(os.path.join(out1, name), "rb") as fa, \
+                    open(os.path.join(out2, name), "rb") as fb:
+                assert fa.read() == fb.read(), f"{name} differs between runs"
 
     def test_curvature_dump_flag(self, tmp_path):
         out = str(tmp_path / "o")
         dump = str(tmp_path / "bundle.json")
         assert run(["detect", "--scenario", "schwarzschild_m1", "--out", out,
                     "--dump-curvature", dump]) == 0
-        d = json.loads(open(dump).read())
+        with open(dump) as fh:
+            d = json.load(fh)
         assert "Gamma^r_tt" in d["christoffel"]
         assert d["coords"]["r"] == pytest.approx(3.0, abs=1e-6)
 

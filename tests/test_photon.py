@@ -112,7 +112,14 @@ class TestCertification:
         assert d["verdict"] == "certified"
         assert set(d["mean_curvature"]) == {"value", "stddev"}
         assert set(d["scalar"]) == {"value", "stddev", "expected", "residual"}
-        assert set(d["tangency"]) == {"span", "deviation", "seeds", "rng_seed"}
+        assert set(d["tangency"]) == {"span", "deviation", "seeds", "rng_seed",
+                                      "per_seed"}
+        per_seed = d["tangency"]["per_seed"]
+        assert len(per_seed) == d["tangency"]["seeds"]
+        assert max(s["deviation"] for s in per_seed) == d["tangency"]["deviation"]
+        assert {s["status"] for s in per_seed} == {"completed"}
+        assert all(s["accepted_steps"] > 0 and s["rejected_steps"] >= 0
+                   and s["min_step"] > 0.0 for s in per_seed)
         assert "tolerances" in d
 
     def test_umbilic_implies_cmc_in_vacuum(self, cert3):

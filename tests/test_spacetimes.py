@@ -1,15 +1,18 @@
 """Chart, profile and metric-assembly tests."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from photonsphere import cli
 from photonsphere.spacetimes import (ChartPoint, DomainError,
                                      ExpressionProfile, SchwarzschildProfile,
                                      StaticSpacetime, TableProfile,
                                      assemble_static, asymptotics_fit,
-                                     load_profile, schwarzschild_metric)
+                                     compile_expression, load_profile,
+                                     schwarzschild_metric)
 
 
 def test_schwarzschild_components_at_r3():
@@ -96,6 +99,65 @@ def test_table_profile_interpolates_and_validates():
         TableProfile(rows[::-1])  # decreasing radii
     with pytest.raises(DomainError):
         tab.lapse(1.0)
+
+
+class TestExpressionConstants:
+    def test_integer_constants_evaluate_as_floats(self):
+        value = compile_expression("2^3")(1.0)
+        assert type(value) is float and value == 8.0
+
+    def test_overflow_is_a_named_value_error(self):
+        with pytest.raises(ValueError, match=r"9\^9\^9"):
+            compile_expression("9^9^9")(1.0)
+        with pytest.raises(ValueError, match="too large"):
+            compile_expression("1" + "0" * 400)
+
+    def test_overflowing_profile_exits_2(self, tmp_path, capsys):
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "detect",
+            "profile": {"kind": "expression", "lapse": "9^9^9",
+                        "radial_factor": "1"}}))
+        code = cli.main(["detect", "--scenario", str(scn),
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_ERROR
+        assert "9^9^9" in capsys.readouterr().err
+
+
+class TestArrayEvaluation:
+    """metric_factors_d1 on an array of radii: each entry as on a float."""
+
+    RADII = np.array([2.3, 3.0, 4.75, 11.0, 29.0])
+
+    @pytest.mark.parametrize("profile", [
+        SchwarzschildProfile(1.0),
+        SchwarzschildProfile(0.0),
+        ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)", "1/(1 - 2/r + 0.1/r^2)",
+                          r_min=1.95),
+        ExpressionProfile("1", "1"),
+        TableProfile(np.stack([np.linspace(2.2, 30, 200),
+                               np.sqrt(1 - 2 / np.linspace(2.2, 30, 200)),
+                               1 / (1 - 2 / np.linspace(2.2, 30, 200))], axis=1)),
+    ], ids=["schwarzschild", "minkowski", "expression", "constant", "table"])
+    def test_entries_match_float_evaluation(self, profile):
+        batch = profile.metric_factors_d1(self.RADII)
+        lapse = profile.lapse_d1(self.RADII)
+        for k, r in enumerate(self.RADII.tolist()):
+            assert [np.broadcast_to(v, self.RADII.shape)[k] for v in batch] == \
+                list(profile.metric_factors_d1(r))
+            assert [np.broadcast_to(v, self.RADII.shape)[k] for v in lapse] == \
+                list(profile.lapse_d1(r))
+
+    def test_failures_stay_in_their_entries(self):
+        rs = np.linspace(2.5, 12.0, 100)
+        table = TableProfile(np.stack([rs, np.sqrt(1 - 2 / rs),
+                                       1 / (1 - 2 / rs)], axis=1))
+        a, ap, b, bp = table.metric_factors_d1(np.array([3.0, 13.0, 2.0]))
+        assert np.isfinite(a[0]) and np.isnan(a[1:]).all()
+        sqrt_profile = ExpressionProfile("sqrt(1-2/r)", "1/(1-2/r)")
+        with np.errstate(all="raise"):
+            a, ap, b, bp = sqrt_profile.metric_factors_d1(np.array([3.0, 1.5]))
+        assert np.isfinite(a[0]) and np.isnan(a[1])
 
 
 def test_load_profile_kinds(tmp_path):
