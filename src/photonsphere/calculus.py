@@ -40,12 +40,6 @@ def _coords_of(point):
     return tuple(point)
 
 
-def _entry_to_jet(entry, like):
-    if isinstance(entry, jets.Jet):
-        return entry
-    return like.zero_like(0.0) + entry
-
-
 def metric_taylor(sampler, coords, scheme="autodiff"):
     """Metric components with first and second coordinate derivatives.
 
@@ -65,7 +59,7 @@ def metric_taylor(sampler, coords, scheme="autodiff"):
     ddg = np.empty(shape + (d, d, d, d))
     for b in range(d):
         for c in range(d):
-            e = _entry_to_jet(comp[b][c], ref)
+            e = jets.lift(comp[b][c], ref)
             g[..., b, c] = e.val
             dg[..., :, b, c] = e.grad
             ddg[..., :, :, b, c] = e.hess
@@ -248,9 +242,7 @@ def scalar_taylor(field, coords, dim, scheme="autodiff"):
     if scheme != "autodiff":
         return _fd_taylor(field, list(coords)[:dim], 0, scheme)
     xs = jets.variables(list(coords), order=2)
-    f = field(xs)
-    if not isinstance(f, jets.Jet):
-        f = _entry_to_jet(f, xs[0])
+    f = jets.lift(field(xs), xs[0])
     return f.val, f.grad, f.hess
 
 

@@ -27,6 +27,7 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 
 PIPELINES = ("trace", "detect", "certify", "israel", "reconstruct", "full")
+TOLERANCE_PIPELINES = ("israel", "full")  # the ones that read the tolerance
 
 
 class ScenarioError(ValueError):
@@ -319,8 +320,10 @@ def main(argv=None):
         p.add_argument("--scenario", required=True,
                        help="scenario JSON path, or the name of a bundled scenario")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the scenario tolerance")
+        if name in TOLERANCE_PIPELINES:
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the scenario tolerance of the "
+                                "Israel gates")
         p.add_argument("--levels", type=int, default=None)
         p.add_argument("--seeds", type=int, default=None)
         p.add_argument("--span", type=float, default=None)
@@ -341,7 +344,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     overrides = {}
-    if args.tol is not None:
+    if getattr(args, "tol", None) is not None:
         overrides["tolerance"] = args.tol
     if args.levels is not None:
         overrides["levels"] = args.levels

@@ -28,6 +28,12 @@ reproduce; ``np.sin``/``np.cos`` agree with ``math.sin``/``math.cos``.
 Where a profile evaluation fails (the scalar loop catches ValueError or
 ZeroDivisionError), the batch sees a non-finite entry and shrinks that
 column's step alone.
+
+This rests on the profiles' shape independence, which the tests check
+for every profile kind: each entry of ``metric_factors_d1`` or
+``lapse_d1`` on an array of radii equals, bit for bit, the result for
+that radius as a float, and an entry that is not real, not finite or
+outside a table comes back non-finite instead of raising.
 """
 
 import math

@@ -94,7 +94,7 @@ class LevelSetGeometry:
 
 def _solve_radius(profile, n_target, r_lo, r_hi):
     """Radius with N(r) = n_target, by bisection on a monotone lapse."""
-    f = lambda r: profile.lapse_d1(r)[0] - n_target
+    f = lambda r: profile.lapse(r) - n_target
     a, b = r_lo, r_hi
     fa, fb = f(a), f(b)
     if fa == 0.0:
@@ -190,7 +190,7 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
         base = mass_scale if mass_scale else (r_hint or 1.0) / 3.0
         tail_radius = TAIL_RADIUS_FACTOR * base
 
-    n_end = profile.lapse_d1(tail_radius)[0]
+    n_end = float(profile.lapse(tail_radius))
     if abs(n_end - 1.0) < 1e-13:
         raise FlatnessError("lapse reaches 1 at finite radius (flat slice, "
                             "zero mass): no regular foliation exists")
@@ -292,11 +292,24 @@ class IdentityResiduals:
                          np.max(self.res33)))
 
 
-def _transverse_derivative(foliation, attr):
+def _transverse_derivative(foliation, nodes):
+    """d/dN of per-level node values ``nodes``, shape (levels, n_theta, n_phi)."""
     stencils = quad.level_stencils(len(foliation))
-    dds = quad.level_derivative(foliation.stack(attr), stencils)
+    dds = quad.level_derivative(nodes, stencils)
     dn = np.array([lv.dN_ds for lv in foliation.levels])
     return dds / dn[:, None, None]
+
+
+def _leaf_terms(lv):
+    """sqrt(rho), its sphere Laplacian, that of log(rho), and the
+    sum-of-squares bracket |grad rho|^2 / rho^2 + 2 |h_tracefree|^2 of a leaf."""
+    r_area = lv.area_radius
+    sqrt_rho = np.sqrt(lv.rho)
+    lap_sqrt_rho = quad.sphere_laplacian(sqrt_rho, lv.x_nodes, r_area)
+    lap_log_rho = quad.sphere_laplacian(np.log(lv.rho), lv.x_nodes, r_area)
+    grad_sq = quad.sphere_grad_sq(lv.rho, lv.x_nodes, r_area)
+    bracket = grad_sq / lv.rho ** 2 + 2.0 * lv.tracefree ** 2
+    return sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket
 
 
 def identity_residuals(foliation, lam):
@@ -308,19 +321,14 @@ def identity_residuals(foliation, lam):
     """
     if len(foliation) < 7:
         raise ValueError("transverse derivatives need at least 7 levels")
-    h_n = _transverse_derivative(foliation, "H")
-    rho_n = _transverse_derivative(foliation, "rho")
-    ss_n = _transverse_derivative(foliation, "sqrt_s")
+    h_n = _transverse_derivative(foliation, foliation.stack("H"))
+    rho_n = _transverse_derivative(foliation, foliation.stack("rho"))
+    ss_n = _transverse_derivative(foliation, foliation.stack("sqrt_s"))
 
     r31, r32, r33, rev = [], [], [], []
     for j, lv in enumerate(foliation.levels):
         n, rho, h = lv.N_value, lv.rho, lv.H
-        r_area = lv.area_radius
-        sqrt_rho = np.sqrt(rho)
-        lap_sqrt_rho = quad.sphere_laplacian(sqrt_rho, lv.x_nodes, r_area)
-        lap_log_rho = quad.sphere_laplacian(np.log(rho), lv.x_nodes, r_area)
-        grad_sq = quad.sphere_grad_sq(rho, lv.x_nodes, r_area)
-        bracket = grad_sq / rho ** 2 + 2.0 * lv.tracefree ** 2
+        sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket = _leaf_terms(lv)
         r_sigma = 2.0 * lv.gauss_k
 
         t_a1 = (lam / rho) * (h / n)
@@ -391,29 +399,18 @@ def inequality_slacks(foliation, lam, mass):
     """
     if len(foliation) < 8:
         raise ValueError("inequality integration needs a dense foliation")
-    stencils = quad.level_stencils(len(foliation))
-    dn = np.array([lv.dN_ds for lv in foliation.levels])
-
-    p_nodes = foliation.stack("sqrt_s") * foliation.stack("H") * lam \
-        / (np.sqrt(foliation.stack("rho"))
-           * np.array([lv.N_value for lv in foliation.levels])[:, None, None])
-    q_nodes = (foliation.stack("sqrt_s") / foliation.stack("rho")
-               * (foliation.stack("H")
-                  * np.array([lv.N_value for lv in foliation.levels])[:, None, None]
-                  + 4.0 * lam / foliation.stack("rho")))
-    p_n = quad.level_derivative(p_nodes, stencils) / dn[:, None, None]
-    q_n = quad.level_derivative(q_nodes, stencils) / dn[:, None, None]
+    sqrt_s, h, rho = (foliation.stack(a) for a in ("sqrt_s", "H", "rho"))
+    n_levels = np.array([lv.N_value for lv in foliation.levels])[:, None, None]
+    p_n = _transverse_derivative(
+        foliation, sqrt_s * h * lam / (np.sqrt(rho) * n_levels))
+    q_n = _transverse_derivative(
+        foliation, sqrt_s / rho * (h * n_levels + 4.0 * lam / rho))
 
     s34, s35 = [], []
     bracket_min = np.inf
     for j, lv in enumerate(foliation.levels):
         n = lv.N_value
-        r_area = lv.area_radius
-        sqrt_rho = np.sqrt(lv.rho)
-        lap_sqrt_rho = quad.sphere_laplacian(sqrt_rho, lv.x_nodes, r_area)
-        lap_log_rho = quad.sphere_laplacian(np.log(lv.rho), lv.x_nodes, r_area)
-        grad_sq = quad.sphere_grad_sq(lv.rho, lv.x_nodes, r_area)
-        bracket = grad_sq / lv.rho ** 2 + 2.0 * lv.tracefree ** 2
+        _, lap_sqrt_rho, lap_log_rho, bracket = _leaf_terms(lv)
         bracket_min = min(bracket_min, float(np.min(bracket)))
         r_sigma = 2.0 * lv.gauss_k
 
@@ -698,8 +695,8 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     IsraelReport whose verdict is the conjunction of the gate list.
     """
     profile = spacetime.profile
-    if abs(profile.lapse_d1(r_ps)[0] - 1.0) < 1e-13 and \
-            abs(profile.lapse_d1(10.0 * r_ps)[0] - 1.0) < 1e-13:
+    if abs(profile.lapse(r_ps) - 1.0) < 1e-13 and \
+            abs(profile.lapse(10.0 * r_ps) - 1.0) < 1e-13:
         raise FlatnessError("lapse identically 1 (m = 0): flat slice; "
                             "Minkowski has no photon sphere")
     foliation = build_foliation(spacetime, n0, levels, quad_order,

@@ -6,12 +6,14 @@ the Hessian.  Propagating this triple through arithmetic is equivalent to
 nesting dual numbers twice, but stays fully vectorized: ``val`` may be any
 numpy array, ``grad`` appends one axis of length ``nvars``, ``hess`` two.
 
-Metric components, lapse profiles and normal fields are written as ordinary
-numpy expressions; evaluated on jets they yield exact first and second
-derivatives in one pass.
+It is the package's one differentiable number type.  Metric components,
+lapse profiles and normal fields are written as ordinary numpy
+expressions; evaluated on jets they yield exact first and (at order 2)
+second derivatives in one pass.  Values stay numpy arrays, 0-d for a
+float input, so an entry of a batch evaluation equals the float
+evaluation of that entry bit for bit (numpy *scalar* arithmetic would
+not: ``np.float64 ** 1.5`` may differ from the array loop in the last bit).
 """
-
-import math
 
 import numpy as np
 
@@ -224,6 +226,17 @@ def variables(coords, order=2):
     return out
 
 
+def lift(x, like):
+    """``x`` as a jet over the variables of ``like``.
+
+    A jet passes through; a constant (a float or an array broadcastable to
+    ``like``) becomes a jet of ``like``'s shape with zero derivatives.
+    """
+    if isinstance(x, Jet):
+        return x
+    return like.zero_like(0.0) + x
+
+
 def value_of(x):
     return x.val if isinstance(x, Jet) else _asarray(x)
 
@@ -240,81 +253,3 @@ def compose_scalar(x, f0, f1, f2=None):
         raise ValueError("second derivative required for order-2 jets")
     return x._chain(_asarray(f0), _asarray(f1),
                     None if f2 is None else _asarray(f2))
-
-
-def _libm_pow(x, p):
-    """``x ** p`` through the libm ``pow`` of Python floats, elementwise.
-
-    numpy's vectorized power differs from libm's in the last bit on some
-    inputs, and a batch of geodesics must step exactly as single ones do.
-    On arrays, a result that is not real comes back as nan and one that
-    overflows (or divides by zero) as inf, so that a failure stays local to
-    its entry.
-    """
-    if np.ndim(x) == 0:
-        return x ** p
-    out = []
-    for v in np.ravel(x).tolist():
-        try:
-            w = v ** p
-        except (OverflowError, ZeroDivisionError):
-            w = math.inf
-        out.append(w if isinstance(w, float) else math.nan)
-    return np.reshape(out, np.shape(x))
-
-
-class Dual1:
-    """First-order dual number for hot loops (geodesic right-hand sides).
-
-    ``val`` and ``dot`` are floats, or arrays holding one entry per
-    trajectory of a batch; every entry is computed as the float would be.
-    """
-
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val, dot=0.0):
-        self.val = val
-        self.dot = dot
-
-    def __add__(self, o):
-        if isinstance(o, Dual1):
-            return Dual1(self.val + o.val, self.dot + o.dot)
-        return Dual1(self.val + o, self.dot)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Dual1):
-            return Dual1(self.val - o.val, self.dot - o.dot)
-        return Dual1(self.val - o, self.dot)
-
-    def __rsub__(self, o):
-        return Dual1(o - self.val, -self.dot)
-
-    def __neg__(self):
-        return Dual1(-self.val, -self.dot)
-
-    def __mul__(self, o):
-        if isinstance(o, Dual1):
-            return Dual1(self.val * o.val, self.dot * o.val + self.val * o.dot)
-        return Dual1(self.val * o, self.dot * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Dual1):
-            v = self.val / o.val
-            return Dual1(v, (self.dot - v * o.dot) / o.val)
-        return Dual1(self.val / o, self.dot / o)
-
-    def __rtruediv__(self, o):
-        v = o / self.val
-        return Dual1(v, -v * self.dot / self.val)
-
-    def __pow__(self, p):
-        v = _libm_pow(self.val, p)
-        return Dual1(v, p * _libm_pow(self.val, p - 1) * self.dot)
-
-    def sqrt(self):
-        s = _libm_pow(self.val, 0.5)
-        return Dual1(s, 0.5 * self.dot / s)

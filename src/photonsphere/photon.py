@@ -74,7 +74,7 @@ def locate_photon_sphere(profile, scan):
         return r * n1 - n
 
     rs = np.linspace(r_lo, r_hi, SCAN_POINTS)
-    vals = np.array([f(r) for r in rs])
+    vals = f(rs)
     roots = []
     for i in range(len(rs) - 1):
         va, vb = vals[i], vals[i + 1]

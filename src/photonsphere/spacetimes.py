@@ -8,7 +8,8 @@ metric factor g_rr(r)) as the block metric
 in geometric units G = c = 1; the mass parameter carries length units.
 Profiles can be closed-form, interpolated tables, or parsed arithmetic
 expressions, and all of them evaluate transparently on floats, arrays and
-jets (for derivatives).
+jets (for derivatives).  Their slopes come from first-order jets, one
+evaluation path for a float radius and an array of radii alike.
 """
 
 import ast
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Dual1, Jet, compose_scalar, value_of
+from .jets import Jet, compose_scalar, lift, value_of, variables
 
 HORIZON_EDGE_RTOL = 1e-9  # evaluation rejected within this * m of r = 2m
 
@@ -57,7 +58,7 @@ class RadialProfile:
     """Base class: lapse N(r) > 0 and radial factor g_rr(r) > 0 on (r_min, inf).
 
     Subclasses implement ``lapse`` and ``radial_factor`` so that they accept
-    floats, numpy arrays, Jet and Dual1 inputs alike.
+    floats, numpy arrays and jets.
     """
 
     r_min = 0.0
@@ -71,8 +72,7 @@ class RadialProfile:
 
     def lapse_d1(self, r):
         """(N, dN/dr) at a float radius or an array of radii."""
-        d = _dual(self.lapse(Dual1(r, 1.0)), r)
-        return d.val, d.dot
+        return _slope(self.lapse, r)
 
     def metric_factors_d1(self, r):
         """(A, A', B, B') with A = N^2, B = g_rr, at a float radius.
@@ -83,9 +83,10 @@ class RadialProfile:
         real or lies outside a table comes back non-finite instead of
         raising.  Subclasses with closed forms override it.
         """
-        a = _dual(self.lapse(Dual1(r, 1.0)), r)
-        b = _dual(self.radial_factor(Dual1(r, 1.0)), r)
-        return a.val * a.val, 2.0 * a.val * a.dot, b.val, b.dot
+        n, n1 = _slope(self.lapse, r)
+        b, b1 = _slope(self.radial_factor, r)
+        with np.errstate(all="ignore"):
+            return n * n, 2.0 * n * n1, b, b1
 
     def check_point(self, r):
         r = np.asarray(r, dtype=float)
@@ -97,9 +98,19 @@ class RadialProfile:
         return {"kind": "custom", "r_min": self.r_min}
 
 
-def _dual(x, r):
-    """A profile value at r as a Dual1 (a constant expression gives a float)."""
-    return x if isinstance(x, Dual1) else Dual1(x + 0.0 * r, 0.0 * r)
+def _slope(fn, r):
+    """(f, df/dr) of a profile function at r, through a first-order jet.
+
+    Floats come back as floats and arrays as arrays.  A value that is not
+    real or not finite comes back as nan or inf in its own entry, with no
+    floating-point warning or error.
+    """
+    (x,) = variables([r], order=1)
+    with np.errstate(all="ignore"):
+        f = lift(fn(x), x)
+    if f.val.ndim:
+        return f.val, f.grad[..., 0]
+    return float(f.val), float(f.grad[0])
 
 
 @dataclass(frozen=True)
@@ -198,18 +209,44 @@ def _validate_expr(node, source):
                      "grammar allows +, -, *, /, ^, sqrt, numeric constants and r")
 
 
+def _check_constants(tree, env, source):
+    """Evaluate every sub-expression free of r once, when it is compiled.
+
+    One that divides by zero, overflows or is not real raises ValueError
+    naming the expression, instead of failing later inside an evaluation.
+    """
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call)) or any(
+                isinstance(n, ast.Name) and n.id == "r" for n in ast.walk(node)):
+            continue
+        part = ast.unparse(node).replace("**", "^")
+        try:
+            with np.errstate(all="ignore"):
+                value = eval(compile(ast.Expression(node), "<constant>", "eval"), env)
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"constant {part} in expression {source!r}: {exc}") from exc
+        if isinstance(value, complex) or math.isnan(value):
+            raise ValueError(f"constant {part} in expression {source!r} is not real")
+
+
 def compile_expression(source):
     """Compile '^'-style arithmetic in the variable r to a fast callable.
 
-    Constants are floats; an evaluation that overflows raises ValueError.
+    Constants are floats.  A malformed expression, or a constant part that
+    divides by zero, overflows or is not real, raises ValueError here; an
+    evaluation that overflows raises ValueError.
     """
-    tree = ast.parse(source.replace("^", "**"), mode="eval")
+    try:
+        tree = ast.parse(source.replace("^", "**"), mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"malformed expression {source!r}: {exc.msg}") from exc
     try:
         _validate_expr(tree, source)
     except OverflowError as exc:
         raise ValueError(f"constant too large in expression {source!r}") from exc
-    code = compile(tree, "<profile expression>", "eval")
     env = {"sqrt": np.sqrt, "__builtins__": {}}
+    _check_constants(tree.body, env, source)
+    code = compile(tree, "<profile expression>", "eval")
 
     def evaluate(r):
         try:
@@ -271,27 +308,42 @@ class TableProfile(RadialProfile):
         self.mass_hint = mass_hint
         self._samples = samples
 
-    def _eval(self, spline, r):
-        v = value_of(r) if isinstance(r, Jet) else (r.val if isinstance(r, Dual1) else r)
-        v = np.asarray(v, dtype=float)
+    def _inside(self, v, entrywise=False):
+        """Radii outside the table raise DomainError, or become nan entries."""
         outside = (v < self._r[0]) | (v > self._r[-1])
-        if isinstance(r, Dual1) and v.shape:
-            v = np.where(outside, np.nan, v)  # one entry per trajectory
-        elif np.any(outside):
+        if entrywise:
+            return np.where(outside, np.nan, v)
+        if np.any(outside):
             raise DomainError(f"r outside table range [{self._r[0]}, {self._r[-1]}]")
+        return v
+
+    def _eval(self, spline, r):
+        v = self._inside(value_of(r))
         if isinstance(r, Jet):
             return compose_scalar(r, spline(v), spline(v, 1), spline(v, 2))
-        if isinstance(r, Dual1):
-            if v.shape:
-                return Dual1(spline(v), spline(v, 1) * r.dot)
-            return Dual1(float(spline(v)), float(spline(v, 1)) * r.dot)
         return spline(v) if v.shape else float(spline(v))
+
+    def _spline_d1(self, spline, r):
+        """(f, f') at a float radius, or at an array with nan entries outside."""
+        v = np.asarray(r, dtype=float)
+        v = self._inside(v, entrywise=v.ndim > 0)
+        if v.shape:
+            return spline(v), spline(v, 1)
+        return float(spline(v)), float(spline(v, 1))
 
     def lapse(self, r):
         return self._eval(self._n, r)
 
     def radial_factor(self, r):
         return self._eval(self._b, r)
+
+    def lapse_d1(self, r):
+        return self._spline_d1(self._n, r)
+
+    def metric_factors_d1(self, r):
+        n, n1 = self._spline_d1(self._n, r)
+        b, b1 = self._spline_d1(self._b, r)
+        return n * n, 2.0 * n * n1, b, b1
 
     def describe(self):
         return {"kind": "table", "rows": len(self._r),

@@ -130,6 +130,39 @@ class TestOutputs:
                     "--quad", "banana"]) == cli.EXIT_ERROR
         assert "--quad" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["trace", "detect", "certify",
+                                         "reconstruct"])
+    def test_tol_rejected_where_no_tolerance_is_read(self, tmp_path, capsys,
+                                                     command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--scenario", "schwarzschild_m1",
+                 "--out", str(tmp_path / "o"), "--tol", "1e-3"])
+        assert exc.value.code == cli.EXIT_ERROR
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_tol_overrides_the_israel_gates(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["israel", "--scenario", "reissner_perturbed",
+                    "--out", str(out), "--tol", "0.25", "--levels", "8",
+                    "--quad", "8x16"]) in (0, 1)
+        report = json.loads((out / "israel_report.json").read_text())
+        assert report["tolerance"] == 0.25
+        assert {g["name"]: g["threshold"] for g in report["gates"]}[
+            "identities"] == 0.25
+
+    @pytest.mark.parametrize("lapse", ["1 - 2^(-r)", "1 - 1/r^r"])
+    def test_detect_on_variable_exponents(self, tmp_path, lapse):
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "detect", "scan": [1.5, 20.0],
+            "profile": {"kind": "expression", "lapse": lapse,
+                        "radial_factor": "1", "r_min": 1.0}}))
+        out = tmp_path / "o"
+        assert run(["detect", "--scenario", str(scn), "--out", str(out)]) in (0, 1)
+        loc = json.loads((out / "location.json").read_text())
+        assert loc["scan"] == [1.5, 20.0]
+
     def test_plot_tables_on_empty_run(self, tmp_path):
         # detect-only scenarios write no foliation tables; trace writes r(l)
         out = str(tmp_path / "o")

@@ -453,6 +453,24 @@ class TestBatchMatchesScalarReference:
             assert_same_trajectory(scalar_integrate_null(ST, state, 30.0),
                                    samples, residuals, run)
 
+    def test_mixed_batch_on_a_fractional_power_profile(self):
+        # the profile's slope takes numpy powers; one entry of a batch must
+        # equal the same radius evaluated alone
+        profile = ExpressionProfile("1 - 2/r + 0.3/r^2.5",
+                                    "1/(1 - 2/r + 0.3/r^2.5)", r_min=1.95)
+        spacetime = StaticSpacetime(profile)
+        states = [geo.null_state(spacetime, ChartPoint(0.0, 10.0, 1.2, 0.3),
+                                 (-0.8, 0.0, 0.0)),
+                  geo.null_state(spacetime, ChartPoint(0.0, 8.0, 0.4, 0.2),
+                                 (0.0, -0.05, 1e-9)),
+                  *geo.tangent_null_seeds(spacetime, 5.0, 3, rng_seed=2)]
+        batch = batch_runs(profile, states, 30.0)
+        assert [run.status for _, _, run in batch] == [
+            "domain-exit", "pole", "completed", "completed", "completed"]
+        for state, (samples, residuals, run) in zip(states, batch):
+            assert_same_trajectory(scalar_integrate_null(spacetime, state, 30.0),
+                                   samples, residuals, run)
+
     def test_table_profile_failure_stays_with_its_seed(self):
         rs = np.linspace(2.5, 12.0, 400)
         table = TableProfile(np.stack([rs, np.sqrt(1 - 2 / rs),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonsphere.jets import Dual1, Jet, compose_scalar, variables
+from photonsphere.jets import Jet, compose_scalar, variables
 
 finite = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -94,10 +94,3 @@ def test_first_order_jets_skip_hessian():
     assert f.hess is None
     assert np.allclose(f.grad, [2.0, 1.0 + 0.5 / np.sqrt(2.0)])
 
-
-def test_dual1_matches_jet():
-    (x,) = variables([2.5])
-    jet = (1.0 - 2.0 / x) ** 0.5
-    d = (1.0 - 2.0 / Dual1(2.5, 1.0)) ** 0.5
-    assert np.isclose(d.val, jet.val)
-    assert np.isclose(d.dot, jet.grad[0])

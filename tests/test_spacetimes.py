@@ -2,9 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsphere import cli
 from photonsphere.spacetimes import (ChartPoint, DomainError,
@@ -112,6 +115,28 @@ class TestExpressionConstants:
         with pytest.raises(ValueError, match="too large"):
             compile_expression("1" + "0" * 400)
 
+    @pytest.mark.parametrize("lapse", ["1 - 2/r + 0/0",
+                                       "1 - 2/r + 0*(0^(0-1))",
+                                       "1 - 2/r + 0*(0-1)^0.5",
+                                       "1 - 2/r + sqrt(0-1)"])
+    def test_bad_constant_part_is_a_named_value_error(self, lapse, tmp_path,
+                                                      capsys):
+        with pytest.raises(ValueError, match=re.escape(repr(lapse))):
+            compile_expression(lapse)
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "detect",
+            "profile": {"kind": "expression", "lapse": lapse,
+                        "radial_factor": "1"}}))
+        code = cli.main(["detect", "--scenario", str(scn),
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_ERROR
+        assert lapse in capsys.readouterr().err
+
+    def test_malformed_expression_is_a_value_error(self):
+        with pytest.raises(ValueError, match="malformed"):
+            compile_expression("1 - 2/")
+
     def test_overflowing_profile_exits_2(self, tmp_path, capsys):
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
@@ -135,10 +160,15 @@ class TestArrayEvaluation:
         ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)", "1/(1 - 2/r + 0.1/r^2)",
                           r_min=1.95),
         ExpressionProfile("1", "1"),
+        ExpressionProfile("1 - 2/r + 0.3/r^2.5", "1/(1 - 2/r + 0.3/r^2.5)",
+                          r_min=1.95),
+        ExpressionProfile("sqrt(1 - 2/r + 0.001*2^(-r))",
+                          "1/(1 - 2/r + 0.001*2^(-r))", r_min=1.95),
         TableProfile(np.stack([np.linspace(2.2, 30, 200),
                                np.sqrt(1 - 2 / np.linspace(2.2, 30, 200)),
                                1 / (1 - 2 / np.linspace(2.2, 30, 200))], axis=1)),
-    ], ids=["schwarzschild", "minkowski", "expression", "constant", "table"])
+    ], ids=["schwarzschild", "minkowski", "expression", "constant",
+            "power-2.5", "power-of-2", "table"])
     def test_entries_match_float_evaluation(self, profile):
         batch = profile.metric_factors_d1(self.RADII)
         lapse = profile.lapse_d1(self.RADII)
@@ -158,6 +188,44 @@ class TestArrayEvaluation:
         with np.errstate(all="raise"):
             a, ap, b, bp = sqrt_profile.metric_factors_d1(np.array([3.0, 1.5]))
         assert np.isfinite(a[0]) and np.isnan(a[1])
+
+
+def _expressions(depth):
+    """Grammar-valid expressions in r of nesting depth <= ``depth``."""
+    leaf = st.one_of(st.just("r"), st.sampled_from(["0", "1", "2", "0.5"]),
+                     st.floats(0.0, 1e3).map(repr))
+    if depth == 0:
+        return leaf
+    sub = _expressions(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(sub, st.sampled_from("+-*/^"), sub).map(
+            lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        sub.map(lambda e: f"sqrt({e})"),
+        sub.map(lambda e: f"-({e})"))
+
+
+class TestExpressionGrammarFuzz:
+    """Any grammar-valid expression either compiles to a profile whose
+    array evaluation matches its float evaluation entry by entry, or is
+    rejected with a ValueError; no other exception type escapes."""
+
+    RADII = np.array([0.5, 1.0, 2.0, 3.7, 25.0])
+
+    @given(_expressions(4), _expressions(4))
+    @settings(max_examples=300, deadline=None)
+    def test_array_entries_equal_float_entries(self, lapse, radial):
+        try:
+            profile = ExpressionProfile(lapse, radial)
+        except ValueError:
+            return
+        for method in (profile.metric_factors_d1, profile.lapse_d1):
+            batch = method(self.RADII)
+            for k, r in enumerate(self.RADII.tolist()):
+                for entries, single in zip(batch, method(r)):
+                    assert np.array_equal(
+                        np.broadcast_to(entries, self.RADII.shape)[k], single,
+                        equal_nan=True), (lapse, radial, r)
 
 
 def test_load_profile_kinds(tmp_path):
