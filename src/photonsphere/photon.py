@@ -75,6 +75,10 @@ def locate_photon_sphere(profile, scan):
 
     rs = np.linspace(r_lo, r_hi, SCAN_POINTS)
     vals = f(rs)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        raise DomainError(f"r N'(r) - N(r) is not real or not finite at "
+                          f"r = {rs[bad][0]:.12g} of the scan {[r_lo, r_hi]}")
     roots = []
     for i in range(len(rs) - 1):
         va, vb = vals[i], vals[i + 1]

@@ -72,7 +72,7 @@ class RadialProfile:
 
     def lapse_d1(self, r):
         """(N, dN/dr) at a float radius or an array of radii."""
-        return _slope(self.lapse, r)
+        return self._d1(self.lapse, r)
 
     def metric_factors_d1(self, r):
         """(A, A', B, B') with A = N^2, B = g_rr, at a float radius.
@@ -83,10 +83,14 @@ class RadialProfile:
         real or lies outside a table comes back non-finite instead of
         raising.  Subclasses with closed forms override it.
         """
-        n, n1 = _slope(self.lapse, r)
-        b, b1 = _slope(self.radial_factor, r)
+        n, n1 = self._d1(self.lapse, r)
+        b, b1 = self._d1(self.radial_factor, r)
         with np.errstate(all="ignore"):
             return n * n, 2.0 * n * n1, b, b1
+
+    def _d1(self, fn, r):
+        """(f, df/dr) of ``self.lapse`` or ``self.radial_factor`` at r."""
+        return _slope(fn, r)
 
     def check_point(self, r):
         r = np.asarray(r, dtype=float)
@@ -225,8 +229,9 @@ def _check_constants(tree, env, source):
                 value = eval(compile(ast.Expression(node), "<constant>", "eval"), env)
         except (ZeroDivisionError, OverflowError) as exc:
             raise ValueError(f"constant {part} in expression {source!r}: {exc}") from exc
-        if isinstance(value, complex) or math.isnan(value):
-            raise ValueError(f"constant {part} in expression {source!r} is not real")
+        if isinstance(value, complex) or not math.isfinite(value):
+            raise ValueError(f"constant {part} in expression {source!r} "
+                             "is not real or not finite")
 
 
 def compile_expression(source):
@@ -308,12 +313,9 @@ class TableProfile(RadialProfile):
         self.mass_hint = mass_hint
         self._samples = samples
 
-    def _inside(self, v, entrywise=False):
-        """Radii outside the table raise DomainError, or become nan entries."""
-        outside = (v < self._r[0]) | (v > self._r[-1])
-        if entrywise:
-            return np.where(outside, np.nan, v)
-        if np.any(outside):
+    def _inside(self, v):
+        """Radii outside the table raise DomainError."""
+        if np.any((v < self._r[0]) | (v > self._r[-1])):
             raise DomainError(f"r outside table range [{self._r[0]}, {self._r[-1]}]")
         return v
 
@@ -323,27 +325,22 @@ class TableProfile(RadialProfile):
             return compose_scalar(r, spline(v), spline(v, 1), spline(v, 2))
         return spline(v) if v.shape else float(spline(v))
 
-    def _spline_d1(self, spline, r):
-        """(f, f') at a float radius, or at an array with nan entries outside."""
-        v = np.asarray(r, dtype=float)
-        v = self._inside(v, entrywise=v.ndim > 0)
-        if v.shape:
-            return spline(v), spline(v, 1)
-        return float(spline(v)), float(spline(v, 1))
-
     def lapse(self, r):
         return self._eval(self._n, r)
 
     def radial_factor(self, r):
         return self._eval(self._b, r)
 
-    def lapse_d1(self, r):
-        return self._spline_d1(self._n, r)
-
-    def metric_factors_d1(self, r):
-        n, n1 = self._spline_d1(self._n, r)
-        b, b1 = self._spline_d1(self._b, r)
-        return n * n, 2.0 * n * n1, b, b1
+    def _d1(self, fn, r):
+        """(f, f') from the spline: a float outside the table raises
+        DomainError, and array entries outside it come back nan."""
+        spline = self._n if fn.__name__ == "lapse" else self._b
+        v = np.asarray(r, dtype=float)
+        if not v.ndim:
+            v = self._inside(v)
+            return float(spline(v)), float(spline(v, 1))
+        v = np.where((v < self._r[0]) | (v > self._r[-1]), np.nan, v)
+        return spline(v), spline(v, 1)
 
     def describe(self):
         return {"kind": "table", "rows": len(self._r),

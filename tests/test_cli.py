@@ -163,6 +163,18 @@ class TestOutputs:
         loc = json.loads((out / "location.json").read_text())
         assert loc["scan"] == [1.5, 20.0]
 
+    def test_detect_past_the_end_of_a_table_exits_2(self, tmp_path, capsys):
+        rs = [2.05 + 0.05 * i for i in range(18)]  # ends at r = 2.9 < 3
+        rows = [[r, (1 - 2 / r) ** 0.5, 1 / (1 - 2 / r)] for r in rs]
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "detect", "scan": [2.2, 50.0],
+            "profile": {"kind": "table", "samples": rows}}))
+        out = tmp_path / "o"
+        assert run(["detect", "--scenario", str(scn), "--out", str(out)]) == 2
+        assert "not real or not finite" in capsys.readouterr().err
+        assert not (out / "location.json").exists()
+
     def test_plot_tables_on_empty_run(self, tmp_path):
         # detect-only scenarios write no foliation tables; trace writes r(l)
         out = str(tmp_path / "o")

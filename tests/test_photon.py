@@ -11,7 +11,8 @@ from photonsphere import geodesics as geo
 from photonsphere import hypersurfaces as hs
 from photonsphere import photon as ph
 from photonsphere.spacetimes import (DomainError, ExpressionProfile,
-                                     SchwarzschildProfile, StaticSpacetime)
+                                     SchwarzschildProfile, StaticSpacetime,
+                                     TableProfile)
 
 ST = StaticSpacetime.schwarzschild(1.0)
 RN_PROFILE = ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)",
@@ -44,6 +45,17 @@ class TestLocator:
             ph.locate_photon_sphere(SchwarzschildProfile(1.0), (10.0, 5.0))
         with pytest.raises(DomainError):
             ph.locate_photon_sphere(SchwarzschildProfile(1.0), (1.0, 50.0))
+
+    def test_scan_past_the_profile_is_a_domain_error(self):
+        """A scan radius the profile cannot evaluate is no 'none found'."""
+        rs = np.linspace(2.05, 2.9, 40)  # the table ends before r = 3
+        table = TableProfile(np.stack([rs, np.sqrt(1 - 2 / rs),
+                                       1 / (1 - 2 / rs)], axis=1))
+        with pytest.raises(DomainError, match=r"r = 2\.9\d* of the scan"):
+            ph.locate_photon_sphere(table, (2.2, 50.0))
+        not_real = ExpressionProfile("sqrt(1 - 2/r)", "1", r_min=1.0)
+        with pytest.raises(DomainError, match=r"r = 1\.5 of the scan"):
+            ph.locate_photon_sphere(not_real, (1.5, 50.0))
 
     def test_locator_against_tangency_oracle(self):
         """The root of r N' = N is where geodesic tangency actually persists.

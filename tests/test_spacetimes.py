@@ -118,7 +118,8 @@ class TestExpressionConstants:
     @pytest.mark.parametrize("lapse", ["1 - 2/r + 0/0",
                                        "1 - 2/r + 0*(0^(0-1))",
                                        "1 - 2/r + 0*(0-1)^0.5",
-                                       "1 - 2/r + sqrt(0-1)"])
+                                       "1 - 2/r + sqrt(0-1)",
+                                       "1 - 2/r + 1e308*10"])
     def test_bad_constant_part_is_a_named_value_error(self, lapse, tmp_path,
                                                       capsys):
         with pytest.raises(ValueError, match=re.escape(repr(lapse))):
