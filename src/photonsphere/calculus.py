@@ -141,14 +141,20 @@ def _christoffel_sum(dg):
     return np.einsum("...bdc->...dbc", dg) + np.einsum("...cdb->...dbc", dg) - dg
 
 
+def _contract_first(m, t):
+    """sum_d m[..., a, d] t[..., d, ...] as one batched matmul over the nodes.
+
+    The contracted index of ``t`` is its first tensor axis; the trailing
+    axes are flattened onto the matmul column axis and restored.
+    """
+    out = m @ t.reshape(t.shape[:m.ndim - 2] + (m.shape[-1], -1))
+    return out.reshape(out.shape[:-1] + t.shape[m.ndim - 1:])
+
+
 def _christoffel_from(ginv, dg):
     # Gamma^a_bc = 1/2 g^ad (d_b g_dc + d_c g_db - d_d g_bc)
-    return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, _christoffel_sum(dg))
-
-
-def inverse_metric_derivative(ginv, dg):
-    """d_e g^ad = -g^am (d_e g_mn) g^nd, indexed [..., e, a, d]."""
-    return -np.einsum("...am,...emn,...nd->...ead", ginv, dg, ginv)
+    # "...ad,...dbc->...abc"
+    return 0.5 * _contract_first(ginv, _christoffel_sum(dg))
 
 
 @dataclass(frozen=True)
@@ -214,18 +220,25 @@ def curvature(sampler, point, scheme="autodiff"):
     ginv = _inverse_metric(g)
     gamma = _christoffel_from(ginv, dg)
 
-    # d_e Gamma^a_bc
-    dginv = inverse_metric_derivative(ginv, dg)
-    dgamma = (0.5 * np.einsum("...ead,...dbc->...eabc", dginv, _christoffel_sum(dg))
-              + 0.5 * np.einsum("...ad,...edbc->...eabc", ginv, _christoffel_sum(ddg)))
+    # d_e g^ad = -g^am (d_e g_mn) g^nd: "...am,...emn,...nd->...ead"
+    gi = ginv[..., None, :, :]
+    dginv = -(gi @ dg) @ gi
+    # d_e Gamma^a_bc: "...ead,...dbc->...eabc" + "...ad,...edbc->...eabc"
+    dgamma = (0.5 * _contract_first(dginv, _christoffel_sum(dg)[..., None, :, :, :])
+              + 0.5 * _contract_first(gi, _christoffel_sum(ddg)))
 
     # Rm_kij^l = d_k Gamma^l_ij - d_i Gamma^l_kj + Gamma^l_ke Gamma^e_ij
     #            - Gamma^l_ie Gamma^e_kj
+    # gg[l, k, i, j] = Gamma^l_ke Gamma^e_ij: "...lke,...eij->...lkij"
+    d = sampler.dim
+    gg = _contract_first(gamma.reshape(gamma.shape[:-3] + (d * d, d)), gamma)
+    gg = gg.reshape(gg.shape[:-3] + (d, d, d, d))
     rm = (np.einsum("...klij->...kijl", dgamma)
           - np.einsum("...ilkj->...kijl", dgamma)
-          + np.einsum("...lke,...eij->...kijl", gamma, gamma)
-          - np.einsum("...lie,...ekj->...kijl", gamma, gamma))
-    rm_cov = np.einsum("...kijl,...lm->...kijm", rm, g)
+          + np.einsum("...lkij->...kijl", gg)
+          - np.einsum("...likj->...kijl", gg))
+    # "...kijl,...lm->...kijm"
+    rm_cov = (rm.reshape(rm.shape[:-4] + (d ** 3, d)) @ g).reshape(rm.shape)
     ricci = np.einsum("...kijk->...ij", rm)
     scal = np.einsum("...ij,...ij->...", ginv, ricci)
     names = getattr(sampler, "coord_names", None)

@@ -82,6 +82,10 @@ def load_scenario(path):
         raise ScenarioError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+        raise ScenarioError(f"unreadable scenario: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ScenarioError("scenario must be a JSON object")
     if data.get("schema") != 1:
         raise ScenarioError("scenario field 'schema' must be 1")
     pipeline = _field(data, "pipeline", str, required=True)
@@ -93,6 +97,8 @@ def load_scenario(path):
     if tol <= 0:
         raise ScenarioError("scenario field 'tolerance' must be positive")
     trace = data.get("trace", {})
+    if not isinstance(trace, dict):
+        raise ScenarioError("scenario field 'trace' must be an object")
     return Scenario(
         name=_field(data, "name", str, os.path.basename(path)),
         profile_spec=data["profile"],
@@ -106,8 +112,8 @@ def load_scenario(path):
         tail_radius=_field(data, "tail_radius", float, None),
         tolerance=tol,
         surface_r0=_field(data, "surface_r0", float, None),
-        trace_start=tuple(trace.get("start", (0.0, 10.0, 1.5707963267948966, 0.0))),
-        trace_direction=tuple(trace.get("direction", (1.0, -0.8, 0.0, 0.0))),
+        trace_start=_field(trace, "start", tuple, (0.0, 10.0, 1.5707963267948966, 0.0)),
+        trace_direction=_field(trace, "direction", tuple, (1.0, -0.8, 0.0, 0.0)),
     )
 
 

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (_christoffel_from, christoffel, curvature, five_point,
-                       hessian, inverse_metric_derivative, laplacian,
-                       metric_taylor, scalar_taylor)
+                       hessian, laplacian, metric_taylor, scalar_taylor)
 from .spacetimes import ChartPoint, MetricSampler
 
 FOLIATION_DN_FLOOR = 1e-12
@@ -149,14 +148,17 @@ def _gradient_normal(surface, x, g, ginv, dg):
     """Unit normal covector and its coordinate derivatives for level sets."""
     field = _level_function(surface)
     _, w, dw = scalar_taylor(field, x, surface.ambient.dim)
-    q = np.einsum("...ab,...a,...b->...", ginv, w, w)
+    # w^a = g^ab w_b and q = w_a w^a: "...ab,...a,...b->..."
+    w_u = (ginv @ w[..., None])[..., 0]
+    q = (w[..., None, :] @ w_u[..., None])[..., 0, 0]
     if np.any(np.abs(q) < FOLIATION_DN_FLOOR ** 2):
         raise FoliationError(
             f"foliation failure: |d{surface.level_field}| < {FOLIATION_DN_FLOOR} "
             f"on {surface.kind} at level {surface.level_value}")
-    dginv = inverse_metric_derivative(ginv, dg)
-    dq = (np.einsum("...eab,...a,...b->...e", dginv, w, w)
-          + 2.0 * np.einsum("...ab,...ea,...b->...e", ginv, dw, w))
+    # d_e q = -w^m (d_e g_mn) w^n + 2 (d_e w_a) w^a, so d g^-1 is never formed:
+    # "...m,...emn,...n->...e" and "...ea,...a->...e"
+    dq = (-(w_u[..., None, None, :] @ dg @ w_u[..., None, :, None])[..., 0, 0]
+          + 2.0 * (dw @ w_u[..., None])[..., 0])
     qs = np.sqrt(q)
     eta_d = w / qs[..., None]
     deta = (dw / qs[..., None, None]

@@ -6,7 +6,8 @@ the leading Schwarzschildean asymptotics in closed form (pure quadrature
 cannot reach spatial infinity).  Levels are spaced geometrically in
 u = 1 - N^2: transverse derivatives of quantities like rho ~ (1-N^2)^-2
 blow up toward N -> 1, and only spacing that shrinks with u keeps the
-fourth-order level differencing inside the error budget.
+level differencing (eighth-order central stencils, see
+``quadrature.level_stencils``) inside the error budget.
 
 Per level the pipeline computes leaf geometry (area radius, rho = 1/|nu(N)|,
 mean curvature, trace-free norm, Gauss curvature), then checks
@@ -291,6 +292,11 @@ class IdentityResiduals:
         return float(max(np.max(self.res31), np.max(self.res32),
                          np.max(self.res33)))
 
+    def sup_level(self):
+        """Index of the level where ``sup`` is attained."""
+        return int(np.argmax(np.maximum(np.maximum(self.res31, self.res32),
+                                        self.res33)))
+
 
 def _transverse_derivative(foliation, nodes):
     """d/dN of per-level node values ``nodes``, shape (levels, n_theta, n_phi)."""
@@ -382,6 +388,10 @@ class InequalitySlacks:
 
     def sup35(self):
         return float(np.max(np.abs(self.slack35)))
+
+    def sup_level(self, slack):
+        """Index of the level where the sup of ``slack34``/``slack35`` is attained."""
+        return int(np.argmax(np.max(np.abs(slack), axis=1)))
 
     def min_slack(self):
         return float(min(np.min(self.slack34), np.min(self.slack35)))
@@ -599,11 +609,20 @@ def reconstruct_lapse(mass, n0, r0, r_max=None, n_points=200):
 
 @dataclass(frozen=True)
 class Gate:
+    """One verdict gate.  ``level`` is the foliation level where a per-level
+    sup was attained, None for gates that are not a sup over levels."""
+
     name: str
     value: float
     threshold: float
     passed: bool
     structural: bool = False
+    level: int = None
+
+    @property
+    def margin(self):
+        """value / threshold, None where the threshold is not positive."""
+        return self.value / self.threshold if self.threshold > 0 else None
 
 
 @dataclass(frozen=True)
@@ -656,7 +675,8 @@ class IsraelReport:
                            "H0_relation_residual": b.h0_relation},
             "lambda": self.sign.lam,
             "gates": [{"name": g.name, "value": g.value,
-                       "threshold": g.threshold, "passed": g.passed}
+                       "threshold": g.threshold, "passed": g.passed,
+                       "margin": g.margin, "level": g.level}
                       for g in self.gates],
             "verdict": self.verdict,
             "tolerance": self.tol,
@@ -712,19 +732,24 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     recon = reconstruct_lapse(mass, bnd.n0, bnd.r0,
                               r_max=foliation.tail_radius)
 
-    tf_sup = float(np.max(foliation.stack("tracefree")))
-    rho_std_rel = max(lv.std(lv.rho) / lv.mean(lv.rho)
-                      for lv in foliation.levels)
+    tf_by_level = [float(np.max(lv.tracefree)) for lv in foliation.levels]
+    tf_sup = max(tf_by_level)
+    rho_by_level = [lv.std(lv.rho) / lv.mean(lv.rho) for lv in foliation.levels]
+    rho_std_rel = max(rho_by_level)
     h_min = min(lv.mean(lv.H) for lv in foliation.levels)
     flux_spread = float(np.max(fluxes) - np.min(fluxes))
     n_vals = [lv.N_value for lv in foliation.levels]
 
     gates = (
-        Gate("identities", ids.sup(), tol, ids.sup() < tol),
+        Gate("identities", ids.sup(), tol, ids.sup() < tol,
+             level=ids.sup_level()),
         Gate("evolution-factor", float(np.max(ids.evolution)), tol,
-             float(np.max(ids.evolution)) < tol),
-        Gate("sharpness-34", slacks.sup34(), tol, slacks.sup34() < tol),
-        Gate("sharpness-35", slacks.sup35(), tol, slacks.sup35() < tol),
+             float(np.max(ids.evolution)) < tol,
+             level=int(np.argmax(ids.evolution))),
+        Gate("sharpness-34", slacks.sup34(), tol, slacks.sup34() < tol,
+             level=slacks.sup_level(slacks.slack34)),
+        Gate("sharpness-35", slacks.sup35(), tol, slacks.sup35() < tol,
+             level=slacks.sup_level(slacks.slack35)),
         Gate("sharpness-36-chain", abs(slacks.chain36), tol,
              abs(slacks.chain36) < tol),
         Gate("sharpness-37", abs(slacks.ineq37), tol,
@@ -735,8 +760,10 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
              abs(slacks.ineq39) < tol),
         Gate("bracket-nonnegative", slacks.bracket_min, -1e-14,
              slacks.bracket_min >= -1e-14),
-        Gate("leaf-constancy-tracefree", tf_sup, tol, tf_sup < tol),
-        Gate("leaf-constancy-rho", rho_std_rel, tol, rho_std_rel < tol),
+        Gate("leaf-constancy-tracefree", tf_sup, tol, tf_sup < tol,
+             level=int(np.argmax(tf_by_level))),
+        Gate("leaf-constancy-rho", rho_std_rel, tol, rho_std_rel < tol,
+             level=int(np.argmax(rho_by_level))),
         Gate("H-positive", h_min, 0.0, h_min > 0.0),
         Gate("sign-consistency", 0.0 if sign.consistent else 1.0, 0.5,
              sign.consistent),

@@ -14,6 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
+# Level-stencil widths: an eighth-order central rule inside, tenth-order
+# one-sided/offset rules at the ends.  Narrower stencils (5/7, 7/9) leave the
+# transverse identities of light masses above the default gate tolerance.
+INTERIOR_WIDTH = 9
+EDGE_WIDTH = 11
+
 
 @lru_cache(maxsize=16)
 def sphere_grid(n_theta, n_phi):
@@ -105,23 +111,23 @@ def fornberg_weights(x0, xs, order):
     return c[:, order]
 
 
-def level_stencils(n_levels, interior_width=5, edge_width=7):
+def level_stencils(n_levels):
     """Per-level first-derivative stencils in the level index s (spacing 1).
 
-    Interior levels use the fourth-order central five-point rule; the two
-    levels nearest each end use wider one-sided/offset Fornberg stencils,
-    whose higher order is needed because the one-sided error constants are
-    several times the central ones.
-    Returns a list of (offsets, weights).
+    Interior levels use the eighth-order central rule on ``INTERIOR_WIDTH``
+    points; the levels too near either end for it use one-sided/offset
+    Fornberg stencils on ``EDGE_WIDTH`` points, whose higher order is needed
+    because the one-sided error constants are several times the central
+    ones.  Returns a list of (offsets, weights).
     """
-    half = interior_width // 2
+    half = INTERIOR_WIDTH // 2
     central = fornberg_weights(0.0, np.arange(-half, half + 1), 1)
     out = []
     for j in range(n_levels):
-        if half <= j < n_levels - half and n_levels >= interior_width:
+        if half <= j < n_levels - half and n_levels >= INTERIOR_WIDTH:
             out.append((np.arange(-half, half + 1), central))
         else:
-            width = min(edge_width, n_levels)
+            width = min(EDGE_WIDTH, n_levels)
             start = min(max(0, j - width // 2), n_levels - width)
             offs = np.arange(start, start + width) - j
             out.append((offs, fornberg_weights(0.0, offs, 1)))

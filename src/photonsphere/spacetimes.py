@@ -15,6 +15,7 @@ evaluation path for a float radius and an array of radii alike.
 import ast
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,9 +298,14 @@ class TableProfile(RadialProfile):
     def __init__(self, samples, mass_hint=None):
         from scipy.interpolate import CubicSpline
 
-        samples = np.asarray(samples, dtype=float)
+        try:
+            samples = np.asarray(samples, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"table profile samples must be rows of numbers: {exc}") from exc
         if samples.ndim != 2 or samples.shape[1] != 3 or len(samples) < 4:
             raise ValueError("table profile needs >= 4 rows of [r, N, g_rr]")
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("table profile samples must be finite")
         r = samples[:, 0]
         if not np.all(np.diff(r) > 0):
             raise ValueError("table profile radii must be strictly increasing")
@@ -347,23 +353,62 @@ class TableProfile(RadialProfile):
                 "r_min": self.r_min, "r_max": self.r_max}
 
 
+_REQUIRED = object()
+
+
+def _spec_number(spec, key, default=_REQUIRED):
+    """Finite real number field of a profile spec; null counts as missing."""
+    value = spec.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"profile field {key!r} is missing or null")
+        return default
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:   # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"profile field {key!r} must be a finite number, not {value!r}")
+
+
+def _spec_expression(spec, key):
+    if key not in spec:
+        raise ValueError(f"profile field {key!r} is missing")
+    value = spec[key]
+    if not isinstance(value, str):
+        raise ValueError(f"profile field {key!r} must be an expression string, "
+                         f"not {value!r}")
+    return value
+
+
 def load_profile(spec):
-    """Build a profile from a JSON dict, a JSON string, or a file path."""
+    """Build a profile from a JSON dict, a JSON string, or a file path.
+
+    A spec that is not an object, or a field that is missing or of the
+    wrong type, raises ValueError naming the field.
+    """
     if isinstance(spec, str):
         try:
             spec = json.loads(spec)
         except json.JSONDecodeError:
             with open(spec) as fh:
                 spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"profile must be a JSON object, not {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "schwarzschild":
-        return SchwarzschildProfile(float(spec["m"]))
+        return SchwarzschildProfile(_spec_number(spec, "m"))
     if kind == "table":
-        return TableProfile(spec["samples"], mass_hint=spec.get("m"))
+        if "samples" not in spec:
+            raise ValueError("profile field 'samples' is missing")
+        return TableProfile(spec["samples"], mass_hint=_spec_number(spec, "m", None))
     if kind == "expression":
-        return ExpressionProfile(spec["lapse"], spec["radial_factor"],
-                                 r_min=float(spec.get("r_min", 0.0)),
-                                 mass_hint=spec.get("m"))
+        return ExpressionProfile(_spec_expression(spec, "lapse"),
+                                 _spec_expression(spec, "radial_factor"),
+                                 r_min=_spec_number(spec, "r_min", 0.0),
+                                 mass_hint=_spec_number(spec, "m", None))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 

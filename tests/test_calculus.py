@@ -134,6 +134,63 @@ class TestCurvature:
         assert "Ric_tt" in d["ricci"]
 
 
+def painleve_gullstrand(m):
+    """Schwarzschild in Painleve-Gullstrand form: g_tr = sqrt(2m/r) != 0."""
+    def components(c):
+        _, r, theta, _ = c
+        return [[-(1.0 - 2.0 * m / r), np.sqrt(2.0 * m / r), 0.0, 0.0],
+                [np.sqrt(2.0 * m / r), 1.0, 0.0, 0.0],
+                [0.0, 0.0, r ** 2, 0.0],
+                [0.0, 0.0, 0.0, (r * np.sin(theta)) ** 2]]
+    return MetricSampler(4, components, "Schwarzschild (Painleve-Gullstrand)")
+
+
+def einsum_curvature(g, dg, ddg):
+    """Christoffel symbols and Rm_kij^l by explicit index loops (einsum)."""
+    ginv = np.linalg.inv(g)
+    s1, s2 = calc._christoffel_sum(dg), calc._christoffel_sum(ddg)
+    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", ginv, s1)
+    dginv = -np.einsum("...am,...emn,...nd->...ead", ginv, dg, ginv)
+    dgamma = (0.5 * np.einsum("...ead,...dbc->...eabc", dginv, s1)
+              + 0.5 * np.einsum("...ad,...edbc->...eabc", ginv, s2))
+    rm = (np.einsum("...klij->...kijl", dgamma)
+          - np.einsum("...ilkj->...kijl", dgamma)
+          + np.einsum("...lke,...eij->...kijl", gamma, gamma)
+          - np.einsum("...lie,...ekj->...kijl", gamma, gamma))
+    return gamma, rm, np.einsum("...kijl,...lm->...kijm", rm, g)
+
+
+class TestNonDiagonalMetric:
+    """Every index of the batched contractions is exercised off the diagonal."""
+
+    M = 1.3
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(61)
+        return (rng.uniform(-5.0, 5.0, 64), rng.uniform(1.5, 30.0, 64),
+                rng.uniform(0.3, math.pi - 0.3, 64), rng.uniform(0.0, 6.0, 64))
+
+    def test_vacuum_and_kretschmann(self, points):
+        b = calc.curvature(painleve_gullstrand(self.M), points)
+        assert np.max(np.abs(b.metric_dd[..., 0, 1])) > 0.2
+        assert np.max(np.abs(b.ricci_dd)) < 1e-12
+        gi = b.metric_uu
+        rm_up = np.einsum("...abcd,...ae,...bf,...cg,...dh->...efgh",
+                          b.riemann_dddd, gi, gi, gi, gi, optimize=True)
+        kretschmann = np.einsum("...abcd,...abcd->...", b.riemann_dddd, rm_up)
+        expect = 48.0 * self.M ** 2 / points[1] ** 6
+        assert np.max(np.abs(kretschmann / expect - 1.0)) < 1e-12
+
+    def test_matches_einsum_reference(self, points):
+        sampler = painleve_gullstrand(self.M)
+        b = calc.curvature(sampler, points)
+        gamma, rm, rm_cov = einsum_curvature(*calc.metric_taylor(sampler, points))
+        for got, ref in ((b.gamma_udd, gamma), (b.riemann_dddu, rm),
+                         (b.riemann_dddd, rm_cov)):
+            assert np.max(np.abs(got - ref)) < 1e-14 * np.max(np.abs(ref))
+
+
 class TestVacuumResidual:
     def test_schwarzschild_residuals_tiny(self):
         vr = calc.vacuum_residual(ST, ChartPoint(r=3.0, theta=1.0))

@@ -32,6 +32,29 @@ class TestScenarioValidation:
         assert run(["detect", "--scenario", str(bad)]) == cli.EXIT_ERROR
         assert "schema" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, field", [
+        ('[1, 2]', "JSON object"),
+        ('{"profile": {"kind": "expression", "lapse": 1, "radial_factor": "1"}}',
+         "'lapse'"),
+        ('{"profile": {"kind": "expression", "radial_factor": "1"}}', "'lapse'"),
+        ('{"profile": {"kind": "schwarzschild"}}', "'m'"),
+        ('{"profile": {"kind": "schwarzschild", "m": null}}', "'m'"),
+        ('{"profile": {"kind": "expression", "lapse": "sqrt(1-2/r)", '
+         '"radial_factor": "1/(1-2/r)", "r_min": 2.01, "m": "two"}}', "'m'"),
+        ('{"profile": {"kind": "schwarzschild", "m": 1}, "trace": [1]}', "'trace'"),
+        ('{"profile": {"kind": "schwarzschild", "m": 1%s}}' % ("0" * 5000),
+         "unreadable scenario"),
+    ], ids=["array", "lapse-int", "no-lapse", "no-m", "m-null", "m-two",
+            "trace-list", "huge-int"])
+    def test_bad_field_exits_2_naming_it(self, text, field, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        if text.startswith("{"):
+            text = '{"schema": 1, "pipeline": "detect", ' + text[1:]
+        bad.write_text(text)
+        assert run(["detect", "--scenario", str(bad),
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_ERROR
+        assert field in capsys.readouterr().err
+
     def test_bad_tolerance_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"schema": 1, "pipeline": "detect",

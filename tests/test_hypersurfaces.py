@@ -74,6 +74,34 @@ class TestShape:
             assert abs(np.einsum("a,a->", eta_d, eta_u) - tau) < 1e-12
             assert surf.tau == tau
 
+    def test_gradient_normal_matches_inverse_metric_derivative(self):
+        # d_e q from -w^m (d_e g_mn) w^n against d_e g^ab = -g^am (d_e g_mn) g^nb,
+        # on random non-diagonal SPD metrics with random symmetric derivatives
+        rng = np.random.default_rng(17)
+        for surf, n_dim in ((hs.lapse_level_set(ST, 5.0), 3),
+                            (hs.cylinder(ST, 4.0, level_field="lapse"), 4)):
+            x = tuple(rng.uniform(2.5, 9.0, 64) if a == surf.normal_axis
+                      else rng.uniform(0.3, 2.8, 64) for a in range(n_dim))
+            root = rng.normal(size=(64, n_dim, n_dim))
+            g = root @ np.swapaxes(root, -1, -2) + n_dim * np.eye(n_dim)
+            ginv = np.linalg.inv(g)
+            dg = rng.normal(size=(64, n_dim, n_dim, n_dim))
+            dg = dg + np.swapaxes(dg, -1, -2)
+            eta_d, deta, eta_u = hs._gradient_normal(surf, x, g, ginv, dg)
+
+            _, w, dw = calc.scalar_taylor(hs._level_function(surf), x, n_dim)
+            q = np.einsum("...ab,...a,...b->...", ginv, w, w)
+            dginv = -np.einsum("...am,...emn,...nd->...ead", ginv, dg, ginv)
+            dq = (np.einsum("...eab,...a,...b->...e", dginv, w, w)
+                  + 2.0 * np.einsum("...ab,...ea,...b->...e", ginv, dw, w))
+            qs = np.sqrt(q)
+            sign = np.sign(np.einsum("...ab,...b->...a", ginv, w)[..., surf.normal_axis])
+            ref = (dw / qs[..., None, None] - 0.5 * w[..., None, :] * dq[..., :, None]
+                   / (q * qs)[..., None, None]) * sign[..., None, None]
+            assert np.max(np.abs(deta - ref)) < 1e-13 * np.max(np.abs(ref))
+            assert np.allclose(eta_d, w / qs[..., None] * sign[..., None],
+                               rtol=1e-14, atol=0.0)
+
     def test_foliation_failure_on_flat_lapse(self):
         with pytest.raises(hs.FoliationError):
             hs.shape(hs.lapse_level_set(MINK, 3.0, level_field="lapse"),

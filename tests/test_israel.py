@@ -5,6 +5,7 @@ foliations are coarser (still well inside the error budget for what each
 test asserts).
 """
 
+import json
 import math
 
 import numpy as np
@@ -245,6 +246,36 @@ class TestRigidityVerdict:
         names = {g.name for g in rep.gates}
         assert {"identities", "sharpness-37", "lambda-exclusion", "tail",
                 "reconstruction", "H-positive"} <= names
+
+    @pytest.mark.parametrize("m", [0.25, 4.0])
+    def test_pinned_levels_isometric_for_light_and_heavy_masses(self, m):
+        # the level stencils must keep the identities of a light mass, whose
+        # residuals are normalized by the floor of one, below the default tol
+        rep = isr.run_israel_pipeline(StaticSpacetime.schwarzschild(m), N0,
+                                      3.0 * m, levels=64, quad_order=(16, 32))
+        assert rep.verdict == "isometric", [g for g in rep.gates if not g.passed]
+
+    def test_gates_report_margin_and_level(self, tmp_path):
+        rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
+                                      quad_order=(16, 32), tail_radius=100.0,
+                                      tol=1e-3)
+        gates = {g.name: g for g in rep.gates}
+        ids = rep.identities
+        per_level = np.max([ids.res31, ids.res32, ids.res33], axis=0)
+        assert gates["identities"].level == int(np.argmax(per_level))
+        assert gates["identities"].value == per_level[gates["identities"].level]
+        assert gates["evolution-factor"].level == int(np.argmax(ids.evolution))
+        assert gates["H-positive"].level is None
+        path = tmp_path / "israel_report.json"
+        rep.write_json(path)
+        report = json.loads(path.read_text())
+        for g in report["gates"]:
+            gate = gates[g["name"]]
+            assert g["level"] == gate.level
+            if g["threshold"] > 0:
+                assert g["margin"] == g["value"] / g["threshold"]
+            else:
+                assert g["margin"] is None
 
     def test_missing_tail_detected_as_structural(self):
         fol = isr.build_foliation(ST, N0, levels=16, quad_order=(16, 32),

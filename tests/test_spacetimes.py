@@ -248,6 +248,51 @@ def test_load_profile_kinds(tmp_path):
         load_profile({"kind": "nope"})
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "expression", "lapse": 1, "radial_factor": "1"}, "lapse"),
+    ({"kind": "expression", "radial_factor": "1"}, "lapse"),
+    ({"kind": "expression", "lapse": "1", "radial_factor": None}, "radial_factor"),
+    ({"kind": "expression", "lapse": "sqrt(1-2/r)", "radial_factor": "1/(1-2/r)",
+      "m": "two"}, "m"),
+    ({"kind": "expression", "lapse": "1", "radial_factor": "1", "r_min": [2]},
+     "r_min"),
+    ({"kind": "schwarzschild"}, "m"),
+    ({"kind": "schwarzschild", "m": None}, "m"),
+    ({"kind": "schwarzschild", "m": True}, "m"),
+    ({"kind": "schwarzschild", "m": float("nan")}, "m"),
+    ({"kind": "schwarzschild", "m": 10 ** 400}, "m"),
+    ({"kind": "table"}, "samples"),
+    ({"kind": "table", "samples": [[3, 1, 1]] * 4, "m": "1"}, "m"),
+])
+def test_bad_profile_field_is_a_named_value_error(spec, field):
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        load_profile(spec)
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=12)
+                | st.sampled_from(["sqrt(1-2/r)", "1/(1-2/r)", "1 - 2/r +", "r^r"]))
+_JSON_VALUES = st.recursive(_JSON_LEAVES, lambda inner: (
+    st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner,
+                                                  max_size=3)), max_leaves=16)
+_TABLE_ROWS = st.lists(st.lists(st.floats(0.1, 50.0), min_size=3, max_size=3),
+                       min_size=4, max_size=6)
+
+
+class TestProfileSpecFuzz:
+    @given(st.dictionaries(
+        st.sampled_from(["kind", "m", "lapse", "radial_factor", "r_min",
+                         "samples", "extra"]),
+        _JSON_VALUES | st.sampled_from(["schwarzschild", "expression", "table"])
+        | _TABLE_ROWS, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_spec_loads_or_raises_value_error(self, spec):
+        try:
+            load_profile(spec)
+        except ValueError:
+            pass
+
+
 class TestAsymptoticsFit:
     def test_schwarzschild_mass_and_decay(self):
         rep = asymptotics_fit(SchwarzschildProfile(1.0),
