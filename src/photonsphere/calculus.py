@@ -179,9 +179,6 @@ class CurvatureBundle:
         e = v * scale[..., None, :]
         return np.swapaxes(e, -1, -2), np.sign(w)
 
-    def signature(self):
-        return np.sign(np.linalg.eigvalsh(self.metric_dd))
-
     def symmetry_residuals(self):
         """Sup-norms of the antisymmetry and first-Bianchi defects of Rm."""
         rm = self.riemann_dddd

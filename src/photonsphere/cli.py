@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ EXIT_ERROR = 2
 
 PIPELINES = ("trace", "detect", "certify", "israel", "reconstruct", "full")
 TOLERANCE_PIPELINES = ("israel", "full")  # the ones that read the tolerance
+MIN_LEVELS = 8  # the identities need 7 levels and the inequality slacks 8
 
 
 class ScenarioError(ValueError):
@@ -58,21 +59,44 @@ class Scenario:
         return load_profile(self.profile_spec)
 
 
-def _field(data, key, typ, default=None, required=False):
-    if key not in data:
-        if required:
-            raise ScenarioError(f"scenario field '{key}' is missing")
-        return default
+def _finite(value):
+    """Is ``value`` a finite number (booleans are not numbers)?"""
     try:
-        value = data[key]
-        if typ is tuple:
-            return tuple(value)
-        return typ(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"scenario field '{key}': {exc}") from exc
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past the float range
+        return False
 
 
-def load_scenario(path):
+def _positive(value):
+    return _finite(value) and value > 0
+
+
+def _integer(minimum):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+
+
+def _sequence(valid, count):
+    return lambda v: (isinstance(v, (list, tuple)) and len(v) == count
+                      and all(map(valid, v)))
+
+
+def _field(data, key, default, typ, valid, rule, label=None):
+    """``typ`` of the field's value; a field whose default is None may be null."""
+    value = data.get(key, default)
+    if value is None and default is None:
+        return None
+    if not valid(value):
+        raise ScenarioError(f"scenario field '{label or key}' must be {rule}, "
+                            f"got {value!r:.60}")
+    return typ(value)
+
+
+def load_scenario(path, overrides=None):
+    """Read and validate a scenario file.
+
+    ``overrides`` (command line values, by field name) replace the file's
+    fields before validation; the file must still name a valid pipeline.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -88,32 +112,42 @@ def load_scenario(path):
         raise ScenarioError("scenario must be a JSON object")
     if data.get("schema") != 1:
         raise ScenarioError("scenario field 'schema' must be 1")
-    pipeline = _field(data, "pipeline", str, required=True)
-    if pipeline not in PIPELINES:
+    if "pipeline" not in data:
+        raise ScenarioError("scenario field 'pipeline' is missing")
+    if data["pipeline"] not in PIPELINES:
         raise ScenarioError(f"scenario field 'pipeline' must be one of {PIPELINES}")
+    data = {**data, **(overrides or {})}
     if "profile" not in data or not isinstance(data["profile"], dict):
         raise ScenarioError("scenario field 'profile' must be an object")
-    tol = _field(data, "tolerance", float, israel.TOL_LVL)
-    if tol <= 0:
-        raise ScenarioError("scenario field 'tolerance' must be positive")
     trace = data.get("trace", {})
     if not isinstance(trace, dict):
         raise ScenarioError("scenario field 'trace' must be an object")
+    positive, four = "a finite number > 0", _sequence(_finite, 4)
     return Scenario(
-        name=_field(data, "name", str, os.path.basename(path)),
+        name=str(data.get("name", os.path.basename(path))),
         profile_spec=data["profile"],
-        pipeline=pipeline,
-        scan=_field(data, "scan", tuple, (2.2, 50.0)),
-        levels=_field(data, "levels", int, 64),
-        quadrature=_field(data, "quadrature", tuple, (64, 128)),
-        seeds=_field(data, "seeds", int, 16),
-        span=_field(data, "span", float, 40.0),
-        rng_seed=_field(data, "rng_seed", int, 20259121),
-        tail_radius=_field(data, "tail_radius", float, None),
-        tolerance=tol,
-        surface_r0=_field(data, "surface_r0", float, None),
-        trace_start=_field(trace, "start", tuple, (0.0, 10.0, 1.5707963267948966, 0.0)),
-        trace_direction=_field(trace, "direction", tuple, (1.0, -0.8, 0.0, 0.0)),
+        pipeline=data["pipeline"],
+        scan=_field(data, "scan", (2.2, 50.0), tuple,
+                    lambda v: _sequence(_finite, 2)(v) and v[0] < v[1],
+                    "two finite, increasing numbers"),
+        levels=_field(data, "levels", 64, int, _integer(MIN_LEVELS),
+                      f"an integer >= {MIN_LEVELS}"),
+        quadrature=_field(data, "quadrature", (64, 128), tuple,
+                          _sequence(_integer(1), 2), "two integers >= 1"),
+        seeds=_field(data, "seeds", 16, int, _integer(1), "an integer >= 1"),
+        span=_field(data, "span", 40.0, float, _positive, positive),
+        rng_seed=_field(data, "rng_seed", 20259121, int, _integer(0),
+                        "an integer >= 0"),
+        tail_radius=_field(data, "tail_radius", None, float, _positive,
+                           "null or " + positive),
+        tolerance=_field(data, "tolerance", israel.TOL_LVL, float, _positive,
+                         positive),
+        surface_r0=_field(data, "surface_r0", None, float, _positive,
+                          "null or " + positive),
+        trace_start=_field(trace, "start", (0.0, 10.0, 1.5707963267948966, 0.0),
+                           tuple, four, "4 finite numbers", "trace.start"),
+        trace_direction=_field(trace, "direction", (1.0, -0.8, 0.0, 0.0), tuple,
+                               four, "4 finite numbers", "trace.direction"),
     )
 
 
@@ -327,7 +361,7 @@ def main(argv=None):
                        help="scenario JSON path, or the name of a bundled scenario")
         p.add_argument("--out", default="out", help="output directory")
         if name in TOLERANCE_PIPELINES:
-            p.add_argument("--tol", type=float, default=None,
+            p.add_argument("--tol", type=float, default=None, dest="tolerance",
                            help="override the scenario tolerance of the "
                                 "Israel gates")
         p.add_argument("--levels", type=int, default=None)
@@ -344,20 +378,9 @@ def main(argv=None):
         candidate = bundled_scenario_path(args.scenario)
         if os.path.exists(candidate):
             path = candidate
-    try:
-        scn = load_scenario(path)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    overrides = {}
-    if getattr(args, "tol", None) is not None:
-        overrides["tolerance"] = args.tol
-    if args.levels is not None:
-        overrides["levels"] = args.levels
-    if args.seeds is not None:
-        overrides["seeds"] = args.seeds
-    if args.span is not None:
-        overrides["span"] = args.span
+    overrides = {key: value for key in ("tolerance", "levels", "seeds", "span")
+                 if (value := getattr(args, key, None)) is not None}
+    overrides["pipeline"] = args.command
     if args.quad is not None:
         try:
             n_t, n_p = args.quad.lower().split("x")
@@ -365,7 +388,11 @@ def main(argv=None):
         except ValueError:
             print("error: --quad expects NxM, e.g. 64x128", file=sys.stderr)
             return EXIT_ERROR
-    scn = replace(scn, pipeline=args.command, **overrides)
+    try:
+        scn = load_scenario(path, overrides)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     try:
         return run_scenario(scn, args.out, args.dump_curvature)

@@ -15,18 +15,13 @@ affine parameter, step size, step counts, Kahan compensation and
 termination status, and leaves the batch when it ends.  ``integrate_null``
 is a batch of one; ``tangency_persistence`` runs all its seeds at once.
 
-Bit-identity: every column takes exactly the steps that the scalar loop
-over Python floats kept in ``tests/test_geodesics.py`` takes for it alone,
-whatever the batch around it.  The batch performs the same IEEE operations
-in the same order: stage sums are added left to right from 0.0 (the
-builtin ``sum`` of the former scalar loop did so up to CPython 3.11; from
-3.12 on it compensates, so there trajectories differ from that loop's in
-the last bits); the fifth-order increment is rounded once per entry, as
-``math.fsum`` rounds it; the squares of the error norm and the step-size
-factor go through Python's float ``pow``, which numpy's power does not
-reproduce; ``np.sin``/``np.cos`` agree with ``math.sin``/``math.cos``.
-Where a profile evaluation fails (the scalar loop catches ValueError or
-ZeroDivisionError), the batch sees a non-finite entry and shrinks that
+Reproducibility: each column is bit-identical to the same state
+integrated alone, whatever the batch around it, so a rerun reproduces its
+outputs byte for byte.  Every operation of a step is elementwise over the
+columns; the sums over stages and over the 8 components of the error norm
+are added left to right from 0.0 (numpy's reductions add pairwise, and in
+a different order for a single column than for several).  Where a profile
+evaluation fails, the batch sees a non-finite entry and shrinks that
 column's step alone.
 
 This rests on the profiles' shape independence, which the tests check
@@ -37,7 +32,7 @@ outside a table comes back non-finite instead of raising.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,18 +95,24 @@ class GeodesicTrajectory:
 
     ``samples`` has one row per accepted step: (lambda, t, r, theta, phi,
     vt, vr, vtheta, vphi).  ``energies`` holds E = -N tdot per sample,
-    ``null_residuals`` the pre-projection constraint |g(v,v)|, and
-    ``c_estimate`` the constant C of tdot = C N^-2 (equal to -E*N).
-    ``run`` carries the step counts (its status and reason repeat these).
+    ``null_residuals`` the pre-projection constraint |g(v,v)| and ``lapse``
+    N per sample.  ``run`` records how the trajectory ended and its step
+    counts.
     """
 
     samples: np.ndarray
     energies: np.ndarray
     null_residuals: np.ndarray
-    c_estimate: float
-    status: str            # "completed" | "domain-exit" | "stiff" | "pole"
-    reason: str = ""
-    run: RunSummary = None
+    lapse: np.ndarray
+    run: RunSummary
+
+    @property
+    def status(self):
+        return self.run.status
+
+    @property
+    def reason(self):
+        return self.run.reason
 
     @property
     def affine(self):
@@ -121,21 +122,14 @@ class GeodesicTrajectory:
     def r(self):
         return self.samples[:, 2]
 
-    @property
-    def lapse_values(self):
-        return self._lapse
-
     def final_state(self):
         row = self.samples[-1]
         return GeodesicState(ChartPoint(row[1], row[2], row[3], row[4]),
                              tuple(row[5:9]), row[0])
 
     def energy_times_lapse_drift(self):
-        en = self.energies * self._lapse
+        en = self.energies * self.lapse
         return float(np.max(np.abs(en - en[0])))
-
-    # lapse values cached at construction
-    _lapse: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def _rhs(profile, y):
@@ -176,10 +170,11 @@ def null_project(profile, y, prev_vt_sign=1.0):
 
 
 def _stage_sum(coefs, k):
-    """sum_m coefs[m] k[m] over a stack k of stage derivatives.
+    """sum_m coefs[m] k[m] over the leading axis of k.
 
-    The terms are added left to right from 0.0, as the builtin sum() of the
-    scalar loop added them (numpy's reductions may add pairwise).
+    The terms are added left to right from 0.0, so that a column's sum
+    does not depend on how many columns there are (numpy's reductions may
+    add pairwise).
     """
     terms = coefs * k
     acc = 0.0 + terms[0]
@@ -188,28 +183,27 @@ def _stage_sum(coefs, k):
     return acc
 
 
-def _fsum_stages(coefs, k):
-    """sum_m coefs[m] k[m] with each entry rounded once, as math.fsum rounds it."""
-    terms = (coefs * k).reshape(len(k), -1).T.tolist()
-    return np.array(list(map(math.fsum, terms))).reshape(k.shape[1:])
+def _dopri_step(profile, y, h, f):
+    """One Dormand-Prince 5(4) step of size h per column, from f = rhs(y).
+
+    Returns the fifth-order increment, the embedded error estimate and the
+    mask of columns at which a stage was not real or not finite; their
+    increment and error are 0.
+    """
+    k = np.empty((7,) + y.shape)
+    k[0] = f
+    for i in range(1, 7):
+        k[i] = _rhs(profile, y + h * _stage_sum(_A_COLS[i], k[:i]))
+    bad = ~np.isfinite(k).all(axis=(0, 1))
+    if np.count_nonzero(bad):
+        k[:, :, bad] = 0.0
+    return h * _stage_sum(_B5_COL, k), h * _stage_sum(_ERR_COL, k), bad
 
 
 def _error_norm(err, y_old, y_new, atol, rtol):
-    """RMS over the 8 components of err / (atol + rtol max(|y_old|, |y_new|)).
-
-    Returns one float per column.  The squares go through Python's float
-    pow, which numpy's does not reproduce bit for bit, and are added over
-    the components in order.
-    """
-    a_, b_ = np.abs(y_old), np.abs(y_new)
-    scaled = err / (atol + rtol * np.where(b_ > a_, b_, a_))
-    norms = []
-    for col in scaled.T.tolist():
-        acc = 0.0
-        for e in col:
-            acc += e ** 2
-        norms.append(math.sqrt(acc / len(col)))
-    return norms
+    """RMS over the 8 components of err / (atol + rtol max(|y_old|, |y_new|))."""
+    scaled = err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)))
+    return np.sqrt(_stage_sum(scaled, scaled) / len(scaled))
 
 
 def _integrate_batch(profile, states, span, tol, max_steps, on_accept):
@@ -227,8 +221,11 @@ def _integrate_batch(profile, states, span, tol, max_steps, on_accept):
     initial states and then after every accepted step, with the indices
     (into ``states``) of the columns that took it, their affine
     parameters, projected states and pre-projection |g(v, v)|.  Returns
-    one RunSummary per state.
+    one RunSummary per state.  Raises ValueError unless ``span`` is finite
+    and positive.
     """
+    if not (math.isfinite(span) and span > 0.0):
+        raise ValueError(f"span must be finite and positive, got {span!r}")
     y0 = np.array([s.as_array() for s in states], dtype=float).reshape(-1, 8).T
     n = y0.shape[1]
     with np.errstate(all="ignore"):
@@ -299,17 +296,9 @@ def _integrate_batch(profile, states, span, tol, max_steps, on_accept):
                 if not live.size:
                     break
 
-            k = np.empty((7,) + y.shape)
-            k[0] = f
-            for i in range(1, 7):
-                k[i] = _rhs(profile, y + h * _stage_sum(_A_COLS[i], k[:i]))
-            bad = ~np.isfinite(k).all(axis=(0, 1))
-            if np.count_nonzero(bad):
-                k[:, :, bad] = 0.0
-            incr = h * _fsum_stages(_B5_COL, k)
-            err = h * _stage_sum(_ERR_COL, k)
+            incr, err, bad = _dopri_step(profile, y, h, f)
             enorm = _error_norm(err, y, y + incr, atol, rtol)
-            ok = ~bad & (np.array(enorm) <= 1.0)
+            ok = ~bad & (enorm <= 1.0)
             if np.count_nonzero(ok):
                 dy = incr + comp
                 t = y + dy
@@ -338,10 +327,8 @@ def _integrate_batch(profile, states, span, tol, max_steps, on_accept):
                 f = np.where(ok, _rhs(profile, y), f)
             step += 1
             failed = (failed | bad) & ~ok
-            h = h * np.array([
-                0.25 if shrink else
-                min(5.0, max(0.2, 5.0 if e == 0.0 else 0.9 * e ** -0.2))
-                for shrink, e in zip(bad.tolist(), enorm)])
+            h = h * np.where(bad, 0.25, np.clip(
+                np.where(enorm == 0.0, 5.0, 0.9 * enorm ** -0.2), 0.2, 5.0))
     return ends
 
 
@@ -364,10 +351,8 @@ def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=MAX_STEP
     (run,) = _integrate_batch(profile, [initial], span, tol, max_steps, record)
     samples = np.array(rows)
     lapse = np.asarray(profile.lapse_d1(samples[:, 2])[0], dtype=float)
-    energies = -lapse * samples[:, 5]
-    c_est = float(np.mean(-energies * lapse))
-    return GeodesicTrajectory(samples, energies, np.array(residuals), c_est,
-                              run.status, run.reason, run, _lapse=lapse)
+    return GeodesicTrajectory(samples, -lapse * samples[:, 5],
+                              np.array(residuals), lapse, run)
 
 
 def null_state(spacetime, position, spatial_velocity, time_sign=1.0,
@@ -404,7 +389,7 @@ def energy_constancy_verdict(trajectory, tol=TOL_NULL):
     """
     e = trajectory.energies
     drift = float(np.max(np.abs(e - np.mean(e))))
-    lap = trajectory._lapse
+    lap = trajectory.lapse
     lvar = float(np.max(np.abs(lap - np.mean(lap))))
     return ConstancyVerdict(drift < 10 * tol, drift, lvar, lvar < 10 * tol)
 
@@ -443,11 +428,14 @@ class TangencyReport:
     surface_value: float      # r0 (or N0) defining the surface
     deviations: tuple         # per-seed sup of |r - r0| (or |N - N0|)
     max_deviation: float
-    statuses: tuple
     span: float
     seed_count: int
     rng_seed: int
     runs: tuple               # per-seed RunSummary
+
+    @property
+    def statuses(self):
+        return tuple(run.status for run in self.runs)
 
 
 TANGENCY_TOL = 1e-14  # photon-sphere orbits amplify local error by e^(N span / r)
@@ -482,8 +470,7 @@ def tangency_persistence(spacetime, surface, seeds, span, tol=TANGENCY_TOL,
 
     runs = _integrate_batch(profile, seeds, span, tol, MAX_STEPS, track)
     deviations = tuple(sup.tolist())
-    return TangencyReport(r0, deviations, max(deviations),
-                          tuple(run.status for run in runs), span, len(seeds),
+    return TangencyReport(r0, deviations, max(deviations), span, len(seeds),
                           rng_seed, tuple(runs))
 
 

@@ -105,8 +105,9 @@ class PhotonSurfaceCertificate:
     """Joint umbilicity / tangency verdict for a candidate surface.
 
     ``verdict`` is "certified" only when both routes agree within their
-    tolerances; genuine disagreement is reported as "inconclusive" with
-    margins left for inspection.
+    tolerances and every tangency seed integrated over the whole span;
+    genuine disagreement, or tangency not shown, is reported as
+    "inconclusive" with margins left for inspection.
     """
 
     surface: str
@@ -213,10 +214,14 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
               for t in np.unique(theta)[:3])
 
     umbilic = umb_sup < tol_cert and h_std < tol_cert
-    tangent = tangency.max_deviation < tol_tangency
+    # a seed that stopped early has not shown that it stays, but one that
+    # left the surface before stopping has shown that it does not
+    tangent = (tangency.max_deviation < tol_tangency
+               and all(s == "completed" for s in tangency.statuses))
+    not_tangent = tangency.max_deviation >= tol_tangency
     if umbilic and tangent:
         verdict = "certified"
-    elif not umbilic and not tangent:
+    elif not umbilic and not_tangent:
         verdict = "refuted"
     else:
         verdict = "inconclusive"

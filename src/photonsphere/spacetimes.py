@@ -99,9 +99,6 @@ class RadialProfile:
             raise DomainError(
                 f"r = {r} outside profile domain (r_min = {self.r_min:.12g})")
 
-    def describe(self):
-        return {"kind": "custom", "r_min": self.r_min}
-
 
 def _slope(fn, r):
     """(f, df/dr) of a profile function at r, through a first-order jet.
@@ -158,9 +155,6 @@ class SchwarzschildProfile(RadialProfile):
         ap = 2.0 * m / (r * r)
         return a, ap, 1.0 / a, -ap / (a * a)
 
-    def describe(self):
-        return {"kind": "schwarzschild", "m": self.m}
-
 
 @dataclass(frozen=True)
 class CallableProfile(RadialProfile):
@@ -177,9 +171,6 @@ class CallableProfile(RadialProfile):
 
     def radial_factor(self, r):
         return self.radial_factor_fn(r)
-
-    def describe(self):
-        return {"kind": "callable", "name": self.name, "r_min": self.r_min}
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +274,6 @@ class ExpressionProfile(RadialProfile):
     def radial_factor(self, r):
         return self._fns[1](r)
 
-    def describe(self):
-        return {"kind": "expression", "lapse": self.lapse_src,
-                "radial_factor": self.radial_factor_src, "r_min": self.r_min}
-
 
 class TableProfile(RadialProfile):
     """Profile from sampled (r, N, g_rr) rows with cubic interpolation.
@@ -347,10 +334,6 @@ class TableProfile(RadialProfile):
             return float(spline(v)), float(spline(v, 1))
         v = np.where((v < self._r[0]) | (v > self._r[-1]), np.nan, v)
         return spline(v), spline(v, 1)
-
-    def describe(self):
-        return {"kind": "table", "rows": len(self._r),
-                "r_min": self.r_min, "r_max": self.r_max}
 
 
 _REQUIRED = object()
@@ -490,11 +473,6 @@ class StaticSpacetime:
         if not np.all(np.isfinite(out)):
             raise DomainError(f"metric evaluation not finite at {point}")
         return out
-
-    def slice_metric_at(self, point):
-        self.profile.check_point(point.r)
-        g = self.metric3.components(point.coords3())
-        return np.array([[float(value_of(g[i][j])) for j in range(3)] for i in range(3)])
 
 
 def schwarzschild_metric(m, point):

@@ -12,6 +12,9 @@ def run(args):
     return cli.main(args)
 
 
+SCHW = '{"profile": {"kind": "schwarzschild", "m": 1}, '
+
+
 class TestScenarioValidation:
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -44,8 +47,33 @@ class TestScenarioValidation:
         ('{"profile": {"kind": "schwarzschild", "m": 1}, "trace": [1]}', "'trace'"),
         ('{"profile": {"kind": "schwarzschild", "m": 1%s}}' % ("0" * 5000),
          "unreadable scenario"),
+        (SCHW + '"levels": -3}', "'levels'"),
+        (SCHW + '"levels": 8.7}', "'levels'"),
+        (SCHW + '"levels": true}', "'levels'"),
+        (SCHW + '"levels": 7}', "'levels'"),
+        (SCHW + '"seeds": 0}', "'seeds'"),
+        (SCHW + '"scan": [3]}', "'scan'"),
+        (SCHW + '"scan": [5, 3]}', "'scan'"),
+        (SCHW + '"scan": [2.2, NaN]}', "'scan'"),
+        (SCHW + '"quadrature": ["a", "b"]}', "'quadrature'"),
+        (SCHW + '"quadrature": [0, 8]}', "'quadrature'"),
+        (SCHW + '"span": "40"}', "'span'"),
+        (SCHW + '"span": Infinity}', "'span'"),
+        (SCHW + '"span": 1%s}' % ("0" * 400), "'span'"),
+        (SCHW + '"tolerance": NaN}', "'tolerance'"),
+        (SCHW + '"tail_radius": -1}', "'tail_radius'"),
+        (SCHW + '"surface_r0": 0}', "'surface_r0'"),
+        (SCHW + '"rng_seed": -1}', "'rng_seed'"),
+        (SCHW + '"rng_seed": false}', "'rng_seed'"),
+        (SCHW + '"trace": {"start": [0, 10]}}', "'trace.start'"),
+        (SCHW + '"trace": {"direction": [1, -0.8, 0, "0"]}}', "'trace.direction'"),
     ], ids=["array", "lapse-int", "no-lapse", "no-m", "m-null", "m-two",
-            "trace-list", "huge-int"])
+            "trace-list", "huge-int", "levels-negative", "levels-fraction",
+            "levels-bool", "levels-7", "seeds-0", "scan-short", "scan-decreasing",
+            "scan-nan", "quadrature-strings", "quadrature-0", "span-string",
+            "span-inf", "span-past-float", "tolerance-nan", "tail-negative",
+            "surface-0", "rng-seed-negative", "rng-seed-bool", "trace-start-2",
+            "trace-direction-string"])
     def test_bad_field_exits_2_naming_it(self, text, field, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         if text.startswith("{"):
@@ -62,6 +90,39 @@ class TestScenarioValidation:
                                    "tolerance": -1}))
         assert run(["detect", "--scenario", str(bad)]) == cli.EXIT_ERROR
         assert "tolerance" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command, flag, value, field", [
+        *[(command, "--span", span, "'span'")
+          for command in ("trace", "certify", "full")
+          for span in ("nan", "inf", "-5", "0")],
+        ("israel", "--tol", "nan", "'tolerance'"),
+        ("full", "--tol", "-1", "'tolerance'"),
+        ("certify", "--seeds", "0", "'seeds'"),
+        ("israel", "--levels", "-3", "'levels'"),
+        ("israel", "--quad", "0x4", "'quadrature'"),
+    ])
+    def test_bad_flag_exits_2_naming_its_field(self, command, flag, value, field,
+                                               tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run([command, "--scenario", "schwarzschild_m1", "--out", str(out),
+                    flag, value]) == cli.EXIT_ERROR
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_certify_with_no_integration_is_inconclusive(self, tmp_path):
+        # each seed's first step underflows: none of them shows tangency
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "certify", "surface_r0": 3.0, "seeds": 2,
+            "profile": {"kind": "schwarzschild", "m": 1}}))
+        out = tmp_path / "o"
+        assert run(["certify", "--scenario", str(scn), "--out", str(out),
+                    "--span", "1e-300"]) == cli.EXIT_ERROR
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["verdict"] == "inconclusive"
+        assert [(s["status"], s["accepted_steps"])
+                for s in cert["tangency"]["per_seed"]] == [("stiff", 0)] * 2
 
 
 class TestExitCodes:
@@ -127,11 +188,15 @@ class TestOutputs:
         assert abs(rec["A_ode"] - 1.0) < 1e-8
         assert abs(rec["B_ode"] + 2.0) < 1e-8
 
-    def test_determinism_byte_identical(self, tmp_path):
+    @pytest.mark.parametrize("command, scenario, code", [
+        ("israel", "reissner_perturbed", 1),
+        ("certify", "r4m_cylinder", 1),
+        ("trace", "schwarzschild_m1", 0),
+    ])
+    def test_determinism_byte_identical(self, tmp_path, command, scenario, code):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out1, out2):
-            assert run(["israel", "--scenario", "reissner_perturbed",
-                        "--out", out]) == 1
+            assert run([command, "--scenario", scenario, "--out", out]) == code
         for name in sorted(os.listdir(out1)):
             with open(os.path.join(out1, name), "rb") as fa, \
                     open(os.path.join(out2, name), "rb") as fb:

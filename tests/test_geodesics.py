@@ -1,7 +1,10 @@
 """Null geodesic integration: conservation laws, tangency, reversal.
 
-The batched stepping loop is checked bit for bit against the scalar loop it
-replaced, kept below as the reference.
+The batched stepping loop is checked against the scalar loop it replaced,
+kept below as an independent reference: the same ends and step counts, and
+samples that agree to 1e-6 relative.  Each column of a batch is checked bit
+for bit against the same state integrated alone, and the tableau against
+its order of convergence.
 """
 
 import functools
@@ -17,7 +20,7 @@ from photonsphere import geodesics as geo
 from photonsphere import hypersurfaces as hs
 from photonsphere.geodesics import (_A, _B5, _ERR, DEFAULT_TOL,
                                     DOMAIN_GUARD_RTOL, THETA_GUARD, TOL_NULL,
-                                    GeodesicTrajectory)
+                                    GeodesicTrajectory, RunSummary)
 from photonsphere.spacetimes import (ChartPoint, ExpressionProfile,
                                      StaticSpacetime, TableProfile)
 
@@ -33,8 +36,9 @@ def radial_null_state(spacetime, r0, ingoing=True):
 
 # ---------------------------------------------------------------------------
 # The scalar reference: the one-trajectory loop over Python floats that the
-# batched loop replaced, kept verbatim except for the helper names and for
-# its stage and error sums, which go through ``scalar_sum``.
+# batched loop replaced, kept verbatim except for the helper names, for its
+# stage and error sums, which go through ``scalar_sum``, and for the
+# RunSummary it returns.
 # ---------------------------------------------------------------------------
 
 def scalar_sum(terms):
@@ -119,6 +123,7 @@ def scalar_integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=2
     h = min(0.01 * d0 / d1, span)
     status, reason = "completed", ""
     steps = 0
+    h_min = math.inf
     comp = [0.0] * 8  # Kahan compensation: unstable orbits amplify roundoff
     while lam < span:
         if steps >= max_steps:
@@ -149,6 +154,7 @@ def scalar_integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=2
         enorm = scalar_error_norm(err, y, y_new, atol, rtol)
         if enorm <= 1.0:
             lam += h
+            h_min = min(h_min, h)
             for j in range(8):
                 dy = incr[j] + comp[j]
                 t = y[j] + dy
@@ -176,11 +182,11 @@ def scalar_integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=2
 
     samples = np.asarray(rows)
     lapse = np.asarray([profile.lapse_d1(r)[0] for r in samples[:, 2]])
-    energies = -lapse * samples[:, 5]
-    c_est = float(np.mean(-energies * lapse))
-    traj = GeodesicTrajectory(samples, energies, np.asarray(residuals),
-                              c_est, status, reason, _lapse=lapse)
-    return traj
+    accepted = len(rows) - 1
+    run = RunSummary(status, reason, accepted, steps - accepted,
+                     h_min if accepted else None)
+    return GeodesicTrajectory(samples, -lapse * samples[:, 5],
+                              np.asarray(residuals), lapse, run)
 
 
 class TestIntegration:
@@ -220,7 +226,7 @@ class TestEnergyLaw:
 
     def test_energy_ratio_matches_lapse_ratio(self):
         tr = geo.integrate_null(ST, radial_null_state(ST, 10.0), 30.0)
-        n = tr.lapse_values
+        n = tr.lapse
         mask = tr.r >= 4.0
         ratio = tr.energies[mask] / tr.energies[0]
         assert np.max(np.abs(ratio - n[0] / n[mask])) < 1e-8
@@ -343,7 +349,7 @@ def test_stiff_status_on_step_budget():
 
 
 # ---------------------------------------------------------------------------
-# The batched loop against the scalar reference, bit for bit
+# The batched loop against the scalar reference, and against itself alone
 # ---------------------------------------------------------------------------
 
 RNG_SEED = 20259121
@@ -364,53 +370,72 @@ def batch_runs(profile, states, span, tol=DEFAULT_TOL, max_steps=geo.MAX_STEPS):
     return [(np.array(r), np.array(x), run) for r, x, run in zip(rows, resid, runs)]
 
 
-def assert_same_trajectory(ref, samples, residuals, run):
-    """``run`` is the RunSummary of the batched integration."""
-    assert np.array_equal(ref.samples, samples)
-    assert np.array_equal(ref.null_residuals, residuals)
-    assert (ref.status, ref.reason) == (run.status, run.reason)
-    assert run.accepted_steps == len(samples) - 1
+def assert_near_reference(ref, samples, run):
+    """The same end and step counts as the scalar reference, and samples
+    within 1e-6 max(1, |x|); ``run`` is the RunSummary of the batch."""
+    assert (run.status, run.reason) == (ref.status, ref.reason)
+    assert (run.accepted_steps, run.rejected_steps) == (
+        ref.run.accepted_steps, ref.run.rejected_steps)
+    assert samples.shape == ref.samples.shape
+    assert np.all(np.abs(samples - ref.samples)
+                  <= 1e-6 * np.maximum(1.0, np.abs(ref.samples)))
+
+
+def assert_same_as_alone(alone, samples, residuals, run):
+    """A batch column is bit for bit the trajectory of its state alone."""
+    assert np.array_equal(alone.samples, samples)
+    assert np.array_equal(alone.null_residuals, residuals)
+    assert alone.run == run
+
+
+CRITERION2_ENDS = (0, 31)   # the seeds of a criterion-2 batch run alone
 
 
 @functools.lru_cache(maxsize=None)
-def criterion2_reference(r0):
+def criterion2_alone(r0):
+    """The 32 criterion-2 seeds, and the end seeds integrated alone."""
     seeds = geo.tangent_null_seeds(ST, r0, 32, rng_seed=RNG_SEED)
-    return seeds, [scalar_integrate_null(ST, s, CRITERION2_SPAN, geo.TANGENCY_TOL)
-                   for s in seeds]
+    return seeds, {j: geo.integrate_null(ST, seeds[j], CRITERION2_SPAN,
+                                         geo.TANGENCY_TOL)
+                   for j in CRITERION2_ENDS}
 
 
 class TestBatchMatchesScalarReference:
     @pytest.mark.parametrize("r0", [3.0, 4.0])
     def test_criterion2_seeds_bit_identical(self, r0):
-        seeds, refs = criterion2_reference(r0)
+        seeds, alone = criterion2_alone(r0)
         batch = batch_runs(ST.profile, seeds, CRITERION2_SPAN, geo.TANGENCY_TOL)
-        for ref, (samples, residuals, run) in zip(refs, batch):
-            assert_same_trajectory(ref, samples, residuals, run)
+        for j, tr in alone.items():
+            assert_same_as_alone(tr, *batch[j])
+            ref = scalar_integrate_null(ST, seeds[j], CRITERION2_SPAN,
+                                        geo.TANGENCY_TOL)
+            assert (ref.status, ref.run.accepted_steps) == (
+                tr.status, tr.run.accepted_steps)
 
     @pytest.mark.parametrize("r0", [3.0, 4.0])
     def test_tangency_deviations_exact(self, r0):
-        seeds, refs = criterion2_reference(r0)
+        seeds, alone = criterion2_alone(r0)
         rep = geo.tangency_persistence(ST, hs.cylinder(ST, r0), seeds,
                                        CRITERION2_SPAN)
-        assert rep.deviations == tuple(float(np.max(np.abs(ref.r - r0)))
-                                       for ref in refs)
-        assert rep.statuses == tuple(ref.status for ref in refs)
-        assert [run.accepted_steps for run in rep.runs] == [
-            len(ref.samples) - 1 for ref in refs]
+        for j, tr in alone.items():
+            assert rep.deviations[j] == float(np.max(np.abs(tr.r - r0)))
+            assert rep.runs[j] == tr.run
 
     def test_lapse_deviations_exact(self):
         surf = hs.cylinder(ST, 3.0, level_field="lapse")
         seeds = geo.tangent_null_seeds(ST, 3.0, 4, rng_seed=5)
         rep = geo.tangency_persistence(ST, surf, seeds, 20.0)
         n0 = ST.profile.lapse_d1(3.0)[0]
-        refs = [scalar_integrate_null(ST, s, 20.0, geo.TANGENCY_TOL) for s in seeds]
-        assert rep.deviations == tuple(float(np.max(np.abs(ref._lapse - n0)))
-                                       for ref in refs)
+        alone = [geo.integrate_null(ST, s, 20.0, geo.TANGENCY_TOL) for s in seeds]
+        assert rep.deviations == tuple(float(np.max(np.abs(tr.lapse - n0)))
+                                       for tr in alone)
 
     @pytest.mark.parametrize("case", ["minkowski-ray", "minkowski-seed",
                                       "radial-infall", "pole", "max-steps",
                                       "expression-profile"])
     def test_single_trajectory_bit_identical(self, case):
+        """Bit for bit the same as its column in a batch with another
+        trajectory, and near the scalar reference."""
         spacetime, span, kw = ST, 30.0, {}
         if case == "minkowski-ray":
             spacetime = MINK
@@ -435,8 +460,10 @@ class TestBatchMatchesScalarReference:
                                    (0.01, 0.03, 0.05))
         ref = scalar_integrate_null(spacetime, state, span, **kw)
         traj = geo.integrate_null(spacetime, state, span, **kw)
-        assert_same_trajectory(ref, traj.samples, traj.null_residuals, traj.run)
-        assert np.array_equal(ref.energies, traj.energies)
+        other = geo.tangent_null_seeds(spacetime, 5.0, 1, rng_seed=1)[0]
+        column = batch_runs(spacetime.profile, [other, state], span, **kw)[1]
+        assert_same_as_alone(traj, *column)
+        assert_near_reference(ref, traj.samples, traj.run)
         expected = {"radial-infall": "domain-exit", "pole": "pole",
                     "max-steps": "stiff"}.get(case, "completed")
         assert traj.status == expected
@@ -450,8 +477,10 @@ class TestBatchMatchesScalarReference:
         assert [run.status for _, _, run in batch] == [
             "domain-exit", "pole", "completed", "completed", "completed"]
         for state, (samples, residuals, run) in zip(states, batch):
-            assert_same_trajectory(scalar_integrate_null(ST, state, 30.0),
-                                   samples, residuals, run)
+            assert_same_as_alone(geo.integrate_null(ST, state, 30.0),
+                                 samples, residuals, run)
+            assert_near_reference(scalar_integrate_null(ST, state, 30.0),
+                                  samples, run)
 
     def test_mixed_batch_on_a_fractional_power_profile(self):
         # the profile's slope takes numpy powers; one entry of a batch must
@@ -468,8 +497,10 @@ class TestBatchMatchesScalarReference:
         assert [run.status for _, _, run in batch] == [
             "domain-exit", "pole", "completed", "completed", "completed"]
         for state, (samples, residuals, run) in zip(states, batch):
-            assert_same_trajectory(scalar_integrate_null(spacetime, state, 30.0),
-                                   samples, residuals, run)
+            assert_same_as_alone(geo.integrate_null(spacetime, state, 30.0),
+                                 samples, residuals, run)
+            assert_near_reference(scalar_integrate_null(spacetime, state, 30.0),
+                                  samples, run)
 
     def test_table_profile_failure_stays_with_its_seed(self):
         rs = np.linspace(2.5, 12.0, 400)
@@ -481,17 +512,62 @@ class TestBatchMatchesScalarReference:
                   leaving, geo.tangent_null_seeds(spacetime, 5.0, 2, 4)[0]]
         batch = batch_runs(table, states, 10.0)
         for k, (state, (samples, residuals, run)) in enumerate(zip(states, batch)):
+            assert_same_as_alone(geo.integrate_null(spacetime, state, 10.0),
+                                 samples, residuals, run)
             ref = scalar_integrate_null(spacetime, state, 10.0)
             if k != 3:
-                assert_same_trajectory(ref, samples, residuals, run)
+                assert_near_reference(ref, samples, run)
                 continue
-            # the seed whose stages leave the table: same steps, and it ends
-            # at the table edge instead of in a step-size underflow
-            assert np.array_equal(ref.samples, samples)
+            # the seed whose stages leave the table: the same path, and it
+            # ends at the table edge instead of in a step-size underflow.  Both
+            # loops crawl up to r = 12 in steps near the roundoff floor, whose
+            # number the last bits decide.
+            n = min(len(samples), len(ref.samples))
+            assert np.all(np.abs(samples[:n] - ref.samples[:n])
+                          <= 1e-6 * np.maximum(1.0, np.abs(ref.samples[:n])))
+            assert abs(samples[-1, 2] - 12.0) < 1e-6
             assert (ref.status, ref.reason) == ("stiff", "step size underflow")
             assert run.status == "domain-exit"
             assert "r = 12" in run.reason
             assert run.rejected_steps > 0
+
+
+def test_observed_order_of_the_tableau():
+    """Fixed steps along a Minkowski ray against the Cartesian straight line:
+    the global error converges at fifth order or better and the embedded
+    error estimate at fifth order."""
+    state = geo.null_state(MINK, ChartPoint(0.0, 5.0, 1.0, 0.3), (0.4, 0.1, 0.05))
+    _, r0, th, ph = state.position.coords4()
+    _, vr, vth, vph = state.velocity
+    e_r = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
+                    math.cos(th)])
+    e_th = np.array([math.cos(th) * math.cos(ph), math.cos(th) * math.sin(ph),
+                     -math.sin(th)])
+    e_ph = np.array([-math.sin(ph), math.cos(ph), 0.0])
+    x0 = r0 * e_r
+    v = vr * e_r + r0 * vth * e_th + r0 * math.sin(th) * vph * e_ph
+    y0 = state.as_array()[:, None]
+
+    def step(y, h):
+        return geo._dopri_step(MINK.profile, y, h, geo._rhs(MINK.profile, y))
+
+    def r_error(n):
+        y = y0
+        for _ in range(n):
+            y = y + step(y, 4.0 / n)[0]
+        return abs(y[1, 0] - np.linalg.norm(x0 + 4.0 * v))
+
+    global_order = math.log2(r_error(16) / r_error(32))
+    assert 5.0 <= global_order <= 6.5
+    estimate_order = math.log2(np.linalg.norm(step(y0, 4.0 / 16)[1])
+                               / np.linalg.norm(step(y0, 4.0 / 32)[1]))
+    assert abs(estimate_order - 5.0) <= 0.2
+
+
+@pytest.mark.parametrize("span", [math.nan, math.inf, -5.0, 0.0])
+def test_span_must_be_finite_and_positive(span):
+    with pytest.raises(ValueError, match="span"):
+        geo.integrate_null(ST, radial_null_state(ST, 10.0), span)
 
 
 class TestRobustness:
@@ -546,7 +622,6 @@ class TestRobustness:
 
 def test_trajectory_reports_step_counts():
     tr = geo.integrate_null(ST, radial_null_state(ST, 10.0), 30.0)
-    assert (tr.run.status, tr.run.reason) == (tr.status, tr.reason)
     assert tr.run.accepted_steps == len(tr.samples) - 1
     assert tr.run.rejected_steps >= 0
     assert tr.run.min_step == pytest.approx(np.min(np.diff(tr.affine)), rel=1e-6)
