@@ -46,20 +46,22 @@ def metric_taylor(sampler, coords, scheme="autodiff"):
     Returns ``(g, dg, ddg)`` with shapes ``(..., d, d)``,
     ``(..., d, d, d)`` and ``(..., d, d, d, d)`` where
     ``dg[a, b, c] = d_a g_bc`` and ``ddg[a, b, c, d] = d_a d_b g_cd``.
+    The leading shape ``...`` is the broadcast shape of the components,
+    i.e. of the coordinates they actually read (see :mod:`.jets`): sparse
+    (theta, phi) axes give ``(n_theta, 1)`` for a metric that reads no phi.
     """
     if scheme != "autodiff":
         return _fd_taylor(lambda pt: _sample_matrix(sampler, pt), coords, 2, scheme)
     d = sampler.dim
     xs = jets.variables(list(coords), order=2)
-    comp = sampler.components(xs)
-    ref = xs[0]
-    shape = ref.val.shape
+    comp = [[jets.lift(e, xs[0]) for e in row] for row in sampler.components(xs)]
+    shape = np.broadcast_shapes(*(e.val.shape for row in comp for e in row))
     g = np.empty(shape + (d, d))
     dg = np.empty(shape + (d, d, d))
     ddg = np.empty(shape + (d, d, d, d))
     for b in range(d):
         for c in range(d):
-            e = jets.lift(comp[b][c], ref)
+            e = comp[b][c]
             g[..., b, c] = e.val
             dg[..., :, b, c] = e.grad
             ddg[..., :, :, b, c] = e.hess
@@ -70,7 +72,8 @@ def _sample_matrix(sampler, coords):
     d = sampler.dim
     comp = sampler.components(list(coords))
     vals = [[jets.value_of(comp[b][c]) for c in range(d)] for b in range(d)]
-    return np.stack([np.stack([np.broadcast_to(v, np.shape(vals[0][0]))
+    shape = np.broadcast_shapes(*(np.shape(v) for row in vals for v in row))
+    return np.stack([np.stack([np.broadcast_to(v, shape)
                                for v in row], axis=-1) for row in vals], axis=-2)
 
 
@@ -126,7 +129,11 @@ def christoffel(sampler, point, scheme="autodiff"):
 
 
 def _inverse_metric(g):
-    ginv = np.linalg.inv(g)
+    """g^-1; a singular or non-finite metric raises DomainError."""
+    try:
+        ginv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(f"metric is singular at the requested point ({exc})") from exc
     if not np.all(np.isfinite(ginv)):
         raise DomainError("metric is singular at the requested point")
     return ginv
@@ -267,7 +274,7 @@ def hessian(field, sampler, point, scheme="autodiff"):
 def laplacian(field, sampler, point, scheme="autodiff"):
     coords = _coords_of(point)
     g, dg, _ = metric_taylor(sampler, coords, scheme)
-    ginv = np.linalg.inv(g)
+    ginv = _inverse_metric(g)
     hess = hessian(field, sampler, point, scheme)
     return np.einsum("...ij,...ij->...", ginv, hess)
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (_christoffel_from, christoffel, curvature, five_point,
-                       hessian, laplacian, metric_taylor, scalar_taylor)
+from .calculus import (_christoffel_from, _inverse_metric, christoffel, curvature,
+                       five_point, hessian, laplacian, metric_taylor, scalar_taylor)
 from .spacetimes import ChartPoint, MetricSampler
 
 FOLIATION_DN_FLOOR = 1e-12
@@ -233,7 +233,7 @@ def shape(surface, point):
     ys = _asarrays(point)
     x = surface.embed(ys)
     g, dg, _ = metric_taylor(surface.ambient, x)
-    ginv = np.linalg.inv(g)
+    ginv = _inverse_metric(g)
     eta_d, deta, eta_u = normal_data(surface, x, g, ginv, dg)
     norm2 = np.einsum("...a,...a->...", eta_d, eta_u)
     if np.max(np.abs(norm2 - surface.tau)) > 1e-8:

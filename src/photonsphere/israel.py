@@ -36,7 +36,7 @@ import numpy as np
 
 from . import hypersurfaces as hs
 from . import quadrature as quad
-from .calculus import curvature, scalar_taylor, metric_taylor
+from .calculus import _inverse_metric, curvature, metric_taylor, scalar_taylor
 from .spacetimes import DomainError
 
 TOL_LVL = 1e-5
@@ -154,24 +154,28 @@ def _leaf_measure(surface, tg, w, coords, g, eta_d, eta_u):
 def _level_nodes(spacetime, r_level, n_theta, n_phi):
     """All leaf fields at the quadrature nodes of one level."""
     theta, x, phi, w = quad.sphere_grid(n_theta, n_phi)
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
+    tg, pg = np.meshgrid(theta, phi, indexing="ij", sparse=True)
     surface = hs.lapse_level_set(spacetime, r_level)
     sd = hs.shape(surface, (tg, pg))
     jac, sqrt_s, nuN = _leaf_measure(surface, tg, w, surface.embed((tg, pg)),
                                      sd.metric_dd, sd.normal_d, sd.normal_u)
     gauss_k = 0.5 * curvature(surface.induced_sampler(), (tg, pg)).scalar
-    return theta, x, phi, w, jac, sqrt_s, 1.0 / np.abs(nuN), sd.mean_curvature, \
-        nuN, sd.tracefree_norm, gauss_k
+    # each field has the shape of the coordinates it reads; the leaf keeps
+    # full (n_theta, n_phi) arrays, so its reductions run as on a dense grid
+    nodes = [np.broadcast_to(f, w.shape).copy() for f in
+             (jac, sqrt_s, 1.0 / np.abs(nuN), sd.mean_curvature, nuN,
+              sd.tracefree_norm, gauss_k)]
+    return (theta, x, phi, w, *nodes)
 
 
 def _flux_resample(spacetime, r_level, order):
     """Mass flux of one leaf on a finer grid: only the metric and normal."""
     theta, _, phi, w = quad.sphere_grid(*order)
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
+    tg, pg = np.meshgrid(theta, phi, indexing="ij", sparse=True)
     surface = hs.lapse_level_set(spacetime, r_level)
     coords = surface.embed((tg, pg))
     g, dg, _ = metric_taylor(surface.ambient, coords)
-    eta_d, _, eta_u = hs.normal_data(surface, coords, g, np.linalg.inv(g), dg)
+    eta_d, _, eta_u = hs.normal_data(surface, coords, g, _inverse_metric(g), dg)
     jac, _, nuN = _leaf_measure(surface, tg, w, coords, g, eta_d, eta_u)
     return float(np.sum(w * jac * nuN) / (4.0 * math.pi))
 

@@ -13,6 +13,13 @@ second derivatives in one pass.  Values stay numpy arrays, 0-d for a
 float input, so an entry of a batch evaluation equals the float
 evaluation of that entry bit for bit (numpy *scalar* arithmetic would
 not: ``np.float64 ** 1.5`` may differ from the array loop in the last bit).
+
+Jets broadcast lazily.  A seed keeps the shape of its coordinate, and
+arithmetic broadcasts as numpy does, so a result has the broadcast shape
+of the seeds it depends on: on a grid of sparse (theta, phi) axes a
+quantity that reads only r and theta is computed once per theta row.
+Every entry equals the one a dense evaluation gives; a caller that needs
+the full node grid broadcasts the result itself.
 """
 
 import numpy as np
@@ -63,8 +70,8 @@ class Jet:
     def _lift(self, other):
         if isinstance(other, Jet):
             return other
-        return Jet.constant(np.broadcast_to(_asarray(other), self.val.shape),
-                            self.nvars, order=1 if self.hess is None else 2)
+        return Jet.constant(_asarray(other), self.nvars,
+                            order=1 if self.hess is None else 2)
 
     def _chain(self, f0, f1, f2):
         """Apply a scalar function via its derivatives at ``self.val``."""
@@ -207,30 +214,33 @@ def variables(coords, order=2):
 
     Parameters
     ----------
-    coords : sequence of floats or broadcastable arrays
+    coords : sequence of floats or mutually broadcastable arrays
     order : 1 or 2, derivative order carried
 
     Returns
     -------
-    list of Jet, one per coordinate, sharing shape and nvars = len(coords).
+    list of Jet, one per coordinate, with nvars = len(coords).  Each seed
+    keeps its coordinate's own shape (no broadcasting against the others),
+    so sparse grid axes such as ``np.meshgrid(..., sparse=True)`` stay
+    sparse through every expression built from them.
     """
     n = len(coords)
-    vals = np.broadcast_arrays(*[_asarray(c) for c in coords])
-    shape = vals[0].shape
     out = []
-    for i, v in enumerate(vals):
-        grad = np.zeros(shape + (n,))
+    for i, c in enumerate(coords):
+        v = np.array(c, dtype=float)
+        grad = np.zeros(v.shape + (n,))
         grad[..., i] = 1.0
-        hess = None if order < 2 else np.zeros(shape + (n, n))
-        out.append(Jet(v.copy(), grad, hess))
+        hess = None if order < 2 else np.zeros(v.shape + (n, n))
+        out.append(Jet(v, grad, hess))
     return out
 
 
 def lift(x, like):
     """``x`` as a jet over the variables of ``like``.
 
-    A jet passes through; a constant (a float or an array broadcastable to
-    ``like``) becomes a jet of ``like``'s shape with zero derivatives.
+    A jet passes through; a constant (a float or an array broadcastable
+    with ``like``) becomes a jet of their broadcast shape with zero
+    derivatives.
     """
     if isinstance(x, Jet):
         return x

@@ -85,6 +85,12 @@ class TestCurvature:
         b = calc.curvature(sphere2(1.7), (0.9, 0.4))
         assert np.isclose(b.scalar, 2.0 / 1.7 ** 2)
 
+    def test_round_sphere_scalar_by_differences_on_arrays(self):
+        # g_thth is a plain number: the samples broadcast to the theta row
+        theta = np.linspace(0.4, 2.6, 5)
+        b = calc.curvature(sphere2(1.7), (theta, np.zeros(5)), "finite-difference")
+        assert np.allclose(b.scalar, 2.0 / 1.7 ** 2, rtol=1e-6)
+
     def test_minkowski_riemann_vanishes(self):
         b = calc.curvature(MINK.metric4, (0.0, 3.0, 1.2, 0.1))
         assert np.max(np.abs(b.riemann_dddd)) < 1e-6
@@ -132,6 +138,49 @@ class TestCurvature:
         assert np.isclose(d["christoffel"]["Gamma^r_tt"],
                           oracles.GAMMA_R_TT_M1_R3)
         assert "Ric_tt" in d["ricci"]
+
+
+def twisted3():
+    """A 3-metric whose theta-phi block reads phi, off the diagonal too."""
+    def components(c):
+        r, th, ph = c
+        return [[1.0 / (1.0 - 2.0 / r), 0.0, 0.0],
+                [0.0, r * r, 0.1 * r * np.cos(ph) * np.sin(th)],
+                [0.0, 0.1 * r * np.cos(ph) * np.sin(th),
+                 (r * np.sin(th)) ** 2 * (1.0 + 0.2 * np.sin(ph) ** 2)]]
+    return MetricSampler(3, components, "twisted")
+
+
+class TestLazyBroadcast:
+    """Sparse (theta, phi) axes give the shape the metric reads, and the
+    values of the dense grid bit for bit."""
+
+    THETA = np.linspace(0.3, 2.8, 6)[:, None]
+    PHI = np.linspace(0.1, 6.0, 9)[None, :]
+
+    def _both(self, fn, sampler):
+        sparse = fn(sampler, (4.5, self.THETA, self.PHI))
+        dense = fn(sampler, np.broadcast_arrays(4.5, self.THETA, self.PHI))
+        return sparse, dense
+
+    @staticmethod
+    def _fields(bundle):
+        return [getattr(bundle, f) for f in ("metric_dd", "metric_uu", "gamma_udd",
+                                             "riemann_dddu", "riemann_dddd",
+                                             "ricci_dd", "scalar")]
+
+    @pytest.mark.parametrize("sampler, lead", [(twisted3(), (6, 9)),
+                                               (ST.metric3, (6, 1))],
+                             ids=["reads-phi", "metric3"])
+    def test_metric_taylor_and_curvature(self, sampler, lead):
+        sparse, dense = self._both(calc.metric_taylor, sampler)
+        for a, b in zip(sparse, dense):
+            assert a.shape[:2] == lead
+            assert np.array_equal(np.broadcast_to(a, b.shape), b)
+        sparse, dense = self._both(calc.curvature, sampler)
+        for a, b in zip(self._fields(sparse), self._fields(dense)):
+            assert a.shape[:2] == lead
+            assert np.array_equal(np.broadcast_to(a, b.shape), b)
 
 
 def painleve_gullstrand(m):

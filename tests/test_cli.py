@@ -171,6 +171,30 @@ class TestExitCodes:
         assert "identities" in failed
 
 
+    def test_full_exit_reflects_an_inconclusive_certificate(self, tmp_path):
+        # the Israel verdict is isometric, but no seed integrates
+        out = tmp_path / "o"
+        assert run(["full", "--scenario", "schwarzschild_m1", "--out", str(out),
+                    "--span", "1e-300", "--levels", "24", "--quad", "32x64",
+                    "--tol", "1e-3", "--seeds", "2"]) == cli.EXIT_ERROR
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["verdict"] == "inconclusive"
+        rep = json.loads((out / "israel_report.json").read_text())
+        assert rep["verdict"] == "isometric"
+
+    def test_singular_metric_is_a_named_error(self, tmp_path, capsys):
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "israel", "levels": 8, "quadrature": [8, 16],
+            "scan": [2.2, 50.0], "tail_radius": 100.0,
+            "profile": {"kind": "expression", "lapse": "sqrt(1 - 2/r)",
+                        "radial_factor": "r - r", "r_min": 2.0, "m": 1.0}}))
+        assert run(["israel", "--scenario", str(scn),
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "metric is singular" in err
+
+
 class TestOutputs:
     def test_trace_writes_trajectory(self, tmp_path):
         out = str(tmp_path / "o")

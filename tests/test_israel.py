@@ -13,10 +13,11 @@ import pytest
 
 import oracles
 from photonsphere import israel as isr
+from photonsphere import jets
 from photonsphere import quadrature as quad
 from photonsphere.hypersurfaces import FoliationError
 from photonsphere.spacetimes import (ExpressionProfile, SchwarzschildProfile,
-                                     StaticSpacetime)
+                                     StaticSpacetime, TableProfile)
 
 ST = StaticSpacetime.schwarzschild(1.0)
 N0 = 1.0 / math.sqrt(3.0)
@@ -55,6 +56,52 @@ class TestFoliation:
         with pytest.raises((isr.FlatnessError, FoliationError)):
             isr.build_foliation(mink, 0.9, levels=8, quad_order=(8, 16),
                                 tail_radius=50.0)
+
+
+def _dense_variables(coords, order=2):
+    """Jet seeds broadcast to one common shape: every seed carries the whole
+    node grid, so each node is evaluated on its own (the dense reference)."""
+    vals = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
+    n = len(vals)
+    out = []
+    for i, v in enumerate(vals):
+        grad = np.zeros(v.shape + (n,))
+        grad[..., i] = 1.0
+        hess = None if order < 2 else np.zeros(v.shape + (n, n))
+        out.append(jets.Jet(v.copy(), grad, hess))
+    return out
+
+
+def _schwarzschild_table(m, rows=160):
+    r = np.geomspace(2.05 * m, 130.0 * m, rows)
+    return TableProfile(np.column_stack([r, np.sqrt(1 - 2 * m / r),
+                                         1 / (1 - 2 * m / r)]), mass_hint=m)
+
+
+LEAF_PROFILES = {
+    "schwarzschild-0.25": (SchwarzschildProfile(0.25), 0.9),
+    "schwarzschild-1": (SchwarzschildProfile(1.0), 3.7),
+    "schwarzschild-4": (SchwarzschildProfile(4.0), 14.0),
+    "reissner-perturbed": (ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)",
+                                             "1/(1 - 2/r + 0.1/r^2)",
+                                             r_min=1.95, mass_hint=1.0), 3.7),
+    "table": (_schwarzschild_table(1.0), 3.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAF_PROFILES))
+def test_leaf_fields_equal_the_dense_grid(name, monkeypatch):
+    profile, r_level = LEAF_PROFILES[name]
+    st = StaticSpacetime(profile)
+    n_theta, n_phi = 12, 20
+    lazy = isr._level_nodes(st, r_level, n_theta, n_phi)
+    flux = isr._flux_resample(st, r_level, (n_theta, n_phi))
+    monkeypatch.setattr(jets, "variables", _dense_variables)
+    dense = isr._level_nodes(st, r_level, n_theta, n_phi)
+    assert isr._flux_resample(st, r_level, (n_theta, n_phi)) == flux
+    for a, b in zip(lazy[4:], dense[4:]):
+        assert a.shape == (n_theta, n_phi)
+        assert np.array_equal(a, b)
 
 
 class TestMassFlux:

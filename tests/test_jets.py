@@ -94,3 +94,44 @@ def test_first_order_jets_skip_hessian():
     assert f.hess is None
     assert np.allclose(f.grad, [2.0, 1.0 + 0.5 / np.sqrt(2.0)])
 
+
+
+def _sparse_coords(n=5, m=7):
+    rng = np.random.default_rng(3)
+    return (2.7, rng.uniform(0.3, 2.8, (n, 1)), rng.uniform(0.0, 6.2, (1, m)))
+
+
+def test_seeds_keep_their_own_shapes():
+    r, th, ph = variables(_sparse_coords())
+    assert [x.val.shape for x in (r, th, ph)] == [(), (5, 1), (1, 7)]
+    assert [x.grad.shape for x in (r, th, ph)] == [(3,), (5, 1, 3), (1, 7, 3)]
+    assert [x.hess.shape for x in (r, th, ph)] == [(3, 3), (5, 1, 3, 3),
+                                                   (1, 7, 3, 3)]
+    assert np.array_equal(th.grad[..., 1], np.ones((5, 1)))
+    assert np.array_equal(ph.grad[..., [0, 1]], np.zeros((1, 7, 2)))
+
+
+def test_lazy_broadcast_matches_dense_seeds_bit_for_bit():
+    def f(r, th, ph):
+        return (np.sqrt(r) * np.sin(th) ** 2 / (r + ph) + (r * th) ** 1.5
+                - 3.0 / (th * ph + r) ** 0.5)
+
+    coords = _sparse_coords()
+    lazy = f(*variables(coords))
+    dense = f(*variables(np.broadcast_arrays(*coords)))
+    assert lazy.val.shape == (5, 7)
+    for a, b in ((lazy.val, dense.val), (lazy.grad, dense.grad),
+                 (lazy.hess, dense.hess)):
+        assert np.array_equal(np.broadcast_to(a, b.shape), b)
+    # a quantity that reads only r and theta stays one value per theta row
+    assert f(*variables(coords[:2] + (0.4,))).val.shape == (5, 1)
+
+
+def test_constant_larger_than_the_jet_lifts():
+    (x,) = variables([2.0])
+    c = np.arange(12.0).reshape(3, 4)
+    for y in (x * c, c * x, x + c, c / x):
+        assert y.val.shape == (3, 4)
+        assert y.grad.shape == (3, 4, 1) and y.hess.shape == (3, 4, 1, 1)
+    assert np.array_equal((x * c).grad[..., 0], c)
+    assert np.array_equal((c / x).val, c / 2.0)
