@@ -184,7 +184,8 @@ def _write_table(path, header, rows):
 def _run_trace(scn, spacetime, out):
     state = geodesics.GeodesicState(
         ChartPoint(*scn.trace_start), tuple(scn.trace_direction))
-    traj = geodesics.integrate_null(spacetime, state, scn.span)
+    tol = geodesics.DEFAULT_TOL
+    traj = geodesics.integrate_null(spacetime, state, scn.span, tol=tol)
     geodesics.trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
     _write_table(os.path.join(out, "geodesic_r_of_lambda.csv"),
                  ["lambda", "r"], zip(traj.affine, traj.r))
@@ -200,6 +201,7 @@ def _run_trace(scn, spacetime, out):
         "rejected_steps": traj.run.rejected_steps,
         "min_step": traj.run.min_step,
         "max_null_residual": float(np.max(traj.null_residuals)),
+        "integrator": geodesics.INTEGRATOR, "integrator_tol": tol,
     })
     return EXIT_TRUE if traj.status in ("completed", "domain-exit") else EXIT_ERROR
 

@@ -1,13 +1,17 @@
 """Null geodesic integration in static radial spacetimes.
 
-The geodesic equation is integrated with an embedded Dormand-Prince 5(4)
-pair (Dormand & Prince 1980).  After every accepted step the time
-component of the velocity is re-solved from the null constraint (choosing
-the root continuous with the previous step), which pins the state to the
-light cone without touching the spatial direction.  The observed energy
-E = g(v, N^-1 d_t) = -N tdot is recorded along the way; the combination
-E*N is the conserved constant of the t-equation and is what the constancy
-checks monitor.
+The geodesic equation is integrated with DOP853, the explicit Runge-Kutta
+pair of order 8 with embedded error estimates of orders 5 and 3 (Hairer,
+Norsett & Wanner, Solving Ordinary Differential Equations I, 2nd ed.,
+section II.10).  Its 12 stages per step cost more than a fifth-order
+pair's 7, but on the unstable photon-sphere orbits, at tolerances near
+roundoff, it takes about a quarter as many steps.  After every accepted
+step the time component of the velocity is re-solved from the null
+constraint (choosing the root continuous with the previous step), which
+pins the state to the light cone without touching the spatial direction.
+The observed energy E = g(v, N^-1 d_t) = -N tdot is recorded along the
+way; the combination E*N is the conserved constant of the t-equation and
+is what the constancy checks monitor.
 
 One stepping loop serves every caller.  It advances a batch of
 trajectories held as the columns of an (8, S) array; each keeps its own
@@ -38,32 +42,80 @@ import numpy as np
 
 from .spacetimes import ChartPoint
 
+INTEGRATOR = "DOP853"       # the name reports give the stepping method
 TOL_NULL = 1e-9
-DEFAULT_TOL = 1e-10
+DEFAULT_TOL = 1e-11
 THETA_GUARD = 1e-7          # terminate before the chart degenerates at poles
-DOMAIN_GUARD_RTOL = 1e-6    # stop this close (relative) to the domain edge
+# Stop this close (relative) to the domain edge.  Near a horizon r_min the
+# metric factor 1 - r_min/r is known only to a relative eps / (r/r_min - 1),
+# which the step control at TANGENCY_TOL cannot absorb below r/r_min - 1
+# of about 4e-6: with the guard at 1e-6, a seed falling from r = 2.5m
+# crawls there in steps near 1e-10 and needs about 580,000 steps to reach
+# the guard; at 1e-5 it needs under 500.
+DOMAIN_GUARD_RTOL = 1e-5
 MAX_STEPS = 2_000_000       # attempted steps before a trajectory is "stiff"
 
-# Dormand-Prince 5(4) tableau (7 stages, first-same-as-last not exploited
-# because the projection changes the state between steps)
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 8(5,3) tableau, DOP853 (Hairer, Norsett & Wanner, Solving
+# ODEs I, 2nd ed., section II.10): 12 stages, the last stage not reused
+# because the projection changes the state between steps
+_C = (0.0, 0.526001519587677318785587544488e-1,
+      0.789002279381515978178381316732e-1, 0.118350341907227396726757197510,
+      0.281649658092772603273242802490, 0.333333333333333333333333333333,
+      0.25, 0.307692307692307692307692307692, 0.651282051282051282051282051282,
+      0.6, 0.857142857142857142857142857142, 1.0)
 _A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0,
+     8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0,
+     -8.84549479328286085344864962717e-1, 9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0,
+     1.70828608729473871279604482173e-1, 1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0,
+     1.70383925712239993810214054705e-1, 1.07262030446373284651809199168e-1,
+     -1.53194377486244017527936158236e-2, 8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0,
+     -3.36089262944694129406857109825, -8.68219346841726006818189891453e-1,
+     2.75920996994467083049415600797e1, 2.01540675504778934086186788979e1,
+     -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0,
+     -2.48811461997166764192642586468, -5.90290826836842996371446475743e-1,
+     2.12300514481811942347288949897e1, 1.52792336328824235832596922938e1,
+     -3.32882109689848629194453265587e1, -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0,
+     5.18637242884406370830023853209, 1.09143734899672957818500254654,
+     -8.14978701074692612513997267357, -1.85200656599969598641566180701e1,
+     2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+     -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0,
+     -1.05344954667372501984066689879e1, -2.00087205822486249909675718444,
+     -1.79589318631187989172765950534e1, 2.79488845294199600508499808837e1,
+     -2.85899827713502369474065508674, -8.87285693353062954433549289258,
+     1.23605671757943030647266201528e1, 6.43392746015763530355970484046e-1),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-       187 / 2100, 1 / 40)
-_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+_B = (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+      4.45031289275240888144113950566, 1.89151789931450038304281599044,
+      -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+      -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+      4.47106157277725905176885569043e-2)
+# the fifth-order error weights, and the third-order ones: B minus the
+# weights (bhh) of the embedded third-order solution
+_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+       -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+       0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+       0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+       -0.2235530786388629525884427845e-1)
+_E3 = tuple(b - bhh for b, bhh in zip(_B, (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0,
+    0.220588235294117647058823529412e-1)))
 # the same weights as columns that broadcast over a (stage, 8, S) stack
 _A_COLS = tuple(np.reshape(row, (-1, 1, 1)) for row in _A)
-_B5_COL = np.reshape(_B5, (-1, 1, 1))
-_ERR_COL = np.reshape(_ERR, (-1, 1, 1))
+_B_COL, _E5_COL, _E3_COL = (np.reshape(w, (-1, 1, 1)) for w in (_B, _E5, _E3))
 
 
 @dataclass(frozen=True)
@@ -183,38 +235,43 @@ def _stage_sum(coefs, k):
     return acc
 
 
-def _dopri_step(profile, y, h, f):
-    """One Dormand-Prince 5(4) step of size h per column, from f = rhs(y).
+def _dop853_step(profile, y, h, f, atol, rtol):
+    """One DOP853 step of size h per column, from f = rhs(y).
 
-    Returns the fifth-order increment, the embedded error estimate and the
-    mask of columns at which a stage was not real or not finite; their
-    increment and error are 0.
+    Returns the eighth-order increment, the error norm of each column and
+    the mask of columns at which a stage was not real or not finite; their
+    increment and error norm are 0.  The norm is Hairer's combination of
+    the fifth- and third-order estimates e5 and e3, each scaled by
+    atol + rtol max(|y|, |y + increment|) and summed over the 8 components:
+    |e5|^2 / sqrt(8 (|e5|^2 + 0.01 |e3|^2)), or 0 where that is 0 / 0.
     """
-    k = np.empty((7,) + y.shape)
+    k = np.empty((12,) + y.shape)
     k[0] = f
-    for i in range(1, 7):
+    for i in range(1, 12):
         k[i] = _rhs(profile, y + h * _stage_sum(_A_COLS[i], k[:i]))
     bad = ~np.isfinite(k).all(axis=(0, 1))
     if np.count_nonzero(bad):
         k[:, :, bad] = 0.0
-    return h * _stage_sum(_B5_COL, k), h * _stage_sum(_ERR_COL, k), bad
-
-
-def _error_norm(err, y_old, y_new, atol, rtol):
-    """RMS over the 8 components of err / (atol + rtol max(|y_old|, |y_new|))."""
-    scaled = err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)))
-    return np.sqrt(_stage_sum(scaled, scaled) / len(scaled))
+    incr = h * _stage_sum(_B_COL, k)
+    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y + incr))
+    e5 = h * _stage_sum(_E5_COL, k) / scale
+    e3 = h * _stage_sum(_E3_COL, k) / scale
+    e5_sq = _stage_sum(e5, e5)
+    denom = np.sqrt(8.0 * (e5_sq + 0.01 * _stage_sum(e3, e3)))
+    return incr, np.where(denom == 0.0, 0.0, e5_sq / denom), bad
 
 
 def _integrate_batch(profile, states, span, tol, max_steps, on_accept):
-    """Integrate null states over [0, span] with one DOPRI 5(4) loop.
+    """Integrate null states over [0, span] with one DOP853 loop.
 
     Each state is a column of an (8, S) array with its own affine
     parameter, step size, accepted-step count, Kahan compensation and
     termination status; a column leaves the batch when its trajectory
-    ends.  Every column steps exactly as it would alone.  A stage at which
-    the profile is not real or not finite shrinks that column's step by 4;
-    a column whose step underflows after such a failure, with no step
+    ends.  Every column steps exactly as it would alone.  A step is
+    accepted where its error norm is at most 1, and the next step is
+    scaled by 0.9 norm^(-1/8), clipped to [0.2, 5].  A stage at which the
+    profile is not real or not finite shrinks that column's step by 4; a
+    column whose step underflows after such a failure, with no step
     accepted since, ends in "domain-exit".
 
     ``on_accept(seeds, lam, y, residual)`` is called with the projected
@@ -296,8 +353,7 @@ def _integrate_batch(profile, states, span, tol, max_steps, on_accept):
                 if not live.size:
                     break
 
-            incr, err, bad = _dopri_step(profile, y, h, f)
-            enorm = _error_norm(err, y, y + incr, atol, rtol)
+            incr, enorm, bad = _dop853_step(profile, y, h, f, atol, rtol)
             ok = ~bad & (enorm <= 1.0)
             if np.count_nonzero(ok):
                 dy = incr + comp
@@ -327,8 +383,12 @@ def _integrate_batch(profile, states, span, tol, max_steps, on_accept):
                 f = np.where(ok, _rhs(profile, y), f)
             step += 1
             failed = (failed | bad) & ~ok
+            # 0.9 enorm^(-1/8) by three square roots: IEEE 754 rounds sqrt
+            # correctly, so the factor does not depend on whose power
+            # routine runs (numpy's and libm's differ in the last bit)
+            factor = 0.9 / np.sqrt(np.sqrt(np.sqrt(enorm)))
             h = h * np.where(bad, 0.25, np.clip(
-                np.where(enorm == 0.0, 5.0, 0.9 * enorm ** -0.2), 0.2, 5.0))
+                np.where(enorm == 0.0, 5.0, factor), 0.2, 5.0))
     return ends
 
 
@@ -432,13 +492,19 @@ class TangencyReport:
     seed_count: int
     rng_seed: int
     runs: tuple               # per-seed RunSummary
+    tol: float                # integrator tolerance (atol = rtol)
 
     @property
     def statuses(self):
         return tuple(run.status for run in self.runs)
 
 
-TANGENCY_TOL = 1e-14  # photon-sphere orbits amplify local error by e^(N span / r)
+# Photon-sphere orbits amplify local error by e^(N span / r), so the local
+# error must sit near the roundoff floor.  The eighth-order steps are long:
+# over a span of 100, 32 seeds leave the m = 1 sphere by 4.3e-6 at 1e-14,
+# by 5.8e-7 at 1e-15 and by 9.7e-8 at 1e-16 (1,324 and 1,702 loop
+# iterations for the last two); 1e-17 reaches 8.8e-8 in 2,251.
+TANGENCY_TOL = 1e-16
 
 
 def tangency_persistence(spacetime, surface, seeds, span, tol=TANGENCY_TOL,
@@ -471,7 +537,7 @@ def tangency_persistence(spacetime, surface, seeds, span, tol=TANGENCY_TOL,
     runs = _integrate_batch(profile, seeds, span, tol, MAX_STEPS, track)
     deviations = tuple(sup.tolist())
     return TangencyReport(r0, deviations, max(deviations), span, len(seeds),
-                          rng_seed, tuple(runs))
+                          rng_seed, tuple(runs), tol)
 
 
 # ---------------------------------------------------------------------------

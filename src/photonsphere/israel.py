@@ -306,8 +306,8 @@ def _transverse_derivative(foliation, nodes):
     """d/dN of per-level node values ``nodes``, shape (levels, n_theta, n_phi)."""
     stencils = quad.level_stencils(len(foliation))
     dds = quad.level_derivative(nodes, stencils)
-    dn = np.array([lv.dN_ds for lv in foliation.levels])
-    return dds / dn[:, None, None]
+    dds /= np.array([lv.dN_ds for lv in foliation.levels])[:, None, None]
+    return dds
 
 
 def _leaf_terms(lv):
@@ -322,12 +322,14 @@ def _leaf_terms(lv):
     return sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket
 
 
-def identity_residuals(foliation, lam):
+def identity_residuals(foliation, lam, terms=None):
     """Residuals of the three static-vacuum identities on every level.
 
     Each residual is normalized by its largest participating term
     (floored at 1), evaluated pointwise on the leaf, and reported as the
-    per-level sup.
+    per-level sup.  ``terms`` yields ``_leaf_terms`` of each leaf in
+    order, and is read after the level derivatives; the terms are computed
+    here when it is not given.
     """
     if len(foliation) < 7:
         raise ValueError("transverse derivatives need at least 7 levels")
@@ -335,10 +337,12 @@ def identity_residuals(foliation, lam):
     rho_n = _transverse_derivative(foliation, foliation.stack("rho"))
     ss_n = _transverse_derivative(foliation, foliation.stack("sqrt_s"))
 
+    if terms is None:
+        terms = map(_leaf_terms, foliation.levels)
     r31, r32, r33, rev = [], [], [], []
-    for j, lv in enumerate(foliation.levels):
+    for j, (lv, leaf) in enumerate(zip(foliation.levels, terms)):
         n, rho, h = lv.N_value, lv.rho, lv.H
-        sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket = _leaf_terms(lv)
+        sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket = leaf
         r_sigma = 2.0 * lv.gauss_k
 
         t_a1 = (lam / rho) * (h / n)
@@ -401,7 +405,7 @@ class InequalitySlacks:
         return float(min(np.min(self.slack34), np.min(self.slack35)))
 
 
-def inequality_slacks(foliation, lam, mass):
+def inequality_slacks(foliation, lam, mass, terms=None):
     """Slacks of the pointwise and integrated inequalities on a foliation.
 
     Pointwise: slack = RHS - LHS of the two differential inequalities,
@@ -409,22 +413,27 @@ def inequality_slacks(foliation, lam, mass):
     the identities hold (zero exactly on Schwarzschild data).  Integrated:
     the asymptotic ends are replaced by their closed-form limits
     (H -> 2/r, rho -> r^2/|m|), giving 8 pi sqrt|m| for the first chain
-    and 0 for the second.
+    and 0 for the second.  ``terms`` holds ``_leaf_terms`` of each leaf,
+    computed here when not given.
     """
     if len(foliation) < 8:
         raise ValueError("inequality integration needs a dense foliation")
-    sqrt_s, h, rho = (foliation.stack(a) for a in ("sqrt_s", "H", "rho"))
-    n_levels = np.array([lv.N_value for lv in foliation.levels])[:, None, None]
-    p_n = _transverse_derivative(
-        foliation, sqrt_s * h * lam / (np.sqrt(rho) * n_levels))
-    q_n = _transverse_derivative(
-        foliation, sqrt_s / rho * (h * n_levels + 4.0 * lam / rho))
+    # inputs built leaf by leaf: whole-foliation temporaries would sit
+    # beside the leaf terms the pipeline keeps for this call
+    p_n = _transverse_derivative(foliation, np.stack([
+        lv.sqrt_s * lv.H * lam / (np.sqrt(lv.rho) * lv.N_value)
+        for lv in foliation.levels]))
+    q_n = _transverse_derivative(foliation, np.stack([
+        lv.sqrt_s / lv.rho * (lv.H * lv.N_value + 4.0 * lam / lv.rho)
+        for lv in foliation.levels]))
 
+    if terms is None:
+        terms = map(_leaf_terms, foliation.levels)
     s34, s35 = [], []
     bracket_min = np.inf
-    for j, lv in enumerate(foliation.levels):
+    for j, (lv, leaf) in enumerate(zip(foliation.levels, terms)):
         n = lv.N_value
-        _, lap_sqrt_rho, lap_log_rho, bracket = _leaf_terms(lv)
+        _, lap_sqrt_rho, lap_log_rho, bracket = leaf
         bracket_min = min(bracket_min, float(np.min(bracket)))
         r_sigma = 2.0 * lv.gauss_k
 
@@ -711,6 +720,25 @@ class IsraelReport:
                               self.identities.res33[j])])
 
 
+def _identities_and_slacks(foliation, lam, mass):
+    """``identity_residuals`` and ``inequality_slacks`` from one
+    ``_leaf_terms`` per leaf.
+
+    The terms are kept as the identities compute them, after their level
+    derivatives, so that the two never add up to the memory peak; they are
+    freed on return.
+    """
+    terms = []
+
+    def kept():
+        for lv in foliation.levels:
+            terms.append(_leaf_terms(lv))
+            yield terms[-1]
+
+    ids = identity_residuals(foliation, lam, kept())
+    return ids, inequality_slacks(foliation, lam, mass, terms)
+
+
 def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
                         tail_radius=None, tol=TOL_LVL):
     """Full proof-chain verification on a located photon sphere.
@@ -731,8 +759,7 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     mass = fluxes[0]
     bnd = boundary_constraints(spacetime, foliation, mass)
     sign = sign_analysis(foliation, mass, bnd.frak_h, tol)
-    ids = identity_residuals(foliation, sign.lam)
-    slacks = inequality_slacks(foliation, sign.lam, mass)
+    ids, slacks = _identities_and_slacks(foliation, sign.lam, mass)
     recon = reconstruct_lapse(mass, bnd.n0, bnd.r0,
                               r_max=foliation.tail_radius)
 

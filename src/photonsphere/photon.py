@@ -146,6 +146,8 @@ class PhotonSurfaceCertificate:
                          "deviation": self.tangency_deviation,
                          "seeds": self.seed_count,
                          "rng_seed": self.rng_seed,
+                         "integrator": geodesics.INTEGRATOR,
+                         "integrator_tol": self.tangency.tol,
                          "per_seed": [
                              {"deviation": dev, "status": run.status,
                               "accepted_steps": run.accepted_steps,

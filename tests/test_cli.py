@@ -203,6 +203,8 @@ class TestOutputs:
         lines = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
         assert lines[0].startswith("lambda,t,r")
         assert len(lines) > 3
+        rep = json.loads((tmp_path / "o" / "trace.json").read_text())
+        assert (rep["integrator"], rep["integrator_tol"]) == ("DOP853", 1e-11)
 
     def test_reconstruct_outputs(self, tmp_path):
         out = str(tmp_path / "o")

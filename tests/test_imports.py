@@ -3,11 +3,16 @@
 Layers, lowest first: jets -> spacetimes -> calculus -> hypersurfaces ->
 geodesics / photon -> israel -> cli.  A module may import only modules
 of lower layers; quadrature imports nothing from the package and may be
-imported by anyone.  Lazy third-party imports (scipy) are not checked.
+imported by anyone.  Lazy third-party imports (scipy) are not checked by
+the layer test; importing the CLI must not load scipy at all, since it
+costs more than the rest of the start-up.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -50,3 +55,13 @@ def test_module_imports_follow_layers(path):
     rank = LAYERS.index(path.stem)
     for name in imported - {"quadrature"}:
         assert LAYERS.index(name) < rank, f"{path.stem} imports {name}"
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, photonsphere.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

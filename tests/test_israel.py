@@ -324,6 +324,34 @@ class TestRigidityVerdict:
             else:
                 assert g["margin"] is None
 
+    def test_leaf_terms_computed_once_per_leaf(self, monkeypatch):
+        calls = {"_leaf_terms": 0, "sphere_laplacian": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(isr, "_leaf_terms")
+        counted(quad, "sphere_laplacian")
+        rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=64,
+                                      quad_order=(16, 32))
+        assert calls == {"_leaf_terms": 64, "sphere_laplacian": 128}
+        # the shared terms give what each check computes on its own
+        monkeypatch.undo()
+        ids = isr.identity_residuals(rep.foliation, rep.sign.lam)
+        slacks = isr.inequality_slacks(rep.foliation, rep.sign.lam, rep.mass)
+        for field in ("res31", "res32", "res33", "evolution"):
+            assert np.array_equal(getattr(ids, field),
+                                  getattr(rep.identities, field))
+        for field in ("slack34", "slack35", "bracket_min", "chain36", "ineq37",
+                      "chain38", "ineq39"):
+            assert np.array_equal(getattr(slacks, field),
+                                  getattr(rep.slacks, field))
+
     def test_missing_tail_detected_as_structural(self):
         fol = isr.build_foliation(ST, N0, levels=16, quad_order=(16, 32),
                                   tail_radius=100.0)

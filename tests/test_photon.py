@@ -125,7 +125,10 @@ class TestCertification:
         assert set(d["mean_curvature"]) == {"value", "stddev"}
         assert set(d["scalar"]) == {"value", "stddev", "expected", "residual"}
         assert set(d["tangency"]) == {"span", "deviation", "seeds", "rng_seed",
+                                      "integrator", "integrator_tol",
                                       "per_seed"}
+        assert d["tangency"]["integrator"] == "DOP853"
+        assert d["tangency"]["integrator_tol"] == geo.TANGENCY_TOL == 1e-16
         per_seed = d["tangency"]["per_seed"]
         assert len(per_seed) == d["tangency"]["seeds"]
         assert max(s["deviation"] for s in per_seed) == d["tangency"]["deviation"]
