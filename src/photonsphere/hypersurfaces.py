@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature as quad
 from .calculus import (_christoffel_from, _inverse_metric, christoffel, curvature,
                        five_point, hessian, laplacian, metric_taylor, scalar_taylor)
 from .spacetimes import ChartPoint, MetricSampler
@@ -138,7 +139,7 @@ def sphere_in_cylinder(spacetime, r0):
 
 def _level_function(surface):
     """Scalar field whose level set is the surface, over ambient coords."""
-    r_axis = {"cylinder": 1, "level-set": 0}[surface.kind]
+    r_axis = surface.normal_axis
     if surface.level_field == "lapse":
         return lambda coords: surface.spacetime.profile.lapse(coords[r_axis])
     return lambda coords: coords[r_axis] + 0.0 * coords[r_axis]
@@ -165,8 +166,7 @@ def _gradient_normal(surface, x, g, ginv, dg):
             - 0.5 * w[..., None, :] * dq[..., :, None] / (q * qs)[..., None, None])
     eta_u = np.einsum("...ab,...b->...a", ginv, eta_d)
     # outward orientation: eta(r) > 0
-    r_axis = {"cylinder": 1, "level-set": 0}[surface.kind]
-    sign = np.sign(eta_u[..., r_axis])
+    sign = np.sign(eta_u[..., surface.normal_axis])
     return eta_d * sign[..., None], deta * sign[..., None, None], eta_u * sign[..., None]
 
 
@@ -264,6 +264,18 @@ def shape(surface, point):
     tf_norm = np.sqrt(np.einsum("...AB,...AB->...", tracefree, tracefree))
     return ShapeData(ii_frame, ii_coord, h, tf_norm, eps_const, surface.tau, ys,
                      g, eta_d, eta_u)
+
+
+def cylinder_sample(surface, n_theta=16, n_phi=32):
+    """Shape data and induced scalar curvature of a cylinder at t = 0.
+
+    Both are sampled on the dense (n_theta, n_phi) grid of Gauss-Legendre
+    theta and uniform phi nodes, which the shape data holds in ``at``.
+    """
+    theta, _, phi, _ = quad.sphere_grid(n_theta, n_phi)
+    theta, phi = np.meshgrid(theta, phi, indexing="ij")
+    point = (np.zeros_like(theta), theta, phi)
+    return shape(surface, point), curvature(surface.induced_sampler(), point).scalar
 
 
 # ---------------------------------------------------------------------------

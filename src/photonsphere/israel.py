@@ -41,6 +41,7 @@ from .spacetimes import DomainError
 
 TOL_LVL = 1e-5
 TAIL_RADIUS_FACTOR = 100.0
+RECONSTRUCTION_NODES = 32   # Chebyshev collocation nodes of the rigidity ODE
 
 
 class FlatnessError(RuntimeError):
@@ -532,13 +533,9 @@ def boundary_constraints(spacetime, foliation, mass, lam=1):
     nu0 = b.mean(b.nuN)
     r_sigma = 2.0 * b.mean(b.gauss_k)
 
-    cyl = hs.cylinder(spacetime, b.r_coord)
-    theta, x, phi, w = quad.sphere_grid(16, 32)
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
-    sd = hs.shape(cyl, (np.zeros_like(tg), tg, pg))
+    sd, scalar = hs.cylinder_sample(hs.cylinder(spacetime, b.r_coord))
     frak_h = float(np.mean(sd.mean_curvature))
-    ind = curvature(cyl.induced_sampler(), (np.zeros_like(tg), tg, pg))
-    r_p = float(np.mean(ind.scalar))
+    r_p = float(np.mean(scalar))
 
     expected_scal = (2.0 / 3.0) * frak_h ** 2
     return BoundaryConstraints(
@@ -561,12 +558,14 @@ def boundary_constraints(spacetime, foliation, mass, lam=1):
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Numeric solution of u'' = -2u'/r (u = N^2) and its closed form.
+    """Collocation solution of u'' = -2u'/r (u = N^2) and its closed form.
 
-    The ODE is integrated from (r0, N0^2) with u'(r0) = 2m/r0^2, the slope
-    the mean-curvature relation H = 2m/(r^3 N') pins at the boundary; a
-    least-squares fit over the solution then recovers u = A + B/r.  With
-    the asymptotic condition N -> 1 imposed, A must come out 1 and B = -2m.
+    The ODE is solved on [r0, r_max] from u(r0) = N0^2 and u'(r0) = 2m/r0^2,
+    the slope the mean-curvature relation H = 2m/(r^3 N') pins at the
+    boundary, by Chebyshev collocation in s = log r; ``lapse_profile`` is
+    sqrt(u) at the radii ``r_grid``.  A least-squares fit over the solution
+    then recovers u = A + B/r.  With the asymptotic condition N -> 1
+    imposed, A must come out 1 and B = -2m.
     """
 
     a_ode: float
@@ -576,29 +575,42 @@ class ReconstructionResult:
     sup_deviation: float     # against sqrt(1 - 2m/r) on [r0, r_max]
     r_grid: np.ndarray
     lapse_profile: np.ndarray
-    h_integration_constant: float   # A in H = A N exp(-int rho H dN)
 
 
 def reconstruct_lapse(mass, n0, r0, r_max=None, n_points=200):
-    """Integrate the rigidity ODE and fit the Schwarzschild constants."""
-    from scipy.integrate import solve_ivp
+    """Solve the rigidity ODE and fit the Schwarzschild constants.
 
+    In s = log r the ODE reads u_ss + u_s = 0.  It is collocated on
+    ``RECONSTRUCTION_NODES`` Chebyshev points of [log r0, log r_max], with
+    the rows of the two end nodes replaced by the conditions u(s0) = N0^2
+    and u_s(s0) = r0 u'(r0) (Trefethen, Spectral Methods in MATLAB, ch. 6
+    and 13), and the solution is interpolated barycentrically onto
+    ``n_points`` radii spaced geometrically over [r0, r_max].  The unknown
+    is u - N0^2, which starts at zero, so that the constant solution of
+    m = 0 comes out exact.
+    """
     if not 0.0 < n0 < 1.0:
         raise ValueError(f"N0 = {n0} outside the maximum-principle range (0, 1)")
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
     if r_max is None:
         r_max = TAIL_RADIUS_FACTOR * max(abs(mass), r0 / 3.0)
+    if r_max == r0:
+        raise ValueError("r_max must differ from r0")
 
     u0 = n0 ** 2
     du0 = 2.0 * mass / r0 ** 2
-    sol = solve_ivp(lambda r, y: [y[1], -2.0 * y[1] / r],
-                    (r0, r_max), [u0, du0], rtol=1e-12, atol=1e-14,
-                    dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"rigidity ODE integration failed: {sol.message}")
+    s = quad.chebyshev_nodes(RECONSTRUCTION_NODES, math.log(r0), math.log(r_max))
+    d = quad.barycentric_diff_matrix(s)
+    system = d @ d + d
+    rhs = np.zeros(RECONSTRUCTION_NODES)
+    system[0] = 0.0
+    system[0, 0] = 1.0
+    system[-1] = d[0]
+    rhs[-1] = r0 * du0
+    w = np.linalg.solve(system, rhs)
     r_grid = np.geomspace(r0, r_max, n_points)
-    u = sol.sol(r_grid)[0]
+    u = u0 + quad.barycentric_interpolate(s, w, np.log(r_grid))
 
     basis = np.stack([np.ones_like(r_grid), 1.0 / r_grid], axis=1)
     coef, *_ = np.linalg.lstsq(basis, u, rcond=None)
@@ -609,11 +621,8 @@ def reconstruct_lapse(mass, n0, r0, r_max=None, n_points=200):
     lapse = np.sqrt(np.clip(u, 0.0, None))
     target = np.sqrt(np.clip(1.0 - 2.0 * mass / r_grid, 0.0, None))
     sup_dev = float(np.max(np.abs(lapse - target)))
-
-    # H = A N exp(-int rho H dN) holds with A = H0/N0 at the boundary
-    h0 = 2.0 * n0 / r0
     return ReconstructionResult(a_ode, b_ode, a_closed, b_closed, sup_dev,
-                                r_grid, lapse, h0 / n0)
+                                r_grid, lapse)
 
 
 # ---------------------------------------------------------------------------

@@ -195,16 +195,12 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
             f"(expected (-,+,+))")
 
     r0 = surface.level_value
-    theta, _, phi, _ = quad.sphere_grid(n_theta, n_phi)
-    theta, phi = np.meshgrid(theta, phi, indexing="ij")
-    sd = hypersurfaces.shape(surface, (np.zeros_like(theta), theta, phi))
+    sd, r_p = hypersurfaces.cylinder_sample(surface, n_theta, n_phi)
     umb_sup = float(np.max(sd.tracefree_norm))
     h_mean = float(np.mean(sd.mean_curvature))
     h_std = float(np.std(sd.mean_curvature))
-
-    ind = curvature(surface.induced_sampler(), (np.zeros_like(theta), theta, phi))
-    rp_mean = float(np.mean(ind.scalar))
-    rp_std = float(np.std(ind.scalar))
+    rp_mean = float(np.mean(r_p))
+    rp_std = float(np.std(r_p))
     expected_rp = (2.0 / 3.0) * h_mean ** 2
     scalar_residual = abs(rp_mean - expected_rp)
 
@@ -213,7 +209,7 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
         spacetime, surface, seed_states, span, rng_seed=rng_seed)
 
     vac = all(is_vacuum(spacetime, ChartPoint(r=r0, theta=float(t)))
-              for t in np.unique(theta)[:3])
+              for t in np.unique(sd.at[1])[:3])
 
     umbilic = umb_sup < tol_cert and h_std < tol_cert
     # a seed that stopped early has not shown that it stays, but one that
@@ -279,20 +275,17 @@ def cmc_scalar_check(spacetime, surface, certificate, n_theta=16, n_phi=32):
     """
     if certificate.umbilicity_sup >= certificate.tol_cert:
         raise ValueError("cmc_scalar_check requires an umbilic-certified surface")
-    theta, _, phi, _ = quad.sphere_grid(n_theta, n_phi)
-    theta, phi = np.meshgrid(theta, phi, indexing="ij")
-    sd = hypersurfaces.shape(surface, (np.zeros_like(theta), theta, phi))
+    sd, r_p = hypersurfaces.cylinder_sample(surface, n_theta, n_phi)
     h = sd.mean_curvature
     h_mean = float(np.mean(h))
     sup_dev = float(np.max(np.abs(h - h_mean)))
-
-    ind = curvature(surface.induced_sampler(), (np.zeros_like(theta), theta, phi))
-    rp = float(np.mean(ind.scalar))
+    rp = float(np.mean(r_p))
 
     warning = ""
     if certificate.vacuum:
         expected = (2.0 / 3.0) * h_mean ** 2
     else:
+        _, theta, phi = sd.at
         amb = curvature(surface.ambient, surface.embed((0.0, float(theta[0, 0]),
                                                         float(phi[0, 0]))))
         lam_est = float(amb.scalar) / 4.0

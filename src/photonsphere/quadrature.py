@@ -7,7 +7,9 @@ poles, respecting the chart's exclusion of theta in {0, pi}.
 
 Tangential derivatives on a leaf use the barycentric differentiation
 matrix in x and FFT differentiation in phi; transverse (level-to-level)
-derivatives use finite-difference stencils with Fornberg weights.
+derivatives use finite-difference stencils with Fornberg weights.  The
+same barycentric code differentiates and interpolates on Chebyshev points,
+where the rigidity ODE is collocated.
 """
 
 from functools import lru_cache
@@ -38,17 +40,56 @@ def sphere_grid(n_theta, n_phi):
     return theta, x, phi, w
 
 
-@lru_cache(maxsize=16)
-def diff_matrix(n_theta):
-    """Barycentric differentiation matrix d/dx on the Gauss-Legendre nodes."""
-    _, x, _, _ = sphere_grid(n_theta, 4)
+def _barycentric(x):
+    """x_i - x_j (ones on the diagonal) and the barycentric weights
+    1 / prod_{j != i} (x_i - x_j) of distinct nodes x."""
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    w = 1.0 / np.prod(diff, axis=1)
+    return diff, 1.0 / np.prod(diff, axis=1)
+
+
+def barycentric_diff_matrix(x):
+    """Differentiation matrix d/dx of the interpolant on distinct nodes x.
+
+    Off-diagonal entries are (w_j / w_i) / (x_i - x_j) (Berrut & Trefethen
+    2004, eq. 9.4); each diagonal entry is minus its row sum, so constants
+    differentiate to zero.
+    """
+    diff, w = _barycentric(x)
     d = (w[None, :] / w[:, None]) / diff
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -np.sum(d, axis=1))
     return d
+
+
+def barycentric_interpolate(x, f, xi):
+    """Values at xi of the polynomial interpolating f on distinct nodes x.
+
+    The second barycentric form (Berrut & Trefethen 2004, eq. 4.2); a point
+    of xi that equals a node takes that node's value.
+    """
+    _, w = _barycentric(x)
+    diff = xi[:, None] - x[None, :]
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    c = w / diff
+    out = (c @ f) / np.sum(c, axis=1)
+    row, col = np.nonzero(hit)
+    out[row] = f[col]
+    return out
+
+
+def chebyshev_nodes(n, a, b):
+    """n Chebyshev points of the second kind on [a, b], from a to b."""
+    x = np.cos(np.pi * np.arange(n) / (n - 1))
+    return a + 0.5 * (b - a) * (1.0 - x)
+
+
+@lru_cache(maxsize=16)
+def diff_matrix(n_theta):
+    """Barycentric differentiation matrix d/dx on the Gauss-Legendre nodes."""
+    _, x, _, _ = sphere_grid(n_theta, 4)
+    return barycentric_diff_matrix(x)
 
 
 def phi_derivatives(f):

@@ -275,16 +275,60 @@ class ExpressionProfile(RadialProfile):
         return self._fns[1](r)
 
 
+class _CubicSpline:
+    """Not-a-knot cubic spline through (x, y), x strictly increasing, >= 4 knots.
+
+    The knot slopes solve de Boor's tridiagonal system (A Practical Guide to
+    Splines, 1978, ch. IV).  Each not-a-knot end row is subtracted from its
+    neighbour, which leaves a diagonally dominant system for the interior
+    slopes, swept once each way: time and memory are O(n).
+    """
+
+    def __init__(self, x, y):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        # row k: h[k+1] s_k + 2 (h[k] + h[k+1]) s_{k+1} + h[k] s_{k+2}
+        diag = 2.0 * (h[:-1] + h[1:])
+        rhs = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+        # the not-a-knot rows h1 s_0 + e0 s_1 = b0 and e1 s_{n-2} + h[-2] s_{n-1} = b1
+        e0, e1 = h[0] + h[1], h[-2] + h[-1]
+        b0 = ((h[0] + 2.0 * e0) * h[1] * m[0] + h[0] ** 2 * m[1]) / e0
+        b1 = (h[-1] ** 2 * m[-2] + (2.0 * e1 + h[-1]) * h[-2] * m[-1]) / e1
+        diag[0], rhs[0] = e0, rhs[0] - b0
+        diag[-1], rhs[-1] = e1, rhs[-1] - b1
+        diag, rhs, hl = diag.tolist(), rhs.tolist(), h.tolist()
+        for k in range(1, len(diag)):
+            f = hl[k + 1] / diag[k - 1]
+            diag[k] -= f * hl[k - 1]
+            rhs[k] -= f * rhs[k - 1]
+        rhs[-1] /= diag[-1]
+        for k in range(len(diag) - 2, -1, -1):
+            rhs[k] = (rhs[k] - hl[k] * rhs[k + 1]) / diag[k]
+        slope = np.array([(b0 - e0 * rhs[0]) / h[1], *rhs, (b1 - e1 * rhs[-1]) / h[-2]])
+        t = (slope[:-1] + slope[1:] - 2.0 * m) / h
+        self._x = x
+        # local power-basis coefficients of each interval, highest power first
+        self._c = (t / h, (m - slope[:-1]) / h - t, slope[:-1], y[:-1])
+
+    def __call__(self, v):
+        """Value, first and second derivative at v; nan where v is nan."""
+        v = np.asarray(v, dtype=float)
+        i = np.clip(np.searchsorted(self._x, v, side="right") - 1, 0, len(self._x) - 2)
+        d = v - self._x[i]
+        c3, c2, c1, c0 = (c[i] for c in self._c)
+        return (((c3 * d + c2) * d + c1) * d + c0,
+                (3.0 * c3 * d + 2.0 * c2) * d + c1,
+                6.0 * c3 * d + 2.0 * c2)
+
+
 class TableProfile(RadialProfile):
-    """Profile from sampled (r, N, g_rr) rows with cubic interpolation.
+    """Profile from sampled (r, N, g_rr) rows with not-a-knot cubic splines.
 
     Rows must be strictly increasing in r; evaluation is restricted to the
     sampled range.
     """
 
     def __init__(self, samples, mass_hint=None):
-        from scipy.interpolate import CubicSpline
-
         try:
             samples = np.asarray(samples, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -299,8 +343,8 @@ class TableProfile(RadialProfile):
         if np.any(samples[:, 1] <= 0) or np.any(samples[:, 2] <= 0):
             raise ValueError("table profile N and g_rr must be positive")
         self._r = r
-        self._n = CubicSpline(r, samples[:, 1])
-        self._b = CubicSpline(r, samples[:, 2])
+        self._n = _CubicSpline(r, samples[:, 1])
+        self._b = _CubicSpline(r, samples[:, 2])
         self.r_min = float(r[0])
         self.r_max = float(r[-1])
         self.mass_hint = mass_hint
@@ -314,9 +358,10 @@ class TableProfile(RadialProfile):
 
     def _eval(self, spline, r):
         v = self._inside(value_of(r))
+        f, f1, f2 = spline(v)
         if isinstance(r, Jet):
-            return compose_scalar(r, spline(v), spline(v, 1), spline(v, 2))
-        return spline(v) if v.shape else float(spline(v))
+            return compose_scalar(r, f, f1, f2)
+        return f if v.shape else float(f)
 
     def lapse(self, r):
         return self._eval(self._n, r)
@@ -330,10 +375,10 @@ class TableProfile(RadialProfile):
         spline = self._n if fn.__name__ == "lapse" else self._b
         v = np.asarray(r, dtype=float)
         if not v.ndim:
-            v = self._inside(v)
-            return float(spline(v)), float(spline(v, 1))
-        v = np.where((v < self._r[0]) | (v > self._r[-1]), np.nan, v)
-        return spline(v), spline(v, 1)
+            f, f1, _ = spline(self._inside(v))
+            return float(f), float(f1)
+        f, f1, _ = spline(np.where((v < self._r[0]) | (v > self._r[-1]), np.nan, v))
+        return f, f1
 
 
 _REQUIRED = object()

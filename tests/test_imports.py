@@ -3,12 +3,13 @@
 Layers, lowest first: jets -> spacetimes -> calculus -> hypersurfaces ->
 geodesics / photon -> israel -> cli.  A module may import only modules
 of lower layers; quadrature imports nothing from the package and may be
-imported by anyone.  Lazy third-party imports (scipy) are not checked by
-the layer test; importing the CLI must not load scipy at all, since it
-costs more than the rest of the start-up.
+imported by anyone.  No function imports anything.  The only runtime
+dependency is numpy: the pipelines that used to need scipy (table
+profiles and the lapse reconstruction) must run without loading it.
 """
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -35,12 +36,13 @@ def _tree(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_function_local_relative_imports(path):
+    """No import of any kind, relative or absolute, inside a function."""
     local = []
     for fn in ast.walk(_tree(path)):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             local += [node.lineno for node in ast.walk(fn)
-                      if isinstance(node, ast.ImportFrom) and node.level > 0]
-    assert not local, f"{path.name}: relative imports inside functions at {local}"
+                      if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not local, f"{path.name}: imports inside functions at {local}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
@@ -57,11 +59,41 @@ def test_module_imports_follow_layers(path):
         assert LAYERS.index(name) < rank, f"{path.stem} imports {name}"
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, photonsphere.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+# Three pipelines in one fresh interpreter: a table profile through `full`,
+# the bundled Schwarzschild scenario through `full` with coarse flags, and
+# `reconstruct`.  Each must reach its reconstruction, and none load scipy.
+NO_SCIPY_CHILD = """
+import json, os, sys
+import numpy as np
+from photonsphere import cli
+
+tmp = sys.argv[1]
+r = np.geomspace(2.05, 130.0, 120)
+rows = np.column_stack([r, np.sqrt(1 - 2 / r), 1 / (1 - 2 / r)]).tolist()
+table = os.path.join(tmp, "table.json")
+with open(table, "w") as fh:
+    json.dump({"schema": 1, "pipeline": "full", "scan": [2.2, 50.0],
+               "profile": {"kind": "table", "samples": rows},
+               "tail_radius": 100.0}, fh)
+coarse = ["--levels", "12", "--quad", "8x16", "--seeds", "2", "--span", "2"]
+runs = {"table": ["full", "--scenario", table] + coarse,
+        "full": ["full", "--scenario", "schwarzschild_m1"] + coarse,
+        "reconstruct": ["reconstruct", "--scenario", "schwarzschild_m1"]}
+codes = {}
+for name, args in runs.items():
+    out = os.path.join(tmp, name)
+    codes[name] = cli.main(args + ["--out", out])
+    assert os.path.exists(os.path.join(out, "reconstruction.json")), name
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_pipelines_load_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, str(tmp_path)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out)
+    assert result["scipy"] == []
+    assert set(result["codes"].values()) <= {0, 1, 2}

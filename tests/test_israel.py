@@ -268,16 +268,35 @@ class TestReconstruction:
         assert abs(rec.a_ode - 0.9) < 1e-8
         assert abs(rec.b_ode + 1.8) < 1e-8
 
+    def test_barycentric_tools_are_exact_on_polynomials(self):
+        s = quad.chebyshev_nodes(isr.RECONSTRUCTION_NODES, math.log(3.0),
+                                 math.log(100.0))
+        assert s[0] == math.log(3.0) and abs(s[-1] - math.log(100.0)) < 1e-15
+        p = np.polynomial.Polynomial([0.3, -1.0, 0.5, 0.2, -0.05])
+        d = quad.barycentric_diff_matrix(s)
+        assert np.max(np.abs(d @ p(s) - p.deriv()(s))) < 1e-11
+        at = np.array([s[0], 1.7, 2.9, s[5]])
+        assert np.max(np.abs(quad.barycentric_interpolate(s, p(s), at)
+                             - p(at))) < 1e-13
+
+    @pytest.mark.parametrize("m", [0.25, 1.0, 4.0])
+    def test_collocation_reaches_rounding(self, m):
+        rec = isr.reconstruct_lapse(m, N0, 3.0 * m)
+        assert rec.sup_deviation < 1e-13
+
     def test_constant_solution(self):
         rec = isr.reconstruct_lapse(0.0, 0.8, 3.0, r_max=60.0)
         assert abs(rec.a_ode - 0.64) < 1e-10
         assert abs(rec.b_ode) < 1e-9
+        assert np.all(rec.lapse_profile == 0.8)
 
     def test_lapse_range_guard(self):
         with pytest.raises(ValueError):
             isr.reconstruct_lapse(1.0, 1.2, 3.0)
         with pytest.raises(ValueError):
             isr.reconstruct_lapse(1.0, 0.5, -1.0)
+        with pytest.raises(ValueError):
+            isr.reconstruct_lapse(1.0, 0.5, 3.0, r_max=3.0)
 
 
 class TestRigidityVerdict:

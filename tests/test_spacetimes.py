@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from photonsphere import cli
 from photonsphere.spacetimes import (ChartPoint, DomainError,
                                      ExpressionProfile, SchwarzschildProfile,
                                      StaticSpacetime, TableProfile,
-                                     assemble_static, asymptotics_fit,
-                                     compile_expression, load_profile,
-                                     schwarzschild_metric)
+                                     _CubicSpline, assemble_static,
+                                     asymptotics_fit, compile_expression,
+                                     load_profile, schwarzschild_metric)
 
 
 def test_schwarzschild_components_at_r3():
@@ -102,6 +103,44 @@ def test_table_profile_interpolates_and_validates():
         TableProfile(rows[::-1])  # decreasing radii
     with pytest.raises(DomainError):
         tab.lapse(1.0)
+
+
+class TestTableSpline:
+    """The in-repo not-a-knot spline against scipy's, which is test-only."""
+
+    @pytest.mark.parametrize("rows", [4, 5, 7, 16, 60, 300])
+    def test_matches_scipy_cubic_spline(self, rows):
+        cubic_spline = pytest.importorskip("scipy.interpolate").CubicSpline
+        rng = np.random.default_rng(rows)
+        x = 2.0 + np.cumsum(rng.uniform(0.2, 1.0, rows))
+        y = rng.uniform(0.5, 1.5, rows)
+        mid = 0.5 * (x[:-1] + x[1:])
+        at = np.concatenate([x, mid, rng.uniform(x[0], x[-1], 40)])
+        ours, ref = _CubicSpline(x, y)(at), cubic_spline(x, y)
+        for nu in range(3):
+            expected = ref(at, nu)
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(ours[nu] - expected)) <= 1e-13 * scale, nu
+
+    def test_reproduces_a_cubic_and_passes_nan_through(self):
+        x = np.array([0.0, 0.3, 1.0, 1.1, 2.5, 4.0])
+        cubic = lambda t: 2.0 - t + 0.5 * t ** 2 - 0.25 * t ** 3
+        f, f1, f2 = _CubicSpline(x, cubic(x))(np.array([0.15, 1.7, 4.0, np.nan]))
+        assert np.allclose(f[:3], cubic(np.array([0.15, 1.7, 4.0])), atol=1e-13)
+        assert np.allclose(f2[:3], 1.0 - 1.5 * np.array([0.15, 1.7, 4.0]),
+                           atol=1e-12)
+        assert np.isnan(f[3]) and np.isnan(f1[3]) and np.isnan(f2[3])
+
+    def test_large_table_builds_in_linear_memory(self):
+        rs = np.geomspace(2.05, 300.0, 3000)
+        rows = np.stack([rs, np.sqrt(1 - 2 / rs), 1 / (1 - 2 / rs)], axis=1)
+        tracemalloc.start()
+        try:
+            TableProfile(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestExpressionConstants:
