@@ -463,10 +463,11 @@ def tangent_null_seeds(spacetime, r0, count, rng_seed, theta_band=(0.3, 0.7)):
 
     Base points are drawn from a seeded RNG (theta inside the given band
     of pi to keep pole passages mild); direction angles sit on a uniform
-    offset grid so no seed is exactly polar.  Velocities are scaled to
-    tdot = 1 so that one affine unit is one unit of coordinate time: the
-    photon-sphere instability then amplifies roundoff by a bounded factor
-    over the spans used in the checks.
+    grid offset by half a step for an even count and a quarter step for an
+    odd one, so no angle is 0 or pi and no seed is polar.  Velocities are
+    scaled to tdot = 1 so that one affine unit is one unit of coordinate
+    time: the photon-sphere instability then amplifies roundoff by a
+    bounded factor over the spans used in the checks.
     """
     rng = np.random.default_rng(rng_seed)
     n0, _ = spacetime.profile.lapse_d1(r0)
@@ -474,7 +475,7 @@ def tangent_null_seeds(spacetime, r0, count, rng_seed, theta_band=(0.3, 0.7)):
     for k in range(count):
         theta = math.pi * rng.uniform(*theta_band)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        alpha = 2.0 * math.pi * (k + 0.5) / count
+        alpha = 2.0 * math.pi * (k + (0.25 if count % 2 else 0.5)) / count
         vth = n0 * math.cos(alpha) / r0
         vph = n0 * math.sin(alpha) / (r0 * math.sin(theta))
         state = GeodesicState(ChartPoint(0.0, r0, theta, phi),

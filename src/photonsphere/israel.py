@@ -52,7 +52,12 @@ class FlatnessError(RuntimeError):
 class LevelSetGeometry:
     """Leaf geometry of one lapse level set, sampled on the quadrature grid.
 
-    Node arrays have shape (n_theta, n_phi).  Means are area-weighted.
+    ``theta``, ``x_nodes`` and ``phi`` are the grid axes and ``weights`` is
+    the full (n_theta, n_phi) array.  Each field keeps the shape of the
+    coordinates it reads: (n_theta, 1) for a field constant in phi, as on
+    every radial profile, and (n_theta, n_phi) for one that varies in phi.
+    Means and integrals multiply by the full weights.  Means are
+    area-weighted.
     ``dN_ds`` is the exact derivative of the level map N(s) at this level,
     used to convert index-space finite differences into d/dN.
     """
@@ -161,12 +166,12 @@ def _level_nodes(spacetime, r_level, n_theta, n_phi):
     jac, sqrt_s, nuN = _leaf_measure(surface, tg, w, surface.embed((tg, pg)),
                                      sd.metric_dd, sd.normal_d, sd.normal_u)
     gauss_k = 0.5 * curvature(surface.induced_sampler(), (tg, pg)).scalar
-    # each field has the shape of the coordinates it reads; the leaf keeps
-    # full (n_theta, n_phi) arrays, so its reductions run as on a dense grid
-    nodes = [np.broadcast_to(f, w.shape).copy() for f in
-             (jac, sqrt_s, 1.0 / np.abs(nuN), sd.mean_curvature, nuN,
-              sd.tracefree_norm, gauss_k)]
-    return (theta, x, phi, w, *nodes)
+    # each field keeps the shape of the coordinates it reads, at least one
+    # value per theta row: (n_theta, 1) unless it varies in phi
+    nodes = [np.broadcast_to(f, np.broadcast_shapes(np.shape(f), (n_theta, 1)))
+             for f in (jac, sqrt_s, 1.0 / np.abs(nuN), sd.mean_curvature, nuN,
+                       sd.tracefree_norm, gauss_k)]
+    return (theta, x, phi, w, *map(np.copy, nodes))
 
 
 def _flux_resample(spacetime, r_level, order):
@@ -247,6 +252,8 @@ class Foliation:
         return self.levels[0]
 
     def stack(self, attr):
+        """One field of every level: (levels, n_theta, 1) for a field
+        constant in phi."""
         return np.stack([getattr(lv, attr) for lv in self.levels])
 
     def reaches_tail(self, rtol=0.01):
@@ -279,32 +286,55 @@ def mass_flux(level, check_convergence=True, tol=TOL_LVL):
 # ---------------------------------------------------------------------------
 
 def _normalized(residual, *terms):
-    scale = np.maximum(1.0, np.max(np.abs(np.stack(terms)), axis=0))
+    scale = np.maximum(1.0, np.max(np.abs(np.stack(np.broadcast_arrays(*terms))),
+                                   axis=0))
     return np.abs(residual) / scale
+
+
+def _sup_node(nodes):
+    """Largest value of a leaf field and the theta row (Gauss-Legendre index)
+    of its first flat argmax."""
+    k = int(np.argmax(nodes))
+    return nodes.flat[k], k // nodes.shape[-1]
+
+
+def _min_max_nodes(nodes):
+    """(min, max) of a leaf field and the theta node of each."""
+    (neg_lo, k_lo), (hi, k_hi) = _sup_node(-nodes), _sup_node(nodes)
+    return (-float(neg_lo), float(hi)), (k_lo, k_hi)
+
+
+def _sup_position(values, nodes):
+    """Level and theta node of the largest |value| of per-level sups.
+
+    ``values`` and ``nodes`` have one row per level (and optionally one
+    column per quantity); ties go to the first level, then the first column.
+    """
+    values = np.abs(np.reshape(values, (len(values), -1)))
+    j, k = np.unravel_index(np.argmax(values), values.shape)
+    return int(j), int(np.reshape(nodes, values.shape)[j, k])
 
 
 @dataclass(frozen=True)
 class IdentityResiduals:
     """Per-level sups of the normalized residuals of the three identities
-    and of the area-element evolution factor."""
+    and of the area-element evolution factor.  ``nodes`` has one row per
+    level: the theta node of each of those four sups, in that order."""
 
     res31: np.ndarray
     res32: np.ndarray
     res33: np.ndarray
     evolution: np.ndarray
+    nodes: np.ndarray
 
     def sup(self):
         return float(max(np.max(self.res31), np.max(self.res32),
                          np.max(self.res33)))
 
-    def sup_level(self):
-        """Index of the level where ``sup`` is attained."""
-        return int(np.argmax(np.maximum(np.maximum(self.res31, self.res32),
-                                        self.res33)))
-
 
 def _transverse_derivative(foliation, nodes):
-    """d/dN of per-level node values ``nodes``, shape (levels, n_theta, n_phi)."""
+    """d/dN of per-level node values ``nodes``, shape (levels, n_theta, 1)
+    or (levels, n_theta, n_phi)."""
     stencils = quad.level_stencils(len(foliation))
     dds = quad.level_derivative(nodes, stencils)
     dds /= np.array([lv.dN_ds for lv in foliation.levels])[:, None, None]
@@ -328,9 +358,8 @@ def identity_residuals(foliation, lam, terms=None):
 
     Each residual is normalized by its largest participating term
     (floored at 1), evaluated pointwise on the leaf, and reported as the
-    per-level sup.  ``terms`` yields ``_leaf_terms`` of each leaf in
-    order, and is read after the level derivatives; the terms are computed
-    here when it is not given.
+    per-level sup.  ``terms`` holds ``_leaf_terms`` of each leaf, computed
+    here when not given.
     """
     if len(foliation) < 7:
         raise ValueError("transverse derivatives need at least 7 levels")
@@ -340,7 +369,7 @@ def identity_residuals(foliation, lam, terms=None):
 
     if terms is None:
         terms = map(_leaf_terms, foliation.levels)
-    r31, r32, r33, rev = [], [], [], []
+    sups = []
     for j, (lv, leaf) in enumerate(zip(foliation.levels, terms)):
         n, rho, h = lv.N_value, lv.rho, lv.H
         sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket = leaf
@@ -352,7 +381,6 @@ def identity_residuals(foliation, lam, terms=None):
         t_a4 = -(2.0 / sqrt_rho) * lap_sqrt_rho
         t_a5 = -0.5 * bracket
         res31 = t_a1 + t_a2 + t_a3 + t_a4 + t_a5
-        r31.append(np.max(_normalized(res31, t_a1, t_a2, t_a3, t_a4, t_a5)))
 
         t_b1 = (lam / rho) * (3.0 * h / n)
         t_b2 = -(lam / rho) * h_n[j]
@@ -360,32 +388,38 @@ def identity_residuals(foliation, lam, terms=None):
         t_b4 = -lap_log_rho
         t_b5 = -bracket
         res32 = t_b1 + t_b2 + t_b3 + t_b4 + t_b5
-        r32.append(np.max(_normalized(res32, t_b1, t_b2, t_b3, t_b4, t_b5)))
 
         t_c1 = rho_n[j]
         t_c2 = -lam * rho ** 2 * h
-        r33.append(np.max(_normalized(t_c1 + t_c2, t_c1, t_c2)))
 
         t_e1 = ss_n[j]
         t_e2 = -lam * lv.sqrt_s * h * rho
-        rev.append(np.max(_normalized(t_e1 + t_e2, t_e1, t_e2)))
-    return IdentityResiduals(np.array(r31), np.array(r32), np.array(r33),
-                             np.array(rev))
+        sups.append([
+            _sup_node(_normalized(res31, t_a1, t_a2, t_a3, t_a4, t_a5)),
+            _sup_node(_normalized(res32, t_b1, t_b2, t_b3, t_b4, t_b5)),
+            _sup_node(_normalized(t_c1 + t_c2, t_c1, t_c2)),
+            _sup_node(_normalized(t_e1 + t_e2, t_e1, t_e2))])
+    values = np.array([[v for v, _ in row] for row in sups])
+    nodes = np.array([[k for _, k in row] for row in sups])
+    return IdentityResiduals(*values.T, nodes)
 
 
 @dataclass(frozen=True)
 class InequalitySlacks:
     """Pointwise and integrated slack (RHS - LHS >= 0) of the inequality chain.
 
-    ``slack34``/``slack35`` carry per-level (min, max) over the leaf;
-    ``bracket_min`` is the most negative sum-of-squares bracket seen
-    (analytically >= 0).  The integrated chains are evaluated both through
-    the quadrature + asymptotic-tail route (``chain36``, ``chain38``) and
-    in their simplified boundary forms (``ineq37``, ``ineq39``).
+    ``slack34``/``slack35`` carry per-level (min, max) over the leaf and
+    ``nodes34``/``nodes35`` the theta node of each entry; ``bracket_min``
+    is the most negative sum-of-squares bracket seen (analytically >= 0).
+    The integrated chains are evaluated both through the quadrature +
+    asymptotic-tail route (``chain36``, ``chain38``) and in their
+    simplified boundary forms (``ineq37``, ``ineq39``).
     """
 
     slack34: np.ndarray
     slack35: np.ndarray
+    nodes34: np.ndarray
+    nodes35: np.ndarray
     bracket_min: float
     chain36: float
     ineq37: float
@@ -397,10 +431,6 @@ class InequalitySlacks:
 
     def sup35(self):
         return float(np.max(np.abs(self.slack35)))
-
-    def sup_level(self, slack):
-        """Index of the level where the sup of ``slack34``/``slack35`` is attained."""
-        return int(np.argmax(np.max(np.abs(slack), axis=1)))
 
     def min_slack(self):
         return float(min(np.min(self.slack34), np.min(self.slack35)))
@@ -419,14 +449,12 @@ def inequality_slacks(foliation, lam, mass, terms=None):
     """
     if len(foliation) < 8:
         raise ValueError("inequality integration needs a dense foliation")
-    # inputs built leaf by leaf: whole-foliation temporaries would sit
-    # beside the leaf terms the pipeline keeps for this call
-    p_n = _transverse_derivative(foliation, np.stack([
-        lv.sqrt_s * lv.H * lam / (np.sqrt(lv.rho) * lv.N_value)
-        for lv in foliation.levels]))
-    q_n = _transverse_derivative(foliation, np.stack([
-        lv.sqrt_s / lv.rho * (lv.H * lv.N_value + 4.0 * lam / lv.rho)
-        for lv in foliation.levels]))
+    sqrt_s, h, rho = (foliation.stack(a) for a in ("sqrt_s", "H", "rho"))
+    n_values = np.array([lv.N_value for lv in foliation.levels])[:, None, None]
+    p_n = _transverse_derivative(
+        foliation, sqrt_s * h * lam / (np.sqrt(rho) * n_values))
+    q_n = _transverse_derivative(
+        foliation, sqrt_s / rho * (h * n_values + 4.0 * lam / rho))
 
     if terms is None:
         terms = map(_leaf_terms, foliation.levels)
@@ -439,9 +467,9 @@ def inequality_slacks(foliation, lam, mass, terms=None):
         r_sigma = 2.0 * lv.gauss_k
 
         rhs34 = -2.0 * (lv.sqrt_s / n) * lap_sqrt_rho
-        s34.append((float(np.min(rhs34 - p_n[j])), float(np.max(rhs34 - p_n[j]))))
+        s34.append(_min_max_nodes(rhs34 - p_n[j]))
         rhs35 = -n * lv.sqrt_s * (lap_log_rho + r_sigma)
-        s35.append((float(np.min(rhs35 - q_n[j])), float(np.max(rhs35 - q_n[j]))))
+        s35.append(_min_max_nodes(rhs35 - q_n[j]))
 
     b = foliation.boundary
     n0 = b.N_value
@@ -456,7 +484,8 @@ def inequality_slacks(foliation, lam, mass, terms=None):
     chain38 = (g_n0 - 4.0 * math.pi * (1.0 - n0 ** 2)) / (4.0 * math.pi)
     ineq39 = abs(mass) * (h0 * n0 + 4.0 * mass / r0 ** 2) - (1.0 - n0 ** 2)
 
-    return InequalitySlacks(np.array(s34), np.array(s35), bracket_min,
+    (s34, n34), (s35, n35) = ([np.array(c) for c in zip(*s)] for s in (s34, s35))
+    return InequalitySlacks(s34, s35, n34, n35, bracket_min,
                             chain36, ineq37, chain38, ineq39)
 
 
@@ -632,7 +661,9 @@ def reconstruct_lapse(mass, n0, r0, r_max=None, n_points=200):
 @dataclass(frozen=True)
 class Gate:
     """One verdict gate.  ``level`` is the foliation level where a per-level
-    sup was attained, None for gates that are not a sup over levels."""
+    sup was attained, None for gates that are not a sup over levels;
+    ``node`` is the theta node (Gauss-Legendre index) of a sup over the
+    leaf's nodes at that level, None for gates that are not one."""
 
     name: str
     value: float
@@ -640,6 +671,7 @@ class Gate:
     passed: bool
     structural: bool = False
     level: int = None
+    node: int = None
 
     @property
     def margin(self):
@@ -698,7 +730,7 @@ class IsraelReport:
             "lambda": self.sign.lam,
             "gates": [{"name": g.name, "value": g.value,
                        "threshold": g.threshold, "passed": g.passed,
-                       "margin": g.margin, "level": g.level}
+                       "margin": g.margin, "level": g.level, "node": g.node}
                       for g in self.gates],
             "verdict": self.verdict,
             "tolerance": self.tol,
@@ -731,21 +763,10 @@ class IsraelReport:
 
 def _identities_and_slacks(foliation, lam, mass):
     """``identity_residuals`` and ``inequality_slacks`` from one
-    ``_leaf_terms`` per leaf.
-
-    The terms are kept as the identities compute them, after their level
-    derivatives, so that the two never add up to the memory peak; they are
-    freed on return.
-    """
-    terms = []
-
-    def kept():
-        for lv in foliation.levels:
-            terms.append(_leaf_terms(lv))
-            yield terms[-1]
-
-    ids = identity_residuals(foliation, lam, kept())
-    return ids, inequality_slacks(foliation, lam, mass, terms)
+    ``_leaf_terms`` per leaf."""
+    terms = [_leaf_terms(lv) for lv in foliation.levels]
+    return (identity_residuals(foliation, lam, terms),
+            inequality_slacks(foliation, lam, mass, terms))
 
 
 def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
@@ -772,24 +793,31 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     recon = reconstruct_lapse(mass, bnd.n0, bnd.r0,
                               r_max=foliation.tail_radius)
 
-    tf_by_level = [float(np.max(lv.tracefree)) for lv in foliation.levels]
-    tf_sup = max(tf_by_level)
+    tf_by_level, tf_nodes = zip(*(_sup_node(lv.tracefree)
+                                  for lv in foliation.levels))
+    tf_sup = float(max(tf_by_level))
     rho_by_level = [lv.std(lv.rho) / lv.mean(lv.rho) for lv in foliation.levels]
     rho_std_rel = max(rho_by_level)
     h_min = min(lv.mean(lv.H) for lv in foliation.levels)
     flux_spread = float(np.max(fluxes) - np.min(fluxes))
     n_vals = [lv.N_value for lv in foliation.levels]
 
+    id_level, id_node = _sup_position(
+        np.column_stack([ids.res31, ids.res32, ids.res33]), ids.nodes[:, :3])
+    ev_level, ev_node = _sup_position(ids.evolution, ids.nodes[:, 3])
+    s34_level, s34_node = _sup_position(slacks.slack34, slacks.nodes34)
+    s35_level, s35_node = _sup_position(slacks.slack35, slacks.nodes35)
+    tf_level, tf_node = _sup_position(tf_by_level, tf_nodes)
+
     gates = (
         Gate("identities", ids.sup(), tol, ids.sup() < tol,
-             level=ids.sup_level()),
+             level=id_level, node=id_node),
         Gate("evolution-factor", float(np.max(ids.evolution)), tol,
-             float(np.max(ids.evolution)) < tol,
-             level=int(np.argmax(ids.evolution))),
+             float(np.max(ids.evolution)) < tol, level=ev_level, node=ev_node),
         Gate("sharpness-34", slacks.sup34(), tol, slacks.sup34() < tol,
-             level=slacks.sup_level(slacks.slack34)),
+             level=s34_level, node=s34_node),
         Gate("sharpness-35", slacks.sup35(), tol, slacks.sup35() < tol,
-             level=slacks.sup_level(slacks.slack35)),
+             level=s35_level, node=s35_node),
         Gate("sharpness-36-chain", abs(slacks.chain36), tol,
              abs(slacks.chain36) < tol),
         Gate("sharpness-37", abs(slacks.ineq37), tol,
@@ -801,7 +829,7 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
         Gate("bracket-nonnegative", slacks.bracket_min, -1e-14,
              slacks.bracket_min >= -1e-14),
         Gate("leaf-constancy-tracefree", tf_sup, tol, tf_sup < tol,
-             level=int(np.argmax(tf_by_level))),
+             level=tf_level, node=tf_node),
         Gate("leaf-constancy-rho", rho_std_rel, tol, rho_std_rel < tol,
              level=int(np.argmax(rho_by_level))),
         Gate("H-positive", h_min, 0.0, h_min > 0.0),

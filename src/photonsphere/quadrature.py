@@ -93,7 +93,12 @@ def diff_matrix(n_theta):
 
 
 def phi_derivatives(f):
-    """First and second phi-derivatives of a periodic (n_theta, n_phi) field."""
+    """First and second phi-derivatives of a periodic (n_theta, n_phi) field.
+
+    A length-1 phi axis means the field is constant in phi: its only
+    wavenumber is 0, so both derivatives come out exact zeros of the
+    field's shape.
+    """
     n_phi = f.shape[-1]
     k = np.fft.rfftfreq(n_phi, d=1.0 / n_phi) * 1j
     fh = np.fft.rfft(f, axis=-1)
@@ -106,6 +111,8 @@ def sphere_laplacian(f, x, r_area):
     """Laplace-Beltrami operator of a round sphere of radius r_area.
 
     In x = cos(theta):  Lap f = [d/dx((1-x^2) df/dx) + f_phiphi/(1-x^2)] / r^2.
+    ``f`` is (n_theta, n_phi), or (n_theta, 1) for a field constant in phi,
+    whose Laplacian then has that shape too.
     """
     d = diff_matrix(len(x))
     fx = np.einsum("ij,j...->i...", d, f)
@@ -115,7 +122,8 @@ def sphere_laplacian(f, x, r_area):
 
 
 def sphere_grad_sq(f, x, r_area):
-    """|grad f|^2 on a round sphere of radius r_area."""
+    """|grad f|^2 on a round sphere of radius r_area; ``f`` is shaped as
+    for ``sphere_laplacian``."""
     d = diff_matrix(len(x))
     fx = np.einsum("ij,j...->i...", d, f)
     fp, _ = phi_derivatives(f)

@@ -333,6 +333,17 @@ class TestTangency:
             assert abs(v @ g @ v) < 1e-12
             assert v[1] == 0.0  # no radial component: tangent to the cylinder
 
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_no_seed_is_polar(self, count):
+        # sin(alpha) of each direction angle, read off the angular momentum
+        n0 = ST.profile.lapse(3.0)
+        for k, s in enumerate(geo.tangent_null_seeds(ST, 3.0, count, 2)):
+            sin_alpha = 3.0 * math.sin(s.position.theta) * s.velocity[3] / n0
+            assert abs(sin_alpha) > 0.99 * math.sin(math.pi / (2 * count))
+            if count % 2 == 0:      # even counts keep the half-step offset
+                alpha = 2.0 * math.pi * (k + 0.5) / count
+                assert s.velocity[2] == n0 * math.cos(alpha) / 3.0
+
 
 def test_trajectory_csv_format(tmp_path):
     tr = geo.integrate_null(ST, radial_null_state(ST, 10.0), 5.0)
@@ -475,13 +486,18 @@ class TestBatchMatchesScalarReference:
         assert traj.status == expected
 
     def test_mixed_batch_matches_each_alone(self):
+        seeds = geo.tangent_null_seeds(ST, 3.0, 3, rng_seed=2)
+        # the middle photon-sphere seed turned to direction angle pi: vphi
+        # is 2.6e-17, so its orbit is polar and a sample lands within
+        # THETA_GUARD of a pole
+        n0, theta = ST.profile.lapse(3.0), seeds[1].position.theta
+        seeds[1] = geo.GeodesicState(seeds[1].position, (
+            1.0, 0.0, n0 * math.cos(math.pi) / 3.0,
+            n0 * math.sin(math.pi) / (3.0 * math.sin(theta))))
         states = [radial_null_state(ST, 10.0),
                   geo.null_state(ST, ChartPoint(0.0, 8.0, 0.4, 0.2),
                                  (0.0, -0.05, 1e-9)),
-                  *geo.tangent_null_seeds(ST, 3.0, 3, rng_seed=2)]
-        # the middle photon-sphere seed has direction angle pi: vphi is
-        # 2.6e-17, so its orbit is polar and a sample lands within
-        # THETA_GUARD of a pole
+                  *seeds]
         polar = states[3]
         assert abs(polar.position.r ** 2 * math.sin(polar.position.theta) ** 2
                    * polar.velocity[3]) < 1e-15

@@ -5,6 +5,7 @@ foliations are coarser (still well inside the error budget for what each
 test asserts).
 """
 
+import dataclasses
 import json
 import math
 
@@ -100,8 +101,60 @@ def test_leaf_fields_equal_the_dense_grid(name, monkeypatch):
     dense = isr._level_nodes(st, r_level, n_theta, n_phi)
     assert isr._flux_resample(st, r_level, (n_theta, n_phi)) == flux
     for a, b in zip(lazy[4:], dense[4:]):
-        assert a.shape == (n_theta, n_phi)
-        assert np.array_equal(a, b)
+        assert a.shape == (n_theta, 1)
+        assert np.array_equal(np.broadcast_to(a, b.shape), b)
+
+
+FIELDS = ("jacobian", "sqrt_s", "rho", "H", "nuN", "tracefree", "gauss_k")
+
+
+def test_stored_fields_are_theta_only():
+    # a radial profile's leaf fields keep one value per theta row; only the
+    # quadrature weights span the full grid
+    fol = isr.build_foliation(ST, N0, levels=8, quad_order=(64, 128),
+                              tail_radius=50.0)
+    for lv in fol.levels:
+        assert lv.weights.shape == (64, 128)
+        for name in FIELDS:
+            assert getattr(lv, name).shape == (64, 1), name
+    assert fol.stack("rho").shape == (8, 64, 1)
+
+
+def _dense_copy(foliation):
+    """The same foliation with every leaf field copied to the full grid."""
+    return dataclasses.replace(foliation, levels=tuple(
+        dataclasses.replace(lv, **{name: np.broadcast_to(
+            getattr(lv, name), lv.weights.shape).copy() for name in FIELDS})
+        for lv in foliation.levels))
+
+
+@pytest.mark.parametrize("case", ["schwarzschild", "reissner-perturbed"])
+def test_theta_only_foliation_matches_its_dense_copy(case, monkeypatch):
+    if case == "schwarzschild":
+        st, n0, r_ps, verdict = ST, N0, 3.0, "isometric"
+    else:
+        profile = LEAF_PROFILES["reissner-perturbed"][0]
+        st, r_ps = StaticSpacetime(profile), oracles.RN_PHOTON_SPHERE_Q01
+        n0, verdict = profile.lapse(r_ps), "not-isometric"
+    fol = isr.build_foliation(st, n0, levels=24, quad_order=(16, 32),
+                              tail_radius=100.0, r_hint=r_ps)
+    dense = _dense_copy(fol)
+    assert dense.levels[3].rho.shape == (16, 32)
+    reports = []
+    for f in (fol, dense):
+        monkeypatch.setattr(isr, "build_foliation", lambda *a, f=f, **k: f)
+        reports.append(isr.run_israel_pipeline(st, n0, r_ps, levels=24,
+                                               quad_order=(16, 32),
+                                               tail_radius=100.0, tol=1e-3))
+    thin, full = reports
+    for checks, name in [("identities", "res31"), ("identities", "res32"),
+                         ("identities", "res33"), ("identities", "evolution"),
+                         ("slacks", "slack34"), ("slacks", "slack35")]:
+        a = getattr(getattr(thin, checks), name)
+        b = getattr(getattr(full, checks), name)
+        assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), name
+    assert thin.verdict == full.verdict == verdict
+    assert [g.passed for g in thin.gates] == [g.passed for g in full.gates]
 
 
 class TestMassFlux:
@@ -342,6 +395,40 @@ class TestRigidityVerdict:
                 assert g["margin"] == g["value"] / g["threshold"]
             else:
                 assert g["margin"] is None
+
+    def test_gates_report_the_node_of_a_perturbed_leaf(self, monkeypatch,
+                                                       tmp_path):
+        # H raised on theta row 5 of level 10 reaches the level-derivative
+        # gates only through that row; a tracefree spike at node (3, 11) of
+        # level 7 varies in phi, and its gate reads the spike's theta row
+        fol = isr.build_foliation(ST, N0, levels=24, quad_order=(16, 32),
+                                  tail_radius=100.0)
+        levels = list(fol.levels)
+        h = levels[10].H.copy()
+        h[5] *= 1.01
+        tracefree = np.zeros((16, 32))
+        tracefree[3, 11] = 1e-3     # small beside the H step in the identities
+        levels[10] = dataclasses.replace(levels[10], H=h)
+        levels[7] = dataclasses.replace(levels[7], tracefree=tracefree)
+        perturbed = dataclasses.replace(fol, levels=tuple(levels))
+        monkeypatch.setattr(isr, "build_foliation", lambda *a, **k: perturbed)
+        rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
+                                      quad_order=(16, 32), tail_radius=100.0,
+                                      tol=1e-3)
+        gates = {g.name: g for g in rep.gates}
+        for name in ("identities", "evolution-factor", "sharpness-34",
+                     "sharpness-35"):
+            assert not gates[name].passed and gates[name].node == 5, name
+        tf = gates["leaf-constancy-tracefree"]
+        assert (tf.value, tf.level, tf.node) == (1e-3, 7, 3)
+        assert all(g.node is None for g in rep.gates if g.name not in (
+            "identities", "evolution-factor", "sharpness-34", "sharpness-35",
+            "leaf-constancy-tracefree"))
+        path = tmp_path / "israel_report.json"
+        rep.write_json(path)
+        nodes = {g["name"]: g["node"]
+                 for g in json.loads(path.read_text())["gates"]}
+        assert nodes == {g.name: g.node for g in rep.gates}
 
     def test_leaf_terms_computed_once_per_leaf(self, monkeypatch):
         calls = {"_leaf_terms": 0, "sphere_laplacian": 0}

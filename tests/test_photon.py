@@ -113,6 +113,15 @@ class TestCertification:
                 strn, hs.cylinder(strn, loc.r_ps * factor), seeds=8, span=30.0)
             assert cert_off.verdict == "refuted"
 
+    @pytest.mark.parametrize("seeds", [1, 3, 5, 7])
+    def test_odd_seed_counts_certify(self, seeds):
+        # an odd count has no seed at direction angle pi, whose polar orbit
+        # ended at the pole guard and left the certificate inconclusive
+        cert = ph.certify_photon_surface(ST, hs.cylinder(ST, 3.0),
+                                         seeds=seeds, span=40.0)
+        assert cert.tangency.statuses == ("completed",) * seeds
+        assert cert.verdict == "certified"
+
     def test_non_timelike_rejected(self):
         with pytest.raises(ValueError):
             ph.certify_photon_surface(ST, hs.time_slice(ST))
