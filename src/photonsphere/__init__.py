@@ -16,10 +16,7 @@ from .spacetimes import (
     SchwarzschildProfile,
     StaticSpacetime,
     TableProfile,
-    asymptotics_fit,
-    assemble_static,
     load_profile,
-    schwarzschild_metric,
 )
 from .calculus import (
     CurvatureBundle,
@@ -27,22 +24,15 @@ from .calculus import (
     christoffel,
     curvature,
     hessian,
-    kulkarni_reconstruct,
-    laplacian,
     vacuum_residual,
 )
 from .hypersurfaces import (
     FoliationError,
     Hypersurface,
     ShapeData,
-    codazzi_residual,
     cylinder,
-    gauss_residual,
-    laplacian_split_residual,
     lapse_level_set,
     shape,
-    sphere_in_cylinder,
-    time_slice,
 )
 from .geodesics import (
     GeodesicState,
@@ -57,8 +47,6 @@ from .photon import (
     PhotonSphereLocation,
     PhotonSurfaceCertificate,
     certify_photon_surface,
-    cmc_scalar_check,
-    einstein_scalar_formula,
     locate_photon_sphere,
 )
 from .israel import (

@@ -16,9 +16,9 @@ Ricci tensor is the first-lower/last-upper contraction
 (positive on round spheres).  Christoffel symbols are stored as
 ``gamma_udd[a, b, c] = Gamma^a_bc``.
 
-Differentiation is forward-mode automatic by default (exact to roundoff);
-a fourth-order central finite-difference scheme is available as an
-independent cross-check.
+Differentiation is forward-mode automatic (see :mod:`.jets`), exact to
+roundoff; the tests cross-check it against fourth-order central
+differences.
 """
 
 from dataclasses import dataclass
@@ -28,9 +28,6 @@ import numpy as np
 from . import jets
 from .spacetimes import ChartPoint, DomainError
 
-EPS = np.finfo(float).eps
-FD_STEP_FIRST = EPS ** (1.0 / 3.0)   # relative step for first derivatives
-FD_STEP_SECOND = EPS ** (1.0 / 5.0)  # wider step: second derivatives lose h^2
 TOL_DIFF = 1e-6                      # absolute, on unit-mass-scaled quantities
 
 
@@ -40,7 +37,7 @@ def _coords_of(point):
     return tuple(point)
 
 
-def metric_taylor(sampler, coords, scheme="autodiff"):
+def metric_taylor(sampler, coords):
     """Metric components with first and second coordinate derivatives.
 
     Returns ``(g, dg, ddg)`` with shapes ``(..., d, d)``,
@@ -50,8 +47,6 @@ def metric_taylor(sampler, coords, scheme="autodiff"):
     i.e. of the coordinates they actually read (see :mod:`.jets`): sparse
     (theta, phi) axes give ``(n_theta, 1)`` for a metric that reads no phi.
     """
-    if scheme != "autodiff":
-        return _fd_taylor(lambda pt: _sample_matrix(sampler, pt), coords, 2, scheme)
     d = sampler.dim
     xs = jets.variables(list(coords), order=2)
     comp = [[jets.lift(e, xs[0]) for e in row] for row in sampler.components(xs)]
@@ -68,63 +63,9 @@ def metric_taylor(sampler, coords, scheme="autodiff"):
     return g, dg, ddg
 
 
-def _sample_matrix(sampler, coords):
-    d = sampler.dim
-    comp = sampler.components(list(coords))
-    vals = [[jets.value_of(comp[b][c]) for c in range(d)] for b in range(d)]
-    shape = np.broadcast_shapes(*(np.shape(v) for row in vals for v in row))
-    return np.stack([np.stack([np.broadcast_to(v, shape)
-                               for v in row], axis=-1) for row in vals], axis=-2)
-
-
-# Fourth-order five-point central stencils: {offset: weight}, over 12 h^order.
-_STENCILS = {1: {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0},
-             2: {2: -1.0, 1: 16.0, 0: -30.0, -1: 16.0, -2: -1.0}}
-
-
-def five_point(sample, x, axis, step, order=1):
-    """Fourth-order central difference d^order/dx_axis^order of ``sample(x)``.
-
-    ``sample`` maps a list of coordinate arrays to an array whose leading
-    axes broadcast with ``step``; trailing axes (a tensor's indices) are
-    carried through.
-    """
-    acc = 0.0
-    for offset, weight in _STENCILS[order].items():
-        pt = list(x)
-        pt[axis] = pt[axis] + offset * step
-        acc = acc + weight * np.asarray(sample(pt), dtype=float)
-    denom = 12.0 * np.asarray(step, dtype=float) ** order
-    return acc / np.reshape(denom, np.shape(denom) + (1,) * (acc.ndim - denom.ndim))
-
-
-def _fd_taylor(sample, coords, tail_ndim, scheme):
-    """Value, gradient and Hessian of ``sample`` by five-point stencils.
-
-    Derivative indices are inserted before the ``tail_ndim`` trailing
-    (tensor) axes of the sample.
-    """
-    if scheme != "finite-difference":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    x = [np.asarray(c, dtype=float) for c in coords]
-    d = len(x)
-    h1 = [FD_STEP_FIRST * np.maximum(1.0, np.abs(xi)) for xi in x]
-    h2 = [FD_STEP_SECOND * np.maximum(1.0, np.abs(xi)) for xi in x]
-    axis = -1 - tail_ndim
-    df = np.stack([five_point(sample, x, a, h1[a]) for a in range(d)], axis=axis)
-    rows = [[None] * d for _ in range(d)]
-    for a in range(d):
-        rows[a][a] = five_point(sample, x, a, h2[a], order=2)
-        for b in range(a + 1, d):
-            rows[a][b] = rows[b][a] = five_point(
-                lambda y, b=b: five_point(sample, y, b, h2[b]), x, a, h2[a])
-    ddf = np.stack([np.stack(row, axis=axis) for row in rows], axis=axis - 1)
-    return np.asarray(sample(x), dtype=float), df, ddf
-
-
-def christoffel(sampler, point, scheme="autodiff"):
+def christoffel(sampler, point):
     """Christoffel symbols Gamma^a_bc of the Levi-Civita connection."""
-    g, dg, _ = metric_taylor(sampler, _coords_of(point), scheme)
+    g, dg, _ = metric_taylor(sampler, _coords_of(point))
     return _christoffel_from(_inverse_metric(g), dg)
 
 
@@ -186,14 +127,6 @@ class CurvatureBundle:
         e = v * scale[..., None, :]
         return np.swapaxes(e, -1, -2), np.sign(w)
 
-    def symmetry_residuals(self):
-        """Sup-norms of the antisymmetry and first-Bianchi defects of Rm."""
-        rm = self.riemann_dddd
-        antisym = np.max(np.abs(rm + np.einsum("...kijm->...ikjm", rm)))
-        bianchi = np.max(np.abs(rm + np.einsum("...ijkm->...kijm", rm)
-                                + np.einsum("...jkim->...kijm", rm)))
-        return float(antisym), float(bianchi)
-
     def to_debug_dict(self):
         """Every independent component, indices fully written out."""
         names = self.coord_names or tuple(f"x{i}" for i in range(self.dim))
@@ -217,10 +150,10 @@ class CurvatureBundle:
         return out
 
 
-def curvature(sampler, point, scheme="autodiff"):
+def curvature(sampler, point):
     """Full curvature bundle (Christoffel, Riemann, Ricci, scalar) at a point."""
     coords = _coords_of(point)
-    g, dg, ddg = metric_taylor(sampler, coords, scheme)
+    g, dg, ddg = metric_taylor(sampler, coords)
     ginv = _inverse_metric(g)
     gamma = _christoffel_from(ginv, dg)
 
@@ -251,32 +184,22 @@ def curvature(sampler, point, scheme="autodiff"):
 
 
 # ---------------------------------------------------------------------------
-# Scalar fields: covariant Hessian and Laplacian
+# Scalar fields: covariant Hessian
 # ---------------------------------------------------------------------------
 
-def scalar_taylor(field, coords, dim, scheme="autodiff"):
+def scalar_taylor(field, coords, dim):
     """Value, gradient and coordinate Hessian of a scalar field."""
-    if scheme != "autodiff":
-        return _fd_taylor(field, list(coords)[:dim], 0, scheme)
     xs = jets.variables(list(coords), order=2)
     f = jets.lift(field(xs), xs[0])
     return f.val, f.grad, f.hess
 
 
-def hessian(field, sampler, point, scheme="autodiff"):
+def hessian(field, sampler, point):
     """Covariant Hessian (nabla^2 f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
     coords = _coords_of(point)
-    _, df, ddf = scalar_taylor(field, coords, sampler.dim, scheme)
-    gamma = christoffel(sampler, coords, scheme)
+    _, df, ddf = scalar_taylor(field, coords, sampler.dim)
+    gamma = christoffel(sampler, coords)
     return ddf - np.einsum("...kij,...k->...ij", gamma, df)
-
-
-def laplacian(field, sampler, point, scheme="autodiff"):
-    coords = _coords_of(point)
-    g, dg, _ = metric_taylor(sampler, coords, scheme)
-    ginv = _inverse_metric(g)
-    hess = hessian(field, sampler, point, scheme)
-    return np.einsum("...ij,...ij->...", ginv, hess)
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +219,19 @@ class VacuumResidual:
     laplace_residual: float
     at: tuple
 
-    def trace_bound(self, n_min, n_max, trace_r1):
-        return abs(trace_r1) / n_min + self.scalar_residual * n_max
 
-
-def vacuum_residual(spacetime, point, scheme="autodiff"):
+def vacuum_residual(spacetime, point):
     """Residuals of N Ric - Hess N, |R| and |Lap N| on the time slice."""
     coords = point.coords3() if isinstance(point, ChartPoint) else tuple(point)
     spacetime.profile.check_point(coords[0])
     return vacuum_residual_general(spacetime.metric3, spacetime.lapse_field3(),
-                                   coords, scheme)
+                                   coords)
 
 
-def vacuum_residual_general(sampler, lapse, coords, scheme="autodiff"):
+def vacuum_residual_general(sampler, lapse, coords):
     """Same residuals for an arbitrary slice metric sampler and lapse field."""
-    bundle = curvature(sampler, coords, scheme)
-    hess = hessian(lapse, sampler, coords, scheme)
+    bundle = curvature(sampler, coords)
+    hess = hessian(lapse, sampler, coords)
     n_val = np.asarray(jets.value_of(lapse([np.asarray(c, dtype=float)
                                             for c in coords])))
     resid = n_val[..., None, None] * bundle.ricci_dd - hess
@@ -324,42 +244,7 @@ def vacuum_residual_general(sampler, lapse, coords, scheme="autodiff"):
                           tuple(coords))
 
 
-def is_vacuum(spacetime, point, tol=TOL_DIFF, scheme="autodiff"):
-    r = vacuum_residual(spacetime, point, scheme)
+def is_vacuum(spacetime, point, tol=TOL_DIFF):
+    r = vacuum_residual(spacetime, point)
     return max(r.hessian_residual, r.scalar_residual, r.laplace_residual) < 10 * tol
-
-
-# ---------------------------------------------------------------------------
-# Kulkarni-Nomizu reconstruction of Rm from Ric in three dimensions
-# ---------------------------------------------------------------------------
-
-def kulkarni_reconstruct(bundle):
-    """Rebuild Rm algebraically from Ric and the metric (3d, Weyl = 0).
-
-    Returns the reconstructed ``riemann_dddu`` array and the sup-norm
-    residual against the bundle's differentiated Riemann tensor, measured
-    in an orthonormal frame.
-    """
-    if bundle.dim != 3:
-        raise ValueError("Kulkarni-Nomizu reconstruction requires dimension 3")
-    if np.any(np.min(np.linalg.eigvalsh(bundle.metric_dd), axis=-1) <= 0):
-        raise ValueError("reconstruction requires a Riemannian metric")
-    a = bundle.metric_dd
-    ric = bundle.ricci_dd
-    ric_mixed = np.einsum("...ik,...kl->...il", ric, bundle.metric_uu)
-    scal = bundle.scalar
-    eye = np.eye(3)
-    rm = (np.einsum("...il,...jk->...ijkl", ric_mixed, a)
-          - np.einsum("...ik,jl->...ijkl", ric, eye)
-          - np.einsum("...jl,...ik->...ijkl", ric_mixed, a)
-          + np.einsum("...jk,il->...ijkl", ric, eye)
-          - 0.5 * scal[..., None, None, None, None]
-          * (np.einsum("il,...jk->...ijkl", eye, a)
-             - np.einsum("...ik,jl->...ijkl", a, eye)))
-    diff = np.einsum("...ijkl,...lm->...ijkm", rm - bundle.riemann_dddu,
-                     bundle.metric_dd)
-    e, _ = bundle.frame()
-    diff_frame = np.einsum("...Ai,...Bj,...Ck,...Dm,...ijkm->...ABCD",
-                           e, e, e, e, diff)
-    return rm, float(np.max(np.abs(diff_frame)))
 

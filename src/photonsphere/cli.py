@@ -276,7 +276,7 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
     if mass is None:
         fol = israel.build_foliation(spacetime, loc.lapse_at_ps, levels=8,
                                      quad_order=(16, 32), r_hint=loc.r_ps)
-        mass = israel.mass_flux(fol.boundary, check_convergence=False).mass
+        mass = israel.mass_flux(fol.boundary)
     rec = israel.reconstruct_lapse(mass, loc.lapse_at_ps, loc.r_ps,
                                    r_max=scn.tail_radius)
     _write_json(os.path.join(out, "reconstruction.json"), {

@@ -1,18 +1,20 @@
-"""Embedded hypersurface geometry: normals, second fundamental forms,
-mean curvature, and residual checks of the Gauss and Codazzi equations.
+"""Embedded hypersurface geometry: unit normals, second fundamental forms
+and mean curvature.
 
-Four embeddings appear, all coordinate-aligned on the radial chart:
+Two embeddings appear, both coordinate-aligned on the radial chart and
+both level sets of a radial function (r or the lapse N), so each has the
+gradient unit normal:
 
-* the time slice ``{t = t0}`` inside the 4-dim spacetime (normal N^-1 d_t),
-* the cylinder ``R x {r = r0}`` inside the spacetime (spatial normal),
-* a level set ``{r = r0}`` (equivalently ``{N = N0}``) inside the time slice,
-* the 2-sphere inside the cylinder's own 3-geometry (normal N^-1 d_t).
+* the cylinder ``R x {r = r0}`` inside the spacetime, the photon-surface
+  candidate,
+* a level set ``{r = r0}`` (equivalently ``{N = N0}``) inside the time
+  slice, a leaf of the lapse foliation.
 
 The second fundamental form follows II(X, Y) = b(nabla_X eta, Y) with
-unit normal eta, irrespective of the normal's causal sign
-tau = b(eta, eta).  Frame components are taken in the normalized
-coordinate frame (the chart is diagonal on every tangent block, which is
-checked numerically), so sup-norms are chart-scale free.
+unit normal eta and causal sign tau = b(eta, eta).  Frame components are
+taken in the normalized coordinate frame (the chart is diagonal on every
+tangent block, which is checked numerically), so sup-norms are chart-scale
+free.
 """
 
 from dataclasses import dataclass
@@ -20,12 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature as quad
-from .calculus import (_christoffel_from, _inverse_metric, christoffel, curvature,
-                       five_point, hessian, laplacian, metric_taylor, scalar_taylor)
+from .calculus import (_christoffel_from, _inverse_metric, curvature, metric_taylor,
+                       scalar_taylor)
 from .spacetimes import ChartPoint, MetricSampler
 
 FOLIATION_DN_FLOOR = 1e-12
-CODAZZI_FD_STEP = 5e-3   # surface-coordinate step for differencing II
 
 
 class FoliationError(RuntimeError):
@@ -51,11 +52,9 @@ class Hypersurface:
     ambient         : MetricSampler of the ambient manifold
     surface_coord_names : names of the surface coordinates
     tangent_axes    : ambient coordinate axes tangent to the surface
-    normal_kind     : "gradient" (level sets of a radial function) or
-                      "observer" (N^-1 d_t)
-    level_value     : held coordinate value (r0 for level sets, t0 for slices)
+    level_value     : held coordinate value r0
     tau             : sign b(eta, eta) of the unit normal
-    level_field     : for gradient normals, "r" or "lapse"
+    level_field     : the radial function whose level set it is, "r" or "lapse"
     """
 
     kind: str
@@ -63,7 +62,6 @@ class Hypersurface:
     ambient: MetricSampler
     surface_coord_names: tuple
     tangent_axes: tuple
-    normal_kind: str
     level_value: float
     tau: int
     level_field: str = "r"
@@ -98,18 +96,10 @@ class Hypersurface:
         return samp
 
 
-def time_slice(spacetime, t0=0.0):
-    s = Hypersurface("time-slice", spacetime, spacetime.metric4,
-                     ("r", "theta", "phi"), (1, 2, 3), "observer", t0, -1)
-    s.ambient.coord_names = ("t", "r", "theta", "phi")
-    return s
-
-
 def cylinder(spacetime, r0, level_field="r"):
     spacetime.profile.check_point(r0)
     s = Hypersurface("cylinder", spacetime, spacetime.metric4,
-                     ("t", "theta", "phi"), (0, 2, 3), "gradient", float(r0), +1,
-                     level_field)
+                     ("t", "theta", "phi"), (0, 2, 3), float(r0), +1, level_field)
     s.ambient.coord_names = ("t", "r", "theta", "phi")
     return s
 
@@ -118,18 +108,8 @@ def lapse_level_set(spacetime, r0, level_field="lapse"):
     """Level set of the lapse (a round sphere {r = r0}) inside the time slice."""
     spacetime.profile.check_point(r0)
     s = Hypersurface("level-set", spacetime, spacetime.metric3,
-                     ("theta", "phi"), (1, 2), "gradient", float(r0), +1,
-                     level_field)
+                     ("theta", "phi"), (1, 2), float(r0), +1, level_field)
     s.ambient.coord_names = ("r", "theta", "phi")
-    return s
-
-
-def sphere_in_cylinder(spacetime, r0):
-    """The 2-sphere inside the photon cylinder's own 3-geometry."""
-    cyl = cylinder(spacetime, r0)
-    ambient = cyl.induced_sampler()  # (t, theta, phi) at fixed r0
-    s = Hypersurface("sphere-in-cylinder", spacetime, ambient,
-                     ("theta", "phi"), (1, 2), "observer", 0.0, -1)
     return s
 
 
@@ -145,8 +125,9 @@ def _level_function(surface):
     return lambda coords: coords[r_axis] + 0.0 * coords[r_axis]
 
 
-def _gradient_normal(surface, x, g, ginv, dg):
-    """Unit normal covector and its coordinate derivatives for level sets."""
+def normal_data(surface, x, g, ginv, dg):
+    """Unit normal covector, its coordinate derivatives and the unit normal
+    vector of a level set."""
     field = _level_function(surface)
     _, w, dw = scalar_taylor(field, x, surface.ambient.dim)
     # w^a = g^ab w_b and q = w_a w^a: "...ab,...a,...b->..."
@@ -168,30 +149,6 @@ def _gradient_normal(surface, x, g, ginv, dg):
     # outward orientation: eta(r) > 0
     sign = np.sign(eta_u[..., surface.normal_axis])
     return eta_d * sign[..., None], deta * sign[..., None, None], eta_u * sign[..., None]
-
-
-def _observer_normal(surface, x, g, ginv, dg):
-    """eta = N^-1 d_t: covector (-N, 0, ...) on static block metrics.
-
-    The lapse is read off the sampler's own g_tt so the normal stays exact
-    for any ambient (including induced cylinder metrics).
-    """
-    n, dn, _ = scalar_taylor(lambda c: np.sqrt(-(surface.ambient.components(c)[0][0])),
-                             x, surface.ambient.dim)
-    shape = np.shape(n)
-    d = surface.ambient.dim
-    eta_d = np.zeros(shape + (d,))
-    eta_d[..., 0] = -n
-    deta = np.zeros(shape + (d, d))
-    deta[..., :, 0] = -dn
-    eta_u = np.einsum("...ab,...b->...a", ginv, eta_d)
-    return eta_d, deta, eta_u
-
-
-def normal_data(surface, x, g, ginv, dg):
-    if surface.normal_kind == "gradient":
-        return _gradient_normal(surface, x, g, ginv, dg)
-    return _observer_normal(surface, x, g, ginv, dg)
 
 
 @dataclass(frozen=True)
@@ -218,10 +175,6 @@ class ShapeData:
     metric_dd: np.ndarray
     normal_d: np.ndarray
     normal_u: np.ndarray
-
-    def recomputed_trace(self):
-        eps = np.asarray(self.frame_signs)
-        return np.einsum("A,...AA->...", eps, self.second_ff)
 
 
 def shape(surface, point):
@@ -277,90 +230,3 @@ def cylinder_sample(surface, n_theta=16, n_phi=32):
     point = (np.zeros_like(theta), theta, phi)
     return shape(surface, point), curvature(surface.induced_sampler(), point).scalar
 
-
-# ---------------------------------------------------------------------------
-# Gauss and Codazzi residuals
-# ---------------------------------------------------------------------------
-
-def gauss_residual(surface, point):
-    """Residual of the contracted Gauss equation at a surface point.
-
-    |R_ambient - 2 tau Ric(eta,eta) - R_induced + tau (tr II)^2 - tau |II|^2|
-    """
-    ys = _asarrays(point)
-    amb = curvature(surface.ambient, surface.embed(ys))
-    ind = curvature(surface.induced_sampler(), ys)
-    sh = shape(surface, ys)
-    ric_nn = np.einsum("...ab,...a,...b->...", amb.ricci_dd, sh.normal_u, sh.normal_u)
-    eps = np.asarray(sh.frame_signs, dtype=float)
-    ii_sq = np.einsum("A,B,...AB,...AB->...", eps, eps, sh.second_ff, sh.second_ff)
-    tau = surface.tau
-    lhs = amb.scalar - 2.0 * tau * ric_nn
-    rhs = ind.scalar - tau * sh.mean_curvature ** 2 + tau * ii_sq
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def codazzi_residual(surface, X, Y, Z, point):
-    """Residual of the Codazzi equation for tangent vectors X, Y, Z.
-
-    |b(Rm(X,Y,eta), Z) - (nabla_X II)(Y,Z) + (nabla_Y II)(X,Z)|
-
-    The surface covariant derivative of II is taken with the induced
-    connection; the II field itself is differentiated by fourth-order
-    finite differences in the surface coordinates (each II sample is
-    autodiff-exact, so the differencing error is far below tol).
-    """
-    ys = _asarrays(point)
-    X, Y, Z = (np.asarray(v, dtype=float) for v in (X, Y, Z))
-    amb = curvature(surface.ambient, surface.embed(ys))
-    sh = shape(surface, ys)
-    g, eta_d, eta_u = sh.metric_dd, sh.normal_d, sh.normal_u
-    for v, name in ((X, "X"), (Y, "Y"), (Z, "Z")):
-        normal_part = np.einsum("...a,...a->...", v, eta_d)
-        vnorm = np.sqrt(np.abs(np.einsum("...ab,...a,...b->...", g, v, v)))
-        if np.any(np.abs(normal_part) > 1e-8 * np.maximum(1.0, vnorm)):
-            raise ValueError(f"{name} is not tangent to the surface")
-
-    lhs = np.einsum("...kijm,k,i,...j,m->...", amb.riemann_dddd, X, Y, eta_u, Z)
-
-    axes = list(surface.tangent_axes)
-    Xs, Ys_, Zs = X[axes], Y[axes], Z[axes]
-    gamma_ind = christoffel(surface.induced_sampler(), ys)
-    ii0 = sh.second_ff_coord
-    dii = np.stack([five_point(lambda y: shape(surface, tuple(y)).second_ff_coord,
-                               ys, c, CODAZZI_FD_STEP)
-                    for c in range(surface.surface_dim)], axis=-3)
-
-    nabla_ii = (dii
-                - np.einsum("...dca,...db->...cab", gamma_ind, ii0)
-                - np.einsum("...dcb,...ad->...cab", gamma_ind, ii0))
-    rhs = (np.einsum("...cab,c,a,b->...", nabla_ii, Xs, Ys_, Zs)
-           - np.einsum("...cab,c,a,b->...", nabla_ii, Ys_, Xs, Zs))
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-# ---------------------------------------------------------------------------
-# Laplacian split across an embedding (tau = +1)
-# ---------------------------------------------------------------------------
-
-def laplacian_split_residual(field, surface, point):
-    """Residual of Lap_ambient f = Lap_surface f + Hess f(eta,eta) + (tr II) eta(f).
-
-    Stated for Riemannian normals only; tau = -1 surfaces are rejected.
-    ``field`` maps ambient coordinates to a scalar and must accept jets.
-    """
-    if surface.tau != +1:
-        raise ValueError("the Laplacian split requires a tau = +1 normal")
-    ys = _asarrays(point)
-    x = surface.embed(ys)
-    lap_amb = laplacian(field, surface.ambient, x)
-    restricted = lambda yy: field(surface.embed(yy))
-    lap_surf = laplacian(restricted, surface.induced_sampler(), ys)
-    sh = shape(surface, ys)
-    eta_u = sh.normal_u
-    hess = hessian(field, surface.ambient, x)
-    hess_nn = np.einsum("...ab,...a,...b->...", hess, eta_u, eta_u)
-    _, df, _ = scalar_taylor(field, x, surface.ambient.dim)
-    eta_f = np.einsum("...a,...a->...", eta_u, df)
-    return float(np.max(np.abs(lap_amb - (lap_surf + hess_nn
-                                          + sh.mean_curvature * eta_f))))

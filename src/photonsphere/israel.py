@@ -27,21 +27,20 @@ single tolerance is meaningful across the whole foliation.
 """
 
 import csv
-import functools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hypersurfaces as hs
 from . import quadrature as quad
-from .calculus import _inverse_metric, curvature, metric_taylor, scalar_taylor
+from .calculus import curvature, scalar_taylor
 from .spacetimes import DomainError
 
 TOL_LVL = 1e-5
 TAIL_RADIUS_FACTOR = 100.0
 RECONSTRUCTION_NODES = 32   # Chebyshev collocation nodes of the rigidity ODE
+RECONSTRUCTION_MAX_RATIO = 1e12   # largest r_max/r0 (or r0/r_max) they resolve
 
 
 class FlatnessError(RuntimeError):
@@ -77,7 +76,6 @@ class LevelSetGeometry:
     nuN: np.ndarray
     tracefree: np.ndarray     # |h_tracefree| at nodes
     gauss_k: np.ndarray
-    resampler: object = field(default=None, repr=False, compare=False)
 
     @property
     def area(self):
@@ -123,13 +121,18 @@ def _solve_radius(profile, n_target, r_lo, r_hi):
     return 0.5 * (a + b)
 
 
-def _leaf_measure(surface, tg, w, coords, g, eta_d, eta_u):
-    """Area element and nu(N) of one leaf on its grid.
+def _level_nodes(spacetime, r_level, n_theta, n_phi):
+    """All leaf fields at the quadrature nodes of one level.
 
     Runs the DN-floor, adapted-form and roundness checks on the same grid.
     """
-    lapse = surface.spacetime.profile.lapse
-    _, dn, _ = scalar_taylor(lambda c: lapse(c[0]), coords, 3)
+    theta, x, phi, w = quad.sphere_grid(n_theta, n_phi)
+    tg, pg = np.meshgrid(theta, phi, indexing="ij", sparse=True)
+    surface = hs.lapse_level_set(spacetime, r_level)
+    sd = hs.shape(surface, (tg, pg))
+    g, eta_d, eta_u = sd.metric_dd, sd.normal_d, sd.normal_u
+    lapse = spacetime.profile.lapse
+    _, dn, _ = scalar_taylor(lambda c: lapse(c[0]), surface.embed((tg, pg)), 3)
     nuN = np.einsum("...a,...a->...", eta_u, dn)
     if np.any(np.abs(nuN) < hs.FOLIATION_DN_FLOOR):
         raise hs.FoliationError(f"foliation failure: |dN| < {hs.FOLIATION_DN_FLOOR} "
@@ -154,17 +157,7 @@ def _leaf_measure(surface, tg, w, coords, g, eta_d, eta_u):
         raise hs.FoliationError("leaf is not a round sphere in this chart "
                                 f"(deviation {roundness:.2e}); general leaves "
                                 "are out of scope")
-    return jac, sqrt_s, nuN
 
-
-def _level_nodes(spacetime, r_level, n_theta, n_phi):
-    """All leaf fields at the quadrature nodes of one level."""
-    theta, x, phi, w = quad.sphere_grid(n_theta, n_phi)
-    tg, pg = np.meshgrid(theta, phi, indexing="ij", sparse=True)
-    surface = hs.lapse_level_set(spacetime, r_level)
-    sd = hs.shape(surface, (tg, pg))
-    jac, sqrt_s, nuN = _leaf_measure(surface, tg, w, surface.embed((tg, pg)),
-                                     sd.metric_dd, sd.normal_d, sd.normal_u)
     gauss_k = 0.5 * curvature(surface.induced_sampler(), (tg, pg)).scalar
     # each field keeps the shape of the coordinates it reads, at least one
     # value per theta row: (n_theta, 1) unless it varies in phi
@@ -172,18 +165,6 @@ def _level_nodes(spacetime, r_level, n_theta, n_phi):
              for f in (jac, sqrt_s, 1.0 / np.abs(nuN), sd.mean_curvature, nuN,
                        sd.tracefree_norm, gauss_k)]
     return (theta, x, phi, w, *map(np.copy, nodes))
-
-
-def _flux_resample(spacetime, r_level, order):
-    """Mass flux of one leaf on a finer grid: only the metric and normal."""
-    theta, _, phi, w = quad.sphere_grid(*order)
-    tg, pg = np.meshgrid(theta, phi, indexing="ij", sparse=True)
-    surface = hs.lapse_level_set(spacetime, r_level)
-    coords = surface.embed((tg, pg))
-    g, dg, _ = metric_taylor(surface.ambient, coords)
-    eta_d, _, eta_u = hs.normal_data(surface, coords, g, _inverse_metric(g), dg)
-    jac, _, nuN = _leaf_measure(surface, tg, w, coords, g, eta_d, eta_u)
-    return float(np.sum(w * jac * nuN) / (4.0 * math.pi))
 
 
 def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
@@ -223,11 +204,9 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
         r_j = _solve_radius(profile, nj, r_prev * (1.0 - 1e-12), tail_radius * 1.01)
         theta, x, phi, w, jac, sqrt_s, rho, h, nuN, tf, gk = _level_nodes(
             spacetime, r_j, n_theta, n_phi)
-
-        resampler = functools.partial(_flux_resample, spacetime, r_j)
         out.append(LevelSetGeometry(j, float(nj), float(r_j), float(dn_ds[j]),
                                     theta, x, phi, w, jac, sqrt_s, rho, h,
-                                    nuN, tf, gk, resampler))
+                                    nuN, tf, gk))
         r_prev = r_j
     return Foliation(tuple(out), float(n0), float(n_end), float(tail_radius),
                      (n_theta, n_phi))
@@ -264,21 +243,9 @@ class Foliation:
 # Mass flux
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MassFlux:
-    mass: float
-    converged: bool
-    refinement_change: float
-
-
-def mass_flux(level, check_convergence=True, tol=TOL_LVL):
+def mass_flux(level):
     """ADM mass as the flux integral (1/4pi) Int nu(N) dmu over a leaf."""
-    m = level.integral(level.nuN) / (4.0 * math.pi)
-    if not check_convergence or level.resampler is None:
-        return MassFlux(m, True, 0.0)
-    n_theta, n_phi = level.weights.shape
-    m2 = level.resampler((2 * n_theta, 2 * n_phi))
-    return MassFlux(m, abs(m2 - m) <= tol, abs(m2 - m))
+    return level.integral(level.nuN) / (4.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +398,6 @@ class InequalitySlacks:
 
     def sup35(self):
         return float(np.max(np.abs(self.slack35)))
-
-    def min_slack(self):
-        return float(min(np.min(self.slack34), np.min(self.slack35)))
 
 
 def inequality_slacks(foliation, lam, mass, terms=None):
@@ -617,6 +581,11 @@ def reconstruct_lapse(mass, n0, r0, r_max=None, n_points=200):
     ``n_points`` radii spaced geometrically over [r0, r_max].  The unknown
     is u - N0^2, which starts at zero, so that the constant solution of
     m = 0 comes out exact.
+
+    The nodes resolve e^{-s} to about 1e-13 only while |log(r_max/r0)| <=
+    log(RECONSTRUCTION_MAX_RATIO), and a wider range raises ValueError.
+    Growing the node count with the range does not help: the barycentric
+    weights scale like (4 / range)^n and leave the float range.
     """
     if not 0.0 < n0 < 1.0:
         raise ValueError(f"N0 = {n0} outside the maximum-principle range (0, 1)")
@@ -626,6 +595,11 @@ def reconstruct_lapse(mass, n0, r0, r_max=None, n_points=200):
         r_max = TAIL_RADIUS_FACTOR * max(abs(mass), r0 / 3.0)
     if r_max == r0:
         raise ValueError("r_max must differ from r0")
+    if abs(math.log(r_max / r0)) > math.log(RECONSTRUCTION_MAX_RATIO):
+        raise ValueError(
+            f"radius ratio r_max/r0 = {r_max / r0:.6g} is outside "
+            f"[{1.0 / RECONSTRUCTION_MAX_RATIO:g}, {RECONSTRUCTION_MAX_RATIO:g}], "
+            f"the range {RECONSTRUCTION_NODES} collocation nodes resolve")
 
     u0 = n0 ** 2
     du0 = 2.0 * mass / r0 ** 2
@@ -693,10 +667,6 @@ class IsraelReport:
     verdict: str          # "isometric" | "not-isometric" | "inconclusive"
     tol: float
 
-    @property
-    def isometric_to_schwarzschild(self):
-        return self.verdict == "isometric"
-
     def to_json_dict(self):
         b = self.boundary
         per_level = []
@@ -736,17 +706,6 @@ class IsraelReport:
             "tolerance": self.tol,
         }
 
-    def write_json(self, path):
-        def default(obj):
-            if isinstance(obj, (np.bool_, np.integer, np.floating)):
-                return obj.item()
-            raise TypeError(f"not JSON serializable: {type(obj)}")
-
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True,
-                      default=default)
-            fh.write("\n")
-
     def write_levels_csv(self, path):
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
@@ -784,8 +743,7 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     foliation = build_foliation(spacetime, n0, levels, quad_order,
                                 tail_radius, r_hint=r_ps)
 
-    fluxes = [mass_flux(lv, check_convergence=(j % 16 == 0)).mass
-              for j, lv in enumerate(foliation.levels)]
+    fluxes = [mass_flux(lv) for lv in foliation.levels]
     mass = fluxes[0]
     bnd = boundary_constraints(spacetime, foliation, mass)
     sign = sign_analysis(foliation, mass, bnd.frak_h, tol)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geodesics, hypersurfaces
 from . import quadrature as quad
-from .calculus import curvature, is_vacuum, metric_taylor
+from .calculus import is_vacuum, metric_taylor
 from .spacetimes import ChartPoint, DomainError
 
 TOL_CERT = 1e-7
@@ -254,53 +254,3 @@ def certificate_to_json(cert, path=None):
             fh.write(text + "\n")
     return text
 
-
-# ---------------------------------------------------------------------------
-# CMC and constant-scalar-curvature checks on certified surfaces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CmcScalarCheck:
-    mean_curvature_sup_dev: float
-    scalar_residual: float
-    warning: str = ""
-
-
-def cmc_scalar_check(spacetime, surface, certificate, n_theta=16, n_phi=32):
-    """Verify CMC and R_p = (2/3) frakH^2 on an umbilic surface in vacuum.
-
-    Precondition: the certificate attests umbilicity.  A non-vacuum
-    ambient downgrades the vacuum value to the general Einstein formula
-    with an estimated Lambda, and flags the result with a warning.
-    """
-    if certificate.umbilicity_sup >= certificate.tol_cert:
-        raise ValueError("cmc_scalar_check requires an umbilic-certified surface")
-    sd, r_p = hypersurfaces.cylinder_sample(surface, n_theta, n_phi)
-    h = sd.mean_curvature
-    h_mean = float(np.mean(h))
-    sup_dev = float(np.max(np.abs(h - h_mean)))
-    rp = float(np.mean(r_p))
-
-    warning = ""
-    if certificate.vacuum:
-        expected = (2.0 / 3.0) * h_mean ** 2
-    else:
-        _, theta, phi = sd.at
-        amb = curvature(surface.ambient, surface.embed((0.0, float(theta[0, 0]),
-                                                        float(phi[0, 0]))))
-        lam_est = float(amb.scalar) / 4.0
-        expected = einstein_scalar_formula(3, surface.tau, lam_est, h_mean)
-        warning = ("ambient is not vacuum; compared against the general "
-                   f"Einstein formula with Lambda ~ {lam_est:.6g}")
-    return CmcScalarCheck(sup_dev, abs(rp - expected), warning)
-
-
-def einstein_scalar_formula(n, tau, lam, h):
-    """Scalar curvature of an umbilic hypersurface of an Einstein manifold.
-
-    R_p = (n + 1 - 2 tau) Lambda + tau (n - 1)/n H^2;  for n = 3, tau = 1,
-    Lambda = 0 this is the photon-surface value (2/3) H^2.
-    """
-    if n < 2:
-        raise ValueError("formula requires hypersurface dimension n >= 2")
-    return (n + 1 - 2 * tau) * lam + tau * (n - 1) / n * h ** 2

@@ -156,23 +156,6 @@ class SchwarzschildProfile(RadialProfile):
         return a, ap, 1.0 / a, -ap / (a * a)
 
 
-@dataclass(frozen=True)
-class CallableProfile(RadialProfile):
-    """Profile from user callables; they must accept jets/arrays."""
-
-    lapse_fn: object
-    radial_factor_fn: object
-    r_min: float = 0.0
-    mass_hint: float = None
-    name: str = "callable"
-
-    def lapse(self, r):
-        return self.lapse_fn(r)
-
-    def radial_factor(self, r):
-        return self.radial_factor_fn(r)
-
-
 # ---------------------------------------------------------------------------
 # Expression profiles: a small arithmetic grammar over the variable r
 # ---------------------------------------------------------------------------
@@ -509,84 +492,3 @@ class StaticSpacetime:
     def lapse_field3(self):
         """The lapse as a scalar field over slice coordinates (r, theta, phi)."""
         return lambda coords: self.profile.lapse(coords[0])
-
-    def metric_at(self, point):
-        """4-metric components at a ChartPoint, with domain validation."""
-        self.profile.check_point(point.r)
-        g = self.metric4.components(point.coords4())
-        out = np.array([[float(value_of(g[i][j])) for j in range(4)] for i in range(4)])
-        if not np.all(np.isfinite(out)):
-            raise DomainError(f"metric evaluation not finite at {point}")
-        return out
-
-
-def schwarzschild_metric(m, point):
-    """Schwarzschild metric components diag(-N^2, N^-2, r^2, r^2 sin^2 theta)."""
-    return StaticSpacetime.schwarzschild(m).metric_at(point)
-
-
-def assemble_static(profile, point):
-    """Block metric -N^2 dt^2 + g_rr dr^2 + r^2 Omega at a chart point."""
-    return StaticSpacetime(profile).metric_at(point)
-
-
-# ---------------------------------------------------------------------------
-# Asymptotic decay fit
-# ---------------------------------------------------------------------------
-
-MACHINE_FLOOR = 1e-13
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Least-squares decay diagnostics of a lapse profile at large radius."""
-
-    mass_estimate: float
-    exponent_lapse: float          # log-log slope of |N - 1|
-    exponent_residual: float       # log-log slope of |N - (1 - m_hat/r)|
-    schwarzschildean: bool         # residual decays at least like r^-2
-    status: str                    # "ok" | "machine-floor" | "fit-unreliable"
-
-
-def _loglog_slope(r, y):
-    mask = y > MACHINE_FLOOR
-    if mask.sum() < 3:
-        return None
-    return float(np.polyfit(np.log(r[mask]), np.log(y[mask]), 1)[0])
-
-
-def asymptotics_fit(profile, r_samples):
-    """Fit the far-field decay of N - 1 and extract the mass parameter.
-
-    The mass estimate comes from a least-squares fit of N - 1 against the
-    basis (1/r, 1/r^2, 1/r^3); the decay exponents from log-log slopes.
-    Requires >= 8 radii spanning at least two decades.
-    """
-    r = np.asarray(r_samples, dtype=float)
-    if len(r) < 8 or np.any(np.diff(r) <= 0):
-        raise ValueError("need >= 8 strictly increasing sample radii")
-    if r[-1] / r[0] < 100.0:
-        raise ValueError("sample radii must span at least two decades")
-    n = np.asarray([float(value_of(profile.lapse(ri))) for ri in r])
-    dev = n - 1.0
-
-    if np.max(np.abs(dev)) <= MACHINE_FLOOR:
-        return DecayReport(0.0, None, None, True, "machine-floor")
-
-    # half-integer powers keep slower-than-Schwarzschildean tails out of the
-    # fitted 1/r coefficient
-    basis = np.stack([r ** p for p in (-1.0, -1.5, -2.0, -2.5, -3.0)], axis=1)
-    coef, *_ = np.linalg.lstsq(basis, dev, rcond=None)
-    m_hat = -float(coef[0])
-
-    abs_dev = np.abs(dev)
-    if not np.all(np.diff(abs_dev) < 0):
-        return DecayReport(m_hat, None, None, False, "fit-unreliable")
-
-    e_lapse = _loglog_slope(r, abs_dev)
-    resid = np.abs(n - (1.0 - m_hat / r))
-    if np.max(resid) <= MACHINE_FLOOR:
-        return DecayReport(m_hat, e_lapse, None, True, "ok")
-    e_resid = _loglog_slope(r, resid)
-    schw = e_resid is not None and e_resid <= -2.0 + 0.1
-    return DecayReport(m_hat, e_lapse, e_resid, schw, "ok")

@@ -1,11 +1,15 @@
-"""Independent symbolic oracles used to freeze expected values.
+"""Independent oracles: symbolic values and finite-difference derivatives.
 
-Everything here goes through sympy's exact arithmetic with its own index
-bookkeeping, deliberately separate from the package's numerics.  The
-frozen constants below were produced by these routines; tests assert
-against the literals and a few cheap tests re-derive them live.
+The symbolic routines go through sympy's exact arithmetic with their own
+index bookkeeping, deliberately separate from the package's numerics.  The
+frozen constants below were produced by them; tests assert against the
+literals and a few cheap tests re-derive them live.  The finite-difference
+Taylor routines stand in for ``calculus.metric_taylor`` and
+``calculus.scalar_taylor`` to cross-check the package's automatic
+differentiation.
 """
 
+import numpy as np
 import sympy as sp
 
 t, r, th, ph, m, q = sp.symbols("t r theta phi m q", positive=True)
@@ -79,3 +83,73 @@ ENERGY_RATIO_10_TO_5 = 1.1547005383792515
 # Impact-parameter extremum of the RN-like profile: r N' = N reduces to
 # r^2 - 3r + 0.2 = 0, giving
 RN_PHOTON_SPHERE_Q01 = 2.9317821063276353  # (3 + sqrt(8.2)) / 2
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference Taylor data (fourth-order five-point central stencils)
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+FD_STEP_FIRST = EPS ** (1.0 / 3.0)   # relative step for first derivatives
+FD_STEP_SECOND = EPS ** (1.0 / 5.0)  # wider step: second derivatives lose h^2
+
+# {offset: weight}, over 12 h^order.
+_STENCILS = {1: {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0},
+             2: {2: -1.0, 1: 16.0, 0: -30.0, -1: 16.0, -2: -1.0}}
+
+
+def five_point(sample, x, axis, step, order=1):
+    """Fourth-order central difference d^order/dx_axis^order of ``sample(x)``.
+
+    ``sample`` maps a list of coordinate arrays to an array whose leading
+    axes broadcast with ``step``; trailing axes (a tensor's indices) are
+    carried through.
+    """
+    acc = 0.0
+    for offset, weight in _STENCILS[order].items():
+        pt = list(x)
+        pt[axis] = pt[axis] + offset * step
+        acc = acc + weight * np.asarray(sample(pt), dtype=float)
+    denom = 12.0 * np.asarray(step, dtype=float) ** order
+    return acc / np.reshape(denom, np.shape(denom) + (1,) * (acc.ndim - denom.ndim))
+
+
+def _fd_taylor(sample, coords, tail_ndim):
+    """Value, gradient and Hessian of ``sample`` by five-point stencils.
+
+    Derivative indices are inserted before the ``tail_ndim`` trailing
+    (tensor) axes of the sample.
+    """
+    x = [np.asarray(c, dtype=float) for c in coords]
+    d = len(x)
+    h1 = [FD_STEP_FIRST * np.maximum(1.0, np.abs(xi)) for xi in x]
+    h2 = [FD_STEP_SECOND * np.maximum(1.0, np.abs(xi)) for xi in x]
+    axis = -1 - tail_ndim
+    df = np.stack([five_point(sample, x, a, h1[a]) for a in range(d)], axis=axis)
+    rows = [[None] * d for _ in range(d)]
+    for a in range(d):
+        rows[a][a] = five_point(sample, x, a, h2[a], order=2)
+        for b in range(a + 1, d):
+            rows[a][b] = rows[b][a] = five_point(
+                lambda y, b=b: five_point(sample, y, b, h2[b]), x, a, h2[a])
+    ddf = np.stack([np.stack(row, axis=axis) for row in rows], axis=axis - 1)
+    return np.asarray(sample(x), dtype=float), df, ddf
+
+
+def _sample_matrix(sampler, coords):
+    d = sampler.dim
+    comp = sampler.components(list(coords))
+    vals = [[np.asarray(comp[b][c], dtype=float) for c in range(d)] for b in range(d)]
+    shape = np.broadcast_shapes(*(np.shape(v) for row in vals for v in row))
+    return np.stack([np.stack([np.broadcast_to(v, shape)
+                               for v in row], axis=-1) for row in vals], axis=-2)
+
+
+def fd_metric_taylor(sampler, coords):
+    """``calculus.metric_taylor`` by finite differences: (g, dg, ddg)."""
+    return _fd_taylor(lambda pt: _sample_matrix(sampler, pt), coords, 2)
+
+
+def fd_scalar_taylor(field, coords, dim):
+    """``calculus.scalar_taylor`` by finite differences: (f, df, ddf)."""
+    return _fd_taylor(field, list(coords)[:dim], 0)

@@ -121,13 +121,11 @@ def test_criterion_4_vacuum_verification():
 def test_criterion_5_mass_flux(m1_report):
     rep, _ = m1_report
     idx = np.linspace(0, len(rep.foliation.levels) - 1, 10).astype(int)
-    flux1 = [isr.mass_flux(rep.foliation.levels[j],
-                           check_convergence=False).mass for j in idx]
+    flux1 = [isr.mass_flux(rep.foliation.levels[j]) for j in idx]
     st2 = StaticSpacetime.schwarzschild(2.0)
     fol2 = isr.build_foliation(st2, N0, levels=10, quad_order=(32, 64),
                                r_hint=6.0, tail_radius=200.0)
-    flux2 = [isr.mass_flux(lv, check_convergence=False).mass
-             for lv in fol2.levels]
+    flux2 = [isr.mass_flux(lv) for lv in fol2.levels]
     err1 = max(abs(f - 1.0) for f in flux1)
     err2 = max(abs(f - 2.0) for f in flux2)
     spread = max(max(flux1) - min(flux1), max(flux2) - min(flux2))

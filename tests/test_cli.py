@@ -182,6 +182,20 @@ class TestExitCodes:
         rep = json.loads((out / "israel_report.json").read_text())
         assert rep["verdict"] == "isometric"
 
+    def test_reconstruct_past_the_collocation_range_is_a_named_error(
+            self, tmp_path, capsys):
+        # r_max/r0 = 1e16/3 is beyond the 1e12 that the rigidity ODE's
+        # collocation nodes resolve
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "reconstruct", "tail_radius": 1e16,
+            "profile": {"kind": "schwarzschild", "m": 1}}))
+        out = tmp_path / "o"
+        assert run(["reconstruct", "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        assert "radius ratio r_max/r0 = 3.33333e+15" in capsys.readouterr().err
+        assert not (out / "reconstruction.json").exists()
+
     def test_singular_metric_is_a_named_error(self, tmp_path, capsys):
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({

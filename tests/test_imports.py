@@ -3,8 +3,9 @@
 Layers, lowest first: jets -> spacetimes -> calculus -> hypersurfaces ->
 geodesics / photon -> israel -> cli.  A module may import only modules
 of lower layers; quadrature imports nothing from the package and may be
-imported by anyone.  No function imports anything.  The only runtime
-dependency is numpy: the pipelines that used to need scipy (table
+imported by anyone.  No function imports anything, and every public
+definition is used by the package or the acceptance suite.  The only
+runtime dependency is numpy: the pipelines that used to need scipy (table
 profiles and the lapse reconstruction) must run without loading it.
 """
 
@@ -57,6 +58,42 @@ def test_module_imports_follow_layers(path):
     rank = LAYERS.index(path.stem)
     for name in imported - {"quadrature"}:
         assert LAYERS.index(name) < rank, f"{path.stem} imports {name}"
+
+
+def _names_used(tree, skip=None):
+    """Every ast.Name id and ast.Attribute attr in ``tree``, leaving out the
+    subtree ``skip``."""
+    used, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_every_public_definition_is_reached():
+    """Each public module-level function and class is named somewhere in the
+    package outside its own definition and the re-exports of __init__.py,
+    or in the acceptance suite.  Code that only unit tests reach does not
+    belong in the package."""
+    trees = {path.stem: _tree(path) for path in MODULES}
+    acceptance = _tree(pathlib.Path(__file__).with_name("test_acceptance.py"))
+    elsewhere = {stem: _names_used(tree) for stem, tree in trees.items()}
+    unreached = []
+    for stem, tree in trees.items():
+        others = set().union(*(used for other, used in elsewhere.items()
+                               if other != stem), _names_used(acceptance))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in others | _names_used(tree, skip=node)):
+                unreached.append(f"{stem}.{node.name}")
+    assert not unreached, f"defined but never used: {unreached}"
 
 
 # Three pipelines in one fresh interpreter: a table profile through `full`,

@@ -11,16 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonsphere import cli
+from photonsphere.calculus import metric_taylor
 from photonsphere.spacetimes import (ChartPoint, DomainError,
                                      ExpressionProfile, SchwarzschildProfile,
                                      StaticSpacetime, TableProfile,
-                                     _CubicSpline, assemble_static,
-                                     asymptotics_fit, compile_expression,
-                                     load_profile, schwarzschild_metric)
+                                     _CubicSpline, compile_expression,
+                                     load_profile)
+
+
+def metric4_at(m, point):
+    return metric_taylor(StaticSpacetime.schwarzschild(m).metric4, point.coords4())[0]
 
 
 def test_schwarzschild_components_at_r3():
-    g = schwarzschild_metric(1.0, ChartPoint(r=3.0, theta=1.0))
+    g = metric4_at(1.0, ChartPoint(r=3.0, theta=1.0))
     assert np.isclose(g[0, 0], -1.0 / 3.0)
     assert np.isclose(g[1, 1], 3.0)
     assert np.isclose(g[2, 2], 9.0)
@@ -29,13 +33,13 @@ def test_schwarzschild_components_at_r3():
 
 
 def test_minkowski_limit():
-    g = schwarzschild_metric(0.0, ChartPoint(r=5.0, theta=0.7))
+    g = metric4_at(0.0, ChartPoint(r=5.0, theta=0.7))
     assert np.isclose(g[0, 0], -1.0) and np.isclose(g[1, 1], 1.0)
 
 
 def test_horizon_edge_rejected():
     with pytest.raises(DomainError):
-        schwarzschild_metric(1.0, ChartPoint(r=2.0 + 1e-12, theta=1.0))
+        SchwarzschildProfile(1.0).check_point(2.0 + 1e-12)
 
 
 def test_chart_point_invariants():
@@ -47,24 +51,6 @@ def test_chart_point_invariants():
         ChartPoint(r=1.0, theta=math.pi)
 
 
-def test_assemble_matches_schwarzschild_bitwise():
-    p = ChartPoint(r=7.3, theta=0.9, phi=2.2)
-    assert np.array_equal(assemble_static(SchwarzschildProfile(1.0), p),
-                          schwarzschild_metric(1.0, p))
-
-
-def test_assemble_agreement_at_random_points():
-    rng = np.random.default_rng(5)
-    prof = SchwarzschildProfile(1.0)
-    st = StaticSpacetime(prof)
-    for _ in range(1000):
-        p = ChartPoint(r=rng.uniform(2.2, 80.0), theta=rng.uniform(0.1, 3.0),
-                       phi=rng.uniform(0, 2 * math.pi))
-        a = schwarzschild_metric(1.0, p)
-        b = st.metric_at(p)
-        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
-
-
 def test_signature_one_negative_three_positive():
     rng = np.random.default_rng(9)
     rn = ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)",
@@ -74,7 +60,7 @@ def test_signature_one_negative_three_positive():
         for _ in range(50):
             p = ChartPoint(r=rng.uniform(2.2, 50.0),
                            theta=rng.uniform(0.2, 2.9))
-            w = np.linalg.eigvalsh(st.metric_at(p))
+            w = np.linalg.eigvalsh(metric_taylor(st.metric4, p.coords4())[0])
             assert np.sum(w < 0) == 1 and np.sum(w > 0) == 3
 
 
@@ -330,39 +316,3 @@ class TestProfileSpecFuzz:
             load_profile(spec)
         except ValueError:
             pass
-
-
-class TestAsymptoticsFit:
-    def test_schwarzschild_mass_and_decay(self):
-        rep = asymptotics_fit(SchwarzschildProfile(1.0),
-                              np.geomspace(1e2, 1e6, 16))
-        assert abs(rep.mass_estimate - 1.0) < 1e-6
-        assert rep.exponent_residual <= -1.9
-        assert rep.schwarzschildean
-
-    def test_flat_profile_reports_machine_floor(self):
-        rep = asymptotics_fit(SchwarzschildProfile(0.0),
-                              np.geomspace(1e2, 1e6, 16))
-        assert rep.status == "machine-floor" and rep.mass_estimate == 0.0
-
-    def test_slow_decay_flagged(self):
-        prof = ExpressionProfile("1 - 1/r + 0.3/r^1.5", "1", r_min=2.0)
-        rep = asymptotics_fit(prof, np.geomspace(1e2, 1e6, 16))
-        assert abs(rep.exponent_residual + 1.5) < 0.1
-        assert not rep.schwarzschildean
-
-    def test_nonmonotone_residuals_unreliable(self):
-        from photonsphere.spacetimes import CallableProfile
-        prof = CallableProfile(
-            lambda r: 1 - (1 + 0.9 * np.sin(np.log(r))) / r,
-            lambda r: 1.0 + 0.0 * r, r_min=2.0)
-        rep = asymptotics_fit(prof, np.geomspace(1e2, 1e6, 32))
-        assert rep.status == "fit-unreliable"
-        assert rep.exponent_lapse is None
-
-    def test_input_validation(self):
-        prof = SchwarzschildProfile(1.0)
-        with pytest.raises(ValueError):
-            asymptotics_fit(prof, np.geomspace(100, 200, 16))  # < 2 decades
-        with pytest.raises(ValueError):
-            asymptotics_fit(prof, np.geomspace(100, 1e5, 6))   # < 8 samples
