@@ -187,7 +187,7 @@ def curvature(sampler, point):
 # Scalar fields: covariant Hessian
 # ---------------------------------------------------------------------------
 
-def scalar_taylor(field, coords, dim):
+def scalar_taylor(field, coords):
     """Value, gradient and coordinate Hessian of a scalar field."""
     xs = jets.variables(list(coords), order=2)
     f = jets.lift(field(xs), xs[0])
@@ -197,7 +197,7 @@ def scalar_taylor(field, coords, dim):
 def hessian(field, sampler, point):
     """Covariant Hessian (nabla^2 f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
     coords = _coords_of(point)
-    _, df, ddf = scalar_taylor(field, coords, sampler.dim)
+    _, df, ddf = scalar_taylor(field, coords)
     gamma = christoffel(sampler, coords)
     return ddf - np.einsum("...kij,...k->...ij", gamma, df)
 

@@ -1,5 +1,12 @@
 """Null geodesic integration in static radial spacetimes.
 
+Every profile is static and spherically symmetric, so a geodesic stays in
+the plane through the centre that holds its initial position and velocity
+(Misner, Thorne & Wheeler, Gravitation, 1973, section 25.6).  It is
+integrated there as the state (t, r, psi, vt, vr, vpsi) of the metric
+-A dt^2 + B dr^2 + r^2 dpsi^2, psi the angle from the start; the plane has
+no pole.  Only ``integrate_null`` rotates its samples into (theta, phi).
+
 The geodesic equation is integrated with DOP853, the explicit Runge-Kutta
 pair of order 8 with embedded error estimates of orders 5 and 3 (Hairer,
 Norsett & Wanner, Solving Ordinary Differential Equations I, 2nd ed.,
@@ -13,26 +20,23 @@ The observed energy E = g(v, N^-1 d_t) = -N tdot is recorded along the
 way; the combination E*N is the conserved constant of the t-equation and
 is what the constancy checks monitor.
 
-One stepping loop serves every caller.  It advances a batch of
-trajectories held as the columns of an (8, S) array; each keeps its own
-affine parameter, step size, step counts, Kahan compensation and
-termination status, and leaves the batch when it ends.  ``integrate_null``
-is a batch of one; ``tangency_persistence`` runs all its seeds at once.
-
-Reproducibility: each column is bit-identical to the same state
-integrated alone, whatever the batch around it, so a rerun reproduces its
-outputs byte for byte.  Every operation of a step is elementwise over the
-columns; the sums over stages and over the 8 components of the error norm
-are added left to right from 0.0 (numpy's reductions add pairwise, and in
-a different order for a single column than for several).  Where a profile
-evaluation fails, the batch sees a non-finite entry and shrinks that
-column's step alone.
-
-This rests on the profiles' shape independence, which the tests check
-for every profile kind: each entry of ``metric_factors_d1`` or
-``lapse_d1`` on an array of radii equals, bit for bit, the result for
-that radius as a float, and an entry that is not real, not finite or
-outside a table comes back non-finite instead of raising.
+One stepping loop advances a batch of trajectories held as the columns
+of a (6, S) array: ``integrate_null`` is a batch of one, and
+``tangency_persistence`` runs all its seeds at once.  Each column is
+bit-identical to the same state integrated alone, so a rerun reproduces
+its outputs byte for byte.  Every operation of a step is elementwise over
+the columns; the sums over stages and over the 6 components of the error
+norm are added left to right from 0.0 (numpy's reductions add pairwise,
+and in a different order for a single column than for several).  Where a
+profile evaluation fails, the batch sees a non-finite entry and shrinks
+that column's step alone.  This rests on the profiles' shape
+independence, which the tests check for every profile kind: each entry
+of ``metric_factors_d1`` or ``lapse_d1`` on an array of radii equals, bit
+for bit, the result for that radius as a float, and an entry that is not
+real, not finite or outside a table comes back non-finite instead of
+raising.  The tests compare each run with a scalar DOP853 loop in the
+(theta, phi) chart: the same status, and a completed run's end row to
+1e-6, angles modulo 2 pi.
 """
 
 import math
@@ -45,13 +49,12 @@ from .spacetimes import ChartPoint
 INTEGRATOR = "DOP853"       # the name reports give the stepping method
 TOL_NULL = 1e-9
 DEFAULT_TOL = 1e-11
-THETA_GUARD = 1e-7          # terminate before the chart degenerates at poles
-# Stop this close (relative) to the domain edge.  Near a horizon r_min the
-# metric factor 1 - r_min/r is known only to a relative eps / (r/r_min - 1),
-# which the step control at TANGENCY_TOL cannot absorb below r/r_min - 1
-# of about 4e-6: with the guard at 1e-6, a seed falling from r = 2.5m
-# crawls there in steps near 1e-10 and needs about 580,000 steps to reach
-# the guard; at 1e-5 it needs under 500.
+# Stop this close (relative) to r_min, and where A = N^2 falls to this
+# value.  Near a horizon r_min the metric factor 1 - r_min/r is known only
+# to a relative eps / (r/r_min - 1), which the step control at TANGENCY_TOL
+# cannot absorb below r/r_min - 1 of about 4e-6: with the guard at 1e-6, a
+# seed falling from r = 2.5m crawls there in steps near 1e-10 and needs
+# about 580,000 steps to reach the guard; at 1e-5 it needs under 500.
 DOMAIN_GUARD_RTOL = 1e-5
 MAX_STEPS = 2_000_000       # attempted steps before a trajectory is "stiff"
 
@@ -113,7 +116,7 @@ _E3 = tuple(b - bhh for b, bhh in zip(_B, (
     0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     0.733846688281611857341361741547, 0.0, 0.0,
     0.220588235294117647058823529412e-1)))
-# the same weights as columns that broadcast over a (stage, 8, S) stack
+# the same weights as columns that broadcast over a (stage, 6, S) stack
 _A_COLS = tuple(np.reshape(row, (-1, 1, 1)) for row in _A)
 _B_COL, _E5_COL, _E3_COL = (np.reshape(w, (-1, 1, 1)) for w in (_B, _E5, _E3))
 
@@ -126,15 +129,12 @@ class GeodesicState:
     velocity: tuple
     affine: float = 0.0
 
-    def as_array(self):
-        return np.array(self.position.coords4() + tuple(self.velocity))
-
 
 @dataclass(frozen=True)
 class RunSummary:
     """How one trajectory of a batch ended and what its stepping cost."""
 
-    status: str            # "completed" | "domain-exit" | "stiff" | "pole"
+    status: str            # "completed" | "domain-exit" | "stiff"
     reason: str
     accepted_steps: int
     rejected_steps: int    # error-norm rejections and failed evaluations
@@ -147,9 +147,8 @@ class GeodesicTrajectory:
 
     ``samples`` has one row per accepted step: (lambda, t, r, theta, phi,
     vt, vr, vtheta, vphi).  ``energies`` holds E = -N tdot per sample,
-    ``null_residuals`` the pre-projection constraint |g(v,v)| and ``lapse``
-    N per sample.  ``run`` records how the trajectory ended and its step
-    counts.
+    ``null_residuals`` the pre-projection constraint |g(v,v)|, ``lapse`` N,
+    and ``run`` how the trajectory ended and its step counts.
     """
 
     samples: np.ndarray
@@ -184,50 +183,78 @@ class GeodesicTrajectory:
         return float(np.max(np.abs(en - en[0])))
 
 
-def _rhs(profile, y):
-    """Geodesic right-hand side for -A dt^2 + B dr^2 + r^2 Omega.
+def _into_plane(state):
+    """The orbit-plane basis (theta, phi, cos b, sin b) of a chart state and
+    its in-plane state (t, r, 0, vt, vr, hypot(vtheta, sin(theta) vphi)).
 
-    ``y`` holds one state per column; each column is computed as the same
-    expression on floats would compute it.
+    The plane holds n, the unit vector to the start, and e, the unit vector
+    along the initial angular velocity (e_theta for a radial ray), which is
+    cos(b) e_theta + sin(b) e_phi; psi is the angle from n towards e.
     """
-    t, r, th, ph, vt, vr, vth, vph = y
+    t, r, th, ph = state.position.coords4()
+    vt, vr, vth, vph = state.velocity
+    sv = math.sin(th) * vph
+    vpsi = math.hypot(vth, sv)
+    cb, sb = (vth / vpsi, sv / vpsi) if vpsi > 0.0 else (1.0, 0.0)
+    return (th, ph, cb, sb), (t, r, 0.0, vt, vr, vpsi)
+
+
+def _to_chart(basis, rows):
+    """Chart rows (lambda, t, r, theta, phi, vt, vr, vtheta, vphi) of one
+    trajectory's in-plane rows (lambda, t, r, psi, vt, vr, vpsi).
+
+    p = cos(psi) n + sin(psi) e and its rate are taken on the polar axis z
+    and the horizontal axes x and y along n and e_phi at the start; phi is
+    continued from its starting value.
+    """
+    th0, ph0, cb, sb = basis
+    s0, c0 = math.sin(th0), math.cos(th0)
+    lam, t, r, psi, vt, vr, vpsi = rows.T
+    cp, sp = np.cos(psi), np.sin(psi)
+    x, y, z = cp * s0 + sp * cb * c0, sp * sb, cp * c0 - sp * cb * s0
+    dx, dy = vpsi * (cp * cb * c0 - sp * s0), vpsi * cp * sb
+    dz = -vpsi * (sp * c0 + cp * cb * s0)
+    rho = np.hypot(x, y)
+    vth = z * (x * dx + y * dy) / rho - rho * dz
+    return np.column_stack((lam, t, r, np.arctan2(rho, z),
+                            ph0 + np.unwrap(np.arctan2(y, x)), vt, vr, vth,
+                            (x * dy - y * dx) / (rho * rho)))
+
+
+def _rhs(profile, y):
+    """Geodesic right-hand side for -A dt^2 + B dr^2 + r^2 dpsi^2.
+
+    ``y`` holds one in-plane state per column; each column is computed as
+    the same expression on floats would compute it.
+    """
+    t, r, psi, vt, vr, vpsi = y
     a, ap, b, bp = profile.metric_factors_d1(r)
-    sth = np.sin(th)
-    cth = np.cos(th)
-    rvr = vr / r
     at = -(ap / a) * vt * vr
     ar = (-0.5 * ap / b * vt * vt - 0.5 * bp / b * vr * vr
-          + (r / b) * (vth * vth + sth * sth * vph * vph))
-    m2rvr = -2.0 * rvr
-    ath = m2rvr * vth + sth * cth * vph * vph
-    aph = m2rvr * vph - 2.0 * (cth / sth) * vth * vph
-    return np.array((vt, vr, vth, vph, at, ar, ath, aph))
+          + (r / b) * (vpsi * vpsi))
+    apsi = -2.0 * (vr / r) * vpsi
+    return np.array((vt, vr, vpsi, at, ar, apsi))
 
 
 def null_project(profile, y, prev_vt_sign=1.0):
     """Re-solve tdot from g(v,v) = 0, keeping the spatial direction.
 
-    Returns the projected state and the pre-projection constraint value,
-    per column of ``y``; a column with no real null direction gets a nan
-    tdot.
+    Returns the projected in-plane states, the pre-projection constraint
+    value and A = N^2, per column of ``y``; a column with no real null
+    direction gets a nan tdot.
     """
-    t, r, th, ph, vt, vr, vth, vph = y
+    t, r, psi, vt, vr, vpsi = y
     a, _, b, _ = profile.metric_factors_d1(r)
-    sth = np.sin(th)
-    spatial = b * vr * vr + r * r * (vth * vth + sth * sth * vph * vph)
+    spatial = b * vr * vr + r * r * (vpsi * vpsi)
     residual = -a * vt * vt + spatial
     sign = np.where(vt != 0.0, np.copysign(1.0, vt), prev_vt_sign)
     vt_new = sign * np.sqrt(spatial / a)
-    return np.array((t, r, th, ph, vt_new, vr, vth, vph)), residual
+    return np.array((t, r, psi, vt_new, vr, vpsi)), residual, a
 
 
 def _stage_sum(coefs, k):
-    """sum_m coefs[m] k[m] over the leading axis of k.
-
-    The terms are added left to right from 0.0, so that a column's sum
-    does not depend on how many columns there are (numpy's reductions may
-    add pairwise).
-    """
+    """sum_m coefs[m] k[m] over the leading axis of k, added left to right
+    from 0.0 so that a column's sum does not depend on the batch."""
     terms = coefs * k
     acc = 0.0 + terms[0]
     for term in terms[1:]:
@@ -242,8 +269,8 @@ def _dop853_step(profile, y, h, f, atol, rtol):
     the mask of columns at which a stage was not real or not finite; their
     increment and error norm are 0.  The norm is Hairer's combination of
     the fifth- and third-order estimates e5 and e3, each scaled by
-    atol + rtol max(|y|, |y + increment|) and summed over the 8 components:
-    |e5|^2 / sqrt(8 (|e5|^2 + 0.01 |e3|^2)), or 0 where that is 0 / 0.
+    atol + rtol max(|y|, |y + increment|) and summed over the 6 components:
+    |e5|^2 / sqrt(6 (|e5|^2 + 0.01 |e3|^2)), or 0 where that is 0 / 0.
     """
     k = np.empty((12,) + y.shape)
     k[0] = f
@@ -257,41 +284,40 @@ def _dop853_step(profile, y, h, f, atol, rtol):
     e5 = h * _stage_sum(_E5_COL, k) / scale
     e3 = h * _stage_sum(_E3_COL, k) / scale
     e5_sq = _stage_sum(e5, e5)
-    denom = np.sqrt(8.0 * (e5_sq + 0.01 * _stage_sum(e3, e3)))
+    denom = np.sqrt(6.0 * (e5_sq + 0.01 * _stage_sum(e3, e3)))
     return incr, np.where(denom == 0.0, 0.0, e5_sq / denom), bad
 
 
 def _integrate_batch(profile, states, span, tol, max_steps, on_accept):
     """Integrate null states over [0, span] with one DOP853 loop.
 
-    Each state is a column of an (8, S) array with its own affine
-    parameter, step size, accepted-step count, Kahan compensation and
-    termination status; a column leaves the batch when its trajectory
-    ends.  Every column steps exactly as it would alone.  A step is
-    accepted where its error norm is at most 1, and the next step is
-    scaled by 0.9 norm^(-1/8), clipped to [0.2, 5].  A stage at which the
-    profile is not real or not finite shrinks that column's step by 4; a
-    column whose step underflows after such a failure, with no step
-    accepted since, ends in "domain-exit".
+    Each state becomes a column of a (6, S) array of in-plane states, with
+    its own affine parameter, step size, step counts and status; it leaves
+    the batch when it ends, and steps exactly as it would alone.  A step is
+    accepted where its error norm is at most 1, and the next step is scaled
+    by 0.9 norm^(-1/8), clipped to [0.2, 5].  A stage at which the profile
+    is not real or not finite shrinks that column's step by 4.  A column
+    ends in "domain-exit" when an accepted step has r within a relative
+    DOMAIN_GUARD_RTOL of r_min or A = N^2 <= DOMAIN_GUARD_RTOL, or when its
+    step underflows after a failed stage with no step accepted since.
 
     ``on_accept(seeds, lam, y, residual)`` is called with the projected
-    initial states and then after every accepted step, with the indices
-    (into ``states``) of the columns that took it, their affine
-    parameters, projected states and pre-projection |g(v, v)|.  Returns
-    one RunSummary per state.  Raises ValueError unless ``span`` is finite
-    and positive.
+    initial states and after every accepted step, with the indices (into
+    ``states``) of the columns that took it, their affine parameters,
+    in-plane states and pre-projection |g(v, v)|.  Returns one RunSummary
+    per state; raises ValueError unless ``span`` is finite and positive.
     """
     if not (math.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and positive, got {span!r}")
-    y0 = np.array([s.as_array() for s in states], dtype=float).reshape(-1, 8).T
+    y0 = np.array([_into_plane(s)[1] for s in states], dtype=float).reshape(-1, 6).T
     n = y0.shape[1]
     with np.errstate(all="ignore"):
-        y, res0 = null_project(profile, y0)
-    vscale = np.max(np.abs(y0[4:]), axis=0, initial=0.0)
+        y, res0, _ = null_project(profile, y0)
+    vscale = np.max(np.abs(y0[3:]), axis=0, initial=0.0)
     vscale[vscale == 0.0] = 1.0
     for j, r in enumerate(y0[1].tolist()):
         profile.check_point(r)
-        moved = abs(y[4, j] - y0[4, j])
+        moved = abs(y[3, j] - y0[3, j])
         if not math.isfinite(moved):
             raise ValueError(f"no real null direction at r = {r:.6g}")
         if moved > math.sqrt(TOL_NULL) * vscale[j]:
@@ -310,76 +336,57 @@ def _integrate_batch(profile, states, span, tol, max_steps, on_accept):
     step = 0                     # attempted steps, the same for every live column
     taken = np.zeros(n, dtype=int)
     h_min = np.full(n, math.inf)
-    comp = np.zeros((8, n))      # Kahan compensation: unstable orbits amplify roundoff
-    halted = np.zeros(n, dtype=bool)
-    status = {}                  # column -> (status, reason) for halted columns
+    halted = np.zeros(n, dtype=bool)   # reached the domain edge
     with np.errstate(all="ignore"):
         f = _rhs(profile, y)
         # a profile value failed since the column's last accepted step
         failed = ~np.isfinite(f).all(axis=0)
-        d0 = np.max(np.abs(y), axis=0, initial=0.0)
-        d1 = np.max(np.abs(f), axis=0, initial=0.0)
-        d0[d0 == 0.0] = 1.0
-        d1[d1 == 0.0] = 1.0
-        h = 0.01 * d0 / d1
+        d0, d1 = (np.max(np.abs(v), axis=0, initial=0.0) for v in (y, f))
+        h = 0.01 * np.where(d0 == 0.0, 1.0, d0) / np.where(d1 == 0.0, 1.0, d1)
         h = np.where(span < h, span, h)
         while live.size:
             # the checks that open a step, in order
-            done = halted | ~(lam < span)
             over = step >= max_steps
             h = np.where(span - lam < h, span - lam, h)
-            out = done | over | ~(h >= h_floor)
+            out = halted | ~(lam < span) | over | ~(h >= h_floor)
             if np.count_nonzero(out):
                 for j in np.flatnonzero(out).tolist():
-                    if done[j]:
-                        pass          # completed, or halted with its status
+                    if halted[j]:
+                        end = ("domain-exit", f"domain edge at r = {y[1, j]:.6g}")
+                    elif not lam[j] < span:
+                        end = ("completed", "")
                     elif over:
-                        status[j] = ("stiff", "max step count reached")
+                        end = ("stiff", "max step count reached")
                     elif failed[j]:
-                        status[j] = ("domain-exit", "profile not real or finite "
-                                     f"near r = {y[1, j]:.6g}")
+                        end = ("domain-exit", "profile not real or finite "
+                               f"near r = {y[1, j]:.6g}")
                     else:
-                        status[j] = ("stiff", "step size underflow")
-                    end_min = float(h_min[j]) if taken[j] else None
+                        end = ("stiff", "step size underflow")
                     ends[live[j]] = RunSummary(
-                        *status.get(j, ("completed", "")), int(taken[j]),
-                        step - int(taken[j]), end_min)
+                        *end, int(taken[j]), step - int(taken[j]),
+                        float(h_min[j]) if taken[j] else None)
                 keep = ~out
-                live, lam, h, taken, h_min, failed = (
-                    v[keep] for v in (live, lam, h, taken, h_min, failed))
-                y, f, comp = y[:, keep], f[:, keep], comp[:, keep]
-                halted = np.zeros(live.size, dtype=bool)
-                status = {}
+                live, lam, h, taken, h_min, failed, halted = (
+                    v[keep] for v in (live, lam, h, taken, h_min, failed, halted))
+                y, f = y[:, keep], f[:, keep]
                 if not live.size:
                     break
 
             incr, enorm, bad = _dop853_step(profile, y, h, f, atol, rtol)
             ok = ~bad & (enorm <= 1.0)
             if np.count_nonzero(ok):
-                dy = incr + comp
-                t = y + dy
-                y_proj, resid = null_project(profile, t, np.copysign(1.0, t[4]))
-                lost = ok & ~np.isfinite(y_proj[4])  # no real null direction
+                trial = y + incr
+                y_proj, resid, a = null_project(profile, trial, np.copysign(1.0, trial[3]))
+                lost = ok & ~np.isfinite(y_proj[3])  # no real null direction
                 bad |= lost
                 ok &= ~lost
-                comp_new = dy - (t - y)
-                comp_new[4] = 0.0                    # tdot replaced by the projection
                 lam = np.where(ok, lam + h, lam)
                 y = np.where(ok, y_proj, y)
-                comp = np.where(ok, comp_new, comp)
                 taken += ok
                 h_min = np.where(ok & (h < h_min), h, h_min)
                 acc = np.flatnonzero(ok)
                 on_accept(live[acc], lam[acc], y[:, acc], np.abs(resid[acc]))
-                exits = ok & (y[1] <= r_exit)
-                th_mod = y[2] % math.pi
-                halted = exits | ok & (np.minimum(th_mod, math.pi - th_mod)
-                                       < THETA_GUARD)
-                if np.count_nonzero(halted):
-                    for j in np.flatnonzero(halted).tolist():
-                        status[j] = (("domain-exit", f"r reached {y[1, j]:.6g}")
-                                     if exits[j] else
-                                     ("pole", f"theta reached {y[2, j]:.6g}"))
+                halted = ok & ((y[1] <= r_exit) | (a <= DOMAIN_GUARD_RTOL))
                 f = np.where(ok, _rhs(profile, y), f)
             step += 1
             failed = (failed | bad) & ~ok
@@ -397,9 +404,9 @@ def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=MAX_STEP
 
     The initial velocity is projected onto the null cone (rejected if the
     projection moves it by more than sqrt(tol_null) relative).  Terminates
-    early with a descriptive status when the domain boundary or a pole is
-    approached, when the profile stops being real or finite, or when the
-    adaptive step underflows.
+    early with a descriptive status when the domain edge is approached,
+    when the profile stops being real or finite, or when the adaptive step
+    underflows.  The in-plane samples are rotated back into the chart.
     """
     profile = spacetime.profile
     rows, residuals = [], []
@@ -409,7 +416,7 @@ def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=MAX_STEP
         residuals.append(residual[0])
 
     (run,) = _integrate_batch(profile, [initial], span, tol, max_steps, record)
-    samples = np.array(rows)
+    samples = _to_chart(_into_plane(initial)[0], np.array(rows))
     lapse = np.asarray(profile.lapse_d1(samples[:, 2])[0], dtype=float)
     return GeodesicTrajectory(samples, -lapse * samples[:, 5],
                               np.array(residuals), lapse, run)
@@ -422,13 +429,13 @@ def null_state(spacetime, position, spatial_velocity, time_sign=1.0,
     The time component is solved from g(v, v) = 0 with the requested sign.
     """
     vr, vth, vph = spatial_velocity
-    y = np.array(position.coords4() + (0.0, vr, vth, vph), dtype=float)
+    _, y = _into_plane(GeodesicState(position, (0.0, vr, vth, vph)))
     with np.errstate(all="ignore"):
-        y, _ = null_project(spacetime.profile, y[:, None], prev_vt_sign=time_sign)
-    vt = float(y[4, 0])
+        y, _, _ = null_project(spacetime.profile, np.array(y)[:, None],
+                               prev_vt_sign=time_sign)
+    vt = float(y[3, 0])
     if not math.isfinite(vt):
         raise ValueError(f"no real null direction at r = {position.r:.6g}")
-    vt = math.copysign(vt, time_sign)
     return GeodesicState(position, (vt, vr, vth, vph), affine)
 
 
@@ -458,29 +465,27 @@ def energy_constancy_verdict(trajectory, tol=TOL_NULL):
 # Tangency persistence (the defining property of photon surfaces)
 # ---------------------------------------------------------------------------
 
-def tangent_null_seeds(spacetime, r0, count, rng_seed, theta_band=(0.3, 0.7)):
+def tangent_null_seeds(spacetime, r0, count, rng_seed):
     """Null directions tangent to the cylinder {r = r0}.
 
-    Base points are drawn from a seeded RNG (theta inside the given band
-    of pi to keep pole passages mild); direction angles sit on a uniform
-    grid offset by half a step for an even count and a quarter step for an
-    odd one, so no angle is 0 or pi and no seed is polar.  Velocities are
-    scaled to tdot = 1 so that one affine unit is one unit of coordinate
-    time: the photon-sphere instability then amplifies roundoff by a
-    bounded factor over the spans used in the checks.
+    Base points are drawn from a seeded RNG, theta in (0.3 pi, 0.7 pi) and
+    phi in [0, 2 pi); direction angles sit on a uniform grid offset by half
+    a step, alpha = 2 pi (k + 1/2) / count.  Velocities are scaled to
+    tdot = 1 so that one affine unit is one unit of coordinate time: the
+    photon-sphere instability then amplifies roundoff by a bounded factor
+    over the spans used in the checks.
     """
     rng = np.random.default_rng(rng_seed)
     n0, _ = spacetime.profile.lapse_d1(r0)
     seeds = []
     for k in range(count):
-        theta = math.pi * rng.uniform(*theta_band)
+        theta = math.pi * rng.uniform(0.3, 0.7)
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        alpha = 2.0 * math.pi * (k + (0.25 if count % 2 else 0.5)) / count
+        alpha = 2.0 * math.pi * (k + 0.5) / count
         vth = n0 * math.cos(alpha) / r0
         vph = n0 * math.sin(alpha) / (r0 * math.sin(theta))
-        state = GeodesicState(ChartPoint(0.0, r0, theta, phi),
-                              (1.0, 0.0, vth, vph))
-        seeds.append(state)
+        seeds.append(GeodesicState(ChartPoint(0.0, r0, theta, phi),
+                                   (1.0, 0.0, vth, vph)))
     return seeds
 
 
@@ -501,10 +506,9 @@ class TangencyReport:
 
 
 # Photon-sphere orbits amplify local error by e^(N span / r), so the local
-# error must sit near the roundoff floor.  The eighth-order steps are long:
-# over a span of 100, 32 seeds leave the m = 1 sphere by 4.3e-6 at 1e-14,
-# by 5.8e-7 at 1e-15 and by 9.7e-8 at 1e-16 (1,324 and 1,702 loop
-# iterations for the last two); 1e-17 reaches 8.8e-8 in 2,251.
+# error must sit near the roundoff floor.  Over a span of 100, 32 seeds
+# leave the m = 1 sphere by 3.2e-8 at 1e-14, 3.7e-8 at 1e-15, 2.0e-8 at
+# 1e-16 (60 loop iterations) and 7.2e-9 at 1e-17 (204).
 TANGENCY_TOL = 1e-16
 
 
@@ -513,10 +517,9 @@ def tangency_persistence(spacetime, surface, seeds, span, tol=TANGENCY_TOL,
     """Integrate tangent null seeds and report the worst surface deviation.
 
     ``surface`` is a cylinder hypersurface; deviation is |r - r0| when it
-    is parameterized by radius and |N - N0| for lapse level sets.
-    Per-seed integration failures are reported alongside partial results.
-    All seeds are integrated as one batch; only the running sup of each
-    seed's deviation is kept, never its trajectory.
+    is parameterized by radius and |N - N0| for lapse level sets.  All
+    seeds are integrated as one in-plane batch, and only the running sup
+    of each seed's deviation is kept, with each seed's RunSummary.
 
     The default tolerance is much tighter than elsewhere: circular photon
     orbits are exponentially unstable, so local error injected at affine

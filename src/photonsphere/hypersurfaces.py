@@ -11,7 +11,7 @@ gradient unit normal:
   slice, a leaf of the lapse foliation.
 
 The second fundamental form follows II(X, Y) = b(nabla_X eta, Y) with
-unit normal eta and causal sign tau = b(eta, eta).  Frame components are
+spacelike unit normal eta, b(eta, eta) = +1.  Frame components are
 taken in the normalized coordinate frame (the chart is diagonal on every
 tangent block, which is checked numerically), so sup-norms are chart-scale
 free.
@@ -53,7 +53,6 @@ class Hypersurface:
     surface_coord_names : names of the surface coordinates
     tangent_axes    : ambient coordinate axes tangent to the surface
     level_value     : held coordinate value r0
-    tau             : sign b(eta, eta) of the unit normal
     level_field     : the radial function whose level set it is, "r" or "lapse"
     """
 
@@ -63,7 +62,6 @@ class Hypersurface:
     surface_coord_names: tuple
     tangent_axes: tuple
     level_value: float
-    tau: int
     level_field: str = "r"
 
     @property
@@ -99,7 +97,7 @@ class Hypersurface:
 def cylinder(spacetime, r0, level_field="r"):
     spacetime.profile.check_point(r0)
     s = Hypersurface("cylinder", spacetime, spacetime.metric4,
-                     ("t", "theta", "phi"), (0, 2, 3), float(r0), +1, level_field)
+                     ("t", "theta", "phi"), (0, 2, 3), float(r0), level_field)
     s.ambient.coord_names = ("t", "r", "theta", "phi")
     return s
 
@@ -108,7 +106,7 @@ def lapse_level_set(spacetime, r0, level_field="lapse"):
     """Level set of the lapse (a round sphere {r = r0}) inside the time slice."""
     spacetime.profile.check_point(r0)
     s = Hypersurface("level-set", spacetime, spacetime.metric3,
-                     ("theta", "phi"), (1, 2), float(r0), +1, level_field)
+                     ("theta", "phi"), (1, 2), float(r0), level_field)
     s.ambient.coord_names = ("r", "theta", "phi")
     return s
 
@@ -125,11 +123,11 @@ def _level_function(surface):
     return lambda coords: coords[r_axis] + 0.0 * coords[r_axis]
 
 
-def normal_data(surface, x, g, ginv, dg):
+def normal_data(surface, x, ginv, dg):
     """Unit normal covector, its coordinate derivatives and the unit normal
     vector of a level set."""
     field = _level_function(surface)
-    _, w, dw = scalar_taylor(field, x, surface.ambient.dim)
+    _, w, dw = scalar_taylor(field, x)
     # w^a = g^ab w_b and q = w_a w^a: "...ab,...a,...b->..."
     w_u = (ginv @ w[..., None])[..., 0]
     q = (w[..., None, :] @ w_u[..., None])[..., 0, 0]
@@ -170,7 +168,6 @@ class ShapeData:
     mean_curvature: np.ndarray
     tracefree_norm: np.ndarray
     frame_signs: tuple
-    tau: int
     at: tuple
     metric_dd: np.ndarray
     normal_d: np.ndarray
@@ -187,10 +184,10 @@ def shape(surface, point):
     x = surface.embed(ys)
     g, dg, _ = metric_taylor(surface.ambient, x)
     ginv = _inverse_metric(g)
-    eta_d, deta, eta_u = normal_data(surface, x, g, ginv, dg)
+    eta_d, deta, eta_u = normal_data(surface, x, ginv, dg)
     norm2 = np.einsum("...a,...a->...", eta_d, eta_u)
-    if np.max(np.abs(norm2 - surface.tau)) > 1e-8:
-        raise ValueError(f"normal normalization drifted from tau = {surface.tau}")
+    if np.max(np.abs(norm2 - 1.0)) > 1e-8:
+        raise ValueError("unit normal normalization drifted from +1")
     gamma = _christoffel_from(ginv, dg)
 
     # nabla_a eta_b = d_a eta_b - Gamma^c_ab eta_c
@@ -215,7 +212,7 @@ def shape(surface, point):
     n = len(axes)
     tracefree = ii_frame - (h[..., None, None] / n) * np.diag(eps_arr)
     tf_norm = np.sqrt(np.einsum("...AB,...AB->...", tracefree, tracefree))
-    return ShapeData(ii_frame, ii_coord, h, tf_norm, eps_const, surface.tau, ys,
+    return ShapeData(ii_frame, ii_coord, h, tf_norm, eps_const, ys,
                      g, eta_d, eta_u)
 
 

@@ -132,7 +132,7 @@ def _level_nodes(spacetime, r_level, n_theta, n_phi):
     sd = hs.shape(surface, (tg, pg))
     g, eta_d, eta_u = sd.metric_dd, sd.normal_d, sd.normal_u
     lapse = spacetime.profile.lapse
-    _, dn, _ = scalar_taylor(lambda c: lapse(c[0]), surface.embed((tg, pg)), 3)
+    _, dn, _ = scalar_taylor(lambda c: lapse(c[0]), surface.embed((tg, pg)))
     nuN = np.einsum("...a,...a->...", eta_u, dn)
     if np.any(np.abs(nuN) < hs.FOLIATION_DN_FLOOR):
         raise hs.FoliationError(f"foliation failure: |dN| < {hs.FOLIATION_DN_FLOOR} "

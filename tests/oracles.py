@@ -150,6 +150,6 @@ def fd_metric_taylor(sampler, coords):
     return _fd_taylor(lambda pt: _sample_matrix(sampler, pt), coords, 2)
 
 
-def fd_scalar_taylor(field, coords, dim):
+def fd_scalar_taylor(field, coords):
     """``calculus.scalar_taylor`` by finite differences: (f, df, ddf)."""
-    return _fd_taylor(field, list(coords)[:dim], 0)
+    return _fd_taylor(field, list(coords), 0)

@@ -60,9 +60,8 @@ class TestShape:
             x = surf.embed(hs._asarrays(pt))
             g, dg, _ = calc.metric_taylor(surf.ambient, x)
             ginv = np.linalg.inv(g)
-            eta_d, _, eta_u = hs.normal_data(surf, x, g, ginv, dg)
+            eta_d, _, eta_u = hs.normal_data(surf, x, ginv, dg)
             assert abs(np.einsum("a,a->", eta_d, eta_u) - tau) < 1e-12
-            assert surf.tau == tau
 
     def test_gradient_normal_matches_inverse_metric_derivative(self):
         # d_e q from -w^m (d_e g_mn) w^n against d_e g^ab = -g^am (d_e g_mn) g^nb,
@@ -77,9 +76,9 @@ class TestShape:
             ginv = np.linalg.inv(g)
             dg = rng.normal(size=(64, n_dim, n_dim, n_dim))
             dg = dg + np.swapaxes(dg, -1, -2)
-            eta_d, deta, eta_u = hs.normal_data(surf, x, g, ginv, dg)
+            eta_d, deta, eta_u = hs.normal_data(surf, x, ginv, dg)
 
-            _, w, dw = calc.scalar_taylor(hs._level_function(surf), x, n_dim)
+            _, w, dw = calc.scalar_taylor(hs._level_function(surf), x)
             q = np.einsum("...ab,...a,...b->...", ginv, w, w)
             dginv = -np.einsum("...am,...emn,...nd->...ead", ginv, dg, ginv)
             dq = (np.einsum("...eab,...a,...b->...e", dginv, w, w)
@@ -108,7 +107,7 @@ class TestGaussResidual:
         bundle = calc.curvature(ST.metric3, coords)
         g, dg, _ = calc.metric_taylor(ST.metric3, coords)
         ginv = np.linalg.inv(g)
-        _, _, eta_u = hs.normal_data(lvl, coords, g, ginv, dg)
+        _, _, eta_u = hs.normal_data(lvl, coords, ginv, dg)
         ric_nn = np.einsum("ab,a,b->", bundle.ricci_dd, eta_u, eta_u)
         n5 = ST.profile.lapse(5.0)
         h5 = hs.shape(lvl, (1.0, 0.3)).mean_curvature
@@ -125,8 +124,8 @@ def test_nu_of_lapse_constant_on_level_sets():
     coords = lvl.embed((tg, pg))
     g, dg, _ = calc.metric_taylor(lvl.ambient, coords)
     ginv = np.linalg.inv(g)
-    _, _, eta_u = hs.normal_data(lvl, coords, g, ginv, dg)
-    _, dn, _ = calc.scalar_taylor(lambda c: ST.profile.lapse(c[0]), coords, 3)
+    _, _, eta_u = hs.normal_data(lvl, coords, ginv, dg)
+    _, dn, _ = calc.scalar_taylor(lambda c: ST.profile.lapse(c[0]), coords)
     nu_n = np.einsum("...a,...a->...", eta_u, dn)
     assert np.std(nu_n) < 1e-14
     assert np.isclose(np.mean(nu_n), oracles.NU_N0_M1)
@@ -139,7 +138,7 @@ def test_codazzi_contraction_reproduces_cmc_mechanism():
     pt = hs._asarrays((0.0, 1.0, 0.2))
     amb = calc.curvature(ST.metric4, cyl.embed(pt))
     g, dg, _ = calc.metric_taylor(ST.metric4, cyl.embed(pt))
-    _, _, eta_u = hs.normal_data(cyl, cyl.embed(pt), g, np.linalg.inv(g), dg)
+    _, _, eta_u = hs.normal_data(cyl, cyl.embed(pt), np.linalg.inv(g), dg)
     for axis in (0, 2, 3):
         y = np.zeros(4)
         y[axis] = 1.0

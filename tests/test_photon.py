@@ -115,8 +115,8 @@ class TestCertification:
 
     @pytest.mark.parametrize("seeds", [1, 3, 5, 7])
     def test_odd_seed_counts_certify(self, seeds):
-        # an odd count has no seed at direction angle pi, whose polar orbit
-        # ended at the pole guard and left the certificate inconclusive
+        # an odd count has a seed at direction angle pi, whose orbit is
+        # polar: in its orbit plane it completes like any other
         cert = ph.certify_photon_surface(ST, hs.cylinder(ST, 3.0),
                                          seeds=seeds, span=40.0)
         assert cert.tangency.statuses == ("completed",) * seeds
