@@ -52,7 +52,6 @@ from .photon import (
 from .israel import (
     FlatnessError,
     IsraelReport,
-    LevelSetGeometry,
     boundary_constraints,
     build_foliation,
     identity_residuals,

@@ -37,35 +37,37 @@ def _coords_of(point):
     return tuple(point)
 
 
-def metric_taylor(sampler, coords):
+def metric_taylor(sampler, coords, order=2):
     """Metric components with first and second coordinate derivatives.
 
     Returns ``(g, dg, ddg)`` with shapes ``(..., d, d)``,
     ``(..., d, d, d)`` and ``(..., d, d, d, d)`` where
-    ``dg[a, b, c] = d_a g_bc`` and ``ddg[a, b, c, d] = d_a d_b g_cd``.
+    ``dg[a, b, c] = d_a g_bc`` and ``ddg[a, b, c, d] = d_a d_b g_cd``;
+    ``order`` 1 seeds first-order jets, the same ``g`` and ``dg`` and no ``ddg``.
     The leading shape ``...`` is the broadcast shape of the components,
     i.e. of the coordinates they actually read (see :mod:`.jets`): sparse
     (theta, phi) axes give ``(n_theta, 1)`` for a metric that reads no phi.
     """
     d = sampler.dim
-    xs = jets.variables(list(coords), order=2)
+    xs = jets.variables(list(coords), order=order)
     comp = [[jets.lift(e, xs[0]) for e in row] for row in sampler.components(xs)]
     shape = np.broadcast_shapes(*(e.val.shape for row in comp for e in row))
     g = np.empty(shape + (d, d))
     dg = np.empty(shape + (d, d, d))
-    ddg = np.empty(shape + (d, d, d, d))
+    ddg = np.empty(shape + (d, d, d, d)) if order == 2 else None
     for b in range(d):
         for c in range(d):
             e = comp[b][c]
             g[..., b, c] = e.val
             dg[..., :, b, c] = e.grad
-            ddg[..., :, :, b, c] = e.hess
+            if ddg is not None:
+                ddg[..., :, :, b, c] = e.hess
     return g, dg, ddg
 
 
 def christoffel(sampler, point):
     """Christoffel symbols Gamma^a_bc of the Levi-Civita connection."""
-    g, dg, _ = metric_taylor(sampler, _coords_of(point))
+    g, dg, _ = metric_taylor(sampler, _coords_of(point), order=1)
     return _christoffel_from(_inverse_metric(g), dg)
 
 

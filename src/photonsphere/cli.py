@@ -276,7 +276,7 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
     if mass is None:
         fol = israel.build_foliation(spacetime, loc.lapse_at_ps, levels=8,
                                      quad_order=(16, 32), r_hint=loc.r_ps)
-        mass = israel.mass_flux(fol.boundary)
+        mass = float(israel.mass_flux(fol)[0])
     rec = israel.reconstruct_lapse(mass, loc.lapse_at_ps, loc.r_ps,
                                    r_max=scn.tail_radius)
     _write_json(os.path.join(out, "reconstruction.json"), {
@@ -292,18 +292,17 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
 
 def _emit_plot_data(report, out):
     """Plot-ready tables: r(N), rho(N), H(N) and inequality slacks vs N."""
-    levels = report.foliation.levels
+    fol = report.foliation
     _write_table(os.path.join(out, "r_of_N.csv"), ["N", "r"],
-                 [(lv.N_value, lv.area_radius) for lv in levels])
+                 zip(fol.N, fol.area_radius))
     _write_table(os.path.join(out, "rho_of_N.csv"), ["N", "rho"],
-                 [(lv.N_value, lv.mean(lv.rho)) for lv in levels])
+                 zip(fol.N, report.rho_mean))
     _write_table(os.path.join(out, "H_of_N.csv"), ["N", "H"],
-                 [(lv.N_value, lv.mean(lv.H)) for lv in levels])
+                 zip(fol.N, report.h_mean))
     _write_table(os.path.join(out, "slacks_of_N.csv"),
                  ["N", "slack34_min", "slack34_max", "slack35_min", "slack35_max"],
-                 [(lv.N_value,) + tuple(report.slacks.slack34[j])
-                  + tuple(report.slacks.slack35[j])
-                  for j, lv in enumerate(levels)])
+                 np.column_stack([fol.N, report.slacks.slack34,
+                                  report.slacks.slack35]))
 
 
 def run_scenario(scn, out_dir, dump_curvature=None):

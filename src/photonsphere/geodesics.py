@@ -123,11 +123,11 @@ _B_COL, _E5_COL, _E3_COL = (np.reshape(w, (-1, 1, 1)) for w in (_B, _E5, _E3))
 
 @dataclass(frozen=True)
 class GeodesicState:
-    """Affine-parameterized phase-space point of a geodesic."""
+    """Phase-space point of a geodesic; an integration starts it at
+    affine parameter 0."""
 
     position: ChartPoint
     velocity: tuple
-    affine: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -172,11 +172,6 @@ class GeodesicTrajectory:
     @property
     def r(self):
         return self.samples[:, 2]
-
-    def final_state(self):
-        row = self.samples[-1]
-        return GeodesicState(ChartPoint(row[1], row[2], row[3], row[4]),
-                             tuple(row[5:9]), row[0])
 
     def energy_times_lapse_drift(self):
         en = self.energies * self.lapse
@@ -422,8 +417,7 @@ def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=MAX_STEP
                               np.array(residuals), lapse, run)
 
 
-def null_state(spacetime, position, spatial_velocity, time_sign=1.0,
-               affine=0.0):
+def null_state(spacetime, position, spatial_velocity, time_sign=1.0):
     """Build an exactly null state from a spatial velocity.
 
     The time component is solved from g(v, v) = 0 with the requested sign.
@@ -436,7 +430,7 @@ def null_state(spacetime, position, spatial_velocity, time_sign=1.0,
     vt = float(y[3, 0])
     if not math.isfinite(vt):
         raise ValueError(f"no real null direction at r = {position.r:.6g}")
-    return GeodesicState(position, (vt, vr, vth, vph), affine)
+    return GeodesicState(position, (vt, vr, vth, vph))
 
 
 @dataclass(frozen=True)

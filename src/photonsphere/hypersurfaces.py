@@ -52,7 +52,7 @@ class Hypersurface:
     ambient         : MetricSampler of the ambient manifold
     surface_coord_names : names of the surface coordinates
     tangent_axes    : ambient coordinate axes tangent to the surface
-    level_value     : held coordinate value r0
+    level_value     : held coordinate value r0, or an array of them
     level_field     : the radial function whose level set it is, "r" or "lapse"
     """
 
@@ -103,10 +103,12 @@ def cylinder(spacetime, r0, level_field="r"):
 
 
 def lapse_level_set(spacetime, r0, level_field="lapse"):
-    """Level set of the lapse (a round sphere {r = r0}) inside the time slice."""
+    """Level set of the lapse (a round sphere {r = r0}) inside the time
+    slice; an array ``r0`` of shape (L, 1, 1) stacks L of them."""
     spacetime.profile.check_point(r0)
     s = Hypersurface("level-set", spacetime, spacetime.metric3,
-                     ("theta", "phi"), (1, 2), float(r0), level_field)
+                     ("theta", "phi"), (1, 2), np.asarray(r0, dtype=float),
+                     level_field)
     s.ambient.coord_names = ("r", "theta", "phi")
     return s
 
@@ -124,17 +126,19 @@ def _level_function(surface):
 
 
 def normal_data(surface, x, ginv, dg):
-    """Unit normal covector, its coordinate derivatives and the unit normal
-    vector of a level set."""
+    """Unit normal covector, its coordinate derivatives, the unit normal
+    vector and the gradient d_a f of the level function f of a level set."""
     field = _level_function(surface)
     _, w, dw = scalar_taylor(field, x)
     # w^a = g^ab w_b and q = w_a w^a: "...ab,...a,...b->..."
     w_u = (ginv @ w[..., None])[..., 0]
     q = (w[..., None, :] @ w_u[..., None])[..., 0, 0]
-    if np.any(np.abs(q) < FOLIATION_DN_FLOOR ** 2):
+    bad = np.abs(q) < FOLIATION_DN_FLOOR ** 2
+    if np.any(bad):
+        level = np.broadcast_to(surface.level_value, bad.shape)[bad][0]
         raise FoliationError(
             f"foliation failure: |d{surface.level_field}| < {FOLIATION_DN_FLOOR} "
-            f"on {surface.kind} at level {surface.level_value}")
+            f"on {surface.kind} at level {level}")
     # d_e q = -w^m (d_e g_mn) w^n + 2 (d_e w_a) w^a, so d g^-1 is never formed:
     # "...m,...emn,...n->...e" and "...ea,...a->...e"
     dq = (-(w_u[..., None, None, :] @ dg @ w_u[..., None, :, None])[..., 0, 0]
@@ -146,7 +150,8 @@ def normal_data(surface, x, ginv, dg):
     eta_u = np.einsum("...ab,...b->...a", ginv, eta_d)
     # outward orientation: eta(r) > 0
     sign = np.sign(eta_u[..., surface.normal_axis])
-    return eta_d * sign[..., None], deta * sign[..., None, None], eta_u * sign[..., None]
+    return (eta_d * sign[..., None], deta * sign[..., None, None],
+            eta_u * sign[..., None], w)
 
 
 @dataclass(frozen=True)
@@ -158,9 +163,11 @@ class ShapeData:
     coordinate components along the tangent axes.  ``tracefree_norm`` is the
     frame Frobenius norm of II - (H/n) * induced, which vanishes exactly on
     umbilic surfaces and equals the natural tensor norm in the Riemannian
-    case.  ``metric_dd`` is the ambient metric g_ab at the embedded points
-    and ``normal_d`` / ``normal_u`` the unit normal eta_a / eta^a that II
-    is built from, so callers need not differentiate the metric again.
+    case.  ``metric_dd`` is the ambient metric g_ab at the embedded points,
+    ``normal_d`` / ``normal_u`` the unit normal eta_a / eta^a that II is
+    built from and ``level_gradient`` the gradient d_a f of the level
+    function it normalizes (dN on a lapse level set), so callers need not
+    differentiate the metric or the level function again.
     """
 
     second_ff: np.ndarray
@@ -172,6 +179,7 @@ class ShapeData:
     metric_dd: np.ndarray
     normal_d: np.ndarray
     normal_u: np.ndarray
+    level_gradient: np.ndarray
 
 
 def shape(surface, point):
@@ -182,9 +190,9 @@ def shape(surface, point):
     """
     ys = _asarrays(point)
     x = surface.embed(ys)
-    g, dg, _ = metric_taylor(surface.ambient, x)
+    g, dg, _ = metric_taylor(surface.ambient, x, order=1)
     ginv = _inverse_metric(g)
-    eta_d, deta, eta_u = normal_data(surface, x, ginv, dg)
+    eta_d, deta, eta_u, w = normal_data(surface, x, ginv, dg)
     norm2 = np.einsum("...a,...a->...", eta_d, eta_u)
     if np.max(np.abs(norm2 - 1.0)) > 1e-8:
         raise ValueError("unit normal normalization drifted from +1")
@@ -213,7 +221,7 @@ def shape(surface, point):
     tracefree = ii_frame - (h[..., None, None] / n) * np.diag(eps_arr)
     tf_norm = np.sqrt(np.einsum("...AB,...AB->...", tracefree, tracefree))
     return ShapeData(ii_frame, ii_coord, h, tf_norm, eps_const, ys,
-                     g, eta_d, eta_u)
+                     g, eta_d, eta_u, w)
 
 
 def cylinder_sample(surface, n_theta=16, n_phi=32):

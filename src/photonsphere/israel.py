@@ -10,7 +10,16 @@ level differencing (eighth-order central stencils, see
 ``quadrature.level_stencils``) inside the error budget.
 
 Per level the pipeline computes leaf geometry (area radius, rho = 1/|nu(N)|,
-mean curvature, trace-free norm, Gauss curvature), then checks
+mean curvature, trace-free norm, Gauss curvature).  The leaves are located
+one at a time by bisection but evaluated in stacked blocks: the radii of a
+block are one (levels, 1, 1) jet coordinate against the sparse (n_theta, 1)
+and (1, n_phi) angle axes, so one ``shape``, one lapse gradient and one
+induced ``curvature`` call cover a block (see :mod:`.jets`).  A block holds
+at most ``BLOCK_ROWS`` (levels x theta) rows, which bounds the memory its
+jets take, and each of its entries equals the same leaf evaluated alone
+bit for bit.  A ``Foliation`` holds each field as one (levels, n_theta, 1)
+stack, and the checks below read the stacks whole, except for means and
+integrals, which run one level at a time.  The pipeline then checks
 
 * the mass flux integral (level independent in vacuum),
 * the three transverse identities coupling rho, H and N,
@@ -34,67 +43,18 @@ import numpy as np
 
 from . import hypersurfaces as hs
 from . import quadrature as quad
-from .calculus import curvature, scalar_taylor
+from .calculus import curvature
 from .spacetimes import DomainError
 
 TOL_LVL = 1e-5
 TAIL_RADIUS_FACTOR = 100.0
 RECONSTRUCTION_NODES = 32   # Chebyshev collocation nodes of the rigidity ODE
 RECONSTRUCTION_MAX_RATIO = 1e12   # largest r_max/r0 (or r0/r_max) they resolve
+BLOCK_ROWS = 1024   # (levels x theta) rows of one stacked leaf evaluation
 
 
 class FlatnessError(RuntimeError):
     """Raised for m = 0 inputs: the slice is flat and has no photon sphere."""
-
-
-@dataclass(frozen=True)
-class LevelSetGeometry:
-    """Leaf geometry of one lapse level set, sampled on the quadrature grid.
-
-    ``theta``, ``x_nodes`` and ``phi`` are the grid axes and ``weights`` is
-    the full (n_theta, n_phi) array.  Each field keeps the shape of the
-    coordinates it reads: (n_theta, 1) for a field constant in phi, as on
-    every radial profile, and (n_theta, n_phi) for one that varies in phi.
-    Means and integrals multiply by the full weights.  Means are
-    area-weighted.
-    ``dN_ds`` is the exact derivative of the level map N(s) at this level,
-    used to convert index-space finite differences into d/dN.
-    """
-
-    index: int
-    N_value: float
-    r_coord: float
-    dN_ds: float
-    theta: np.ndarray
-    x_nodes: np.ndarray
-    phi: np.ndarray
-    weights: np.ndarray
-    jacobian: np.ndarray      # sqrt(det sigma)/sin(theta) at nodes
-    sqrt_s: np.ndarray        # sqrt(det sigma) at nodes
-    rho: np.ndarray
-    H: np.ndarray
-    nuN: np.ndarray
-    tracefree: np.ndarray     # |h_tracefree| at nodes
-    gauss_k: np.ndarray
-
-    @property
-    def area(self):
-        return float(np.sum(self.weights * self.jacobian))
-
-    @property
-    def area_radius(self):
-        return math.sqrt(self.area / (4.0 * math.pi))
-
-    def mean(self, nodes):
-        return float(np.sum(self.weights * self.jacobian * nodes) / self.area)
-
-    def std(self, nodes):
-        m = self.mean(nodes)
-        var = np.sum(self.weights * self.jacobian * (nodes - m) ** 2) / self.area
-        return float(math.sqrt(max(var, 0.0)))
-
-    def integral(self, nodes):
-        return float(np.sum(self.weights * self.jacobian * nodes))
 
 
 def _solve_radius(profile, n_target, r_lo, r_hi):
@@ -121,22 +81,29 @@ def _solve_radius(profile, n_target, r_lo, r_hi):
     return 0.5 * (a + b)
 
 
-def _level_nodes(spacetime, r_level, n_theta, n_phi):
-    """All leaf fields at the quadrature nodes of one level.
+def _check_leaves(bad, r_levels, what):
+    """Raise FoliationError naming the radius of the lowest leaf where
+    ``bad`` holds; ``what(j)`` describes the failure on leaf j."""
+    if np.any(bad):
+        j = int(np.argmax(bad))
+        raise hs.FoliationError(f"{what(j)} on the leaf r = {r_levels[j]}")
 
-    Runs the DN-floor, adapted-form and roundness checks on the same grid.
+
+def _leaf_block(spacetime, r_levels, theta, phi, weights):
+    """The area of each leaf of a block of levels and all leaf fields at the
+    quadrature nodes, each at least (levels, n_theta, 1).
+
+    Runs the adapted-form and roundness checks on the same grid (``shape``
+    runs the DN-floor check), naming the radius of the lowest failing leaf.
     """
-    theta, x, phi, w = quad.sphere_grid(n_theta, n_phi)
+    n_levels = len(r_levels)
     tg, pg = np.meshgrid(theta, phi, indexing="ij", sparse=True)
-    surface = hs.lapse_level_set(spacetime, r_level)
+    surface = hs.lapse_level_set(spacetime, r_levels[:, None, None])
     sd = hs.shape(surface, (tg, pg))
-    g, eta_d, eta_u = sd.metric_dd, sd.normal_d, sd.normal_u
-    lapse = spacetime.profile.lapse
-    _, dn, _ = scalar_taylor(lambda c: lapse(c[0]), surface.embed((tg, pg)))
-    nuN = np.einsum("...a,...a->...", eta_u, dn)
-    if np.any(np.abs(nuN) < hs.FOLIATION_DN_FLOOR):
-        raise hs.FoliationError(f"foliation failure: |dN| < {hs.FOLIATION_DN_FLOOR} "
-                                f"on the leaf r = {surface.level_value}")
+    g, eta_d = sd.metric_dd, sd.normal_d
+    # nu(N) from the lapse gradient the level-set normal was built from;
+    # |nu(N)| = |dN|, which ``shape`` has checked against the DN floor
+    nuN = np.einsum("...a,...a->...", sd.normal_u, sd.level_gradient)
 
     sigma = g[..., 1:, 1:]
     det_sigma = sigma[..., 0, 0] * sigma[..., 1, 1] - sigma[..., 0, 1] ** 2
@@ -144,27 +111,30 @@ def _level_nodes(spacetime, r_level, n_theta, n_phi):
     jac = sqrt_s / np.sin(tg)
 
     # adapted-form check: the normal annihilates the leaf tangents
-    tangent_residual = np.max(np.abs(eta_d[..., 1:]))
-    if tangent_residual > 1e-10:
-        raise hs.FoliationError("adapted form violated: normal has tangential "
-                                f"components ~ {tangent_residual:.2e}")
+    tangent = np.abs(eta_d[..., 1:]).reshape(n_levels, -1).max(axis=1)
+    _check_leaves(tangent > 1e-10, r_levels,
+                  lambda j: "adapted form violated: normal has tangential "
+                            f"components ~ {tangent[j]:.2e}")
 
     # v1 scope: leaves are round up to parameterization
-    r_area = math.sqrt(np.sum(w * jac) / (4.0 * math.pi))
-    roundness = max(np.max(np.abs(sigma[..., 0, 0] / r_area ** 2 - 1.0)),
-                    np.max(np.abs(sigma[..., 1, 1] / (r_area * np.sin(tg)) ** 2 - 1.0)))
-    if roundness > 1e-8:
-        raise hs.FoliationError("leaf is not a round sphere in this chart "
-                                f"(deviation {roundness:.2e}); general leaves "
-                                "are out of scope")
+    area = np.array([float(np.sum(weights * jac[j])) for j in range(n_levels)])
+    r_area = np.sqrt(area / (4.0 * math.pi))[:, None, None]
+    roundness = np.maximum(
+        np.abs(sigma[..., 0, 0] / r_area ** 2 - 1.0).reshape(n_levels, -1),
+        np.abs(sigma[..., 1, 1] / (r_area * np.sin(tg)) ** 2 - 1.0)
+        .reshape(n_levels, -1)).max(axis=1)
+    _check_leaves(roundness > 1e-8, r_levels,
+                  lambda j: "leaf is not a round sphere in this chart "
+                            f"(deviation {roundness[j]:.2e}; general leaves "
+                            "are out of scope)")
 
     gauss_k = 0.5 * curvature(surface.induced_sampler(), (tg, pg)).scalar
     # each field keeps the shape of the coordinates it reads, at least one
-    # value per theta row: (n_theta, 1) unless it varies in phi
-    nodes = [np.broadcast_to(f, np.broadcast_shapes(np.shape(f), (n_theta, 1)))
-             for f in (jac, sqrt_s, 1.0 / np.abs(nuN), sd.mean_curvature, nuN,
-                       sd.tracefree_norm, gauss_k)]
-    return (theta, x, phi, w, *map(np.copy, nodes))
+    # value per theta row: (levels, n_theta, 1) unless it varies in phi
+    lead = (n_levels, len(theta), 1)
+    return area, *(np.broadcast_to(f, np.broadcast_shapes(np.shape(f), lead))
+                   for f in (jac, sqrt_s, 1.0 / np.abs(nuN), sd.mean_curvature,
+                             nuN, sd.tracefree_norm, gauss_k))
 
 
 def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
@@ -172,8 +142,9 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
     """Foliate [N0, N(tail_radius)] by lapse level sets.
 
     Levels are geometric in u = 1 - N^2 (see module docstring).  Each leaf
-    is located by bisection, then sampled on the Gauss-Legendre x uniform
-    phi grid.  Raises FoliationError when |dN| degenerates.
+    is located by bisection; the leaves are then sampled on the
+    Gauss-Legendre x uniform phi grid in blocks of at most ``BLOCK_ROWS``
+    (levels x theta) rows.  Raises FoliationError when |dN| degenerates.
     """
     profile = spacetime.profile
     n_theta, n_phi = quad_order
@@ -197,55 +168,84 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
     # derivative of the level map per unit *index*, matching the stencils
     dn_ds = -u * math.log(ratio) / (2.0 * n_values * (levels - 1))
 
-    r_lo = r_hint if r_hint else profile.r_min * (1.0 + 1e-6) + 1e-12
-    out = []
-    r_prev = r_lo
+    r_prev = r_hint if r_hint else profile.r_min * (1.0 + 1e-6) + 1e-12
+    radii = np.empty(levels)
     for j, nj in enumerate(n_values):
-        r_j = _solve_radius(profile, nj, r_prev * (1.0 - 1e-12), tail_radius * 1.01)
-        theta, x, phi, w, jac, sqrt_s, rho, h, nuN, tf, gk = _level_nodes(
-            spacetime, r_j, n_theta, n_phi)
-        out.append(LevelSetGeometry(j, float(nj), float(r_j), float(dn_ds[j]),
-                                    theta, x, phi, w, jac, sqrt_s, rho, h,
-                                    nuN, tf, gk))
-        r_prev = r_j
-    return Foliation(tuple(out), float(n0), float(n_end), float(tail_radius),
-                     (n_theta, n_phi))
+        r_prev = radii[j] = _solve_radius(profile, nj, r_prev * (1.0 - 1e-12),
+                                          tail_radius * 1.01)
+
+    theta, x, phi, w = quad.sphere_grid(n_theta, n_phi)
+    per_block = max(1, BLOCK_ROWS // n_theta)
+    blocks = [_leaf_block(spacetime, radii[k:k + per_block], theta, phi, w)
+              for k in range(0, levels, per_block)]
+    area, *fields = (np.concatenate(parts) for parts in zip(*blocks))
+    return Foliation(n_values, radii, dn_ds, area, *fields, x, w, float(n0),
+                     n_end, float(tail_radius), (n_theta, n_phi))
 
 
 @dataclass(frozen=True)
 class Foliation:
-    levels: tuple
+    """Lapse level sets between N0 and N(tail_radius), stacked over levels.
+
+    ``N``, ``r_coord``, ``dN_ds`` (the exact derivative of the level map
+    N(s) per unit level index, which converts index-space finite differences
+    into d/dN) and ``area`` hold one value per level.  The leaf fields from
+    ``jacobian`` to ``gauss_k`` have a leading level axis: (levels, n_theta,
+    1) for a field constant in phi, as on every radial profile.  Means and
+    integrals multiply by the full (n_theta, n_phi) ``weights`` one level at
+    a time; means are area-weighted.
+    """
+
+    N: np.ndarray
+    r_coord: np.ndarray
+    dN_ds: np.ndarray
+    area: np.ndarray
+    jacobian: np.ndarray      # sqrt(det sigma)/sin(theta) at nodes
+    sqrt_s: np.ndarray        # sqrt(det sigma) at nodes
+    rho: np.ndarray
+    H: np.ndarray
+    nuN: np.ndarray
+    tracefree: np.ndarray     # |h_tracefree| at nodes
+    gauss_k: np.ndarray
+    x_nodes: np.ndarray
+    weights: np.ndarray
     n0: float
     n_end: float
     tail_radius: float
     quad_order: tuple
 
-    def __iter__(self):
-        return iter(self.levels)
-
     def __len__(self):
-        return len(self.levels)
+        return len(self.N)
 
     @property
-    def boundary(self):
-        return self.levels[0]
+    def area_radius(self):
+        return np.sqrt(self.area / (4.0 * math.pi))
 
-    def stack(self, attr):
-        """One field of every level: (levels, n_theta, 1) for a field
-        constant in phi."""
-        return np.stack([getattr(lv, attr) for lv in self.levels])
+    def integral(self, nodes, level=None):
+        """Int nodes dmu over every leaf, or (a float) over the leaf ``level``."""
+        if level is None:
+            return np.array([self.integral(nodes, j) for j in range(len(self))])
+        return float(np.sum(self.weights * self.jacobian[level] * nodes[level]))
+
+    def mean(self, nodes, level=None):
+        return self.integral(nodes, level) / (
+            self.area if level is None else self.area[level])
+
+    def std(self, nodes):
+        var = self.integral((nodes - self.mean(nodes)[:, None, None]) ** 2) / self.area
+        return np.sqrt(np.maximum(var, 0.0))
 
     def reaches_tail(self, rtol=0.01):
-        return bool(self.levels[-1].r_coord >= (1.0 - rtol) * self.tail_radius)
+        return bool(self.r_coord[-1] >= (1.0 - rtol) * self.tail_radius)
 
 
 # ---------------------------------------------------------------------------
 # Mass flux
 # ---------------------------------------------------------------------------
 
-def mass_flux(level):
-    """ADM mass as the flux integral (1/4pi) Int nu(N) dmu over a leaf."""
-    return level.integral(level.nuN) / (4.0 * math.pi)
+def mass_flux(foliation):
+    """ADM mass as the flux integral (1/4pi) Int nu(N) dmu, one per leaf."""
+    return foliation.integral(foliation.nuN) / (4.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +258,19 @@ def _normalized(residual, *terms):
     return np.abs(residual) / scale
 
 
-def _sup_node(nodes):
-    """Largest value of a leaf field and the theta row (Gauss-Legendre index)
-    of its first flat argmax."""
-    k = int(np.argmax(nodes))
-    return nodes.flat[k], k // nodes.shape[-1]
+def _sup_nodes(nodes):
+    """Largest value of a stacked leaf field on each level and the theta row
+    (Gauss-Legendre index) of its first flat argmax there."""
+    flat = np.reshape(nodes, (len(nodes), -1))
+    k = np.argmax(flat, axis=1)
+    return flat[np.arange(len(flat)), k], k // nodes.shape[-1]
 
 
 def _min_max_nodes(nodes):
-    """(min, max) of a leaf field and the theta node of each."""
-    (neg_lo, k_lo), (hi, k_hi) = _sup_node(-nodes), _sup_node(nodes)
-    return (-float(neg_lo), float(hi)), (k_lo, k_hi)
+    """Per-level (min, max) of a stacked leaf field, one row per level, and
+    the theta node of each."""
+    (neg_lo, k_lo), (hi, k_hi) = _sup_nodes(-nodes), _sup_nodes(nodes)
+    return np.stack([-neg_lo, hi], axis=1), np.stack([k_lo, k_hi], axis=1)
 
 
 def _sup_position(values, nodes):
@@ -300,23 +302,25 @@ class IdentityResiduals:
 
 
 def _transverse_derivative(foliation, nodes):
-    """d/dN of per-level node values ``nodes``, shape (levels, n_theta, 1)
+    """d/dN of stacked leaf values ``nodes``, shape (levels, n_theta, 1)
     or (levels, n_theta, n_phi)."""
     stencils = quad.level_stencils(len(foliation))
     dds = quad.level_derivative(nodes, stencils)
-    dds /= np.array([lv.dN_ds for lv in foliation.levels])[:, None, None]
+    dds /= foliation.dN_ds[:, None, None]
     return dds
 
 
-def _leaf_terms(lv):
+def _leaf_terms(foliation):
     """sqrt(rho), its sphere Laplacian, that of log(rho), and the
-    sum-of-squares bracket |grad rho|^2 / rho^2 + 2 |h_tracefree|^2 of a leaf."""
-    r_area = lv.area_radius
-    sqrt_rho = np.sqrt(lv.rho)
-    lap_sqrt_rho = quad.sphere_laplacian(sqrt_rho, lv.x_nodes, r_area)
-    lap_log_rho = quad.sphere_laplacian(np.log(lv.rho), lv.x_nodes, r_area)
-    grad_sq = quad.sphere_grad_sq(lv.rho, lv.x_nodes, r_area)
-    bracket = grad_sq / lv.rho ** 2 + 2.0 * lv.tracefree ** 2
+    sum-of-squares bracket |grad rho|^2 / rho^2 + 2 |h_tracefree|^2, each
+    stacked over the leaves."""
+    rho, x = foliation.rho, foliation.x_nodes
+    r_area = foliation.area_radius[:, None, None]
+    sqrt_rho = np.sqrt(rho)
+    lap_sqrt_rho = quad.sphere_laplacian(sqrt_rho, x, r_area)
+    lap_log_rho = quad.sphere_laplacian(np.log(rho), x, r_area)
+    grad_sq = quad.sphere_grad_sq(rho, x, r_area)
+    bracket = grad_sq / rho ** 2 + 2.0 * foliation.tracefree ** 2
     return sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket
 
 
@@ -325,49 +329,43 @@ def identity_residuals(foliation, lam, terms=None):
 
     Each residual is normalized by its largest participating term
     (floored at 1), evaluated pointwise on the leaf, and reported as the
-    per-level sup.  ``terms`` holds ``_leaf_terms`` of each leaf, computed
-    here when not given.
+    per-level sup.  ``terms`` holds ``_leaf_terms`` of the foliation,
+    computed here when not given.
     """
     if len(foliation) < 7:
         raise ValueError("transverse derivatives need at least 7 levels")
-    h_n = _transverse_derivative(foliation, foliation.stack("H"))
-    rho_n = _transverse_derivative(foliation, foliation.stack("rho"))
-    ss_n = _transverse_derivative(foliation, foliation.stack("sqrt_s"))
+    n, rho, h = foliation.N[:, None, None], foliation.rho, foliation.H
+    h_n = _transverse_derivative(foliation, h)
+    rho_n = _transverse_derivative(foliation, rho)
+    ss_n = _transverse_derivative(foliation, foliation.sqrt_s)
+    sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket = (
+        _leaf_terms(foliation) if terms is None else terms)
+    r_sigma = 2.0 * foliation.gauss_k
 
-    if terms is None:
-        terms = map(_leaf_terms, foliation.levels)
-    sups = []
-    for j, (lv, leaf) in enumerate(zip(foliation.levels, terms)):
-        n, rho, h = lv.N_value, lv.rho, lv.H
-        sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket = leaf
-        r_sigma = 2.0 * lv.gauss_k
+    t_a1 = (lam / rho) * (h / n)
+    t_a2 = -(lam / rho) * h_n
+    t_a3 = -0.5 * h ** 2
+    t_a4 = -(2.0 / sqrt_rho) * lap_sqrt_rho
+    t_a5 = -0.5 * bracket
+    res31 = t_a1 + t_a2 + t_a3 + t_a4 + t_a5
 
-        t_a1 = (lam / rho) * (h / n)
-        t_a2 = -(lam / rho) * h_n[j]
-        t_a3 = -0.5 * h ** 2
-        t_a4 = -(2.0 / sqrt_rho) * lap_sqrt_rho
-        t_a5 = -0.5 * bracket
-        res31 = t_a1 + t_a2 + t_a3 + t_a4 + t_a5
+    t_b1 = (lam / rho) * (3.0 * h / n)
+    t_b2 = -(lam / rho) * h_n
+    t_b3 = -r_sigma
+    t_b4 = -lap_log_rho
+    t_b5 = -bracket
+    res32 = t_b1 + t_b2 + t_b3 + t_b4 + t_b5
 
-        t_b1 = (lam / rho) * (3.0 * h / n)
-        t_b2 = -(lam / rho) * h_n[j]
-        t_b3 = -r_sigma
-        t_b4 = -lap_log_rho
-        t_b5 = -bracket
-        res32 = t_b1 + t_b2 + t_b3 + t_b4 + t_b5
+    t_c1 = rho_n
+    t_c2 = -lam * rho ** 2 * h
 
-        t_c1 = rho_n[j]
-        t_c2 = -lam * rho ** 2 * h
-
-        t_e1 = ss_n[j]
-        t_e2 = -lam * lv.sqrt_s * h * rho
-        sups.append([
-            _sup_node(_normalized(res31, t_a1, t_a2, t_a3, t_a4, t_a5)),
-            _sup_node(_normalized(res32, t_b1, t_b2, t_b3, t_b4, t_b5)),
-            _sup_node(_normalized(t_c1 + t_c2, t_c1, t_c2)),
-            _sup_node(_normalized(t_e1 + t_e2, t_e1, t_e2))])
-    values = np.array([[v for v, _ in row] for row in sups])
-    nodes = np.array([[k for _, k in row] for row in sups])
+    t_e1 = ss_n
+    t_e2 = -lam * foliation.sqrt_s * h * rho
+    sups = (_sup_nodes(_normalized(res31, t_a1, t_a2, t_a3, t_a4, t_a5)),
+            _sup_nodes(_normalized(res32, t_b1, t_b2, t_b3, t_b4, t_b5)),
+            _sup_nodes(_normalized(t_c1 + t_c2, t_c1, t_c2)),
+            _sup_nodes(_normalized(t_e1 + t_e2, t_e1, t_e2)))
+    values, nodes = (np.stack(c, axis=1) for c in zip(*sups))
     return IdentityResiduals(*values.T, nodes)
 
 
@@ -408,48 +406,34 @@ def inequality_slacks(foliation, lam, mass, terms=None):
     the identities hold (zero exactly on Schwarzschild data).  Integrated:
     the asymptotic ends are replaced by their closed-form limits
     (H -> 2/r, rho -> r^2/|m|), giving 8 pi sqrt|m| for the first chain
-    and 0 for the second.  ``terms`` holds ``_leaf_terms`` of each leaf,
-    computed here when not given.
+    and 0 for the second.  ``terms`` holds ``_leaf_terms`` of the
+    foliation, computed here when not given.
     """
     if len(foliation) < 8:
         raise ValueError("inequality integration needs a dense foliation")
-    sqrt_s, h, rho = (foliation.stack(a) for a in ("sqrt_s", "H", "rho"))
-    n_values = np.array([lv.N_value for lv in foliation.levels])[:, None, None]
-    p_n = _transverse_derivative(
-        foliation, sqrt_s * h * lam / (np.sqrt(rho) * n_values))
-    q_n = _transverse_derivative(
-        foliation, sqrt_s / rho * (h * n_values + 4.0 * lam / rho))
+    sqrt_s, h, rho = foliation.sqrt_s, foliation.H, foliation.rho
+    n = foliation.N[:, None, None]
+    p_n = _transverse_derivative(foliation, sqrt_s * h * lam / (np.sqrt(rho) * n))
+    q_n = _transverse_derivative(foliation,
+                                 sqrt_s / rho * (h * n + 4.0 * lam / rho))
+    _, lap_sqrt_rho, lap_log_rho, bracket = (
+        _leaf_terms(foliation) if terms is None else terms)
+    r_sigma = 2.0 * foliation.gauss_k
+    s34, n34 = _min_max_nodes(-2.0 * (sqrt_s / n) * lap_sqrt_rho - p_n)
+    s35, n35 = _min_max_nodes(-n * sqrt_s * (lap_log_rho + r_sigma) - q_n)
 
-    if terms is None:
-        terms = map(_leaf_terms, foliation.levels)
-    s34, s35 = [], []
-    bracket_min = np.inf
-    for j, (lv, leaf) in enumerate(zip(foliation.levels, terms)):
-        n = lv.N_value
-        _, lap_sqrt_rho, lap_log_rho, bracket = leaf
-        bracket_min = min(bracket_min, float(np.min(bracket)))
-        r_sigma = 2.0 * lv.gauss_k
-
-        rhs34 = -2.0 * (lv.sqrt_s / n) * lap_sqrt_rho
-        s34.append(_min_max_nodes(rhs34 - p_n[j]))
-        rhs35 = -n * lv.sqrt_s * (lap_log_rho + r_sigma)
-        s35.append(_min_max_nodes(rhs35 - q_n[j]))
-
-    b = foliation.boundary
-    n0 = b.N_value
-    r0 = b.area_radius
-    h0 = b.mean(b.H)
-    f_n0 = b.integral(b.H / np.sqrt(b.rho)) / n0
+    n0 = float(foliation.N[0])
+    r0 = float(foliation.area_radius[0])
+    h0 = foliation.mean(h, 0)
+    f_n0 = foliation.integral(h / np.sqrt(rho), 0) / n0
     f_inf = 8.0 * math.pi * math.sqrt(abs(mass))
     chain36 = lam * (f_n0 - f_inf) / f_inf
     ineq37 = lam * (r0 * h0 - 2.0 * n0)
 
-    g_n0 = b.integral((b.H * n0 + 4.0 * lam / b.rho) / b.rho)
+    g_n0 = foliation.integral((h * n0 + 4.0 * lam / rho) / rho, 0)
     chain38 = (g_n0 - 4.0 * math.pi * (1.0 - n0 ** 2)) / (4.0 * math.pi)
     ineq39 = abs(mass) * (h0 * n0 + 4.0 * mass / r0 ** 2) - (1.0 - n0 ** 2)
-
-    (s34, n34), (s35, n35) = ([np.array(c) for c in zip(*s)] for s in (s34, s35))
-    return InequalitySlacks(s34, s35, n34, n35, bracket_min,
+    return InequalitySlacks(s34, s35, n34, n35, float(np.min(bracket)),
                             chain36, ineq37, chain38, ineq39)
 
 
@@ -481,14 +465,13 @@ def sign_analysis(foliation, mass, frak_h, tol=TOL_LVL):
         raise FlatnessError(
             "mass flux vanishes: the slice is flat (Minkowski) and flat "
             "spacetime possesses no photon sphere; nothing to exclude")
-    b = foliation.boundary
-    s_nu = int(np.sign(b.mean(b.nuN)))
+    s_nu = int(np.sign(foliation.mean(foliation.nuN, 0)))
     s_m = int(np.sign(mass))
     s_fh = int(np.sign(frak_h))
-    s_h0 = int(np.sign(b.mean(b.H)))
+    s_h0 = int(np.sign(foliation.mean(foliation.H, 0)))
     lam = s_nu
     consistent = s_nu == s_m == s_fh == s_h0
-    r0 = b.area_radius
+    r0 = float(foliation.area_radius[0])
     bound = (6.0 * lam + 3.0) * mass ** 2
     slack = bound - r0 ** 2
     negative_bound = (6.0 * -1 + 3.0) * mass ** 2
@@ -519,14 +502,14 @@ class BoundaryConstraints:
 
 
 def boundary_constraints(spacetime, foliation, mass, lam=1):
-    b = foliation.boundary
-    n0 = b.N_value
-    r0 = b.area_radius
-    h0 = b.mean(b.H)
-    nu0 = b.mean(b.nuN)
-    r_sigma = 2.0 * b.mean(b.gauss_k)
+    fol = foliation
+    n0 = float(fol.N[0])
+    r0 = float(fol.area_radius[0])
+    h0 = fol.mean(fol.H, 0)
+    nu0 = fol.mean(fol.nuN, 0)
+    r_sigma = 2.0 * fol.mean(fol.gauss_k, 0)
 
-    sd, scalar = hs.cylinder_sample(hs.cylinder(spacetime, b.r_coord))
+    sd, scalar = hs.cylinder_sample(hs.cylinder(spacetime, fol.r_coord[0]))
     frak_h = float(np.mean(sd.mean_curvature))
     r_p = float(np.mean(scalar))
 
@@ -655,8 +638,15 @@ class Gate:
 
 @dataclass(frozen=True)
 class IsraelReport:
+    """The pipeline's results.  ``rho_mean``, ``h_mean`` and ``rho_std`` hold
+    the area-weighted mean of rho and H and the standard deviation of rho
+    on each leaf, computed once for the gates and the written tables."""
+
     mass: float
     flux_by_level: tuple
+    rho_mean: np.ndarray
+    h_mean: np.ndarray
+    rho_std: np.ndarray
     boundary: BoundaryConstraints
     identities: IdentityResiduals
     slacks: InequalitySlacks
@@ -669,17 +659,11 @@ class IsraelReport:
 
     def to_json_dict(self):
         b = self.boundary
-        per_level = []
-        for j, lv in enumerate(self.foliation.levels):
-            per_level.append({
-                "N": lv.N_value, "r": lv.area_radius,
-                "rho": lv.mean(lv.rho), "H": lv.mean(lv.H),
-                "tracefree_sup": float(np.max(lv.tracefree)),
-                "rho_std": lv.std(lv.rho),
-                "res31": float(self.identities.res31[j]),
-                "res32": float(self.identities.res32[j]),
-                "res33": float(self.identities.res33[j]),
-            })
+        columns = zip(*(c.tolist() for c in self._level_columns()),
+                      self.rho_std.tolist())
+        keys = ("N", "r", "rho", "H", "tracefree_sup", "res31", "res32",
+                "res33", "rho_std")
+        per_level = [dict(zip(keys, row)) for row in columns]
         return {
             "mass": self.mass,
             "flux_by_level": list(self.flux_by_level),
@@ -706,24 +690,26 @@ class IsraelReport:
             "tolerance": self.tol,
         }
 
+    def _level_columns(self):
+        """Per-level N, area radius, mean rho, mean H, sup of the trace-free
+        norm and the three identity residuals."""
+        fol, ids = self.foliation, self.identities
+        return (fol.N, fol.area_radius, self.rho_mean, self.h_mean,
+                _sup_nodes(fol.tracefree)[0], ids.res31, ids.res32, ids.res33)
+
     def write_levels_csv(self, path):
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["N", "r", "rho", "H", "tracefree_sup",
                          "res31", "res32", "res33"])
-            for j, lv in enumerate(self.foliation.levels):
-                wr.writerow([f"{v:.17g}" for v in
-                             (lv.N_value, lv.area_radius, lv.mean(lv.rho),
-                              lv.mean(lv.H), float(np.max(lv.tracefree)),
-                              self.identities.res31[j],
-                              self.identities.res32[j],
-                              self.identities.res33[j])])
+            for row in zip(*self._level_columns()):
+                wr.writerow([f"{v:.17g}" for v in row])
 
 
 def _identities_and_slacks(foliation, lam, mass):
     """``identity_residuals`` and ``inequality_slacks`` from one
-    ``_leaf_terms`` per leaf."""
-    terms = [_leaf_terms(lv) for lv in foliation.levels]
+    ``_leaf_terms`` of the foliation."""
+    terms = _leaf_terms(foliation)
     return (identity_residuals(foliation, lam, terms),
             inequality_slacks(foliation, lam, mass, terms))
 
@@ -743,22 +729,23 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     foliation = build_foliation(spacetime, n0, levels, quad_order,
                                 tail_radius, r_hint=r_ps)
 
-    fluxes = [mass_flux(lv) for lv in foliation.levels]
-    mass = fluxes[0]
+    fluxes = mass_flux(foliation)
+    mass = float(fluxes[0])
     bnd = boundary_constraints(spacetime, foliation, mass)
     sign = sign_analysis(foliation, mass, bnd.frak_h, tol)
     ids, slacks = _identities_and_slacks(foliation, sign.lam, mass)
     recon = reconstruct_lapse(mass, bnd.n0, bnd.r0,
                               r_max=foliation.tail_radius)
 
-    tf_by_level, tf_nodes = zip(*(_sup_node(lv.tracefree)
-                                  for lv in foliation.levels))
-    tf_sup = float(max(tf_by_level))
-    rho_by_level = [lv.std(lv.rho) / lv.mean(lv.rho) for lv in foliation.levels]
-    rho_std_rel = max(rho_by_level)
-    h_min = min(lv.mean(lv.H) for lv in foliation.levels)
+    tf_by_level, tf_nodes = _sup_nodes(foliation.tracefree)
+    tf_sup = float(np.max(tf_by_level))
+    rho_mean, h_mean = foliation.mean(foliation.rho), foliation.mean(foliation.H)
+    rho_std = foliation.std(foliation.rho)
+    rho_by_level = rho_std / rho_mean
+    rho_std_rel = float(np.max(rho_by_level))
+    h_min = float(np.min(h_mean))
     flux_spread = float(np.max(fluxes) - np.min(fluxes))
-    n_vals = [lv.N_value for lv in foliation.levels]
+    n_min, n_max = float(np.min(foliation.N)), float(np.max(foliation.N))
 
     id_level, id_node = _sup_position(
         np.column_stack([ids.res31, ids.res32, ids.res33]), ids.nodes[:, :3])
@@ -797,12 +784,11 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
              sign.exclusion_slack >= -tol and sign.negative_branch_contradiction),
         Gate("flux-level-independence", flux_spread, 100 * 1e-8,
              flux_spread < 100 * 1e-8),
-        Gate("N-range", 0.0 if (min(n_vals) >= n0 - 1e-12
-                                and max(n_vals) < 1.0) else 1.0, 0.5,
-             min(n_vals) >= n0 - 1e-12 and max(n_vals) < 1.0),
+        Gate("N-range", 0.0 if (n_min >= n0 - 1e-12 and n_max < 1.0) else 1.0,
+             0.5, n_min >= n0 - 1e-12 and n_max < 1.0),
         Gate("reconstruction", recon.sup_deviation, tol,
              recon.sup_deviation < tol),
-        Gate("tail", foliation.levels[-1].r_coord / foliation.tail_radius,
+        Gate("tail", float(foliation.r_coord[-1]) / foliation.tail_radius,
              0.99, foliation.reaches_tail(), structural=True),
     )
     structural_fail = any(not g.passed and g.structural for g in gates)
@@ -813,5 +799,6 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
         verdict = "not-isometric"
     else:
         verdict = "isometric"
-    return IsraelReport(mass, tuple(fluxes), bnd, ids, slacks, sign, recon,
+    return IsraelReport(mass, tuple(fluxes.tolist()), rho_mean, h_mean, rho_std,
+                        bnd, ids, slacks, sign, recon,
                         foliation, gates, verdict, tol)

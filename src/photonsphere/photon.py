@@ -170,7 +170,7 @@ def timelike_signature(surface, n_samples=64):
         pts = (np.zeros_like(theta), theta, phi)
     else:
         pts = (theta, phi)
-    g, _, _ = metric_taylor(surface.induced_sampler(), pts)
+    g, _, _ = metric_taylor(surface.induced_sampler(), pts, order=1)
     signs = np.sign(np.linalg.eigvalsh(g))
     return signs.reshape(-1, surface.surface_dim)
 

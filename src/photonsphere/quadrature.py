@@ -93,7 +93,8 @@ def diff_matrix(n_theta):
 
 
 def phi_derivatives(f):
-    """First and second phi-derivatives of a periodic (n_theta, n_phi) field.
+    """First and second phi-derivatives of a periodic (..., n_theta, n_phi)
+    field.
 
     A length-1 phi axis means the field is constant in phi: its only
     wavenumber is 0, so both derivatives come out exact zeros of the
@@ -111,21 +112,23 @@ def sphere_laplacian(f, x, r_area):
     """Laplace-Beltrami operator of a round sphere of radius r_area.
 
     In x = cos(theta):  Lap f = [d/dx((1-x^2) df/dx) + f_phiphi/(1-x^2)] / r^2.
-    ``f`` is (n_theta, n_phi), or (n_theta, 1) for a field constant in phi,
-    whose Laplacian then has that shape too.
+    ``f`` is (..., n_theta, n_phi), or (..., n_theta, 1) for a field constant
+    in phi, whose Laplacian then has that shape too.  Leading axes stack
+    leaves, each equal to the same leaf alone bit for bit (an einsum, not a
+    matmul, which is not); ``r_area`` broadcasts against ``f``.
     """
     d = diff_matrix(len(x))
-    fx = np.einsum("ij,j...->i...", d, f)
-    term_theta = np.einsum("ij,j...->i...", d, (1.0 - x ** 2)[:, None] * fx)
+    fx = np.einsum("ij,...jk->...ik", d, f)
+    term_theta = np.einsum("ij,...jk->...ik", d, (1.0 - x ** 2)[:, None] * fx)
     _, fpp = phi_derivatives(f)
     return (term_theta + fpp / (1.0 - x ** 2)[:, None]) / r_area ** 2
 
 
 def sphere_grad_sq(f, x, r_area):
-    """|grad f|^2 on a round sphere of radius r_area; ``f`` is shaped as
-    for ``sphere_laplacian``."""
+    """|grad f|^2 on a round sphere of radius r_area; ``f`` and ``r_area``
+    are shaped as for ``sphere_laplacian``."""
     d = diff_matrix(len(x))
-    fx = np.einsum("ij,j...->i...", d, f)
+    fx = np.einsum("ij,...jk->...ik", d, f)
     fp, _ = phi_derivatives(f)
     return ((1.0 - x ** 2)[:, None] * fx ** 2
             + fp ** 2 / (1.0 - x ** 2)[:, None]) / r_area ** 2
@@ -160,6 +163,7 @@ def fornberg_weights(x0, xs, order):
     return c[:, order]
 
 
+@lru_cache(maxsize=16)
 def level_stencils(n_levels):
     """Per-level first-derivative stencils in the level index s (spacing 1).
 
@@ -167,7 +171,8 @@ def level_stencils(n_levels):
     points; the levels too near either end for it use one-sided/offset
     Fornberg stencils on ``EDGE_WIDTH`` points, whose higher order is needed
     because the one-sided error constants are several times the central
-    ones.  Returns a list of (offsets, weights).
+    ones.  Returns a tuple of (offsets, weights), cached: every derivative
+    of one foliation shares it.
     """
     half = INTERIOR_WIDTH // 2
     central = fornberg_weights(0.0, np.arange(-half, half + 1), 1)
@@ -180,7 +185,7 @@ def level_stencils(n_levels):
             start = min(max(0, j - width // 2), n_levels - width)
             offs = np.arange(start, start + width) - j
             out.append((offs, fornberg_weights(0.0, offs, 1)))
-    return out
+    return tuple(out)
 
 
 def level_derivative(values, stencils):

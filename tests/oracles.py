@@ -145,8 +145,9 @@ def _sample_matrix(sampler, coords):
                                for v in row], axis=-1) for row in vals], axis=-2)
 
 
-def fd_metric_taylor(sampler, coords):
-    """``calculus.metric_taylor`` by finite differences: (g, dg, ddg)."""
+def fd_metric_taylor(sampler, coords, order=2):
+    """``calculus.metric_taylor`` by finite differences: (g, dg, ddg) at
+    either ``order``."""
     return _fd_taylor(lambda pt: _sample_matrix(sampler, pt), coords, 2)
 
 

@@ -120,12 +120,12 @@ def test_criterion_4_vacuum_verification():
 
 def test_criterion_5_mass_flux(m1_report):
     rep, _ = m1_report
-    idx = np.linspace(0, len(rep.foliation.levels) - 1, 10).astype(int)
-    flux1 = [isr.mass_flux(rep.foliation.levels[j]) for j in idx]
+    idx = np.linspace(0, len(rep.foliation) - 1, 10).astype(int)
+    flux1 = list(isr.mass_flux(rep.foliation)[idx])
     st2 = StaticSpacetime.schwarzschild(2.0)
     fol2 = isr.build_foliation(st2, N0, levels=10, quad_order=(32, 64),
                                r_hint=6.0, tail_radius=200.0)
-    flux2 = [isr.mass_flux(lv) for lv in fol2.levels]
+    flux2 = list(isr.mass_flux(fol2))
     err1 = max(abs(f - 1.0) for f in flux1)
     err2 = max(abs(f - 2.0) for f in flux2)
     spread = max(max(flux1) - min(flux1), max(flux2) - min(flux2))

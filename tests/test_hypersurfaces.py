@@ -60,7 +60,7 @@ class TestShape:
             x = surf.embed(hs._asarrays(pt))
             g, dg, _ = calc.metric_taylor(surf.ambient, x)
             ginv = np.linalg.inv(g)
-            eta_d, _, eta_u = hs.normal_data(surf, x, ginv, dg)
+            eta_d, _, eta_u, _ = hs.normal_data(surf, x, ginv, dg)
             assert abs(np.einsum("a,a->", eta_d, eta_u) - tau) < 1e-12
 
     def test_gradient_normal_matches_inverse_metric_derivative(self):
@@ -76,7 +76,7 @@ class TestShape:
             ginv = np.linalg.inv(g)
             dg = rng.normal(size=(64, n_dim, n_dim, n_dim))
             dg = dg + np.swapaxes(dg, -1, -2)
-            eta_d, deta, eta_u = hs.normal_data(surf, x, ginv, dg)
+            eta_d, deta, eta_u, _ = hs.normal_data(surf, x, ginv, dg)
 
             _, w, dw = calc.scalar_taylor(hs._level_function(surf), x)
             q = np.einsum("...ab,...a,...b->...", ginv, w, w)
@@ -107,7 +107,7 @@ class TestGaussResidual:
         bundle = calc.curvature(ST.metric3, coords)
         g, dg, _ = calc.metric_taylor(ST.metric3, coords)
         ginv = np.linalg.inv(g)
-        _, _, eta_u = hs.normal_data(lvl, coords, ginv, dg)
+        _, _, eta_u, _ = hs.normal_data(lvl, coords, ginv, dg)
         ric_nn = np.einsum("ab,a,b->", bundle.ricci_dd, eta_u, eta_u)
         n5 = ST.profile.lapse(5.0)
         h5 = hs.shape(lvl, (1.0, 0.3)).mean_curvature
@@ -124,7 +124,7 @@ def test_nu_of_lapse_constant_on_level_sets():
     coords = lvl.embed((tg, pg))
     g, dg, _ = calc.metric_taylor(lvl.ambient, coords)
     ginv = np.linalg.inv(g)
-    _, _, eta_u = hs.normal_data(lvl, coords, ginv, dg)
+    _, _, eta_u, _ = hs.normal_data(lvl, coords, ginv, dg)
     _, dn, _ = calc.scalar_taylor(lambda c: ST.profile.lapse(c[0]), coords)
     nu_n = np.einsum("...a,...a->...", eta_u, dn)
     assert np.std(nu_n) < 1e-14
@@ -138,7 +138,7 @@ def test_codazzi_contraction_reproduces_cmc_mechanism():
     pt = hs._asarrays((0.0, 1.0, 0.2))
     amb = calc.curvature(ST.metric4, cyl.embed(pt))
     g, dg, _ = calc.metric_taylor(ST.metric4, cyl.embed(pt))
-    _, _, eta_u = hs.normal_data(cyl, cyl.embed(pt), np.linalg.inv(g), dg)
+    _, _, eta_u, _ = hs.normal_data(cyl, cyl.embed(pt), np.linalg.inv(g), dg)
     for axis in (0, 2, 3):
         y = np.zeros(4)
         y[axis] = 1.0
