@@ -41,7 +41,6 @@ from .geodesics import (
     integrate_null,
     tangency_persistence,
     tangent_null_seeds,
-    trajectory_to_csv,
 )
 from .photon import (
     PhotonSphereLocation,

@@ -186,7 +186,11 @@ def _run_trace(scn, spacetime, out):
         ChartPoint(*scn.trace_start), tuple(scn.trace_direction))
     tol = geodesics.DEFAULT_TOL
     traj = geodesics.integrate_null(spacetime, state, scn.span, tol=tol)
-    geodesics.trajectory_to_csv(traj, os.path.join(out, "trajectory.csv"))
+    _write_table(os.path.join(out, "trajectory.csv"),
+                 ["lambda", "t", "r", "theta", "phi", "vt", "vr", "vtheta",
+                  "vphi", "null_residual", "energy"],
+                 np.column_stack([traj.samples, traj.null_residuals,
+                                  traj.energies]))
     _write_table(os.path.join(out, "geodesic_r_of_lambda.csv"),
                  ["lambda", "r"], zip(traj.affine, traj.r))
     verdict = geodesics.energy_constancy_verdict(traj)
@@ -226,7 +230,7 @@ def _run_certify(scn, spacetime, out, r0=None):
     cert = photon.certify_photon_surface(
         spacetime, surface, seeds=scn.seeds, span=scn.span,
         rng_seed=scn.rng_seed)
-    photon.certificate_to_json(cert, os.path.join(out, "certificate.json"))
+    _write_json(os.path.join(out, "certificate.json"), cert.to_json_dict())
     code = {"certified": EXIT_TRUE, "refuted": EXIT_FALSE}.get(cert.verdict,
                                                                EXIT_ERROR)
     return code, cert
@@ -258,7 +262,9 @@ def _run_israel(scn, spacetime, out, loc=None):
     payload["scenario"] = scn.name
     payload["rng_seed"] = scn.rng_seed
     _write_json(os.path.join(out, "israel_report.json"), payload)
-    report.write_levels_csv(os.path.join(out, "israel_levels.csv"))
+    _write_table(os.path.join(out, "israel_levels.csv"),
+                 ["N", "r", "rho", "H", "tracefree_sup", "res31", "res32",
+                  "res33"], zip(*report.level_columns()))
     _emit_plot_data(report, out)
     code = {"isometric": EXIT_TRUE, "not-isometric": EXIT_FALSE}.get(
         report.verdict, EXIT_ERROR)

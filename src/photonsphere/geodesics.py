@@ -536,20 +536,3 @@ def tangency_persistence(spacetime, surface, seeds, span, tol=TANGENCY_TOL,
     deviations = tuple(sup.tolist())
     return TangencyReport(r0, deviations, max(deviations), span, len(seeds),
                           rng_seed, tuple(runs), tol)
-
-
-# ---------------------------------------------------------------------------
-# Trajectory export
-# ---------------------------------------------------------------------------
-
-CSV_HEADER = "lambda,t,r,theta,phi,vt,vr,vtheta,vphi,null_residual,energy"
-
-
-def trajectory_to_csv(trajectory, path):
-    """Dump a trajectory in full double precision (17 significant digits)."""
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row, resid, en in zip(trajectory.samples, trajectory.null_residuals,
-                                  trajectory.energies):
-            vals = list(row) + [resid, en]
-            fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")

@@ -227,11 +227,11 @@ def shape(surface, point):
 def cylinder_sample(surface, n_theta=16, n_phi=32):
     """Shape data and induced scalar curvature of a cylinder at t = 0.
 
-    Both are sampled on the dense (n_theta, n_phi) grid of Gauss-Legendre
-    theta and uniform phi nodes, which the shape data holds in ``at``.
+    Both are sampled on the sparse (n_theta, 1) x (1, n_phi) axes of
+    Gauss-Legendre theta and uniform phi nodes, which the shape data holds
+    in ``at``; a field constant in phi comes back (n_theta, 1).
     """
     theta, _, phi, _ = quad.sphere_grid(n_theta, n_phi)
-    theta, phi = np.meshgrid(theta, phi, indexing="ij")
-    point = (np.zeros_like(theta), theta, phi)
+    point = (0.0, *np.meshgrid(theta, phi, indexing="ij", sparse=True))
     return shape(surface, point), curvature(surface.induced_sampler(), point).scalar
 

@@ -10,16 +10,17 @@ level differencing (eighth-order central stencils, see
 ``quadrature.level_stencils``) inside the error budget.
 
 Per level the pipeline computes leaf geometry (area radius, rho = 1/|nu(N)|,
-mean curvature, trace-free norm, Gauss curvature).  The leaves are located
-one at a time by bisection but evaluated in stacked blocks: the radii of a
-block are one (levels, 1, 1) jet coordinate against the sparse (n_theta, 1)
-and (1, n_phi) angle axes, so one ``shape``, one lapse gradient and one
-induced ``curvature`` call cover a block (see :mod:`.jets`).  A block holds
-at most ``BLOCK_ROWS`` (levels x theta) rows, which bounds the memory its
-jets take, and each of its entries equals the same leaf evaluated alone
-bit for bit.  A ``Foliation`` holds each field as one (levels, n_theta, 1)
-stack, and the checks below read the stacks whole, except for means and
-integrals, which run one level at a time.  The pipeline then checks
+mean curvature, trace-free norm, Gauss curvature).  The leaf radii of all
+levels are bisected together (``quadrature.bisect``) and the leaves
+evaluated in stacked blocks: the radii of a block are one (levels, 1, 1)
+jet coordinate against the sparse (n_theta, 1) and (1, n_phi) angle axes,
+so one ``shape``, one lapse gradient and one induced ``curvature`` call
+cover a block (see :mod:`.jets`).  A block holds at most ``BLOCK_ROWS``
+(levels x theta) rows, which bounds the memory its jets take, and each of
+its entries equals the same leaf evaluated alone bit for bit.  A
+``Foliation`` holds each field as one (levels, n_theta, 1) stack, and the
+checks below read the stacks whole, except for means and integrals, which
+run one level at a time.  The pipeline then checks
 
 * the mass flux integral (level independent in vacuum),
 * the three transverse identities coupling rho, H and N,
@@ -35,7 +36,6 @@ are normalized by the largest participating term (floored at one), so a
 single tolerance is meaningful across the whole foliation.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -55,30 +55,6 @@ BLOCK_ROWS = 1024   # (levels x theta) rows of one stacked leaf evaluation
 
 class FlatnessError(RuntimeError):
     """Raised for m = 0 inputs: the slice is flat and has no photon sphere."""
-
-
-def _solve_radius(profile, n_target, r_lo, r_hi):
-    """Radius with N(r) = n_target, by bisection on a monotone lapse."""
-    f = lambda r: profile.lapse(r) - n_target
-    a, b = r_lo, r_hi
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0) == (fb < 0):
-        raise DomainError(f"lapse level {n_target} not bracketed in "
-                          f"[{r_lo}, {r_hi}]")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0 or (b - a) < 1e-15 * max(1.0, abs(mid)):
-            return mid
-        if (fa < 0) != (fm < 0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
 
 
 def _check_leaves(bad, r_levels, what):
@@ -141,10 +117,12 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
                     tail_radius=None, r_hint=None):
     """Foliate [N0, N(tail_radius)] by lapse level sets.
 
-    Levels are geometric in u = 1 - N^2 (see module docstring).  Each leaf
-    is located by bisection; the leaves are then sampled on the
-    Gauss-Legendre x uniform phi grid in blocks of at most ``BLOCK_ROWS``
-    (levels x theta) rows.  Raises FoliationError when |dN| degenerates.
+    Levels are geometric in u = 1 - N^2 (see module docstring).  The radii
+    of all levels are bisected at once, in one ``quad.bisect`` call on one
+    shared bracket; the leaves are then sampled on the Gauss-Legendre x
+    uniform phi grid in blocks of at most ``BLOCK_ROWS`` (levels x theta)
+    rows.  Raises DomainError naming the first level the bracket does not
+    hold, and FoliationError when |dN| degenerates.
     """
     profile = spacetime.profile
     n_theta, n_phi = quad_order
@@ -168,11 +146,15 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
     # derivative of the level map per unit *index*, matching the stencils
     dn_ds = -u * math.log(ratio) / (2.0 * n_values * (levels - 1))
 
-    r_prev = r_hint if r_hint else profile.r_min * (1.0 + 1e-6) + 1e-12
-    radii = np.empty(levels)
-    for j, nj in enumerate(n_values):
-        r_prev = radii[j] = _solve_radius(profile, nj, r_prev * (1.0 - 1e-12),
-                                          tail_radius * 1.01)
+    # the lapse is monotone, so one bracket holds the root of every level
+    r_lo = r_hint if r_hint else profile.r_min * (1.0 + 1e-6) + 1e-12
+    r_lo, r_hi = r_lo * (1.0 - 1e-12), 1.01 * tail_radius
+    try:
+        radii = quad.bisect(lambda r: profile.lapse(r) - n_values,
+                            np.full(levels, r_lo), np.full(levels, r_hi))
+    except ValueError as exc:
+        raise DomainError(f"lapse level not bracketed, one bracket per level "
+                          f"from N0 = {n0!r}: {exc}") from exc
 
     theta, x, phi, w = quad.sphere_grid(n_theta, n_phi)
     per_block = max(1, BLOCK_ROWS // n_theta)
@@ -304,10 +286,8 @@ class IdentityResiduals:
 def _transverse_derivative(foliation, nodes):
     """d/dN of stacked leaf values ``nodes``, shape (levels, n_theta, 1)
     or (levels, n_theta, n_phi)."""
-    stencils = quad.level_stencils(len(foliation))
-    dds = quad.level_derivative(nodes, stencils)
-    dds /= foliation.dN_ds[:, None, None]
-    return dds
+    return (quad.level_derivative(nodes, quad.level_stencils(len(foliation)))
+            / foliation.dN_ds[:, None, None])
 
 
 def _leaf_terms(foliation):
@@ -659,7 +639,7 @@ class IsraelReport:
 
     def to_json_dict(self):
         b = self.boundary
-        columns = zip(*(c.tolist() for c in self._level_columns()),
+        columns = zip(*(c.tolist() for c in self.level_columns()),
                       self.rho_std.tolist())
         keys = ("N", "r", "rho", "H", "tracefree_sup", "res31", "res32",
                 "res33", "rho_std")
@@ -690,20 +670,12 @@ class IsraelReport:
             "tolerance": self.tol,
         }
 
-    def _level_columns(self):
+    def level_columns(self):
         """Per-level N, area radius, mean rho, mean H, sup of the trace-free
         norm and the three identity residuals."""
         fol, ids = self.foliation, self.identities
         return (fol.N, fol.area_radius, self.rho_mean, self.h_mean,
                 _sup_nodes(fol.tracefree)[0], ids.res31, ids.res32, ids.res33)
-
-    def write_levels_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["N", "r", "rho", "H", "tracefree_sup",
-                         "res31", "res32", "res33"])
-            for row in zip(*self._level_columns()):
-                wr.writerow([f"{v:.17g}" for v in row])
 
 
 def _identities_and_slacks(foliation, lam, mass):

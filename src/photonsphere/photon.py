@@ -13,7 +13,6 @@ for circular null orbits; the geodesic integrator doubles as the
 brute-force oracle validating this locator condition.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ from .spacetimes import ChartPoint, DomainError
 
 TOL_CERT = 1e-7
 SCAN_POINTS = 512
-BISECT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,24 +42,14 @@ class PhotonSphereLocation:
         return self.r_ps is not None
 
 
-def _bisect(f, a, b, fa, fb):
-    while (b - a) > BISECT_RTOL * max(1.0, abs(a), abs(b)):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0) != (fm < 0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
 def locate_photon_sphere(profile, scan):
     """Bracket and bisect the roots of f(r) = r N'(r) - N(r).
 
-    Returns every root in the scan range; none found means no photon
-    sphere (Minkowski and negative mass land here: f < 0 throughout).
+    Every sign change of f between neighbouring scan points is bisected
+    to the last bit in one ``quad.bisect`` call; a scan point where f is
+    exactly zero is a root as it stands.  Returns every root in the scan
+    range; none found means no photon sphere (Minkowski and negative mass
+    land here: f < 0 throughout).
     """
     r_lo, r_hi = float(scan[0]), float(scan[1])
     if not r_hi > r_lo:
@@ -79,16 +67,9 @@ def locate_photon_sphere(profile, scan):
     if np.any(bad):
         raise DomainError(f"r N'(r) - N(r) is not real or not finite at "
                           f"r = {rs[bad][0]:.12g} of the scan {[r_lo, r_hi]}")
-    roots = []
-    for i in range(len(rs) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(float(rs[i]))
-        elif (va < 0) != (vb < 0):
-            roots.append(float(_bisect(f, rs[i], rs[i + 1], va, vb)))
-    if vals[-1] == 0.0:
-        roots.append(float(rs[-1]))
-    roots = tuple(sorted(roots))
+    change = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0
+    roots = tuple(sorted(rs[vals == 0.0].tolist() + quad.bisect(
+        f, rs[:-1][change], rs[1:][change]).tolist()))
     if not roots:
         return PhotonSphereLocation(None, None, 0, (), (r_lo, r_hi))
     r_ps = roots[0]
@@ -165,11 +146,9 @@ def timelike_signature(surface, n_samples=64):
     """Eigenvalue signs of the induced metric at sample points."""
     n_theta = max(4, int(round(math.sqrt(n_samples / 2))))
     theta, _, phi, _ = quad.sphere_grid(n_theta, 2 * n_theta)
-    theta, phi = np.meshgrid(theta, phi, indexing="ij")
+    pts = tuple(np.meshgrid(theta, phi, indexing="ij", sparse=True))
     if surface.surface_dim == 3:
-        pts = (np.zeros_like(theta), theta, phi)
-    else:
-        pts = (theta, phi)
+        pts = (0.0, *pts)
     g, _, _ = metric_taylor(surface.induced_sampler(), pts, order=1)
     signs = np.sign(np.linalg.eigvalsh(g))
     return signs.reshape(-1, surface.surface_dim)
@@ -245,12 +224,3 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
         vacuum=vac,
         tangency=tangency,
     )
-
-
-def certificate_to_json(cert, path=None):
-    text = json.dumps(cert.to_json_dict(), indent=2, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
-

@@ -1,4 +1,4 @@
-"""Spherical quadrature and differentiation utilities.
+"""Spherical quadrature, differentiation and root bisection utilities.
 
 Leaf integrals use Gauss-Legendre nodes in x = cos(theta) crossed with a
 uniform periodic grid in phi (the trapezoid rule, which is spectrally
@@ -7,9 +7,13 @@ poles, respecting the chart's exclusion of theta in {0, pi}.
 
 Tangential derivatives on a leaf use the barycentric differentiation
 matrix in x and FFT differentiation in phi; transverse (level-to-level)
-derivatives use finite-difference stencils with Fornberg weights.  The
-same barycentric code differentiates and interpolates on Chebyshev points,
-where the rigidity ODE is collocated.
+derivatives use one banded matrix of finite-difference stencils with
+Fornberg weights.  The same barycentric code differentiates and
+interpolates on Chebyshev points, where the rigidity ODE is collocated.
+
+Roots (the photon-sphere radius, every leaf radius of the lapse
+foliation) come from ``bisect``, which halves an array of brackets at once
+until each is two adjacent floats.
 """
 
 from functools import lru_cache
@@ -165,33 +169,69 @@ def fornberg_weights(x0, xs, order):
 
 @lru_cache(maxsize=16)
 def level_stencils(n_levels):
-    """Per-level first-derivative stencils in the level index s (spacing 1).
+    """First-derivative matrix in the level index s (spacing 1).
 
-    Interior levels use the eighth-order central rule on ``INTERIOR_WIDTH``
-    points; the levels too near either end for it use one-sided/offset
-    Fornberg stencils on ``EDGE_WIDTH`` points, whose higher order is needed
-    because the one-sided error constants are several times the central
-    ones.  Returns a tuple of (offsets, weights), cached: every derivative
-    of one foliation shares it.
+    Row j holds the stencil of level j: the eighth-order central rule on
+    ``INTERIOR_WIDTH`` points inside, and one-sided/offset Fornberg stencils
+    on ``EDGE_WIDTH`` points for the levels too near either end for it, whose
+    higher order is needed because the one-sided error constants are several
+    times the central ones.  The (n_levels, n_levels) banded matrix is cached
+    and read-only: every derivative of one foliation shares it.
     """
     half = INTERIOR_WIDTH // 2
     central = fornberg_weights(0.0, np.arange(-half, half + 1), 1)
-    out = []
+    d = np.zeros((n_levels, n_levels))
     for j in range(n_levels):
         if half <= j < n_levels - half and n_levels >= INTERIOR_WIDTH:
-            out.append((np.arange(-half, half + 1), central))
+            d[j, j - half:j + half + 1] = central
         else:
             width = min(EDGE_WIDTH, n_levels)
             start = min(max(0, j - width // 2), n_levels - width)
-            offs = np.arange(start, start + width) - j
-            out.append((offs, fornberg_weights(0.0, offs, 1)))
-    return tuple(out)
+            d[j, start:start + width] = fornberg_weights(
+                0.0, np.arange(start, start + width) - j, 1)
+    d.flags.writeable = False
+    return d
 
 
-def level_derivative(values, stencils):
-    """Apply per-level stencils along axis 0 (the level axis)."""
-    values = np.asarray(values)
-    out = np.empty_like(values, dtype=float)
-    for j, (offs, w) in enumerate(stencils):
-        out[j] = np.tensordot(w, values[j + offs], axes=(0, 0))
-    return out
+def level_derivative(values, d):
+    """Apply the level matrix ``d`` of ``level_stencils`` along axis 0 (the
+    level axis)."""
+    return np.einsum("ij,j...->i...", d, values)
+
+
+def bisect(f, a, b):
+    """Roots of ``f`` in the brackets [a, b], bisected all at once.
+
+    ``a <= b`` are 1-d arrays of bracket ends; ``f`` maps an array of
+    points, one per bracket, to the values there.  Each bracket is halved
+    until its midpoint rounds to one of its ends, so the returned point (that
+    midpoint) has a sign change of ``f`` between it and an adjacent float; a
+    bracket where ``f`` is exactly zero keeps that point.  No tolerance and
+    no iteration cap: every halving drops at least one float from the
+    bracket.  Raises ValueError naming the first bracket whose ends have the
+    same sign (or a value that is not a number).
+    """
+    a, b = (np.array(v, dtype=float, ndmin=1)
+            for v in np.broadcast_arrays(a, b))
+    fa, fb = f(a), f(b)
+    changes = ((fa <= 0) & (fb >= 0)) | ((fa >= 0) & (fb <= 0))
+    if not np.all(changes):
+        j = int(np.argmin(changes))
+        raise ValueError(f"bracket {j}, [{float(a[j])!r}, {float(b[j])!r}], "
+                         f"has no sign change: f = {float(fa[j])!r}, "
+                         f"{float(fb[j])!r}")
+    b[fa == 0] = a[fa == 0]
+    a[fb == 0] = b[fb == 0]
+    negative_at_a = fa < 0
+    while True:
+        mid = 0.5 * a + 0.5 * b
+        live = (a < mid) & (mid < b)
+        if not np.any(live):
+            return mid
+        fm = f(mid)
+        to_a = live & ((fm < 0) == negative_at_a)
+        to_b = live & ~to_a
+        a[to_a] = mid[to_a]
+        b[to_b] = mid[to_b]
+        zero = live & (fm == 0)
+        a[zero] = b[zero] = mid[zero]

@@ -3,9 +3,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from photonsphere import cli
+from photonsphere import geodesics as geo
+from photonsphere.spacetimes import ChartPoint, StaticSpacetime
 
 
 def run(args):
@@ -220,6 +223,28 @@ class TestOutputs:
         rep = json.loads((tmp_path / "o" / "trace.json").read_text())
         assert (rep["integrator"], rep["integrator_tol"]) == ("DOP853", 1e-11)
 
+    def test_trajectory_csv_format(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["trace", "--scenario", "schwarzschild_m1",
+                    "--out", str(out), "--span", "5"]) == 0
+        scn = cli.load_scenario(cli.bundled_scenario_path("schwarzschild_m1"),
+                                {"pipeline": "trace", "span": 5.0})
+        tr = geo.integrate_null(
+            StaticSpacetime(scn.profile),
+            geo.GeodesicState(ChartPoint(*scn.trace_start), scn.trace_direction),
+            scn.span)
+        # CRLF line ends, as every csv table the CLI writes
+        lines = (out / "trajectory.csv").read_bytes().decode().split("\r\n")
+        assert lines[0] == ("lambda,t,r,theta,phi,vt,vr,vtheta,vphi,"
+                            "null_residual,energy")
+        assert lines[-1] == ""
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:-1]]
+        assert len(rows) == len(tr.samples)
+        assert len(rows[0]) == 11 and rows[0][2] == 10.0
+        # full double precision round trip (17 significant digits)
+        assert np.array_equal(rows, np.column_stack(
+            [tr.samples, tr.null_residuals, tr.energies]))
+
     def test_reconstruct_outputs(self, tmp_path):
         out = str(tmp_path / "o")
         assert run(["reconstruct", "--scenario", "schwarzschild_m1",
@@ -310,6 +335,43 @@ class TestOutputs:
              "--span", "2"])
         table = (tmp_path / "o" / "geodesic_r_of_lambda.csv").read_text()
         assert table.splitlines()[0] == "lambda,r"
+
+
+@pytest.fixture(scope="module")
+def full_m1_certificate(tmp_path_factory):
+    """certificate.json of `full` on schwarzschild_m1; the coarse foliation
+    flags leave the certificate as the bundled run writes it."""
+    out = tmp_path_factory.mktemp("full_m1")
+    run(["full", "--scenario", "schwarzschild_m1", "--out", str(out),
+         "--levels", "8", "--quad", "8x16"])
+    return json.loads((out / "certificate.json").read_text())
+
+
+class TestCertificateOutput:
+    def test_certificate_json_schema(self, full_m1_certificate):
+        d = full_m1_certificate
+        assert d["verdict"] == "certified"
+        assert set(d["mean_curvature"]) == {"value", "stddev"}
+        assert set(d["scalar"]) == {"value", "stddev", "expected", "residual"}
+        assert set(d["tangency"]) == {"span", "deviation", "seeds", "rng_seed",
+                                      "integrator", "integrator_tol",
+                                      "per_seed"}
+        assert d["tangency"]["integrator"] == "DOP853"
+        assert d["tangency"]["integrator_tol"] == geo.TANGENCY_TOL == 1e-16
+        per_seed = d["tangency"]["per_seed"]
+        assert len(per_seed) == d["tangency"]["seeds"] == 16
+        assert max(s["deviation"] for s in per_seed) == d["tangency"]["deviation"]
+        assert {s["status"] for s in per_seed} == {"completed"}
+        assert all(s["accepted_steps"] > 0 and s["rejected_steps"] >= 0
+                   and s["min_step"] > 0.0 for s in per_seed)
+        assert "tolerances" in d
+
+    def test_tangency_deviation_at_roundoff(self, full_m1_certificate):
+        # with r_ps bisected to adjacent floats the seeds start on the
+        # photon sphere itself: 1.9e-13, where a root 4e-13 (relative) off
+        # 3m gave 1.4e-9
+        assert full_m1_certificate["r0"] == 3.0
+        assert full_m1_certificate["tangency"]["deviation"] < 1e-11
 
 
 class TestBundledSuitePartition:

@@ -352,19 +352,6 @@ class TestTangency:
             assert v[1] == 0.0  # no radial component: tangent to the cylinder
 
 
-def test_trajectory_csv_format(tmp_path):
-    tr = geo.integrate_null(ST, radial_null_state(ST, 10.0), 5.0)
-    path = tmp_path / "traj.csv"
-    geo.trajectory_to_csv(tr, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "lambda,t,r,theta,phi,vt,vr,vtheta,vphi,null_residual,energy"
-    assert len(lines) == len(tr.samples) + 1
-    first = [float(x) for x in lines[1].split(",")]
-    assert len(first) == 11 and first[2] == 10.0
-    # full double precision round-trip
-    assert float(lines[2].split(",")[2]) == tr.r[1]
-
-
 def test_stiff_status_on_step_budget():
     tr = geo.integrate_null(ST, radial_null_state(ST, 10.0), 50.0,
                             max_steps=5)

@@ -4,12 +4,14 @@ Layers, lowest first: jets -> spacetimes -> calculus -> hypersurfaces ->
 geodesics / photon -> israel -> cli.  A module may import only modules
 of lower layers; quadrature imports nothing from the package and may be
 imported by anyone.  No function imports anything, and every public
-definition is used by the package or the acceptance suite.  The only
+definition is used by the package or the acceptance suite, and every
+name the benchmark's tracer wraps still exists.  The only
 runtime dependency is numpy: the pipelines that used to need scipy (table
 profiles and the lapse reconstruction) must run without loading it.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -18,7 +20,8 @@ import sys
 
 import pytest
 
-PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "photonsphere"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE_DIR = ROOT / "src" / "photonsphere"
 LAYERS = ("jets", "spacetimes", "calculus", "hypersurfaces", "geodesics",
           "photon", "israel", "cli")
 MODULES = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
@@ -94,6 +97,29 @@ def test_every_public_definition_is_reached():
                     and node.name not in others | _names_used(tree, skip=node)):
                 unreached.append(f"{stem}.{node.name}")
     assert not unreached, f"defined but never used: {unreached}"
+
+
+def _module_literal(path, name):
+    """The literal value assigned to ``name`` at module level of ``path``."""
+    for node in _tree(path).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise KeyError(name)
+
+
+def test_traced_names_exist():
+    """The functions and methods perfbench/tracing.py wraps by name: a
+    rename would otherwise fail only the benchmark's traced run."""
+    tracing = ROOT / "perfbench" / "tracing.py"
+    missing = []
+    for module, names in _module_literal(tracing, "TIMED").items():
+        mod = importlib.import_module(f"photonsphere.{module}")
+        missing += [f"{module}.{n}" for n in names if not hasattr(mod, n)]
+    for (module, cls), names in _module_literal(tracing, "TIMED_METHODS").items():
+        owner = getattr(importlib.import_module(f"photonsphere.{module}"), cls)
+        missing += [f"{module}.{cls}.{n}" for n in names if not hasattr(owner, n)]
+    assert not missing, f"traced but not defined: {missing}"
 
 
 # Three pipelines in one fresh interpreter: a table profile through `full`,

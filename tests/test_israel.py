@@ -20,9 +20,9 @@ from photonsphere import israel as isr
 from photonsphere import jets
 from photonsphere import quadrature as quad
 from photonsphere.hypersurfaces import FoliationError
-from photonsphere.spacetimes import (ExpressionProfile, RadialProfile,
-                                     SchwarzschildProfile, StaticSpacetime,
-                                     TableProfile)
+from photonsphere.spacetimes import (DomainError, ExpressionProfile,
+                                     RadialProfile, SchwarzschildProfile,
+                                     StaticSpacetime, TableProfile)
 
 ST = StaticSpacetime.schwarzschild(1.0)
 N0 = 1.0 / math.sqrt(3.0)
@@ -60,6 +60,14 @@ class TestFoliation:
         with pytest.raises((isr.FlatnessError, FoliationError)):
             isr.build_foliation(mink, 0.9, levels=8, quad_order=(8, 16),
                                 tail_radius=50.0)
+
+    def test_hint_above_the_photon_sphere_is_not_bracketed(self):
+        # every level shares one bracket from the hint up; above the
+        # photon sphere N > N0 there, so level 0 has no root in it
+        with pytest.raises(DomainError,
+                           match=r"lapse level not bracketed.*bracket 0, "):
+            isr.build_foliation(ST, N0, levels=8, quad_order=(8, 16),
+                                r_hint=4.0)
 
 
 def _dense_variables(coords, order=2):

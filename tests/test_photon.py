@@ -1,6 +1,5 @@
 """Photon-sphere location and certification tests."""
 
-import json
 import math
 
 import numpy as np
@@ -27,6 +26,15 @@ class TestLocator:
         assert loc.found and loc.multiplicity == 1
         assert abs(loc.r_ps - 3.0 * m) < 1e-8 * 3.0 * m
         assert abs(loc.lapse_at_ps - oracles.N0_M1) < 1e-9
+
+    @pytest.mark.parametrize("m", [0.25, 1.0, 4.0])
+    def test_schwarzschild_root_to_the_last_bits(self, m):
+        # a bisection stopped short of adjacent floats left r_ps 4e-13
+        # (relative) off 3m, which the photon-sphere instability amplifies
+        # into the tangency deviation of the certificate
+        loc = ph.locate_photon_sphere(SchwarzschildProfile(m),
+                                      (2.1 * m, 50.0 * m))
+        assert abs(loc.r_ps - 3.0 * m) <= 2 * np.spacing(3.0 * m)
 
     def test_minkowski_none(self):
         loc = ph.locate_photon_sphere(SchwarzschildProfile(0.0), (0.5, 50.0))
@@ -125,23 +133,3 @@ class TestCertification:
     def test_non_timelike_rejected(self):
         with pytest.raises(ValueError):
             ph.certify_photon_surface(ST, hs.lapse_level_set(ST, 3.0))
-
-    def test_certificate_json_schema(self, cert3, tmp_path):
-        path = tmp_path / "cert.json"
-        ph.certificate_to_json(cert3, path)
-        d = json.loads(path.read_text())
-        assert d["verdict"] == "certified"
-        assert set(d["mean_curvature"]) == {"value", "stddev"}
-        assert set(d["scalar"]) == {"value", "stddev", "expected", "residual"}
-        assert set(d["tangency"]) == {"span", "deviation", "seeds", "rng_seed",
-                                      "integrator", "integrator_tol",
-                                      "per_seed"}
-        assert d["tangency"]["integrator"] == "DOP853"
-        assert d["tangency"]["integrator_tol"] == geo.TANGENCY_TOL == 1e-16
-        per_seed = d["tangency"]["per_seed"]
-        assert len(per_seed) == d["tangency"]["seeds"]
-        assert max(s["deviation"] for s in per_seed) == d["tangency"]["deviation"]
-        assert {s["status"] for s in per_seed} == {"completed"}
-        assert all(s["accepted_steps"] > 0 and s["rejected_steps"] >= 0
-                   and s["min_step"] > 0.0 for s in per_seed)
-        assert "tolerances" in d

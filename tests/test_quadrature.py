@@ -39,3 +39,84 @@ def test_laplacian_of_a_zonal_harmonic():
     p2 = (0.5 * (3.0 * x ** 2 - 1.0))[:, None]
     lap = quad.sphere_laplacian(p2, x, 2.0)
     assert np.max(np.abs(lap + 6.0 * p2 / 4.0)) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# Root bisection on arrays of brackets
+# ---------------------------------------------------------------------------
+
+def _damped_sine(x):
+    return np.sin(x) * np.exp(-0.1 * x)
+
+
+BRACKETS = np.array([[3.0, 4.0], [6.0, 7.0], [9.0, 10.0], [-1.0, 0.5],
+                     [12.0, 13.0], [-7.0, -6.0]])
+
+
+def test_bisect_array_equals_each_bracket_alone():
+    both = quad.bisect(_damped_sine, BRACKETS[:, 0], BRACKETS[:, 1])
+    alone = [quad.bisect(_damped_sine, [a], [b])[0] for a, b in BRACKETS]
+    assert both.tobytes() == np.array(alone).tobytes()
+
+
+def test_bisect_result_is_next_to_a_sign_change():
+    roots = quad.bisect(_damped_sine, BRACKETS[:, 0], BRACKETS[:, 1])
+    for x in roots:
+        fx = _damped_sine(x)
+        neighbours = _damped_sine(np.array([np.nextafter(x, -np.inf),
+                                            np.nextafter(x, np.inf)]))
+        assert fx == 0.0 or np.any(np.sign(neighbours) == -np.sign(fx))
+    assert np.allclose(roots, np.pi * np.round(roots / np.pi), rtol=0, atol=1e-14)
+
+
+def test_bisect_returns_an_exact_zero():
+    f = lambda x: x - 0.75
+    # at an end, and hit by a midpoint: 0.75 = (0 + 1)/2 + 1/4
+    roots = quad.bisect(f, [0.75, -1.0, 0.0], [2.0, 0.75, 1.0])
+    assert roots.tolist() == [0.75, 0.75, 0.75]
+
+
+def test_bisect_of_no_brackets_is_empty():
+    roots = quad.bisect(np.sin, np.empty(0), np.empty(0))
+    assert roots.shape == (0,)
+
+
+def test_bisect_names_a_bracket_with_no_sign_change():
+    with pytest.raises(ValueError, match=r"bracket 1, \[4\.0, 5\.0\]"):
+        quad.bisect(np.sin, [3.0, 4.0], [4.0, 5.0])
+
+
+def test_bisect_of_the_widest_bracket_terminates():
+    (root,) = quad.bisect(np.log, [1e-300], [1e300])
+    assert abs(root - 1.0) <= np.spacing(1.0)
+
+
+# ---------------------------------------------------------------------------
+# The level-derivative matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 24, 64])
+def test_level_matrix_is_exact_on_polynomials(n):
+    d = quad.level_stencils(n)
+    half = quad.INTERIOR_WIDTH // 2
+    interior = np.zeros(n, dtype=bool)
+    if n >= quad.INTERIOR_WIDTH:
+        interior[half:n - half] = True
+    s = np.arange(n) / (n - 1)
+    for k in range(min(quad.EDGE_WIDTH, n)):
+        exact = k * s ** max(k - 1, 0) / (n - 1)
+        err = np.abs(quad.level_derivative(s ** k, d) - exact)
+        rows = ~interior if k > quad.INTERIOR_WIDTH - 1 else slice(None)
+        assert np.all(err[rows] <= 1e-9 * max(1.0, np.max(np.abs(exact)))), k
+
+
+def test_level_matrix_rows_sum_to_zero():
+    d = quad.level_stencils(64)
+    assert np.max(np.abs(d.sum(axis=1))) < 1e-12
+
+
+def test_level_matrix_is_read_only():
+    d = quad.level_stencils(16)
+    assert not d.flags.writeable
+    with pytest.raises(ValueError):
+        d[0, 0] = 1.0
