@@ -28,8 +28,6 @@ import numpy as np
 from . import jets
 from .spacetimes import ChartPoint, DomainError
 
-TOL_DIFF = 1e-6                      # absolute, on unit-mass-scaled quantities
-
 
 def _coords_of(point):
     if isinstance(point, ChartPoint):
@@ -120,7 +118,6 @@ class CurvatureBundle:
     riemann_dddd: np.ndarray
     ricci_dd: np.ndarray
     scalar: np.ndarray
-    coord_names: tuple = None
 
     def frame(self):
         """Orthonormal frame E[A, a] with E^T g E = diag(signs)."""
@@ -128,28 +125,6 @@ class CurvatureBundle:
         scale = 1.0 / np.sqrt(np.abs(w))
         e = v * scale[..., None, :]
         return np.swapaxes(e, -1, -2), np.sign(w)
-
-    def to_debug_dict(self):
-        """Every independent component, indices fully written out."""
-        names = self.coord_names or tuple(f"x{i}" for i in range(self.dim))
-        d = self.dim
-        out = {"dim": d, "coords": {names[i]: float(np.asarray(self.coords[i]).ravel()[0])
-                                    for i in range(d)},
-               "scalar": float(np.asarray(self.scalar).ravel()[0])}
-        flat = lambda arr, idx: float(np.asarray(arr[(Ellipsis,) + idx]).ravel()[0])
-        out["metric"] = {f"g_{names[a]}{names[b]}": flat(self.metric_dd, (a, b))
-                         for a in range(d) for b in range(a, d)}
-        out["christoffel"] = {f"Gamma^{names[a]}_{names[b]}{names[c]}":
-                              flat(self.gamma_udd, (a, b, c))
-                              for a in range(d) for b in range(d) for c in range(b, d)}
-        out["ricci"] = {f"Ric_{names[a]}{names[b]}": flat(self.ricci_dd, (a, b))
-                        for a in range(d) for b in range(a, d)}
-        out["riemann"] = {f"Rm_{names[k]}{names[i]}{names[j]}^{names[l]}":
-                          flat(self.riemann_dddu, (k, i, j, l))
-                          for k in range(d) for i in range(d)
-                          for j in range(d) for l in range(d)
-                          if abs(flat(self.riemann_dddu, (k, i, j, l))) > 0.0}
-        return out
 
 
 def curvature(sampler, point):
@@ -180,9 +155,8 @@ def curvature(sampler, point):
     rm_cov = (rm.reshape(rm.shape[:-4] + (d ** 3, d)) @ g).reshape(rm.shape)
     ricci = np.einsum("...kijk->...ij", rm)
     scal = np.einsum("...ij,...ij->...", ginv, ricci)
-    names = getattr(sampler, "coord_names", None)
     return CurvatureBundle(sampler.dim, tuple(coords), g, ginv, gamma, rm,
-                           rm_cov, ricci, scal, names)
+                           rm_cov, ricci, scal)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +193,6 @@ class VacuumResidual:
     hessian_residual: float
     scalar_residual: float
     laplace_residual: float
-    at: tuple
 
 
 def vacuum_residual(spacetime, point):
@@ -242,11 +215,5 @@ def vacuum_residual_general(sampler, lapse, coords):
     lap = np.einsum("...ij,...ij->...", bundle.metric_uu, hess)
     return VacuumResidual(float(np.max(np.abs(resid_frame))),
                           float(np.max(np.abs(bundle.scalar))),
-                          float(np.max(np.abs(lap))),
-                          tuple(coords))
-
-
-def is_vacuum(spacetime, point, tol=TOL_DIFF):
-    r = vacuum_residual(spacetime, point)
-    return max(r.hessian_residual, r.scalar_residual, r.laplace_residual) < 10 * tol
+                          float(np.max(np.abs(lap))))
 

@@ -6,6 +6,10 @@ tables under --out, and exits 0 for certified/true verdicts, 1 for
 refuted/false and 2 for inconclusive results or errors.  All randomness
 comes from the scenario's 64-bit seed, which is recorded in every report;
 re-running a scenario reproduces every output byte for byte.
+
+This is the one module that spells the output formats: the payload of each
+report file and the columns of each table are assembled here from the
+result objects, which hold no output keys.
 """
 
 import argparse
@@ -178,6 +182,106 @@ def _write_table(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
+# Payloads: what each report file holds
+# ---------------------------------------------------------------------------
+
+def _certificate_payload(cert):
+    tan = cert.tangency
+    return {
+        "surface": cert.surface,
+        "r0": cert.r0,
+        "verdict": cert.verdict,
+        "umbilicity_sup": cert.umbilicity_sup,
+        "mean_curvature": {"value": cert.mean_curvature,
+                           "stddev": cert.mean_curvature_std},
+        "scalar": {"value": cert.scalar_curvature,
+                   "stddev": cert.scalar_curvature_std,
+                   "expected": cert.scalar_expected,
+                   "residual": cert.scalar_residual},
+        "tangency": {"span": tan.span,
+                     "deviation": tan.max_deviation,
+                     "seeds": len(tan.runs),
+                     "rng_seed": cert.rng_seed,
+                     "integrator": geodesics.INTEGRATOR,
+                     "integrator_tol": tan.tol,
+                     "per_seed": [
+                         {"deviation": dev, "status": run.status,
+                          "accepted_steps": run.accepted_steps,
+                          "rejected_steps": run.rejected_steps,
+                          "min_step": run.min_step}
+                         for dev, run in zip(tan.deviations, tan.runs)]},
+        # radial cylinders are lapse level sets: certified is a photon sphere
+        "photon_sphere": cert.verdict == "certified",
+        "tolerances": {"certify": photon.TOL_CERT,
+                       "tangency": photon.TOL_TANGENCY},
+    }
+
+
+def _level_table(report):
+    """The per-level columns by name, in the order of ``israel_levels.csv``:
+    N, area radius, mean rho, mean H, sup of the trace-free norm and the
+    three identity residuals."""
+    fol, ids = report.foliation, report.identities
+    return {"N": fol.N, "r": fol.area_radius, "rho": report.rho_mean,
+            "H": report.h_mean, "tracefree_sup": report.tracefree_max,
+            "res31": ids.res31, "res32": ids.res32, "res33": ids.res33}
+
+
+def _israel_payload(report):
+    b, slacks = report.boundary, report.slacks
+    per_level = {**_level_table(report), "rho_std": report.rho_std}
+    rows = zip(*(c.tolist() for c in per_level.values()))
+    return {
+        "mass": report.mass,
+        "flux_by_level": list(report.flux_by_level),
+        "boundary": {"N0": b.n0, "r0": b.r0, "H0": b.h0, "nuN0": b.nuN0,
+                     "frakH": b.frak_h},
+        "per_level": [dict(zip(per_level, row)) for row in rows],
+        "slacks": {"ineq34_sup": slacks.sup34(),
+                   "ineq35_sup": slacks.sup35(),
+                   "ineq37": slacks.ineq37,
+                   "ineq39": slacks.ineq39,
+                   "chain36": slacks.chain36,
+                   "chain38": slacks.chain38,
+                   "bracket_min": slacks.bracket_min},
+        "invariants": {"frakH_r0": b.frak_h * b.r0,
+                       "m_frakH": report.mass * b.frak_h,
+                       "N0_schwarz_residual": b.n0_schwarzschild,
+                       "H0_relation_residual": b.h0_relation},
+        "lambda": report.sign.lam,
+        "gates": [{"name": g.name, "value": g.value,
+                   "threshold": g.threshold, "passed": g.passed,
+                   "margin": g.margin, "level": g.level, "node": g.node}
+                  for g in report.gates],
+        "verdict": report.verdict,
+        "tolerance": report.tol,
+    }
+
+
+def _curvature_payload(bundle):
+    """Every independent component of a curvature bundle at one point of
+    the (t, r, theta, phi) chart, its indices written out: g_ab, Ric_ab
+    (a <= b), Gamma^a_bc (b <= c) and Rm_kij^l (k < i), zeros included."""
+    names = ("t", "r", "theta", "phi")
+    d = range(len(names))
+    return {
+        "dim": bundle.dim,
+        "coords": {names[a]: float(bundle.coords[a]) for a in d},
+        "scalar": float(bundle.scalar),
+        "metric": {f"g_{names[a]}{names[b]}": float(bundle.metric_dd[a, b])
+                   for a in d for b in d if a <= b},
+        "christoffel": {f"Gamma^{names[a]}_{names[b]}{names[c]}":
+                        float(bundle.gamma_udd[a, b, c])
+                        for a in d for b in d for c in d if b <= c},
+        "ricci": {f"Ric_{names[a]}{names[b]}": float(bundle.ricci_dd[a, b])
+                  for a in d for b in d if a <= b},
+        "riemann": {f"Rm_{names[k]}{names[i]}{names[j]}^{names[l]}":
+                    float(bundle.riemann_dddu[k, i, j, l])
+                    for k in d for i in d for j in d for l in d if k < i},
+    }
+
+
+# ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
 
@@ -230,7 +334,7 @@ def _run_certify(scn, spacetime, out, r0=None):
     cert = photon.certify_photon_surface(
         spacetime, surface, seeds=scn.seeds, span=scn.span,
         rng_seed=scn.rng_seed)
-    _write_json(os.path.join(out, "certificate.json"), cert.to_json_dict())
+    _write_json(os.path.join(out, "certificate.json"), _certificate_payload(cert))
     code = {"certified": EXIT_TRUE, "refuted": EXIT_FALSE}.get(cert.verdict,
                                                                EXIT_ERROR)
     return code, cert
@@ -258,14 +362,13 @@ def _run_israel(scn, spacetime, out, loc=None):
         spacetime, loc.lapse_at_ps, loc.r_ps, levels=scn.levels,
         quad_order=tuple(scn.quadrature), tail_radius=scn.tail_radius,
         tol=scn.tolerance)
-    payload = report.to_json_dict()
-    payload["scenario"] = scn.name
-    payload["rng_seed"] = scn.rng_seed
-    _write_json(os.path.join(out, "israel_report.json"), payload)
-    _write_table(os.path.join(out, "israel_levels.csv"),
-                 ["N", "r", "rho", "H", "tracefree_sup", "res31", "res32",
-                  "res33"], zip(*report.level_columns()))
-    _emit_plot_data(report, out)
+    _write_json(os.path.join(out, "israel_report.json"),
+                {"scenario": scn.name, "rng_seed": scn.rng_seed,
+                 **_israel_payload(report)})
+    columns = _level_table(report)
+    _write_table(os.path.join(out, "israel_levels.csv"), list(columns),
+                 zip(*columns.values()))
+    _emit_plot_data(report, columns, out)
     code = {"isometric": EXIT_TRUE, "not-isometric": EXIT_FALSE}.get(
         report.verdict, EXIT_ERROR)
     return code, report
@@ -296,18 +399,17 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
     return EXIT_TRUE, rec
 
 
-def _emit_plot_data(report, out):
-    """Plot-ready tables: r(N), rho(N), H(N) and inequality slacks vs N."""
-    fol = report.foliation
-    _write_table(os.path.join(out, "r_of_N.csv"), ["N", "r"],
-                 zip(fol.N, fol.area_radius))
-    _write_table(os.path.join(out, "rho_of_N.csv"), ["N", "rho"],
-                 zip(fol.N, report.rho_mean))
-    _write_table(os.path.join(out, "H_of_N.csv"), ["N", "H"],
-                 zip(fol.N, report.h_mean))
+def _emit_plot_data(report, columns, out):
+    """Plot-ready tables against N: r_of_N.csv, rho_of_N.csv and H_of_N.csv,
+    each N and one of the next three per-level columns, and slacks_of_N.csv."""
+    (n_name, n), *plotted = list(columns.items())[:4]
+    for name, values in plotted:
+        _write_table(os.path.join(out, f"{name}_of_N.csv"), [n_name, name],
+                     zip(n, values))
     _write_table(os.path.join(out, "slacks_of_N.csv"),
-                 ["N", "slack34_min", "slack34_max", "slack35_min", "slack35_max"],
-                 np.column_stack([fol.N, report.slacks.slack34,
+                 [n_name, "slack34_min", "slack34_max", "slack35_min",
+                  "slack35_max"],
+                 np.column_stack([n, report.slacks.slack34,
                                   report.slacks.slack35]))
 
 
@@ -350,7 +452,7 @@ def _dump_curvature(scn, spacetime, path):
     loc = photon.locate_photon_sphere(spacetime.profile, scn.scan)
     r = loc.r_ps if loc.found else 0.5 * (scn.scan[0] + scn.scan[1])
     bundle = curvature(spacetime.metric4, (0.0, r, math.pi / 3, 0.0))
-    _write_json(path, bundle.to_debug_dict())
+    _write_json(path, _curvature_payload(bundle))
 
 
 def bundled_scenario_path(name):

@@ -485,12 +485,9 @@ def tangent_null_seeds(spacetime, r0, count, rng_seed):
 
 @dataclass(frozen=True)
 class TangencyReport:
-    surface_value: float      # r0 (or N0) defining the surface
     deviations: tuple         # per-seed sup of |r - r0| (or |N - N0|)
     max_deviation: float
     span: float
-    seed_count: int
-    rng_seed: int
     runs: tuple               # per-seed RunSummary
     tol: float                # integrator tolerance (atol = rtol)
 
@@ -506,8 +503,7 @@ class TangencyReport:
 TANGENCY_TOL = 1e-16
 
 
-def tangency_persistence(spacetime, surface, seeds, span, tol=TANGENCY_TOL,
-                         rng_seed=0):
+def tangency_persistence(spacetime, surface, seeds, span, tol=TANGENCY_TOL):
     """Integrate tangent null seeds and report the worst surface deviation.
 
     ``surface`` is a cylinder hypersurface; deviation is |r - r0| when it
@@ -534,5 +530,4 @@ def tangency_persistence(spacetime, surface, seeds, span, tol=TANGENCY_TOL,
 
     runs = _integrate_batch(profile, seeds, span, tol, MAX_STEPS, track)
     deviations = tuple(sup.tolist())
-    return TangencyReport(r0, deviations, max(deviations), span, len(seeds),
-                          rng_seed, tuple(runs), tol)
+    return TangencyReport(deviations, max(deviations), span, tuple(runs), tol)

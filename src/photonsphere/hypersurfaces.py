@@ -27,6 +27,7 @@ from .calculus import (_christoffel_from, _inverse_metric, curvature, metric_tay
 from .spacetimes import ChartPoint, MetricSampler
 
 FOLIATION_DN_FLOOR = 1e-12
+CYLINDER_GRID = (16, 32)   # (n_theta, n_phi) nodes of ``cylinder_sample``
 
 
 class FoliationError(RuntimeError):
@@ -50,7 +51,6 @@ class Hypersurface:
     kind            : descriptive label
     spacetime       : ambient StaticSpacetime
     ambient         : MetricSampler of the ambient manifold
-    surface_coord_names : names of the surface coordinates
     tangent_axes    : ambient coordinate axes tangent to the surface
     level_value     : held coordinate value r0, or an array of them
     level_field     : the radial function whose level set it is, "r" or "lapse"
@@ -59,7 +59,6 @@ class Hypersurface:
     kind: str
     spacetime: object
     ambient: MetricSampler
-    surface_coord_names: tuple
     tangent_axes: tuple
     level_value: float
     level_field: str = "r"
@@ -88,29 +87,21 @@ class Hypersurface:
             amb = self.ambient.components(self.embed(ys))
             return [[amb[a][b] for b in axes] for a in axes]
 
-        samp = MetricSampler(self.surface_dim, components,
-                             name=f"induced on {self.kind}")
-        samp.coord_names = self.surface_coord_names
-        return samp
+        return MetricSampler(self.surface_dim, components)
 
 
 def cylinder(spacetime, r0, level_field="r"):
     spacetime.profile.check_point(r0)
-    s = Hypersurface("cylinder", spacetime, spacetime.metric4,
-                     ("t", "theta", "phi"), (0, 2, 3), float(r0), level_field)
-    s.ambient.coord_names = ("t", "r", "theta", "phi")
-    return s
+    return Hypersurface("cylinder", spacetime, spacetime.metric4, (0, 2, 3),
+                        float(r0), level_field)
 
 
 def lapse_level_set(spacetime, r0, level_field="lapse"):
     """Level set of the lapse (a round sphere {r = r0}) inside the time
     slice; an array ``r0`` of shape (L, 1, 1) stacks L of them."""
     spacetime.profile.check_point(r0)
-    s = Hypersurface("level-set", spacetime, spacetime.metric3,
-                     ("theta", "phi"), (1, 2), np.asarray(r0, dtype=float),
-                     level_field)
-    s.ambient.coord_names = ("r", "theta", "phi")
-    return s
+    return Hypersurface("level-set", spacetime, spacetime.metric3, (1, 2),
+                        np.asarray(r0, dtype=float), level_field)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +150,7 @@ class ShapeData:
     """Second fundamental form data at a surface point (or point grid).
 
     ``second_ff`` holds the components in the normalized coordinate frame
-    (orthonormal up to signs ``frame_signs``); ``second_ff_coord`` the raw
-    coordinate components along the tangent axes.  ``tracefree_norm`` is the
+    (orthonormal up to signs ``frame_signs``).  ``tracefree_norm`` is the
     frame Frobenius norm of II - (H/n) * induced, which vanishes exactly on
     umbilic surfaces and equals the natural tensor norm in the Riemannian
     case.  ``metric_dd`` is the ambient metric g_ab at the embedded points,
@@ -171,11 +161,9 @@ class ShapeData:
     """
 
     second_ff: np.ndarray
-    second_ff_coord: np.ndarray
     mean_curvature: np.ndarray
     tracefree_norm: np.ndarray
     frame_signs: tuple
-    at: tuple
     metric_dd: np.ndarray
     normal_d: np.ndarray
     normal_u: np.ndarray
@@ -188,8 +176,7 @@ def shape(surface, point):
     ``point`` is a tuple of surface coordinates; entries may be arrays for
     vectorized evaluation.
     """
-    ys = _asarrays(point)
-    x = surface.embed(ys)
+    x = surface.embed(_asarrays(point))
     g, dg, _ = metric_taylor(surface.ambient, x, order=1)
     ginv = _inverse_metric(g)
     eta_d, deta, eta_u, w = normal_data(surface, x, ginv, dg)
@@ -220,18 +207,17 @@ def shape(surface, point):
     n = len(axes)
     tracefree = ii_frame - (h[..., None, None] / n) * np.diag(eps_arr)
     tf_norm = np.sqrt(np.einsum("...AB,...AB->...", tracefree, tracefree))
-    return ShapeData(ii_frame, ii_coord, h, tf_norm, eps_const, ys,
-                     g, eta_d, eta_u, w)
+    return ShapeData(ii_frame, h, tf_norm, eps_const, g, eta_d, eta_u, w)
 
 
-def cylinder_sample(surface, n_theta=16, n_phi=32):
+def cylinder_sample(surface):
     """Shape data and induced scalar curvature of a cylinder at t = 0.
 
-    Both are sampled on the sparse (n_theta, 1) x (1, n_phi) axes of
-    Gauss-Legendre theta and uniform phi nodes, which the shape data holds
-    in ``at``; a field constant in phi comes back (n_theta, 1).
+    Both are sampled on the sparse (n_theta, 1) x (1, n_phi) axes of the
+    ``CYLINDER_GRID`` Gauss-Legendre theta and uniform phi nodes; a field
+    constant in phi comes back (n_theta, 1).
     """
-    theta, _, phi, _ = quad.sphere_grid(n_theta, n_phi)
+    theta, _, phi, _ = quad.sphere_grid(*CYLINDER_GRID)
     point = (0.0, *np.meshgrid(theta, phi, indexing="ij", sparse=True))
     return shape(surface, point), curvature(surface.induced_sampler(), point).scalar
 

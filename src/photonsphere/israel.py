@@ -122,7 +122,8 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
     shared bracket; the leaves are then sampled on the Gauss-Legendre x
     uniform phi grid in blocks of at most ``BLOCK_ROWS`` (levels x theta)
     rows.  Raises DomainError naming the first level the bracket does not
-    hold, and FoliationError when |dN| degenerates.
+    hold or a ``tail_radius`` where N is 1 to rounding, and FoliationError
+    when |dN| degenerates.
     """
     profile = spacetime.profile
     n_theta, n_phi = quad_order
@@ -132,9 +133,10 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
         tail_radius = TAIL_RADIUS_FACTOR * base
 
     n_end = float(profile.lapse(tail_radius))
-    if abs(n_end - 1.0) < 1e-13:
-        raise FlatnessError("lapse reaches 1 at finite radius (flat slice, "
-                            "zero mass): no regular foliation exists")
+    if abs(n_end - 1.0) < 1e-13:  # N0 < 1 is required below: not a flat slice
+        raise DomainError(f"lapse is 1 to within 1e-13 at tail_radius = "
+                          f"{tail_radius!r}, so the levels toward it cannot be "
+                          f"told apart: choose a smaller tail_radius")
     if not 0.0 < n0 < 1.0 or not n0 < n_end < 1.0:
         raise DomainError(f"invalid lapse range [{n0}, {n_end}]")
 
@@ -161,8 +163,8 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
     blocks = [_leaf_block(spacetime, radii[k:k + per_block], theta, phi, w)
               for k in range(0, levels, per_block)]
     area, *fields = (np.concatenate(parts) for parts in zip(*blocks))
-    return Foliation(n_values, radii, dn_ds, area, *fields, x, w, float(n0),
-                     n_end, float(tail_radius), (n_theta, n_phi))
+    return Foliation(n_values, radii, dn_ds, area, *fields, x, w,
+                     float(tail_radius), (n_theta, n_phi))
 
 
 @dataclass(frozen=True)
@@ -191,8 +193,6 @@ class Foliation:
     gauss_k: np.ndarray
     x_nodes: np.ndarray
     weights: np.ndarray
-    n0: float
-    n_end: float
     tail_radius: float
     quad_order: tuple
 
@@ -424,10 +424,6 @@ def inequality_slacks(foliation, lam, mass, terms=None):
 @dataclass(frozen=True)
 class GlobalSign:
     lam: int
-    sign_nuN: int
-    sign_mass: int
-    sign_frakH: int
-    sign_H0: int
     consistent: bool
     exclusion_slack: float       # (6 lam + 3) m^2 - r0^2, >= 0 required
     exclusion_equality: bool
@@ -439,23 +435,21 @@ def sign_analysis(foliation, mass, frak_h, tol=TOL_LVL):
 
     lambda = sign(nu(N)) must agree with sign(m), sign(frakH), sign(H0).
     The bound r0^2 <= (6 lam + 3) m^2 is then evaluated on both branches;
-    for lam = -1 it reads r0^2 <= -3 m^2, a contradiction.
+    for lam = -1 it reads r0^2 <= -3 m^2, a contradiction.  The mass counts
+    as zero (a flat slice) below 1e-10 of the photon-sphere area radius r0,
+    so the test is the same at every mass scale.
     """
-    if abs(mass) < 1e-10:
+    r0 = float(foliation.area_radius[0])
+    if abs(mass) < 1e-10 * r0:
         raise FlatnessError(
             "mass flux vanishes: the slice is flat (Minkowski) and flat "
             "spacetime possesses no photon sphere; nothing to exclude")
-    s_nu = int(np.sign(foliation.mean(foliation.nuN, 0)))
-    s_m = int(np.sign(mass))
-    s_fh = int(np.sign(frak_h))
-    s_h0 = int(np.sign(foliation.mean(foliation.H, 0)))
-    lam = s_nu
-    consistent = s_nu == s_m == s_fh == s_h0
-    r0 = float(foliation.area_radius[0])
+    lam = int(np.sign(foliation.mean(foliation.nuN, 0)))
+    signs = np.sign([mass, frak_h, foliation.mean(foliation.H, 0)])
     bound = (6.0 * lam + 3.0) * mass ** 2
     slack = bound - r0 ** 2
     negative_bound = (6.0 * -1 + 3.0) * mass ** 2
-    return GlobalSign(lam, s_nu, s_m, s_fh, s_h0, consistent,
+    return GlobalSign(lam, bool(np.all(signs == lam)),
                       slack, abs(slack) <= tol * max(1.0, r0 ** 2),
                       negative_bound < 0.0 <= r0 ** 2)
 
@@ -469,11 +463,9 @@ class BoundaryConstraints:
     h0: float
     nuN0: float
     frak_h: float
-    scalar_sigma: float
-    scalar_p: float
     mass_from_frakH: float
     gauss_constraint: float      # |4 N0 - 4 m H0 - r0^2 N0 H0^2|
-    frakH_r0: float              # |frakH r0 - lam sqrt(3)|
+    frakH_r0: float              # |frakH r0 - sqrt(3)|
     n0_mass_frakH: float         # |N0 - m frakH|
     n0_schwarzschild: float      # |N0^2 - (1 - 2m/r0)|
     h0_relation: float           # |H0 - 2 N0 / r0|
@@ -481,7 +473,9 @@ class BoundaryConstraints:
     scalar_p_cross: float        # |R_p - (2/3) frakH^2|
 
 
-def boundary_constraints(spacetime, foliation, mass, lam=1):
+def boundary_constraints(spacetime, foliation, mass):
+    """The closed-form relations at the photon-sphere level, on the
+    lambda = 1 branch that ``sign_analysis`` leaves."""
     fol = foliation
     n0 = float(fol.N[0])
     r0 = float(fol.area_radius[0])
@@ -496,10 +490,9 @@ def boundary_constraints(spacetime, foliation, mass, lam=1):
     expected_scal = (2.0 / 3.0) * frak_h ** 2
     return BoundaryConstraints(
         n0=n0, r0=r0, h0=h0, nuN0=nu0, frak_h=frak_h,
-        scalar_sigma=r_sigma, scalar_p=r_p,
         mass_from_frakH=1.0 / (math.sqrt(3.0) * frak_h),
         gauss_constraint=abs(4.0 * n0 - 4.0 * mass * h0 - r0 ** 2 * n0 * h0 ** 2),
-        frakH_r0=abs(frak_h * r0 - lam * math.sqrt(3.0)),
+        frakH_r0=abs(frak_h * r0 - math.sqrt(3.0)),
         n0_mass_frakH=abs(n0 - mass * frak_h),
         n0_schwarzschild=abs(n0 ** 2 - (1.0 - 2.0 * mass / r0)),
         h0_relation=abs(h0 - 2.0 * n0 / r0),
@@ -618,15 +611,17 @@ class Gate:
 
 @dataclass(frozen=True)
 class IsraelReport:
-    """The pipeline's results.  ``rho_mean``, ``h_mean`` and ``rho_std`` hold
-    the area-weighted mean of rho and H and the standard deviation of rho
-    on each leaf, computed once for the gates and the written tables."""
+    """The pipeline's results.  ``rho_mean``, ``h_mean``, ``rho_std`` and
+    ``tracefree_max`` hold the area-weighted mean of rho and H, the standard
+    deviation of rho and the sup of the trace-free norm on each leaf,
+    computed once for the gates and the written tables."""
 
     mass: float
     flux_by_level: tuple
     rho_mean: np.ndarray
     h_mean: np.ndarray
     rho_std: np.ndarray
+    tracefree_max: np.ndarray
     boundary: BoundaryConstraints
     identities: IdentityResiduals
     slacks: InequalitySlacks
@@ -636,46 +631,6 @@ class IsraelReport:
     gates: tuple
     verdict: str          # "isometric" | "not-isometric" | "inconclusive"
     tol: float
-
-    def to_json_dict(self):
-        b = self.boundary
-        columns = zip(*(c.tolist() for c in self.level_columns()),
-                      self.rho_std.tolist())
-        keys = ("N", "r", "rho", "H", "tracefree_sup", "res31", "res32",
-                "res33", "rho_std")
-        per_level = [dict(zip(keys, row)) for row in columns]
-        return {
-            "mass": self.mass,
-            "flux_by_level": list(self.flux_by_level),
-            "boundary": {"N0": b.n0, "r0": b.r0, "H0": b.h0, "nuN0": b.nuN0,
-                         "frakH": b.frak_h},
-            "per_level": per_level,
-            "slacks": {"ineq34_sup": self.slacks.sup34(),
-                       "ineq35_sup": self.slacks.sup35(),
-                       "ineq37": self.slacks.ineq37,
-                       "ineq39": self.slacks.ineq39,
-                       "chain36": self.slacks.chain36,
-                       "chain38": self.slacks.chain38,
-                       "bracket_min": self.slacks.bracket_min},
-            "invariants": {"frakH_r0": b.frak_h * b.r0,
-                           "m_frakH": self.mass * b.frak_h,
-                           "N0_schwarz_residual": b.n0_schwarzschild,
-                           "H0_relation_residual": b.h0_relation},
-            "lambda": self.sign.lam,
-            "gates": [{"name": g.name, "value": g.value,
-                       "threshold": g.threshold, "passed": g.passed,
-                       "margin": g.margin, "level": g.level, "node": g.node}
-                      for g in self.gates],
-            "verdict": self.verdict,
-            "tolerance": self.tol,
-        }
-
-    def level_columns(self):
-        """Per-level N, area radius, mean rho, mean H, sup of the trace-free
-        norm and the three identity residuals."""
-        fol, ids = self.foliation, self.identities
-        return (fol.N, fol.area_radius, self.rho_mean, self.h_mean,
-                _sup_nodes(fol.tracefree)[0], ids.res31, ids.res32, ids.res33)
 
 
 def _identities_and_slacks(foliation, lam, mass):
@@ -772,5 +727,5 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     else:
         verdict = "isometric"
     return IsraelReport(mass, tuple(fluxes.tolist()), rho_mean, h_mean, rho_std,
-                        bnd, ids, slacks, sign, recon,
+                        tf_by_level, bnd, ids, slacks, sign, recon,
                         foliation, gates, verdict, tol)

@@ -13,18 +13,19 @@ for circular null orbits; the geodesic integrator doubles as the
 brute-force oracle validating this locator condition.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geodesics, hypersurfaces
 from . import quadrature as quad
-from .calculus import is_vacuum, metric_taylor
-from .spacetimes import ChartPoint, DomainError
+from .calculus import metric_taylor
+from .spacetimes import DomainError
 
-TOL_CERT = 1e-7
+TOL_CERT = 1e-7       # umbilicity: the trace-free norm's sup and H's spread
+TOL_TANGENCY = 1e-4   # largest |r - r0| (or |N - N0|) of a seed that stays
 SCAN_POINTS = 512
+SIGNATURE_GRID = (6, 12)   # (n_theta, n_phi) nodes of ``timelike_signature``
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,8 @@ class PhotonSurfaceCertificate:
     ``verdict`` is "certified" only when both routes agree within their
     tolerances and every tangency seed integrated over the whole span;
     genuine disagreement, or tangency not shown, is reported as
-    "inconclusive" with margins left for inspection.
+    "inconclusive" with margins left for inspection.  ``rng_seed`` is the
+    seed the tangency seeds were drawn from.
     """
 
     surface: str
@@ -101,51 +103,13 @@ class PhotonSurfaceCertificate:
     scalar_curvature_std: float
     scalar_expected: float       # (2/3) frakH^2, the vacuum Einstein value
     scalar_residual: float
-    tangency_deviation: float
-    tangency_span: float
-    seed_count: int
     rng_seed: int
-    photon_sphere: bool          # certified (radial cylinders are lapse level sets)
-    tol_cert: float
-    tol_tangency: float
-    vacuum: bool
     tangency: geodesics.TangencyReport
 
-    def to_json_dict(self):
-        return {
-            "surface": self.surface,
-            "r0": self.r0,
-            "verdict": self.verdict,
-            "umbilicity_sup": self.umbilicity_sup,
-            "mean_curvature": {"value": self.mean_curvature,
-                               "stddev": self.mean_curvature_std},
-            "scalar": {"value": self.scalar_curvature,
-                       "stddev": self.scalar_curvature_std,
-                       "expected": self.scalar_expected,
-                       "residual": self.scalar_residual},
-            "tangency": {"span": self.tangency_span,
-                         "deviation": self.tangency_deviation,
-                         "seeds": self.seed_count,
-                         "rng_seed": self.rng_seed,
-                         "integrator": geodesics.INTEGRATOR,
-                         "integrator_tol": self.tangency.tol,
-                         "per_seed": [
-                             {"deviation": dev, "status": run.status,
-                              "accepted_steps": run.accepted_steps,
-                              "rejected_steps": run.rejected_steps,
-                              "min_step": run.min_step}
-                             for dev, run in zip(self.tangency.deviations,
-                                                 self.tangency.runs)]},
-            "photon_sphere": self.photon_sphere,
-            "tolerances": {"certify": self.tol_cert,
-                           "tangency": self.tol_tangency},
-        }
 
-
-def timelike_signature(surface, n_samples=64):
-    """Eigenvalue signs of the induced metric at sample points."""
-    n_theta = max(4, int(round(math.sqrt(n_samples / 2))))
-    theta, _, phi, _ = quad.sphere_grid(n_theta, 2 * n_theta)
+def timelike_signature(surface):
+    """Eigenvalue signs of the induced metric at the ``SIGNATURE_GRID`` nodes."""
+    theta, _, phi, _ = quad.sphere_grid(*SIGNATURE_GRID)
     pts = tuple(np.meshgrid(theta, phi, indexing="ij", sparse=True))
     if surface.surface_dim == 3:
         pts = (0.0, *pts)
@@ -155,9 +119,7 @@ def timelike_signature(surface, n_samples=64):
 
 
 def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
-                           rng_seed=20259121, n_theta=16, n_phi=32,
-                           tol_cert=TOL_CERT,
-                           tol_tangency=1e-4):
+                           rng_seed=20259121):
     """Certify (or refute) a cylinder as a photon surface.
 
     Umbilicity is sampled through the hypersurface machinery, tangency by
@@ -174,7 +136,7 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
             f"(expected (-,+,+))")
 
     r0 = surface.level_value
-    sd, r_p = hypersurfaces.cylinder_sample(surface, n_theta, n_phi)
+    sd, r_p = hypersurfaces.cylinder_sample(surface)
     umb_sup = float(np.max(sd.tracefree_norm))
     h_mean = float(np.mean(sd.mean_curvature))
     h_std = float(np.std(sd.mean_curvature))
@@ -184,18 +146,15 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
     scalar_residual = abs(rp_mean - expected_rp)
 
     seed_states = geodesics.tangent_null_seeds(spacetime, r0, seeds, rng_seed)
-    tangency = geodesics.tangency_persistence(
-        spacetime, surface, seed_states, span, rng_seed=rng_seed)
+    tangency = geodesics.tangency_persistence(spacetime, surface, seed_states,
+                                              span)
 
-    vac = all(is_vacuum(spacetime, ChartPoint(r=r0, theta=float(t)))
-              for t in np.unique(sd.at[1])[:3])
-
-    umbilic = umb_sup < tol_cert and h_std < tol_cert
+    umbilic = umb_sup < TOL_CERT and h_std < TOL_CERT
     # a seed that stopped early has not shown that it stays, but one that
     # left the surface before stopping has shown that it does not
-    tangent = (tangency.max_deviation < tol_tangency
+    tangent = (tangency.max_deviation < TOL_TANGENCY
                and all(s == "completed" for s in tangency.statuses))
-    not_tangent = tangency.max_deviation >= tol_tangency
+    not_tangent = tangency.max_deviation >= TOL_TANGENCY
     if umbilic and tangent:
         verdict = "certified"
     elif not umbilic and not_tangent:
@@ -214,13 +173,6 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
         scalar_curvature_std=rp_std,
         scalar_expected=expected_rp,
         scalar_residual=scalar_residual,
-        tangency_deviation=tangency.max_deviation,
-        tangency_span=span,
-        seed_count=seeds,
         rng_seed=rng_seed,
-        photon_sphere=verdict == "certified",
-        tol_cert=tol_cert,
-        tol_tangency=tol_tangency,
-        vacuum=vac,
         tangency=tangency,
     )

@@ -436,11 +436,9 @@ class MetricSampler:
     component is constant.
     """
 
-    def __init__(self, dim, components, name="metric", coord_names=None):
+    def __init__(self, dim, components):
         self.dim = dim
         self._components = components
-        self.name = name
-        self.coord_names = coord_names
 
     def components(self, coords):
         return self._components(coords)
@@ -481,13 +479,11 @@ class StaticSpacetime:
 
     @property
     def metric4(self):
-        return MetricSampler(4, _block_metric4(self.profile), name="spacetime",
-                             coord_names=("t", "r", "theta", "phi"))
+        return MetricSampler(4, _block_metric4(self.profile))
 
     @property
     def metric3(self):
-        return MetricSampler(3, _slice_metric3(self.profile), name="time slice",
-                             coord_names=("r", "theta", "phi"))
+        return MetricSampler(3, _slice_metric3(self.profile))
 
     def lapse_field3(self):
         """The lapse as a scalar field over slice coordinates (r, theta, phi)."""

@@ -1,13 +1,16 @@
 """Scenario loading, exit-code semantics and output determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+import oracles
 from photonsphere import cli
 from photonsphere import geodesics as geo
+from photonsphere.calculus import curvature
 from photonsphere.spacetimes import ChartPoint, StaticSpacetime
 
 
@@ -199,6 +202,34 @@ class TestExitCodes:
         assert "radius ratio r_max/r0 = 3.33333e+15" in capsys.readouterr().err
         assert not (out / "reconstruction.json").exists()
 
+    def test_small_mass_is_not_called_flat(self, tmp_path):
+        # m = 1e-11 is a Schwarzschild slice at a small length scale, not a
+        # flat one: the same run as m = 1 at these sizes, and as isometric
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "israel", "scan": [2.2e-11, 5e-10],
+            "levels": 64, "quadrature": [16, 32],
+            "profile": {"kind": "schwarzschild", "m": 1e-11}}))
+        out = tmp_path / "o"
+        assert run(["israel", "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_TRUE
+        rep = json.loads((out / "israel_report.json").read_text())
+        assert rep["verdict"] == "isometric"
+        assert rep["mass"] == pytest.approx(1e-11, rel=1e-8)
+
+    def test_tail_radius_where_the_lapse_rounds_to_1_is_a_named_error(
+            self, tmp_path, capsys):
+        # N(1e20) = 1 to rounding, but N0 < 1: the slice is not flat
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "israel", "tail_radius": 1e20,
+            "profile": {"kind": "schwarzschild", "m": 1}}))
+        out = tmp_path / "o"
+        assert run(["israel", "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        assert "tail_radius = 1e+20" in capsys.readouterr().err
+        assert not (out / "israel_report.json").exists()
+
     def test_singular_metric_is_a_named_error(self, tmp_path, capsys):
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
@@ -253,15 +284,26 @@ class TestOutputs:
         assert abs(rec["A_ode"] - 1.0) < 1e-8
         assert abs(rec["B_ode"] + 2.0) < 1e-8
 
-    @pytest.mark.parametrize("command, scenario, code", [
-        ("israel", "reissner_perturbed", 1),
-        ("certify", "r4m_cylinder", 1),
-        ("trace", "schwarzschild_m1", 0),
-    ])
-    def test_determinism_byte_identical(self, tmp_path, command, scenario, code):
+    @pytest.mark.parametrize("command, scenario, code, flags", [
+        ("israel", "reissner_perturbed", 1, []),
+        ("certify", "r4m_cylinder", 1, []),
+        ("trace", "schwarzschild_m1", 0, []),
+        # every kind of output file, the curvature dump included; 8 levels
+        # are too coarse for the 1e-5 gates, so the run is not isometric
+        ("full", "schwarzschild_m1", 1,
+         ["--levels", "8", "--quad", "8x16", "--dump-curvature"]),
+    ], ids=["israel-reissner_perturbed-1", "certify-r4m_cylinder-1",
+            "trace-schwarzschild_m1-0", "full-schwarzschild_m1-1-dump"])
+    def test_determinism_byte_identical(self, tmp_path, command, scenario, code,
+                                        flags):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out1, out2):
-            assert run([command, "--scenario", scenario, "--out", out]) == code
+            dump = [os.path.join(out, "curvature.json")] if flags else []
+            assert run([command, "--scenario", scenario, "--out", out]
+                       + flags + dump) == code
+        assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
+        if flags:
+            assert len(os.listdir(out1)) == 11
         for name in sorted(os.listdir(out1)):
             with open(os.path.join(out1, name), "rb") as fa, \
                     open(os.path.join(out2, name), "rb") as fb:
@@ -275,7 +317,40 @@ class TestOutputs:
         with open(dump) as fh:
             d = json.load(fh)
         assert "Gamma^r_tt" in d["christoffel"]
+        assert np.isclose(d["christoffel"]["Gamma^r_tt"],
+                          oracles.GAMMA_R_TT_M1_R3)
+        assert "Ric_tt" in d["ricci"]
         assert d["coords"]["r"] == pytest.approx(3.0, abs=1e-6)
+        assert len(d["riemann"]) == 96
+
+    def test_curvature_dump_keys_do_not_depend_on_roundoff(self):
+        # three k < i Riemann components that are exactly 0.0 at r = 3.0
+        # read -2.8e-17 a few ulp off 3m: every one is written either way
+        st = StaticSpacetime.schwarzschild(1.0)
+        dumps = [cli._curvature_payload(curvature(st.metric4,
+                                               (0.0, r, math.pi / 3, 0.0)))
+                 for r in (3.0, 3.000000000001233)]
+        keys = [{section: sorted(d[section]) if isinstance(d[section], dict)
+                 else None for section in d} for d in dumps]
+        assert keys[0] == keys[1]
+        assert len(dumps[0]["riemann"]) == 96
+        assert 0.0 in dumps[0]["riemann"].values()
+
+    def test_per_level_columns_are_named_once(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["israel", "--scenario", "schwarzschild_m2",
+                    "--out", str(out)]) == 0
+        report = json.loads((out / "israel_report.json").read_text())
+        lines = (out / "israel_levels.csv").read_bytes().decode().split("\r\n")
+        header, *rows = [line.split(",") for line in lines[:-1]]
+        # the JSON keys are sorted; the csv keeps the columns' order
+        assert sorted(report["per_level"][0]) == sorted(header + ["rho_std"])
+        assert len(rows) == len(report["per_level"]) == 64
+        for name in ("r", "rho", "H"):
+            cols = [header.index("N"), header.index(name)]
+            expect = "".join(",".join(row[c] for c in cols) + "\r\n"
+                             for row in [header, *rows])
+            assert (out / f"{name}_of_N.csv").read_bytes() == expect.encode()
 
     def test_quad_override_parsing(self, tmp_path, capsys):
         out = str(tmp_path / "o")

@@ -5,9 +5,10 @@ geodesics / photon -> israel -> cli.  A module may import only modules
 of lower layers; quadrature imports nothing from the package and may be
 imported by anyone.  No function imports anything, and every public
 definition is used by the package or the acceptance suite, and every
-name the benchmark's tracer wraps still exists.  The only
-runtime dependency is numpy: the pipelines that used to need scipy (table
-profiles and the lapse reconstruction) must run without loading it.
+name the benchmark's tracer wraps still exists.  Only cli writes output
+formats.  The only runtime dependency is numpy: the pipelines that used
+to need scipy (table profiles and the lapse reconstruction) must run
+without loading it.
 """
 
 import ast
@@ -61,6 +62,46 @@ def test_module_imports_follow_layers(path):
     rank = LAYERS.index(path.stem)
     for name in imported - {"quadrature"}:
         assert LAYERS.index(name) < rank, f"{path.stem} imports {name}"
+
+
+def _output_writers(tree):
+    """Where ``tree`` spells an output format: a csv import, a json.dump or
+    json.dumps call, an open() whose mode is not a read-only literal, or a
+    method named to_*."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"import csv, line {node.lineno}" for a in node.names
+                      if a.name == "csv"]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("csv", "json"):
+            found += [f"from {node.module} import {a.name}, line {node.lineno}"
+                      for a in node.names
+                      if node.module == "csv" or a.name in ("dump", "dumps")]
+        elif isinstance(node, ast.Call):
+            fn = node.func
+            if (isinstance(fn, ast.Attribute) and fn.attr in ("dump", "dumps")
+                    and isinstance(fn.value, ast.Name) and fn.value.id == "json"):
+                found.append(f"json.{fn.attr}, line {node.lineno}")
+            if isinstance(fn, ast.Name) and fn.id == "open":
+                mode = (node.args[1:2] + [k.value for k in node.keywords
+                                          if k.arg == "mode"])
+                if mode and not (isinstance(mode[0], ast.Constant)
+                                 and set(mode[0].value) <= set("rbt")):
+                    found.append(f"open(..., {ast.unparse(mode[0])}), "
+                                 f"line {node.lineno}")
+        elif isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{fn.name}" for fn in node.body
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and fn.name.startswith("to_")]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "cli"],
+                         ids=lambda p: p.stem)
+def test_only_cli_writes_output_formats(path):
+    """Every output file's format is spelled in cli alone."""
+    found = _output_writers(_tree(path))
+    assert not found, f"{path.name}: {found}"
 
 
 def _names_used(tree, skip=None):

@@ -57,7 +57,8 @@ class TestFoliation:
 
     def test_flat_lapse_fails_foliation(self):
         mink = StaticSpacetime.schwarzschild(0.0)
-        with pytest.raises((isr.FlatnessError, FoliationError)):
+        # N0 < 1 is not flat: the lapse is 1 at the tail radius only
+        with pytest.raises(DomainError, match="tail_radius = 50.0"):
             isr.build_foliation(mink, 0.9, levels=8, quad_order=(8, 16),
                                 tail_radius=50.0)
 
@@ -491,7 +492,7 @@ class TestRigidityVerdict:
         assert gates["evolution-factor"].level == int(np.argmax(ids.evolution))
         assert gates["H-positive"].level is None
         path = tmp_path / "israel_report.json"
-        cli._write_json(path, rep.to_json_dict())
+        cli._write_json(path, cli._israel_payload(rep))
         report = json.loads(path.read_text())
         for g in report["gates"]:
             gate = gates[g["name"]]
@@ -528,7 +529,7 @@ class TestRigidityVerdict:
             "identities", "evolution-factor", "sharpness-34", "sharpness-35",
             "leaf-constancy-tracefree"))
         path = tmp_path / "israel_report.json"
-        cli._write_json(path, rep.to_json_dict())
+        cli._write_json(path, cli._israel_payload(rep))
         nodes = {g["name"]: g["node"]
                  for g in json.loads(path.read_text())["gates"]}
         assert nodes == {g.name: g.node for g in rep.gates}

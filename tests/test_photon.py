@@ -95,8 +95,6 @@ class TestCertification:
     def test_photon_sphere_certified(self, cert3):
         assert cert3.verdict == "certified"
         assert cert3.umbilicity_sup < 1e-8
-        assert cert3.photon_sphere  # lapse constant on an r-cylinder
-        assert cert3.vacuum
 
     def test_certified_values(self, cert3):
         assert abs(cert3.mean_curvature - oracles.FRAKH_M1) < 1e-10
@@ -108,7 +106,7 @@ class TestCertification:
                                          seeds=8, span=30.0)
         assert cert.verdict == "refuted"
         assert cert.umbilicity_sup > 1e-2
-        assert cert.tangency_deviation > 1e-1
+        assert cert.tangency.max_deviation > 1e-1
 
     def test_locator_certifier_agreement(self):
         loc = ph.locate_photon_sphere(RN_PROFILE, (2.0, 20.0))
