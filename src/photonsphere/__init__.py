@@ -40,7 +40,6 @@ from .geodesics import (
     energy_constancy_verdict,
     integrate_null,
     tangency_persistence,
-    tangent_null_seeds,
 )
 from .photon import (
     PhotonSphereLocation,

@@ -115,7 +115,6 @@ class CurvatureBundle:
     metric_uu: np.ndarray
     gamma_udd: np.ndarray
     riemann_dddu: np.ndarray
-    riemann_dddd: np.ndarray
     ricci_dd: np.ndarray
     scalar: np.ndarray
 
@@ -151,12 +150,10 @@ def curvature(sampler, point):
           - np.einsum("...ilkj->...kijl", dgamma)
           + np.einsum("...lkij->...kijl", gg)
           - np.einsum("...likj->...kijl", gg))
-    # "...kijl,...lm->...kijm"
-    rm_cov = (rm.reshape(rm.shape[:-4] + (d ** 3, d)) @ g).reshape(rm.shape)
     ricci = np.einsum("...kijk->...ij", rm)
     scal = np.einsum("...ij,...ij->...", ginv, ricci)
     return CurvatureBundle(sampler.dim, tuple(coords), g, ginv, gamma, rm,
-                           rm_cov, ricci, scal)
+                           ricci, scal)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Subcommands: trace, detect, certify, israel, reconstruct, full.  Each takes
 a JSON scenario file plus optional overrides, writes its reports and data
 tables under --out, and exits 0 for certified/true verdicts, 1 for
-refuted/false and 2 for inconclusive results or errors.  All randomness
-comes from the scenario's 64-bit seed, which is recorded in every report;
-re-running a scenario reproduces every output byte for byte.
+refuted/false and 2 for inconclusive results or errors.  Nothing is
+drawn at random: re-running a scenario reproduces every output byte for
+byte.  A scenario file's keys that name no field are ignored.
 
 This is the one module that spells the output formats: the payload of each
 report file and the columns of each table are assembled here from the
@@ -49,9 +49,7 @@ class Scenario:
     scan: tuple
     levels: int
     quadrature: tuple
-    seeds: int
     span: float
-    rng_seed: int
     tail_radius: float
     tolerance: float
     surface_r0: float
@@ -138,10 +136,7 @@ def load_scenario(path, overrides=None):
                       f"an integer >= {MIN_LEVELS}"),
         quadrature=_field(data, "quadrature", (64, 128), tuple,
                           _sequence(_integer(1), 2), "two integers >= 1"),
-        seeds=_field(data, "seeds", 16, int, _integer(1), "an integer >= 1"),
         span=_field(data, "span", 40.0, float, _positive, positive),
-        rng_seed=_field(data, "rng_seed", 20259121, int, _integer(0),
-                        "an integer >= 0"),
         tail_radius=_field(data, "tail_radius", None, float, _positive,
                            "null or " + positive),
         tolerance=_field(data, "tolerance", israel.TOL_LVL, float, _positive,
@@ -200,16 +195,12 @@ def _certificate_payload(cert):
                    "residual": cert.scalar_residual},
         "tangency": {"span": tan.span,
                      "deviation": tan.max_deviation,
-                     "seeds": len(tan.runs),
-                     "rng_seed": cert.rng_seed,
                      "integrator": geodesics.INTEGRATOR,
                      "integrator_tol": tan.tol,
-                     "per_seed": [
-                         {"deviation": dev, "status": run.status,
-                          "accepted_steps": run.accepted_steps,
-                          "rejected_steps": run.rejected_steps,
-                          "min_step": run.min_step}
-                         for dev, run in zip(tan.deviations, tan.runs)]},
+                     "status": tan.run.status,
+                     "accepted_steps": tan.run.accepted_steps,
+                     "rejected_steps": tan.run.rejected_steps,
+                     "min_step": tan.run.min_step},
         # radial cylinders are lapse level sets: certified is a photon sphere
         "photon_sphere": cert.verdict == "certified",
         "tolerances": {"certify": photon.TOL_CERT,
@@ -299,7 +290,7 @@ def _run_trace(scn, spacetime, out):
                  ["lambda", "r"], zip(traj.affine, traj.r))
     verdict = geodesics.energy_constancy_verdict(traj)
     _write_json(os.path.join(out, "trace.json"), {
-        "scenario": scn.name, "rng_seed": scn.rng_seed,
+        "scenario": scn.name,
         "status": traj.status, "reason": traj.reason,
         "samples": int(len(traj.samples)),
         "energy_times_lapse_drift": traj.energy_times_lapse_drift(),
@@ -317,7 +308,7 @@ def _run_trace(scn, spacetime, out):
 def _run_detect(scn, spacetime, out):
     loc = photon.locate_photon_sphere(spacetime.profile, scn.scan)
     _write_json(os.path.join(out, "location.json"), {
-        "scenario": scn.name, "rng_seed": scn.rng_seed,
+        "scenario": scn.name,
         "found": loc.found,
         "r_ps": loc.r_ps, "lapse_at_ps": loc.lapse_at_ps,
         "multiplicity": loc.multiplicity, "roots": list(loc.roots),
@@ -331,9 +322,7 @@ def _run_certify(scn, spacetime, out, r0=None):
     if r0 is None:
         raise ScenarioError("certify pipeline needs 'surface_r0' (or a detect hit)")
     surface = hypersurfaces.cylinder(spacetime, r0)
-    cert = photon.certify_photon_surface(
-        spacetime, surface, seeds=scn.seeds, span=scn.span,
-        rng_seed=scn.rng_seed)
+    cert = photon.certify_photon_surface(spacetime, surface, span=scn.span)
     _write_json(os.path.join(out, "certificate.json"), _certificate_payload(cert))
     code = {"certified": EXIT_TRUE, "refuted": EXIT_FALSE}.get(cert.verdict,
                                                                EXIT_ERROR)
@@ -344,15 +333,9 @@ def _run_israel(scn, spacetime, out, loc=None):
     if loc is None:
         loc = photon.locate_photon_sphere(spacetime.profile, scn.scan)
     if not loc.found:
-        probe = [abs(spacetime.profile.lapse_d1(r)[0] - 1.0)
-                 for r in np.geomspace(max(scn.scan[0], 1e-6), scn.scan[1], 5)]
-        if max(probe) < 1e-12:
-            _write_json(os.path.join(out, "israel_report.json"), {
-                "scenario": scn.name, "status": "rejected-flat",
-                "detail": "lapse identically 1: flat slice (zero mass); "
-                          "flat spacetime has no photon sphere",
-            })
-            return EXIT_ERROR, None
+        # a flat slice raises FlatnessError: ``run_scenario`` reports it
+        israel.check_not_flat(spacetime.profile, np.geomspace(
+            max(scn.scan[0], 1e-6), scn.scan[1], 5))
         _write_json(os.path.join(out, "israel_report.json"), {
             "scenario": scn.name, "status": "no-photon-sphere",
             "scan": list(scn.scan),
@@ -363,8 +346,7 @@ def _run_israel(scn, spacetime, out, loc=None):
         quad_order=tuple(scn.quadrature), tail_radius=scn.tail_radius,
         tol=scn.tolerance)
     _write_json(os.path.join(out, "israel_report.json"),
-                {"scenario": scn.name, "rng_seed": scn.rng_seed,
-                 **_israel_payload(report)})
+                {"scenario": scn.name, **_israel_payload(report)})
     columns = _level_table(report)
     _write_table(os.path.join(out, "israel_levels.csv"), list(columns),
                  zip(*columns.values()))
@@ -389,7 +371,7 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
     rec = israel.reconstruct_lapse(mass, loc.lapse_at_ps, loc.r_ps,
                                    r_max=scn.tail_radius)
     _write_json(os.path.join(out, "reconstruction.json"), {
-        "scenario": scn.name, "rng_seed": scn.rng_seed,
+        "scenario": scn.name,
         "A_ode": rec.a_ode, "B_ode": rec.b_ode,
         "A_closed_form": rec.a_closed, "B_closed_form": rec.b_closed,
         "sup_deviation": rec.sup_deviation, "mass": mass,
@@ -475,7 +457,6 @@ def main(argv=None):
                            help="override the scenario tolerance of the "
                                 "Israel gates")
         p.add_argument("--levels", type=int, default=None)
-        p.add_argument("--seeds", type=int, default=None)
         p.add_argument("--span", type=float, default=None)
         p.add_argument("--quad", default=None, metavar="NxM",
                        help="quadrature order, e.g. 64x128")
@@ -488,7 +469,7 @@ def main(argv=None):
         candidate = bundled_scenario_path(args.scenario)
         if os.path.exists(candidate):
             path = candidate
-    overrides = {key: value for key in ("tolerance", "levels", "seeds", "span")
+    overrides = {key: value for key in ("tolerance", "levels", "span")
                  if (value := getattr(args, key, None)) is not None}
     overrides["pipeline"] = args.command
     if args.quad is not None:

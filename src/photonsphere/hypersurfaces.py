@@ -149,21 +149,19 @@ def normal_data(surface, x, ginv, dg):
 class ShapeData:
     """Second fundamental form data at a surface point (or point grid).
 
-    ``second_ff`` holds the components in the normalized coordinate frame
-    (orthonormal up to signs ``frame_signs``).  ``tracefree_norm`` is the
-    frame Frobenius norm of II - (H/n) * induced, which vanishes exactly on
-    umbilic surfaces and equals the natural tensor norm in the Riemannian
-    case.  ``metric_dd`` is the ambient metric g_ab at the embedded points,
+    ``mean_curvature`` is the trace of II and ``tracefree_norm`` the
+    Frobenius norm of II - (H/n) * induced in the normalized coordinate
+    frame, which vanishes exactly on umbilic surfaces and equals the
+    natural tensor norm in the Riemannian case.  ``metric_dd`` is the
+    ambient metric g_ab at the embedded points,
     ``normal_d`` / ``normal_u`` the unit normal eta_a / eta^a that II is
     built from and ``level_gradient`` the gradient d_a f of the level
     function it normalizes (dN on a lapse level set), so callers need not
     differentiate the metric or the level function again.
     """
 
-    second_ff: np.ndarray
     mean_curvature: np.ndarray
     tracefree_norm: np.ndarray
-    frame_signs: tuple
     metric_dd: np.ndarray
     normal_d: np.ndarray
     normal_u: np.ndarray
@@ -198,16 +196,15 @@ def shape(surface, point):
         raise ValueError("tangent coordinate block is not diagonal; "
                          "non-aligned surfaces are out of scope")
 
-    eps = np.sign(np.einsum("...AA->...A", gt))
+    n = len(axes)
+    # the signs of the normalized frame, those of its first point
+    eps = np.reshape(np.sign(np.einsum("...AA->...A", gt)), (-1, n))[0]
     frame_scale = 1.0 / scale
     ii_frame = ii_coord * frame_scale[..., :, None] * frame_scale[..., None, :]
-    eps_const = tuple(int(e) for e in np.reshape(eps, (-1, len(axes)))[0])
-    eps_arr = np.asarray(eps_const, dtype=float)
-    h = np.einsum("A,...AA->...", eps_arr, ii_frame)
-    n = len(axes)
-    tracefree = ii_frame - (h[..., None, None] / n) * np.diag(eps_arr)
+    h = np.einsum("A,...AA->...", eps, ii_frame)
+    tracefree = ii_frame - (h[..., None, None] / n) * np.diag(eps)
     tf_norm = np.sqrt(np.einsum("...AB,...AB->...", tracefree, tracefree))
-    return ShapeData(ii_frame, h, tf_norm, eps_const, g, eta_d, eta_u, w)
+    return ShapeData(h, tf_norm, g, eta_d, eta_u, w)
 
 
 def cylinder_sample(surface):

@@ -51,10 +51,30 @@ TAIL_RADIUS_FACTOR = 100.0
 RECONSTRUCTION_NODES = 32   # Chebyshev collocation nodes of the rigidity ODE
 RECONSTRUCTION_MAX_RATIO = 1e12   # largest r_max/r0 (or r0/r_max) they resolve
 BLOCK_ROWS = 1024   # (levels x theta) rows of one stacked leaf evaluation
+FLAT_MASS_RATIO = 1e-10   # a mass below this fraction of r is zero at r
 
 
 class FlatnessError(RuntimeError):
     """Raised for m = 0 inputs: the slice is flat and has no photon sphere."""
+
+
+def _reject_flat(mass, r, source):
+    """Raise FlatnessError when ``mass`` is zero at the length scale r at
+    every entry: |m| < FLAT_MASS_RATIO r.  This is the one flatness rule,
+    so it holds alike at every mass scale."""
+    if np.all(np.abs(mass) < FLAT_MASS_RATIO * np.asarray(r)):
+        raise FlatnessError(f"{source}: the slice is flat (zero mass), and "
+                            f"flat spacetime has no photon sphere")
+
+
+def check_not_flat(profile, radii):
+    """Raise FlatnessError where the lapse is flat at every radius of
+    ``radii``: the Schwarzschild mass r (1 - N^2) / 2 that gives the lapse
+    its value N there is zero at that radius (``_reject_flat``)."""
+    r = np.asarray(radii, dtype=float)
+    n = profile.lapse_d1(r)[0]
+    _reject_flat(0.5 * r * (1.0 - n * n), r, f"the lapse is 1 at {r.size} "
+                 f"radii in [{r.min():.6g}, {r.max():.6g}]")
 
 
 def _check_leaves(bad, r_levels, what):
@@ -164,7 +184,7 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
               for k in range(0, levels, per_block)]
     area, *fields = (np.concatenate(parts) for parts in zip(*blocks))
     return Foliation(n_values, radii, dn_ds, area, *fields, x, w,
-                     float(tail_radius), (n_theta, n_phi))
+                     float(tail_radius))
 
 
 @dataclass(frozen=True)
@@ -194,7 +214,6 @@ class Foliation:
     x_nodes: np.ndarray
     weights: np.ndarray
     tail_radius: float
-    quad_order: tuple
 
     def __len__(self):
         return len(self.N)
@@ -435,15 +454,12 @@ def sign_analysis(foliation, mass, frak_h, tol=TOL_LVL):
 
     lambda = sign(nu(N)) must agree with sign(m), sign(frakH), sign(H0).
     The bound r0^2 <= (6 lam + 3) m^2 is then evaluated on both branches;
-    for lam = -1 it reads r0^2 <= -3 m^2, a contradiction.  The mass counts
-    as zero (a flat slice) below 1e-10 of the photon-sphere area radius r0,
-    so the test is the same at every mass scale.
+    for lam = -1 it reads r0^2 <= -3 m^2, a contradiction.  A mass that is
+    zero at the photon-sphere area radius r0 (``_reject_flat``) raises
+    FlatnessError.
     """
     r0 = float(foliation.area_radius[0])
-    if abs(mass) < 1e-10 * r0:
-        raise FlatnessError(
-            "mass flux vanishes: the slice is flat (Minkowski) and flat "
-            "spacetime possesses no photon sphere; nothing to exclude")
+    _reject_flat(mass, r0, f"the mass flux {float(mass):.3g} vanishes")
     lam = int(np.sign(foliation.mean(foliation.nuN, 0)))
     signs = np.sign([mass, frak_h, foliation.mean(foliation.H, 0)])
     bound = (6.0 * lam + 3.0) * mass ** 2
@@ -648,11 +664,7 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     Raises FlatnessError for m = 0 inputs (flat slice).  Returns an
     IsraelReport whose verdict is the conjunction of the gate list.
     """
-    profile = spacetime.profile
-    if abs(profile.lapse(r_ps) - 1.0) < 1e-13 and \
-            abs(profile.lapse(10.0 * r_ps) - 1.0) < 1e-13:
-        raise FlatnessError("lapse identically 1 (m = 0): flat slice; "
-                            "Minkowski has no photon sphere")
+    check_not_flat(spacetime.profile, (r_ps, 10.0 * r_ps))
     foliation = build_foliation(spacetime, n0, levels, quad_order,
                                 tail_radius, r_hint=r_ps)
 

@@ -3,7 +3,9 @@
 A timelike cylinder is certified as a photon surface when two independent
 routes agree: the umbilicity criterion (second fundamental form pure
 trace, sampled over the surface) and direct tangency persistence of null
-geodesics (the defining property).  For radial profiles the candidate
+geodesics (the defining property).  Every null geodesic tangent to a
+radial cylinder is a rotation of one orbit, so tangency is decided by
+integrating that orbit.  For radial profiles the candidate
 radius comes from a root scan of
 
     f(r) = r N'(r) - N(r),
@@ -23,7 +25,7 @@ from .calculus import metric_taylor
 from .spacetimes import DomainError
 
 TOL_CERT = 1e-7       # umbilicity: the trace-free norm's sup and H's spread
-TOL_TANGENCY = 1e-4   # largest |r - r0| (or |N - N0|) of a seed that stays
+TOL_TANGENCY = 1e-4   # largest |r - r0| (or |N - N0|) of an orbit that stays
 SCAN_POINTS = 512
 SIGNATURE_GRID = (6, 12)   # (n_theta, n_phi) nodes of ``timelike_signature``
 
@@ -87,10 +89,9 @@ class PhotonSurfaceCertificate:
     """Joint umbilicity / tangency verdict for a candidate surface.
 
     ``verdict`` is "certified" only when both routes agree within their
-    tolerances and every tangency seed integrated over the whole span;
+    tolerances and the tangent orbit integrated over the whole span;
     genuine disagreement, or tangency not shown, is reported as
-    "inconclusive" with margins left for inspection.  ``rng_seed`` is the
-    seed the tangency seeds were drawn from.
+    "inconclusive" with margins left for inspection.
     """
 
     surface: str
@@ -103,7 +104,6 @@ class PhotonSurfaceCertificate:
     scalar_curvature_std: float
     scalar_expected: float       # (2/3) frakH^2, the vacuum Einstein value
     scalar_residual: float
-    rng_seed: int
     tangency: geodesics.TangencyReport
 
 
@@ -118,12 +118,11 @@ def timelike_signature(surface):
     return signs.reshape(-1, surface.surface_dim)
 
 
-def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
-                           rng_seed=20259121):
+def certify_photon_surface(spacetime, surface, span=40.0):
     """Certify (or refute) a cylinder as a photon surface.
 
     Umbilicity is sampled through the hypersurface machinery, tangency by
-    integrating seeded null geodesics; both must agree for a "certified"
+    integrating the tangent null orbit; both must agree for a "certified"
     or "refuted" verdict.  Non-timelike candidates are rejected outright.
     """
     if surface.kind != "cylinder":
@@ -145,15 +144,13 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
     expected_rp = (2.0 / 3.0) * h_mean ** 2
     scalar_residual = abs(rp_mean - expected_rp)
 
-    seed_states = geodesics.tangent_null_seeds(spacetime, r0, seeds, rng_seed)
-    tangency = geodesics.tangency_persistence(spacetime, surface, seed_states,
-                                              span)
+    tangency = geodesics.tangency_persistence(spacetime, surface, span)
 
     umbilic = umb_sup < TOL_CERT and h_std < TOL_CERT
-    # a seed that stopped early has not shown that it stays, but one that
+    # an orbit that stopped early has not shown that it stays, but one that
     # left the surface before stopping has shown that it does not
     tangent = (tangency.max_deviation < TOL_TANGENCY
-               and all(s == "completed" for s in tangency.statuses))
+               and tangency.run.status == "completed")
     not_tangent = tangency.max_deviation >= TOL_TANGENCY
     if umbilic and tangent:
         verdict = "certified"
@@ -173,6 +170,5 @@ def certify_photon_surface(spacetime, surface, seeds=16, span=40.0,
         scalar_curvature_std=rp_std,
         scalar_expected=expected_rp,
         scalar_residual=scalar_residual,
-        rng_seed=rng_seed,
         tangency=tangency,
     )

@@ -6,11 +6,18 @@ frozen constants below were produced by them; tests assert against the
 literals and a few cheap tests re-derive them live.  The finite-difference
 Taylor routines stand in for ``calculus.metric_taylor`` and
 ``calculus.scalar_taylor`` to cross-check the package's automatic
-differentiation.
+differentiation.  ``lower_riemann`` lowers a curvature bundle's Riemann
+tensor, and ``tangent_null_seeds`` draws chart states tangent to a
+cylinder, which the package's single tangent orbit stands for.
 """
+
+import math
 
 import numpy as np
 import sympy as sp
+
+from photonsphere.geodesics import GeodesicState
+from photonsphere.spacetimes import ChartPoint
 
 t, r, th, ph, m, q = sp.symbols("t r theta phi m q", positive=True)
 
@@ -154,3 +161,35 @@ def fd_metric_taylor(sampler, coords, order=2):
 def fd_scalar_taylor(field, coords):
     """``calculus.scalar_taylor`` by finite differences: (f, df, ddf)."""
     return _fd_taylor(field, list(coords), 0)
+
+
+# ---------------------------------------------------------------------------
+# Helpers built on the package's results
+# ---------------------------------------------------------------------------
+
+def lower_riemann(bundle):
+    """Rm_kijm = Rm_kij^l g_lm of a curvature bundle."""
+    return np.einsum("...kijl,...lm->...kijm", bundle.riemann_dddu,
+                     bundle.metric_dd)
+
+
+def tangent_null_seeds(spacetime, r0, count, rng_seed):
+    """Null chart states tangent to the cylinder {r = r0}.
+
+    Base points are drawn from a seeded RNG, theta in (0.3 pi, 0.7 pi) and
+    phi in [0, 2 pi); direction angles sit on a uniform grid offset by half
+    a step, alpha = 2 pi (k + 1/2) / count, so an odd count has a polar
+    orbit at alpha = pi.  Velocities are scaled to tdot = 1.
+    """
+    rng = np.random.default_rng(rng_seed)
+    n0, _ = spacetime.profile.lapse_d1(r0)
+    seeds = []
+    for k in range(count):
+        theta = math.pi * rng.uniform(0.3, 0.7)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        alpha = 2.0 * math.pi * (k + 0.5) / count
+        vth = n0 * math.cos(alpha) / r0
+        vph = n0 * math.sin(alpha) / (r0 * math.sin(theta))
+        seeds.append(GeodesicState(ChartPoint(0.0, r0, theta, phi),
+                                   (1.0, 0.0, vth, vph)))
+    return seeds

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from photonsphere import cli, geodesics as geo, hypersurfaces as hs
 from photonsphere import israel as isr
 from photonsphere import photon as ph
@@ -57,16 +58,24 @@ def test_criterion_1_photon_sphere_location():
 
 
 def test_criterion_2_tangency_persistence():
+    # 32 tangent chart seeds per radius, each integrated alone, and the one
+    # in-plane orbit that the certificate integrates for all of them
     t0 = time.time()
-    seeds3 = geo.tangent_null_seeds(ST, 3.0, 32, rng_seed=RNG_SEED)
-    rep3 = geo.tangency_persistence(ST, hs.cylinder(ST, 3.0), seeds3, 100.0)
-    seeds4 = geo.tangent_null_seeds(ST, 4.0, 32, rng_seed=RNG_SEED)
-    rep4 = geo.tangency_persistence(ST, hs.cylinder(ST, 4.0), seeds4, 100.0)
+    seeds, orbit = {}, {}
+    for r0 in (3.0, 4.0):
+        seeds[r0] = [float(np.max(np.abs(geo.integrate_null(
+            ST, s, 100.0, geo.TANGENCY_TOL).r - r0)))
+            for s in oracles.tangent_null_seeds(ST, r0, 32, rng_seed=RNG_SEED)]
+        orbit[r0] = geo.tangency_persistence(ST, hs.cylinder(ST, r0),
+                                             100.0).max_deviation
     elapsed = time.time() - t0
-    ok = (rep3.max_deviation < 1e-5 and rep4.max_deviation > 1e-1
+    ok = (max(seeds[3.0]) < 1e-5 and orbit[3.0] < 1e-5
+          and min(seeds[4.0]) > 1e-1 and orbit[4.0] > 1e-1
           and elapsed < 30.0)
-    report(2, ok, f"max|r-3| = {rep3.max_deviation:.2e} (tol 1e-5), "
-                  f"r=4m deviation {rep4.max_deviation:.2e} (> 1e-1), "
+    report(2, ok, f"max|r-3| = {max(seeds[3.0]):.2e} over 32 seeds, "
+                  f"{orbit[3.0]:.2e} on the orbit (tol 1e-5); r=4m "
+                  f"deviation at least {min(seeds[4.0]):.2e} over 32 seeds, "
+                  f"{orbit[4.0]:.2e} on the orbit (> 1e-1); "
                   f"{elapsed:.1f}s (< 30 s)")
 
 
@@ -78,7 +87,7 @@ def test_criterion_3_energy_law():
     for k in range(100):
         if k % 25 == 0:
             # photon-sphere orbits: the constant-energy side of the lemma
-            state = geo.tangent_null_seeds(ST, 3.0, 8, rng_seed=k)[k % 8]
+            state = oracles.tangent_null_seeds(ST, 3.0, 8, rng_seed=k)[k % 8]
             tol = geo.TANGENCY_TOL
         else:
             r0 = rng.uniform(2.6, 20.0)

@@ -57,7 +57,6 @@ class TestScenarioValidation:
         (SCHW + '"levels": 8.7}', "'levels'"),
         (SCHW + '"levels": true}', "'levels'"),
         (SCHW + '"levels": 7}', "'levels'"),
-        (SCHW + '"seeds": 0}', "'seeds'"),
         (SCHW + '"scan": [3]}', "'scan'"),
         (SCHW + '"scan": [5, 3]}', "'scan'"),
         (SCHW + '"scan": [2.2, NaN]}', "'scan'"),
@@ -69,16 +68,14 @@ class TestScenarioValidation:
         (SCHW + '"tolerance": NaN}', "'tolerance'"),
         (SCHW + '"tail_radius": -1}', "'tail_radius'"),
         (SCHW + '"surface_r0": 0}', "'surface_r0'"),
-        (SCHW + '"rng_seed": -1}', "'rng_seed'"),
-        (SCHW + '"rng_seed": false}', "'rng_seed'"),
         (SCHW + '"trace": {"start": [0, 10]}}', "'trace.start'"),
         (SCHW + '"trace": {"direction": [1, -0.8, 0, "0"]}}', "'trace.direction'"),
     ], ids=["array", "lapse-int", "no-lapse", "no-m", "m-null", "m-two",
             "trace-list", "huge-int", "levels-negative", "levels-fraction",
-            "levels-bool", "levels-7", "seeds-0", "scan-short", "scan-decreasing",
+            "levels-bool", "levels-7", "scan-short", "scan-decreasing",
             "scan-nan", "quadrature-strings", "quadrature-0", "span-string",
             "span-inf", "span-past-float", "tolerance-nan", "tail-negative",
-            "surface-0", "rng-seed-negative", "rng-seed-bool", "trace-start-2",
+            "surface-0", "trace-start-2",
             "trace-direction-string"])
     def test_bad_field_exits_2_naming_it(self, text, field, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -104,7 +101,6 @@ class TestScenarioValidation:
           for span in ("nan", "inf", "-5", "0")],
         ("israel", "--tol", "nan", "'tolerance'"),
         ("full", "--tol", "-1", "'tolerance'"),
-        ("certify", "--seeds", "0", "'seeds'"),
         ("israel", "--levels", "-3", "'levels'"),
         ("israel", "--quad", "0x4", "'quadrature'"),
     ])
@@ -116,19 +112,51 @@ class TestScenarioValidation:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["certify", "full"])
+    def test_seeds_flag_exits_2(self, tmp_path, capsys, command):
+        # one orbit stands for every tangent seed: there is no seed count
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--scenario", "schwarzschild_m1",
+                 "--out", str(tmp_path / "o"), "--seeds", "2"])
+        assert exc.value.code == cli.EXIT_ERROR
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_keys_are_ignored(self, tmp_path):
+        # scenario files written for a seeded certificate still load, and
+        # their seed keys change no output
+        outs = []
+        for extra in ({}, {"seeds": 32, "rng_seed": 7}):
+            scn = tmp_path / f"scn{len(extra)}.json"
+            scn.write_text(json.dumps({
+                "schema": 1, "name": "r3m", "pipeline": "full",
+                "scan": [2.2, 50.0], "levels": 8, "quadrature": [8, 16],
+                "span": 20.0, "profile": {"kind": "schwarzschild", "m": 1},
+                **extra}))
+            outs.append(tmp_path / f"o{len(extra)}")
+            assert run(["full", "--scenario", str(scn),
+                        "--out", str(outs[-1])]) == cli.EXIT_FALSE
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        assert "certificate.json" in names
+        for name in names:
+            assert ((outs[0] / name).read_bytes()
+                    == (outs[1] / name).read_bytes()), name
+
     def test_certify_with_no_integration_is_inconclusive(self, tmp_path):
-        # each seed's first step underflows: none of them shows tangency
+        # the orbit's first step underflows: it does not show tangency
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
-            "schema": 1, "pipeline": "certify", "surface_r0": 3.0, "seeds": 2,
+            "schema": 1, "pipeline": "certify", "surface_r0": 3.0,
             "profile": {"kind": "schwarzschild", "m": 1}}))
         out = tmp_path / "o"
         assert run(["certify", "--scenario", str(scn), "--out", str(out),
                     "--span", "1e-300"]) == cli.EXIT_ERROR
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["verdict"] == "inconclusive"
-        assert [(s["status"], s["accepted_steps"])
-                for s in cert["tangency"]["per_seed"]] == [("stiff", 0)] * 2
+        tangency = cert["tangency"]
+        assert (tangency["status"], tangency["accepted_steps"]) == ("stiff", 0)
+        assert tangency["min_step"] is None
 
 
 class TestExitCodes:
@@ -178,11 +206,11 @@ class TestExitCodes:
 
 
     def test_full_exit_reflects_an_inconclusive_certificate(self, tmp_path):
-        # the Israel verdict is isometric, but no seed integrates
+        # the Israel verdict is isometric, but the orbit does not integrate
         out = tmp_path / "o"
         assert run(["full", "--scenario", "schwarzschild_m1", "--out", str(out),
                     "--span", "1e-300", "--levels", "24", "--quad", "32x64",
-                    "--tol", "1e-3", "--seeds", "2"]) == cli.EXIT_ERROR
+                    "--tol", "1e-3"]) == cli.EXIT_ERROR
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["verdict"] == "inconclusive"
         rep = json.loads((out / "israel_report.json").read_text())
@@ -309,6 +337,22 @@ class TestOutputs:
                     open(os.path.join(out2, name), "rb") as fb:
                 assert fa.read() == fb.read(), f"{name} differs between runs"
 
+    def test_certify_integrates_through_integrate_null(self, tmp_path,
+                                                       monkeypatch):
+        # the tangency orbit goes through the public integrator, so a
+        # wrapper of ``geodesics.integrate_null`` sees the certificate's run
+        calls = []
+        integrate = geo.integrate_null
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(geo, "integrate_null", counted)
+        assert run(["certify", "--scenario", "r4m_cylinder",
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_FALSE
+        assert calls == [40.0]
+
     def test_curvature_dump_flag(self, tmp_path):
         out = str(tmp_path / "o")
         dump = str(tmp_path / "bundle.json")
@@ -428,22 +472,21 @@ class TestCertificateOutput:
         assert d["verdict"] == "certified"
         assert set(d["mean_curvature"]) == {"value", "stddev"}
         assert set(d["scalar"]) == {"value", "stddev", "expected", "residual"}
-        assert set(d["tangency"]) == {"span", "deviation", "seeds", "rng_seed",
-                                      "integrator", "integrator_tol",
-                                      "per_seed"}
-        assert d["tangency"]["integrator"] == "DOP853"
-        assert d["tangency"]["integrator_tol"] == geo.TANGENCY_TOL == 1e-16
-        per_seed = d["tangency"]["per_seed"]
-        assert len(per_seed) == d["tangency"]["seeds"] == 16
-        assert max(s["deviation"] for s in per_seed) == d["tangency"]["deviation"]
-        assert {s["status"] for s in per_seed} == {"completed"}
-        assert all(s["accepted_steps"] > 0 and s["rejected_steps"] >= 0
-                   and s["min_step"] > 0.0 for s in per_seed)
+        tangency = d["tangency"]
+        assert set(tangency) == {"span", "deviation", "integrator",
+                                 "integrator_tol", "status", "accepted_steps",
+                                 "rejected_steps", "min_step"}
+        assert tangency["integrator"] == "DOP853"
+        assert tangency["integrator_tol"] == geo.TANGENCY_TOL == 1e-16
+        assert tangency["status"] == "completed"
+        assert (tangency["accepted_steps"] > 0 and tangency["rejected_steps"] >= 0
+                and tangency["min_step"] > 0.0)
         assert "tolerances" in d
+        assert "rng_seed" not in d
 
     def test_tangency_deviation_at_roundoff(self, full_m1_certificate):
-        # with r_ps bisected to adjacent floats the seeds start on the
-        # photon sphere itself: 1.9e-13, where a root 4e-13 (relative) off
+        # with r_ps bisected to adjacent floats the orbit starts on the
+        # photon sphere itself: 1.3e-13, where a root 4e-13 (relative) off
         # 3m gave 1.4e-9
         assert full_m1_certificate["r0"] == 3.0
         assert full_m1_certificate["tangency"]["deviation"] < 1e-11
@@ -461,7 +504,7 @@ class TestBundledSuitePartition:
         out = str(tmp_path / "o")
         code = run(["full", "--scenario", "schwarzschild_m1", "--out", out,
                     "--levels", "24", "--quad", "32x64", "--tol", "1e-3",
-                    "--seeds", "6", "--span", "20"])
+                    "--span", "20"])
         assert code == 0
         rep = json.loads((tmp_path / "o" / "israel_report.json").read_text())
         assert rep["verdict"] == "isometric"

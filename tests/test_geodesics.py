@@ -1,15 +1,15 @@
 """Null geodesic integration: conservation laws, tangency, reversal.
 
-The batched stepping loop, which integrates in each geodesic's orbit
-plane, is checked against a scalar DOP853 loop over Python floats in the
-(theta, phi) chart, kept below as an independent reference: the same ends,
-and for a completed run end rows that agree to 1e-6 relative, angles modulo
-2 pi.  The reference stops at its own pole guard, which the plane does not
-need.  Each column of a batch is checked bit for bit against the same
-state integrated alone, and the tableau against its order of convergence.
+The stepping loop, which integrates in each geodesic's orbit plane, is
+checked against a scalar DOP853 loop over Python floats in the (theta, phi)
+chart, kept below as an independent reference: the same ends, and for a
+completed run end rows that agree to 1e-6 relative, angles modulo 2 pi.
+The reference stops at its own pole guard, which the plane does not need.
+Each trajectory is checked bit for bit against its equatorial twin, the
+state with the same in-plane state, and the tableau against its order of
+convergence.
 """
 
-import functools
 import json
 import math
 
@@ -29,6 +29,7 @@ from photonsphere.spacetimes import (ChartPoint, ExpressionProfile,
 
 ST = StaticSpacetime.schwarzschild(1.0)
 MINK = StaticSpacetime.schwarzschild(0.0)
+RNG_SEED = 20259121   # the criterion-2 seeds
 
 
 def radial_null_state(spacetime, r0, ingoing=True):
@@ -52,7 +53,7 @@ def end_state(traj):
 # The scalar reference: one trajectory stepped by DOP853 over Python floats.
 # Every sum over stages or components is added left to right by
 # ``scalar_sum`` and the step factor's eighth root is taken by three square
-# roots, as in the batch: the error estimate cancels 12 terms down to the
+# roots, as in the package: the error estimate cancels 12 terms down to the
 # tolerance, so one last-bit difference in the increment or the step size
 # moves the norm by 1e-10 relative and, on a horizon approach, flips an
 # accept/reject decision.
@@ -226,7 +227,7 @@ class TestIntegration:
         assert np.all(np.diff(tr.affine) > 0)
 
     def test_null_residual_after_projection(self):
-        seeds = geo.tangent_null_seeds(ST, 3.0, 2, rng_seed=1)
+        seeds = oracles.tangent_null_seeds(ST, 3.0, 2, rng_seed=1)
         tr = geo.integrate_null(ST, seeds[0], 50.0)
         assert np.max(tr.null_residuals) < geo.TOL_NULL
 
@@ -264,7 +265,7 @@ class TestEnergyLaw:
     def test_verdict_photon_orbit_vs_radial(self):
         # the instability amplifies local error into lapse (hence energy)
         # variation, so the orbit needs the tangency-grade tolerance
-        orbit = geo.integrate_null(ST, geo.tangent_null_seeds(ST, 3.0, 2, 7)[0],
+        orbit = geo.integrate_null(ST, oracles.tangent_null_seeds(ST, 3.0, 2, 7)[0],
                                    50.0, tol=geo.TANGENCY_TOL)
         v_orbit = geo.energy_constancy_verdict(orbit)
         assert v_orbit.constant and v_orbit.lapse_constant
@@ -281,7 +282,7 @@ class TestEnergyLaw:
         assert v.constant and v.lapse_constant
 
     def test_angular_momentum_conserved(self):
-        seeds = geo.tangent_null_seeds(ST, 3.0, 3, rng_seed=2)
+        seeds = oracles.tangent_null_seeds(ST, 3.0, 3, rng_seed=2)
         for s in seeds:
             tr = geo.integrate_null(ST, s, 50.0)
             ell = (tr.samples[:, 2] ** 2 * np.sin(tr.samples[:, 3]) ** 2
@@ -306,7 +307,7 @@ class TestTimeReversal:
     def test_roundtrip_photon_orbit_short_span(self):
         # the circular orbit is exponentially unstable; round trips are only
         # meaningful within the e-fold budget of double precision
-        s = geo.tangent_null_seeds(ST, 3.0, 2, rng_seed=4)[0]
+        s = oracles.tangent_null_seeds(ST, 3.0, 2, rng_seed=4)[0]
         fwd = geo.integrate_null(ST, s, 10.0)
         end = end_state(fwd)
         back = geo.GeodesicState(end.position, tuple(-v for v in end.velocity))
@@ -317,39 +318,50 @@ class TestTimeReversal:
 
 class TestTangency:
     def test_photon_sphere_seeds_stay(self):
-        seeds = geo.tangent_null_seeds(ST, 3.0, 8, rng_seed=7)
-        rep = geo.tangency_persistence(ST, hs.cylinder(ST, 3.0), seeds, 40.0)
+        rep = geo.tangency_persistence(ST, hs.cylinder(ST, 3.0), 40.0)
         assert rep.max_deviation < 1e-6
-        assert all(s == "completed" for s in rep.statuses)
+        assert rep.run.status == "completed"
 
     def test_off_sphere_seeds_leave(self):
-        seeds = geo.tangent_null_seeds(ST, 4.0, 8, rng_seed=7)
-        rep = geo.tangency_persistence(ST, hs.cylinder(ST, 4.0), seeds, 40.0,
+        rep = geo.tangency_persistence(ST, hs.cylinder(ST, 4.0), 40.0,
                                        tol=1e-10)
         assert rep.max_deviation > 1e-1
 
     def test_minkowski_cylinder_deviation_grows_linearly(self):
-        seeds = geo.tangent_null_seeds(MINK, 3.0, 4, rng_seed=3)
-        r20 = geo.tangency_persistence(MINK, hs.cylinder(MINK, 3.0), seeds,
-                                       20.0, tol=1e-10)
-        r40 = geo.tangency_persistence(MINK, hs.cylinder(MINK, 3.0), seeds,
-                                       40.0, tol=1e-10)
+        r20 = geo.tangency_persistence(MINK, hs.cylinder(MINK, 3.0), 20.0,
+                                       tol=1e-10)
+        r40 = geo.tangency_persistence(MINK, hs.cylinder(MINK, 3.0), 40.0,
+                                       tol=1e-10)
         assert r20.max_deviation > 1.0
         assert 1.5 < r40.max_deviation / r20.max_deviation < 2.5
 
     def test_lapse_level_cylinder_deviation_metric(self):
         surf = hs.cylinder(ST, 3.0, level_field="lapse")
-        seeds = geo.tangent_null_seeds(ST, 3.0, 4, rng_seed=5)
-        rep = geo.tangency_persistence(ST, surf, seeds, 20.0)
+        rep = geo.tangency_persistence(ST, surf, 20.0)
         assert rep.max_deviation < 1e-7  # |N - N0| stays small
 
     def test_seeds_are_null_and_tangent(self):
-        seeds = geo.tangent_null_seeds(ST, 3.0, 16, rng_seed=11)
+        seeds = oracles.tangent_null_seeds(ST, 3.0, 16, rng_seed=11)
         for s in seeds:
             g = metric_taylor(ST.metric4, s.position.coords4())[0]
             v = np.asarray(s.velocity)
             assert abs(v @ g @ v) < 1e-12
             assert v[1] == 0.0  # no radial component: tangent to the cylinder
+
+    @pytest.mark.parametrize("r0", [3.0, 4.0])
+    def test_chart_seeds_map_to_the_canonical_orbit(self, r0):
+        # every tangent seed, odd counts' polar ones included, is a rotation
+        # of the one in-plane state (0, r0, 0, 1, 0, N0/r0) that
+        # ``tangency_persistence`` integrates: exactly, up to the last bits
+        # of the angular speed hypot(vtheta, sin(theta) vphi)
+        vpsi = ST.profile.lapse_d1(r0)[0] / r0
+        seeds = [*oracles.tangent_null_seeds(ST, r0, 32, rng_seed=RNG_SEED),
+                 *(s for count in (1, 3, 5, 7)
+                   for s in oracles.tangent_null_seeds(ST, r0, count, count))]
+        for seed in seeds:
+            _, plane = geo._into_plane(seed)
+            assert plane[:5] == (0.0, r0, 0.0, 1.0, 0.0)
+            assert abs(plane[5] - vpsi) <= 4 * np.spacing(vpsi)
 
 
 def test_stiff_status_on_step_budget():
@@ -360,29 +372,29 @@ def test_stiff_status_on_step_budget():
 
 
 # ---------------------------------------------------------------------------
-# The batched loop against the scalar reference, and against itself alone
+# Trajectories against the scalar reference, and against their twins
 # ---------------------------------------------------------------------------
 
-RNG_SEED = 20259121
 CRITERION2_SPAN = 100.0
+RADIAL_COLUMNS = [0, 1, 2, 5, 6]      # lambda, t, r, vt, vr
 
 
-def batch_runs(profile, states, span, tol=DEFAULT_TOL, max_steps=geo.MAX_STEPS):
-    """Integrate ``states`` as one batch; (samples, residuals, run) per state,
-    with the in-plane samples rotated into the chart as ``integrate_null``
-    does."""
-    rows = [[] for _ in states]
-    resid = [[] for _ in states]
+def equatorial_twin(state):
+    """The chart state at theta = pi/2, phi = 0 with the in-plane state of
+    ``state``: the same t, r, vt, vr, and vtheta its angular speed."""
+    _, (t, r, _, vt, vr, vpsi) = geo._into_plane(state)
+    return geo.GeodesicState(ChartPoint(t, r, 0.5 * math.pi, 0.0),
+                             (vt, vr, vpsi, 0.0))
 
-    def record(seeds, lam, y, residual):
-        for col, seed in enumerate(seeds.tolist()):
-            rows[seed].append(np.concatenate(([lam[col]], y[:, col])))
-            resid[seed].append(residual[col])
 
-    runs = geo._integrate_batch(profile, states, span, tol, max_steps, record)
-    return [(geo._to_chart(geo._into_plane(state)[0], np.array(r)),
-             np.array(x), run)
-            for state, r, x, run in zip(states, rows, resid, runs)]
+def assert_same_as_twin(spacetime, state, traj, span, **kw):
+    """The trajectory steps bit for bit as its equatorial twin: the stepping
+    sees only the in-plane state, never the chart orientation."""
+    twin = geo.integrate_null(spacetime, equatorial_twin(state), span, **kw)
+    assert np.array_equal(traj.samples[:, RADIAL_COLUMNS],
+                          twin.samples[:, RADIAL_COLUMNS])
+    assert np.array_equal(traj.null_residuals, twin.null_residuals)
+    assert traj.run == twin.run
 
 
 def canonical(row):
@@ -420,60 +432,53 @@ def assert_near_reference(ref, samples, run):
         assert_rows_near(samples[-1], ref.samples[-1])
 
 
-def assert_same_as_alone(alone, samples, residuals, run):
-    """A batch column is bit for bit the trajectory of its state alone."""
-    assert np.array_equal(alone.samples, samples)
-    assert np.array_equal(alone.null_residuals, residuals)
-    assert alone.run == run
-
-
-CRITERION2_ENDS = (0, 31)   # the seeds of a criterion-2 batch run alone
-
-
-@functools.lru_cache(maxsize=None)
-def criterion2_alone(r0):
-    """The 32 criterion-2 seeds, and the end seeds integrated alone."""
-    seeds = geo.tangent_null_seeds(ST, r0, 32, rng_seed=RNG_SEED)
-    return seeds, {j: geo.integrate_null(ST, seeds[j], CRITERION2_SPAN,
-                                         geo.TANGENCY_TOL)
-                   for j in CRITERION2_ENDS}
+def canonical_orbit(r0, span):
+    """The trajectory of the in-plane state (0, r0, 0, 1, 0, N0/r0)."""
+    n0 = ST.profile.lapse_d1(r0)[0]
+    state = geo.GeodesicState(ChartPoint(0.0, r0, 0.5 * math.pi, 0.0),
+                              (1.0, 0.0, n0 / r0, 0.0))
+    return geo.integrate_null(ST, state, span, geo.TANGENCY_TOL)
 
 
 class TestBatchMatchesScalarReference:
+    """Single trajectories against the scalar chart reference and their
+    equatorial twins, and the tangency orbit against ``integrate_null``."""
+
     @pytest.mark.parametrize("r0", [3.0, 4.0])
     def test_criterion2_seeds_bit_identical(self, r0):
-        seeds, alone = criterion2_alone(r0)
-        batch = batch_runs(ST.profile, seeds, CRITERION2_SPAN, geo.TANGENCY_TOL)
-        for j, tr in alone.items():
-            assert_same_as_alone(tr, *batch[j])
-            ref = scalar_integrate_null(ST, seeds[j], CRITERION2_SPAN,
+        # the first and last of the 32 criterion-2 seeds
+        seeds = oracles.tangent_null_seeds(ST, r0, 32, rng_seed=RNG_SEED)
+        for seed in (seeds[0], seeds[-1]):
+            tr = geo.integrate_null(ST, seed, CRITERION2_SPAN, geo.TANGENCY_TOL)
+            assert_same_as_twin(ST, seed, tr, CRITERION2_SPAN,
+                                tol=geo.TANGENCY_TOL)
+            ref = scalar_integrate_null(ST, seed, CRITERION2_SPAN,
                                         geo.TANGENCY_TOL)
             assert_near_reference(ref, tr.samples, tr.run)
 
     @pytest.mark.parametrize("r0", [3.0, 4.0])
     def test_tangency_deviations_exact(self, r0):
-        seeds, alone = criterion2_alone(r0)
-        rep = geo.tangency_persistence(ST, hs.cylinder(ST, r0), seeds,
+        rep = geo.tangency_persistence(ST, hs.cylinder(ST, r0),
                                        CRITERION2_SPAN)
-        for j, tr in alone.items():
-            assert rep.deviations[j] == float(np.max(np.abs(tr.r - r0)))
-            assert rep.runs[j] == tr.run
+        orbit = canonical_orbit(r0, CRITERION2_SPAN)
+        assert rep.max_deviation == float(np.max(np.abs(orbit.r - r0)))
+        assert rep.run == orbit.run
+        assert (rep.span, rep.tol) == (CRITERION2_SPAN, geo.TANGENCY_TOL)
 
     def test_lapse_deviations_exact(self):
         surf = hs.cylinder(ST, 3.0, level_field="lapse")
-        seeds = geo.tangent_null_seeds(ST, 3.0, 4, rng_seed=5)
-        rep = geo.tangency_persistence(ST, surf, seeds, 20.0)
+        rep = geo.tangency_persistence(ST, surf, 20.0)
         n0 = ST.profile.lapse_d1(3.0)[0]
-        alone = [geo.integrate_null(ST, s, 20.0, geo.TANGENCY_TOL) for s in seeds]
-        assert rep.deviations == tuple(float(np.max(np.abs(tr.lapse - n0)))
-                                       for tr in alone)
+        orbit = canonical_orbit(3.0, 20.0)
+        assert rep.max_deviation == float(np.max(np.abs(orbit.lapse - n0)))
+        assert rep.run == orbit.run
 
     @pytest.mark.parametrize("case", ["minkowski-ray", "minkowski-seed",
                                       "radial-infall", "pole", "max-steps",
                                       "expression-profile"])
     def test_single_trajectory_bit_identical(self, case):
-        """Bit for bit the same as its column in a batch with another
-        trajectory, and near the scalar reference."""
+        """Bit for bit the same as its equatorial twin, and near the scalar
+        reference."""
         spacetime, span, kw = ST, 30.0, {}
         if case == "minkowski-ray":
             spacetime = MINK
@@ -481,7 +486,7 @@ class TestBatchMatchesScalarReference:
                                    (0.4, 0.1, 0.05))
         elif case == "minkowski-seed":
             spacetime = MINK
-            state = geo.tangent_null_seeds(MINK, 3.0, 4, rng_seed=3)[1]
+            state = oracles.tangent_null_seeds(MINK, 3.0, 4, rng_seed=3)[1]
         elif case == "radial-infall":
             state = radial_null_state(ST, 10.0)
             span = 50.0
@@ -498,9 +503,7 @@ class TestBatchMatchesScalarReference:
                                    (0.01, 0.03, 0.05))
         ref = scalar_integrate_null(spacetime, state, span, **kw)
         traj = geo.integrate_null(spacetime, state, span, **kw)
-        other = geo.tangent_null_seeds(spacetime, 5.0, 1, rng_seed=1)[0]
-        column = batch_runs(spacetime.profile, [other, state], span, **kw)[1]
-        assert_same_as_alone(traj, *column)
+        assert_same_as_twin(spacetime, state, traj, span, **kw)
         assert_near_reference(ref, traj.samples, traj.run)
         expected = {"radial-infall": "domain-exit",
                     "max-steps": "stiff"}.get(case, "completed")
@@ -516,39 +519,17 @@ class TestBatchMatchesScalarReference:
                                     (0.0, 0.0, 0.05))
         runs = [geo.integrate_null(ST, s, 30.0) for s in (polar, equatorial)]
         assert [tr.status for tr in runs] == ["completed", "completed"]
-        radial = [0, 1, 2, 5, 6]      # lambda, t, r, vt, vr
-        assert np.array_equal(runs[0].samples[:, radial],
-                              runs[1].samples[:, radial])
+        assert np.array_equal(runs[0].samples[:, RADIAL_COLUMNS],
+                              runs[1].samples[:, RADIAL_COLUMNS])
         # the polar orbit passes a pole (phi turns by pi there); the
         # equatorial one stays where the chart reference is regular
         assert abs(runs[0].samples[-1, 4] - runs[0].samples[0, 4]) > 3.0
         assert_near_reference(scalar_integrate_null(ST, equatorial, 30.0),
                               runs[1].samples, runs[1].run)
 
-    def test_mixed_batch_matches_each_alone(self):
-        # the middle photon-sphere seed has direction angle pi: its vphi is
-        # 2.6e-17, so its orbit is polar and the chart reference stops at its
-        # pole guard
-        seeds = geo.tangent_null_seeds(ST, 3.0, 3, rng_seed=2)
-        states = [radial_null_state(ST, 10.0),
-                  geo.null_state(ST, ChartPoint(0.0, 8.0, 0.4, 0.2),
-                                 (0.0, -0.05, 1e-9)),
-                  *seeds]
-        polar = states[3]
-        assert abs(polar.position.r ** 2 * math.sin(polar.position.theta) ** 2
-                   * polar.velocity[3]) < 1e-15
-        batch = batch_runs(ST.profile, states, 30.0)
-        assert [run.status for _, _, run in batch] == [
-            "domain-exit", "completed", "completed", "completed", "completed"]
-        for state, (samples, residuals, run) in zip(states, batch):
-            assert_same_as_alone(geo.integrate_null(ST, state, 30.0),
-                                 samples, residuals, run)
-            assert_near_reference(scalar_integrate_null(ST, state, 30.0),
-                                  samples, run)
-
-    def test_mixed_batch_on_a_fractional_power_profile(self):
-        # the profile's slope takes numpy powers; one entry of a batch must
-        # equal the same radius evaluated alone
+    def test_fractional_power_profile_matches_the_reference(self):
+        # the profile's slope takes numpy powers, on one-entry arrays in the
+        # stepping loop and on floats in the reference
         profile = ExpressionProfile("1 - 2/r + 0.3/r^2.5",
                                     "1/(1 - 2/r + 0.3/r^2.5)", r_min=1.95)
         spacetime = StaticSpacetime(profile)
@@ -556,42 +537,38 @@ class TestBatchMatchesScalarReference:
                                  (-0.8, 0.0, 0.0)),
                   geo.null_state(spacetime, ChartPoint(0.0, 8.0, 0.4, 0.2),
                                  (0.0, -0.05, 1e-9)),
-                  *geo.tangent_null_seeds(spacetime, 5.0, 3, rng_seed=2)]
-        batch = batch_runs(profile, states, 30.0)
-        assert [run.status for _, _, run in batch] == [
+                  *oracles.tangent_null_seeds(spacetime, 5.0, 3, rng_seed=2)]
+        runs = [geo.integrate_null(spacetime, state, 30.0) for state in states]
+        assert [tr.status for tr in runs] == [
             "domain-exit", "completed", "completed", "completed", "completed"]
-        for state, (samples, residuals, run) in zip(states, batch):
-            assert_same_as_alone(geo.integrate_null(spacetime, state, 30.0),
-                                 samples, residuals, run)
+        for state, tr in zip(states, runs):
+            assert_same_as_twin(spacetime, state, tr, 30.0)
             assert_near_reference(scalar_integrate_null(spacetime, state, 30.0),
-                                  samples, run)
+                                  tr.samples, tr.run)
 
-    def test_table_profile_failure_stays_with_its_seed(self):
+    def test_table_profile_failure_ends_in_domain_exit(self):
         rs = np.linspace(2.5, 12.0, 400)
         table = TableProfile(np.stack([rs, np.sqrt(1 - 2 / rs),
                                        1 / (1 - 2 / rs)], axis=1))
         spacetime = StaticSpacetime(table)
+        seed = oracles.tangent_null_seeds(spacetime, 3.0, 3, rng_seed=4)[0]
+        tr = geo.integrate_null(spacetime, seed, 10.0)
+        assert_near_reference(scalar_integrate_null(spacetime, seed, 10.0),
+                              tr.samples, tr.run)
+        # a ray whose stages leave the table: the same end row as the
+        # reference, at the table edge, reached as a domain exit instead of
+        # a step-size underflow.  Both loops crawl up to r = 12 in steps near
+        # the roundoff floor, whose number the last bits decide.
         leaving = radial_null_state(spacetime, 11.0, ingoing=False)
-        states = [*geo.tangent_null_seeds(spacetime, 3.0, 3, rng_seed=4),
-                  leaving, geo.tangent_null_seeds(spacetime, 5.0, 2, 4)[0]]
-        batch = batch_runs(table, states, 10.0)
-        for k, (state, (samples, residuals, run)) in enumerate(zip(states, batch)):
-            assert_same_as_alone(geo.integrate_null(spacetime, state, 10.0),
-                                 samples, residuals, run)
-            ref = scalar_integrate_null(spacetime, state, 10.0)
-            if k != 3:
-                assert_near_reference(ref, samples, run)
-                continue
-            # the seed whose stages leave the table: the same end row, at the
-            # table edge, reached as a domain exit instead of a step-size
-            # underflow.  Both loops crawl up to r = 12 in steps near the
-            # roundoff floor, whose number the last bits decide.
-            assert_rows_near(samples[-1], ref.samples[-1])
-            assert abs(samples[-1, 2] - 12.0) < 1e-6
-            assert (ref.status, ref.reason) == ("stiff", "step size underflow")
-            assert run.status == "domain-exit"
-            assert "r = 12" in run.reason
-            assert run.rejected_steps > 0
+        tr = geo.integrate_null(spacetime, leaving, 10.0)
+        assert_same_as_twin(spacetime, leaving, tr, 10.0)
+        ref = scalar_integrate_null(spacetime, leaving, 10.0)
+        assert_rows_near(tr.samples[-1], ref.samples[-1])
+        assert abs(tr.samples[-1, 2] - 12.0) < 1e-6
+        assert (ref.status, ref.reason) == ("stiff", "step size underflow")
+        assert tr.status == "domain-exit"
+        assert "r = 12" in tr.reason
+        assert tr.run.rejected_steps > 0
 
 
 def test_observed_order_of_the_tableau():
@@ -604,7 +581,7 @@ def test_observed_order_of_the_tableau():
     _, r0, _, _, vr, vpsi = plane
     # the start and the velocity on the plane's axes n and e
     x0, v = np.array([r0, 0.0]), np.array([vr, r0 * vpsi])
-    y0 = np.array(plane)[:, None]
+    y0 = np.array(plane)
 
     def step(y, h):
         # atol 1 and rtol 0: the norm of the unscaled estimates
@@ -615,13 +592,13 @@ def test_observed_order_of_the_tableau():
         y = y0
         for _ in range(n):
             y = y + step(y, 4.0 / n)[0]
-        return abs(y[1, 0] - np.linalg.norm(x0 + 4.0 * v))
+        return abs(y[1] - np.linalg.norm(x0 + 4.0 * v))
 
     # measured: 5.3e-11 and 1.9e-13, order 8.14
     global_order = math.log2(r_error(3) / r_error(6))
     assert 7.5 <= global_order <= 8.8
     # measured: 4.2e-13 and 1.5e-15, order 8.08
-    estimate_order = math.log2(step(y0, 4.0 / 8)[1][0] / step(y0, 4.0 / 16)[1][0])
+    estimate_order = math.log2(step(y0, 4.0 / 8)[1] / step(y0, 4.0 / 16)[1])
     assert abs(estimate_order - 8.0) <= 0.2
 
 

@@ -179,7 +179,7 @@ with open(table, "w") as fh:
     json.dump({"schema": 1, "pipeline": "full", "scan": [2.2, 50.0],
                "profile": {"kind": "table", "samples": rows},
                "tail_radius": 100.0}, fh)
-coarse = ["--levels", "12", "--quad", "8x16", "--seeds", "2", "--span", "2"]
+coarse = ["--levels", "12", "--quad", "8x16", "--span", "2"]
 runs = {"table": ["full", "--scenario", table] + coarse,
         "full": ["full", "--scenario", "schwarzschild_m1"] + coarse,
         "reconstruct": ["reconstruct", "--scenario", "schwarzschild_m1"]}

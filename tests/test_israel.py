@@ -335,7 +335,7 @@ class TestInequalities:
                                                                  foliation24):
         # leaf-inhomogeneous rho perturbation: the square brackets are
         # manifest sums of squares and must come out strictly positive
-        theta, _, phi, _ = quad.sphere_grid(*foliation24.quad_order)
+        theta, _, phi, _ = quad.sphere_grid(32, 64)   # foliation24's grid
         tg = np.meshgrid(theta, phi, indexing="ij")[0]
         factor = 1.0 + 0.1 * np.cos(tg)
         fol = dataclasses.replace(foliation24, rho=foliation24.rho * factor)
@@ -379,6 +379,19 @@ class TestSignAnalysis:
     def test_sign_mismatch_flagged(self, foliation24):
         sign = isr.sign_analysis(foliation24, 1.0, -oracles.FRAKH_M1)
         assert not sign.consistent
+
+
+@pytest.mark.parametrize("m, flat", [(0.0, True), (0.9e-10, True),
+                                     (1.1e-10, False), (-1.1e-10, False)])
+def test_one_flatness_rule(m, flat):
+    # the lapse is flat where the Schwarzschild mass r (1 - N^2) / 2 of its
+    # value is below 1e-10 r, as sign_analysis reads the mass flux at r0
+    profile = StaticSpacetime.schwarzschild(m).profile
+    if flat:
+        with pytest.raises(isr.FlatnessError, match="lapse is 1 at 2 radii"):
+            isr.check_not_flat(profile, (1.0, 1.0))
+    else:
+        isr.check_not_flat(profile, (1.0, 1.0))
 
 
 class TestBoundaryConstraints:
@@ -533,6 +546,28 @@ class TestRigidityVerdict:
         nodes = {g["name"]: g["node"]
                  for g in json.loads(path.read_text())["gates"]}
         assert nodes == {g.name: g.node for g in rep.gates}
+
+    def test_leaf_constancy_gates_can_fail(self, monkeypatch):
+        # rho tilted in theta on level 9 and the trace-free norm peaked at
+        # theta node 6 of level 14: both leaf-constancy gates fail there
+        fol = isr.build_foliation(ST, N0, levels=24, quad_order=(16, 32),
+                                  tail_radius=100.0)
+        rho, tracefree = fol.rho.copy(), fol.tracefree.copy()
+        rho[9] *= 1.0 + 0.01 * fol.x_nodes[:, None]
+        tracefree[14, :, 0] = 1e-3 * (1.0 - np.abs(np.arange(16) - 6) / 16)
+        perturbed = dataclasses.replace(fol, rho=rho, tracefree=tracefree)
+        monkeypatch.setattr(isr, "build_foliation", lambda *a, **k: perturbed)
+        rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
+                                      quad_order=(16, 32), tail_radius=100.0,
+                                      tol=1e-3)
+        assert rep.verdict == "not-isometric"
+        gates = {g.name: g for g in rep.gates}
+        rho_gate = gates["leaf-constancy-rho"]
+        # the spread of rho over a leaf has no node
+        assert (rho_gate.passed, rho_gate.level, rho_gate.node) == (False, 9, None)
+        assert rho_gate.value == pytest.approx(0.01 / math.sqrt(3.0), rel=1e-2)
+        tf = gates["leaf-constancy-tracefree"]
+        assert (tf.passed, tf.value, tf.level, tf.node) == (False, 1e-3, 14, 6)
 
     def test_leaf_terms_computed_once_per_leaf(self, monkeypatch):
         calls = {"_leaf_terms": 0, "sphere_laplacian": 0}

@@ -75,9 +75,7 @@ class TestLocator:
         loc = ph.locate_photon_sphere(SchwarzschildProfile(1.0), (2.2, 10.0))
         devs = {}
         for r0 in (2.5, 2.75, loc.r_ps, 3.25, 3.5):
-            seeds = geo.tangent_null_seeds(ST, r0, 4, rng_seed=13)
-            rep = geo.tangency_persistence(ST, hs.cylinder(ST, r0), seeds,
-                                           20.0)
+            rep = geo.tangency_persistence(ST, hs.cylinder(ST, r0), 20.0)
             devs[r0] = rep.max_deviation
         assert devs[loc.r_ps] < 1e-7
         for r0, dev in devs.items():
@@ -87,8 +85,7 @@ class TestLocator:
 
 @pytest.fixture(scope="module")
 def cert3():
-    return ph.certify_photon_surface(ST, hs.cylinder(ST, 3.0),
-                                     seeds=8, span=30.0)
+    return ph.certify_photon_surface(ST, hs.cylinder(ST, 3.0), span=30.0)
 
 
 class TestCertification:
@@ -102,8 +99,7 @@ class TestCertification:
         assert cert3.scalar_residual < 1e-10
 
     def test_off_sphere_refuted(self):
-        cert = ph.certify_photon_surface(ST, hs.cylinder(ST, 4.0),
-                                         seeds=8, span=30.0)
+        cert = ph.certify_photon_surface(ST, hs.cylinder(ST, 4.0), span=30.0)
         assert cert.verdict == "refuted"
         assert cert.umbilicity_sup > 1e-2
         assert cert.tangency.max_deviation > 1e-1
@@ -112,21 +108,26 @@ class TestCertification:
         loc = ph.locate_photon_sphere(RN_PROFILE, (2.0, 20.0))
         strn = StaticSpacetime(RN_PROFILE)
         cert = ph.certify_photon_surface(strn, hs.cylinder(strn, loc.r_ps),
-                                         seeds=8, span=30.0)
+                                         span=30.0)
         assert cert.verdict == "certified"
         for factor in (0.8, 1.2):
             cert_off = ph.certify_photon_surface(
-                strn, hs.cylinder(strn, loc.r_ps * factor), seeds=8, span=30.0)
+                strn, hs.cylinder(strn, loc.r_ps * factor), span=30.0)
             assert cert_off.verdict == "refuted"
 
     @pytest.mark.parametrize("seeds", [1, 3, 5, 7])
     def test_odd_seed_counts_certify(self, seeds):
-        # an odd count has a seed at direction angle pi, whose orbit is
-        # polar: in its orbit plane it completes like any other
-        cert = ph.certify_photon_surface(ST, hs.cylinder(ST, 3.0),
-                                         seeds=seeds, span=40.0)
-        assert cert.tangency.statuses == ("completed",) * seeds
+        # an odd count of tangent seeds has one at direction angle pi, whose
+        # orbit is polar: in its orbit plane it completes and stays like the
+        # one orbit the certificate integrates
+        cert = ph.certify_photon_surface(ST, hs.cylinder(ST, 3.0), span=40.0)
+        assert cert.tangency.run.status == "completed"
         assert cert.verdict == "certified"
+        polar = oracles.tangent_null_seeds(ST, 3.0, seeds, seeds)[seeds // 2]
+        assert abs(polar.velocity[3]) < 1e-16
+        tr = geo.integrate_null(ST, polar, 40.0, geo.TANGENCY_TOL)
+        assert tr.status == "completed"
+        assert np.max(np.abs(tr.r - 3.0)) < ph.TOL_TANGENCY
 
     def test_non_timelike_rejected(self):
         with pytest.raises(ValueError):
