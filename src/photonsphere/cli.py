@@ -14,6 +14,7 @@ result objects, which hold no output keys.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -441,7 +442,9 @@ def bundled_scenario_path(name):
     return os.path.join(os.path.dirname(__file__), "scenarios", name + ".json")
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="photonsphere",
         description="Photon-sphere detection, certification and the "
@@ -462,7 +465,11 @@ def main(argv=None):
                        help="quadrature order, e.g. 64x128")
         p.add_argument("--dump-curvature", default=None, metavar="PATH",
                        help="write a fully indexed curvature-bundle JSON dump")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     path = args.scenario
     if not os.path.exists(path):

@@ -20,13 +20,14 @@ The observed energy E = g(v, N^-1 d_t) = -N tdot is recorded along the
 way; the combination E*N is the conserved constant of the t-equation and
 is what the constancy checks monitor.
 
-The stepping loop advances one trajectory: every tangent null geodesic of
-a radial cylinder is a rotation of one in-plane orbit, so
-``tangency_persistence`` integrates that orbit alone.  The sums over
-stages and over the 6 components of the error norm are added left to
-right from 0.0 (numpy's reductions add pairwise), so a rerun reproduces
-its outputs byte for byte whatever the numpy build.  Where a profile
-value is not real, not finite or outside a table, the step sees a
+The stepping loop advances one trajectory, its state and stages held as
+6 Python floats: every tangent null geodesic of a radial cylinder is a
+rotation of one in-plane orbit, so ``tangency_persistence`` integrates
+that orbit alone.  Each sum over stages and over the 6 components of the
+error norm is an explicit loop added left to right from 0.0 (not the
+builtin sum, which compensates its rounding from Python 3.12 on), so a
+rerun reproduces its outputs byte for byte on any interpreter.  Where a
+profile value is not real, not finite or outside a table, the step sees a
 non-finite stage and shrinks.  The tests compare each run with a scalar
 DOP853 loop in the (theta, phi) chart: the same status, and a completed
 run's end row to 1e-6, angles modulo 2 pi.
@@ -109,9 +110,6 @@ _E3 = tuple(b - bhh for b, bhh in zip(_B, (
     0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     0.733846688281611857341361741547, 0.0, 0.0,
     0.220588235294117647058823529412e-1)))
-# the same weights as columns that broadcast over a (stage, 6) stack
-_A_COLS = tuple(np.reshape(row, (-1, 1)) for row in _A)
-_B_COL, _E5_COL, _E3_COL = (np.reshape(w, (-1, 1)) for w in (_B, _E5, _E3))
 
 
 @dataclass(frozen=True)
@@ -210,51 +208,67 @@ def _to_chart(basis, rows):
 
 
 def _factors(profile, r):
-    """(A, A', B, B') at the radius r, evaluated as a one-entry array: there
-    a value that is not real, not finite or outside a table comes back
-    non-finite, where a float outside a table raises."""
-    return [v[0] for v in profile.metric_factors_d1(np.array([r]))]
+    """(A, A', B, B') at the float radius r, as floats; all four are nan
+    where the profile raises (a radius outside a table, a division by zero)
+    or a value is not real."""
+    try:
+        return tuple(map(float, profile.metric_factors_d1(r)))
+    except (ArithmeticError, ValueError, TypeError):
+        return (math.nan,) * 4
 
 
 def _rhs(profile, y):
     """Geodesic right-hand side for -A dt^2 + B dr^2 + r^2 dpsi^2 at the
-    in-plane state ``y``."""
+    in-plane state ``y``; a division by zero gives nan accelerations."""
     t, r, psi, vt, vr, vpsi = y
     a, ap, b, bp = _factors(profile, r)
-    at = -(ap / a) * vt * vr
-    ar = (-0.5 * ap / b * vt * vt - 0.5 * bp / b * vr * vr
-          + (r / b) * (vpsi * vpsi))
-    apsi = -2.0 * (vr / r) * vpsi
-    return np.array((vt, vr, vpsi, at, ar, apsi))
+    try:
+        at = -(ap / a) * vt * vr
+        ar = (-0.5 * ap / b * vt * vt - 0.5 * bp / b * vr * vr
+              + (r / b) * (vpsi * vpsi))
+        apsi = -2.0 * (vr / r) * vpsi
+    except ZeroDivisionError:
+        at = ar = apsi = math.nan
+    return (vt, vr, vpsi, at, ar, apsi)
 
 
 def null_project(profile, y, prev_vt_sign=1.0):
     """Re-solve tdot from g(v,v) = 0, keeping the spatial direction.
 
-    Returns the projected in-plane state, the pre-projection constraint
-    value and A = N^2; with no real null direction tdot is nan.
+    Returns the projected in-plane state as a tuple of floats, the
+    pre-projection constraint value and A = N^2; with no real null
+    direction (A = 0 included) tdot is nan.
     """
     t, r, psi, vt, vr, vpsi = y
     a, _, b, _ = _factors(profile, r)
     spatial = b * vr * vr + r * r * (vpsi * vpsi)
     residual = -a * vt * vt + spatial
-    sign = np.copysign(1.0, vt) if vt != 0.0 else prev_vt_sign
-    vt_new = sign * np.sqrt(spatial / a)
-    return np.array((t, r, psi, vt_new, vr, vpsi)), residual, a
+    sign = math.copysign(1.0, vt) if vt != 0.0 else prev_vt_sign
+    try:
+        vt_new = sign * math.sqrt(spatial / a)
+    except (ZeroDivisionError, ValueError):
+        vt_new = math.nan
+    return (t, r, psi, vt_new, vr, vpsi), residual, a
 
 
-def _stage_sum(coefs, k):
-    """sum_m coefs[m] k[m] over the leading axis of k, added left to right
-    from 0.0."""
-    terms = coefs * k
-    acc = 0.0 + terms[0]
-    for term in terms[1:]:
-        acc += term
-    return acc
+def _combine(weights, stages):
+    """The 6 components of sum_j weights[j] stages[j], each added left to
+    right from 0.0.  A zero weight is skipped: a sum that starts at +0.0
+    never reads -0.0, so adding 0 times a finite stage leaves it as it is."""
+    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
+    for w, (k0, k1, k2, k3, k4, k5) in zip(weights, stages):
+        if w:
+            s0 += w * k0
+            s1 += w * k1
+            s2 += w * k2
+            s3 += w * k3
+            s4 += w * k4
+            s5 += w * k5
+    return s0, s1, s2, s3, s4, s5
 
 
 def _dop853_step(profile, y, h, f, atol, rtol):
-    """One DOP853 step of size h from f = rhs(y).
+    """One DOP853 step of size h from f = rhs(y), on 6 floats.
 
     Returns the eighth-order increment, the error norm and whether a stage
     was not real or not finite; then the increment and the norm are 0.  The
@@ -263,20 +277,27 @@ def _dop853_step(profile, y, h, f, atol, rtol):
     over the 6 components: |e5|^2 / sqrt(6 (|e5|^2 + 0.01 |e3|^2)), or 0
     where that is 0 / 0.
     """
-    k = np.empty((12,) + y.shape)
-    k[0] = f
-    for i in range(1, 12):
-        k[i] = _rhs(profile, y + h * _stage_sum(_A_COLS[i], k[:i]))
-    bad = not np.isfinite(k).all()
-    if bad:
-        k[:] = 0.0
-    incr = h * _stage_sum(_B_COL, k)
-    scale = atol + rtol * np.maximum(np.abs(y), np.abs(y + incr))
-    e5 = h * _stage_sum(_E5_COL, k) / scale
-    e3 = h * _stage_sum(_E3_COL, k) / scale
-    e5_sq = _stage_sum(e5, e5)
-    denom = np.sqrt(6.0 * (e5_sq + 0.01 * _stage_sum(e3, e3)))
-    return incr, (0.0 if denom == 0.0 else e5_sq / denom), bad
+    stages = []
+    for i, row in enumerate(_A):
+        stage = f if i == 0 else _rhs(profile, [
+            yc + h * s for yc, s in zip(y, _combine(row, stages))])
+        if not all(map(math.isfinite, stage)):
+            return [0.0] * 6, 0.0, True
+        stages.append(stage)
+    incr = []
+    e5_sq = e3_sq = 0.0
+    for yc, b, e5, e3 in zip(y, _combine(_B, stages), _combine(_E5, stages),
+                             _combine(_E3, stages)):
+        ic = h * b
+        # |y + incr| first: max keeps a nan first argument, and y + incr is
+        # nan where y is, so the scale is nan where either is
+        scale = atol + rtol * max(abs(yc + ic), abs(yc))
+        e5, e3 = h * e5 / scale, h * e3 / scale
+        e5_sq += e5 * e5
+        e3_sq += e3 * e3
+        incr.append(ic)
+    denom = math.sqrt(6.0 * (e5_sq + 0.01 * e3_sq))
+    return incr, (0.0 if denom == 0.0 else e5_sq / denom), False
 
 
 def _integrate_plane(profile, y0, span, tol, max_steps):
@@ -293,18 +314,21 @@ def _integrate_plane(profile, y0, span, tol, max_steps):
     Returns the rows (lambda, t, r, psi, vt, vr, vpsi) of the projected
     initial state and of every accepted step, the pre-projection |g(v, v)|
     of each row and the RunSummary; raises ValueError unless ``span`` is
-    finite and positive and ``y0`` is null.
+    finite and positive, ``tol`` is finite and positive and ``y0`` is null.
     """
     if not (math.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and positive, got {span!r}")
-    y0 = np.array(y0, dtype=float)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    y0 = tuple(map(float, y0))
+    # numpy inside a profile may meet values that are not real
     with np.errstate(all="ignore"):
         y, res0, _ = null_project(profile, y0)
     profile.check_point(y0[1])
     moved = abs(y[3] - y0[3])
     if not math.isfinite(moved):
         raise ValueError(f"no real null direction at r = {y0[1]:.6g}")
-    if moved > math.sqrt(TOL_NULL) * (np.max(np.abs(y0[3:])) or 1.0):
+    if moved > math.sqrt(TOL_NULL) * (max(map(abs, y0[3:])) or 1.0):
         raise ValueError(f"initial velocity is not null (projection moved "
                          f"tdot by {moved:.3e})")
     rows, residuals = [(0.0, *y)], [abs(res0)]
@@ -319,8 +343,9 @@ def _integrate_plane(profile, y0, span, tol, max_steps):
     with np.errstate(all="ignore"):
         f = _rhs(profile, y)
         # a profile value failed since the last accepted step
-        failed = not np.isfinite(f).all()
-        d0, d1 = np.max(np.abs(y)), np.max(np.abs(f))
+        failed = not all(map(math.isfinite, f))
+        # numpy's max, which reads nan where an entry is nan
+        d0, d1 = float(np.max(np.abs(y))), float(np.max(np.abs(f)))
         h = 0.01 * (d0 if d0 != 0.0 else 1.0) / (d1 if d1 != 0.0 else 1.0)
         if span < h:
             h = span
@@ -346,10 +371,10 @@ def _integrate_plane(profile, y0, span, tol, max_steps):
             incr, enorm, bad = _dop853_step(profile, y, h, f, atol, rtol)
             ok = not bad and enorm <= 1.0
             if ok:
-                trial = y + incr
+                trial = [yc + ic for yc, ic in zip(y, incr)]
                 y_proj, resid, a = null_project(profile, trial,
-                                                np.copysign(1.0, trial[3]))
-                bad = not np.isfinite(y_proj[3])   # no real null direction
+                                                math.copysign(1.0, trial[3]))
+                bad = not math.isfinite(y_proj[3])   # no real null direction
                 ok = not bad
             if ok:
                 lam += h
@@ -365,8 +390,10 @@ def _integrate_plane(profile, y0, span, tol, max_steps):
             # 0.9 enorm^(-1/8) by three square roots: IEEE 754 rounds sqrt
             # correctly, so the factor does not depend on whose power
             # routine runs (numpy's and libm's differ in the last bit)
-            factor = 5.0 if enorm == 0.0 else 0.9 / np.sqrt(np.sqrt(np.sqrt(enorm)))
-            h = h * (0.25 if bad else np.clip(factor, 0.2, 5.0))
+            factor = (5.0 if enorm == 0.0
+                      else 0.9 / math.sqrt(math.sqrt(math.sqrt(enorm))))
+            # max before min: a nan factor stays nan, as under numpy's clip
+            h = h * (0.25 if bad else min(max(factor, 0.2), 5.0))
     run = RunSummary(*end, taken, step - taken, float(h_min) if taken else None)
     return np.array(rows), np.array(residuals), run
 
@@ -397,8 +424,7 @@ def null_state(spacetime, position, spatial_velocity, time_sign=1.0):
     vr, vth, vph = spatial_velocity
     _, y = _into_plane(GeodesicState(position, (0.0, vr, vth, vph)))
     with np.errstate(all="ignore"):
-        y, _, _ = null_project(spacetime.profile, np.array(y),
-                               prev_vt_sign=time_sign)
+        y, _, _ = null_project(spacetime.profile, y, prev_vt_sign=time_sign)
     vt = float(y[3])
     if not math.isfinite(vt):
         raise ValueError(f"no real null direction at r = {position.r:.6g}")

@@ -76,13 +76,16 @@ class RadialProfile:
         return self._d1(self.lapse, r)
 
     def metric_factors_d1(self, r):
-        """(A, A', B, B') with A = N^2, B = g_rr, at a float radius.
+        """(A, A', B, B') with A = N^2, B = g_rr, at a float radius or an
+        array of radii.
 
-        This is the hot path of the geodesic integrator, which passes one
-        radius per trajectory of its batch as an array: each entry equals
-        the float evaluation bit for bit, and an entry whose value is not
-        real or lies outside a table comes back non-finite instead of
-        raising.  Subclasses with closed forms override it.
+        This is the hot path of the geodesic integrator, which calls it
+        once per stage at a float radius.  Each entry of an array
+        evaluation equals the float evaluation bit for bit.  A value that
+        is not real comes back nan.  A float radius outside a table raises
+        DomainError, and one where a closed form divides by zero raises
+        ZeroDivisionError; an array entry there comes back non-finite.
+        Subclasses with closed forms override it.
         """
         n, n1 = self._d1(self.lapse, r)
         b, b1 = self._d1(self.radial_factor, r)

@@ -492,6 +492,25 @@ class TestCertificateOutput:
         assert full_m1_certificate["tangency"]["deviation"] < 1e-11
 
 
+@pytest.mark.parametrize("command, scenario, flags, pinned", [
+    ("certify", "r4m_cylinder", [], (80, 0, 0.04, 14.312310469112834)),
+    # the coarse foliation flags leave the certificate as the bundled run
+    # writes it
+    ("full", "schwarzschild_m1", ["--levels", "8", "--quad", "8x16"],
+     (33, 1, 0.03, 1.3455903058456897e-13)),
+], ids=["certify-r4m_cylinder", "full-schwarzschild_m1"])
+def test_tangency_block_is_pinned(tmp_path, command, scenario, flags, pinned):
+    """The certificate's tangency block to the last bit: a rerun of the
+    same code cannot see a reordered stage sum or a changed step factor,
+    these numbers can."""
+    out = tmp_path / "o"
+    run([command, "--scenario", scenario, "--out", str(out)] + flags)
+    block = json.loads((out / "certificate.json").read_text())["tangency"]
+    assert (block["accepted_steps"], block["rejected_steps"],
+            block["min_step"], block["deviation"]) == pinned
+    assert block["status"] == "completed"
+
+
 class TestBundledSuitePartition:
     """Exit codes partition outcomes across the six bundled scenarios.
 

@@ -528,8 +528,8 @@ class TestBatchMatchesScalarReference:
                               runs[1].samples, runs[1].run)
 
     def test_fractional_power_profile_matches_the_reference(self):
-        # the profile's slope takes numpy powers, on one-entry arrays in the
-        # stepping loop and on floats in the reference
+        # the profile's slope takes numpy powers on the 0-d arrays of its
+        # jets, at a float radius in the stepping loop and in the reference
         profile = ExpressionProfile("1 - 2/r + 0.3/r^2.5",
                                     "1/(1 - 2/r + 0.3/r^2.5)", r_min=1.95)
         spacetime = StaticSpacetime(profile)
@@ -626,6 +626,13 @@ def test_span_must_be_finite_and_positive(span):
         geo.integrate_null(ST, radial_null_state(ST, 10.0), span)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+def test_tol_must_be_finite_and_positive(tol):
+    # tol = 0 would make the error scale of a zero component 0
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        geo.integrate_null(ST, radial_null_state(ST, 10.0), 5.0, tol=tol)
+
+
 class TestRobustness:
     SQRT_PROFILE = ExpressionProfile("sqrt(1-2/r)", "1/(1-2/r)")
 
@@ -657,6 +664,17 @@ class TestRobustness:
         assert (code, rep["status"]) == (cli.EXIT_TRUE, "domain-exit")
         assert "at r = 2.00002" in rep["reason"]
         assert rep["rejected_steps"] > 0 and rep["min_step"] > 0.0
+
+    def test_a_division_by_zero_is_a_non_finite_stage(self):
+        # Python floats raise ZeroDivisionError where numpy gave inf or
+        # nan; the stage must still come back non-finite, so the step shrinks
+        centre = (0.0, 0.0, 0.0, 1.0, 1.0, 0.0)                 # r = 0
+        assert math.isnan(geo._rhs(ExpressionProfile("1", "1"), centre)[5])
+        no_lapse = ExpressionProfile("0 * r", "1")               # A = 0
+        y = (0.0, 3.0, 0.0, 1.0, 1.0, 0.0)
+        assert math.isnan(geo._rhs(no_lapse, y)[3])
+        assert math.isnan(geo.null_project(no_lapse, y)[0][3])
+        assert all(math.isnan(v) for v in geo._factors(ST.profile, 2.0))
 
     def test_constant_expression_profile_is_flat(self):
         flat = StaticSpacetime(ExpressionProfile("1", "1"))
