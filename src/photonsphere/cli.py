@@ -211,8 +211,8 @@ def _certificate_payload(cert):
 
 def _level_table(report):
     """The per-level columns by name, in the order of ``israel_levels.csv``:
-    N, area radius, mean rho, mean H, sup of the trace-free norm and the
-    three identity residuals."""
+    N, area radius, mean rho, mean H, sup of the dimensionless trace-free
+    norm r_area |h_tracefree| and the three identity residuals."""
     fol, ids = report.foliation, report.identities
     return {"N": fol.N, "r": fol.area_radius, "rho": report.rho_mean,
             "H": report.h_mean, "tracefree_sup": report.tracefree_max,

@@ -217,11 +217,13 @@ def _factors(profile, r):
         return (math.nan,) * 4
 
 
-def _rhs(profile, y):
+def _rhs(profile, y, factors=None):
     """Geodesic right-hand side for -A dt^2 + B dr^2 + r^2 dpsi^2 at the
-    in-plane state ``y``; a division by zero gives nan accelerations."""
+    in-plane state ``y``; a division by zero gives nan accelerations.
+    ``factors`` are ``_factors`` at the radius of ``y``, evaluated here when
+    not given."""
     t, r, psi, vt, vr, vpsi = y
-    a, ap, b, bp = _factors(profile, r)
+    a, ap, b, bp = _factors(profile, r) if factors is None else factors
     try:
         at = -(ap / a) * vt * vr
         ar = (-0.5 * ap / b * vt * vt - 0.5 * bp / b * vr * vr
@@ -236,11 +238,13 @@ def null_project(profile, y, prev_vt_sign=1.0):
     """Re-solve tdot from g(v,v) = 0, keeping the spatial direction.
 
     Returns the projected in-plane state as a tuple of floats, the
-    pre-projection constraint value and A = N^2; with no real null
-    direction (A = 0 included) tdot is nan.
+    pre-projection constraint value and the ``_factors`` (A, A', B, B') at
+    its radius, which ``_rhs`` of the projected state reuses; with no real
+    null direction (A = 0 included) tdot is nan.
     """
     t, r, psi, vt, vr, vpsi = y
-    a, _, b, _ = _factors(profile, r)
+    factors = _factors(profile, r)
+    a, _, b, _ = factors
     spatial = b * vr * vr + r * r * (vpsi * vpsi)
     residual = -a * vt * vt + spatial
     sign = math.copysign(1.0, vt) if vt != 0.0 else prev_vt_sign
@@ -248,7 +252,7 @@ def null_project(profile, y, prev_vt_sign=1.0):
         vt_new = sign * math.sqrt(spatial / a)
     except (ZeroDivisionError, ValueError):
         vt_new = math.nan
-    return (t, r, psi, vt_new, vr, vpsi), residual, a
+    return (t, r, psi, vt_new, vr, vpsi), residual, factors
 
 
 def _combine(weights, stages):
@@ -323,7 +327,7 @@ def _integrate_plane(profile, y0, span, tol, max_steps):
     y0 = tuple(map(float, y0))
     # numpy inside a profile may meet values that are not real
     with np.errstate(all="ignore"):
-        y, res0, _ = null_project(profile, y0)
+        y, res0, factors = null_project(profile, y0)
     profile.check_point(y0[1])
     moved = abs(y[3] - y0[3])
     if not math.isfinite(moved):
@@ -341,7 +345,7 @@ def _integrate_plane(profile, y0, span, tol, max_steps):
     lam, step, taken, h_min = 0.0, 0, 0, math.inf   # step: attempted steps
     halted = False     # reached the domain edge
     with np.errstate(all="ignore"):
-        f = _rhs(profile, y)
+        f = _rhs(profile, y, factors)
         # a profile value failed since the last accepted step
         failed = not all(map(math.isfinite, f))
         # numpy's max, which reads nan where an entry is nan
@@ -372,8 +376,8 @@ def _integrate_plane(profile, y0, span, tol, max_steps):
             ok = not bad and enorm <= 1.0
             if ok:
                 trial = [yc + ic for yc, ic in zip(y, incr)]
-                y_proj, resid, a = null_project(profile, trial,
-                                                math.copysign(1.0, trial[3]))
+                y_proj, resid, factors = null_project(
+                    profile, trial, math.copysign(1.0, trial[3]))
                 bad = not math.isfinite(y_proj[3])   # no real null direction
                 ok = not bad
             if ok:
@@ -383,8 +387,8 @@ def _integrate_plane(profile, y0, span, tol, max_steps):
                 h_min = min(h_min, h)
                 rows.append((lam, *y))
                 residuals.append(abs(resid))
-                halted = y[1] <= r_exit or a <= DOMAIN_GUARD_RTOL
-                f = _rhs(profile, y)
+                halted = y[1] <= r_exit or factors[0] <= DOMAIN_GUARD_RTOL
+                f = _rhs(profile, y, factors)
             step += 1
             failed = (failed or bad) and not ok
             # 0.9 enorm^(-1/8) by three square roots: IEEE 754 rounds sqrt

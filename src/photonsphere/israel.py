@@ -3,11 +3,13 @@
 The exterior region is foliated by level sets of the lapse N between the
 photon-sphere value N0 and a crossover radius, beyond which integrals use
 the leading Schwarzschildean asymptotics in closed form (pure quadrature
-cannot reach spatial infinity).  Levels are spaced geometrically in
-u = 1 - N^2: transverse derivatives of quantities like rho ~ (1-N^2)^-2
-blow up toward N -> 1, and only spacing that shrinks with u keeps the
-level differencing (eighth-order central stencils, see
-``quadrature.level_stencils``) inside the error budget.
+cannot reach spatial infinity).  The level map u = 1 - N^2 = u0 ratio^s
+is geometric in s on [0, 1]: quantities like rho ~ (1-N^2)^-2 blow up
+toward N -> 1 like powers of u, which are exponentials in s, smooth over
+the whole range.  The levels sit at the Chebyshev points of s, and
+transverse derivatives apply the barycentric differentiation matrix of
+those points (``quadrature.barycentric_diff_matrix``), spectrally
+accurate in the level count.
 
 Per level the pipeline computes leaf geometry (area radius, rho = 1/|nu(N)|,
 mean curvature, trace-free norm, Gauss curvature).  The leaf radii of all
@@ -137,7 +139,8 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
                     tail_radius=None, r_hint=None):
     """Foliate [N0, N(tail_radius)] by lapse level sets.
 
-    Levels are geometric in u = 1 - N^2 (see module docstring).  The radii
+    Levels sit at the Chebyshev points of s in the geometric level map
+    u = 1 - N^2 = u0 ratio^s (see module docstring).  The radii
     of all levels are bisected at once, in one ``quad.bisect`` call on one
     shared bracket; the leaves are then sampled on the Gauss-Legendre x
     uniform phi grid in blocks of at most ``BLOCK_ROWS`` (levels x theta)
@@ -162,11 +165,10 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
 
     u0, u_end = 1.0 - n0 ** 2, 1.0 - n_end ** 2
     ratio = u_end / u0
-    s = np.arange(levels) / (levels - 1)
+    s = quad.chebyshev_nodes(levels, 0.0, 1.0)
     u = u0 * ratio ** s
     n_values = np.sqrt(1.0 - u)
-    # derivative of the level map per unit *index*, matching the stencils
-    dn_ds = -u * math.log(ratio) / (2.0 * n_values * (levels - 1))
+    dn_ds = -u * math.log(ratio) / (2.0 * n_values)
 
     # the lapse is monotone, so one bracket holds the root of every level
     r_lo = r_hint if r_hint else profile.r_min * (1.0 + 1e-6) + 1e-12
@@ -183,7 +185,7 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
     blocks = [_leaf_block(spacetime, radii[k:k + per_block], theta, phi, w)
               for k in range(0, levels, per_block)]
     area, *fields = (np.concatenate(parts) for parts in zip(*blocks))
-    return Foliation(n_values, radii, dn_ds, area, *fields, x, w,
+    return Foliation(s, n_values, radii, dn_ds, area, *fields, x, w,
                      float(tail_radius))
 
 
@@ -191,15 +193,17 @@ def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
 class Foliation:
     """Lapse level sets between N0 and N(tail_radius), stacked over levels.
 
-    ``N``, ``r_coord``, ``dN_ds`` (the exact derivative of the level map
-    N(s) per unit level index, which converts index-space finite differences
-    into d/dN) and ``area`` hold one value per level.  The leaf fields from
+    ``s`` (the level nodes, Chebyshev points of [0, 1]), ``N``,
+    ``r_coord``, ``dN_ds`` (the exact derivative of the level map N(s),
+    which converts derivatives in s into d/dN) and ``area`` hold one value
+    per level.  The leaf fields from
     ``jacobian`` to ``gauss_k`` have a leading level axis: (levels, n_theta,
     1) for a field constant in phi, as on every radial profile.  Means and
     integrals multiply by the full (n_theta, n_phi) ``weights`` one level at
     a time; means are area-weighted.
     """
 
+    s: np.ndarray
     N: np.ndarray
     r_coord: np.ndarray
     dN_ds: np.ndarray
@@ -304,9 +308,10 @@ class IdentityResiduals:
 
 def _transverse_derivative(foliation, nodes):
     """d/dN of stacked leaf values ``nodes``, shape (levels, n_theta, 1)
-    or (levels, n_theta, n_phi)."""
-    return (quad.level_derivative(nodes, quad.level_stencils(len(foliation)))
-            / foliation.dN_ds[:, None, None])
+    or (levels, n_theta, n_phi): the derivative in s of their interpolant
+    through the level nodes, over dN/ds."""
+    d = quad.barycentric_diff_matrix(foliation.s)
+    return quad.level_derivative(nodes, d) / foliation.dN_ds[:, None, None]
 
 
 def _leaf_terms(foliation):
@@ -444,7 +449,7 @@ def inequality_slacks(foliation, lam, mass, terms=None):
 class GlobalSign:
     lam: int
     consistent: bool
-    exclusion_slack: float       # (6 lam + 3) m^2 - r0^2, >= 0 required
+    exclusion_slack: float       # (6 lam + 3) m^2 / r0^2 - 1, >= 0 required
     exclusion_equality: bool
     negative_branch_contradiction: bool
 
@@ -453,8 +458,9 @@ def sign_analysis(foliation, mass, frak_h, tol=TOL_LVL):
     """Global sign lambda and the exclusion of the negative branch.
 
     lambda = sign(nu(N)) must agree with sign(m), sign(frakH), sign(H0).
-    The bound r0^2 <= (6 lam + 3) m^2 is then evaluated on both branches;
-    for lam = -1 it reads r0^2 <= -3 m^2, a contradiction.  A mass that is
+    The bound r0^2 <= (6 lam + 3) m^2 is then evaluated on both branches,
+    its slack as the dimensionless (6 lam + 3) m^2 / r0^2 - 1; for lam = -1
+    it reads r0^2 <= -3 m^2, a contradiction.  A mass that is
     zero at the photon-sphere area radius r0 (``_reject_flat``) raises
     FlatnessError.
     """
@@ -462,11 +468,10 @@ def sign_analysis(foliation, mass, frak_h, tol=TOL_LVL):
     _reject_flat(mass, r0, f"the mass flux {float(mass):.3g} vanishes")
     lam = int(np.sign(foliation.mean(foliation.nuN, 0)))
     signs = np.sign([mass, frak_h, foliation.mean(foliation.H, 0)])
-    bound = (6.0 * lam + 3.0) * mass ** 2
-    slack = bound - r0 ** 2
+    slack = (6.0 * lam + 3.0) * (mass / r0) ** 2 - 1.0
     negative_bound = (6.0 * -1 + 3.0) * mass ** 2
     return GlobalSign(lam, bool(np.all(signs == lam)),
-                      slack, abs(slack) <= tol * max(1.0, r0 ** 2),
+                      slack, abs(slack) <= tol,
                       negative_bound < 0.0 <= r0 ** 2)
 
 
@@ -556,8 +561,6 @@ def reconstruct_lapse(mass, n0, r0, r_max=None, n_points=200):
 
     The nodes resolve e^{-s} to about 1e-13 only while |log(r_max/r0)| <=
     log(RECONSTRUCTION_MAX_RATIO), and a wider range raises ValueError.
-    Growing the node count with the range does not help: the barycentric
-    weights scale like (4 / range)^n and leave the float range.
     """
     if not 0.0 < n0 < 1.0:
         raise ValueError(f"N0 = {n0} outside the maximum-principle range (0, 1)")
@@ -629,8 +632,9 @@ class Gate:
 class IsraelReport:
     """The pipeline's results.  ``rho_mean``, ``h_mean``, ``rho_std`` and
     ``tracefree_max`` hold the area-weighted mean of rho and H, the standard
-    deviation of rho and the sup of the trace-free norm on each leaf,
-    computed once for the gates and the written tables."""
+    deviation of rho and the sup of the dimensionless trace-free norm
+    r_area |h_tracefree| on each leaf, computed once for the gates and the
+    written tables."""
 
     mass: float
     flux_by_level: tuple
@@ -676,7 +680,9 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     recon = reconstruct_lapse(mass, bnd.n0, bnd.r0,
                               r_max=foliation.tail_radius)
 
-    tf_by_level, tf_nodes = _sup_nodes(foliation.tracefree)
+    # r_area |h_tracefree|: dimensionless, as the gate's tol is
+    tf_by_level, tf_nodes = _sup_nodes(
+        foliation.area_radius[:, None, None] * foliation.tracefree)
     tf_sup = float(np.max(tf_by_level))
     rho_mean, h_mean = foliation.mean(foliation.rho), foliation.mean(foliation.H)
     rho_std = foliation.std(foliation.rho)

@@ -6,25 +6,20 @@ accurate for periodic integrands).  Gauss-Legendre nodes never touch the
 poles, respecting the chart's exclusion of theta in {0, pi}.
 
 Tangential derivatives on a leaf use the barycentric differentiation
-matrix in x and FFT differentiation in phi; transverse (level-to-level)
-derivatives use one banded matrix of finite-difference stencils with
-Fornberg weights.  The same barycentric code differentiates and
-interpolates on Chebyshev points, where the rigidity ODE is collocated.
+matrix in x and FFT differentiation in phi.  The same barycentric code
+differentiates and interpolates on Chebyshev points: across the levels of
+the lapse foliation, which sit at Chebyshev points of the level map, and
+where the rigidity ODE is collocated.
 
 Roots (the photon-sphere radius, every leaf radius of the lapse
 foliation) come from ``bisect``, which halves an array of brackets at once
 until each is two adjacent floats.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
-
-# Level-stencil widths: an eighth-order central rule inside, tenth-order
-# one-sided/offset rules at the ends.  Narrower stencils (5/7, 7/9) leave the
-# transverse identities of light masses above the default gate tolerance.
-INTERIOR_WIDTH = 9
-EDGE_WIDTH = 11
 
 
 @lru_cache(maxsize=16)
@@ -46,10 +41,19 @@ def sphere_grid(n_theta, n_phi):
 
 def _barycentric(x):
     """x_i - x_j (ones on the diagonal) and the barycentric weights
-    1 / prod_{j != i} (x_i - x_j) of distinct nodes x."""
+    1 / prod_{j != i} (x_i - x_j) of distinct nodes x, all times one power
+    of two.
+
+    The differences enter the products scaled by the power of two nearest
+    4 / (max x - min x), which keeps the weights of many nodes on a short
+    interval inside the float range (Berrut & Trefethen 2004, sec. 7); the
+    scale is exact, so no ratio of two weights changes by a bit.
+    """
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
-    return diff, 1.0 / np.prod(diff, axis=1)
+    span = float(np.max(x) - np.min(x)) if len(x) > 1 else 4.0
+    scale = 2.0 ** round(math.log2(4.0 / span))
+    return diff, 1.0 / np.prod(diff * scale, axis=1)
 
 
 def barycentric_diff_matrix(x):
@@ -138,64 +142,9 @@ def sphere_grad_sq(f, x, r_area):
             + fp ** 2 / (1.0 - x ** 2)[:, None]) / r_area ** 2
 
 
-def fornberg_weights(x0, xs, order):
-    """Finite-difference weights for the m-th derivative at x0 on nodes xs.
-
-    Classic recursion; exact for polynomials up to degree len(xs) - 1.
-    """
-    xs = np.asarray(xs, dtype=float)
-    n = len(xs)
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = xs[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            for m in range(mn, 0, -1):
-                c[i, m] = c1 * (m * c[i - 1, m - 1] - c5 * c[i - 1, m]) / c2
-            c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for m in range(mn, 0, -1):
-                c[j, m] = (c4 * c[j, m] - m * c[j, m - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, order]
-
-
-@lru_cache(maxsize=16)
-def level_stencils(n_levels):
-    """First-derivative matrix in the level index s (spacing 1).
-
-    Row j holds the stencil of level j: the eighth-order central rule on
-    ``INTERIOR_WIDTH`` points inside, and one-sided/offset Fornberg stencils
-    on ``EDGE_WIDTH`` points for the levels too near either end for it, whose
-    higher order is needed because the one-sided error constants are several
-    times the central ones.  The (n_levels, n_levels) banded matrix is cached
-    and read-only: every derivative of one foliation shares it.
-    """
-    half = INTERIOR_WIDTH // 2
-    central = fornberg_weights(0.0, np.arange(-half, half + 1), 1)
-    d = np.zeros((n_levels, n_levels))
-    for j in range(n_levels):
-        if half <= j < n_levels - half and n_levels >= INTERIOR_WIDTH:
-            d[j, j - half:j + half + 1] = central
-        else:
-            width = min(EDGE_WIDTH, n_levels)
-            start = min(max(0, j - width // 2), n_levels - width)
-            d[j, start:start + width] = fornberg_weights(
-                0.0, np.arange(start, start + width) - j, 1)
-    d.flags.writeable = False
-    return d
-
-
 def level_derivative(values, d):
-    """Apply the level matrix ``d`` of ``level_stencils`` along axis 0 (the
-    level axis)."""
+    """Apply the differentiation matrix ``d`` of the level nodes along axis
+    0 (the level axis)."""
     return np.einsum("ij,j...->i...", d, values)
 
 

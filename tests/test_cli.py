@@ -230,20 +230,30 @@ class TestExitCodes:
         assert "radius ratio r_max/r0 = 3.33333e+15" in capsys.readouterr().err
         assert not (out / "reconstruction.json").exists()
 
-    def test_small_mass_is_not_called_flat(self, tmp_path):
-        # m = 1e-11 is a Schwarzschild slice at a small length scale, not a
-        # flat one: the same run as m = 1 at these sizes, and as isometric
+    @staticmethod
+    def _assert_isometric_at_scale(tmp_path, m):
+        # the m = 1 run with every length scaled by m: each gate reads a
+        # dimensionless value, so the verdict is isometric at every scale
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
-            "schema": 1, "pipeline": "israel", "scan": [2.2e-11, 5e-10],
+            "schema": 1, "pipeline": "israel", "scan": [2.2 * m, 50.0 * m],
             "levels": 64, "quadrature": [16, 32],
-            "profile": {"kind": "schwarzschild", "m": 1e-11}}))
+            "profile": {"kind": "schwarzschild", "m": m}}))
         out = tmp_path / "o"
         assert run(["israel", "--scenario", str(scn),
                     "--out", str(out)]) == cli.EXIT_TRUE
         rep = json.loads((out / "israel_report.json").read_text())
         assert rep["verdict"] == "isometric"
-        assert rep["mass"] == pytest.approx(1e-11, rel=1e-8)
+        assert rep["mass"] == pytest.approx(m, rel=1e-8)
+
+    def test_small_mass_is_not_called_flat(self, tmp_path):
+        # m = 1e-11 is a Schwarzschild slice at a small length scale, not a
+        # flat one
+        self._assert_isometric_at_scale(tmp_path, 1e-11)
+
+    @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7])
+    def test_israel_verdict_is_scale_covariant(self, tmp_path, m):
+        self._assert_isometric_at_scale(tmp_path, m)
 
     def test_tail_radius_where_the_lapse_rounds_to_1_is_a_named_error(
             self, tmp_path, capsys):

@@ -103,7 +103,7 @@ LEAF_PROFILES = {
 
 
 FIELDS = ("jacobian", "sqrt_s", "rho", "H", "nuN", "tracefree", "gauss_k")
-LEVEL_VECTORS = ("N", "r_coord", "dN_ds", "area")
+LEVEL_VECTORS = ("s", "N", "r_coord", "dN_ds", "area")
 
 
 def _first_levels(foliation, n):
@@ -474,8 +474,8 @@ class TestReconstruction:
 
 class TestRigidityVerdict:
     def test_coarse_pipeline_still_isometric(self):
-        # tolerance follows the resolution: 24 levels widen the differencing
-        # budget by about (63/23)^4 relative to the 64-level default
+        # a coarse foliation, 24 levels on a 16x32 grid, checked at a
+        # coarse tolerance
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
                                       quad_order=(16, 32), tail_radius=100.0,
                                       tol=1e-3)
@@ -487,8 +487,9 @@ class TestRigidityVerdict:
 
     @pytest.mark.parametrize("m", [0.25, 4.0])
     def test_pinned_levels_isometric_for_light_and_heavy_masses(self, m):
-        # the level stencils must keep the identities of a light mass, whose
-        # residuals are normalized by the floor of one, below the default tol
+        # the level derivatives must keep the identities of a light mass,
+        # whose residuals are normalized by the floor of one, below the
+        # default tol
         rep = isr.run_israel_pipeline(StaticSpacetime.schwarzschild(m), N0,
                                       3.0 * m, levels=64, quad_order=(16, 32))
         assert rep.verdict == "isometric", [g for g in rep.gates if not g.passed]
@@ -537,7 +538,9 @@ class TestRigidityVerdict:
                      "sharpness-35"):
             assert not gates[name].passed and gates[name].node == 5, name
         tf = gates["leaf-constancy-tracefree"]
-        assert (tf.value, tf.level, tf.node) == (1e-3, 7, 3)
+        # the gate reads the dimensionless r_area |h_tracefree|
+        assert (tf.value, tf.level, tf.node) == (
+            fol.area_radius[7] * 1e-3, 7, 3)
         assert all(g.node is None for g in rep.gates if g.name not in (
             "identities", "evolution-factor", "sharpness-34", "sharpness-35",
             "leaf-constancy-tracefree"))
@@ -567,7 +570,8 @@ class TestRigidityVerdict:
         assert (rho_gate.passed, rho_gate.level, rho_gate.node) == (False, 9, None)
         assert rho_gate.value == pytest.approx(0.01 / math.sqrt(3.0), rel=1e-2)
         tf = gates["leaf-constancy-tracefree"]
-        assert (tf.passed, tf.value, tf.level, tf.node) == (False, 1e-3, 14, 6)
+        assert (tf.passed, tf.value, tf.level, tf.node) == (
+            False, fol.area_radius[14] * 1e-3, 14, 6)
 
     def test_leaf_terms_computed_once_per_leaf(self, monkeypatch):
         calls = {"_leaf_terms": 0, "sphere_laplacian": 0}

@@ -92,31 +92,46 @@ def test_bisect_of_the_widest_bracket_terminates():
 
 
 # ---------------------------------------------------------------------------
-# The level-derivative matrix
+# The level-derivative matrix: barycentric, on Chebyshev points of [0, 1]
 # ---------------------------------------------------------------------------
+
+def _level_matrix(n):
+    s = quad.chebyshev_nodes(n, 0.0, 1.0)
+    return s, quad.barycentric_diff_matrix(s)
+
 
 @pytest.mark.parametrize("n", [8, 24, 64])
 def test_level_matrix_is_exact_on_polynomials(n):
-    d = quad.level_stencils(n)
-    half = quad.INTERIOR_WIDTH // 2
-    interior = np.zeros(n, dtype=bool)
-    if n >= quad.INTERIOR_WIDTH:
-        interior[half:n - half] = True
-    s = np.arange(n) / (n - 1)
-    for k in range(min(quad.EDGE_WIDTH, n)):
-        exact = k * s ** max(k - 1, 0) / (n - 1)
+    s, d = _level_matrix(n)
+    for k in range(n):
+        exact = k * s ** max(k - 1, 0)
         err = np.abs(quad.level_derivative(s ** k, d) - exact)
-        rows = ~interior if k > quad.INTERIOR_WIDTH - 1 else slice(None)
-        assert np.all(err[rows] <= 1e-9 * max(1.0, np.max(np.abs(exact)))), k
+        assert np.all(err <= 1e-11 * max(1.0, np.max(np.abs(exact)))), k
 
 
 def test_level_matrix_rows_sum_to_zero():
-    d = quad.level_stencils(64)
-    assert np.max(np.abs(d.sum(axis=1))) < 1e-12
+    _, d = _level_matrix(64)
+    row_sum = np.abs(d.sum(axis=1))
+    assert np.all(row_sum <= 1e-15 * np.abs(d).sum(axis=1))
 
 
-def test_level_matrix_is_read_only():
-    d = quad.level_stencils(16)
-    assert not d.flags.writeable
-    with pytest.raises(ValueError):
-        d[0, 0] = 1.0
+def test_level_matrix_converges_spectrally_on_exp():
+    # the error of d/ds e^s falls by more than 100x with every two nodes
+    # until rounding, then stays near it
+    err = {}
+    for n in (4, 6, 8, 10, 12, 16, 32, 64):
+        s, d = _level_matrix(n)
+        err[n] = np.max(np.abs(quad.level_derivative(np.exp(s), d)
+                               - np.exp(s)))
+    for n in (4, 6, 8, 10):
+        assert err[n + 2] < err[n] / 100.0, n
+    assert err[12] < 1e-12
+    assert max(err[16], err[32], err[64]) < 1e-11
+
+
+def test_many_level_nodes_keep_finite_weights():
+    # the products of 599 differences on [0, 1] underflow unscaled
+    s, d = _level_matrix(600)
+    assert np.all(np.isfinite(d))
+    err = np.abs(quad.level_derivative(s ** 3, d) - 3.0 * s ** 2)
+    assert np.max(err) < 1e-9
