@@ -21,7 +21,6 @@ from .spacetimes import (
 from .calculus import (
     CurvatureBundle,
     VacuumResidual,
-    christoffel,
     curvature,
     hessian,
     vacuum_residual,

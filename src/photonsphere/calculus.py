@@ -63,12 +63,6 @@ def metric_taylor(sampler, coords, order=2):
     return g, dg, ddg
 
 
-def christoffel(sampler, point):
-    """Christoffel symbols Gamma^a_bc of the Levi-Civita connection."""
-    g, dg, _ = metric_taylor(sampler, _coords_of(point), order=1)
-    return _christoffel_from(_inverse_metric(g), dg)
-
-
 def _inverse_metric(g):
     """g^-1; a singular or non-finite metric raises DomainError."""
     try:
@@ -167,12 +161,12 @@ def scalar_taylor(field, coords):
     return f.val, f.grad, f.hess
 
 
-def hessian(field, sampler, point):
-    """Covariant Hessian (nabla^2 f)_ij = d_i d_j f - Gamma^k_ij d_k f."""
-    coords = _coords_of(point)
-    _, df, ddf = scalar_taylor(field, coords)
-    gamma = christoffel(sampler, coords)
-    return ddf - np.einsum("...kij,...k->...ij", gamma, df)
+def hessian(field, bundle):
+    """Value f and covariant Hessian (nabla^2 f)_ij = d_i d_j f - Gamma^k_ij d_k f
+    of a scalar field at the points of a curvature bundle, whose Christoffel
+    symbols it reads."""
+    f, df, ddf = scalar_taylor(field, bundle.coords)
+    return f, ddf - np.einsum("...kij,...k->...ij", bundle.gamma_udd, df)
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +197,7 @@ def vacuum_residual(spacetime, point):
 def vacuum_residual_general(sampler, lapse, coords):
     """Same residuals for an arbitrary slice metric sampler and lapse field."""
     bundle = curvature(sampler, coords)
-    hess = hessian(lapse, sampler, coords)
-    n_val = np.asarray(jets.value_of(lapse([np.asarray(c, dtype=float)
-                                            for c in coords])))
+    n_val, hess = hessian(lapse, bundle)
     resid = n_val[..., None, None] * bundle.ricci_dd - hess
     e, _ = bundle.frame()
     resid_frame = np.einsum("...Aa,...ab,...Bb->...AB", e, resid, e)

@@ -34,6 +34,11 @@ EXIT_ERROR = 2
 PIPELINES = ("trace", "detect", "certify", "israel", "reconstruct", "full")
 TOLERANCE_PIPELINES = ("israel", "full")  # the ones that read the tolerance
 MIN_LEVELS = 8  # the identities need 7 levels and the inequality slacks 8
+# The level derivative builds a levels x levels matrix and the leaf
+# derivatives an n_theta x n_theta one.  With 1024 levels, a 64 x 128 run
+# peaks near 60 MB and a 1024 x 1024 one near 430 MB.
+MAX_LEVELS = 1024
+MAX_QUADRATURE = 1024  # nodes on either quadrature axis
 
 
 class ScenarioError(ValueError):
@@ -74,8 +79,9 @@ def _positive(value):
     return _finite(value) and value > 0
 
 
-def _integer(minimum):
-    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+def _integer(minimum, maximum):
+    return lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                      and minimum <= v <= maximum)
 
 
 def _sequence(valid, count):
@@ -133,10 +139,11 @@ def load_scenario(path, overrides=None):
         scan=_field(data, "scan", (2.2, 50.0), tuple,
                     lambda v: _sequence(_finite, 2)(v) and v[0] < v[1],
                     "two finite, increasing numbers"),
-        levels=_field(data, "levels", 64, int, _integer(MIN_LEVELS),
-                      f"an integer >= {MIN_LEVELS}"),
+        levels=_field(data, "levels", 64, int, _integer(MIN_LEVELS, MAX_LEVELS),
+                      f"an integer in [{MIN_LEVELS}, {MAX_LEVELS}]"),
         quadrature=_field(data, "quadrature", (64, 128), tuple,
-                          _sequence(_integer(1), 2), "two integers >= 1"),
+                          _sequence(_integer(1, MAX_QUADRATURE), 2),
+                          f"two integers in [1, {MAX_QUADRATURE}]"),
         span=_field(data, "span", 40.0, float, _positive, positive),
         tail_radius=_field(data, "tail_radius", None, float, _positive,
                            "null or " + positive),
@@ -197,7 +204,7 @@ def _certificate_payload(cert):
         "tangency": {"span": tan.span,
                      "deviation": tan.max_deviation,
                      "integrator": geodesics.INTEGRATOR,
-                     "integrator_tol": tan.tol,
+                     "integrator_tol": geodesics.TANGENCY_TOL,
                      "status": tan.run.status,
                      "accepted_steps": tan.run.accepted_steps,
                      "rejected_steps": tan.run.rejected_steps,

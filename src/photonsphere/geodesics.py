@@ -304,7 +304,7 @@ def _dop853_step(profile, y, h, f, atol, rtol):
     return incr, (0.0 if denom == 0.0 else e5_sq / denom), False
 
 
-def _integrate_plane(profile, y0, span, tol, max_steps):
+def _integrate_plane(profile, y0, span, tol):
     """Integrate the in-plane null state ``y0`` over [0, span] with DOP853.
 
     A step is accepted where its error norm is at most 1, and the next step
@@ -363,7 +363,7 @@ def _integrate_plane(profile, y0, span, tol, max_steps):
             if not lam < span:
                 end = ("completed", "")
                 break
-            if step >= max_steps:
+            if step >= MAX_STEPS:
                 end = ("stiff", "max step count reached")
                 break
             if not h >= h_floor:
@@ -402,7 +402,7 @@ def _integrate_plane(profile, y0, span, tol, max_steps):
     return np.array(rows), np.array(residuals), run
 
 
-def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=MAX_STEPS):
+def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL):
     """Integrate a null geodesic over an affine interval [0, span].
 
     The initial velocity is projected onto the null cone (rejected if the
@@ -413,22 +413,22 @@ def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=MAX_STEP
     """
     profile = spacetime.profile
     basis, plane = _into_plane(initial)
-    rows, residuals, run = _integrate_plane(profile, plane, span, tol, max_steps)
+    rows, residuals, run = _integrate_plane(profile, plane, span, tol)
     samples = _to_chart(basis, rows)
     lapse = np.asarray(profile.lapse_d1(samples[:, 2])[0], dtype=float)
     return GeodesicTrajectory(samples, -lapse * samples[:, 5], residuals,
                               lapse, run)
 
 
-def null_state(spacetime, position, spatial_velocity, time_sign=1.0):
+def null_state(spacetime, position, spatial_velocity):
     """Build an exactly null state from a spatial velocity.
 
-    The time component is solved from g(v, v) = 0 with the requested sign.
+    The time component is solved from g(v, v) = 0, future directed.
     """
     vr, vth, vph = spatial_velocity
     _, y = _into_plane(GeodesicState(position, (0.0, vr, vth, vph)))
     with np.errstate(all="ignore"):
-        y, _, _ = null_project(spacetime.profile, y, prev_vt_sign=time_sign)
+        y, _, _ = null_project(spacetime.profile, y)
     vt = float(y[3])
     if not math.isfinite(vt):
         raise ValueError(f"no real null direction at r = {position.r:.6g}")
@@ -438,23 +438,20 @@ def null_state(spacetime, position, spatial_velocity, time_sign=1.0):
 @dataclass(frozen=True)
 class ConstancyVerdict:
     constant: bool
-    max_drift: float
-    lapse_variation: float
     lapse_constant: bool
 
 
-def energy_constancy_verdict(trajectory, tol=TOL_NULL):
+def energy_constancy_verdict(trajectory):
     """Is the observed energy constant along the trajectory?
 
     By the constant-energy lemma this must coincide with the lapse being
     constant along the geodesic; both facts are reported so callers can
-    assert the equivalence.
+    assert the equivalence.  Each is constant when its largest distance
+    from its mean is below 10 TOL_NULL.
     """
-    e = trajectory.energies
-    drift = float(np.max(np.abs(e - np.mean(e))))
-    lap = trajectory.lapse
-    lvar = float(np.max(np.abs(lap - np.mean(lap))))
-    return ConstancyVerdict(drift < 10 * tol, drift, lvar, lvar < 10 * tol)
+    e, lap = trajectory.energies, trajectory.lapse
+    return ConstancyVerdict(float(np.max(np.abs(e - np.mean(e)))) < 10 * TOL_NULL,
+                            float(np.max(np.abs(lap - np.mean(lap)))) < 10 * TOL_NULL)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +460,9 @@ def energy_constancy_verdict(trajectory, tol=TOL_NULL):
 
 @dataclass(frozen=True)
 class TangencyReport:
-    max_deviation: float      # sup of |r - r0| (or |N - N0|) along the orbit
+    max_deviation: float      # sup of |r - r0| along the orbit
     span: float
     run: RunSummary
-    tol: float                # integrator tolerance (atol = rtol)
 
 
 # Photon-sphere orbits amplify local error by e^(N span / r), so the local
@@ -476,20 +472,19 @@ class TangencyReport:
 TANGENCY_TOL = 1e-16
 
 
-def tangency_persistence(spacetime, surface, span, tol=TANGENCY_TOL):
+def tangency_persistence(spacetime, surface, span):
     """Integrate the null geodesic tangent to a radial cylinder and report
-    its worst deviation from the surface.
+    its worst deviation |r - r0| from the surface.
 
-    ``surface`` is a cylinder hypersurface of radius r0; the deviation is
-    |r - r0| when it is parameterized by radius and |N - N0| for lapse
-    level sets.  By spherical symmetry every null geodesic tangent to the
-    cylinder, scaled to tdot = 1 (one affine unit is one unit of coordinate
-    time), is a rotation of one orbit, whose in-plane state is
-    (t, r0, 0, 1, 0, N0/r0); that orbit is integrated alone.
+    ``surface`` is a cylinder hypersurface of radius r0.  By spherical
+    symmetry every null geodesic tangent to the cylinder, scaled to
+    tdot = 1 (one affine unit is one unit of coordinate time), is a
+    rotation of one orbit, whose in-plane state is (t, r0, 0, 1, 0, N0/r0);
+    that orbit is integrated alone.
 
-    The default tolerance is much tighter than elsewhere: circular photon
-    orbits are exponentially unstable, so local error injected at affine
-    time l is amplified by roughly exp(kappa (span - l)) with
+    The tolerance, TANGENCY_TOL, is much tighter than elsewhere: circular
+    photon orbits are exponentially unstable, so local error injected at
+    affine time l is amplified by roughly exp(kappa (span - l)) with
     kappa = N0/r0; resolving deviations at the 1e-5 level over spans of
     order 1e2 requires local errors near the roundoff floor.
     """
@@ -497,7 +492,5 @@ def tangency_persistence(spacetime, surface, span, tol=TANGENCY_TOL):
     n0 = spacetime.profile.lapse_d1(r0)[0]
     start = GeodesicState(ChartPoint(0.0, r0, 0.5 * math.pi, 0.0),
                           (1.0, 0.0, n0 / r0, 0.0))
-    orbit = integrate_null(spacetime, start, span, tol)
-    off = (orbit.lapse - n0 if surface.level_field == "lapse"
-           else orbit.r - r0)
-    return TangencyReport(float(np.max(np.abs(off))), span, orbit.run, tol)
+    orbit = integrate_null(spacetime, start, span, TANGENCY_TOL)
+    return TangencyReport(float(np.max(np.abs(orbit.r - r0))), span, orbit.run)

@@ -5,9 +5,9 @@ Two embeddings appear, both coordinate-aligned on the radial chart and
 both level sets of a radial function (r or the lapse N), so each has the
 gradient unit normal:
 
-* the cylinder ``R x {r = r0}`` inside the spacetime, the photon-surface
-  candidate,
-* a level set ``{r = r0}`` (equivalently ``{N = N0}``) inside the time
+* the cylinder ``R x {r = r0}`` inside the spacetime, a level set of r and
+  the photon-surface candidate,
+* a level set ``{N = N0}`` (the round sphere ``{r = r0}``) inside the time
   slice, a leaf of the lapse foliation.
 
 The second fundamental form follows II(X, Y) = b(nabla_X eta, Y) with
@@ -48,12 +48,12 @@ def _asarrays(point):
 class Hypersurface:
     """An embedded hypersurface, described by its chart alignment.
 
-    kind            : descriptive label
+    kind            : "cylinder", a level set of r in the spacetime, or
+                      "level-set", a level set of the lapse in the slice
     spacetime       : ambient StaticSpacetime
     ambient         : MetricSampler of the ambient manifold
     tangent_axes    : ambient coordinate axes tangent to the surface
     level_value     : held coordinate value r0, or an array of them
-    level_field     : the radial function whose level set it is, "r" or "lapse"
     """
 
     kind: str
@@ -61,7 +61,6 @@ class Hypersurface:
     ambient: MetricSampler
     tangent_axes: tuple
     level_value: float
-    level_field: str = "r"
 
     @property
     def surface_dim(self):
@@ -90,18 +89,18 @@ class Hypersurface:
         return MetricSampler(self.surface_dim, components)
 
 
-def cylinder(spacetime, r0, level_field="r"):
+def cylinder(spacetime, r0):
     spacetime.profile.check_point(r0)
     return Hypersurface("cylinder", spacetime, spacetime.metric4, (0, 2, 3),
-                        float(r0), level_field)
+                        float(r0))
 
 
-def lapse_level_set(spacetime, r0, level_field="lapse"):
+def lapse_level_set(spacetime, r0):
     """Level set of the lapse (a round sphere {r = r0}) inside the time
     slice; an array ``r0`` of shape (L, 1, 1) stacks L of them."""
     spacetime.profile.check_point(r0)
     return Hypersurface("level-set", spacetime, spacetime.metric3, (1, 2),
-                        np.asarray(r0, dtype=float), level_field)
+                        np.asarray(r0, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +108,18 @@ def lapse_level_set(spacetime, r0, level_field="lapse"):
 # ---------------------------------------------------------------------------
 
 def _level_function(surface):
-    """Scalar field whose level set is the surface, over ambient coords."""
+    """The name of the scalar field whose level set the surface is and the
+    field over ambient coords: the lapse for a leaf, r for the cylinder."""
     r_axis = surface.normal_axis
-    if surface.level_field == "lapse":
-        return lambda coords: surface.spacetime.profile.lapse(coords[r_axis])
-    return lambda coords: coords[r_axis] + 0.0 * coords[r_axis]
+    if surface.kind == "level-set":
+        return "lapse", lambda coords: surface.spacetime.profile.lapse(coords[r_axis])
+    return "r", lambda coords: coords[r_axis] + 0.0 * coords[r_axis]
 
 
 def normal_data(surface, x, ginv, dg):
     """Unit normal covector, its coordinate derivatives, the unit normal
     vector and the gradient d_a f of the level function f of a level set."""
-    field = _level_function(surface)
+    name, field = _level_function(surface)
     _, w, dw = scalar_taylor(field, x)
     # w^a = g^ab w_b and q = w_a w^a: "...ab,...a,...b->..."
     w_u = (ginv @ w[..., None])[..., 0]
@@ -128,7 +128,7 @@ def normal_data(surface, x, ginv, dg):
     if np.any(bad):
         level = np.broadcast_to(surface.level_value, bad.shape)[bad][0]
         raise FoliationError(
-            f"foliation failure: |d{surface.level_field}| < {FOLIATION_DN_FLOOR} "
+            f"foliation failure: |d{name}| < {FOLIATION_DN_FLOOR} "
             f"on {surface.kind} at level {level}")
     # d_e q = -w^m (d_e g_mn) w^n + 2 (d_e w_a) w^a, so d g^-1 is never formed:
     # "...m,...emn,...n->...e" and "...ea,...a->...e"
@@ -208,7 +208,8 @@ def shape(surface, point):
 
 
 def cylinder_sample(surface):
-    """Shape data and induced scalar curvature of a cylinder at t = 0.
+    """Shape data and the curvature bundle of the induced metric of a
+    cylinder at t = 0.
 
     Both are sampled on the sparse (n_theta, 1) x (1, n_phi) axes of the
     ``CYLINDER_GRID`` Gauss-Legendre theta and uniform phi nodes; a field
@@ -216,5 +217,5 @@ def cylinder_sample(surface):
     """
     theta, _, phi, _ = quad.sphere_grid(*CYLINDER_GRID)
     point = (0.0, *np.meshgrid(theta, phi, indexing="ij", sparse=True))
-    return shape(surface, point), curvature(surface.induced_sampler(), point).scalar
+    return shape(surface, point), curvature(surface.induced_sampler(), point)
 

@@ -52,6 +52,8 @@ TOL_LVL = 1e-5
 TAIL_RADIUS_FACTOR = 100.0
 RECONSTRUCTION_NODES = 32   # Chebyshev collocation nodes of the rigidity ODE
 RECONSTRUCTION_MAX_RATIO = 1e12   # largest r_max/r0 (or r0/r_max) they resolve
+RECONSTRUCTION_RADII = 200   # radii of the reconstructed lapse profile
+TAIL_REACH = 0.99   # the last leaf must reach this fraction of tail_radius
 BLOCK_ROWS = 1024   # (levels x theta) rows of one stacked leaf evaluation
 FLAT_MASS_RATIO = 1e-10   # a mass below this fraction of r is zero at r
 
@@ -135,8 +137,8 @@ def _leaf_block(spacetime, r_levels, theta, phi, weights):
                              nuN, sd.tracefree_norm, gauss_k))
 
 
-def build_foliation(spacetime, n0, levels=64, quad_order=(64, 128),
-                    tail_radius=None, r_hint=None):
+def build_foliation(spacetime, n0, levels, quad_order, tail_radius=None,
+                    r_hint=None):
     """Foliate [N0, N(tail_radius)] by lapse level sets.
 
     Levels sit at the Chebyshev points of s in the geometric level map
@@ -240,8 +242,8 @@ class Foliation:
         var = self.integral((nodes - self.mean(nodes)[:, None, None]) ** 2) / self.area
         return np.sqrt(np.maximum(var, 0.0))
 
-    def reaches_tail(self, rtol=0.01):
-        return bool(self.r_coord[-1] >= (1.0 - rtol) * self.tail_radius)
+    def reaches_tail(self):
+        return bool(self.r_coord[-1] >= TAIL_REACH * self.tail_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +330,12 @@ def _leaf_terms(foliation):
     return sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket
 
 
-def identity_residuals(foliation, lam, terms=None):
+def identity_residuals(foliation, lam, terms):
     """Residuals of the three static-vacuum identities on every level.
 
     Each residual is normalized by its largest participating term
     (floored at 1), evaluated pointwise on the leaf, and reported as the
-    per-level sup.  ``terms`` holds ``_leaf_terms`` of the foliation,
-    computed here when not given.
+    per-level sup.  ``terms`` holds ``_leaf_terms`` of the foliation.
     """
     if len(foliation) < 7:
         raise ValueError("transverse derivatives need at least 7 levels")
@@ -342,8 +343,7 @@ def identity_residuals(foliation, lam, terms=None):
     h_n = _transverse_derivative(foliation, h)
     rho_n = _transverse_derivative(foliation, rho)
     ss_n = _transverse_derivative(foliation, foliation.sqrt_s)
-    sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket = (
-        _leaf_terms(foliation) if terms is None else terms)
+    sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket = terms
     r_sigma = 2.0 * foliation.gauss_k
 
     t_a1 = (lam / rho) * (h / n)
@@ -402,7 +402,7 @@ class InequalitySlacks:
         return float(np.max(np.abs(self.slack35)))
 
 
-def inequality_slacks(foliation, lam, mass, terms=None):
+def inequality_slacks(foliation, lam, mass, terms):
     """Slacks of the pointwise and integrated inequalities on a foliation.
 
     Pointwise: slack = RHS - LHS of the two differential inequalities,
@@ -411,7 +411,7 @@ def inequality_slacks(foliation, lam, mass, terms=None):
     the asymptotic ends are replaced by their closed-form limits
     (H -> 2/r, rho -> r^2/|m|), giving 8 pi sqrt|m| for the first chain
     and 0 for the second.  ``terms`` holds ``_leaf_terms`` of the
-    foliation, computed here when not given.
+    foliation.
     """
     if len(foliation) < 8:
         raise ValueError("inequality integration needs a dense foliation")
@@ -420,8 +420,7 @@ def inequality_slacks(foliation, lam, mass, terms=None):
     p_n = _transverse_derivative(foliation, sqrt_s * h * lam / (np.sqrt(rho) * n))
     q_n = _transverse_derivative(foliation,
                                  sqrt_s / rho * (h * n + 4.0 * lam / rho))
-    _, lap_sqrt_rho, lap_log_rho, bracket = (
-        _leaf_terms(foliation) if terms is None else terms)
+    _, lap_sqrt_rho, lap_log_rho, bracket = terms
     r_sigma = 2.0 * foliation.gauss_k
     s34, n34 = _min_max_nodes(-2.0 * (sqrt_s / n) * lap_sqrt_rho - p_n)
     s35, n35 = _min_max_nodes(-n * sqrt_s * (lap_log_rho + r_sigma) - q_n)
@@ -454,7 +453,7 @@ class GlobalSign:
     negative_branch_contradiction: bool
 
 
-def sign_analysis(foliation, mass, frak_h, tol=TOL_LVL):
+def sign_analysis(foliation, mass, frak_h, tol):
     """Global sign lambda and the exclusion of the negative branch.
 
     lambda = sign(nu(N)) must agree with sign(m), sign(frakH), sign(H0).
@@ -504,9 +503,9 @@ def boundary_constraints(spacetime, foliation, mass):
     nu0 = fol.mean(fol.nuN, 0)
     r_sigma = 2.0 * fol.mean(fol.gauss_k, 0)
 
-    sd, scalar = hs.cylinder_sample(hs.cylinder(spacetime, fol.r_coord[0]))
+    sd, induced = hs.cylinder_sample(hs.cylinder(spacetime, fol.r_coord[0]))
     frak_h = float(np.mean(sd.mean_curvature))
-    r_p = float(np.mean(scalar))
+    r_p = float(np.mean(induced.scalar))
 
     expected_scal = (2.0 / 3.0) * frak_h ** 2
     return BoundaryConstraints(
@@ -547,7 +546,7 @@ class ReconstructionResult:
     lapse_profile: np.ndarray
 
 
-def reconstruct_lapse(mass, n0, r0, r_max=None, n_points=200):
+def reconstruct_lapse(mass, n0, r0, r_max=None):
     """Solve the rigidity ODE and fit the Schwarzschild constants.
 
     In s = log r the ODE reads u_ss + u_s = 0.  It is collocated on
@@ -555,9 +554,9 @@ def reconstruct_lapse(mass, n0, r0, r_max=None, n_points=200):
     the rows of the two end nodes replaced by the conditions u(s0) = N0^2
     and u_s(s0) = r0 u'(r0) (Trefethen, Spectral Methods in MATLAB, ch. 6
     and 13), and the solution is interpolated barycentrically onto
-    ``n_points`` radii spaced geometrically over [r0, r_max].  The unknown
-    is u - N0^2, which starts at zero, so that the constant solution of
-    m = 0 comes out exact.
+    ``RECONSTRUCTION_RADII`` radii spaced geometrically over [r0, r_max].
+    The unknown is u - N0^2, which starts at zero, so that the constant
+    solution of m = 0 comes out exact.
 
     The nodes resolve e^{-s} to about 1e-13 only while |log(r_max/r0)| <=
     log(RECONSTRUCTION_MAX_RATIO), and a wider range raises ValueError.
@@ -587,7 +586,7 @@ def reconstruct_lapse(mass, n0, r0, r_max=None, n_points=200):
     system[-1] = d[0]
     rhs[-1] = r0 * du0
     w = np.linalg.solve(system, rhs)
-    r_grid = np.geomspace(r0, r_max, n_points)
+    r_grid = np.geomspace(r0, r_max, RECONSTRUCTION_RADII)
     u = u0 + quad.barycentric_interpolate(s, w, np.log(r_grid))
 
     basis = np.stack([np.ones_like(r_grid), 1.0 / r_grid], axis=1)
@@ -646,23 +645,14 @@ class IsraelReport:
     identities: IdentityResiduals
     slacks: InequalitySlacks
     sign: GlobalSign
-    reconstruction: ReconstructionResult
     foliation: Foliation
     gates: tuple
     verdict: str          # "isometric" | "not-isometric" | "inconclusive"
     tol: float
 
 
-def _identities_and_slacks(foliation, lam, mass):
-    """``identity_residuals`` and ``inequality_slacks`` from one
-    ``_leaf_terms`` of the foliation."""
-    terms = _leaf_terms(foliation)
-    return (identity_residuals(foliation, lam, terms),
-            inequality_slacks(foliation, lam, mass, terms))
-
-
-def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
-                        tail_radius=None, tol=TOL_LVL):
+def run_israel_pipeline(spacetime, n0, r_ps, levels, quad_order, tail_radius,
+                        tol):
     """Full proof-chain verification on a located photon sphere.
 
     Raises FlatnessError for m = 0 inputs (flat slice).  Returns an
@@ -676,7 +666,9 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     mass = float(fluxes[0])
     bnd = boundary_constraints(spacetime, foliation, mass)
     sign = sign_analysis(foliation, mass, bnd.frak_h, tol)
-    ids, slacks = _identities_and_slacks(foliation, sign.lam, mass)
+    terms = _leaf_terms(foliation)
+    ids = identity_residuals(foliation, sign.lam, terms)
+    slacks = inequality_slacks(foliation, sign.lam, mass, terms)
     recon = reconstruct_lapse(mass, bnd.n0, bnd.r0,
                               r_max=foliation.tail_radius)
 
@@ -734,7 +726,7 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
         Gate("reconstruction", recon.sup_deviation, tol,
              recon.sup_deviation < tol),
         Gate("tail", float(foliation.r_coord[-1]) / foliation.tail_radius,
-             0.99, foliation.reaches_tail(), structural=True),
+             TAIL_REACH, foliation.reaches_tail(), structural=True),
     )
     structural_fail = any(not g.passed and g.structural for g in gates)
     physical_fail = any(not g.passed and not g.structural for g in gates)
@@ -745,5 +737,5 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels=64, quad_order=(64, 128),
     else:
         verdict = "isometric"
     return IsraelReport(mass, tuple(fluxes.tolist()), rho_mean, h_mean, rho_std,
-                        tf_by_level, bnd, ids, slacks, sign, recon,
-                        foliation, gates, verdict, tol)
+                        tf_by_level, bnd, ids, slacks, sign, foliation, gates,
+                        verdict, tol)

@@ -171,10 +171,6 @@ class Jet:
         s, c = np.sin(self.val), np.cos(self.val)
         return self._chain(c, -s, -c)
 
-    def tan(self):
-        t = np.tan(self.val)
-        return self._chain(t, 1.0 + t * t, 2.0 * t * (1.0 + t * t))
-
     # numpy ufunc protocol: lets samplers call np.sqrt etc. on jets
     _UNARY = None  # populated below
 
@@ -206,7 +202,7 @@ class Jet:
 
 
 Jet._UNARY = {np.sqrt: Jet.sqrt, np.exp: Jet.exp, np.log: Jet.log,
-              np.sin: Jet.sin, np.cos: Jet.cos, np.tan: Jet.tan}
+              np.sin: Jet.sin, np.cos: Jet.cos}
 
 
 def variables(coords, order=2):

@@ -21,13 +21,11 @@ import numpy as np
 
 from . import geodesics, hypersurfaces
 from . import quadrature as quad
-from .calculus import metric_taylor
 from .spacetimes import DomainError
 
 TOL_CERT = 1e-7       # umbilicity: the trace-free norm's sup and H's spread
-TOL_TANGENCY = 1e-4   # largest |r - r0| (or |N - N0|) of an orbit that stays
+TOL_TANGENCY = 1e-4   # largest |r - r0| of an orbit that stays
 SCAN_POINTS = 512
-SIGNATURE_GRID = (6, 12)   # (n_theta, n_phi) nodes of ``timelike_signature``
 
 
 @dataclass(frozen=True)
@@ -107,40 +105,29 @@ class PhotonSurfaceCertificate:
     tangency: geodesics.TangencyReport
 
 
-def timelike_signature(surface):
-    """Eigenvalue signs of the induced metric at the ``SIGNATURE_GRID`` nodes."""
-    theta, _, phi, _ = quad.sphere_grid(*SIGNATURE_GRID)
-    pts = tuple(np.meshgrid(theta, phi, indexing="ij", sparse=True))
-    if surface.surface_dim == 3:
-        pts = (0.0, *pts)
-    g, _, _ = metric_taylor(surface.induced_sampler(), pts, order=1)
-    signs = np.sign(np.linalg.eigvalsh(g))
-    return signs.reshape(-1, surface.surface_dim)
-
-
-def certify_photon_surface(spacetime, surface, span=40.0):
+def certify_photon_surface(spacetime, surface, span):
     """Certify (or refute) a cylinder as a photon surface.
 
     Umbilicity is sampled through the hypersurface machinery, tangency by
     integrating the tangent null orbit; both must agree for a "certified"
-    or "refuted" verdict.  Non-timelike candidates are rejected outright.
+    or "refuted" verdict.  Candidates whose induced metric is not timelike
+    at every sampled node are rejected outright.
     """
     if surface.kind != "cylinder":
         raise ValueError("certification expects a cylinder hypersurface")
-    signs = timelike_signature(surface)
-    expected = np.array([-1.0, 1.0, 1.0])
-    if not np.all(signs == expected):
+    sd, induced = hypersurfaces.cylinder_sample(surface)
+    signs = np.sign(np.linalg.eigvalsh(induced.metric_dd)).reshape(-1, 3)
+    if not np.all(signs == (-1.0, 1.0, 1.0)):
         raise DomainError(
             f"surface is not timelike: induced signature {signs[0].tolist()} "
             f"(expected (-,+,+))")
 
     r0 = surface.level_value
-    sd, r_p = hypersurfaces.cylinder_sample(surface)
     umb_sup = float(np.max(sd.tracefree_norm))
     h_mean = float(np.mean(sd.mean_curvature))
     h_std = float(np.std(sd.mean_curvature))
-    rp_mean = float(np.mean(r_p))
-    rp_std = float(np.std(r_p))
+    rp_mean = float(np.mean(induced.scalar))
+    rp_std = float(np.std(induced.scalar))
     expected_rp = (2.0 / 3.0) * h_mean ** 2
     scalar_residual = abs(rp_mean - expected_rp)
 

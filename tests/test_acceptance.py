@@ -16,6 +16,7 @@ import oracles
 from photonsphere import cli, geodesics as geo, hypersurfaces as hs
 from photonsphere import israel as isr
 from photonsphere import photon as ph
+from photonsphere.calculus import vacuum_residual
 from photonsphere.spacetimes import (ChartPoint, ExpressionProfile,
                                      SchwarzschildProfile, StaticSpacetime)
 
@@ -109,8 +110,6 @@ def test_criterion_3_energy_law():
 
 
 def test_criterion_4_vacuum_verification():
-    from photonsphere.calculus import vacuum_residual
-
     rng = np.random.default_rng(RNG_SEED)
     coords = (rng.uniform(2.2, 50.0, 500), rng.uniform(0.3, math.pi - 0.3, 500),
               rng.uniform(0.0, 2 * math.pi, 500))
@@ -151,7 +150,9 @@ def test_criterion_6_boundary_identities(m1_report):
         "N0 - m frakH": b.n0_mass_frakH,
         "N0^2 - (1 - 2m/r0)": b.n0_schwarzschild,
         "H0 - 2N0/r0": b.h0_relation,
+        "R_sigma - (2/3) frakH^2": b.scalar_cross,
         "R_p - (2/3) frakH^2": b.scalar_p_cross,
+        "4N0 - 4m H0 - r0^2 N0 H0^2": b.gauss_constraint,
     }
     worst = max(residuals.values())
     ok = worst < 1e-7 and abs(b.mass_from_frakH - 1.0) < 1e-7

@@ -33,22 +33,22 @@ EUCLID3 = MetricSampler(3, lambda c: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
 
 class TestChristoffel:
     def test_minkowski_spherical(self):
-        g = calc.christoffel(MINK.metric4, (0.0, 2.5, 1.1, 0.3))
+        g = calc.curvature(MINK.metric4, (0.0, 2.5, 1.1, 0.3)).gamma_udd
         assert np.isclose(g[1, 2, 2], -2.5)       # Gamma^r_thth = -r
         assert np.isclose(g[2, 1, 2], 1.0 / 2.5)  # Gamma^th_rth = 1/r
         assert np.max(np.abs(g[0])) == 0.0
         assert np.max(np.abs(g[:, 0, :])) == 0.0
 
     def test_schwarzschild_gamma_r_tt(self):
-        g = calc.christoffel(ST.metric4, (0.0, 3.0, 1.0, 0.5))
+        g = calc.curvature(ST.metric4, (0.0, 3.0, 1.0, 0.5)).gamma_udd
         assert np.isclose(g[1, 0, 0], oracles.GAMMA_R_TT_M1_R3, rtol=1e-14)
 
     def test_euclidean_cartesian_vanishes(self):
-        g = calc.christoffel(EUCLID3, (0.3, -0.4, 0.5))
+        g = calc.curvature(EUCLID3, (0.3, -0.4, 0.5)).gamma_udd
         assert np.max(np.abs(g)) == 0.0
 
     def test_lower_index_symmetry(self):
-        g = calc.christoffel(ST.metric4, (0.0, 4.4, 0.8, 1.2))
+        g = calc.curvature(ST.metric4, (0.0, 4.4, 0.8, 1.2)).gamma_udd
         assert np.allclose(g, np.swapaxes(g, -1, -2))
 
     def test_live_symbolic_oracle(self):
@@ -56,7 +56,7 @@ class TestChristoffel:
         g4, coords = oracles.schwarzschild_4metric()
         gam = oracles.christoffel_sym(g4, coords)
         subs = {oracles.m: 1, oracles.r: 3, oracles.th: 1.0}
-        num = calc.christoffel(ST.metric4, (0.0, 3.0, 1.0, 0.5))
+        num = calc.curvature(ST.metric4, (0.0, 3.0, 1.0, 0.5)).gamma_udd
         for a in range(4):
             for b in range(4):
                 for c in range(4):
@@ -108,11 +108,13 @@ class TestCurvature:
                   rng.uniform(0.0, 2 * math.pi, 200))
         slice_coords = coords[1:]
         ba = calc.curvature(ST.metric4, coords)
-        ha = calc.hessian(ST.lapse_field3(), ST.metric3, slice_coords)
+        _, ha = calc.hessian(ST.lapse_field3(),
+                             calc.curvature(ST.metric3, slice_coords))
         monkeypatch.setattr(calc, "metric_taylor", oracles.fd_metric_taylor)
         monkeypatch.setattr(calc, "scalar_taylor", oracles.fd_scalar_taylor)
         bf = calc.curvature(ST.metric4, coords)
-        hf = calc.hessian(ST.lapse_field3(), ST.metric3, slice_coords)
+        _, hf = calc.hessian(ST.lapse_field3(),
+                             calc.curvature(ST.metric3, slice_coords))
         gamma_diff = np.max(np.abs(ba.gamma_udd - bf.gamma_udd))
         assert gamma_diff < 1e-6 * max(1.0, np.max(np.abs(ba.gamma_udd)))
         e, _ = ba.frame()
@@ -257,7 +259,7 @@ class TestVacuumResidual:
                                theta=rng.uniform(0.3, 2.8))
                 coords = p.coords3()
                 bundle = calc.curvature(st.metric3, coords)
-                hess = calc.hessian(st.lapse_field3(), st.metric3, coords)
+                _, hess = calc.hessian(st.lapse_field3(), bundle)
                 n = st.profile.lapse(p.r)
                 tr_r1 = float(np.einsum("ij,ij->", bundle.metric_uu,
                                         n * bundle.ricci_dd - hess))

@@ -57,11 +57,14 @@ class TestScenarioValidation:
         (SCHW + '"levels": 8.7}', "'levels'"),
         (SCHW + '"levels": true}', "'levels'"),
         (SCHW + '"levels": 7}', "'levels'"),
+        (SCHW + '"levels": 1025}', "'levels'"),
         (SCHW + '"scan": [3]}', "'scan'"),
         (SCHW + '"scan": [5, 3]}', "'scan'"),
         (SCHW + '"scan": [2.2, NaN]}', "'scan'"),
         (SCHW + '"quadrature": ["a", "b"]}', "'quadrature'"),
         (SCHW + '"quadrature": [0, 8]}', "'quadrature'"),
+        (SCHW + '"quadrature": [1025, 8]}', "'quadrature'"),
+        (SCHW + '"quadrature": [8, 1025]}', "'quadrature'"),
         (SCHW + '"span": "40"}', "'span'"),
         (SCHW + '"span": Infinity}', "'span'"),
         (SCHW + '"span": 1%s}' % ("0" * 400), "'span'"),
@@ -72,8 +75,9 @@ class TestScenarioValidation:
         (SCHW + '"trace": {"direction": [1, -0.8, 0, "0"]}}', "'trace.direction'"),
     ], ids=["array", "lapse-int", "no-lapse", "no-m", "m-null", "m-two",
             "trace-list", "huge-int", "levels-negative", "levels-fraction",
-            "levels-bool", "levels-7", "scan-short", "scan-decreasing",
-            "scan-nan", "quadrature-strings", "quadrature-0", "span-string",
+            "levels-bool", "levels-7", "levels-1025", "scan-short",
+            "scan-decreasing", "scan-nan", "quadrature-strings", "quadrature-0",
+            "quadrature-theta-1025", "quadrature-phi-1025", "span-string",
             "span-inf", "span-past-float", "tolerance-nan", "tail-negative",
             "surface-0", "trace-start-2",
             "trace-direction-string"])
@@ -103,6 +107,11 @@ class TestScenarioValidation:
         ("full", "--tol", "-1", "'tolerance'"),
         ("israel", "--levels", "-3", "'levels'"),
         ("israel", "--quad", "0x4", "'quadrature'"),
+        # bounded before anything is allocated: 20000 levels or theta nodes
+        # would need a 3 GB differentiation matrix
+        ("israel", "--levels", "20000", "'levels'"),
+        ("israel", "--quad", "20000x4", "'quadrature'"),
+        ("full", "--quad", "4x20000", "'quadrature'"),
     ])
     def test_bad_flag_exits_2_naming_its_field(self, command, flag, value, field,
                                                tmp_path, capsys):
@@ -279,6 +288,22 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert "metric is singular" in err
+
+    def test_singular_cylinder_is_a_named_error(self, tmp_path, capsys):
+        # N(2) = 0: the cylinder's metric is singular and its induced
+        # metric has no time direction, so either names the failure
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "certify", "surface_r0": 2,
+            "profile": {"kind": "expression", "lapse": "1 - 2/r",
+                        "radial_factor": "1", "r_min": 0}}))
+        out = tmp_path / "o"
+        assert run(["certify", "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "metric is singular" in err or "not timelike" in err
+        assert not (out / "certificate.json").exists()
 
 
 class TestOutputs:

@@ -269,7 +269,7 @@ class TestEnergyLaw:
                                    50.0, tol=geo.TANGENCY_TOL)
         v_orbit = geo.energy_constancy_verdict(orbit)
         assert v_orbit.constant and v_orbit.lapse_constant
-        assert v_orbit.max_drift < 1e-8
+        assert np.max(np.abs(orbit.energies - np.mean(orbit.energies))) < 1e-8
         radial = geo.integrate_null(ST, radial_null_state(ST, 10.0), 30.0)
         v_rad = geo.energy_constancy_verdict(radial)
         assert not v_rad.constant and not v_rad.lapse_constant
@@ -323,22 +323,14 @@ class TestTangency:
         assert rep.run.status == "completed"
 
     def test_off_sphere_seeds_leave(self):
-        rep = geo.tangency_persistence(ST, hs.cylinder(ST, 4.0), 40.0,
-                                       tol=1e-10)
+        rep = geo.tangency_persistence(ST, hs.cylinder(ST, 4.0), 40.0)
         assert rep.max_deviation > 1e-1
 
     def test_minkowski_cylinder_deviation_grows_linearly(self):
-        r20 = geo.tangency_persistence(MINK, hs.cylinder(MINK, 3.0), 20.0,
-                                       tol=1e-10)
-        r40 = geo.tangency_persistence(MINK, hs.cylinder(MINK, 3.0), 40.0,
-                                       tol=1e-10)
+        r20 = geo.tangency_persistence(MINK, hs.cylinder(MINK, 3.0), 20.0)
+        r40 = geo.tangency_persistence(MINK, hs.cylinder(MINK, 3.0), 40.0)
         assert r20.max_deviation > 1.0
         assert 1.5 < r40.max_deviation / r20.max_deviation < 2.5
-
-    def test_lapse_level_cylinder_deviation_metric(self):
-        surf = hs.cylinder(ST, 3.0, level_field="lapse")
-        rep = geo.tangency_persistence(ST, surf, 20.0)
-        assert rep.max_deviation < 1e-7  # |N - N0| stays small
 
     def test_seeds_are_null_and_tangent(self):
         seeds = oracles.tangent_null_seeds(ST, 3.0, 16, rng_seed=11)
@@ -364,9 +356,9 @@ class TestTangency:
             assert abs(plane[5] - vpsi) <= 4 * np.spacing(vpsi)
 
 
-def test_stiff_status_on_step_budget():
-    tr = geo.integrate_null(ST, radial_null_state(ST, 10.0), 50.0,
-                            max_steps=5)
+def test_stiff_status_on_step_budget(monkeypatch):
+    monkeypatch.setattr(geo, "MAX_STEPS", 5)
+    tr = geo.integrate_null(ST, radial_null_state(ST, 10.0), 50.0)
     assert tr.status == "stiff"
     assert "step count" in tr.reason
 
@@ -463,22 +455,14 @@ class TestBatchMatchesScalarReference:
         orbit = canonical_orbit(r0, CRITERION2_SPAN)
         assert rep.max_deviation == float(np.max(np.abs(orbit.r - r0)))
         assert rep.run == orbit.run
-        assert (rep.span, rep.tol) == (CRITERION2_SPAN, geo.TANGENCY_TOL)
-
-    def test_lapse_deviations_exact(self):
-        surf = hs.cylinder(ST, 3.0, level_field="lapse")
-        rep = geo.tangency_persistence(ST, surf, 20.0)
-        n0 = ST.profile.lapse_d1(3.0)[0]
-        orbit = canonical_orbit(3.0, 20.0)
-        assert rep.max_deviation == float(np.max(np.abs(orbit.lapse - n0)))
-        assert rep.run == orbit.run
+        assert rep.span == CRITERION2_SPAN
 
     @pytest.mark.parametrize("case", ["minkowski-ray", "minkowski-seed",
                                       "radial-infall", "pole", "max-steps",
                                       "expression-profile"])
-    def test_single_trajectory_bit_identical(self, case):
+    def test_single_trajectory_bit_identical(self, case, monkeypatch):
         """Bit for bit the same as its equatorial twin, and near the scalar
-        reference."""
+        reference, which takes its step budget as ``kw``."""
         spacetime, span, kw = ST, 30.0, {}
         if case == "minkowski-ray":
             spacetime = MINK
@@ -495,6 +479,7 @@ class TestBatchMatchesScalarReference:
                                    (0.0, -0.05, 1e-9))
         elif case == "max-steps":
             state = radial_null_state(ST, 10.0)
+            monkeypatch.setattr(geo, "MAX_STEPS", 5)
             kw = {"max_steps": 5}
         else:
             spacetime = StaticSpacetime(ExpressionProfile(
@@ -502,8 +487,8 @@ class TestBatchMatchesScalarReference:
             state = geo.null_state(spacetime, ChartPoint(0.0, 4.0, 1.1, 0.3),
                                    (0.01, 0.03, 0.05))
         ref = scalar_integrate_null(spacetime, state, span, **kw)
-        traj = geo.integrate_null(spacetime, state, span, **kw)
-        assert_same_as_twin(spacetime, state, traj, span, **kw)
+        traj = geo.integrate_null(spacetime, state, span)
+        assert_same_as_twin(spacetime, state, traj, span)
         assert_near_reference(ref, traj.samples, traj.run)
         expected = {"radial-infall": "domain-exit",
                     "max-steps": "stiff"}.get(case, "completed")

@@ -3,9 +3,11 @@
 Layers, lowest first: jets -> spacetimes -> calculus -> hypersurfaces ->
 geodesics / photon -> israel -> cli.  A module may import only modules
 of lower layers; quadrature imports nothing from the package and may be
-imported by anyone.  No function imports anything, and every public
-definition is used by the package or the acceptance suite, and every
-name the benchmark's tracer wraps still exists.  Only cli writes output
+imported by anyone.  No function imports anything.  Every public
+definition is used by the package or the acceptance suite, every
+dataclass field is read there, and every parameter default is
+overridden by some call there; every name the benchmark's tracer wraps
+still exists.  Only cli writes output
 formats.  The only runtime dependency is numpy: the pipelines that used
 to need scipy (table profiles and the lapse reconstruction) must run
 without loading it.
@@ -120,13 +122,18 @@ def _names_used(tree, skip=None):
     return used
 
 
+def _reach_trees():
+    """The syntax trees whose uses count: the package and the acceptance suite."""
+    return ({path.stem: _tree(path) for path in MODULES},
+            _tree(pathlib.Path(__file__).with_name("test_acceptance.py")))
+
+
 def test_every_public_definition_is_reached():
     """Each public module-level function and class is named somewhere in the
     package outside its own definition and the re-exports of __init__.py,
     or in the acceptance suite.  Code that only unit tests reach does not
     belong in the package."""
-    trees = {path.stem: _tree(path) for path in MODULES}
-    acceptance = _tree(pathlib.Path(__file__).with_name("test_acceptance.py"))
+    trees, acceptance = _reach_trees()
     elsewhere = {stem: _names_used(tree) for stem, tree in trees.items()}
     unreached = []
     for stem, tree in trees.items():
@@ -138,6 +145,101 @@ def test_every_public_definition_is_reached():
                     and node.name not in others | _names_used(tree, skip=node)):
                 unreached.append(f"{stem}.{node.name}")
     assert not unreached, f"defined but never used: {unreached}"
+
+
+def _name_of(expr):
+    """The name a Name or Attribute node spells, else None."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    return expr.attr if isinstance(expr, ast.Attribute) else None
+
+
+def _is_dataclass(cls):
+    return any(_name_of(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _init_fields(cls):
+    """The annotated fields of a dataclass that its constructor takes: all
+    but those declared ``field(init=False, ...)``."""
+    return [f for f in cls.body if isinstance(f, ast.AnnAssign)
+            and not (isinstance(f.value, ast.Call)
+                     and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                             and k.value.value is False for k in f.value.keywords))]
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a package dataclass is read as an attribute somewhere in
+    the package, its own class's methods included, or in the acceptance
+    suite.  A field that only tests read is a result nobody uses."""
+    trees, acceptance = _reach_trees()
+    read = {node.attr for tree in [*trees.values(), acceptance]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{stem}.{cls.name}.{f.target.id}"
+              for stem, tree in trees.items() for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+              for f in cls.body if isinstance(f, ast.AnnAssign)
+              and f.target.id not in read]
+    assert not unread, f"dataclass fields never read: {unread}"
+
+
+def _defaulted_parameters(stem, tree):
+    """(definition, name its calls spell, parameter, positional index in a
+    call or None for keyword-only) of every parameter with a default: of
+    module functions, of methods (the call does not pass self) and of
+    constructors, the dataclass fields and __init__ parameters."""
+    found = []
+
+    def params(fn, label, call, offset):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        first = len(pos) - len(a.defaults)
+        found.extend((label, call, arg.arg, i - offset)
+                     for i, arg in enumerate(pos[first:], first))
+        found.extend((label, call, arg.arg, None)
+                     for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            params(node, f"{stem}.{node.name}", node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                found.extend((f"{stem}.{node.name}", node.name, f.target.id, i)
+                             for i, f in enumerate(_init_fields(node))
+                             if f.value is not None)
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    static = any(_name_of(d) == "staticmethod"
+                                 for d in fn.decorator_list)
+                    params(fn, f"{stem}.{node.name}.{fn.name}",
+                           node.name if fn.name == "__init__" else fn.name,
+                           0 if static else 1)
+    return found
+
+
+def test_every_default_is_passed():
+    """Each parameter with a default, of a function, a method or a class
+    constructor in the package, is passed by some call in the package or in
+    the acceptance suite: by keyword, by position, or through *args or
+    **kwargs.  An option only tests set is one value in use, a constant."""
+    trees, acceptance = _reach_trees()
+    calls = {}
+    for tree in [*trees.values(), acceptance]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_name_of(node.func), []).append(node)
+
+    def passed(call, param, index):
+        return any(any(isinstance(a, ast.Starred) for a in node.args)
+                   or any(k.arg in (None, param) for k in node.keywords)
+                   or (index is not None and len(node.args) > index)
+                   for node in calls.get(call, ()))
+
+    unpassed = [f"{label}({param})" for stem, tree in trees.items()
+                for label, call, param, index in _defaulted_parameters(stem, tree)
+                if not passed(call, param, index)]
+    assert not unpassed, f"defaults no call overrides: {unpassed}"
 
 
 def _module_literal(path, name):

@@ -289,14 +289,16 @@ class TestIdentities:
     def test_schwarzschild_residuals_small(self, foliation24):
         # transverse differencing error scales like (log-spacing)^4: the
         # 1e-5 budget belongs to the 64-level acceptance configuration
-        ids = isr.identity_residuals(foliation24, 1)
+        ids = isr.identity_residuals(foliation24, 1,
+                                     isr._leaf_terms(foliation24))
         assert ids.sup() < 5e-4
         assert np.max(ids.evolution) < 5e-4
 
     def test_interior_level_r5(self, foliation24):
         # the level nearest r = 5
         j = int(np.argmin(np.abs(foliation24.area_radius - 5.0)))
-        ids = isr.identity_residuals(foliation24, 1)
+        ids = isr.identity_residuals(foliation24, 1,
+                                     isr._leaf_terms(foliation24))
         assert ids.res31[j] < 5e-4
         assert ids.res32[j] < 5e-4
         assert ids.res33[j] < 5e-4
@@ -318,13 +320,14 @@ class TestIdentities:
         n_ps = rn.lapse_d1(oracles.RN_PHOTON_SPHERE_Q01)[0]
         fol = isr.build_foliation(strn, n_ps, levels=16, quad_order=(16, 32),
                                   r_hint=oracles.RN_PHOTON_SPHERE_Q01)
-        ids = isr.identity_residuals(fol, 1)
+        ids = isr.identity_residuals(fol, 1, isr._leaf_terms(fol))
         assert ids.sup() > 1e-3
 
 
 class TestInequalities:
     def test_schwarzschild_sharpness(self, foliation24):
-        sl = isr.inequality_slacks(foliation24, 1, 1.0)
+        sl = isr.inequality_slacks(foliation24, 1, 1.0,
+                                   isr._leaf_terms(foliation24))
         assert sl.sup34() < 1e-4
         assert sl.sup35() < 1e-4
         assert abs(sl.ineq37) < 1e-10 and abs(sl.ineq39) < 1e-10
@@ -347,7 +350,7 @@ class TestInequalities:
         assert bracket_mean > 1e-5
         assert np.min(brackets) >= 0.0
         # identities no longer hold on the tampered data
-        ids = isr.identity_residuals(fol, 1)
+        ids = isr.identity_residuals(fol, 1, isr._leaf_terms(fol))
         assert ids.sup() > 1e-3
         # and the would-be slack carried by the brackets is strictly positive
         n = fol.N[:, None, None]
@@ -362,22 +365,23 @@ class TestInequalities:
                                   tail_radius=50.0)
         clipped = _first_levels(fol, 4)
         with pytest.raises(ValueError):
-            isr.inequality_slacks(clipped, 1, 1.0)
+            isr.inequality_slacks(clipped, 1, 1.0, isr._leaf_terms(clipped))
 
 
 class TestSignAnalysis:
     def test_schwarzschild_positive_branch(self, foliation24):
-        sign = isr.sign_analysis(foliation24, 1.0, oracles.FRAKH_M1)
+        sign = isr.sign_analysis(foliation24, 1.0, oracles.FRAKH_M1, isr.TOL_LVL)
         assert sign.lam == 1 and sign.consistent
         assert sign.exclusion_equality      # r0^2 = 9 m^2 exactly
         assert sign.negative_branch_contradiction
 
     def test_zero_mass_rejected_with_flatness(self, foliation24):
         with pytest.raises(isr.FlatnessError):
-            isr.sign_analysis(foliation24, 0.0, oracles.FRAKH_M1)
+            isr.sign_analysis(foliation24, 0.0, oracles.FRAKH_M1, isr.TOL_LVL)
 
     def test_sign_mismatch_flagged(self, foliation24):
-        sign = isr.sign_analysis(foliation24, 1.0, -oracles.FRAKH_M1)
+        sign = isr.sign_analysis(foliation24, 1.0, -oracles.FRAKH_M1,
+                                isr.TOL_LVL)
         assert not sign.consistent
 
 
@@ -491,7 +495,8 @@ class TestRigidityVerdict:
         # whose residuals are normalized by the floor of one, below the
         # default tol
         rep = isr.run_israel_pipeline(StaticSpacetime.schwarzschild(m), N0,
-                                      3.0 * m, levels=64, quad_order=(16, 32))
+                                      3.0 * m, levels=64, quad_order=(16, 32),
+                                      tail_radius=None, tol=isr.TOL_LVL)
         assert rep.verdict == "isometric", [g for g in rep.gates if not g.passed]
 
     def test_gates_report_margin_and_level(self, tmp_path):
@@ -587,13 +592,16 @@ class TestRigidityVerdict:
         counted(isr, "_leaf_terms")
         counted(quad, "sphere_laplacian")
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=64,
-                                      quad_order=(16, 32))
+                                      quad_order=(16, 32), tail_radius=None,
+                                      tol=isr.TOL_LVL)
         # one stacked pass over all 64 leaves, shared by both checks
         assert calls == {"_leaf_terms": 1, "sphere_laplacian": 2}
         # the shared terms give what each check computes on its own
         monkeypatch.undo()
-        ids = isr.identity_residuals(rep.foliation, rep.sign.lam)
-        slacks = isr.inequality_slacks(rep.foliation, rep.sign.lam, rep.mass)
+        terms = isr._leaf_terms(rep.foliation)
+        ids = isr.identity_residuals(rep.foliation, rep.sign.lam, terms)
+        slacks = isr.inequality_slacks(rep.foliation, rep.sign.lam, rep.mass,
+                                       terms)
         for field in ("res31", "res32", "res33", "evolution"):
             assert np.array_equal(getattr(ids, field),
                                   getattr(rep.identities, field))
@@ -612,10 +620,11 @@ class TestRigidityVerdict:
         mink = StaticSpacetime.schwarzschild(0.0)
         with pytest.raises(isr.FlatnessError):
             isr.run_israel_pipeline(mink, 0.9, 3.0, levels=8,
-                                    quad_order=(8, 16))
+                                    quad_order=(8, 16), tail_radius=None,
+                                    tol=isr.TOL_LVL)
 
 
 def test_identity_residuals_need_enough_levels(foliation24):
     clipped = _first_levels(foliation24, 5)
     with pytest.raises(ValueError):
-        isr.identity_residuals(clipped, 1)
+        isr.identity_residuals(clipped, 1, isr._leaf_terms(clipped))

@@ -130,5 +130,5 @@ class TestCertification:
         assert np.max(np.abs(tr.r - 3.0)) < ph.TOL_TANGENCY
 
     def test_non_timelike_rejected(self):
-        with pytest.raises(ValueError):
-            ph.certify_photon_surface(ST, hs.lapse_level_set(ST, 3.0))
+        with pytest.raises(ValueError, match="cylinder"):
+            ph.certify_photon_surface(ST, hs.lapse_level_set(ST, 3.0), 40.0)
