@@ -35,8 +35,9 @@ PIPELINES = ("trace", "detect", "certify", "israel", "reconstruct", "full")
 TOLERANCE_PIPELINES = ("israel", "full")  # the ones that read the tolerance
 MIN_LEVELS = 8  # the identities need 7 levels and the inequality slacks 8
 # The level derivative builds a levels x levels matrix and the leaf
-# derivatives an n_theta x n_theta one.  With 1024 levels, a 64 x 128 run
-# peaks near 60 MB and a 1024 x 1024 one near 430 MB.
+# derivatives an n_theta x n_theta one.  With 1024 levels, an israel run
+# peaks near 60 MB of resident memory at 64 x 128 and near 430 MB at
+# 1024 x 1024.
 MAX_LEVELS = 1024
 MAX_QUADRATURE = 1024  # nodes on either quadrature axis
 
@@ -176,12 +177,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_table(path, header, rows):
+def _write_table(path, header, columns):
+    """A CSV of the named columns to 17 digits; each column becomes Python
+    floats once, which format like numpy's, only faster."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
-        for row in rows:
-            wr.writerow([f"{v:.17g}" for v in row])
+        wr.writerows([f"{v:.17g}" for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +205,7 @@ def _certificate_payload(cert):
                    "expected": cert.scalar_expected,
                    "residual": cert.scalar_residual},
         "tangency": {"span": tan.span,
-                     "deviation": tan.max_deviation,
+                     "deviation": cert.tangency_deviation,
                      "integrator": geodesics.INTEGRATOR,
                      "integrator_tol": geodesics.TANGENCY_TOL,
                      "status": tan.run.status,
@@ -292,10 +295,9 @@ def _run_trace(scn, spacetime, out):
     _write_table(os.path.join(out, "trajectory.csv"),
                  ["lambda", "t", "r", "theta", "phi", "vt", "vr", "vtheta",
                   "vphi", "null_residual", "energy"],
-                 np.column_stack([traj.samples, traj.null_residuals,
-                                  traj.energies]))
+                 [*traj.samples.T, traj.null_residuals, traj.energies])
     _write_table(os.path.join(out, "geodesic_r_of_lambda.csv"),
-                 ["lambda", "r"], zip(traj.affine, traj.r))
+                 ["lambda", "r"], [traj.affine, traj.r])
     verdict = geodesics.energy_constancy_verdict(traj)
     _write_json(os.path.join(out, "trace.json"), {
         "scenario": scn.name,
@@ -357,7 +359,7 @@ def _run_israel(scn, spacetime, out, loc=None):
                 {"scenario": scn.name, **_israel_payload(report)})
     columns = _level_table(report)
     _write_table(os.path.join(out, "israel_levels.csv"), list(columns),
-                 zip(*columns.values()))
+                 columns.values())
     _emit_plot_data(report, columns, out)
     code = {"isometric": EXIT_TRUE, "not-isometric": EXIT_FALSE}.get(
         report.verdict, EXIT_ERROR)
@@ -385,7 +387,7 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
         "sup_deviation": rec.sup_deviation, "mass": mass,
     })
     _write_table(os.path.join(out, "reconstructed_lapse.csv"),
-                 ["r", "N"], zip(rec.r_grid, rec.lapse_profile))
+                 ["r", "N"], [rec.r_grid, rec.lapse_profile])
     return EXIT_TRUE, rec
 
 
@@ -395,12 +397,11 @@ def _emit_plot_data(report, columns, out):
     (n_name, n), *plotted = list(columns.items())[:4]
     for name, values in plotted:
         _write_table(os.path.join(out, f"{name}_of_N.csv"), [n_name, name],
-                     zip(n, values))
+                     [n, values])
     _write_table(os.path.join(out, "slacks_of_N.csv"),
                  [n_name, "slack34_min", "slack34_max", "slack35_min",
                   "slack35_max"],
-                 np.column_stack([n, report.slacks.slack34,
-                                  report.slacks.slack35]))
+                 [n, *report.slacks.slack34.T, *report.slacks.slack35.T])
 
 
 def run_scenario(scn, out_dir, dump_curvature=None):

@@ -21,8 +21,8 @@ cover a block (see :mod:`.jets`).  A block holds at most ``BLOCK_ROWS``
 (levels x theta) rows, which bounds the memory its jets take, and each of
 its entries equals the same leaf evaluated alone bit for bit.  A
 ``Foliation`` holds each field as one (levels, n_theta, 1) stack, and the
-checks below read the stacks whole, except for means and integrals, which
-run one level at a time.  The pipeline then checks
+checks below read the stacks whole; leaf integrals take every level in one
+``quadrature.sphere_integral`` call.  The pipeline then checks
 
 * the mass flux integral (level independent in vacuum),
 * the three transverse identities coupling rho, H and N,
@@ -117,7 +117,7 @@ def _leaf_block(spacetime, r_levels, theta, phi, weights):
                             f"components ~ {tangent[j]:.2e}")
 
     # v1 scope: leaves are round up to parameterization
-    area = np.array([float(np.sum(weights * jac[j])) for j in range(n_levels)])
+    area = quad.sphere_integral(jac, weights)
     r_area = np.sqrt(area / (4.0 * math.pi))[:, None, None]
     roundness = np.maximum(
         np.abs(sigma[..., 0, 0] / r_area ** 2 - 1.0).reshape(n_levels, -1),
@@ -200,9 +200,9 @@ class Foliation:
     which converts derivatives in s into d/dN) and ``area`` hold one value
     per level.  The leaf fields from
     ``jacobian`` to ``gauss_k`` have a leading level axis: (levels, n_theta,
-    1) for a field constant in phi, as on every radial profile.  Means and
-    integrals multiply by the full (n_theta, n_phi) ``weights`` one level at
-    a time; means are area-weighted.
+    1) for a field constant in phi, as on every radial profile.  Integrals
+    and means take every leaf at once, through the (n_theta,) theta
+    ``weights`` of ``quadrature.sphere_integral``; means are area-weighted.
     """
 
     s: np.ndarray
@@ -228,15 +228,12 @@ class Foliation:
     def area_radius(self):
         return np.sqrt(self.area / (4.0 * math.pi))
 
-    def integral(self, nodes, level=None):
-        """Int nodes dmu over every leaf, or (a float) over the leaf ``level``."""
-        if level is None:
-            return np.array([self.integral(nodes, j) for j in range(len(self))])
-        return float(np.sum(self.weights * self.jacobian[level] * nodes[level]))
+    def integral(self, nodes):
+        """Int nodes dmu over every leaf, one value per level."""
+        return quad.sphere_integral(self.jacobian * nodes, self.weights)
 
-    def mean(self, nodes, level=None):
-        return self.integral(nodes, level) / (
-            self.area if level is None else self.area[level])
+    def mean(self, nodes):
+        return self.integral(nodes) / self.area
 
     def std(self, nodes):
         var = self.integral((nodes - self.mean(nodes)[:, None, None]) ** 2) / self.area
@@ -427,13 +424,13 @@ def inequality_slacks(foliation, lam, mass, terms):
 
     n0 = float(foliation.N[0])
     r0 = float(foliation.area_radius[0])
-    h0 = foliation.mean(h, 0)
-    f_n0 = foliation.integral(h / np.sqrt(rho), 0) / n0
+    h0 = float(foliation.mean(h)[0])
+    f_n0 = float(foliation.integral(h / np.sqrt(rho))[0]) / n0
     f_inf = 8.0 * math.pi * math.sqrt(abs(mass))
     chain36 = lam * (f_n0 - f_inf) / f_inf
     ineq37 = lam * (r0 * h0 - 2.0 * n0)
 
-    g_n0 = foliation.integral((h * n0 + 4.0 * lam / rho) / rho, 0)
+    g_n0 = float(foliation.integral((h * n0 + 4.0 * lam / rho) / rho)[0])
     chain38 = (g_n0 - 4.0 * math.pi * (1.0 - n0 ** 2)) / (4.0 * math.pi)
     ineq39 = abs(mass) * (h0 * n0 + 4.0 * mass / r0 ** 2) - (1.0 - n0 ** 2)
     return InequalitySlacks(s34, s35, n34, n35, float(np.min(bracket)),
@@ -465,8 +462,8 @@ def sign_analysis(foliation, mass, frak_h, tol):
     """
     r0 = float(foliation.area_radius[0])
     _reject_flat(mass, r0, f"the mass flux {float(mass):.3g} vanishes")
-    lam = int(np.sign(foliation.mean(foliation.nuN, 0)))
-    signs = np.sign([mass, frak_h, foliation.mean(foliation.H, 0)])
+    lam = int(np.sign(foliation.mean(foliation.nuN)[0]))
+    signs = np.sign([mass, frak_h, foliation.mean(foliation.H)[0]])
     slack = (6.0 * lam + 3.0) * (mass / r0) ** 2 - 1.0
     negative_bound = (6.0 * -1 + 3.0) * mass ** 2
     return GlobalSign(lam, bool(np.all(signs == lam)),
@@ -499,9 +496,9 @@ def boundary_constraints(spacetime, foliation, mass):
     fol = foliation
     n0 = float(fol.N[0])
     r0 = float(fol.area_radius[0])
-    h0 = fol.mean(fol.H, 0)
-    nu0 = fol.mean(fol.nuN, 0)
-    r_sigma = 2.0 * fol.mean(fol.gauss_k, 0)
+    h0 = float(fol.mean(fol.H)[0])
+    nu0 = float(fol.mean(fol.nuN)[0])
+    r_sigma = 2.0 * float(fol.mean(fol.gauss_k)[0])
 
     sd, induced = hs.cylinder_sample(hs.cylinder(spacetime, fol.r_coord[0]))
     frak_h = float(np.mean(sd.mean_curvature))

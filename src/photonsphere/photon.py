@@ -23,8 +23,8 @@ from . import geodesics, hypersurfaces
 from . import quadrature as quad
 from .spacetimes import DomainError
 
-TOL_CERT = 1e-7       # umbilicity: the trace-free norm's sup and H's spread
-TOL_TANGENCY = 1e-4   # largest |r - r0| of an orbit that stays
+TOL_CERT = 1e-7       # umbilicity: r0 sup |h_tracefree| and r0 std H
+TOL_TANGENCY = 1e-4   # largest |r - r0| / r0 of an orbit that stays
 SCAN_POINTS = 512
 
 
@@ -89,20 +89,25 @@ class PhotonSurfaceCertificate:
     ``verdict`` is "certified" only when both routes agree within their
     tolerances and the tangent orbit integrated over the whole span;
     genuine disagreement, or tangency not shown, is reported as
-    "inconclusive" with margins left for inspection.
+    "inconclusive" with margins left for inspection.  The three gated
+    values are dimensionless, so the verdict is the same at every mass
+    scale: ``umbilicity_sup`` and ``mean_curvature_std`` are r0 times the
+    trace-free norm's sup and H's spread, and ``tangency_deviation`` is the
+    orbit's largest |r - r0| / r0.
     """
 
     surface: str
     r0: float
     verdict: str                 # "certified" | "refuted" | "inconclusive"
-    umbilicity_sup: float
+    umbilicity_sup: float        # r0 sup |h_tracefree|
     mean_curvature: float
-    mean_curvature_std: float
+    mean_curvature_std: float    # r0 std H
     scalar_curvature: float
     scalar_curvature_std: float
     scalar_expected: float       # (2/3) frakH^2, the vacuum Einstein value
     scalar_residual: float
     tangency: geodesics.TangencyReport
+    tangency_deviation: float    # max |r - r0| / r0
 
 
 def certify_photon_surface(spacetime, surface, span):
@@ -123,22 +128,22 @@ def certify_photon_surface(spacetime, surface, span):
             f"(expected (-,+,+))")
 
     r0 = surface.level_value
-    umb_sup = float(np.max(sd.tracefree_norm))
+    umb_sup = r0 * float(np.max(sd.tracefree_norm))
     h_mean = float(np.mean(sd.mean_curvature))
-    h_std = float(np.std(sd.mean_curvature))
+    h_std = r0 * float(np.std(sd.mean_curvature))
     rp_mean = float(np.mean(induced.scalar))
     rp_std = float(np.std(induced.scalar))
     expected_rp = (2.0 / 3.0) * h_mean ** 2
     scalar_residual = abs(rp_mean - expected_rp)
 
     tangency = geodesics.tangency_persistence(spacetime, surface, span)
+    deviation = tangency.max_deviation / r0
 
     umbilic = umb_sup < TOL_CERT and h_std < TOL_CERT
     # an orbit that stopped early has not shown that it stays, but one that
     # left the surface before stopping has shown that it does not
-    tangent = (tangency.max_deviation < TOL_TANGENCY
-               and tangency.run.status == "completed")
-    not_tangent = tangency.max_deviation >= TOL_TANGENCY
+    tangent = deviation < TOL_TANGENCY and tangency.run.status == "completed"
+    not_tangent = deviation >= TOL_TANGENCY
     if umbilic and tangent:
         verdict = "certified"
     elif not umbilic and not_tangent:
@@ -158,4 +163,5 @@ def certify_photon_surface(spacetime, surface, span):
         scalar_expected=expected_rp,
         scalar_residual=scalar_residual,
         tangency=tangency,
+        tangency_deviation=deviation,
     )

@@ -24,19 +24,31 @@ import numpy as np
 
 @lru_cache(maxsize=16)
 def sphere_grid(n_theta, n_phi):
-    """Quadrature nodes and combined weights for integrals dx dphi.
+    """Quadrature nodes and theta weights for integrals dx dphi.
 
-    Returns (theta (n_theta,), x (n_theta,), phi (n_phi,), w (n_theta, n_phi))
-    such that  Int f dmu = sum(w * f * jac)  with jac = sqrt(det sigma)/sin(theta).
+    Returns (theta (n_theta,), x (n_theta,), phi (n_phi,), w (n_theta,)),
+    w = 2 pi times the Gauss-Legendre weights, such that
+    Int f dmu = sphere_integral(f * jac, w),  jac = sqrt(det sigma)/sin(theta).
     """
     x, glw = np.polynomial.legendre.leggauss(n_theta)
     order = np.argsort(-x)  # theta increasing
     x = x[order]
-    glw = glw[order]
     theta = np.arccos(x)
     phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
-    w = np.outer(glw, np.full(n_phi, 2.0 * np.pi / n_phi))
-    return theta, x, phi, w
+    return theta, x, phi, 2.0 * np.pi * glw[order]
+
+
+def sphere_integral(values, weights):
+    """Int values dx dphi over the sphere, for every leading (leaf) index.
+
+    ``values`` is (..., n_theta, n_phi), or (..., n_theta, 1) for a field
+    constant in phi; ``weights`` are ``sphere_grid``'s theta weights.  The
+    mean over phi is the periodic trapezoid rule (exact on a length-1 axis)
+    and the weighted sum over theta the Gauss-Legendre rule.  Each row of a
+    stack equals the same leaf alone bit for bit (an elementwise sum, not a
+    matmul, which is not).
+    """
+    return np.sum(np.mean(values, axis=-1) * weights, axis=-1)
 
 
 def _barycentric(x):

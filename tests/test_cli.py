@@ -264,6 +264,32 @@ class TestExitCodes:
     def test_israel_verdict_is_scale_covariant(self, tmp_path, m):
         self._assert_isometric_at_scale(tmp_path, m)
 
+    @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7])
+    def test_certify_verdict_is_scale_covariant(self, tmp_path, m):
+        # the m = 1 detect and certify runs with every length scaled by m:
+        # the certificate gates r0 |h_tracefree|, r0 std H and |r - r0| / r0
+        def scenario(pipeline, **fields):
+            scn = tmp_path / f"{pipeline}-{len(fields)}.json"
+            scn.write_text(json.dumps({
+                "schema": 1, "pipeline": pipeline, "scan": [2.2 * m, 50.0 * m],
+                "span": 40.0 * m, "profile": {"kind": "schwarzschild", "m": m},
+                **fields}))
+            return str(scn)
+
+        out = tmp_path / "detect"
+        assert run(["detect", "--scenario", scenario("detect"),
+                    "--out", str(out)]) == cli.EXIT_TRUE
+        loc = json.loads((out / "location.json").read_text())
+        assert loc["r_ps"] == 3.0 * m
+        for r0, code, verdict in [(3.0, cli.EXIT_TRUE, "certified"),
+                                  (4.0, cli.EXIT_FALSE, "refuted")]:
+            out = tmp_path / f"certify-{r0}"
+            assert run(["certify", "--scenario",
+                        scenario("certify", surface_r0=r0 * m),
+                        "--out", str(out)]) == code
+            cert = json.loads((out / "certificate.json").read_text())
+            assert cert["verdict"] == verdict
+
     def test_tail_radius_where_the_lapse_rounds_to_1_is_a_named_error(
             self, tmp_path, capsys):
         # N(1e20) = 1 to rounding, but N0 < 1: the slice is not flat
@@ -521,18 +547,18 @@ class TestCertificateOutput:
 
     def test_tangency_deviation_at_roundoff(self, full_m1_certificate):
         # with r_ps bisected to adjacent floats the orbit starts on the
-        # photon sphere itself: 1.3e-13, where a root 4e-13 (relative) off
-        # 3m gave 1.4e-9
+        # photon sphere itself: |r - r0| / r0 is 4.5e-14, where a root 4e-13
+        # (relative) off 3m gave 4.7e-10
         assert full_m1_certificate["r0"] == 3.0
         assert full_m1_certificate["tangency"]["deviation"] < 1e-11
 
 
 @pytest.mark.parametrize("command, scenario, flags, pinned", [
-    ("certify", "r4m_cylinder", [], (80, 0, 0.04, 14.312310469112834)),
+    ("certify", "r4m_cylinder", [], (80, 0, 0.04, 3.5780776172782085)),
     # the coarse foliation flags leave the certificate as the bundled run
     # writes it
     ("full", "schwarzschild_m1", ["--levels", "8", "--quad", "8x16"],
-     (33, 1, 0.03, 1.3455903058456897e-13)),
+     (33, 1, 0.03, 4.4853010194856324e-14)),
 ], ids=["certify-r4m_cylinder", "full-schwarzschild_m1"])
 def test_tangency_block_is_pinned(tmp_path, command, scenario, flags, pinned):
     """The certificate's tangency block to the last bit: a rerun of the

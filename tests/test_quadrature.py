@@ -1,7 +1,8 @@
-"""Sphere quadrature and tangential derivatives on a field constant in phi.
+"""Sphere integrals, and tangential derivatives on a field constant in phi.
 
 A leaf field of a radial profile is stored with a length-1 phi axis; the
-tangential operators must treat it as the same field on the full grid.
+sphere integral and the tangential operators must treat it as the same
+field on the full grid.
 """
 
 import numpy as np
@@ -39,6 +40,33 @@ def test_laplacian_of_a_zonal_harmonic():
     p2 = (0.5 * (3.0 * x ** 2 - 1.0))[:, None]
     lap = quad.sphere_laplacian(p2, x, 2.0)
     assert np.max(np.abs(lap + 6.0 * p2 / 4.0)) < 1e-11
+
+
+def test_sphere_integral_of_a_phi_varying_field():
+    # Int x^2 dmu = Int sin^2 theta cos^2 phi dmu = 4 pi / 3 over the unit
+    # sphere (x the Cartesian coordinate), scaled by 1 + j on leaf j of a
+    # dense (levels, n_theta, n_phi) stack
+    theta, _, phi, w = quad.sphere_grid(N_THETA, N_PHI)
+    x_sq = np.outer(np.sin(theta) ** 2, np.cos(phi) ** 2)
+    stack = np.arange(1.0, 6.0)[:, None, None] * x_sq
+    total = quad.sphere_integral(stack, w)
+    assert total.shape == (5,)
+    assert np.allclose(total, np.arange(1.0, 6.0) * 4.0 * np.pi / 3.0,
+                       rtol=1e-14, atol=0.0)
+    # each leaf of the stack equals the same leaf alone bit for bit
+    for j in range(5):
+        assert quad.sphere_integral(stack[j], w) == total[j]
+
+
+def test_sphere_integral_of_a_theta_only_field():
+    # a length-1 phi axis is the field on the full grid: Int x^2 dmu with
+    # x = cos theta is 4 pi / 3 too
+    x, f = _theta_only_field()
+    _, _, _, w = quad.sphere_grid(N_THETA, N_PHI)
+    thin = quad.sphere_integral(x[:, None] ** 2, w)
+    assert abs(thin - 4.0 * np.pi / 3.0) < 1e-14
+    dense = quad.sphere_integral(np.broadcast_to(f, (N_THETA, N_PHI)), w)
+    assert abs(quad.sphere_integral(f, w) - dense) <= 1e-15 * abs(dense)
 
 
 # ---------------------------------------------------------------------------
