@@ -43,8 +43,9 @@ def metric_taylor(sampler, coords, order=2):
     ``dg[a, b, c] = d_a g_bc`` and ``ddg[a, b, c, d] = d_a d_b g_cd``;
     ``order`` 1 seeds first-order jets, the same ``g`` and ``dg`` and no ``ddg``.
     The leading shape ``...`` is the broadcast shape of the components,
-    i.e. of the coordinates they actually read (see :mod:`.jets`): sparse
-    (theta, phi) axes give ``(n_theta, 1)`` for a metric that reads no phi.
+    i.e. of the coordinates they actually read (see :mod:`.jets`): a
+    (levels, 1) radius, an (n_theta,) theta and a scalar phi give
+    ``(levels, n_theta)``.
     """
     d = sampler.dim
     xs = jets.variables(list(coords), order=order)

@@ -36,10 +36,10 @@ TOLERANCE_PIPELINES = ("israel", "full")  # the ones that read the tolerance
 MIN_LEVELS = 8  # the identities need 7 levels and the inequality slacks 8
 # The level derivative builds a levels x levels matrix and the leaf
 # derivatives an n_theta x n_theta one.  With 1024 levels, an israel run
-# peaks near 60 MB of resident memory at 64 x 128 and near 430 MB at
-# 1024 x 1024.
+# peaks near 60 MB of resident memory at 64 theta nodes and near 390 MB at
+# 1024.
 MAX_LEVELS = 1024
-MAX_QUADRATURE = 1024  # nodes on either quadrature axis
+MAX_QUADRATURE = 1024  # bound on either quadrature count
 
 
 class ScenarioError(ValueError):
@@ -55,7 +55,7 @@ class Scenario:
     pipeline: str
     scan: tuple
     levels: int
-    quadrature: tuple
+    n_theta: int
     span: float
     tail_radius: float
     tolerance: float
@@ -142,9 +142,11 @@ def load_scenario(path, overrides=None):
                     "two finite, increasing numbers"),
         levels=_field(data, "levels", 64, int, _integer(MIN_LEVELS, MAX_LEVELS),
                       f"an integer in [{MIN_LEVELS}, {MAX_LEVELS}]"),
-        quadrature=_field(data, "quadrature", (64, 128), tuple,
-                          _sequence(_integer(1, MAX_QUADRATURE), 2),
-                          f"two integers in [1, {MAX_QUADRATURE}]"),
+        # (theta, phi) node counts; no leaf field of a radial profile
+        # depends on phi, so the phi count is validated and ignored
+        n_theta=_field(data, "quadrature", (64, 128), tuple,
+                       _sequence(_integer(1, MAX_QUADRATURE), 2),
+                       f"two integers in [1, {MAX_QUADRATURE}]")[0],
         span=_field(data, "span", 40.0, float, _positive, positive),
         tail_radius=_field(data, "tail_radius", None, float, _positive,
                            "null or " + positive),
@@ -353,7 +355,7 @@ def _run_israel(scn, spacetime, out, loc=None):
         return EXIT_FALSE, None
     report = israel.run_israel_pipeline(
         spacetime, loc.lapse_at_ps, loc.r_ps, levels=scn.levels,
-        quad_order=tuple(scn.quadrature), tail_radius=scn.tail_radius,
+        n_theta=scn.n_theta, tail_radius=scn.tail_radius,
         tol=scn.tolerance)
     _write_json(os.path.join(out, "israel_report.json"),
                 {"scenario": scn.name, **_israel_payload(report)})
@@ -376,7 +378,7 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
     mass = spacetime.profile.mass_hint
     if mass is None:
         fol = israel.build_foliation(spacetime, loc.lapse_at_ps, levels=8,
-                                     quad_order=(16, 32), r_hint=loc.r_ps)
+                                     n_theta=16, r_hint=loc.r_ps)
         mass = float(israel.mass_flux(fol)[0])
     rec = israel.reconstruct_lapse(mass, loc.lapse_at_ps, loc.r_ps,
                                    r_max=scn.tail_radius)
@@ -470,7 +472,9 @@ def _parser():
         p.add_argument("--levels", type=int, default=None)
         p.add_argument("--span", type=float, default=None)
         p.add_argument("--quad", default=None, metavar="NxM",
-                       help="quadrature order, e.g. 64x128")
+                       help="quadrature order, e.g. 64x128: N Gauss-Legendre "
+                            "theta nodes; the phi count M is validated and "
+                            "ignored")
         p.add_argument("--dump-curvature", default=None, metavar="PATH",
                        help="write a fully indexed curvature-bundle JSON dump")
     return parser

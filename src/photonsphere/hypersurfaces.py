@@ -26,8 +26,8 @@ from .calculus import (_christoffel_from, _inverse_metric, curvature, metric_tay
                        scalar_taylor)
 from .spacetimes import ChartPoint, MetricSampler
 
-FOLIATION_DN_FLOOR = 1e-12
-CYLINDER_GRID = (16, 32)   # (n_theta, n_phi) nodes of ``cylinder_sample``
+FOLIATION_DN_FLOOR = 1e-12   # on r |dN| on a leaf, on |dr| on a cylinder
+CYLINDER_THETA = 16   # Gauss-Legendre theta nodes of ``cylinder_sample``
 
 
 class FoliationError(RuntimeError):
@@ -97,7 +97,7 @@ def cylinder(spacetime, r0):
 
 def lapse_level_set(spacetime, r0):
     """Level set of the lapse (a round sphere {r = r0}) inside the time
-    slice; an array ``r0`` of shape (L, 1, 1) stacks L of them."""
+    slice; an array ``r0`` of shape (L, 1) stacks L of them."""
     spacetime.profile.check_point(r0)
     return Hypersurface("level-set", spacetime, spacetime.metric3, (1, 2),
                         np.asarray(r0, dtype=float))
@@ -118,17 +118,25 @@ def _level_function(surface):
 
 def normal_data(surface, x, ginv, dg):
     """Unit normal covector, its coordinate derivatives, the unit normal
-    vector and the gradient d_a f of the level function f of a level set."""
+    vector and the gradient d_a f of the level function f of a level set.
+
+    The gradient must clear ``FOLIATION_DN_FLOOR`` as a dimensionless
+    number: |dr| on a cylinder, and r |dN| on a leaf, where |dN| has units
+    of 1/length.
+    """
     name, field = _level_function(surface)
     _, w, dw = scalar_taylor(field, x)
     # w^a = g^ab w_b and q = w_a w^a: "...ab,...a,...b->..."
     w_u = (ginv @ w[..., None])[..., 0]
     q = (w[..., None, :] @ w_u[..., None])[..., 0, 0]
-    bad = np.abs(q) < FOLIATION_DN_FLOOR ** 2
+    name, scale = f"|d{name}|", 1.0
+    if surface.kind == "level-set":   # |dN| has units of 1/length
+        name, scale = f"r {name}", x[surface.normal_axis] ** 2
+    bad = np.abs(q) * scale < FOLIATION_DN_FLOOR ** 2
     if np.any(bad):
         level = np.broadcast_to(surface.level_value, bad.shape)[bad][0]
         raise FoliationError(
-            f"foliation failure: |d{name}| < {FOLIATION_DN_FLOOR} "
+            f"foliation failure: {name} < {FOLIATION_DN_FLOOR} "
             f"on {surface.kind} at level {level}")
     # d_e q = -w^m (d_e g_mn) w^n + 2 (d_e w_a) w^a, so d g^-1 is never formed:
     # "...m,...emn,...n->...e" and "...ea,...a->...e"
@@ -209,13 +217,11 @@ def shape(surface, point):
 
 def cylinder_sample(surface):
     """Shape data and the curvature bundle of the induced metric of a
-    cylinder at t = 0.
-
-    Both are sampled on the sparse (n_theta, 1) x (1, n_phi) axes of the
-    ``CYLINDER_GRID`` Gauss-Legendre theta and uniform phi nodes; a field
-    constant in phi comes back (n_theta, 1).
+    cylinder at t = 0 and phi = 0, each (CYLINDER_THETA,): one value per
+    Gauss-Legendre theta node.  The cylinder of a radial profile is the same
+    at every phi.
     """
-    theta, _, phi, _ = quad.sphere_grid(*CYLINDER_GRID)
-    point = (0.0, *np.meshgrid(theta, phi, indexing="ij", sparse=True))
+    theta, _, _ = quad.sphere_grid(CYLINDER_THETA)
+    point = (0.0, theta, 0.0)
     return shape(surface, point), curvature(surface.induced_sampler(), point)
 

@@ -14,15 +14,16 @@ accurate in the level count.
 Per level the pipeline computes leaf geometry (area radius, rho = 1/|nu(N)|,
 mean curvature, trace-free norm, Gauss curvature).  The leaf radii of all
 levels are bisected together (``quadrature.bisect``) and the leaves
-evaluated in stacked blocks: the radii of a block are one (levels, 1, 1)
-jet coordinate against the sparse (n_theta, 1) and (1, n_phi) angle axes,
-so one ``shape``, one lapse gradient and one induced ``curvature`` call
-cover a block (see :mod:`.jets`).  A block holds at most ``BLOCK_ROWS``
-(levels x theta) rows, which bounds the memory its jets take, and each of
-its entries equals the same leaf evaluated alone bit for bit.  A
-``Foliation`` holds each field as one (levels, n_theta, 1) stack, and the
-checks below read the stacks whole; leaf integrals take every level in one
-``quadrature.sphere_integral`` call.  The pipeline then checks
+evaluated in stacked blocks: the radii of a block are one (levels, 1) jet
+coordinate against the (n_theta,) Gauss-Legendre theta axis, and phi is
+the one coordinate 0: every input is a radial profile, so no leaf field
+depends on phi.  One ``shape``, one lapse gradient and one induced
+``curvature`` call cover a block (see :mod:`.jets`).  A block holds at most
+``BLOCK_ROWS`` (levels x theta) rows, which bounds the memory its jets
+take, and each of its entries equals the same leaf evaluated alone bit for
+bit.  A ``Foliation`` holds each field as one (levels, n_theta) stack, and
+the checks below read the stacks whole; leaf integrals take every level in
+one ``quadrature.sphere_integral`` call.  The pipeline then checks
 
 * the mass flux integral (level independent in vacuum),
 * the three transverse identities coupling rho, H and N,
@@ -89,17 +90,17 @@ def _check_leaves(bad, r_levels, what):
         raise hs.FoliationError(f"{what(j)} on the leaf r = {r_levels[j]}")
 
 
-def _leaf_block(spacetime, r_levels, theta, phi, weights):
+def _leaf_block(spacetime, r_levels, theta, weights):
     """The area of each leaf of a block of levels and all leaf fields at the
-    quadrature nodes, each at least (levels, n_theta, 1).
+    theta nodes and phi = 0, each (levels, n_theta).
 
-    Runs the adapted-form and roundness checks on the same grid (``shape``
+    Runs the adapted-form and roundness checks on the same nodes (``shape``
     runs the DN-floor check), naming the radius of the lowest failing leaf.
     """
     n_levels = len(r_levels)
-    tg, pg = np.meshgrid(theta, phi, indexing="ij", sparse=True)
-    surface = hs.lapse_level_set(spacetime, r_levels[:, None, None])
-    sd = hs.shape(surface, (tg, pg))
+    point = (theta, 0.0)
+    surface = hs.lapse_level_set(spacetime, r_levels[:, None])
+    sd = hs.shape(surface, point)
     g, eta_d = sd.metric_dd, sd.normal_d
     # nu(N) from the lapse gradient the level-set normal was built from;
     # |nu(N)| = |dN|, which ``shape`` has checked against the DN floor
@@ -108,7 +109,7 @@ def _leaf_block(spacetime, r_levels, theta, phi, weights):
     sigma = g[..., 1:, 1:]
     det_sigma = sigma[..., 0, 0] * sigma[..., 1, 1] - sigma[..., 0, 1] ** 2
     sqrt_s = np.sqrt(det_sigma)
-    jac = sqrt_s / np.sin(tg)
+    jac = sqrt_s / np.sin(theta)
 
     # adapted-form check: the normal annihilates the leaf tangents
     tangent = np.abs(eta_d[..., 1:]).reshape(n_levels, -1).max(axis=1)
@@ -118,40 +119,36 @@ def _leaf_block(spacetime, r_levels, theta, phi, weights):
 
     # v1 scope: leaves are round up to parameterization
     area = quad.sphere_integral(jac, weights)
-    r_area = np.sqrt(area / (4.0 * math.pi))[:, None, None]
+    r_area = np.sqrt(area / (4.0 * math.pi))[:, None]
     roundness = np.maximum(
-        np.abs(sigma[..., 0, 0] / r_area ** 2 - 1.0).reshape(n_levels, -1),
-        np.abs(sigma[..., 1, 1] / (r_area * np.sin(tg)) ** 2 - 1.0)
-        .reshape(n_levels, -1)).max(axis=1)
+        np.abs(sigma[..., 0, 0] / r_area ** 2 - 1.0),
+        np.abs(sigma[..., 1, 1] / (r_area * np.sin(theta)) ** 2 - 1.0)).max(axis=1)
     _check_leaves(roundness > 1e-8, r_levels,
                   lambda j: "leaf is not a round sphere in this chart "
                             f"(deviation {roundness[j]:.2e}; general leaves "
                             "are out of scope)")
 
-    gauss_k = 0.5 * curvature(surface.induced_sampler(), (tg, pg)).scalar
-    # each field keeps the shape of the coordinates it reads, at least one
-    # value per theta row: (levels, n_theta, 1) unless it varies in phi
-    lead = (n_levels, len(theta), 1)
-    return area, *(np.broadcast_to(f, np.broadcast_shapes(np.shape(f), lead))
+    gauss_k = 0.5 * curvature(surface.induced_sampler(), point).scalar
+    # a field that reads no theta has one value per level: give it a row
+    return area, *(np.broadcast_to(f, (n_levels, len(theta)))
                    for f in (jac, sqrt_s, 1.0 / np.abs(nuN), sd.mean_curvature,
                              nuN, sd.tracefree_norm, gauss_k))
 
 
-def build_foliation(spacetime, n0, levels, quad_order, tail_radius=None,
+def build_foliation(spacetime, n0, levels, n_theta, tail_radius=None,
                     r_hint=None):
     """Foliate [N0, N(tail_radius)] by lapse level sets.
 
     Levels sit at the Chebyshev points of s in the geometric level map
-    u = 1 - N^2 = u0 ratio^s (see module docstring).  The radii
-    of all levels are bisected at once, in one ``quad.bisect`` call on one
-    shared bracket; the leaves are then sampled on the Gauss-Legendre x
-    uniform phi grid in blocks of at most ``BLOCK_ROWS`` (levels x theta)
-    rows.  Raises DomainError naming the first level the bracket does not
-    hold or a ``tail_radius`` where N is 1 to rounding, and FoliationError
-    when |dN| degenerates.
+    u = 1 - N^2 = u0 ratio^s (see module docstring).  The radii of all
+    levels are bisected at once, in one ``quad.bisect`` call on one shared
+    bracket; the leaves are then sampled at ``n_theta`` Gauss-Legendre theta
+    nodes in blocks of at most ``BLOCK_ROWS`` (levels x theta) rows.  Raises
+    DomainError naming the first level the bracket does not hold or a
+    ``tail_radius`` where N is 1 to rounding, and FoliationError when |dN|
+    degenerates.
     """
     profile = spacetime.profile
-    n_theta, n_phi = quad_order
     mass_scale = abs(profile.mass_hint) if profile.mass_hint else None
     if tail_radius is None:
         base = mass_scale if mass_scale else (r_hint or 1.0) / 3.0
@@ -182,9 +179,9 @@ def build_foliation(spacetime, n0, levels, quad_order, tail_radius=None,
         raise DomainError(f"lapse level not bracketed, one bracket per level "
                           f"from N0 = {n0!r}: {exc}") from exc
 
-    theta, x, phi, w = quad.sphere_grid(n_theta, n_phi)
+    theta, x, w = quad.sphere_grid(n_theta)
     per_block = max(1, BLOCK_ROWS // n_theta)
-    blocks = [_leaf_block(spacetime, radii[k:k + per_block], theta, phi, w)
+    blocks = [_leaf_block(spacetime, radii[k:k + per_block], theta, w)
               for k in range(0, levels, per_block)]
     area, *fields = (np.concatenate(parts) for parts in zip(*blocks))
     return Foliation(s, n_values, radii, dn_ds, area, *fields, x, w,
@@ -198,11 +195,11 @@ class Foliation:
     ``s`` (the level nodes, Chebyshev points of [0, 1]), ``N``,
     ``r_coord``, ``dN_ds`` (the exact derivative of the level map N(s),
     which converts derivatives in s into d/dN) and ``area`` hold one value
-    per level.  The leaf fields from
-    ``jacobian`` to ``gauss_k`` have a leading level axis: (levels, n_theta,
-    1) for a field constant in phi, as on every radial profile.  Integrals
-    and means take every leaf at once, through the (n_theta,) theta
-    ``weights`` of ``quadrature.sphere_integral``; means are area-weighted.
+    per level.  The leaf fields from ``jacobian`` to ``gauss_k`` are
+    (levels, n_theta): one value per level and Gauss-Legendre theta node,
+    since no leaf field of a radial profile depends on phi.  Integrals and
+    means take every leaf at once, through the (n_theta,) ``weights`` of
+    ``quadrature.sphere_integral``; means are area-weighted.
     """
 
     s: np.ndarray
@@ -236,7 +233,7 @@ class Foliation:
         return self.integral(nodes) / self.area
 
     def std(self, nodes):
-        var = self.integral((nodes - self.mean(nodes)[:, None, None]) ** 2) / self.area
+        var = self.integral((nodes - self.mean(nodes)[:, None]) ** 2) / self.area
         return np.sqrt(np.maximum(var, 0.0))
 
     def reaches_tail(self):
@@ -264,10 +261,9 @@ def _normalized(residual, *terms):
 
 def _sup_nodes(nodes):
     """Largest value of a stacked leaf field on each level and the theta row
-    (Gauss-Legendre index) of its first flat argmax there."""
-    flat = np.reshape(nodes, (len(nodes), -1))
-    k = np.argmax(flat, axis=1)
-    return flat[np.arange(len(flat)), k], k // nodes.shape[-1]
+    (Gauss-Legendre index) of its first argmax there."""
+    k = np.argmax(nodes, axis=1)
+    return nodes[np.arange(len(nodes)), k], k
 
 
 def _min_max_nodes(nodes):
@@ -306,11 +302,11 @@ class IdentityResiduals:
 
 
 def _transverse_derivative(foliation, nodes):
-    """d/dN of stacked leaf values ``nodes``, shape (levels, n_theta, 1)
-    or (levels, n_theta, n_phi): the derivative in s of their interpolant
-    through the level nodes, over dN/ds."""
+    """d/dN of stacked leaf values ``nodes``, shape (levels, n_theta): the
+    derivative in s of their interpolant through the level nodes, over
+    dN/ds."""
     d = quad.barycentric_diff_matrix(foliation.s)
-    return quad.level_derivative(nodes, d) / foliation.dN_ds[:, None, None]
+    return quad.level_derivative(nodes, d) / foliation.dN_ds[:, None]
 
 
 def _leaf_terms(foliation):
@@ -318,7 +314,7 @@ def _leaf_terms(foliation):
     sum-of-squares bracket |grad rho|^2 / rho^2 + 2 |h_tracefree|^2, each
     stacked over the leaves."""
     rho, x = foliation.rho, foliation.x_nodes
-    r_area = foliation.area_radius[:, None, None]
+    r_area = foliation.area_radius[:, None]
     sqrt_rho = np.sqrt(rho)
     lap_sqrt_rho = quad.sphere_laplacian(sqrt_rho, x, r_area)
     lap_log_rho = quad.sphere_laplacian(np.log(rho), x, r_area)
@@ -336,7 +332,7 @@ def identity_residuals(foliation, lam, terms):
     """
     if len(foliation) < 7:
         raise ValueError("transverse derivatives need at least 7 levels")
-    n, rho, h = foliation.N[:, None, None], foliation.rho, foliation.H
+    n, rho, h = foliation.N[:, None], foliation.rho, foliation.H
     h_n = _transverse_derivative(foliation, h)
     rho_n = _transverse_derivative(foliation, rho)
     ss_n = _transverse_derivative(foliation, foliation.sqrt_s)
@@ -413,7 +409,7 @@ def inequality_slacks(foliation, lam, mass, terms):
     if len(foliation) < 8:
         raise ValueError("inequality integration needs a dense foliation")
     sqrt_s, h, rho = foliation.sqrt_s, foliation.H, foliation.rho
-    n = foliation.N[:, None, None]
+    n = foliation.N[:, None]
     p_n = _transverse_derivative(foliation, sqrt_s * h * lam / (np.sqrt(rho) * n))
     q_n = _transverse_derivative(foliation,
                                  sqrt_s / rho * (h * n + 4.0 * lam / rho))
@@ -648,7 +644,7 @@ class IsraelReport:
     tol: float
 
 
-def run_israel_pipeline(spacetime, n0, r_ps, levels, quad_order, tail_radius,
+def run_israel_pipeline(spacetime, n0, r_ps, levels, n_theta, tail_radius,
                         tol):
     """Full proof-chain verification on a located photon sphere.
 
@@ -656,7 +652,7 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels, quad_order, tail_radius,
     IsraelReport whose verdict is the conjunction of the gate list.
     """
     check_not_flat(spacetime.profile, (r_ps, 10.0 * r_ps))
-    foliation = build_foliation(spacetime, n0, levels, quad_order,
+    foliation = build_foliation(spacetime, n0, levels, n_theta,
                                 tail_radius, r_hint=r_ps)
 
     fluxes = mass_flux(foliation)
@@ -671,7 +667,7 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels, quad_order, tail_radius,
 
     # r_area |h_tracefree|: dimensionless, as the gate's tol is
     tf_by_level, tf_nodes = _sup_nodes(
-        foliation.area_radius[:, None, None] * foliation.tracefree)
+        foliation.area_radius[:, None] * foliation.tracefree)
     tf_sup = float(np.max(tf_by_level))
     rho_mean, h_mean = foliation.mean(foliation.rho), foliation.mean(foliation.H)
     rho_std = foliation.std(foliation.rho)

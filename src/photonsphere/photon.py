@@ -93,7 +93,9 @@ class PhotonSurfaceCertificate:
     values are dimensionless, so the verdict is the same at every mass
     scale: ``umbilicity_sup`` and ``mean_curvature_std`` are r0 times the
     trace-free norm's sup and H's spread, and ``tangency_deviation`` is the
-    orbit's largest |r - r0| / r0.
+    orbit's largest |r - r0| / r0.  The ungated ``scalar_curvature_std``
+    and ``scalar_residual`` are dimensionless too, r0^2 times the spread of
+    R_p and its distance from (2/3) H^2.
     """
 
     surface: str
@@ -103,9 +105,9 @@ class PhotonSurfaceCertificate:
     mean_curvature: float
     mean_curvature_std: float    # r0 std H
     scalar_curvature: float
-    scalar_curvature_std: float
+    scalar_curvature_std: float  # r0^2 std R_p
     scalar_expected: float       # (2/3) frakH^2, the vacuum Einstein value
-    scalar_residual: float
+    scalar_residual: float       # r0^2 |R_p - (2/3) frakH^2|
     tangency: geodesics.TangencyReport
     tangency_deviation: float    # max |r - r0| / r0
 
@@ -132,9 +134,9 @@ def certify_photon_surface(spacetime, surface, span):
     h_mean = float(np.mean(sd.mean_curvature))
     h_std = r0 * float(np.std(sd.mean_curvature))
     rp_mean = float(np.mean(induced.scalar))
-    rp_std = float(np.std(induced.scalar))
+    rp_std = r0 ** 2 * float(np.std(induced.scalar))
     expected_rp = (2.0 / 3.0) * h_mean ** 2
-    scalar_residual = abs(rp_mean - expected_rp)
+    scalar_residual = r0 ** 2 * abs(rp_mean - expected_rp)
 
     tangency = geodesics.tangency_persistence(spacetime, surface, span)
     deviation = tangency.max_deviation / r0

@@ -1,15 +1,16 @@
 """Spherical quadrature, differentiation and root bisection utilities.
 
-Leaf integrals use Gauss-Legendre nodes in x = cos(theta) crossed with a
-uniform periodic grid in phi (the trapezoid rule, which is spectrally
-accurate for periodic integrands).  Gauss-Legendre nodes never touch the
-poles, respecting the chart's exclusion of theta in {0, pi}.
+Every leaf this package integrates is a level set of a radial function, so
+no leaf field depends on phi: a field is sampled at the Gauss-Legendre
+nodes in x = cos(theta) alone, and the phi integral is the factor 2 pi in
+the weights.  Gauss-Legendre nodes never touch the poles, respecting the
+chart's exclusion of theta in {0, pi}.
 
 Tangential derivatives on a leaf use the barycentric differentiation
-matrix in x and FFT differentiation in phi.  The same barycentric code
-differentiates and interpolates on Chebyshev points: across the levels of
-the lapse foliation, which sit at Chebyshev points of the level map, and
-where the rigidity ODE is collocated.
+matrix in x.  The same barycentric code differentiates and interpolates on
+Chebyshev points: across the levels of the lapse foliation, which sit at
+Chebyshev points of the level map, and where the rigidity ODE is
+collocated.
 
 Roots (the photon-sphere radius, every leaf radius of the lapse
 foliation) come from ``bisect``, which halves an array of brackets at once
@@ -23,32 +24,28 @@ import numpy as np
 
 
 @lru_cache(maxsize=16)
-def sphere_grid(n_theta, n_phi):
-    """Quadrature nodes and theta weights for integrals dx dphi.
+def sphere_grid(n_theta):
+    """Gauss-Legendre nodes and weights for integrals dx dphi of fields
+    constant in phi.
 
-    Returns (theta (n_theta,), x (n_theta,), phi (n_phi,), w (n_theta,)),
+    Returns (theta, x, w), each (n_theta,) with theta increasing, and
     w = 2 pi times the Gauss-Legendre weights, such that
     Int f dmu = sphere_integral(f * jac, w),  jac = sqrt(det sigma)/sin(theta).
     """
     x, glw = np.polynomial.legendre.leggauss(n_theta)
     order = np.argsort(-x)  # theta increasing
     x = x[order]
-    theta = np.arccos(x)
-    phi = (np.arange(n_phi) + 0.5) * (2.0 * np.pi / n_phi)
-    return theta, x, phi, 2.0 * np.pi * glw[order]
+    return np.arccos(x), x, 2.0 * np.pi * glw[order]
 
 
 def sphere_integral(values, weights):
     """Int values dx dphi over the sphere, for every leading (leaf) index.
 
-    ``values`` is (..., n_theta, n_phi), or (..., n_theta, 1) for a field
-    constant in phi; ``weights`` are ``sphere_grid``'s theta weights.  The
-    mean over phi is the periodic trapezoid rule (exact on a length-1 axis)
-    and the weighted sum over theta the Gauss-Legendre rule.  Each row of a
-    stack equals the same leaf alone bit for bit (an elementwise sum, not a
-    matmul, which is not).
+    ``values`` is (..., n_theta), a field constant in phi; ``weights`` are
+    ``sphere_grid``'s.  Each row of a stack equals the same leaf alone bit
+    for bit (an elementwise sum, not a matmul, which is not).
     """
-    return np.sum(np.mean(values, axis=-1) * weights, axis=-1)
+    return np.sum(values * weights, axis=-1)
 
 
 def _barycentric(x):
@@ -108,50 +105,30 @@ def chebyshev_nodes(n, a, b):
 @lru_cache(maxsize=16)
 def diff_matrix(n_theta):
     """Barycentric differentiation matrix d/dx on the Gauss-Legendre nodes."""
-    _, x, _, _ = sphere_grid(n_theta, 4)
+    _, x, _ = sphere_grid(n_theta)
     return barycentric_diff_matrix(x)
 
 
-def phi_derivatives(f):
-    """First and second phi-derivatives of a periodic (..., n_theta, n_phi)
-    field.
-
-    A length-1 phi axis means the field is constant in phi: its only
-    wavenumber is 0, so both derivatives come out exact zeros of the
-    field's shape.
-    """
-    n_phi = f.shape[-1]
-    k = np.fft.rfftfreq(n_phi, d=1.0 / n_phi) * 1j
-    fh = np.fft.rfft(f, axis=-1)
-    d1 = np.fft.irfft(fh * k, n=n_phi, axis=-1)
-    d2 = np.fft.irfft(fh * k * k, n=n_phi, axis=-1)
-    return d1, d2
-
-
 def sphere_laplacian(f, x, r_area):
-    """Laplace-Beltrami operator of a round sphere of radius r_area.
+    """Laplace-Beltrami operator of a round sphere of radius r_area on a
+    field constant in phi.
 
-    In x = cos(theta):  Lap f = [d/dx((1-x^2) df/dx) + f_phiphi/(1-x^2)] / r^2.
-    ``f`` is (..., n_theta, n_phi), or (..., n_theta, 1) for a field constant
-    in phi, whose Laplacian then has that shape too.  Leading axes stack
-    leaves, each equal to the same leaf alone bit for bit (an einsum, not a
-    matmul, which is not); ``r_area`` broadcasts against ``f``.
+    In x = cos(theta):  Lap f = d/dx((1-x^2) df/dx) / r^2.  ``f`` is
+    (..., n_theta); leading axes stack leaves, each equal to the same leaf
+    alone bit for bit (an einsum, not a matmul, which is not), and
+    ``r_area`` broadcasts against ``f``.
     """
     d = diff_matrix(len(x))
-    fx = np.einsum("ij,...jk->...ik", d, f)
-    term_theta = np.einsum("ij,...jk->...ik", d, (1.0 - x ** 2)[:, None] * fx)
-    _, fpp = phi_derivatives(f)
-    return (term_theta + fpp / (1.0 - x ** 2)[:, None]) / r_area ** 2
+    fx = np.einsum("ij,...j->...i", d, f)
+    return np.einsum("ij,...j->...i", d, (1.0 - x ** 2) * fx) / r_area ** 2
 
 
 def sphere_grad_sq(f, x, r_area):
     """|grad f|^2 on a round sphere of radius r_area; ``f`` and ``r_area``
     are shaped as for ``sphere_laplacian``."""
     d = diff_matrix(len(x))
-    fx = np.einsum("ij,...jk->...ik", d, f)
-    fp, _ = phi_derivatives(f)
-    return ((1.0 - x ** 2)[:, None] * fx ** 2
-            + fp ** 2 / (1.0 - x ** 2)[:, None]) / r_area ** 2
+    fx = np.einsum("ij,...j->...i", d, f)
+    return (1.0 - x ** 2) * fx ** 2 / r_area ** 2
 
 
 def level_derivative(values, d):

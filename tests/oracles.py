@@ -7,10 +7,8 @@ literals and a few cheap tests re-derive them live.  The finite-difference
 Taylor routines stand in for ``calculus.metric_taylor`` and
 ``calculus.scalar_taylor`` to cross-check the package's automatic
 differentiation.  ``lower_riemann`` lowers a curvature bundle's Riemann
-tensor, ``tangent_null_seeds`` draws chart states tangent to a
-cylinder, which the package's single tangent orbit stands for, and
-``full_grid_integral`` integrates over leaves with the full (n_theta, n_phi)
-weight grid, one leaf at a time.
+tensor, and ``tangent_null_seeds`` draws chart states tangent to a
+cylinder, which the package's single tangent orbit stands for.
 """
 
 import math
@@ -196,12 +194,3 @@ def tangent_null_seeds(spacetime, r0, count, rng_seed):
                                    (1.0, 0.0, vth, vph)))
     return seeds
 
-
-def full_grid_integral(foliation, nodes, n_phi):
-    """Int nodes dmu over every leaf of a foliation on the full grid: the
-    Gauss-Legendre weights in x times 2 pi / n_phi in phi, multiplied into
-    every (theta, phi) node of each leaf and summed, one leaf at a time."""
-    x, glw = np.polynomial.legendre.leggauss(len(foliation.x_nodes))
-    w = np.outer(glw[np.argsort(-x)], np.full(n_phi, 2.0 * math.pi / n_phi))
-    return np.array([float(np.sum(w * foliation.jacobian[j] * nodes[j]))
-                     for j in range(len(foliation))])

@@ -33,12 +33,12 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="session")
 def m1_report():
-    """The pinned 64-level, 64x128 Schwarzschild m=1 pipeline, run once,
-    with the parameters of the bundled schwarzschild_m1 scenario."""
+    """The pinned Schwarzschild m=1 pipeline (64 levels, 64 theta nodes),
+    run once, with the parameters of the bundled schwarzschild_m1 scenario."""
     scn = cli.load_scenario(cli.bundled_scenario_path("schwarzschild_m1"))
     t0 = time.time()
     rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=scn.levels,
-                                  quad_order=tuple(scn.quadrature),
+                                  n_theta=scn.n_theta,
                                   tail_radius=scn.tail_radius,
                                   tol=scn.tolerance)
     rep_elapsed = time.time() - t0
@@ -131,7 +131,7 @@ def test_criterion_5_mass_flux(m1_report):
     idx = np.linspace(0, len(rep.foliation) - 1, 10).astype(int)
     flux1 = list(isr.mass_flux(rep.foliation)[idx])
     st2 = StaticSpacetime.schwarzschild(2.0)
-    fol2 = isr.build_foliation(st2, N0, levels=10, quad_order=(32, 64),
+    fol2 = isr.build_foliation(st2, N0, levels=10, n_theta=32,
                                r_hint=6.0, tail_radius=200.0)
     flux2 = list(isr.mass_flux(fol2))
     err1 = max(abs(f - 1.0) for f in flux1)

@@ -260,14 +260,18 @@ class TestExitCodes:
         # flat one
         self._assert_isometric_at_scale(tmp_path, 1e-11)
 
-    @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7])
+    # the range stops at 1e10, where flux-level-independence reads the
+    # flux spread, 9.5e-6 there, against an absolute 1e-6
+    @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7,
+                                   1e8, 1e9])
     def test_israel_verdict_is_scale_covariant(self, tmp_path, m):
         self._assert_isometric_at_scale(tmp_path, m)
 
     @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7])
     def test_certify_verdict_is_scale_covariant(self, tmp_path, m):
         # the m = 1 detect and certify runs with every length scaled by m:
-        # the certificate gates r0 |h_tracefree|, r0 std H and |r - r0| / r0
+        # the certificate gates r0 |h_tracefree|, r0 std H and |r - r0| / r0,
+        # and reports R_p's spread and residual times r0^2
         def scenario(pipeline, **fields):
             scn = tmp_path / f"{pipeline}-{len(fields)}.json"
             scn.write_text(json.dumps({
@@ -289,6 +293,9 @@ class TestExitCodes:
                         "--out", str(out)]) == code
             cert = json.loads((out / "certificate.json").read_text())
             assert cert["verdict"] == verdict
+            assert cert["scalar"]["stddev"] < 1e-12
+            if verdict == "certified":
+                assert cert["scalar"]["residual"] < 1e-12
 
     def test_tail_radius_where_the_lapse_rounds_to_1_is_a_named_error(
             self, tmp_path, capsys):
@@ -462,6 +469,18 @@ class TestOutputs:
         assert run(["detect", "--scenario", "schwarzschild_m1", "--out", out,
                     "--quad", "banana"]) == cli.EXIT_ERROR
         assert "--quad" in capsys.readouterr().err
+
+    def test_phi_count_changes_no_output(self, tmp_path):
+        # the second --quad count is validated and ignored: no leaf field
+        # of a radial profile depends on phi
+        trees = []
+        for quad in ("8x1", "8x16"):
+            out = tmp_path / quad
+            assert run(["full", "--scenario", "schwarzschild_m1", "--out",
+                        str(out), "--levels", "8",
+                        "--quad", quad]) == cli.EXIT_FALSE
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert "israel_report.json" in trees[0] and trees[0] == trees[1]
 
     @pytest.mark.parametrize("command", ["trace", "detect", "certify",
                                          "reconstruct"])

@@ -30,7 +30,7 @@ N0 = 1.0 / math.sqrt(3.0)
 
 @pytest.fixture(scope="module")
 def foliation24():
-    return isr.build_foliation(ST, N0, levels=24, quad_order=(32, 64))
+    return isr.build_foliation(ST, N0, levels=24, n_theta=32)
 
 
 class TestFoliation:
@@ -59,7 +59,7 @@ class TestFoliation:
         mink = StaticSpacetime.schwarzschild(0.0)
         # N0 < 1 is not flat: the lapse is 1 at the tail radius only
         with pytest.raises(DomainError, match="tail_radius = 50.0"):
-            isr.build_foliation(mink, 0.9, levels=8, quad_order=(8, 16),
+            isr.build_foliation(mink, 0.9, levels=8, n_theta=8,
                                 tail_radius=50.0)
 
     def test_hint_above_the_photon_sphere_is_not_bracketed(self):
@@ -67,7 +67,7 @@ class TestFoliation:
         # photon sphere N > N0 there, so level 0 has no root in it
         with pytest.raises(DomainError,
                            match=r"lapse level not bracketed.*bracket 0, "):
-            isr.build_foliation(ST, N0, levels=8, quad_order=(8, 16),
+            isr.build_foliation(ST, N0, levels=8, n_theta=8,
                                 r_hint=4.0)
 
 
@@ -114,31 +114,53 @@ def _first_levels(foliation, n):
 
 @pytest.mark.parametrize("name", sorted(LEAF_PROFILES))
 def test_leaf_fields_equal_the_dense_grid(name, monkeypatch):
-    # a stacked block of three leaves: lazy seeds give each field one value
-    # per (level, theta) row, equal to every node of the dense evaluation
+    # a stacked block of three leaves: the lazy seeds, which keep r at one
+    # value per level, give every field the bits of the dense evaluation,
+    # whose seeds carry every node
     profile, r_level = LEAF_PROFILES[name]
     st = StaticSpacetime(profile)
-    theta, _, phi, w = quad.sphere_grid(12, 20)
+    theta, _, w = quad.sphere_grid(12)
     radii = r_level * np.array([1.0, 1.1, 1.3])
-    lazy = isr._leaf_block(st, radii, theta, phi, w)
+    lazy = isr._leaf_block(st, radii, theta, w)
     monkeypatch.setattr(jets, "variables", _dense_variables)
-    dense = isr._leaf_block(st, radii, theta, phi, w)
-    # a dense leaf area averages n_phi equal values over phi, and that sum
-    # rounds: by up to 4 ulp of the area at 12 x 20
-    assert np.all(np.abs(lazy[0] - dense[0]) <= 4 * np.spacing(lazy[0]))
+    dense = isr._leaf_block(st, radii, theta, w)
+    assert lazy[0].shape == (3,) and np.array_equal(lazy[0], dense[0])
     for a, b in zip(lazy[1:], dense[1:]):
-        assert a.shape == (3, 12, 1) and b.shape == (3, 12, 20)
-        assert np.array_equal(np.broadcast_to(a, b.shape), b)
+        assert a.shape == b.shape == (3, 12) and np.array_equal(a, b)
 
 
-def _single_leaf(st, r, theta, phi):
+@pytest.mark.parametrize("name", ["schwarzschild-1", "reissner-perturbed",
+                                  "table"])
+def test_leaf_geometry_does_not_depend_on_phi(name):
+    # the foliation samples every leaf at phi = 0 alone; a stacked block of
+    # three leaves gives the same bits at any other phi
+    profile, r_level = LEAF_PROFILES[name]
+    surface = hs.lapse_level_set(StaticSpacetime(profile),
+                                 r_level * np.array([[1.0], [1.1], [1.3]]))
+    theta, _, _ = quad.sphere_grid(12)
+
+    def fields(phi):
+        sd = hs.shape(surface, (theta, phi))
+        bundle = calc.curvature(surface.induced_sampler(), (theta, phi))
+        return [getattr(sd, f.name) for f in dataclasses.fields(sd)] + [
+            getattr(bundle, f.name) for f in dataclasses.fields(bundle)
+            if f.name not in ("dim", "coords")]
+
+    at_zero = fields(0.0)
+    assert at_zero[0].shape == (3, 12)
+    for phi in (1.0, math.pi, 5.5):
+        for a, b in zip(at_zero, fields(phi)):
+            assert a.shape == b.shape and np.array_equal(a, b), phi
+
+
+def _single_leaf(st, r, theta):
     """H, tracefree, nu(N) and Gauss curvature of one leaf, evaluated alone
-    on unstacked (n_theta, 1) and (1, n_phi) axes."""
-    tg, pg = np.meshgrid(theta, phi, indexing="ij", sparse=True)
+    on the unstacked theta axis at phi = 0."""
     surface = hs.lapse_level_set(st, r)
-    sd = hs.shape(surface, (tg, pg))
+    sd = hs.shape(surface, (theta, 0.0))
     nu_n = np.einsum("...a,...a->...", sd.normal_u, sd.level_gradient)
-    gauss_k = 0.5 * calc.curvature(surface.induced_sampler(), (tg, pg)).scalar
+    gauss_k = 0.5 * calc.curvature(surface.induced_sampler(),
+                                   (theta, 0.0)).scalar
     return {"H": sd.mean_curvature, "tracefree": sd.tracefree_norm,
             "nuN": nu_n, "gauss_k": gauss_k}
 
@@ -149,7 +171,7 @@ def test_stacked_blocks_equal_single_leaves(name, monkeypatch):
     profile, r_level = LEAF_PROFILES[name]
     st = StaticSpacetime(profile)
     n0 = float(profile.lapse(r_level))
-    build = lambda: isr.build_foliation(st, n0, levels=37, quad_order=(64, 128),
+    build = lambda: isr.build_foliation(st, n0, levels=37, n_theta=64,
                                         r_hint=r_level)
     stacked = build()
     monkeypatch.setattr(isr, "BLOCK_ROWS", 64)      # one leaf per block
@@ -157,35 +179,23 @@ def test_stacked_blocks_equal_single_leaves(name, monkeypatch):
     for field in LEVEL_VECTORS + FIELDS:
         a, b = getattr(stacked, field), getattr(per_leaf, field)
         assert a.shape == b.shape and np.array_equal(a, b), field
-    theta, _, phi, _ = quad.sphere_grid(64, 128)
+    theta, _, _ = quad.sphere_grid(64)
     for j in (0, 15, 16, 31, 32, 36):
-        alone = _single_leaf(st, stacked.r_coord[j], theta, phi)
+        alone = _single_leaf(st, stacked.r_coord[j], theta)
         for field, values in alone.items():
             assert np.array_equal(getattr(stacked, field)[j],
-                                  np.broadcast_to(values, (64, 1))), (j, field)
-
-
-def test_leaf_integrals_agree_with_the_full_grid_rule():
-    # the theta-axis rule against the (n_theta, n_phi) weight grid summed
-    # leaf by leaf, on the bundled m1 resolution: they differ by rounding
-    fol = isr.build_foliation(ST, N0, levels=64, quad_order=(64, 128),
-                              r_hint=3.0)
-    for name in ("nuN", "rho", "H", "gauss_k"):
-        f = getattr(fol, name)
-        scale = oracles.full_grid_integral(fol, np.abs(f), 128)
-        diff = fol.integral(f) - oracles.full_grid_integral(fol, f, 128)
-        assert np.all(np.abs(diff) <= 1e-15 * scale), name
+                                  np.broadcast_to(values, (64,))), (j, field)
 
 
 def test_stored_fields_are_theta_only():
-    # a radial profile's leaf fields keep one value per (level, theta) row,
-    # and the quadrature weights one per theta row: nothing spans the full grid
-    fol = isr.build_foliation(ST, N0, levels=8, quad_order=(64, 128),
+    # a radial profile's leaf fields keep one value per (level, theta) node,
+    # and the quadrature weights one per theta node: nothing has a phi axis
+    fol = isr.build_foliation(ST, N0, levels=8, n_theta=64,
                               tail_radius=50.0)
     assert len(fol) == 8
     assert fol.weights.shape == (64,)
     for name in FIELDS:
-        assert getattr(fol, name).shape == (8, 64, 1), name
+        assert getattr(fol, name).shape == (8, 64), name
     for name in LEVEL_VECTORS:
         assert getattr(fol, name).shape == (8,), name
 
@@ -216,12 +226,12 @@ class _FlatSpotProfile(RadialProfile):
 def test_foliation_error_names_a_leaf_inside_a_block():
     # level 21 of 64 lies inside the second block of 16; its lapse gradient
     # vanishes, so the error must name that leaf, not the block
-    regular = isr.build_foliation(ST, N0, levels=64, quad_order=(64, 128),
+    regular = isr.build_foliation(ST, N0, levels=64, n_theta=64,
                                   r_hint=3.0)
     r_flat = float(regular.r_coord[21])
     st = StaticSpacetime(_FlatSpotProfile(r_flat))
     with pytest.raises(FoliationError, match="foliation failure") as err:
-        isr.build_foliation(st, N0, levels=64, quad_order=(64, 128), r_hint=3.0)
+        isr.build_foliation(st, N0, levels=64, n_theta=64, r_hint=3.0)
     assert str(err.value).endswith(f"at level {r_flat}")
 
 
@@ -241,49 +251,10 @@ def test_build_foliation_evaluates_one_block_at_a_time(monkeypatch):
     counted(hs, "shape")
     counted(isr, "curvature")
     counted(hs, "scalar_taylor")
-    fol = isr.build_foliation(ST, N0, levels=64, quad_order=(64, 128),
+    fol = isr.build_foliation(ST, N0, levels=64, n_theta=64,
                               r_hint=3.0)
     assert len(fol) == 64
     assert calls == {"shape": 4, "curvature": 4, "scalar_taylor": 4}
-
-
-def _dense_copy(foliation, quad_order):
-    """The same foliation with every leaf field copied to the full
-    ``quad_order`` grid."""
-    theta, _, phi, _ = quad.sphere_grid(*quad_order)
-    dense = (len(foliation), len(theta), len(phi))
-    return dataclasses.replace(foliation, **{
-        name: np.broadcast_to(getattr(foliation, name), dense).copy()
-        for name in FIELDS})
-
-
-@pytest.mark.parametrize("case", ["schwarzschild", "reissner-perturbed"])
-def test_theta_only_foliation_matches_its_dense_copy(case, monkeypatch):
-    if case == "schwarzschild":
-        st, n0, r_ps, verdict = ST, N0, 3.0, "isometric"
-    else:
-        profile = LEAF_PROFILES["reissner-perturbed"][0]
-        st, r_ps = StaticSpacetime(profile), oracles.RN_PHOTON_SPHERE_Q01
-        n0, verdict = profile.lapse(r_ps), "not-isometric"
-    fol = isr.build_foliation(st, n0, levels=24, quad_order=(16, 32),
-                              tail_radius=100.0, r_hint=r_ps)
-    dense = _dense_copy(fol, (16, 32))
-    assert dense.rho.shape == (24, 16, 32)
-    reports = []
-    for f in (fol, dense):
-        monkeypatch.setattr(isr, "build_foliation", lambda *a, f=f, **k: f)
-        reports.append(isr.run_israel_pipeline(st, n0, r_ps, levels=24,
-                                               quad_order=(16, 32),
-                                               tail_radius=100.0, tol=1e-3))
-    thin, full = reports
-    for checks, name in [("identities", "res31"), ("identities", "res32"),
-                         ("identities", "res33"), ("identities", "evolution"),
-                         ("slacks", "slack34"), ("slacks", "slack35")]:
-        a = getattr(getattr(thin, checks), name)
-        b = getattr(getattr(full, checks), name)
-        assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(1.0, np.abs(b))), name
-    assert thin.verdict == full.verdict == verdict
-    assert [g.passed for g in thin.gates] == [g.passed for g in full.gates]
 
 
 class TestMassFlux:
@@ -296,7 +267,7 @@ class TestMassFlux:
     def test_m2_level_r10(self):
         st2 = StaticSpacetime.schwarzschild(2.0)
         fol = isr.build_foliation(st2, math.sqrt(1 - 0.4), levels=8,
-                                  quad_order=(16, 32), r_hint=10.0,
+                                  n_theta=16, r_hint=10.0,
                                   tail_radius=100.0)
         assert abs(isr.mass_flux(fol)[0] - 2.0) < 1e-8
 
@@ -334,7 +305,7 @@ class TestIdentities:
                                mass_hint=1.0)
         strn = StaticSpacetime(rn)
         n_ps = rn.lapse_d1(oracles.RN_PHOTON_SPHERE_Q01)[0]
-        fol = isr.build_foliation(strn, n_ps, levels=16, quad_order=(16, 32),
+        fol = isr.build_foliation(strn, n_ps, levels=16, n_theta=16,
                                   r_hint=oracles.RN_PHOTON_SPHERE_Q01)
         ids = isr.identity_residuals(fol, 1, isr._leaf_terms(fol))
         assert ids.sup() > 1e-3
@@ -354,13 +325,11 @@ class TestInequalities:
                                                                  foliation24):
         # leaf-inhomogeneous rho perturbation: the square brackets are
         # manifest sums of squares and must come out strictly positive
-        theta, _, phi, _ = quad.sphere_grid(32, 64)   # foliation24's grid
-        tg = np.meshgrid(theta, phi, indexing="ij")[0]
-        factor = 1.0 + 0.1 * np.cos(tg)
+        factor = 1.0 + 0.1 * foliation24.x_nodes   # 1 + 0.1 cos(theta)
         fol = dataclasses.replace(foliation24, rho=foliation24.rho * factor)
-        assert fol.rho.shape == (24, 32, 64)
+        assert fol.rho.shape == (24, 32)
         gsq = quad.sphere_grad_sq(fol.rho, fol.x_nodes,
-                                  fol.area_radius[:, None, None])
+                                  fol.area_radius[:, None])
         brackets = gsq / fol.rho ** 2 + 2.0 * fol.tracefree ** 2
         bracket_mean = np.mean([np.mean(b) for b in brackets])
         assert bracket_mean > 1e-5
@@ -369,7 +338,7 @@ class TestInequalities:
         ids = isr.identity_residuals(fol, 1, isr._leaf_terms(fol))
         assert ids.sup() > 1e-3
         # and the would-be slack carried by the brackets is strictly positive
-        n = fol.N[:, None, None]
+        n = fol.N[:, None]
         slack_via_brackets = [
             float(np.mean(level)) for level in
             fol.sqrt_s * np.sqrt(fol.rho) / (2 * n) * brackets]
@@ -377,7 +346,7 @@ class TestInequalities:
         assert min(slack_via_brackets) > 0.0
 
     def test_needs_dense_foliation(self):
-        fol = isr.build_foliation(ST, N0, levels=8, quad_order=(8, 16),
+        fol = isr.build_foliation(ST, N0, levels=8, n_theta=8,
                                   tail_radius=50.0)
         clipped = _first_levels(fol, 4)
         with pytest.raises(ValueError):
@@ -428,7 +397,7 @@ class TestBoundaryConstraints:
 
     def test_scale_invariance_m5(self):
         st5 = StaticSpacetime.schwarzschild(5.0)
-        fol = isr.build_foliation(st5, N0, levels=12, quad_order=(16, 32),
+        fol = isr.build_foliation(st5, N0, levels=12, n_theta=16,
                                   r_hint=15.0, tail_radius=500.0)
         b = isr.boundary_constraints(st5, fol, 5.0)
         assert abs(b.r0 - 15.0) < 1e-7
@@ -497,7 +466,7 @@ class TestRigidityVerdict:
         # a coarse foliation, 24 levels on a 16x32 grid, checked at a
         # coarse tolerance
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
-                                      quad_order=(16, 32), tail_radius=100.0,
+                                      n_theta=16, tail_radius=100.0,
                                       tol=1e-3)
         assert rep.verdict == "isometric"
         assert abs(rep.mass - 1.0) < 1e-8
@@ -511,13 +480,13 @@ class TestRigidityVerdict:
         # whose residuals are normalized by the floor of one, below the
         # default tol
         rep = isr.run_israel_pipeline(StaticSpacetime.schwarzschild(m), N0,
-                                      3.0 * m, levels=64, quad_order=(16, 32),
+                                      3.0 * m, levels=64, n_theta=16,
                                       tail_radius=None, tol=isr.TOL_LVL)
         assert rep.verdict == "isometric", [g for g in rep.gates if not g.passed]
 
     def test_gates_report_margin_and_level(self, tmp_path):
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
-                                      quad_order=(16, 32), tail_radius=100.0,
+                                      n_theta=16, tail_radius=100.0,
                                       tol=1e-3)
         gates = {g.name: g for g in rep.gates}
         ids = rep.identities
@@ -539,20 +508,20 @@ class TestRigidityVerdict:
 
     def test_gates_report_the_node_of_a_perturbed_leaf(self, monkeypatch,
                                                        tmp_path):
-        # H raised on theta row 5 of level 10 reaches the level-derivative
-        # gates only through that row; a tracefree spike at node (3, 11) of
-        # level 7 varies in phi, and its gate reads the spike's theta row
-        fol = isr.build_foliation(ST, N0, levels=24, quad_order=(16, 32),
+        # H raised on theta node 5 of level 10 reaches the level-derivative
+        # gates only through that node; a tracefree spike at theta node 3 of
+        # level 7 is read by its gate there
+        fol = isr.build_foliation(ST, N0, levels=24, n_theta=16,
                                   tail_radius=100.0)
         h = fol.H.copy()
         h[10, 5] *= 1.01
-        tracefree = np.broadcast_to(fol.tracefree, (24, 16, 32)).copy()
+        tracefree = fol.tracefree.copy()
         tracefree[7] = 0.0
-        tracefree[7, 3, 11] = 1e-3  # small beside the H step in the identities
+        tracefree[7, 3] = 1e-3  # small beside the H step in the identities
         perturbed = dataclasses.replace(fol, H=h, tracefree=tracefree)
         monkeypatch.setattr(isr, "build_foliation", lambda *a, **k: perturbed)
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
-                                      quad_order=(16, 32), tail_radius=100.0,
+                                      n_theta=16, tail_radius=100.0,
                                       tol=1e-3)
         gates = {g.name: g for g in rep.gates}
         for name in ("identities", "evolution-factor", "sharpness-34",
@@ -574,15 +543,15 @@ class TestRigidityVerdict:
     def test_leaf_constancy_gates_can_fail(self, monkeypatch):
         # rho tilted in theta on level 9 and the trace-free norm peaked at
         # theta node 6 of level 14: both leaf-constancy gates fail there
-        fol = isr.build_foliation(ST, N0, levels=24, quad_order=(16, 32),
+        fol = isr.build_foliation(ST, N0, levels=24, n_theta=16,
                                   tail_radius=100.0)
         rho, tracefree = fol.rho.copy(), fol.tracefree.copy()
-        rho[9] *= 1.0 + 0.01 * fol.x_nodes[:, None]
-        tracefree[14, :, 0] = 1e-3 * (1.0 - np.abs(np.arange(16) - 6) / 16)
+        rho[9] *= 1.0 + 0.01 * fol.x_nodes
+        tracefree[14] = 1e-3 * (1.0 - np.abs(np.arange(16) - 6) / 16)
         perturbed = dataclasses.replace(fol, rho=rho, tracefree=tracefree)
         monkeypatch.setattr(isr, "build_foliation", lambda *a, **k: perturbed)
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
-                                      quad_order=(16, 32), tail_radius=100.0,
+                                      n_theta=16, tail_radius=100.0,
                                       tol=1e-3)
         assert rep.verdict == "not-isometric"
         gates = {g.name: g for g in rep.gates}
@@ -608,7 +577,7 @@ class TestRigidityVerdict:
         counted(isr, "_leaf_terms")
         counted(quad, "sphere_laplacian")
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=64,
-                                      quad_order=(16, 32), tail_radius=None,
+                                      n_theta=16, tail_radius=None,
                                       tol=isr.TOL_LVL)
         # one stacked pass over all 64 leaves, shared by both checks
         assert calls == {"_leaf_terms": 1, "sphere_laplacian": 2}
@@ -627,7 +596,7 @@ class TestRigidityVerdict:
                                   getattr(rep.slacks, field))
 
     def test_missing_tail_detected_as_structural(self):
-        fol = isr.build_foliation(ST, N0, levels=16, quad_order=(16, 32),
+        fol = isr.build_foliation(ST, N0, levels=16, n_theta=16,
                                   tail_radius=100.0)
         assert fol.reaches_tail()
         assert not _first_levels(fol, 12).reaches_tail()
@@ -636,7 +605,7 @@ class TestRigidityVerdict:
         mink = StaticSpacetime.schwarzschild(0.0)
         with pytest.raises(isr.FlatnessError):
             isr.run_israel_pipeline(mink, 0.9, 3.0, levels=8,
-                                    quad_order=(8, 16), tail_radius=None,
+                                    n_theta=8, tail_radius=None,
                                     tol=isr.TOL_LVL)
 
 

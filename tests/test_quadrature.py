@@ -1,8 +1,8 @@
-"""Sphere integrals, and tangential derivatives on a field constant in phi.
+"""Sphere integrals and tangential derivatives of fields constant in phi.
 
-A leaf field of a radial profile is stored with a length-1 phi axis; the
-sphere integral and the tangential operators must treat it as the same
-field on the full grid.
+A leaf field of a radial profile is stored as one value per Gauss-Legendre
+theta node; the sphere integral and the tangential operators take a stack
+of such leaves at once, each row equal to the same leaf alone.
 """
 
 import numpy as np
@@ -10,63 +10,48 @@ import pytest
 
 from photonsphere import quadrature as quad
 
-N_THETA, N_PHI = 24, 48
+N_THETA, N_LEAVES = 24, 48
 
 
 def _theta_only_field():
-    _, x, _, _ = quad.sphere_grid(N_THETA, N_PHI)
-    return x, (np.exp(0.7 * x) + x ** 3)[:, None]
-
-
-def test_phi_derivatives_vanish_on_a_length_one_phi_axis():
-    _, f = _theta_only_field()
-    d1, d2 = quad.phi_derivatives(f)
-    assert d1.shape == d2.shape == (N_THETA, 1)
-    assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
+    _, x, _ = quad.sphere_grid(N_THETA)
+    return x, np.exp(0.7 * x) + x ** 3
 
 
 @pytest.mark.parametrize("op", [quad.sphere_laplacian, quad.sphere_grad_sq])
 def test_theta_only_field_matches_the_dense_grid(op):
+    # the field on every meridian of a dense grid, one meridian per row of a
+    # stack: each row equals the field alone bit for bit
     x, f = _theta_only_field()
-    dense = op(np.broadcast_to(f, (N_THETA, N_PHI)).copy(), x, 2.5)
+    dense = op(np.broadcast_to(f, (N_LEAVES, N_THETA)), x, 2.5)
     thin = op(f, x, 2.5)
-    assert thin.shape == (N_THETA, 1)
-    assert np.max(np.abs(thin - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert thin.shape == (N_THETA,)
+    assert np.array_equal(dense, np.broadcast_to(thin, dense.shape))
 
 
 def test_laplacian_of_a_zonal_harmonic():
     # Lap P_2(cos theta) = -6 P_2 / r^2 on a round sphere of radius r
-    _, x, _, _ = quad.sphere_grid(N_THETA, N_PHI)
-    p2 = (0.5 * (3.0 * x ** 2 - 1.0))[:, None]
+    _, x, _ = quad.sphere_grid(N_THETA)
+    p2 = 0.5 * (3.0 * x ** 2 - 1.0)
     lap = quad.sphere_laplacian(p2, x, 2.0)
     assert np.max(np.abs(lap + 6.0 * p2 / 4.0)) < 1e-11
 
 
-def test_sphere_integral_of_a_phi_varying_field():
-    # Int x^2 dmu = Int sin^2 theta cos^2 phi dmu = 4 pi / 3 over the unit
-    # sphere (x the Cartesian coordinate), scaled by 1 + j on leaf j of a
-    # dense (levels, n_theta, n_phi) stack
-    theta, _, phi, w = quad.sphere_grid(N_THETA, N_PHI)
-    x_sq = np.outer(np.sin(theta) ** 2, np.cos(phi) ** 2)
-    stack = np.arange(1.0, 6.0)[:, None, None] * x_sq
+def test_sphere_integral_of_a_theta_only_field():
+    # Int x^2 dmu = 4 pi / 3 with x = cos theta, scaled by 1 + j on leaf j
+    # of a stack; each leaf of the stack equals the same leaf alone
+    x, f = _theta_only_field()
+    _, _, w = quad.sphere_grid(N_THETA)
+    assert abs(quad.sphere_integral(x ** 2, w) - 4.0 * np.pi / 3.0) < 1e-14
+    stack = np.arange(1.0, 6.0)[:, None] * x ** 2
     total = quad.sphere_integral(stack, w)
     assert total.shape == (5,)
     assert np.allclose(total, np.arange(1.0, 6.0) * 4.0 * np.pi / 3.0,
                        rtol=1e-14, atol=0.0)
-    # each leaf of the stack equals the same leaf alone bit for bit
     for j in range(5):
         assert quad.sphere_integral(stack[j], w) == total[j]
-
-
-def test_sphere_integral_of_a_theta_only_field():
-    # a length-1 phi axis is the field on the full grid: Int x^2 dmu with
-    # x = cos theta is 4 pi / 3 too
-    x, f = _theta_only_field()
-    _, _, _, w = quad.sphere_grid(N_THETA, N_PHI)
-    thin = quad.sphere_integral(x[:, None] ** 2, w)
-    assert abs(thin - 4.0 * np.pi / 3.0) < 1e-14
-    dense = quad.sphere_integral(np.broadcast_to(f, (N_THETA, N_PHI)), w)
-    assert abs(quad.sphere_integral(f, w) - dense) <= 1e-15 * abs(dense)
+    dense = quad.sphere_integral(np.broadcast_to(f, (N_LEAVES, N_THETA)), w)
+    assert np.all(dense == quad.sphere_integral(f, w))
 
 
 # ---------------------------------------------------------------------------
