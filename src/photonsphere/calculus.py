@@ -29,12 +29,6 @@ from . import jets
 from .spacetimes import ChartPoint, DomainError
 
 
-def _coords_of(point):
-    if isinstance(point, ChartPoint):
-        return point.coords4()
-    return tuple(point)
-
-
 def metric_taylor(sampler, coords, order=2):
     """Metric components with first and second coordinate derivatives.
 
@@ -123,7 +117,7 @@ class CurvatureBundle:
 
 def curvature(sampler, point):
     """Full curvature bundle (Christoffel, Riemann, Ricci, scalar) at a point."""
-    coords = _coords_of(point)
+    coords = tuple(point)
     g, dg, ddg = metric_taylor(sampler, coords)
     ginv = _inverse_metric(g)
     gamma = _christoffel_from(ginv, dg)
@@ -147,7 +141,7 @@ def curvature(sampler, point):
           - np.einsum("...likj->...kijl", gg))
     ricci = np.einsum("...kijk->...ij", rm)
     scal = np.einsum("...ij,...ij->...", ginv, ricci)
-    return CurvatureBundle(sampler.dim, tuple(coords), g, ginv, gamma, rm,
+    return CurvatureBundle(sampler.dim, coords, g, ginv, gamma, rm,
                            ricci, scal)
 
 

@@ -11,10 +11,11 @@ gradient unit normal:
   slice, a leaf of the lapse foliation.
 
 The second fundamental form follows II(X, Y) = b(nabla_X eta, Y) with
-spacelike unit normal eta, b(eta, eta) = +1.  Frame components are
-taken in the normalized coordinate frame (the chart is diagonal on every
-tangent block, which is checked numerically), so sup-norms are chart-scale
-free.
+spacelike unit normal eta, b(eta, eta) = +1.  The level function is
+constant along the tangent coordinate axes, so d_a eta_b vanishes on the
+tangent block and there II_ab = -Gamma^c_ab eta_c.  Frame components are
+taken in the normalized coordinate frame (both chart metrics write 0 off
+the diagonal of every tangent block), so sup-norms are chart-scale free.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ import numpy as np
 from . import quadrature as quad
 from .calculus import (_christoffel_from, _inverse_metric, curvature, metric_taylor,
                        scalar_taylor)
-from .spacetimes import ChartPoint, MetricSampler
+from .spacetimes import MetricSampler
 
 FOLIATION_DN_FLOOR = 1e-12   # on r |dN| on a leaf, on |dr| on a cylinder
 CYLINDER_THETA = 16   # Gauss-Legendre theta nodes of ``cylinder_sample``
@@ -35,8 +36,6 @@ class FoliationError(RuntimeError):
 
 
 def _asarrays(point):
-    if isinstance(point, ChartPoint):
-        point = point.coords4()
     return tuple(np.asarray(c, dtype=float) for c in point)
 
 
@@ -116,16 +115,16 @@ def _level_function(surface):
     return "r", lambda coords: coords[r_axis] + 0.0 * coords[r_axis]
 
 
-def normal_data(surface, x, ginv, dg):
-    """Unit normal covector, its coordinate derivatives, the unit normal
-    vector and the gradient d_a f of the level function f of a level set.
+def normal_data(surface, x, ginv):
+    """Unit normal covector eta_a, unit normal vector eta^a and the
+    gradient d_a f of the level function f of a level set.
 
     The gradient must clear ``FOLIATION_DN_FLOOR`` as a dimensionless
     number: |dr| on a cylinder, and r |dN| on a leaf, where |dN| has units
     of 1/length.
     """
     name, field = _level_function(surface)
-    _, w, dw = scalar_taylor(field, x)
+    _, w, _ = scalar_taylor(field, x)
     # w^a = g^ab w_b and q = w_a w^a: "...ab,...a,...b->..."
     w_u = (ginv @ w[..., None])[..., 0]
     q = (w[..., None, :] @ w_u[..., None])[..., 0, 0]
@@ -138,19 +137,11 @@ def normal_data(surface, x, ginv, dg):
         raise FoliationError(
             f"foliation failure: {name} < {FOLIATION_DN_FLOOR} "
             f"on {surface.kind} at level {level}")
-    # d_e q = -w^m (d_e g_mn) w^n + 2 (d_e w_a) w^a, so d g^-1 is never formed:
-    # "...m,...emn,...n->...e" and "...ea,...a->...e"
-    dq = (-(w_u[..., None, None, :] @ dg @ w_u[..., None, :, None])[..., 0, 0]
-          + 2.0 * (dw @ w_u[..., None])[..., 0])
-    qs = np.sqrt(q)
-    eta_d = w / qs[..., None]
-    deta = (dw / qs[..., None, None]
-            - 0.5 * w[..., None, :] * dq[..., :, None] / (q * qs)[..., None, None])
+    eta_d = w / np.sqrt(q)[..., None]
     eta_u = np.einsum("...ab,...b->...a", ginv, eta_d)
     # outward orientation: eta(r) > 0
     sign = np.sign(eta_u[..., surface.normal_axis])
-    return (eta_d * sign[..., None], deta * sign[..., None, None],
-            eta_u * sign[..., None], w)
+    return eta_d * sign[..., None], eta_u * sign[..., None], w
 
 
 @dataclass(frozen=True)
@@ -161,9 +152,8 @@ class ShapeData:
     Frobenius norm of II - (H/n) * induced in the normalized coordinate
     frame, which vanishes exactly on umbilic surfaces and equals the
     natural tensor norm in the Riemannian case.  ``metric_dd`` is the
-    ambient metric g_ab at the embedded points,
-    ``normal_d`` / ``normal_u`` the unit normal eta_a / eta^a that II is
-    built from and ``level_gradient`` the gradient d_a f of the level
+    ambient metric g_ab at the embedded points, ``normal_u`` the unit
+    normal eta^a and ``level_gradient`` the gradient d_a f of the level
     function it normalizes (dN on a lapse level set), so callers need not
     differentiate the metric or the level function again.
     """
@@ -171,7 +161,6 @@ class ShapeData:
     mean_curvature: np.ndarray
     tracefree_norm: np.ndarray
     metric_dd: np.ndarray
-    normal_d: np.ndarray
     normal_u: np.ndarray
     level_gradient: np.ndarray
 
@@ -180,39 +169,28 @@ def shape(surface, point):
     """Second fundamental form II(X,Y) = b(nabla_X eta, Y) at surface points.
 
     ``point`` is a tuple of surface coordinates; entries may be arrays for
-    vectorized evaluation.
+    vectorized evaluation.  On the tangent block d_a eta_b = 0, so
+    II_ab = -Gamma^c_ab eta_c there.
     """
     x = surface.embed(_asarrays(point))
     g, dg, _ = metric_taylor(surface.ambient, x, order=1)
     ginv = _inverse_metric(g)
-    eta_d, deta, eta_u, w = normal_data(surface, x, ginv, dg)
-    norm2 = np.einsum("...a,...a->...", eta_d, eta_u)
-    if np.max(np.abs(norm2 - 1.0)) > 1e-8:
-        raise ValueError("unit normal normalization drifted from +1")
+    eta_d, eta_u, w = normal_data(surface, x, ginv)
     gamma = _christoffel_from(ginv, dg)
-
-    # nabla_a eta_b = d_a eta_b - Gamma^c_ab eta_c
-    nabla = deta - np.einsum("...cab,...c->...ab", gamma, eta_d)
     axes = list(surface.tangent_axes)
-    ii_coord = nabla[..., axes, :][..., :, axes]
+    ii = -np.einsum("...cab,...c->...ab", gamma, eta_d)
+    ii_coord = ii[..., axes, :][..., :, axes]
 
-    # tangent-block orthogonality checks (chart alignment assumption)
-    gt = g[..., axes, :][..., :, axes]
-    off = gt - np.einsum("...AB,AB->...AB", gt, np.eye(len(axes)))
-    scale = np.sqrt(np.abs(np.einsum("...AA->...A", gt)))
-    if np.max(np.abs(off) / np.maximum(1e-30, scale[..., :, None] * scale[..., None, :])) > 1e-10:
-        raise ValueError("tangent coordinate block is not diagonal; "
-                         "non-aligned surfaces are out of scope")
-
+    gt_diag = np.einsum("...AA->...A", g[..., axes, :][..., :, axes])
     n = len(axes)
     # the signs of the normalized frame, those of its first point
-    eps = np.reshape(np.sign(np.einsum("...AA->...A", gt)), (-1, n))[0]
-    frame_scale = 1.0 / scale
+    eps = np.reshape(np.sign(gt_diag), (-1, n))[0]
+    frame_scale = 1.0 / np.sqrt(np.abs(gt_diag))
     ii_frame = ii_coord * frame_scale[..., :, None] * frame_scale[..., None, :]
     h = np.einsum("A,...AA->...", eps, ii_frame)
     tracefree = ii_frame - (h[..., None, None] / n) * np.diag(eps)
     tf_norm = np.sqrt(np.einsum("...AB,...AB->...", tracefree, tracefree))
-    return ShapeData(h, tf_norm, g, eta_d, eta_u, w)
+    return ShapeData(h, tf_norm, g, eta_u, w)
 
 
 def cylinder_sample(surface):

@@ -82,51 +82,27 @@ def check_not_flat(profile, radii):
                  f"radii in [{r.min():.6g}, {r.max():.6g}]")
 
 
-def _check_leaves(bad, r_levels, what):
-    """Raise FoliationError naming the radius of the lowest leaf where
-    ``bad`` holds; ``what(j)`` describes the failure on leaf j."""
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise hs.FoliationError(f"{what(j)} on the leaf r = {r_levels[j]}")
-
-
 def _leaf_block(spacetime, r_levels, theta, weights):
     """The area of each leaf of a block of levels and all leaf fields at the
     theta nodes and phi = 0, each (levels, n_theta).
 
-    Runs the adapted-form and roundness checks on the same nodes (``shape``
-    runs the DN-floor check), naming the radius of the lowest failing leaf.
+    Each leaf is the coordinate sphere {r = r0}: its normal is the gradient
+    of the lapse, with no tangential component, and its induced metric is
+    diag(r0^2, r0^2 sin^2 theta).  ``shape`` runs the DN-floor check.
     """
     n_levels = len(r_levels)
     point = (theta, 0.0)
     surface = hs.lapse_level_set(spacetime, r_levels[:, None])
     sd = hs.shape(surface, point)
-    g, eta_d = sd.metric_dd, sd.normal_d
     # nu(N) from the lapse gradient the level-set normal was built from;
     # |nu(N)| = |dN|, which ``shape`` has checked against the DN floor
     nuN = np.einsum("...a,...a->...", sd.normal_u, sd.level_gradient)
 
-    sigma = g[..., 1:, 1:]
+    sigma = sd.metric_dd[..., 1:, 1:]
     det_sigma = sigma[..., 0, 0] * sigma[..., 1, 1] - sigma[..., 0, 1] ** 2
     sqrt_s = np.sqrt(det_sigma)
     jac = sqrt_s / np.sin(theta)
-
-    # adapted-form check: the normal annihilates the leaf tangents
-    tangent = np.abs(eta_d[..., 1:]).reshape(n_levels, -1).max(axis=1)
-    _check_leaves(tangent > 1e-10, r_levels,
-                  lambda j: "adapted form violated: normal has tangential "
-                            f"components ~ {tangent[j]:.2e}")
-
-    # v1 scope: leaves are round up to parameterization
     area = quad.sphere_integral(jac, weights)
-    r_area = np.sqrt(area / (4.0 * math.pi))[:, None]
-    roundness = np.maximum(
-        np.abs(sigma[..., 0, 0] / r_area ** 2 - 1.0),
-        np.abs(sigma[..., 1, 1] / (r_area * np.sin(theta)) ** 2 - 1.0)).max(axis=1)
-    _check_leaves(roundness > 1e-8, r_levels,
-                  lambda j: "leaf is not a round sphere in this chart "
-                            f"(deviation {roundness[j]:.2e}; general leaves "
-                            "are out of scope)")
 
     gauss_k = 0.5 * curvature(surface.induced_sampler(), point).scalar
     # a field that reads no theta has one value per level: give it a row
@@ -674,7 +650,8 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels, n_theta, tail_radius,
     rho_by_level = rho_std / rho_mean
     rho_std_rel = float(np.max(rho_by_level))
     h_min = float(np.min(h_mean))
-    flux_spread = float(np.max(fluxes) - np.min(fluxes))
+    # relative to the mass, so the gate reads the same at every mass scale
+    flux_spread = float(np.max(fluxes) - np.min(fluxes)) / abs(mass)
     n_min, n_max = float(np.min(foliation.N)), float(np.max(foliation.N))
 
     id_level, id_node = _sup_position(

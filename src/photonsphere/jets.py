@@ -24,8 +24,6 @@ the full node grid broadcasts the result itself.
 
 import numpy as np
 
-_LINEAR_UFUNCS = (np.add, np.subtract, np.negative, np.positive)
-
 
 def _asarray(x):
     return np.asarray(x, dtype=float)
@@ -53,13 +51,6 @@ class Jet:
 
     # -- construction ------------------------------------------------------
 
-    @staticmethod
-    def constant(value, nvars, order=2):
-        value = _asarray(value)
-        grad = np.zeros(value.shape + (nvars,))
-        hess = None if order < 2 else np.zeros(value.shape + (nvars, nvars))
-        return Jet(value, grad, hess)
-
     def zero_like(self, value=0.0):
         """Constant jet with this jet's shape and variable basis."""
         return Jet(np.full_like(self.val, value), np.zeros_like(self.grad),
@@ -68,10 +59,13 @@ class Jet:
     # -- helpers -----------------------------------------------------------
 
     def _lift(self, other):
+        """``other`` as a jet over this jet's variables, of its own shape."""
         if isinstance(other, Jet):
             return other
-        return Jet.constant(_asarray(other), self.nvars,
-                            order=1 if self.hess is None else 2)
+        value = _asarray(other)
+        grad = np.zeros(value.shape + (self.nvars,))
+        hess = None if self.hess is None else np.zeros(grad.shape + (self.nvars,))
+        return Jet(value, grad, hess)
 
     def _chain(self, f0, f1, f2):
         """Apply a scalar function via its derivatives at ``self.val``."""
@@ -84,6 +78,9 @@ class Jet:
         return Jet(f0, grad, hess)
 
     # -- arithmetic --------------------------------------------------------
+
+    def __pos__(self):
+        return self
 
     def __neg__(self):
         return Jet(-self.val, -self.grad,
@@ -171,38 +168,30 @@ class Jet:
         s, c = np.sin(self.val), np.cos(self.val)
         return self._chain(c, -s, -c)
 
-    # numpy ufunc protocol: lets samplers call np.sqrt etc. on jets
-    _UNARY = None  # populated below
-
+    # numpy ufunc protocol: lets samplers call np.sqrt etc. on jets, and
+    # numpy arrays and scalars combine with jets on either side
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs:
             return NotImplemented
-        if ufunc in _LINEAR_UFUNCS or ufunc in (np.multiply, np.divide,
-                                                np.true_divide, np.power):
-            binops = {np.add: Jet.__add__, np.subtract: Jet.__rsub__,
-                      np.multiply: Jet.__mul__, np.divide: Jet.__rtruediv__,
-                      np.true_divide: Jet.__rtruediv__, np.power: Jet.__rpow__}
-            if ufunc is np.negative:
-                return -inputs[0]
-            if ufunc is np.positive:
-                return inputs[0]
-            if isinstance(inputs[0], Jet):
-                a, b = inputs[0], inputs[1] if len(inputs) > 1 else None
-                return {np.add: a.__add__, np.subtract: a.__sub__,
-                        np.multiply: a.__mul__, np.divide: a.__truediv__,
-                        np.true_divide: a.__truediv__, np.power: a.__pow__}[ufunc](b)
-            return binops[ufunc](inputs[1], inputs[0])
-        handler = Jet._UNARY.get(ufunc)
-        if handler is None:
-            return NotImplemented
-        return handler(inputs[0])
+        if isinstance(inputs[0], Jet):
+            handler = _UFUNC_METHODS.get(ufunc)
+            return NotImplemented if handler is None else handler(*inputs)
+        handler = _REFLECTED_UFUNC_METHODS.get(ufunc)
+        return NotImplemented if handler is None else handler(inputs[1], inputs[0])
 
     def __repr__(self):
         return f"Jet(val={self.val!r}, nvars={self.nvars})"
 
 
-Jet._UNARY = {np.sqrt: Jet.sqrt, np.exp: Jet.exp, np.log: Jet.log,
-              np.sin: Jet.sin, np.cos: Jet.cos}
+# ufunc -> the Jet method for a jet first operand (unary or binary), and
+# ufunc -> the reflected method for a jet second operand
+_UFUNC_METHODS = {np.add: Jet.__add__, np.subtract: Jet.__sub__,
+                  np.multiply: Jet.__mul__, np.divide: Jet.__truediv__,
+                  np.power: Jet.__pow__, np.sqrt: Jet.sqrt, np.exp: Jet.exp,
+                  np.log: Jet.log, np.sin: Jet.sin, np.cos: Jet.cos}
+_REFLECTED_UFUNC_METHODS = {np.add: Jet.__radd__, np.subtract: Jet.__rsub__,
+                            np.multiply: Jet.__rmul__,
+                            np.divide: Jet.__rtruediv__, np.power: Jet.__rpow__}
 
 
 def variables(coords, order=2):
@@ -248,15 +237,10 @@ def value_of(x):
     return x.val if isinstance(x, Jet) else _asarray(x)
 
 
-def compose_scalar(x, f0, f1, f2=None):
-    """Lift an externally differentiated scalar function onto a jet.
+def compose_scalar(x, f0, f1, f2):
+    """Lift an externally differentiated scalar function onto the jet ``x``.
 
     ``f0, f1, f2`` are the function and its first two derivatives evaluated
-    at ``value_of(x)``; used for table profiles backed by splines.
+    at ``x.val``; used for table profiles backed by splines.
     """
-    if not isinstance(x, Jet):
-        return f0
-    if x.hess is not None and f2 is None:
-        raise ValueError("second derivative required for order-2 jets")
-    return x._chain(_asarray(f0), _asarray(f1),
-                    None if f2 is None else _asarray(f2))
+    return x._chain(_asarray(f0), _asarray(f1), _asarray(f2))

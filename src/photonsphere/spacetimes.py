@@ -137,18 +137,12 @@ class SchwarzschildProfile(RadialProfile):
         return self.m
 
     def lapse(self, r):
-        if self.m == 0.0:
-            return 1.0 + 0.0 * r if not isinstance(r, (float, int)) else 1.0
         return np.sqrt(1.0 - 2.0 * self.m / r)
 
     def radial_factor(self, r):
-        if self.m == 0.0:
-            return 1.0 + 0.0 * r if not isinstance(r, (float, int)) else 1.0
         return 1.0 / (1.0 - 2.0 * self.m / r)
 
     def lapse_d1(self, r):
-        if self.m == 0.0:
-            return (np.ones_like(r), np.zeros_like(r)) if np.ndim(r) else (1.0, 0.0)
         n = (np.sqrt if np.ndim(r) else math.sqrt)(1.0 - 2.0 * self.m / r)
         return n, self.m / (r * r * n)
 

@@ -213,6 +213,17 @@ class TestExitCodes:
         failed = {g["name"] for g in rep["gates"] if not g["passed"]}
         assert "identities" in failed
 
+    @pytest.mark.parametrize("pipeline", ["detect", "israel", "full"])
+    def test_unary_plus_expression_runs(self, tmp_path, pipeline):
+        # the grammar admits unary + as well as -: both apply to jets
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": pipeline, "scan": [2.2, 50.0],
+            "profile": {"kind": "expression", "lapse": "+sqrt(1 - 2/r)",
+                        "radial_factor": "1/(1 - 2/r)", "r_min": 2.0,
+                        "m": 1.0}}))
+        assert run([pipeline, "--scenario", str(scn),
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_TRUE
 
     def test_full_exit_reflects_an_inconclusive_certificate(self, tmp_path):
         # the Israel verdict is isometric, but the orbit does not integrate
@@ -260,10 +271,10 @@ class TestExitCodes:
         # flat one
         self._assert_isometric_at_scale(tmp_path, 1e-11)
 
-    # the range stops at 1e10, where flux-level-independence reads the
-    # flux spread, 9.5e-6 there, against an absolute 1e-6
+    # the range stops at 1e11, where sharpness-34, whose slack is not yet
+    # dimensionless, reads 2.07e-5 against 1e-5
     @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7,
-                                   1e8, 1e9])
+                                   1e8, 1e9, 1e10])
     def test_israel_verdict_is_scale_covariant(self, tmp_path, m):
         self._assert_isometric_at_scale(tmp_path, m)
 

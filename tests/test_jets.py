@@ -68,6 +68,18 @@ def test_numpy_ufunc_dispatch_both_orders():
     assert np.isclose(np.divide(6.0, x).val, 3.0)
     assert np.isclose(np.multiply(np.float64(2.0), x).val, 4.0)
     assert np.isclose(np.power(x, 3).grad[0], 12.0)
+    # ndarray ** Jet reaches Jet.__rpow__: d/dx 3^x = 3^x log 3
+    y = np.array([3.0]) ** x
+    assert np.allclose(y.val, 9.0) and np.allclose(y.grad[..., 0], 9.0 * np.log(3.0))
+    z = np.subtract(np.float64(5.0), x)
+    assert np.isclose(z.val, 3.0) and z.grad[0] == -1.0
+    for ufunc, method in ((np.exp, Jet.exp), (np.log, Jet.log), (np.cos, Jet.cos)):
+        a, b = ufunc(x), method(x)
+        for u, v in ((a.val, b.val), (a.grad, b.grad), (a.hess, b.hess)):
+            assert np.array_equal(u, v)
+    assert +x is x
+    with pytest.raises(TypeError):
+        np.tan(x)
 
 
 def test_integer_power_edge_cases():

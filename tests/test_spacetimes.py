@@ -228,7 +228,8 @@ def _expressions(depth):
         st.tuples(sub, st.sampled_from("+-*/^"), sub).map(
             lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
         sub.map(lambda e: f"sqrt({e})"),
-        sub.map(lambda e: f"-({e})"))
+        sub.map(lambda e: f"-({e})"),
+        sub.map(lambda e: f"+({e})"))
 
 
 class TestExpressionGrammarFuzz:
