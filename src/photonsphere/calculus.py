@@ -149,9 +149,10 @@ def curvature(sampler, point):
 # Scalar fields: covariant Hessian
 # ---------------------------------------------------------------------------
 
-def scalar_taylor(field, coords):
-    """Value, gradient and coordinate Hessian of a scalar field."""
-    xs = jets.variables(list(coords), order=2)
+def scalar_taylor(field, coords, order=2):
+    """Value, gradient and coordinate Hessian of a scalar field; ``order`` 1
+    seeds first-order jets, the same value and gradient and no Hessian."""
+    xs = jets.variables(list(coords), order=order)
     f = jets.lift(field(xs), xs[0])
     return f.val, f.grad, f.hess
 

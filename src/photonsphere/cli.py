@@ -212,11 +212,14 @@ def _certificate_payload(cert):
 def _level_table(report):
     """The per-level columns by name, in the order of ``israel_levels.csv``:
     N, area radius, mean rho, mean H, sup of the dimensionless trace-free
-    norm r_area |h_tracefree| and the three identity residuals."""
+    norm r_area |h_tracefree| and the sups of the three identity residuals
+    over each leaf."""
     fol, ids = report.foliation, report.identities
     return {"N": fol.N, "r": fol.area_radius, "rho": report.rho_mean,
             "H": report.h_mean, "tracefree_sup": report.tracefree_max,
-            "res31": ids.res31, "res32": ids.res32, "res33": ids.res33}
+            "res31": np.max(ids.res31, axis=1),
+            "res32": np.max(ids.res32, axis=1),
+            "res33": np.max(ids.res33, axis=1)}
 
 
 def _israel_payload(report):
@@ -383,15 +386,18 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
 
 def _emit_plot_data(report, columns, out):
     """Plot-ready tables against N: r_of_N.csv, rho_of_N.csv and H_of_N.csv,
-    each N and one of the next three per-level columns, and slacks_of_N.csv."""
+    each N and one of the next three per-level columns, and slacks_of_N.csv,
+    the min and max of each pointwise slack over each leaf."""
     (n_name, n), *plotted = list(columns.items())[:4]
     for name, values in plotted:
         _write_table(os.path.join(out, f"{name}_of_N.csv"), [n_name, name],
                      [n, values])
+    s34, s35 = report.slacks.slack34, report.slacks.slack35
     _write_table(os.path.join(out, "slacks_of_N.csv"),
                  [n_name, "slack34_min", "slack34_max", "slack35_min",
                   "slack35_max"],
-                 [n, *report.slacks.slack34.T, *report.slacks.slack35.T])
+                 [n, np.min(s34, axis=1), np.max(s34, axis=1),
+                  np.min(s35, axis=1), np.max(s35, axis=1)])
 
 
 def run_scenario(scn, out_dir, dump_curvature=None):

@@ -25,7 +25,7 @@ import numpy as np
 from . import quadrature as quad
 from .calculus import (_christoffel_from, _inverse_metric, curvature, metric_taylor,
                        scalar_taylor)
-from .spacetimes import MetricSampler
+from .spacetimes import DomainError, MetricSampler
 
 FOLIATION_DN_FLOOR = 1e-12   # on r |dN| on a leaf, on |dr| on a cylinder
 CYLINDER_THETA = 16   # Gauss-Legendre theta nodes of ``cylinder_sample``
@@ -124,7 +124,7 @@ def normal_data(surface, x, ginv):
     of 1/length.
     """
     name, field = _level_function(surface)
-    _, w, _ = scalar_taylor(field, x)
+    _, w, _ = scalar_taylor(field, x, order=1)
     # w^a = g^ab w_b and q = w_a w^a: "...ab,...a,...b->..."
     w_u = (ginv @ w[..., None])[..., 0]
     q = (w[..., None, :] @ w_u[..., None])[..., 0, 0]
@@ -197,9 +197,17 @@ def cylinder_sample(surface):
     """Shape data and the curvature bundle of the induced metric of a
     cylinder at t = 0 and phi = 0, each (CYLINDER_THETA,): one value per
     Gauss-Legendre theta node.  The cylinder of a radial profile is the same
-    at every phi.
+    at every phi.  It is sampled with floating-point warnings off, and shape
+    data or an induced metric that is not finite raises DomainError.
     """
     theta, _, _ = quad.sphere_grid(CYLINDER_THETA)
     point = (0.0, theta, 0.0)
-    return shape(surface, point), curvature(surface.induced_sampler(), point)
+    with np.errstate(all="ignore"):
+        sd = shape(surface, point)
+        induced = curvature(surface.induced_sampler(), point)
+    if not all(np.isfinite(a).all() for a in (sd.mean_curvature,
+                                               sd.tracefree_norm, induced.metric_dd)):
+        raise DomainError(f"the cylinder r0 = {surface.level_value!r} has "
+                          f"non-finite shape data or induced metric")
+    return sd, induced
 

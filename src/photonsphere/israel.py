@@ -32,7 +32,9 @@ one ``quadrature.sphere_integral`` call.  The pipeline then checks
 * the integrated inequality chains with their analytic asymptotic tails,
 
 before reconstructing the lapse from the rigidity ODE u'' = -2 u'/r and
-delivering the isometry verdict.
+delivering the isometry verdict, the conjunction of ``Gate``s, each of
+which applies one bound to the one value it writes.  A gate on a leaf field
+reads the field whole and names the level and theta node of its sup.
 
 Residuals of identities whose terms vary over many orders of magnitude
 are normalized by the largest participating term (floored at one), so a
@@ -40,6 +42,7 @@ single tolerance is meaningful across the whole foliation.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,9 +215,6 @@ class Foliation:
         var = self.integral((nodes - self.mean(nodes)[:, None]) ** 2) / self.area
         return np.sqrt(np.maximum(var, 0.0))
 
-    def reaches_tail(self):
-        return bool(self.r_coord[-1] >= TAIL_REACH * self.tail_radius)
-
 
 # ---------------------------------------------------------------------------
 # Mass flux
@@ -235,46 +235,20 @@ def _normalized(residual, *terms):
     return np.abs(residual) / scale
 
 
-def _sup_nodes(nodes):
-    """Largest value of a stacked leaf field on each level and the theta row
-    (Gauss-Legendre index) of its first argmax there."""
-    k = np.argmax(nodes, axis=1)
-    return nodes[np.arange(len(nodes)), k], k
-
-
-def _min_max_nodes(nodes):
-    """Per-level (min, max) of a stacked leaf field, one row per level, and
-    the theta node of each."""
-    (neg_lo, k_lo), (hi, k_hi) = _sup_nodes(-nodes), _sup_nodes(nodes)
-    return np.stack([-neg_lo, hi], axis=1), np.stack([k_lo, k_hi], axis=1)
-
-
-def _sup_position(values, nodes):
-    """Level and theta node of the largest |value| of per-level sups.
-
-    ``values`` and ``nodes`` have one row per level (and optionally one
-    column per quantity); ties go to the first level, then the first column.
-    """
-    values = np.abs(np.reshape(values, (len(values), -1)))
-    j, k = np.unravel_index(np.argmax(values), values.shape)
-    return int(j), int(np.reshape(nodes, values.shape)[j, k])
-
-
 @dataclass(frozen=True)
 class IdentityResiduals:
-    """Per-level sups of the normalized residuals of the three identities
-    and of the area-element evolution factor.  ``nodes`` has one row per
-    level: the theta node of each of those four sups, in that order."""
+    """The normalized residuals of the three identities and of the
+    area-element evolution factor, each a (levels, n_theta) field: one value
+    per level and theta node.  ``sup`` is the largest residual of the three
+    identities, nan if any of them is nan."""
 
     res31: np.ndarray
     res32: np.ndarray
     res33: np.ndarray
     evolution: np.ndarray
-    nodes: np.ndarray
 
     def sup(self):
-        return float(max(np.max(self.res31), np.max(self.res32),
-                         np.max(self.res33)))
+        return float(np.max([self.res31, self.res32, self.res33]))
 
 
 def _transverse_derivative(foliation, nodes):
@@ -303,8 +277,8 @@ def identity_residuals(foliation, lam, terms):
     """Residuals of the three static-vacuum identities on every level.
 
     Each residual is normalized by its largest participating term
-    (floored at 1), evaluated pointwise on the leaf, and reported as the
-    per-level sup.  ``terms`` holds ``_leaf_terms`` of the foliation.
+    (floored at 1) and evaluated pointwise on every leaf, a (levels,
+    n_theta) field.  ``terms`` holds ``_leaf_terms`` of the foliation.
     """
     if len(foliation) < 7:
         raise ValueError("transverse derivatives need at least 7 levels")
@@ -334,30 +308,26 @@ def identity_residuals(foliation, lam, terms):
 
     t_e1 = ss_n
     t_e2 = -lam * foliation.sqrt_s * h * rho
-    sups = (_sup_nodes(_normalized(res31, t_a1, t_a2, t_a3, t_a4, t_a5)),
-            _sup_nodes(_normalized(res32, t_b1, t_b2, t_b3, t_b4, t_b5)),
-            _sup_nodes(_normalized(t_c1 + t_c2, t_c1, t_c2)),
-            _sup_nodes(_normalized(t_e1 + t_e2, t_e1, t_e2)))
-    values, nodes = (np.stack(c, axis=1) for c in zip(*sups))
-    return IdentityResiduals(*values.T, nodes)
+    return IdentityResiduals(_normalized(res31, t_a1, t_a2, t_a3, t_a4, t_a5),
+                             _normalized(res32, t_b1, t_b2, t_b3, t_b4, t_b5),
+                             _normalized(t_c1 + t_c2, t_c1, t_c2),
+                             _normalized(t_e1 + t_e2, t_e1, t_e2))
 
 
 @dataclass(frozen=True)
 class InequalitySlacks:
     """Pointwise and integrated slack (RHS - LHS >= 0) of the inequality chain.
 
-    ``slack34``/``slack35`` carry per-level (min, max) over the leaf and
-    ``nodes34``/``nodes35`` the theta node of each entry; ``bracket_min``
-    is the most negative sum-of-squares bracket seen (analytically >= 0).
-    The integrated chains are evaluated both through the quadrature +
-    asymptotic-tail route (``chain36``, ``chain38``) and in their
-    simplified boundary forms (``ineq37``, ``ineq39``).
+    ``slack34`` (over sqrt(r0), so dimensionless) and ``slack35`` are
+    (levels, n_theta) fields, ``sup34``/``sup35`` their largest |slack|;
+    ``bracket_min`` is the most negative sum-of-squares bracket seen
+    (analytically >= 0).  The integrated chains are evaluated both through
+    the quadrature + asymptotic-tail route (``chain36``, ``chain38``) and in
+    their simplified boundary forms (``ineq37``, ``ineq39``).
     """
 
     slack34: np.ndarray
     slack35: np.ndarray
-    nodes34: np.ndarray
-    nodes35: np.ndarray
     bracket_min: float
     chain36: float
     ineq37: float
@@ -391,11 +361,12 @@ def inequality_slacks(foliation, lam, mass, terms):
                                  sqrt_s / rho * (h * n + 4.0 * lam / rho))
     _, lap_sqrt_rho, lap_log_rho, bracket = terms
     r_sigma = 2.0 * foliation.gauss_k
-    s34, n34 = _min_max_nodes(-2.0 * (sqrt_s / n) * lap_sqrt_rho - p_n)
-    s35, n35 = _min_max_nodes(-n * sqrt_s * (lap_log_rho + r_sigma) - q_n)
-
     n0 = float(foliation.N[0])
     r0 = float(foliation.area_radius[0])
+    # slack34 has units of length^(1/2): over sqrt(r0) it is dimensionless
+    s34 = (-2.0 * (sqrt_s / n) * lap_sqrt_rho - p_n) / math.sqrt(r0)
+    s35 = -n * sqrt_s * (lap_log_rho + r_sigma) - q_n
+
     h0 = float(foliation.mean(h)[0])
     f_n0 = float(foliation.integral(h / np.sqrt(rho))[0]) / n0
     f_inf = 8.0 * math.pi * math.sqrt(abs(mass))
@@ -405,7 +376,7 @@ def inequality_slacks(foliation, lam, mass, terms):
     g_n0 = float(foliation.integral((h * n0 + 4.0 * lam / rho) / rho)[0])
     chain38 = (g_n0 - 4.0 * math.pi * (1.0 - n0 ** 2)) / (4.0 * math.pi)
     ineq39 = abs(mass) * (h0 * n0 + 4.0 * mass / r0 ** 2) - (1.0 - n0 ** 2)
-    return InequalitySlacks(s34, s35, n34, n35, float(np.min(bracket)),
+    return InequalitySlacks(s34, s35, float(np.min(bracket)),
                             chain36, ineq37, chain38, ineq39)
 
 
@@ -437,10 +408,8 @@ def sign_analysis(foliation, mass, frak_h, tol):
     lam = int(np.sign(foliation.mean(foliation.nuN)[0]))
     signs = np.sign([mass, frak_h, foliation.mean(foliation.H)[0]])
     slack = (6.0 * lam + 3.0) * (mass / r0) ** 2 - 1.0
-    negative_bound = (6.0 * -1 + 3.0) * mass ** 2
-    return GlobalSign(lam, bool(np.all(signs == lam)),
-                      slack, abs(slack) <= tol,
-                      negative_bound < 0.0 <= r0 ** 2)
+    return GlobalSign(lam, bool(np.all(signs == lam)), slack, abs(slack) <= tol,
+                      (6.0 * -1 + 3.0) * mass ** 2 < 0.0 <= r0 ** 2)
 
 
 @dataclass(frozen=True)
@@ -575,25 +544,43 @@ def reconstruct_lapse(mass, n0, r0, r_max=None):
 # Report assembly and the rigidity verdict
 # ---------------------------------------------------------------------------
 
+_BOUNDS = {"<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
 @dataclass(frozen=True)
 class Gate:
-    """One verdict gate.  ``level`` is the foliation level where a per-level
-    sup was attained, None for gates that are not a sup over levels;
-    ``node`` is the theta node (Gauss-Legendre index) of a sup over the
-    leaf's nodes at that level, None for gates that are not one."""
+    """One verdict gate: ``passed`` is ``value <bound> threshold``, with
+    ``bound`` one of ``<`` (the default), ``>=`` and ``>``, so a nan value
+    fails every gate.  ``level`` and ``node`` are the foliation level and
+    theta node (Gauss-Legendre index) where a sup was attained, None for a
+    gate that is not a sup over levels or over the nodes of a leaf."""
 
     name: str
     value: float
     threshold: float
-    passed: bool
+    bound: str = "<"
     structural: bool = False
     level: int = None
     node: int = None
 
     @property
+    def passed(self):
+        return bool(_BOUNDS[self.bound](self.value, self.threshold))
+
+    @property
     def margin(self):
         """value / threshold, None where the threshold is not positive."""
         return self.value / self.threshold if self.threshold > 0 else None
+
+
+def _field_gate(name, tol, *fields):
+    """The ``< tol`` gate on the sup of |field| over (levels, n_theta) leaf
+    fields, at its first argmax: ties go to the first level, then the first
+    field, then the first node, and a nan counts as the largest."""
+    stacked = np.abs(np.stack(fields, axis=1))
+    level, k, node = np.unravel_index(np.argmax(stacked), stacked.shape)
+    return Gate(name, float(stacked[level, k, node]), tol,
+                level=int(level), node=int(node))
 
 
 @dataclass(frozen=True)
@@ -642,70 +629,40 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels, n_theta, tail_radius,
                               r_max=foliation.tail_radius)
 
     # r_area |h_tracefree|: dimensionless, as the gate's tol is
-    tf_by_level, tf_nodes = _sup_nodes(
-        foliation.area_radius[:, None] * foliation.tracefree)
-    tf_sup = float(np.max(tf_by_level))
+    tracefree = foliation.area_radius[:, None] * foliation.tracefree
     rho_mean, h_mean = foliation.mean(foliation.rho), foliation.mean(foliation.H)
     rho_std = foliation.std(foliation.rho)
     rho_by_level = rho_std / rho_mean
-    rho_std_rel = float(np.max(rho_by_level))
-    h_min = float(np.min(h_mean))
     # relative to the mass, so the gate reads the same at every mass scale
     flux_spread = float(np.max(fluxes) - np.min(fluxes)) / abs(mass)
-    n_min, n_max = float(np.min(foliation.N)), float(np.max(foliation.N))
-
-    id_level, id_node = _sup_position(
-        np.column_stack([ids.res31, ids.res32, ids.res33]), ids.nodes[:, :3])
-    ev_level, ev_node = _sup_position(ids.evolution, ids.nodes[:, 3])
-    s34_level, s34_node = _sup_position(slacks.slack34, slacks.nodes34)
-    s35_level, s35_node = _sup_position(slacks.slack35, slacks.nodes35)
-    tf_level, tf_node = _sup_position(tf_by_level, tf_nodes)
+    n_in_range = (float(np.min(foliation.N)) >= n0 - 1e-12
+                  and float(np.max(foliation.N)) < 1.0)
 
     gates = (
-        Gate("identities", ids.sup(), tol, ids.sup() < tol,
-             level=id_level, node=id_node),
-        Gate("evolution-factor", float(np.max(ids.evolution)), tol,
-             float(np.max(ids.evolution)) < tol, level=ev_level, node=ev_node),
-        Gate("sharpness-34", slacks.sup34(), tol, slacks.sup34() < tol,
-             level=s34_level, node=s34_node),
-        Gate("sharpness-35", slacks.sup35(), tol, slacks.sup35() < tol,
-             level=s35_level, node=s35_node),
-        Gate("sharpness-36-chain", abs(slacks.chain36), tol,
-             abs(slacks.chain36) < tol),
-        Gate("sharpness-37", abs(slacks.ineq37), tol,
-             abs(slacks.ineq37) < tol),
-        Gate("sharpness-38-chain", abs(slacks.chain38), tol,
-             abs(slacks.chain38) < tol),
-        Gate("sharpness-39", abs(slacks.ineq39), tol,
-             abs(slacks.ineq39) < tol),
-        Gate("bracket-nonnegative", slacks.bracket_min, -1e-14,
-             slacks.bracket_min >= -1e-14),
-        Gate("leaf-constancy-tracefree", tf_sup, tol, tf_sup < tol,
-             level=tf_level, node=tf_node),
-        Gate("leaf-constancy-rho", rho_std_rel, tol, rho_std_rel < tol,
+        _field_gate("identities", tol, ids.res31, ids.res32, ids.res33),
+        _field_gate("evolution-factor", tol, ids.evolution),
+        _field_gate("sharpness-34", tol, slacks.slack34),
+        _field_gate("sharpness-35", tol, slacks.slack35),
+        Gate("sharpness-36-chain", abs(slacks.chain36), tol),
+        Gate("sharpness-37", abs(slacks.ineq37), tol),
+        Gate("sharpness-38-chain", abs(slacks.chain38), tol),
+        Gate("sharpness-39", abs(slacks.ineq39), tol),
+        Gate("bracket-nonnegative", slacks.bracket_min, -1e-14, ">="),
+        _field_gate("leaf-constancy-tracefree", tol, tracefree),
+        Gate("leaf-constancy-rho", float(np.max(rho_by_level)), tol,
              level=int(np.argmax(rho_by_level))),
-        Gate("H-positive", h_min, 0.0, h_min > 0.0),
-        Gate("sign-consistency", 0.0 if sign.consistent else 1.0, 0.5,
-             sign.consistent),
-        Gate("lambda-exclusion", sign.exclusion_slack, -tol,
-             sign.exclusion_slack >= -tol and sign.negative_branch_contradiction),
-        Gate("flux-level-independence", flux_spread, 100 * 1e-8,
-             flux_spread < 100 * 1e-8),
-        Gate("N-range", 0.0 if (n_min >= n0 - 1e-12 and n_max < 1.0) else 1.0,
-             0.5, n_min >= n0 - 1e-12 and n_max < 1.0),
-        Gate("reconstruction", recon.sup_deviation, tol,
-             recon.sup_deviation < tol),
+        Gate("H-positive", float(np.min(h_mean)), 0.0, ">"),
+        Gate("sign-consistency", 0.0 if sign.consistent else 1.0, 0.5),
+        Gate("lambda-exclusion", sign.exclusion_slack, -tol, ">="),
+        Gate("flux-level-independence", flux_spread, 100 * 1e-8),
+        Gate("N-range", 0.0 if n_in_range else 1.0, 0.5),
+        Gate("reconstruction", recon.sup_deviation, tol),
         Gate("tail", float(foliation.r_coord[-1]) / foliation.tail_radius,
-             TAIL_REACH, foliation.reaches_tail(), structural=True),
+             TAIL_REACH, ">=", structural=True),
     )
-    structural_fail = any(not g.passed and g.structural for g in gates)
-    physical_fail = any(not g.passed and not g.structural for g in gates)
-    if structural_fail:
-        verdict = "inconclusive"
-    elif physical_fail:
-        verdict = "not-isometric"
-    else:
-        verdict = "isometric"
+    failed = {g.structural for g in gates if not g.passed}
+    verdict = ("inconclusive" if True in failed
+               else "not-isometric" if failed else "isometric")
     return IsraelReport(mass, tuple(fluxes.tolist()), rho_mean, h_mean, rho_std,
-                        tf_by_level, bnd, ids, slacks, sign, foliation, gates,
-                        verdict, tol)
+                        np.max(tracefree, axis=1), bnd, ids, slacks, sign,
+                        foliation, gates, verdict, tol)

@@ -271,10 +271,10 @@ class TestExitCodes:
         # flat one
         self._assert_isometric_at_scale(tmp_path, 1e-11)
 
-    # the range stops at 1e11, where sharpness-34, whose slack is not yet
-    # dimensionless, reads 2.07e-5 against 1e-5
+    # the range stops short of m = 1e80, where the leaves' det sigma, of
+    # order r^4, overflows
     @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7,
-                                   1e8, 1e9, 1e10])
+                                   1e8, 1e9, 1e10, 1e11, 1e20, 1e40])
     def test_israel_verdict_is_scale_covariant(self, tmp_path, m):
         self._assert_isometric_at_scale(tmp_path, m)
 
@@ -347,6 +347,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "metric is singular" in err or "not timelike" in err
+        assert not (out / "certificate.json").exists()
+
+    @pytest.mark.parametrize("profile, r0", [
+        # r0^2 overflows in the induced metric
+        ({"kind": "schwarzschild", "m": 1e300}, 3e300),
+        # the lapse is nan at every r > 0
+        ({"kind": "expression", "lapse": "sqrt(-r)", "radial_factor": "1",
+          "r_min": 0}, 3.0)], ids=["overflow", "nan-lapse"])
+    def test_non_finite_cylinder_is_one_named_error(self, tmp_path, capsys,
+                                                    profile, r0):
+        # the cylinder is sampled with floating-point warnings off, so the
+        # named error is the one line on stderr
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({"schema": 1, "pipeline": "certify",
+                                   "surface_r0": r0, "profile": profile}))
+        out = tmp_path / "o"
+        assert run(["certify", "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (out / "certificate.json").exists()
 
 

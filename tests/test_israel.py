@@ -286,9 +286,9 @@ class TestIdentities:
         j = int(np.argmin(np.abs(foliation24.area_radius - 5.0)))
         ids = isr.identity_residuals(foliation24, 1,
                                      isr._leaf_terms(foliation24))
-        assert ids.res31[j] < 5e-4
-        assert ids.res32[j] < 5e-4
-        assert ids.res33[j] < 5e-4
+        assert np.max(ids.res31[j]) < 5e-4
+        assert np.max(ids.res32[j]) < 5e-4
+        assert np.max(ids.res33[j]) < 5e-4
 
     def test_chain_rule_oracle_for_identity_33(self, foliation24):
         # rho_N = lam rho^2 H <=> d(r^2/m)/dN = (r^4/m^2)(2N/r), via
@@ -490,10 +490,13 @@ class TestRigidityVerdict:
                                       tol=1e-3)
         gates = {g.name: g for g in rep.gates}
         ids = rep.identities
-        per_level = np.max([ids.res31, ids.res32, ids.res33], axis=0)
+        # the residual fields are (levels, n_theta): the sup over the three
+        # identities and every node of each level
+        per_level = np.max([ids.res31, ids.res32, ids.res33], axis=(0, 2))
         assert gates["identities"].level == int(np.argmax(per_level))
         assert gates["identities"].value == per_level[gates["identities"].level]
-        assert gates["evolution-factor"].level == int(np.argmax(ids.evolution))
+        assert gates["evolution-factor"].level == int(
+            np.argmax(np.max(ids.evolution, axis=1)))
         assert gates["H-positive"].level is None
         path = tmp_path / "israel_report.json"
         cli._write_json(path, cli._israel_payload(rep))
@@ -595,11 +598,57 @@ class TestRigidityVerdict:
             assert np.array_equal(getattr(slacks, field),
                                   getattr(rep.slacks, field))
 
-    def test_missing_tail_detected_as_structural(self):
+    @staticmethod
+    def _gates_on(foliation, monkeypatch):
+        """The pipeline's report and gates by name on a given foliation."""
+        monkeypatch.setattr(isr, "build_foliation", lambda *a, **k: foliation)
+        rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=len(foliation),
+                                      n_theta=16, tail_radius=100.0, tol=1e-3)
+        return rep, {g.name: g for g in rep.gates}
+
+    def test_missing_tail_detected_as_structural(self, monkeypatch):
+        # the first 12 of 16 levels stop short of the tail radius: the
+        # structural tail gate fails, so the verdict is inconclusive
         fol = isr.build_foliation(ST, N0, levels=16, n_theta=16,
                                   tail_radius=100.0)
-        assert fol.reaches_tail()
-        assert not _first_levels(fol, 12).reaches_tail()
+        _, gates = self._gates_on(fol, monkeypatch)
+        assert gates["tail"].passed
+        rep, gates = self._gates_on(_first_levels(fol, 12), monkeypatch)
+        tail = gates["tail"]
+        assert tail.structural and not tail.passed
+        assert tail.value == fol.r_coord[11] / 100.0 < isr.TAIL_REACH
+        assert rep.verdict == "inconclusive"
+
+    def test_tail_gate_applies_its_bound_to_the_value_it_writes(
+            self, monkeypatch):
+        # r >= 0.99 t rounds true for this pair, but r / t is below 0.99:
+        # the gate reads r / t, so it fails
+        r, t = 645077.3879184923, 651593.3211297903
+        assert r >= isr.TAIL_REACH * t and r / t < isr.TAIL_REACH
+        fol = isr.build_foliation(ST, N0, levels=24, n_theta=16,
+                                  tail_radius=100.0)
+        r_coord = fol.r_coord.copy()
+        r_coord[-1] = r
+        rep, gates = self._gates_on(
+            dataclasses.replace(fol, r_coord=r_coord, tail_radius=t), monkeypatch)
+        assert (gates["tail"].value, gates["tail"].passed) == (r / t, False)
+        assert rep.verdict == "inconclusive"
+
+    def test_a_nan_fails_the_identities_at_its_node(self, monkeypatch):
+        # a nan Gauss curvature on level 5, node 3 enters res32 there: the
+        # gate's sup counts it as the largest value, so it fails with a nan
+        # value at that level and node
+        fol = isr.build_foliation(ST, N0, levels=24, n_theta=16,
+                                  tail_radius=100.0)
+        gauss_k = fol.gauss_k.copy()
+        gauss_k[5, 3] = np.nan
+        rep, gates = self._gates_on(
+            dataclasses.replace(fol, gauss_k=gauss_k), monkeypatch)
+        ids = gates["identities"]
+        assert math.isnan(ids.value) and not ids.passed
+        assert (ids.level, ids.node) == (5, 3)
+        assert math.isnan(rep.identities.sup())
+        assert rep.verdict == "not-isometric"
 
     def test_m0_pipeline_rejected_flat(self):
         mink = StaticSpacetime.schwarzschild(0.0)
