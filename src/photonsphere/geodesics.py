@@ -202,9 +202,11 @@ def _to_chart(basis, rows):
     dz = -vpsi * (sp * c0 + cp * cb * s0)
     rho = np.hypot(x, y)
     vth = z * (x * dx + y * dy) / rho - rho * dz
+    # a zero rate about the polar axis stays 0 where rho^2 underflows
+    lz = x * dy - y * dx
+    vph = np.divide(lz, rho * rho, out=lz, where=lz != 0.0)
     return np.column_stack((lam, t, r, np.arctan2(rho, z),
-                            ph0 + np.unwrap(np.arctan2(y, x)), vt, vr, vth,
-                            (x * dy - y * dx) / (rho * rho)))
+                            ph0 + np.unwrap(np.arctan2(y, x)), vt, vr, vth, vph))
 
 
 def _factors(profile, r):

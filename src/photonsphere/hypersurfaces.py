@@ -16,6 +16,8 @@ constant along the tangent coordinate axes, so d_a eta_b vanishes on the
 tangent block and there II_ab = -Gamma^c_ab eta_c.  Frame components are
 taken in the normalized coordinate frame (both chart metrics write 0 off
 the diagonal of every tangent block), so sup-norms are chart-scale free.
+``sample`` is the one place that samples a surface {r = r0}, a cylinder
+or a stack of leaves: one guarded ``shape`` and induced ``curvature`` call.
 """
 
 from dataclasses import dataclass
@@ -28,15 +30,11 @@ from .calculus import (_christoffel_from, _inverse_metric, curvature, metric_tay
 from .spacetimes import DomainError, MetricSampler
 
 FOLIATION_DN_FLOOR = 1e-12   # on r |dN| on a leaf, on |dr| on a cylinder
-CYLINDER_THETA = 16   # Gauss-Legendre theta nodes of ``cylinder_sample``
+CYLINDER_THETA = 16   # Gauss-Legendre theta nodes at which a cylinder is sampled
 
 
 class FoliationError(RuntimeError):
     """Raised when a level-set normal degenerates (|dN| too small)."""
-
-
-def _asarrays(point):
-    return tuple(np.asarray(c, dtype=float) for c in point)
 
 
 # ---------------------------------------------------------------------------
@@ -151,18 +149,14 @@ class ShapeData:
     ``mean_curvature`` is the trace of II and ``tracefree_norm`` the
     Frobenius norm of II - (H/n) * induced in the normalized coordinate
     frame, which vanishes exactly on umbilic surfaces and equals the
-    natural tensor norm in the Riemannian case.  ``metric_dd`` is the
-    ambient metric g_ab at the embedded points, ``normal_u`` the unit
-    normal eta^a and ``level_gradient`` the gradient d_a f of the level
-    function it normalizes (dN on a lapse level set), so callers need not
-    differentiate the metric or the level function again.
+    natural tensor norm in the Riemannian case.  ``normal_rate`` is
+    eta(f), the rate of the level function f along the unit normal (nu(N)
+    on a lapse level set), so callers need not differentiate f again.
     """
 
     mean_curvature: np.ndarray
     tracefree_norm: np.ndarray
-    metric_dd: np.ndarray
-    normal_u: np.ndarray
-    level_gradient: np.ndarray
+    normal_rate: np.ndarray
 
 
 def shape(surface, point):
@@ -172,7 +166,7 @@ def shape(surface, point):
     vectorized evaluation.  On the tangent block d_a eta_b = 0, so
     II_ab = -Gamma^c_ab eta_c there.
     """
-    x = surface.embed(_asarrays(point))
+    x = surface.embed(point)
     g, dg, _ = metric_taylor(surface.ambient, x, order=1)
     ginv = _inverse_metric(g)
     eta_d, eta_u, w = normal_data(surface, x, ginv)
@@ -190,24 +184,35 @@ def shape(surface, point):
     h = np.einsum("A,...AA->...", eps, ii_frame)
     tracefree = ii_frame - (h[..., None, None] / n) * np.diag(eps)
     tf_norm = np.sqrt(np.einsum("...AB,...AB->...", tracefree, tracefree))
-    return ShapeData(h, tf_norm, g, eta_u, w)
+    return ShapeData(h, tf_norm, np.einsum("...a,...a->...", eta_u, w))
 
 
-def cylinder_sample(surface):
+def require_finite(surface, what, *finite):
+    """Raise DomainError naming, as one number, the first level value r0 at
+    which one of the boolean node fields ``finite`` is False."""
+    level, ok = np.broadcast_arrays(surface.level_value,
+                                    np.all(np.broadcast_arrays(*finite), axis=0))
+    if not np.all(ok):
+        raise DomainError(f"the {surface.kind} r0 = {float(level[~ok][0])!r} "
+                          f"has non-finite {what}")
+
+
+def sample(surface, n_theta):
     """Shape data and the curvature bundle of the induced metric of a
-    cylinder at t = 0 and phi = 0, each (CYLINDER_THETA,): one value per
-    Gauss-Legendre theta node.  The cylinder of a radial profile is the same
-    at every phi.  It is sampled with floating-point warnings off, and shape
-    data or an induced metric that is not finite raises DomainError.
+    surface {r = r0} at its ``n_theta`` Gauss-Legendre theta nodes and
+    phi = 0, at t = 0 on a cylinder: each field (n_theta,) on one surface,
+    (levels, n_theta) on a stack of leaves.  A radial profile's surface is
+    the same at every phi.  The surface is sampled with floating-point
+    warnings off, and shape data or an induced metric that is not finite
+    raises DomainError naming the first r0 where it is not.
     """
-    theta, _, _ = quad.sphere_grid(CYLINDER_THETA)
-    point = (0.0, theta, 0.0)
+    theta, _, _ = quad.sphere_grid(n_theta)
+    # the tangent coordinates end in (theta, phi); a cylinder's start with t
+    point = (0.0,) * (surface.surface_dim - 2) + (theta, 0.0)
     with np.errstate(all="ignore"):
         sd = shape(surface, point)
         induced = curvature(surface.induced_sampler(), point)
-    if not all(np.isfinite(a).all() for a in (sd.mean_curvature,
-                                               sd.tracefree_norm, induced.metric_dd)):
-        raise DomainError(f"the cylinder r0 = {surface.level_value!r} has "
-                          f"non-finite shape data or induced metric")
+    require_finite(surface, "shape data or induced metric",
+                   np.isfinite(sd.mean_curvature), np.isfinite(sd.tracefree_norm),
+                   np.all(np.isfinite(induced.metric_dd), axis=(-2, -1)))
     return sd, induced
-

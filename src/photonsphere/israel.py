@@ -17,8 +17,9 @@ levels are bisected together (``quadrature.bisect``) and the leaves
 evaluated in stacked blocks: the radii of a block are one (levels, 1) jet
 coordinate against the (n_theta,) Gauss-Legendre theta axis, and phi is
 the one coordinate 0: every input is a radial profile, so no leaf field
-depends on phi.  One ``shape``, one lapse gradient and one induced
-``curvature`` call cover a block (see :mod:`.jets`).  A block holds at most
+depends on phi.  One ``hypersurfaces.sample`` call (one ``shape``, the
+lapse gradient inside it, and one induced ``curvature``) covers a block
+(see :mod:`.jets`).  A block holds at most
 ``BLOCK_ROWS`` (levels x theta) rows, which bounds the memory its jets
 take, and each of its entries equals the same leaf evaluated alone bit for
 bit.  A ``Foliation`` holds each field as one (levels, n_theta) stack, and
@@ -49,7 +50,6 @@ import numpy as np
 
 from . import hypersurfaces as hs
 from . import quadrature as quad
-from .calculus import curvature
 from .spacetimes import DomainError
 
 TOL_LVL = 1e-5
@@ -85,33 +85,30 @@ def check_not_flat(profile, radii):
                  f"radii in [{r.min():.6g}, {r.max():.6g}]")
 
 
-def _leaf_block(spacetime, r_levels, theta, weights):
+def _leaf_block(spacetime, r_levels, n_theta):
     """The area of each leaf of a block of levels and all leaf fields at the
-    theta nodes and phi = 0, each (levels, n_theta).
+    ``n_theta`` theta nodes and phi = 0, each (levels, n_theta).
 
     Each leaf is the coordinate sphere {r = r0}: its normal is the gradient
-    of the lapse, with no tangential component, and its induced metric is
-    diag(r0^2, r0^2 sin^2 theta).  ``shape`` runs the DN-floor check.
+    of the lapse, with no tangential component, and its induced metric
+    sigma is diag(r0^2, r0^2 sin^2 theta), so sqrt(det sigma) is the root
+    of the diagonal's product.  ``hs.sample`` runs the DN-floor check; an
+    area element that is not finite raises DomainError naming the first
+    leaf radius where it is not.
     """
-    n_levels = len(r_levels)
-    point = (theta, 0.0)
+    theta, _, weights = quad.sphere_grid(n_theta)
     surface = hs.lapse_level_set(spacetime, r_levels[:, None])
-    sd = hs.shape(surface, point)
-    # nu(N) from the lapse gradient the level-set normal was built from;
-    # |nu(N)| = |dN|, which ``shape`` has checked against the DN floor
-    nuN = np.einsum("...a,...a->...", sd.normal_u, sd.level_gradient)
-
-    sigma = sd.metric_dd[..., 1:, 1:]
-    det_sigma = sigma[..., 0, 0] * sigma[..., 1, 1] - sigma[..., 0, 1] ** 2
-    sqrt_s = np.sqrt(det_sigma)
+    sd, induced = hs.sample(surface, n_theta)
+    with np.errstate(all="ignore"):
+        sqrt_s = np.sqrt(induced.metric_dd[..., 0, 0] * induced.metric_dd[..., 1, 1])
+    hs.require_finite(surface, "area element", np.isfinite(sqrt_s))
     jac = sqrt_s / np.sin(theta)
-    area = quad.sphere_integral(jac, weights)
-
-    gauss_k = 0.5 * curvature(surface.induced_sampler(), point).scalar
-    # a field that reads no theta has one value per level: give it a row
-    return area, *(np.broadcast_to(f, (n_levels, len(theta)))
-                   for f in (jac, sqrt_s, 1.0 / np.abs(nuN), sd.mean_curvature,
-                             nuN, sd.tracefree_norm, gauss_k))
+    # |nu(N)| = |dN|, which ``hs.sample`` checked against the DN floor; a
+    # field that reads no theta has one value per level: give it a row
+    return quad.sphere_integral(jac, weights), *(
+        np.broadcast_to(f, (len(r_levels), n_theta))
+        for f in (jac, sqrt_s, 1.0 / np.abs(sd.normal_rate), sd.mean_curvature,
+                  sd.normal_rate, sd.tracefree_norm, 0.5 * induced.scalar))
 
 
 def build_foliation(spacetime, n0, levels, n_theta, tail_radius=None,
@@ -158,9 +155,9 @@ def build_foliation(spacetime, n0, levels, n_theta, tail_radius=None,
         raise DomainError(f"lapse level not bracketed, one bracket per level "
                           f"from N0 = {n0!r}: {exc}") from exc
 
-    theta, x, w = quad.sphere_grid(n_theta)
+    _, x, w = quad.sphere_grid(n_theta)
     per_block = max(1, BLOCK_ROWS // n_theta)
-    blocks = [_leaf_block(spacetime, radii[k:k + per_block], theta, w)
+    blocks = [_leaf_block(spacetime, radii[k:k + per_block], n_theta)
               for k in range(0, levels, per_block)]
     area, *fields = (np.concatenate(parts) for parts in zip(*blocks))
     return Foliation(s, n_values, radii, dn_ds, area, *fields, x, w,
@@ -441,7 +438,8 @@ def boundary_constraints(spacetime, foliation, mass):
     nu0 = float(fol.mean(fol.nuN)[0])
     r_sigma = 2.0 * float(fol.mean(fol.gauss_k)[0])
 
-    sd, induced = hs.cylinder_sample(hs.cylinder(spacetime, fol.r_coord[0]))
+    sd, induced = hs.sample(hs.cylinder(spacetime, fol.r_coord[0]),
+                            hs.CYLINDER_THETA)
     frak_h = float(np.mean(sd.mean_curvature))
     r_p = float(np.mean(induced.scalar))
 

@@ -122,7 +122,7 @@ def certify_photon_surface(spacetime, surface, span):
     """
     if surface.kind != "cylinder":
         raise ValueError("certification expects a cylinder hypersurface")
-    sd, induced = hypersurfaces.cylinder_sample(surface)
+    sd, induced = hypersurfaces.sample(surface, hypersurfaces.CYLINDER_THETA)
     signs = np.sign(np.linalg.eigvalsh(induced.metric_dd)).reshape(-1, 3)
     if not np.all(signs == (-1.0, 1.0, 1.0)):
         raise DomainError(

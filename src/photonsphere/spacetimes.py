@@ -13,7 +13,6 @@ evaluation path for a float radius and an array of radii alike.
 """
 
 import ast
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -392,17 +391,11 @@ def _spec_expression(spec, key):
 
 
 def load_profile(spec):
-    """Build a profile from a JSON dict, a JSON string, or a file path.
+    """Build a profile from a dict, the ``profile`` object of a scenario.
 
-    A spec that is not an object, or a field that is missing or of the
-    wrong type, raises ValueError naming the field.
+    A spec that is not a dict, or a field that is missing or of the wrong
+    type, raises ValueError naming the field.
     """
-    if isinstance(spec, str):
-        try:
-            spec = json.loads(spec)
-        except json.JSONDecodeError:
-            with open(spec) as fh:
-                spec = json.load(fh)
     if not isinstance(spec, dict):
         raise ValueError(f"profile must be a JSON object, not {type(spec).__name__}")
     kind = spec.get("kind")

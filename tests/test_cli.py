@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -272,13 +273,16 @@ class TestExitCodes:
         self._assert_isometric_at_scale(tmp_path, 1e-11)
 
     # the range stops short of m = 1e80, where the leaves' det sigma, of
-    # order r^4, overflows
+    # order r^4, overflows: a named error (test_overflowing_leaf_area_...)
     @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7,
                                    1e8, 1e9, 1e10, 1e11, 1e20, 1e40])
     def test_israel_verdict_is_scale_covariant(self, tmp_path, m):
         self._assert_isometric_at_scale(tmp_path, m)
 
-    @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7])
+    # m = 1e80 included: the cylinder's metric reads r0^2, not the leaves'
+    # r^4, so it stays finite where the israel foliation overflows
+    @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7,
+                                   1e80])
     def test_certify_verdict_is_scale_covariant(self, tmp_path, m):
         # the m = 1 detect and certify runs with every length scaled by m:
         # the certificate gates r0 |h_tracefree|, r0 std H and |r - r0| / r0,
@@ -368,6 +372,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (out / "certificate.json").exists()
+
+    def test_overflowing_leaf_area_is_one_named_error(self, tmp_path, capsys):
+        # Schwarzschild m = 1e80: the leaves' det sigma, of order r^4,
+        # overflows.  The leaves are sampled with floating-point warnings
+        # off, so the named error, which gives a leaf radius, is the one
+        # line on stderr
+        m = 1e80
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "israel", "scan": [2.2 * m, 50.0 * m],
+            "levels": 64, "quadrature": [16, 32],
+            "profile": {"kind": "schwarzschild", "m": m}}))
+        out = tmp_path / "o"
+        assert run(["israel", "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert re.search(r"level-set r0 = \S+ has non-finite area element", err)
+        assert not (out / "israel_report.json").exists()
 
 
 class TestOutputs:

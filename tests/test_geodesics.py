@@ -222,6 +222,18 @@ class TestIntegration:
         assert np.max(np.abs(tr.r - (5.0 + tr.affine))) < 1e-9
         assert np.max(np.abs(tr.energies - tr.energies[0])) < 1e-12
 
+    def test_radial_ray_next_to_the_pole_has_zero_phi_rate(self):
+        # at theta = 1e-300 the distance from the polar axis squares to 0:
+        # the phi rate of a radial ray must still come out 0, not 0/0 with
+        # a RuntimeWarning
+        a = ST.profile.metric_factors_d1(10.0)[0]
+        s = geo.GeodesicState(ChartPoint(0.0, 10.0, 1e-300, 0.0),
+                              (1.0, -a, 0.0, 0.0))
+        tr = geo.integrate_null(ST, s, 5.0)
+        assert tr.status == "completed"
+        assert np.all(tr.samples[:, 3] == 1e-300)
+        assert np.all(tr.samples[:, 8] == 0.0)
+
     def test_affine_parameters_strictly_increasing(self):
         tr = geo.integrate_null(ST, radial_null_state(ST, 10.0), 10.0)
         assert np.all(np.diff(tr.affine) > 0)

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from photonsphere import calculus as calc
 from photonsphere import hypersurfaces as hs
-from photonsphere.spacetimes import StaticSpacetime
+from photonsphere.spacetimes import DomainError, StaticSpacetime
 
 ST = StaticSpacetime.schwarzschild(1.0)
 MINK = StaticSpacetime.schwarzschild(0.0)
@@ -52,7 +52,7 @@ class TestShape:
     def test_normal_normalization_invariant(self):
         for surf, pt, tau in ((hs.cylinder(ST, 3.0), (0.0, 1.0, 0.2), 1),
                               (hs.lapse_level_set(ST, 5.0), (1.0, 0.2), 1)):
-            x = surf.embed(hs._asarrays(pt))
+            x = surf.embed(pt)
             g, _, _ = calc.metric_taylor(surf.ambient, x)
             eta_d, eta_u, _ = hs.normal_data(surf, x, np.linalg.inv(g))
             assert abs(np.einsum("a,a->", eta_d, eta_u) - tau) < 1e-12
@@ -80,6 +80,15 @@ class TestShape:
     def test_foliation_failure_on_flat_lapse(self):
         with pytest.raises(hs.FoliationError):
             hs.shape(hs.lapse_level_set(MINK, 3.0), (1.0, 0.2))
+
+
+def test_sample_names_the_first_non_finite_leaf():
+    # r^2 overflows on the second leaf alone: the error names its radius as
+    # one number, and no RuntimeWarning escapes (they are errors here)
+    surface = hs.lapse_level_set(ST, np.array([[3.0], [3e300], [4e300]]))
+    with pytest.raises(DomainError, match=r"level-set r0 = 3e\+300 has "
+                       "non-finite shape data or induced metric"):
+        hs.sample(surface, 8)
 
 
 class TestGaussResidual:
@@ -118,7 +127,7 @@ def test_codazzi_contraction_reproduces_cmc_mechanism():
     # contracting Codazzi over a frame: |Ric(Y, eta) - (1-n) Y(H/n)| small
     # on the umbilic photon cylinder (both sides vanish there)
     cyl = hs.cylinder(ST, 3.0)
-    pt = hs._asarrays((0.0, 1.0, 0.2))
+    pt = (0.0, 1.0, 0.2)
     amb = calc.curvature(ST.metric4, cyl.embed(pt))
     g, _, _ = calc.metric_taylor(ST.metric4, cyl.embed(pt))
     _, eta_u, _ = hs.normal_data(cyl, cyl.embed(pt), np.linalg.inv(g))

@@ -8,7 +8,7 @@ definition is used by the package or the acceptance suite, every
 dataclass field is read there, and every parameter default is
 overridden by some call there; every name the benchmark's tracer wraps
 still exists.  Only cli writes output
-formats.  The only runtime dependency is numpy: the pipelines that used
+formats, and only hypersurfaces calls ``shape`` or ``induced_sampler``.  The only runtime dependency is numpy: the pipelines that used
 to need scipy (table profiles and the lapse reconstruction) must run
 without loading it.
 """
@@ -240,6 +240,17 @@ def test_every_default_is_passed():
                 for label, call, param, index in _defaulted_parameters(stem, tree)
                 if not passed(call, param, index)]
     assert not unpassed, f"defaults no call overrides: {unpassed}"
+
+
+def test_only_hypersurfaces_samples_a_surface():
+    """No module but hypersurfaces calls ``shape`` or ``induced_sampler``:
+    the others sample a surface {r = r0} through ``hypersurfaces.sample``,
+    the one place that guards its shape data and induced metric."""
+    found = [f"{path.stem}.{_name_of(node.func)}, line {node.lineno}"
+             for path in MODULES if path.stem != "hypersurfaces"
+             for node in ast.walk(_tree(path)) if isinstance(node, ast.Call)
+             and _name_of(node.func) in ("shape", "induced_sampler")]
+    assert not found, f"surface sampled outside hypersurfaces.sample: {found}"
 
 
 def _module_literal(path, name):

@@ -119,11 +119,10 @@ def test_leaf_fields_equal_the_dense_grid(name, monkeypatch):
     # whose seeds carry every node
     profile, r_level = LEAF_PROFILES[name]
     st = StaticSpacetime(profile)
-    theta, _, w = quad.sphere_grid(12)
     radii = r_level * np.array([1.0, 1.1, 1.3])
-    lazy = isr._leaf_block(st, radii, theta, w)
+    lazy = isr._leaf_block(st, radii, 12)
     monkeypatch.setattr(jets, "variables", _dense_variables)
-    dense = isr._leaf_block(st, radii, theta, w)
+    dense = isr._leaf_block(st, radii, 12)
     assert lazy[0].shape == (3,) and np.array_equal(lazy[0], dense[0])
     for a, b in zip(lazy[1:], dense[1:]):
         assert a.shape == b.shape == (3, 12) and np.array_equal(a, b)
@@ -153,16 +152,12 @@ def test_leaf_geometry_does_not_depend_on_phi(name):
             assert a.shape == b.shape and np.array_equal(a, b), phi
 
 
-def _single_leaf(st, r, theta):
-    """H, tracefree, nu(N) and Gauss curvature of one leaf, evaluated alone
+def _single_leaf(st, r, n_theta):
+    """H, tracefree, nu(N) and Gauss curvature of one leaf, sampled alone
     on the unstacked theta axis at phi = 0."""
-    surface = hs.lapse_level_set(st, r)
-    sd = hs.shape(surface, (theta, 0.0))
-    nu_n = np.einsum("...a,...a->...", sd.normal_u, sd.level_gradient)
-    gauss_k = 0.5 * calc.curvature(surface.induced_sampler(),
-                                   (theta, 0.0)).scalar
+    sd, induced = hs.sample(hs.lapse_level_set(st, r), n_theta)
     return {"H": sd.mean_curvature, "tracefree": sd.tracefree_norm,
-            "nuN": nu_n, "gauss_k": gauss_k}
+            "nuN": sd.normal_rate, "gauss_k": 0.5 * induced.scalar}
 
 
 @pytest.mark.parametrize("name", sorted(LEAF_PROFILES))
@@ -179,9 +174,8 @@ def test_stacked_blocks_equal_single_leaves(name, monkeypatch):
     for field in LEVEL_VECTORS + FIELDS:
         a, b = getattr(stacked, field), getattr(per_leaf, field)
         assert a.shape == b.shape and np.array_equal(a, b), field
-    theta, _, _ = quad.sphere_grid(64)
     for j in (0, 15, 16, 31, 32, 36):
-        alone = _single_leaf(st, stacked.r_coord[j], theta)
+        alone = _single_leaf(st, stacked.r_coord[j], 64)
         for field, values in alone.items():
             assert np.array_equal(getattr(stacked, field)[j],
                                   np.broadcast_to(values, (64,))), (j, field)
@@ -236,9 +230,10 @@ def test_foliation_error_names_a_leaf_inside_a_block():
 
 
 def test_build_foliation_evaluates_one_block_at_a_time(monkeypatch):
-    # 64 levels of 64 theta rows make four blocks of 16 leaves: one shape
-    # (with one lapse gradient inside it) and one induced curvature per block
-    calls = {"shape": 0, "curvature": 0, "scalar_taylor": 0}
+    # 64 levels of 64 theta rows make four blocks of 16 leaves: one sample,
+    # so one shape (with one lapse gradient inside it) and one induced
+    # curvature, per block
+    calls = {"sample": 0, "shape": 0, "curvature": 0, "scalar_taylor": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -248,13 +243,15 @@ def test_build_foliation_evaluates_one_block_at_a_time(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(hs, "sample")
     counted(hs, "shape")
-    counted(isr, "curvature")
+    counted(hs, "curvature")
     counted(hs, "scalar_taylor")
     fol = isr.build_foliation(ST, N0, levels=64, n_theta=64,
                               r_hint=3.0)
     assert len(fol) == 64
-    assert calls == {"shape": 4, "curvature": 4, "scalar_taylor": 4}
+    assert calls == {"sample": 4, "shape": 4, "curvature": 4,
+                     "scalar_taylor": 4}
 
 
 class TestMassFlux:

@@ -255,7 +255,7 @@ class TestExpressionGrammarFuzz:
                         equal_nan=True), (lapse, radial, r)
 
 
-def test_load_profile_kinds(tmp_path):
+def test_load_profile_kinds():
     p = load_profile({"kind": "schwarzschild", "m": 2.0})
     assert isinstance(p, SchwarzschildProfile) and p.m == 2.0
     p2 = load_profile({"kind": "expression", "lapse": "sqrt(1-2/r)",
@@ -267,11 +267,12 @@ def test_load_profile_kinds(tmp_path):
                          float(1 / (1 - 2 / r))] for r in rs]}
     p3 = load_profile(spec)
     assert abs(p3.lapse(10.0) - math.sqrt(0.8)) < 1e-6
-    path = tmp_path / "prof.json"
-    path.write_text('{"kind": "schwarzschild", "m": 0.5}')
-    assert load_profile(str(path)).m == 0.5
     with pytest.raises(ValueError):
         load_profile({"kind": "nope"})
+    # a profile is a dict: a string, JSON or not, is a named ValueError
+    for spec in ('{"kind": "schwarzschild", "m": 0.5}', "no-such-profile.json"):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            load_profile(spec)
 
 
 @pytest.mark.parametrize("spec, field", [
