@@ -23,10 +23,14 @@ is what the constancy checks monitor.
 The stepping loop advances one trajectory, its state and stages held as
 6 Python floats: every tangent null geodesic of a radial cylinder is a
 rotation of one in-plane orbit, so ``tangency_persistence`` integrates
-that orbit alone.  Each sum over stages and over the 6 components of the
-error norm is an explicit loop added left to right from 0.0 (not the
-builtin sum, which compensates its rounding from Python 3.12 on), so a
-rerun reproduces its outputs byte for byte on any interpreter.  Where a
+that orbit alone.  A sum over stages visits only the 74 nonzero weights
+of the 102-entry tableau, as (stage, weight) pairs taken from it once at
+import; the 11 stage sums run inline in the stage loop, and each stage
+state is built directly as the 6 floats y + h s.  Each such sum, and the
+sum over the 6 components of the error norm, is an explicit loop added
+left to right from 0.0 (not the builtin sum, which compensates its
+rounding from Python 3.12 on), so a rerun reproduces its outputs byte
+for byte on any interpreter.  Where a
 profile value is not real, not finite or outside a table, the step sees a
 non-finite stage and shrinks.  The tests compare each run with a scalar
 DOP853 loop in the (theta, phi) chart: the same status, and a completed
@@ -222,10 +226,16 @@ def _factors(profile, r):
 def _rhs(profile, y, factors=None):
     """Geodesic right-hand side for -A dt^2 + B dr^2 + r^2 dpsi^2 at the
     in-plane state ``y``; a division by zero gives nan accelerations.
-    ``factors`` are ``_factors`` at the radius of ``y``, evaluated here when
-    not given."""
+    ``factors`` are ``_factors`` at the radius of ``y``, evaluated here as
+    ``_factors`` does when not given."""
     t, r, psi, vt, vr, vpsi = y
-    a, ap, b, bp = _factors(profile, r) if factors is None else factors
+    if factors is None:
+        try:
+            a, ap, b, bp = map(float, profile.metric_factors_d1(r))
+        except (ArithmeticError, ValueError, TypeError):
+            a = ap = b = bp = math.nan
+    else:
+        a, ap, b, bp = factors
     try:
         at = -(ap / a) * vt * vr
         ar = (-0.5 * ap / b * vt * vt - 0.5 * bp / b * vr * vr
@@ -257,19 +267,29 @@ def null_project(profile, y, prev_vt_sign=1.0):
     return (t, r, psi, vt_new, vr, vpsi), residual, factors
 
 
-def _combine(weights, stages):
-    """The 6 components of sum_j weights[j] stages[j], each added left to
-    right from 0.0.  A zero weight is skipped: a sum that starts at +0.0
-    never reads -0.0, so adding 0 times a finite stage leaves it as it is."""
+def _nonzero(weights):
+    """The (stage index, weight) pairs of ``weights`` whose weight is not 0."""
+    return tuple((j, w) for j, w in enumerate(weights) if w)
+
+
+# The sums of a step visit only these pairs: a sum that starts at +0.0
+# never reads -0.0, so adding 0 times a finite stage would leave it as it is
+_A_NZ = tuple(map(_nonzero, _A))
+_B_NZ, _E5_NZ, _E3_NZ = map(_nonzero, (_B, _E5, _E3))
+
+
+def _weighted(pairs, stages):
+    """The 6 components of sum_j w_j stages[j] over the (j, w_j) ``pairs``,
+    each added left to right from 0.0."""
     s0 = s1 = s2 = s3 = s4 = s5 = 0.0
-    for w, (k0, k1, k2, k3, k4, k5) in zip(weights, stages):
-        if w:
-            s0 += w * k0
-            s1 += w * k1
-            s2 += w * k2
-            s3 += w * k3
-            s4 += w * k4
-            s5 += w * k5
+    for j, w in pairs:
+        k0, k1, k2, k3, k4, k5 = stages[j]
+        s0 += w * k0
+        s1 += w * k1
+        s2 += w * k2
+        s3 += w * k3
+        s4 += w * k4
+        s5 += w * k5
     return s0, s1, s2, s3, s4, s5
 
 
@@ -283,17 +303,30 @@ def _dop853_step(profile, y, h, f, atol, rtol):
     over the 6 components: |e5|^2 / sqrt(6 (|e5|^2 + 0.01 |e3|^2)), or 0
     where that is 0 / 0.
     """
-    stages = []
-    for i, row in enumerate(_A):
-        stage = f if i == 0 else _rhs(profile, [
-            yc + h * s for yc, s in zip(y, _combine(row, stages))])
+    if not all(map(math.isfinite, f)):
+        return [0.0] * 6, 0.0, True
+    y0, y1, y2, y3, y4, y5 = y
+    stages = [f]
+    for row in _A_NZ[1:]:
+        s0 = s1 = s2 = s3 = s4 = s5 = 0.0
+        for j, w in row:
+            k0, k1, k2, k3, k4, k5 = stages[j]
+            s0 += w * k0
+            s1 += w * k1
+            s2 += w * k2
+            s3 += w * k3
+            s4 += w * k4
+            s5 += w * k5
+        stage = _rhs(profile, (y0 + h * s0, y1 + h * s1, y2 + h * s2,
+                               y3 + h * s3, y4 + h * s4, y5 + h * s5))
         if not all(map(math.isfinite, stage)):
             return [0.0] * 6, 0.0, True
         stages.append(stage)
     incr = []
     e5_sq = e3_sq = 0.0
-    for yc, b, e5, e3 in zip(y, _combine(_B, stages), _combine(_E5, stages),
-                             _combine(_E3, stages)):
+    for yc, b, e5, e3 in zip(y, _weighted(_B_NZ, stages),
+                             _weighted(_E5_NZ, stages),
+                             _weighted(_E3_NZ, stages)):
         ic = h * b
         # |y + incr| first: max keeps a nan first argument, and y + incr is
         # nan where y is, so the scale is nan where either is
@@ -320,7 +353,8 @@ def _integrate_plane(profile, y0, span, tol):
     Returns the rows (lambda, t, r, psi, vt, vr, vpsi) of the projected
     initial state and of every accepted step, the pre-projection |g(v, v)|
     of each row and the RunSummary; raises ValueError unless ``span`` is
-    finite and positive, ``tol`` is finite and positive and ``y0`` is null.
+    finite and positive, ``tol`` is finite and positive and ``y0`` is null
+    with a spatial direction (vr and vpsi not both 0).
     """
     if not (math.isfinite(span) and span > 0.0):
         raise ValueError(f"span must be finite and positive, got {span!r}")
@@ -337,6 +371,8 @@ def _integrate_plane(profile, y0, span, tol):
     if moved > math.sqrt(TOL_NULL) * (max(map(abs, y0[3:])) or 1.0):
         raise ValueError(f"initial velocity is not null (projection moved "
                          f"tdot by {moved:.3e})")
+    if y[4] == 0.0 and y[5] == 0.0:
+        raise ValueError("initial velocity has no spatial direction")
     rows, residuals = [(0.0, *y)], [abs(res0)]
 
     r_stop = profile.r_min * (1.0 + DOMAIN_GUARD_RTOL) if profile.r_min > 0 else 0.0

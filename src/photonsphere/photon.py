@@ -59,8 +59,11 @@ def locate_photon_sphere(profile, scan):
     profile.check_point(r_hi)
 
     def f(r):
-        n, n1 = profile.lapse_d1(r)
-        return r * n1 - n
+        # warnings off, as in spacetimes._slope: r * r overflows at a scan
+        # end near the float range, and the check below names a bad point
+        with np.errstate(all="ignore"):
+            n, n1 = profile.lapse_d1(r)
+            return r * n1 - n
 
     rs = np.linspace(r_lo, r_hi, SCAN_POINTS)
     vals = f(rs)

@@ -9,6 +9,9 @@ Taylor routines stand in for ``calculus.metric_taylor`` and
 differentiation.  ``lower_riemann`` lowers a curvature bundle's Riemann
 tensor, and ``tangent_null_seeds`` draws chart states tangent to a
 cylinder, which the package's single tangent orbit stands for.
+``dense_dop853_step`` is the DOP853 step written over the dense tableau,
+every weight visited, which the package's sparse step must match bit for
+bit.
 """
 
 import math
@@ -16,6 +19,7 @@ import math
 import numpy as np
 import sympy as sp
 
+from photonsphere import geodesics as geo
 from photonsphere.geodesics import GeodesicState
 from photonsphere.spacetimes import ChartPoint
 
@@ -194,3 +198,52 @@ def tangent_null_seeds(spacetime, r0, count, rng_seed):
                                    (1.0, 0.0, vth, vph)))
     return seeds
 
+
+
+# ---------------------------------------------------------------------------
+# The DOP853 step over the dense tableau
+# ---------------------------------------------------------------------------
+
+def dense_combine(weights, stages):
+    """The 6 components of sum_j weights[j] stages[j], each added left to
+    right from 0.0.  A zero weight is skipped: a sum that starts at +0.0
+    never reads -0.0, so adding 0 times a finite stage leaves it as it is."""
+    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
+    for w, (k0, k1, k2, k3, k4, k5) in zip(weights, stages):
+        if w:
+            s0 += w * k0
+            s1 += w * k1
+            s2 += w * k2
+            s3 += w * k3
+            s4 += w * k4
+            s5 += w * k5
+    return s0, s1, s2, s3, s4, s5
+
+
+def dense_dop853_step(profile, y, h, f, atol, rtol):
+    """``geodesics._dop853_step`` with each sum taken by ``dense_combine``
+    over a full row of the tableau and each stage's metric factors taken
+    through ``geodesics._factors``: (increment, error norm, bad stage)."""
+    stages = []
+    for i, row in enumerate(geo._A):
+        if i == 0:
+            stage = f
+        else:
+            yi = [yc + h * s for yc, s in zip(y, dense_combine(row, stages))]
+            stage = geo._rhs(profile, yi, geo._factors(profile, yi[1]))
+        if not all(map(math.isfinite, stage)):
+            return [0.0] * 6, 0.0, True
+        stages.append(stage)
+    incr = []
+    e5_sq = e3_sq = 0.0
+    for yc, b, e5, e3 in zip(y, dense_combine(geo._B, stages),
+                             dense_combine(geo._E5, stages),
+                             dense_combine(geo._E3, stages)):
+        ic = h * b
+        scale = atol + rtol * max(abs(yc + ic), abs(yc))
+        e5, e3 = h * e5 / scale, h * e3 / scale
+        e5_sq += e5 * e5
+        e3_sq += e3 * e3
+        incr.append(ic)
+    denom = math.sqrt(6.0 * (e5_sq + 0.01 * e3_sq))
+    return incr, (0.0 if denom == 0.0 else e5_sq / denom), False

@@ -392,6 +392,38 @@ class TestExitCodes:
         assert re.search(r"level-set r0 = \S+ has non-finite area element", err)
         assert not (out / "israel_report.json").exists()
 
+    def test_zero_trace_direction_is_a_named_error(self, tmp_path, capsys):
+        # the zero vector is null, but it is no direction to integrate
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "trace",
+            "trace": {"direction": [0, 0, 0, 0]},
+            "profile": {"kind": "schwarzschild", "m": 1}}))
+        out = tmp_path / "o"
+        assert run(["trace", "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: initial velocity has no spatial direction\n"
+        assert not (out / "trace.json").exists()
+
+    @pytest.mark.parametrize("pipeline", ["detect", "israel", "full",
+                                          "reconstruct"])
+    def test_scan_to_the_end_of_the_float_range_is_clean(
+            self, tmp_path, capsys, pipeline):
+        # r * r overflows in the lapse slope at the scan's far end, where
+        # f = r N' - N is still finite: no warning reaches stderr
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": pipeline, "scan": [2.2, 1e308],
+            "profile": {"kind": "schwarzschild", "m": 1}}))
+        out = tmp_path / "o"
+        assert run([pipeline, "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_TRUE
+        assert capsys.readouterr().err == ""
+        if pipeline in ("detect", "full"):
+            loc = json.loads((out / "location.json").read_text())
+            assert loc["r_ps"] == 3.0
+
 
 class TestOutputs:
     def test_trace_writes_trajectory(self, tmp_path):

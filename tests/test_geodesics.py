@@ -6,8 +6,9 @@ chart, kept below as an independent reference: the same ends, and for a
 completed run end rows that agree to 1e-6 relative, angles modulo 2 pi.
 The reference stops at its own pole guard, which the plane does not need.
 Each trajectory is checked bit for bit against its equatorial twin, the
-state with the same in-plane state, and the tableau against its order of
-convergence.
+state with the same in-plane state, the tableau against its order of
+convergence, and the step, whose sums visit only the nonzero weights,
+against ``oracles.dense_dop853_step`` bit for bit.
 """
 
 import json
@@ -615,6 +616,61 @@ def test_tableau_is_consistent():
     assert _B == tuple(coef.B.tolist())
     assert _E5 == tuple(coef.E5[:12].tolist()) and coef.E5[12] == 0.0
     assert _E3 == tuple(coef.E3[:12].tolist()) and coef.E3[12] == 0.0
+
+
+
+def test_sparse_tableau_holds_the_nonzero_weights():
+    """The step's sums visit the (stage, weight) pairs of every nonzero
+    weight in order: 74 of the tableau's 102 entries."""
+    dense = _A + (_B, _E5, _E3)
+    sparse = geo._A_NZ + (geo._B_NZ, geo._E5_NZ, geo._E3_NZ)
+    assert len(sparse) == len(dense) == 15
+    for row, pairs in zip(dense, sparse):
+        filled = [0.0] * len(row)
+        for j, w in pairs:
+            assert w != 0.0 and filled[j] == 0.0
+            filled[j] = w
+        assert tuple(filled) == row
+        assert [j for j, _ in pairs] == sorted({j for j, _ in pairs})
+    assert sum(map(len, dense)) == 102 and sum(map(len, sparse)) == 74
+
+
+def step_bits(out):
+    """(increment, norm, bad) of a step with each float as its hex, so a
+    sign of zero or a last bit counts."""
+    incr, norm, bad = out
+    return tuple(map(float.hex, incr)), float.hex(norm), bad
+
+
+RS = np.linspace(2.5, 30.0, 200)
+
+
+@pytest.mark.parametrize("profile", [
+    ST.profile,
+    ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)", "1/(1 - 2/r + 0.1/r^2)",
+                      r_min=1.95),
+    TableProfile(np.stack([RS, np.sqrt(1 - 2 / RS), 1 / (1 - 2 / RS)], axis=1)),
+], ids=["schwarzschild", "reissner-type", "table"])
+def test_step_equals_the_dense_step_bit_for_bit(profile):
+    """Seeded states and step sizes, from steps far inside the tolerance to
+    ones rejected, and starts where the profile is not real or past the
+    table; then a step whose second stage lands on r = 0 exactly, where no
+    profile is finite."""
+    rng = np.random.default_rng(RNG_SEED)
+    for _ in range(150):
+        y = (rng.uniform(-5.0, 5.0), rng.uniform(1.0, 20.0),
+             rng.uniform(-3.0, 3.0), *rng.normal(size=3))
+        f = geo._rhs(profile, y)
+        h = 10.0 ** rng.uniform(-3.0, 1.3)
+        tol = 10.0 ** rng.uniform(-16.0, -6.0)
+        assert step_bits(geo._dop853_step(profile, y, h, f, tol, tol)) == \
+            step_bits(oracles.dense_dop853_step(profile, y, h, f, tol, tol))
+    y = (0.0, 3.0, 0.0, 1.0, -3.0 / _A[1][0], 0.0)
+    f = geo._rhs(profile, y)
+    assert all(map(math.isfinite, f))
+    assert step_bits(geo._dop853_step(profile, y, 1.0, f, 1e-9, 1e-9)) == \
+        step_bits(oracles.dense_dop853_step(profile, y, 1.0, f, 1e-9, 1e-9)) == \
+        step_bits(([0.0] * 6, 0.0, True))
 
 
 @pytest.mark.parametrize("span", [math.nan, math.inf, -5.0, 0.0])
