@@ -38,8 +38,8 @@ def metric_taylor(sampler, coords, order=2):
     ``order`` 1 seeds first-order jets, the same ``g`` and ``dg`` and no ``ddg``.
     The leading shape ``...`` is the broadcast shape of the components,
     i.e. of the coordinates they actually read (see :mod:`.jets`): a
-    (levels, 1) radius, an (n_theta,) theta and a scalar phi give
-    ``(levels, n_theta)``.
+    (levels,) radius with a scalar theta and phi gives ``(levels,)``, and a
+    (levels, 1) radius against an (n,) theta axis ``(levels, n)``.
     """
     d = sampler.dim
     xs = jets.variables(list(coords), order=order)

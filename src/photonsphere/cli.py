@@ -34,12 +34,10 @@ EXIT_ERROR = 2
 PIPELINES = ("trace", "detect", "certify", "israel", "reconstruct", "full")
 TOLERANCE_PIPELINES = ("israel", "full")  # the ones that read the tolerance
 MIN_LEVELS = 8  # the identities need 7 levels and the inequality slacks 8
-# The level derivative builds a levels x levels matrix and the leaf
-# derivatives an n_theta x n_theta one.  With 1024 levels, an israel run
-# peaks near 60 MB of resident memory at 64 theta nodes and near 390 MB at
-# 1024.
+# The level derivative builds a levels x levels matrix, and one jet
+# evaluation covers every leaf.  With 1024 levels, an israel run peaks near
+# 50 MB of resident memory.
 MAX_LEVELS = 1024
-MAX_QUADRATURE = 1024  # bound on either quadrature count
 
 
 class ScenarioError(ValueError):
@@ -55,7 +53,6 @@ class Scenario:
     pipeline: str
     scan: tuple
     levels: int
-    n_theta: int
     span: float
     tail_radius: float
     tolerance: float
@@ -142,11 +139,6 @@ def load_scenario(path, overrides=None):
                     "two finite, increasing numbers"),
         levels=_field(data, "levels", 64, int, _integer(MIN_LEVELS, MAX_LEVELS),
                       f"an integer in [{MIN_LEVELS}, {MAX_LEVELS}]"),
-        # (theta, phi) node counts; no leaf field of a radial profile
-        # depends on phi, so the phi count is validated and ignored
-        n_theta=_field(data, "quadrature", (64, 128), tuple,
-                       _sequence(_integer(1, MAX_QUADRATURE), 2),
-                       f"two integers in [1, {MAX_QUADRATURE}]")[0],
         span=_field(data, "span", 40.0, float, _positive, positive),
         tail_radius=_field(data, "tail_radius", None, float, _positive,
                            "null or " + positive),
@@ -188,10 +180,9 @@ def _certificate_payload(cert):
         "r0": cert.r0,
         "verdict": cert.verdict,
         "umbilicity_sup": cert.umbilicity_sup,
-        "mean_curvature": {"value": cert.mean_curvature,
-                           "stddev": cert.mean_curvature_std},
+        # the spread of H over the one sample point
+        "mean_curvature": {"value": cert.mean_curvature, "stddev": 0.0},
         "scalar": {"value": cert.scalar_curvature,
-                   "stddev": cert.scalar_curvature_std,
                    "expected": cert.scalar_expected,
                    "residual": cert.scalar_residual},
         "tangency": {"span": tan.span,
@@ -211,27 +202,22 @@ def _certificate_payload(cert):
 
 def _level_table(report):
     """The per-level columns by name, in the order of ``israel_levels.csv``:
-    N, area radius, mean rho, mean H, sup of the dimensionless trace-free
-    norm r_area |h_tracefree| and the sups of the three identity residuals
-    over each leaf."""
+    N, area radius, rho, H, the dimensionless trace-free norm
+    r_area |h_tracefree| and the three identity residuals, each one value
+    per leaf."""
     fol, ids = report.foliation, report.identities
-    return {"N": fol.N, "r": fol.area_radius, "rho": report.rho_mean,
-            "H": report.h_mean, "tracefree_sup": report.tracefree_max,
-            "res31": np.max(ids.res31, axis=1),
-            "res32": np.max(ids.res32, axis=1),
-            "res33": np.max(ids.res33, axis=1)}
+    return {"N": fol.N, "r": fol.area_radius, "rho": fol.rho, "H": fol.H,
+            "tracefree_sup": report.tracefree, "res31": ids.res31,
+            "res32": ids.res32, "res33": ids.res33}
 
 
 def _israel_payload(report):
     b, slacks = report.boundary, report.slacks
-    per_level = {**_level_table(report), "rho_std": report.rho_std}
-    rows = zip(*(c.tolist() for c in per_level.values()))
     return {
         "mass": report.mass,
         "flux_by_level": list(report.flux_by_level),
         "boundary": {"N0": b.n0, "r0": b.r0, "H0": b.h0, "nuN0": b.nuN0,
                      "frakH": b.frak_h},
-        "per_level": [dict(zip(per_level, row)) for row in rows],
         "slacks": {"ineq34_sup": slacks.sup34(),
                    "ineq35_sup": slacks.sup35(),
                    "ineq37": slacks.ineq37,
@@ -246,7 +232,7 @@ def _israel_payload(report):
         "lambda": report.sign.lam,
         "gates": [{"name": g.name, "value": g.value,
                    "threshold": g.threshold, "passed": g.passed,
-                   "margin": g.margin, "level": g.level, "node": g.node}
+                   "margin": g.margin, "level": g.level}
                   for g in report.gates],
         "verdict": report.verdict,
         "tolerance": report.tol,
@@ -346,14 +332,16 @@ def _run_israel(scn, spacetime, out, loc=None):
         return EXIT_FALSE, None
     report = israel.run_israel_pipeline(
         spacetime, loc.lapse_at_ps, loc.r_ps, levels=scn.levels,
-        n_theta=scn.n_theta, tail_radius=scn.tail_radius,
-        tol=scn.tolerance)
+        tail_radius=scn.tail_radius, tol=scn.tolerance)
     _write_json(os.path.join(out, "israel_report.json"),
                 {"scenario": scn.name, **_israel_payload(report)})
     columns = _level_table(report)
     _write_table(os.path.join(out, "israel_levels.csv"), list(columns),
                  columns.values())
-    _emit_plot_data(report, columns, out)
+    # plot-ready: the two pointwise slacks against N
+    _write_table(os.path.join(out, "slacks_of_N.csv"),
+                 ["N", "slack34", "slack35"],
+                 [columns["N"], report.slacks.slack34, report.slacks.slack35])
     code = {"isometric": EXIT_TRUE, "not-isometric": EXIT_FALSE}.get(
         report.verdict, EXIT_ERROR)
     return code, report
@@ -369,7 +357,7 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
     mass = spacetime.profile.mass_hint
     if mass is None:
         fol = israel.build_foliation(spacetime, loc.lapse_at_ps, levels=8,
-                                     n_theta=16, r_hint=loc.r_ps)
+                                     r_hint=loc.r_ps)
         mass = float(israel.mass_flux(fol)[0])
     rec = israel.reconstruct_lapse(mass, loc.lapse_at_ps, loc.r_ps,
                                    r_max=scn.tail_radius)
@@ -382,22 +370,6 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
     _write_table(os.path.join(out, "reconstructed_lapse.csv"),
                  ["r", "N"], [rec.r_grid, rec.lapse_profile])
     return EXIT_TRUE, rec
-
-
-def _emit_plot_data(report, columns, out):
-    """Plot-ready tables against N: r_of_N.csv, rho_of_N.csv and H_of_N.csv,
-    each N and one of the next three per-level columns, and slacks_of_N.csv,
-    the min and max of each pointwise slack over each leaf."""
-    (n_name, n), *plotted = list(columns.items())[:4]
-    for name, values in plotted:
-        _write_table(os.path.join(out, f"{name}_of_N.csv"), [n_name, name],
-                     [n, values])
-    s34, s35 = report.slacks.slack34, report.slacks.slack35
-    _write_table(os.path.join(out, "slacks_of_N.csv"),
-                 [n_name, "slack34_min", "slack34_max", "slack35_min",
-                  "slack35_max"],
-                 [n, np.min(s34, axis=1), np.max(s34, axis=1),
-                  np.min(s35, axis=1), np.max(s35, axis=1)])
 
 
 def run_scenario(scn, out_dir, dump_curvature=None):
@@ -465,10 +437,6 @@ def _parser():
                                 "Israel gates")
         p.add_argument("--levels", type=int, default=None)
         p.add_argument("--span", type=float, default=None)
-        p.add_argument("--quad", default=None, metavar="NxM",
-                       help="quadrature order, e.g. 64x128: N Gauss-Legendre "
-                            "theta nodes; the phi count M is validated and "
-                            "ignored")
         p.add_argument("--dump-curvature", default=None, metavar="PATH",
                        help="write a fully indexed curvature-bundle JSON dump")
     return parser
@@ -485,13 +453,6 @@ def main(argv=None):
     overrides = {key: value for key in ("tolerance", "levels", "span")
                  if (value := getattr(args, key, None)) is not None}
     overrides["pipeline"] = args.command
-    if args.quad is not None:
-        try:
-            n_t, n_p = args.quad.lower().split("x")
-            overrides["quadrature"] = (int(n_t), int(n_p))
-        except ValueError:
-            print("error: --quad expects NxM, e.g. 64x128", file=sys.stderr)
-            return EXIT_ERROR
     try:
         scn = load_scenario(path, overrides)
     except ScenarioError as exc:

@@ -20,17 +20,16 @@ the diagonal of every tangent block), so sup-norms are chart-scale free.
 or a stack of leaves: one guarded ``shape`` and induced ``curvature`` call.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature as quad
 from .calculus import (_christoffel_from, _inverse_metric, curvature, metric_taylor,
                        scalar_taylor)
 from .spacetimes import DomainError, MetricSampler
 
 FOLIATION_DN_FLOOR = 1e-12   # on r |dN| on a leaf, on |dr| on a cylinder
-CYLINDER_THETA = 16   # Gauss-Legendre theta nodes at which a cylinder is sampled
 
 
 class FoliationError(RuntimeError):
@@ -94,7 +93,7 @@ def cylinder(spacetime, r0):
 
 def lapse_level_set(spacetime, r0):
     """Level set of the lapse (a round sphere {r = r0}) inside the time
-    slice; an array ``r0`` of shape (L, 1) stacks L of them."""
+    slice; an array ``r0`` of shape (L,) stacks L of them."""
     spacetime.profile.check_point(r0)
     return Hypersurface("level-set", spacetime, spacetime.metric3, (1, 2),
                         np.asarray(r0, dtype=float))
@@ -189,30 +188,31 @@ def shape(surface, point):
 
 def require_finite(surface, what, *finite):
     """Raise DomainError naming, as one number, the first level value r0 at
-    which one of the boolean node fields ``finite`` is False."""
+    which one of the boolean fields ``finite`` is False: "the <kind> r0 =
+    <r0> has <what>"."""
     level, ok = np.broadcast_arrays(surface.level_value,
                                     np.all(np.broadcast_arrays(*finite), axis=0))
     if not np.all(ok):
         raise DomainError(f"the {surface.kind} r0 = {float(level[~ok][0])!r} "
-                          f"has non-finite {what}")
+                          f"has {what}")
 
 
-def sample(surface, n_theta):
+def sample(surface):
     """Shape data and the curvature bundle of the induced metric of a
-    surface {r = r0} at its ``n_theta`` Gauss-Legendre theta nodes and
-    phi = 0, at t = 0 on a cylinder: each field (n_theta,) on one surface,
-    (levels, n_theta) on a stack of leaves.  A radial profile's surface is
-    the same at every phi.  The surface is sampled with floating-point
-    warnings off, and shape data or an induced metric that is not finite
-    raises DomainError naming the first r0 where it is not.
+    surface {r = r0} at its one point theta = pi/2, phi = 0 (and t = 0 on a
+    cylinder): each field a number on one surface, (levels,) on a stack of
+    leaves.  A radial profile's surface {r = r0} is round, and static on a
+    cylinder, so every field is the same at each of its points; at theta =
+    pi/2, sin(theta) is exactly 1.  The surface is sampled with
+    floating-point warnings off, and shape data or an induced metric that
+    is not finite raises DomainError naming the first r0 where it is not.
     """
-    theta, _, _ = quad.sphere_grid(n_theta)
     # the tangent coordinates end in (theta, phi); a cylinder's start with t
-    point = (0.0,) * (surface.surface_dim - 2) + (theta, 0.0)
+    point = (0.0,) * (surface.surface_dim - 2) + (0.5 * math.pi, 0.0)
     with np.errstate(all="ignore"):
         sd = shape(surface, point)
         induced = curvature(surface.induced_sampler(), point)
-    require_finite(surface, "shape data or induced metric",
+    require_finite(surface, "non-finite shape data or induced metric",
                    np.isfinite(sd.mean_curvature), np.isfinite(sd.tracefree_norm),
                    np.all(np.isfinite(induced.metric_dd), axis=(-2, -1)))
     return sd, induced

@@ -12,19 +12,18 @@ those points (``quadrature.barycentric_diff_matrix``), spectrally
 accurate in the level count.
 
 Per level the pipeline computes leaf geometry (area radius, rho = 1/|nu(N)|,
-mean curvature, trace-free norm, Gauss curvature).  The leaf radii of all
-levels are bisected together (``quadrature.bisect``) and the leaves
-evaluated in stacked blocks: the radii of a block are one (levels, 1) jet
-coordinate against the (n_theta,) Gauss-Legendre theta axis, and phi is
-the one coordinate 0: every input is a radial profile, so no leaf field
-depends on phi.  One ``hypersurfaces.sample`` call (one ``shape``, the
-lapse gradient inside it, and one induced ``curvature``) covers a block
-(see :mod:`.jets`).  A block holds at most
-``BLOCK_ROWS`` (levels x theta) rows, which bounds the memory its jets
-take, and each of its entries equals the same leaf evaluated alone bit for
-bit.  A ``Foliation`` holds each field as one (levels, n_theta) stack, and
-the checks below read the stacks whole; leaf integrals take every level in
-one ``quadrature.sphere_integral`` call.  The pipeline then checks
+mean curvature, trace-free norm, Gauss curvature).  Every input is a
+radial profile, so every leaf is a round sphere {r = r0} and each leaf
+field is the same at every point of it: a leaf is sampled at the one point
+theta = pi/2, phi = 0, and a leaf integral is the value there times the
+leaf area.  The leaf Laplacian and gradient terms of the identities then
+vanish, and they are not computed.  The leaf radii of all levels are
+bisected together (``quadrature.bisect``), and one ``hypersurfaces.sample``
+call (one ``shape``, the lapse gradient inside it, and one induced
+``curvature``) evaluates every leaf as one (levels,) jet coordinate (see
+:mod:`.jets`); each of its entries equals the same leaf evaluated alone bit
+for bit.  A ``Foliation`` holds each field as one (levels,) array, and the
+checks below read the arrays whole.  The pipeline then checks
 
 * the mass flux integral (level independent in vacuum),
 * the three transverse identities coupling rho, H and N,
@@ -35,7 +34,7 @@ one ``quadrature.sphere_integral`` call.  The pipeline then checks
 before reconstructing the lapse from the rigidity ODE u'' = -2 u'/r and
 delivering the isometry verdict, the conjunction of ``Gate``s, each of
 which applies one bound to the one value it writes.  A gate on a leaf field
-reads the field whole and names the level and theta node of its sup.
+reads the field whole and names the level of its sup.
 
 Residuals of identities whose terms vary over many orders of magnitude
 are normalized by the largest participating term (floored at one), so a
@@ -58,7 +57,6 @@ RECONSTRUCTION_NODES = 32   # Chebyshev collocation nodes of the rigidity ODE
 RECONSTRUCTION_MAX_RATIO = 1e12   # largest r_max/r0 (or r0/r_max) they resolve
 RECONSTRUCTION_RADII = 200   # radii of the reconstructed lapse profile
 TAIL_REACH = 0.99   # the last leaf must reach this fraction of tail_radius
-BLOCK_ROWS = 1024   # (levels x theta) rows of one stacked leaf evaluation
 FLAT_MASS_RATIO = 1e-10   # a mass below this fraction of r is zero at r
 
 
@@ -85,44 +83,43 @@ def check_not_flat(profile, radii):
                  f"radii in [{r.min():.6g}, {r.max():.6g}]")
 
 
-def _leaf_block(spacetime, r_levels, n_theta):
-    """The area of each leaf of a block of levels and all leaf fields at the
-    ``n_theta`` theta nodes and phi = 0, each (levels, n_theta).
+def _leaf_block(spacetime, r_levels):
+    """The leaf fields of the levels at radii ``r_levels``, each (levels,):
+    sqrt(det sigma), rho, H, nu(N), the trace-free norm and the Gauss
+    curvature at theta = pi/2, phi = 0.
 
     Each leaf is the coordinate sphere {r = r0}: its normal is the gradient
     of the lapse, with no tangential component, and its induced metric
-    sigma is diag(r0^2, r0^2 sin^2 theta), so sqrt(det sigma) is the root
-    of the diagonal's product.  ``hs.sample`` runs the DN-floor check; an
-    area element that is not finite raises DomainError naming the first
-    leaf radius where it is not.
+    sigma is diag(r0^2, r0^2 sin^2 theta), so at theta = pi/2,
+    sqrt(det sigma) = sqrt(sigma_thth) sqrt(sigma_phph) is the leaf area
+    over 4 pi.  The roots are taken before the product, so it underflows or
+    overflows only where r0^2 does.  ``hs.sample`` runs the DN-floor check;
+    a leaf area that is 0 or not finite raises DomainError naming the first
+    leaf radius where it is.
     """
-    theta, _, weights = quad.sphere_grid(n_theta)
-    surface = hs.lapse_level_set(spacetime, r_levels[:, None])
-    sd, induced = hs.sample(surface, n_theta)
+    surface = hs.lapse_level_set(spacetime, r_levels)
+    sd, induced = hs.sample(surface)
+    sigma = induced.metric_dd
     with np.errstate(all="ignore"):
-        sqrt_s = np.sqrt(induced.metric_dd[..., 0, 0] * induced.metric_dd[..., 1, 1])
-    hs.require_finite(surface, "area element", np.isfinite(sqrt_s))
-    jac = sqrt_s / np.sin(theta)
-    # |nu(N)| = |dN|, which ``hs.sample`` checked against the DN floor; a
-    # field that reads no theta has one value per level: give it a row
-    return quad.sphere_integral(jac, weights), *(
-        np.broadcast_to(f, (len(r_levels), n_theta))
-        for f in (jac, sqrt_s, 1.0 / np.abs(sd.normal_rate), sd.mean_curvature,
-                  sd.normal_rate, sd.tracefree_norm, 0.5 * induced.scalar))
+        sqrt_s = np.sqrt(sigma[..., 0, 0]) * np.sqrt(sigma[..., 1, 1])
+        area = 4.0 * math.pi * sqrt_s
+    hs.require_finite(surface, "zero or non-finite area",
+                      np.isfinite(area) & (area > 0.0))
+    # |nu(N)| = |dN|, which ``hs.sample`` checked against the DN floor
+    return (sqrt_s, 1.0 / np.abs(sd.normal_rate), sd.mean_curvature,
+            sd.normal_rate, sd.tracefree_norm, 0.5 * induced.scalar)
 
 
-def build_foliation(spacetime, n0, levels, n_theta, tail_radius=None,
-                    r_hint=None):
+def build_foliation(spacetime, n0, levels, tail_radius=None, r_hint=None):
     """Foliate [N0, N(tail_radius)] by lapse level sets.
 
     Levels sit at the Chebyshev points of s in the geometric level map
     u = 1 - N^2 = u0 ratio^s (see module docstring).  The radii of all
     levels are bisected at once, in one ``quad.bisect`` call on one shared
-    bracket; the leaves are then sampled at ``n_theta`` Gauss-Legendre theta
-    nodes in blocks of at most ``BLOCK_ROWS`` (levels x theta) rows.  Raises
-    DomainError naming the first level the bracket does not hold or a
-    ``tail_radius`` where N is 1 to rounding, and FoliationError when |dN|
-    degenerates.
+    bracket; the leaves are then sampled together, each at its one point.
+    Raises DomainError naming the first level the bracket does not hold or
+    a ``tail_radius`` where N is 1 to rounding, and FoliationError when
+    |dN| degenerates.
     """
     profile = spacetime.profile
     mass_scale = abs(profile.mass_hint) if profile.mass_hint else None
@@ -155,62 +152,48 @@ def build_foliation(spacetime, n0, levels, n_theta, tail_radius=None,
         raise DomainError(f"lapse level not bracketed, one bracket per level "
                           f"from N0 = {n0!r}: {exc}") from exc
 
-    _, x, w = quad.sphere_grid(n_theta)
-    per_block = max(1, BLOCK_ROWS // n_theta)
-    blocks = [_leaf_block(spacetime, radii[k:k + per_block], n_theta)
-              for k in range(0, levels, per_block)]
-    area, *fields = (np.concatenate(parts) for parts in zip(*blocks))
-    return Foliation(s, n_values, radii, dn_ds, area, *fields, x, w,
+    return Foliation(s, n_values, radii, dn_ds, *_leaf_block(spacetime, radii),
                      float(tail_radius))
 
 
 @dataclass(frozen=True)
 class Foliation:
-    """Lapse level sets between N0 and N(tail_radius), stacked over levels.
+    """Lapse level sets between N0 and N(tail_radius), one entry per level.
 
     ``s`` (the level nodes, Chebyshev points of [0, 1]), ``N``,
     ``r_coord``, ``dN_ds`` (the exact derivative of the level map N(s),
-    which converts derivatives in s into d/dN) and ``area`` hold one value
-    per level.  The leaf fields from ``jacobian`` to ``gauss_k`` are
-    (levels, n_theta): one value per level and Gauss-Legendre theta node,
-    since no leaf field of a radial profile depends on phi.  Integrals and
-    means take every leaf at once, through the (n_theta,) ``weights`` of
-    ``quadrature.sphere_integral``; means are area-weighted.
+    which converts derivatives in s into d/dN) and the leaf fields from
+    ``sqrt_s`` to ``gauss_k`` are (levels,) arrays.  A leaf field is its
+    value at every point of the round leaf, so a leaf integral is that
+    value times the leaf area 4 pi ``sqrt_s``.
     """
 
     s: np.ndarray
     N: np.ndarray
     r_coord: np.ndarray
     dN_ds: np.ndarray
-    area: np.ndarray
-    jacobian: np.ndarray      # sqrt(det sigma)/sin(theta) at nodes
-    sqrt_s: np.ndarray        # sqrt(det sigma) at nodes
+    sqrt_s: np.ndarray        # sqrt(det sigma) at theta = pi/2
     rho: np.ndarray
     H: np.ndarray
     nuN: np.ndarray
-    tracefree: np.ndarray     # |h_tracefree| at nodes
+    tracefree: np.ndarray     # |h_tracefree|
     gauss_k: np.ndarray
-    x_nodes: np.ndarray
-    weights: np.ndarray
     tail_radius: float
 
     def __len__(self):
         return len(self.N)
 
     @property
+    def area(self):
+        return 4.0 * math.pi * self.sqrt_s
+
+    @property
     def area_radius(self):
-        return np.sqrt(self.area / (4.0 * math.pi))
+        return np.sqrt(self.sqrt_s)
 
-    def integral(self, nodes):
-        """Int nodes dmu over every leaf, one value per level."""
-        return quad.sphere_integral(self.jacobian * nodes, self.weights)
-
-    def mean(self, nodes):
-        return self.integral(nodes) / self.area
-
-    def std(self, nodes):
-        var = self.integral((nodes - self.mean(nodes)[:, None]) ** 2) / self.area
-        return np.sqrt(np.maximum(var, 0.0))
+    def integral(self, values):
+        """Int values dmu over every leaf, one value per level."""
+        return values * self.area
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +218,9 @@ def _normalized(residual, *terms):
 @dataclass(frozen=True)
 class IdentityResiduals:
     """The normalized residuals of the three identities and of the
-    area-element evolution factor, each a (levels, n_theta) field: one value
-    per level and theta node.  ``sup`` is the largest residual of the three
-    identities, nan if any of them is nan."""
+    area-element evolution factor, each a (levels,) field: one value per
+    level.  ``sup`` is the largest residual of the three identities, nan if
+    any of them is nan."""
 
     res31: np.ndarray
     res32: np.ndarray
@@ -248,65 +231,56 @@ class IdentityResiduals:
         return float(np.max([self.res31, self.res32, self.res33]))
 
 
-def _transverse_derivative(foliation, nodes):
-    """d/dN of stacked leaf values ``nodes``, shape (levels, n_theta): the
-    derivative in s of their interpolant through the level nodes, over
-    dN/ds."""
+def _transverse_derivative(foliation, values):
+    """d/dN of the leaf values ``values``, one per level: the derivative in
+    s of their interpolant through the level nodes, over dN/ds."""
     d = quad.barycentric_diff_matrix(foliation.s)
-    return quad.level_derivative(nodes, d) / foliation.dN_ds[:, None]
+    return quad.level_derivative(values, d) / foliation.dN_ds
 
 
-def _leaf_terms(foliation):
-    """sqrt(rho), its sphere Laplacian, that of log(rho), and the
-    sum-of-squares bracket |grad rho|^2 / rho^2 + 2 |h_tracefree|^2, each
-    stacked over the leaves."""
-    rho, x = foliation.rho, foliation.x_nodes
-    r_area = foliation.area_radius[:, None]
-    sqrt_rho = np.sqrt(rho)
-    lap_sqrt_rho = quad.sphere_laplacian(sqrt_rho, x, r_area)
-    lap_log_rho = quad.sphere_laplacian(np.log(rho), x, r_area)
-    grad_sq = quad.sphere_grad_sq(rho, x, r_area)
-    bracket = grad_sq / rho ** 2 + 2.0 * foliation.tracefree ** 2
-    return sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket
+def _bracket(foliation):
+    """The sum-of-squares bracket |grad rho|^2 / rho^2 + 2 |h_tracefree|^2
+    on every leaf; rho is constant on a round leaf, so its gradient term is
+    zero."""
+    return 2.0 * foliation.tracefree ** 2
 
 
-def identity_residuals(foliation, lam, terms):
+def identity_residuals(foliation, lam):
     """Residuals of the three static-vacuum identities on every level.
 
     Each residual is normalized by its largest participating term
-    (floored at 1) and evaluated pointwise on every leaf, a (levels,
-    n_theta) field.  ``terms`` holds ``_leaf_terms`` of the foliation.
+    (floored at 1), one value per level.  The leaf Laplacian terms
+    -(2 / sqrt(rho)) Lap sqrt(rho) and -Lap log(rho) vanish on a round
+    leaf and are left out.
     """
     if len(foliation) < 7:
         raise ValueError("transverse derivatives need at least 7 levels")
-    n, rho, h = foliation.N[:, None], foliation.rho, foliation.H
+    n, rho, h = foliation.N, foliation.rho, foliation.H
     h_n = _transverse_derivative(foliation, h)
     rho_n = _transverse_derivative(foliation, rho)
     ss_n = _transverse_derivative(foliation, foliation.sqrt_s)
-    sqrt_rho, lap_sqrt_rho, lap_log_rho, bracket = terms
+    bracket = _bracket(foliation)
     r_sigma = 2.0 * foliation.gauss_k
 
     t_a1 = (lam / rho) * (h / n)
     t_a2 = -(lam / rho) * h_n
     t_a3 = -0.5 * h ** 2
-    t_a4 = -(2.0 / sqrt_rho) * lap_sqrt_rho
-    t_a5 = -0.5 * bracket
-    res31 = t_a1 + t_a2 + t_a3 + t_a4 + t_a5
+    t_a4 = -0.5 * bracket
+    res31 = t_a1 + t_a2 + t_a3 + t_a4
 
     t_b1 = (lam / rho) * (3.0 * h / n)
     t_b2 = -(lam / rho) * h_n
     t_b3 = -r_sigma
-    t_b4 = -lap_log_rho
-    t_b5 = -bracket
-    res32 = t_b1 + t_b2 + t_b3 + t_b4 + t_b5
+    t_b4 = -bracket
+    res32 = t_b1 + t_b2 + t_b3 + t_b4
 
     t_c1 = rho_n
     t_c2 = -lam * rho ** 2 * h
 
     t_e1 = ss_n
     t_e2 = -lam * foliation.sqrt_s * h * rho
-    return IdentityResiduals(_normalized(res31, t_a1, t_a2, t_a3, t_a4, t_a5),
-                             _normalized(res32, t_b1, t_b2, t_b3, t_b4, t_b5),
+    return IdentityResiduals(_normalized(res31, t_a1, t_a2, t_a3, t_a4),
+                             _normalized(res32, t_b1, t_b2, t_b3, t_b4),
                              _normalized(t_c1 + t_c2, t_c1, t_c2),
                              _normalized(t_e1 + t_e2, t_e1, t_e2))
 
@@ -316,11 +290,11 @@ class InequalitySlacks:
     """Pointwise and integrated slack (RHS - LHS >= 0) of the inequality chain.
 
     ``slack34`` (over sqrt(r0), so dimensionless) and ``slack35`` are
-    (levels, n_theta) fields, ``sup34``/``sup35`` their largest |slack|;
+    (levels,) fields, ``sup34``/``sup35`` their largest |slack|;
     ``bracket_min`` is the most negative sum-of-squares bracket seen
     (analytically >= 0).  The integrated chains are evaluated both through
-    the quadrature + asymptotic-tail route (``chain36``, ``chain38``) and in
-    their simplified boundary forms (``ineq37``, ``ineq39``).
+    the leaf integrals + asymptotic-tail route (``chain36``, ``chain38``)
+    and in their simplified boundary forms (``ineq37``, ``ineq39``).
     """
 
     slack34: np.ndarray
@@ -338,33 +312,31 @@ class InequalitySlacks:
         return float(np.max(np.abs(self.slack35)))
 
 
-def inequality_slacks(foliation, lam, mass, terms):
+def inequality_slacks(foliation, lam, mass):
     """Slacks of the pointwise and integrated inequalities on a foliation.
 
     Pointwise: slack = RHS - LHS of the two differential inequalities,
     which equals a positive multiple of the sum-of-squares bracket when
-    the identities hold (zero exactly on Schwarzschild data).  Integrated:
+    the identities hold (zero exactly on Schwarzschild data); their leaf
+    Laplacian terms vanish on a round leaf and are left out.  Integrated:
     the asymptotic ends are replaced by their closed-form limits
     (H -> 2/r, rho -> r^2/|m|), giving 8 pi sqrt|m| for the first chain
-    and 0 for the second.  ``terms`` holds ``_leaf_terms`` of the
-    foliation.
+    and 0 for the second.
     """
     if len(foliation) < 8:
         raise ValueError("inequality integration needs a dense foliation")
-    sqrt_s, h, rho = foliation.sqrt_s, foliation.H, foliation.rho
-    n = foliation.N[:, None]
+    sqrt_s, h, rho, n = foliation.sqrt_s, foliation.H, foliation.rho, foliation.N
     p_n = _transverse_derivative(foliation, sqrt_s * h * lam / (np.sqrt(rho) * n))
     q_n = _transverse_derivative(foliation,
                                  sqrt_s / rho * (h * n + 4.0 * lam / rho))
-    _, lap_sqrt_rho, lap_log_rho, bracket = terms
     r_sigma = 2.0 * foliation.gauss_k
     n0 = float(foliation.N[0])
     r0 = float(foliation.area_radius[0])
     # slack34 has units of length^(1/2): over sqrt(r0) it is dimensionless
-    s34 = (-2.0 * (sqrt_s / n) * lap_sqrt_rho - p_n) / math.sqrt(r0)
-    s35 = -n * sqrt_s * (lap_log_rho + r_sigma) - q_n
+    s34 = -p_n / math.sqrt(r0)
+    s35 = -n * sqrt_s * r_sigma - q_n
 
-    h0 = float(foliation.mean(h)[0])
+    h0 = float(h[0])
     f_n0 = float(foliation.integral(h / np.sqrt(rho))[0]) / n0
     f_inf = 8.0 * math.pi * math.sqrt(abs(mass))
     chain36 = lam * (f_n0 - f_inf) / f_inf
@@ -373,7 +345,7 @@ def inequality_slacks(foliation, lam, mass, terms):
     g_n0 = float(foliation.integral((h * n0 + 4.0 * lam / rho) / rho)[0])
     chain38 = (g_n0 - 4.0 * math.pi * (1.0 - n0 ** 2)) / (4.0 * math.pi)
     ineq39 = abs(mass) * (h0 * n0 + 4.0 * mass / r0 ** 2) - (1.0 - n0 ** 2)
-    return InequalitySlacks(s34, s35, float(np.min(bracket)),
+    return InequalitySlacks(s34, s35, float(np.min(_bracket(foliation))),
                             chain36, ineq37, chain38, ineq39)
 
 
@@ -402,8 +374,8 @@ def sign_analysis(foliation, mass, frak_h, tol):
     """
     r0 = float(foliation.area_radius[0])
     _reject_flat(mass, r0, f"the mass flux {float(mass):.3g} vanishes")
-    lam = int(np.sign(foliation.mean(foliation.nuN)[0]))
-    signs = np.sign([mass, frak_h, foliation.mean(foliation.H)[0]])
+    lam = int(np.sign(foliation.nuN[0]))
+    signs = np.sign([mass, frak_h, foliation.H[0]])
     slack = (6.0 * lam + 3.0) * (mass / r0) ** 2 - 1.0
     return GlobalSign(lam, bool(np.all(signs == lam)), slack, abs(slack) <= tol,
                       (6.0 * -1 + 3.0) * mass ** 2 < 0.0 <= r0 ** 2)
@@ -434,14 +406,13 @@ def boundary_constraints(spacetime, foliation, mass):
     fol = foliation
     n0 = float(fol.N[0])
     r0 = float(fol.area_radius[0])
-    h0 = float(fol.mean(fol.H)[0])
-    nu0 = float(fol.mean(fol.nuN)[0])
-    r_sigma = 2.0 * float(fol.mean(fol.gauss_k)[0])
+    h0 = float(fol.H[0])
+    nu0 = float(fol.nuN[0])
+    r_sigma = 2.0 * float(fol.gauss_k[0])
 
-    sd, induced = hs.sample(hs.cylinder(spacetime, fol.r_coord[0]),
-                            hs.CYLINDER_THETA)
-    frak_h = float(np.mean(sd.mean_curvature))
-    r_p = float(np.mean(induced.scalar))
+    sd, induced = hs.sample(hs.cylinder(spacetime, fol.r_coord[0]))
+    frak_h = float(sd.mean_curvature)
+    r_p = float(induced.scalar)
 
     expected_scal = (2.0 / 3.0) * frak_h ** 2
     return BoundaryConstraints(
@@ -549,9 +520,8 @@ _BOUNDS = {"<": operator.lt, ">=": operator.ge, ">": operator.gt}
 class Gate:
     """One verdict gate: ``passed`` is ``value <bound> threshold``, with
     ``bound`` one of ``<`` (the default), ``>=`` and ``>``, so a nan value
-    fails every gate.  ``level`` and ``node`` are the foliation level and
-    theta node (Gauss-Legendre index) where a sup was attained, None for a
-    gate that is not a sup over levels or over the nodes of a leaf."""
+    fails every gate.  ``level`` is the foliation level where a sup was
+    attained, None for a gate that is not a sup over levels."""
 
     name: str
     value: float
@@ -559,7 +529,6 @@ class Gate:
     bound: str = "<"
     structural: bool = False
     level: int = None
-    node: int = None
 
     @property
     def passed(self):
@@ -572,29 +541,23 @@ class Gate:
 
 
 def _field_gate(name, tol, *fields):
-    """The ``< tol`` gate on the sup of |field| over (levels, n_theta) leaf
-    fields, at its first argmax: ties go to the first level, then the first
-    field, then the first node, and a nan counts as the largest."""
+    """The ``< tol`` gate on the sup of |field| over (levels,) leaf fields,
+    at its first argmax: ties go to the first level, then the first field,
+    and a nan counts as the largest."""
     stacked = np.abs(np.stack(fields, axis=1))
-    level, k, node = np.unravel_index(np.argmax(stacked), stacked.shape)
-    return Gate(name, float(stacked[level, k, node]), tol,
-                level=int(level), node=int(node))
+    level, k = np.unravel_index(np.argmax(stacked), stacked.shape)
+    return Gate(name, float(stacked[level, k]), tol, level=int(level))
 
 
 @dataclass(frozen=True)
 class IsraelReport:
-    """The pipeline's results.  ``rho_mean``, ``h_mean``, ``rho_std`` and
-    ``tracefree_max`` hold the area-weighted mean of rho and H, the standard
-    deviation of rho and the sup of the dimensionless trace-free norm
-    r_area |h_tracefree| on each leaf, computed once for the gates and the
-    written tables."""
+    """The pipeline's results.  ``tracefree`` holds the dimensionless
+    trace-free norm r_area |h_tracefree| of each leaf, computed once for its
+    gate and the written tables."""
 
     mass: float
     flux_by_level: tuple
-    rho_mean: np.ndarray
-    h_mean: np.ndarray
-    rho_std: np.ndarray
-    tracefree_max: np.ndarray
+    tracefree: np.ndarray
     boundary: BoundaryConstraints
     identities: IdentityResiduals
     slacks: InequalitySlacks
@@ -605,32 +568,27 @@ class IsraelReport:
     tol: float
 
 
-def run_israel_pipeline(spacetime, n0, r_ps, levels, n_theta, tail_radius,
-                        tol):
+def run_israel_pipeline(spacetime, n0, r_ps, levels, tail_radius, tol):
     """Full proof-chain verification on a located photon sphere.
 
     Raises FlatnessError for m = 0 inputs (flat slice).  Returns an
     IsraelReport whose verdict is the conjunction of the gate list.
     """
     check_not_flat(spacetime.profile, (r_ps, 10.0 * r_ps))
-    foliation = build_foliation(spacetime, n0, levels, n_theta,
-                                tail_radius, r_hint=r_ps)
+    foliation = build_foliation(spacetime, n0, levels, tail_radius,
+                                r_hint=r_ps)
 
     fluxes = mass_flux(foliation)
     mass = float(fluxes[0])
     bnd = boundary_constraints(spacetime, foliation, mass)
     sign = sign_analysis(foliation, mass, bnd.frak_h, tol)
-    terms = _leaf_terms(foliation)
-    ids = identity_residuals(foliation, sign.lam, terms)
-    slacks = inequality_slacks(foliation, sign.lam, mass, terms)
+    ids = identity_residuals(foliation, sign.lam)
+    slacks = inequality_slacks(foliation, sign.lam, mass)
     recon = reconstruct_lapse(mass, bnd.n0, bnd.r0,
                               r_max=foliation.tail_radius)
 
     # r_area |h_tracefree|: dimensionless, as the gate's tol is
-    tracefree = foliation.area_radius[:, None] * foliation.tracefree
-    rho_mean, h_mean = foliation.mean(foliation.rho), foliation.mean(foliation.H)
-    rho_std = foliation.std(foliation.rho)
-    rho_by_level = rho_std / rho_mean
+    tracefree = foliation.area_radius * foliation.tracefree
     # relative to the mass, so the gate reads the same at every mass scale
     flux_spread = float(np.max(fluxes) - np.min(fluxes)) / abs(mass)
     n_in_range = (float(np.min(foliation.N)) >= n0 - 1e-12
@@ -647,9 +605,7 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels, n_theta, tail_radius,
         Gate("sharpness-39", abs(slacks.ineq39), tol),
         Gate("bracket-nonnegative", slacks.bracket_min, -1e-14, ">="),
         _field_gate("leaf-constancy-tracefree", tol, tracefree),
-        Gate("leaf-constancy-rho", float(np.max(rho_by_level)), tol,
-             level=int(np.argmax(rho_by_level))),
-        Gate("H-positive", float(np.min(h_mean)), 0.0, ">"),
+        Gate("H-positive", float(np.min(foliation.H)), 0.0, ">"),
         Gate("sign-consistency", 0.0 if sign.consistent else 1.0, 0.5),
         Gate("lambda-exclusion", sign.exclusion_slack, -tol, ">="),
         Gate("flux-level-independence", flux_spread, 100 * 1e-8),
@@ -661,6 +617,5 @@ def run_israel_pipeline(spacetime, n0, r_ps, levels, n_theta, tail_radius,
     failed = {g.structural for g in gates if not g.passed}
     verdict = ("inconclusive" if True in failed
                else "not-isometric" if failed else "isometric")
-    return IsraelReport(mass, tuple(fluxes.tolist()), rho_mean, h_mean, rho_std,
-                        np.max(tracefree, axis=1), bnd, ids, slacks, sign,
-                        foliation, gates, verdict, tol)
+    return IsraelReport(mass, tuple(fluxes.tolist()), tracefree, bnd, ids,
+                        slacks, sign, foliation, gates, verdict, tol)

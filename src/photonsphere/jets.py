@@ -16,8 +16,8 @@ not: ``np.float64 ** 1.5`` may differ from the array loop in the last bit).
 
 Jets broadcast lazily.  A seed keeps the shape of its coordinate, and
 arithmetic broadcasts as numpy does, so a result has the broadcast shape
-of the seeds it depends on: for a (levels, 1) radius against an (n_theta,)
-theta axis, a quantity that reads only r is computed once per level.
+of the seeds it depends on: for a (levels, 1) radius against an (n,) theta
+axis, a quantity that reads only r is computed once per level.
 Every entry equals the one a dense evaluation gives; a caller that needs
 the full node grid broadcasts the result itself.
 """
@@ -207,7 +207,7 @@ def variables(coords, order=2):
     list of Jet, one per coordinate, with nvars = len(coords).  Each seed
     keeps its coordinate's own shape (no broadcasting against the others),
     so coordinate axes that broadcast against each other, such as a
-    (levels, 1) radius and an (n_theta,) theta, stay apart through every
+    (levels, 1) radius and an (n,) theta, stay apart through every
     expression that does not combine them.
     """
     n = len(coords)

@@ -2,7 +2,8 @@
 
 A timelike cylinder is certified as a photon surface when two independent
 routes agree: the umbilicity criterion (second fundamental form pure
-trace, sampled over the surface) and direct tangency persistence of null
+trace, sampled at one point of the static, round surface) and direct
+tangency persistence of null
 geodesics (the defining property).  Every null geodesic tangent to a
 radial cylinder is a rotation of one orbit, so tangency is decided by
 integrating that orbit.  For radial profiles the candidate
@@ -23,7 +24,7 @@ from . import geodesics, hypersurfaces
 from . import quadrature as quad
 from .spacetimes import DomainError
 
-TOL_CERT = 1e-7       # umbilicity: r0 sup |h_tracefree| and r0 std H
+TOL_CERT = 1e-7       # umbilicity: r0 |h_tracefree|
 TOL_TANGENCY = 1e-4   # largest |r - r0| / r0 of an orbit that stays
 SCAN_POINTS = 512
 
@@ -92,23 +93,21 @@ class PhotonSurfaceCertificate:
     ``verdict`` is "certified" only when both routes agree within their
     tolerances and the tangent orbit integrated over the whole span;
     genuine disagreement, or tangency not shown, is reported as
-    "inconclusive" with margins left for inspection.  The three gated
-    values are dimensionless, so the verdict is the same at every mass
-    scale: ``umbilicity_sup`` and ``mean_curvature_std`` are r0 times the
-    trace-free norm's sup and H's spread, and ``tangency_deviation`` is the
-    orbit's largest |r - r0| / r0.  The ungated ``scalar_curvature_std``
-    and ``scalar_residual`` are dimensionless too, r0^2 times the spread of
-    R_p and its distance from (2/3) H^2.
+    "inconclusive" with margins left for inspection.  The two gated values
+    are dimensionless, so the verdict is the same at every mass scale:
+    ``umbilicity_sup`` is r0 times the trace-free norm, and
+    ``tangency_deviation`` is the orbit's largest |r - r0| / r0.  The
+    ungated ``scalar_residual`` is dimensionless too, r0^2 times the
+    distance of R_p from (2/3) H^2.  The surface is sampled at one point,
+    where every field takes the value it has on the whole surface.
     """
 
     surface: str
     r0: float
     verdict: str                 # "certified" | "refuted" | "inconclusive"
-    umbilicity_sup: float        # r0 sup |h_tracefree|
+    umbilicity_sup: float        # r0 |h_tracefree|
     mean_curvature: float
-    mean_curvature_std: float    # r0 std H
     scalar_curvature: float
-    scalar_curvature_std: float  # r0^2 std R_p
     scalar_expected: float       # (2/3) frakH^2, the vacuum Einstein value
     scalar_residual: float       # r0^2 |R_p - (2/3) frakH^2|
     tangency: geodesics.TangencyReport
@@ -121,30 +120,28 @@ def certify_photon_surface(spacetime, surface, span):
     Umbilicity is sampled through the hypersurface machinery, tangency by
     integrating the tangent null orbit; both must agree for a "certified"
     or "refuted" verdict.  Candidates whose induced metric is not timelike
-    at every sampled node are rejected outright.
+    are rejected outright.
     """
     if surface.kind != "cylinder":
         raise ValueError("certification expects a cylinder hypersurface")
-    sd, induced = hypersurfaces.sample(surface, hypersurfaces.CYLINDER_THETA)
-    signs = np.sign(np.linalg.eigvalsh(induced.metric_dd)).reshape(-1, 3)
+    sd, induced = hypersurfaces.sample(surface)
+    signs = np.sign(np.linalg.eigvalsh(induced.metric_dd))
     if not np.all(signs == (-1.0, 1.0, 1.0)):
         raise DomainError(
-            f"surface is not timelike: induced signature {signs[0].tolist()} "
+            f"surface is not timelike: induced signature {signs.tolist()} "
             f"(expected (-,+,+))")
 
     r0 = surface.level_value
-    umb_sup = r0 * float(np.max(sd.tracefree_norm))
-    h_mean = float(np.mean(sd.mean_curvature))
-    h_std = r0 * float(np.std(sd.mean_curvature))
-    rp_mean = float(np.mean(induced.scalar))
-    rp_std = r0 ** 2 * float(np.std(induced.scalar))
-    expected_rp = (2.0 / 3.0) * h_mean ** 2
-    scalar_residual = r0 ** 2 * abs(rp_mean - expected_rp)
+    umb_sup = r0 * float(sd.tracefree_norm)
+    h = float(sd.mean_curvature)
+    r_p = float(induced.scalar)
+    expected_rp = (2.0 / 3.0) * h ** 2
+    scalar_residual = r0 ** 2 * abs(r_p - expected_rp)
 
     tangency = geodesics.tangency_persistence(spacetime, surface, span)
     deviation = tangency.max_deviation / r0
 
-    umbilic = umb_sup < TOL_CERT and h_std < TOL_CERT
+    umbilic = umb_sup < TOL_CERT
     # an orbit that stopped early has not shown that it stays, but one that
     # left the surface before stopping has shown that it does not
     tangent = deviation < TOL_TANGENCY and tangency.run.status == "completed"
@@ -161,10 +158,8 @@ def certify_photon_surface(spacetime, surface, span):
         r0=r0,
         verdict=verdict,
         umbilicity_sup=umb_sup,
-        mean_curvature=h_mean,
-        mean_curvature_std=h_std,
-        scalar_curvature=rp_mean,
-        scalar_curvature_std=rp_std,
+        mean_curvature=h,
+        scalar_curvature=r_p,
         scalar_expected=expected_rp,
         scalar_residual=scalar_residual,
         tangency=tangency,

@@ -1,16 +1,16 @@
 """Spherical quadrature, differentiation and root bisection utilities.
 
-Every leaf this package integrates is a level set of a radial function, so
-no leaf field depends on phi: a field is sampled at the Gauss-Legendre
-nodes in x = cos(theta) alone, and the phi integral is the factor 2 pi in
-the weights.  Gauss-Legendre nodes never touch the poles, respecting the
-chart's exclusion of theta in {0, pi}.
+Every leaf this package integrates is a round sphere {r = r0}, so the
+pipelines sample each one at a single point (see
+``hypersurfaces.sample``).  The Gauss-Legendre grid in x = cos(theta) and
+the leaf Laplacian and gradient on it remain to show that this reduction
+is exact: sampled on the grid, every leaf field is constant in theta to
+rounding and those terms vanish.  Gauss-Legendre nodes never touch the
+poles, respecting the chart's exclusion of theta in {0, pi}.
 
-Tangential derivatives on a leaf use the barycentric differentiation
-matrix in x.  The same barycentric code differentiates and interpolates on
-Chebyshev points: across the levels of the lapse foliation, which sit at
-Chebyshev points of the level map, and where the rigidity ODE is
-collocated.
+The same barycentric code differentiates and interpolates on Chebyshev
+points: across the levels of the lapse foliation, which sit at Chebyshev
+points of the level map, and where the rigidity ODE is collocated.
 
 Roots (the photon-sphere radius, every leaf radius of the lapse
 foliation) come from ``bisect``, which halves an array of brackets at once
@@ -24,28 +24,18 @@ import numpy as np
 
 
 @lru_cache(maxsize=16)
-def sphere_grid(n_theta):
+def sphere_grid(n):
     """Gauss-Legendre nodes and weights for integrals dx dphi of fields
     constant in phi.
 
-    Returns (theta, x, w), each (n_theta,) with theta increasing, and
+    Returns (theta, x, w), each (n,) with theta increasing, and
     w = 2 pi times the Gauss-Legendre weights, such that
-    Int f dmu = sphere_integral(f * jac, w),  jac = sqrt(det sigma)/sin(theta).
+    Int f dmu = sum(f * jac * w),  jac = sqrt(det sigma)/sin(theta).
     """
-    x, glw = np.polynomial.legendre.leggauss(n_theta)
+    x, glw = np.polynomial.legendre.leggauss(n)
     order = np.argsort(-x)  # theta increasing
     x = x[order]
     return np.arccos(x), x, 2.0 * np.pi * glw[order]
-
-
-def sphere_integral(values, weights):
-    """Int values dx dphi over the sphere, for every leading (leaf) index.
-
-    ``values`` is (..., n_theta), a field constant in phi; ``weights`` are
-    ``sphere_grid``'s.  Each row of a stack equals the same leaf alone bit
-    for bit (an elementwise sum, not a matmul, which is not).
-    """
-    return np.sum(values * weights, axis=-1)
 
 
 def _barycentric(x):
@@ -103,9 +93,9 @@ def chebyshev_nodes(n, a, b):
 
 
 @lru_cache(maxsize=16)
-def diff_matrix(n_theta):
+def diff_matrix(n):
     """Barycentric differentiation matrix d/dx on the Gauss-Legendre nodes."""
-    _, x, _ = sphere_grid(n_theta)
+    _, x, _ = sphere_grid(n)
     return barycentric_diff_matrix(x)
 
 
@@ -114,7 +104,7 @@ def sphere_laplacian(f, x, r_area):
     field constant in phi.
 
     In x = cos(theta):  Lap f = d/dx((1-x^2) df/dx) / r^2.  ``f`` is
-    (..., n_theta); leading axes stack leaves, each equal to the same leaf
+    (..., n); leading axes stack leaves, each equal to the same leaf
     alone bit for bit (an einsum, not a matmul, which is not), and
     ``r_area`` broadcasts against ``f``.
     """

@@ -62,10 +62,6 @@ class TestScenarioValidation:
         (SCHW + '"scan": [3]}', "'scan'"),
         (SCHW + '"scan": [5, 3]}', "'scan'"),
         (SCHW + '"scan": [2.2, NaN]}', "'scan'"),
-        (SCHW + '"quadrature": ["a", "b"]}', "'quadrature'"),
-        (SCHW + '"quadrature": [0, 8]}', "'quadrature'"),
-        (SCHW + '"quadrature": [1025, 8]}', "'quadrature'"),
-        (SCHW + '"quadrature": [8, 1025]}', "'quadrature'"),
         (SCHW + '"span": "40"}', "'span'"),
         (SCHW + '"span": Infinity}', "'span'"),
         (SCHW + '"span": 1%s}' % ("0" * 400), "'span'"),
@@ -77,8 +73,7 @@ class TestScenarioValidation:
     ], ids=["array", "lapse-int", "no-lapse", "no-m", "m-null", "m-two",
             "trace-list", "huge-int", "levels-negative", "levels-fraction",
             "levels-bool", "levels-7", "levels-1025", "scan-short",
-            "scan-decreasing", "scan-nan", "quadrature-strings", "quadrature-0",
-            "quadrature-theta-1025", "quadrature-phi-1025", "span-string",
+            "scan-decreasing", "scan-nan", "span-string",
             "span-inf", "span-past-float", "tolerance-nan", "tail-negative",
             "surface-0", "trace-start-2",
             "trace-direction-string"])
@@ -107,12 +102,9 @@ class TestScenarioValidation:
         ("israel", "--tol", "nan", "'tolerance'"),
         ("full", "--tol", "-1", "'tolerance'"),
         ("israel", "--levels", "-3", "'levels'"),
-        ("israel", "--quad", "0x4", "'quadrature'"),
-        # bounded before anything is allocated: 20000 levels or theta nodes
-        # would need a 3 GB differentiation matrix
+        # bounded before anything is allocated: 20000 levels would need a
+        # 3 GB differentiation matrix
         ("israel", "--levels", "20000", "'levels'"),
-        ("israel", "--quad", "20000x4", "'quadrature'"),
-        ("full", "--quad", "4x20000", "'quadrature'"),
     ])
     def test_bad_flag_exits_2_naming_its_field(self, command, flag, value, field,
                                                tmp_path, capsys):
@@ -140,8 +132,7 @@ class TestScenarioValidation:
             scn = tmp_path / f"scn{len(extra)}.json"
             scn.write_text(json.dumps({
                 "schema": 1, "name": "r3m", "pipeline": "full",
-                "scan": [2.2, 50.0], "levels": 8, "quadrature": [8, 16],
-                "span": 20.0, "profile": {"kind": "schwarzschild", "m": 1},
+                "scan": [2.2, 50.0], "levels": 8, "span": 20.0, "profile": {"kind": "schwarzschild", "m": 1},
                 **extra}))
             outs.append(tmp_path / f"o{len(extra)}")
             assert run(["full", "--scenario", str(scn),
@@ -230,8 +221,8 @@ class TestExitCodes:
         # the Israel verdict is isometric, but the orbit does not integrate
         out = tmp_path / "o"
         assert run(["full", "--scenario", "schwarzschild_m1", "--out", str(out),
-                    "--span", "1e-300", "--levels", "24", "--quad", "32x64",
-                    "--tol", "1e-3"]) == cli.EXIT_ERROR
+                    "--span", "1e-300", "--levels", "24", "--tol", "1e-3"]
+                   ) == cli.EXIT_ERROR
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["verdict"] == "inconclusive"
         rep = json.loads((out / "israel_report.json").read_text())
@@ -258,8 +249,7 @@ class TestExitCodes:
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
             "schema": 1, "pipeline": "israel", "scan": [2.2 * m, 50.0 * m],
-            "levels": 64, "quadrature": [16, 32],
-            "profile": {"kind": "schwarzschild", "m": m}}))
+            "levels": 64, "profile": {"kind": "schwarzschild", "m": m}}))
         out = tmp_path / "o"
         assert run(["israel", "--scenario", str(scn),
                     "--out", str(out)]) == cli.EXIT_TRUE
@@ -272,21 +262,22 @@ class TestExitCodes:
         # flat one
         self._assert_isometric_at_scale(tmp_path, 1e-11)
 
-    # the range stops short of m = 1e80, where the leaves' det sigma, of
-    # order r^4, overflows: a named error (test_overflowing_leaf_area_...)
-    @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7,
-                                   1e8, 1e9, 1e10, 1e11, 1e20, 1e40])
+    # the leaf area is sqrt(sigma_thth) sqrt(sigma_phph), of order r^2, so
+    # it neither underflows at m = 1e-120 nor overflows at 1e120; where r^2
+    # itself overflows, the run ends in a named error
+    # (test_overflowing_leaf_area_...)
+    @pytest.mark.parametrize("m", [1e-120, 1e-100, 1e-80, 1e-13, 1e-12, 1e-9,
+                                   1e4, 1e5, 3e5, 1e7, 1e8, 1e9, 1e10, 1e11,
+                                   1e20, 1e40, 1e80, 1e100, 1e120])
     def test_israel_verdict_is_scale_covariant(self, tmp_path, m):
         self._assert_isometric_at_scale(tmp_path, m)
 
-    # m = 1e80 included: the cylinder's metric reads r0^2, not the leaves'
-    # r^4, so it stays finite where the israel foliation overflows
     @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7,
                                    1e80])
     def test_certify_verdict_is_scale_covariant(self, tmp_path, m):
         # the m = 1 detect and certify runs with every length scaled by m:
-        # the certificate gates r0 |h_tracefree|, r0 std H and |r - r0| / r0,
-        # and reports R_p's spread and residual times r0^2
+        # the certificate gates r0 |h_tracefree| and |r - r0| / r0, and
+        # reports R_p's residual times r0^2
         def scenario(pipeline, **fields):
             scn = tmp_path / f"{pipeline}-{len(fields)}.json"
             scn.write_text(json.dumps({
@@ -308,7 +299,6 @@ class TestExitCodes:
                         "--out", str(out)]) == code
             cert = json.loads((out / "certificate.json").read_text())
             assert cert["verdict"] == verdict
-            assert cert["scalar"]["stddev"] < 1e-12
             if verdict == "certified":
                 assert cert["scalar"]["residual"] < 1e-12
 
@@ -328,7 +318,7 @@ class TestExitCodes:
     def test_singular_metric_is_a_named_error(self, tmp_path, capsys):
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
-            "schema": 1, "pipeline": "israel", "levels": 8, "quadrature": [8, 16],
+            "schema": 1, "pipeline": "israel", "levels": 8,
             "scan": [2.2, 50.0], "tail_radius": 100.0,
             "profile": {"kind": "expression", "lapse": "sqrt(1 - 2/r)",
                         "radial_factor": "r - r", "r_min": 2.0, "m": 1.0}}))
@@ -374,22 +364,22 @@ class TestExitCodes:
         assert not (out / "certificate.json").exists()
 
     def test_overflowing_leaf_area_is_one_named_error(self, tmp_path, capsys):
-        # Schwarzschild m = 1e80: the leaves' det sigma, of order r^4,
-        # overflows.  The leaves are sampled with floating-point warnings
-        # off, so the named error, which gives a leaf radius, is the one
-        # line on stderr
-        m = 1e80
+        # Schwarzschild m = 2e152: the outer leaves reach r = 2e154, where
+        # r^2 itself overflows in the induced metric.  The leaves are
+        # sampled with floating-point warnings off, so the named error,
+        # which gives a leaf radius, is the one line on stderr
+        m = 2e152
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
             "schema": 1, "pipeline": "israel", "scan": [2.2 * m, 50.0 * m],
-            "levels": 64, "quadrature": [16, 32],
-            "profile": {"kind": "schwarzschild", "m": m}}))
+            "levels": 64, "profile": {"kind": "schwarzschild", "m": m}}))
         out = tmp_path / "o"
         assert run(["israel", "--scenario", str(scn),
                     "--out", str(out)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert re.search(r"level-set r0 = \S+ has non-finite area element", err)
+        assert re.search(r"level-set r0 = \S+ has non-finite shape data or "
+                         r"induced metric", err)
         assert not (out / "israel_report.json").exists()
 
     def test_zero_trace_direction_is_a_named_error(self, tmp_path, capsys):
@@ -472,8 +462,7 @@ class TestOutputs:
         ("trace", "schwarzschild_m1", 0, []),
         # every kind of output file, the curvature dump included; 8 levels
         # are too coarse for the 1e-5 gates, so the run is not isometric
-        ("full", "schwarzschild_m1", 1,
-         ["--levels", "8", "--quad", "8x16", "--dump-curvature"]),
+        ("full", "schwarzschild_m1", 1, ["--levels", "8", "--dump-curvature"]),
     ], ids=["israel-reissner_perturbed-1", "certify-r4m_cylinder-1",
             "trace-schwarzschild_m1-0", "full-schwarzschild_m1-1-dump"])
     def test_determinism_byte_identical(self, tmp_path, command, scenario, code,
@@ -485,7 +474,7 @@ class TestOutputs:
                        + flags + dump) == code
         assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
         if flags:
-            assert len(os.listdir(out1)) == 11
+            assert len(os.listdir(out1)) == 8
         for name in sorted(os.listdir(out1)):
             with open(os.path.join(out1, name), "rb") as fa, \
                     open(os.path.join(out2, name), "rb") as fb:
@@ -535,38 +524,50 @@ class TestOutputs:
         assert 0.0 in dumps[0]["riemann"].values()
 
     def test_per_level_columns_are_named_once(self, tmp_path):
+        # each per-level fact is in one file: israel_levels.csv holds the
+        # leaf columns, slacks_of_N.csv the two pointwise slacks against N,
+        # and the JSON report neither
         out = tmp_path / "o"
         assert run(["israel", "--scenario", "schwarzschild_m2",
                     "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "israel_levels.csv", "israel_report.json", "slacks_of_N.csv"]
         report = json.loads((out / "israel_report.json").read_text())
-        lines = (out / "israel_levels.csv").read_bytes().decode().split("\r\n")
-        header, *rows = [line.split(",") for line in lines[:-1]]
-        # the JSON keys are sorted; the csv keeps the columns' order
-        assert sorted(report["per_level"][0]) == sorted(header + ["rho_std"])
-        assert len(rows) == len(report["per_level"]) == 64
-        for name in ("r", "rho", "H"):
-            cols = [header.index("N"), header.index(name)]
-            expect = "".join(",".join(row[c] for c in cols) + "\r\n"
-                             for row in [header, *rows])
-            assert (out / f"{name}_of_N.csv").read_bytes() == expect.encode()
+        levels, slacks = ([line.split(",") for line in
+                           (out / name).read_bytes().decode().split("\r\n")[:-1]]
+                          for name in ("israel_levels.csv", "slacks_of_N.csv"))
+        assert levels[0] == ["N", "r", "rho", "H", "tracefree_sup", "res31",
+                             "res32", "res33"]
+        assert slacks[0] == ["N", "slack34", "slack35"]
+        assert len(levels) == len(slacks) == 65
+        assert [row[0] for row in levels] == [row[0] for row in slacks]
+        assert not set(report) & set(levels[0] + slacks[0] + ["per_level"])
 
     def test_quad_override_parsing(self, tmp_path, capsys):
-        out = str(tmp_path / "o")
-        assert run(["detect", "--scenario", "schwarzschild_m1", "--out", out,
-                    "--quad", "banana"]) == cli.EXIT_ERROR
+        # a leaf is sampled at one point: there is no quadrature to set
+        with pytest.raises(SystemExit) as exc:
+            run(["detect", "--scenario", "schwarzschild_m1",
+                 "--out", str(tmp_path / "o"), "--quad", "8x16"])
+        assert exc.value.code == cli.EXIT_ERROR
         assert "--quad" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_phi_count_changes_no_output(self, tmp_path):
-        # the second --quad count is validated and ignored: no leaf field
-        # of a radial profile depends on phi
+        # the scenario key quadrature, theta and phi counts alike, is
+        # ignored: no leaf field of a radial profile depends on theta or phi
+        with open(cli.bundled_scenario_path("schwarzschild_m1")) as fh:
+            bundled = json.load(fh)
         trees = []
-        for quad in ("8x1", "8x16"):
-            out = tmp_path / quad
-            assert run(["full", "--scenario", "schwarzschild_m1", "--out",
-                        str(out), "--levels", "8",
-                        "--quad", quad]) == cli.EXIT_FALSE
+        for extra in ({}, {"quadrature": [8, 1]}, {"quadrature": [8, 16]},
+                      {"quadrature": [0, "x"]}):
+            scn = tmp_path / f"scn{len(trees)}.json"
+            scn.write_text(json.dumps({**bundled, **extra}))
+            out = tmp_path / f"o{len(trees)}"
+            assert run(["full", "--scenario", str(scn), "--out", str(out),
+                        "--levels", "8"]) == cli.EXIT_FALSE
             trees.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert "israel_report.json" in trees[0] and trees[0] == trees[1]
+        assert "israel_report.json" in trees[0]
+        assert all(tree == trees[0] for tree in trees)
 
     @pytest.mark.parametrize("command", ["trace", "detect", "certify",
                                          "reconstruct"])
@@ -582,8 +583,8 @@ class TestOutputs:
     def test_tol_overrides_the_israel_gates(self, tmp_path):
         out = tmp_path / "o"
         assert run(["israel", "--scenario", "reissner_perturbed",
-                    "--out", str(out), "--tol", "0.25", "--levels", "8",
-                    "--quad", "8x16"]) in (0, 1)
+                    "--out", str(out), "--tol", "0.25", "--levels", "8"]
+                   ) in (0, 1)
         report = json.loads((out / "israel_report.json").read_text())
         assert report["tolerance"] == 0.25
         assert {g["name"]: g["threshold"] for g in report["gates"]}[
@@ -628,7 +629,7 @@ def full_m1_certificate(tmp_path_factory):
     flags leave the certificate as the bundled run writes it."""
     out = tmp_path_factory.mktemp("full_m1")
     run(["full", "--scenario", "schwarzschild_m1", "--out", str(out),
-         "--levels", "8", "--quad", "8x16"])
+         "--levels", "8"])
     return json.loads((out / "certificate.json").read_text())
 
 
@@ -636,8 +637,10 @@ class TestCertificateOutput:
     def test_certificate_json_schema(self, full_m1_certificate):
         d = full_m1_certificate
         assert d["verdict"] == "certified"
+        # H is sampled at one point: its spread is 0
+        assert d["mean_curvature"]["stddev"] == 0.0
         assert set(d["mean_curvature"]) == {"value", "stddev"}
-        assert set(d["scalar"]) == {"value", "stddev", "expected", "residual"}
+        assert set(d["scalar"]) == {"value", "expected", "residual"}
         tangency = d["tangency"]
         assert set(tangency) == {"span", "deviation", "integrator",
                                  "integrator_tol", "status", "accepted_steps",
@@ -662,7 +665,7 @@ class TestCertificateOutput:
     ("certify", "r4m_cylinder", [], (80, 0, 0.04, 3.5780776172782085)),
     # the coarse foliation flags leave the certificate as the bundled run
     # writes it
-    ("full", "schwarzschild_m1", ["--levels", "8", "--quad", "8x16"],
+    ("full", "schwarzschild_m1", ["--levels", "8"],
      (33, 1, 0.03, 4.4853010194856324e-14)),
 ], ids=["certify-r4m_cylinder", "full-schwarzschild_m1"])
 def test_tangency_block_is_pinned(tmp_path, command, scenario, flags, pinned):
@@ -688,8 +691,7 @@ class TestBundledSuitePartition:
     def test_schwarzschild_m1_full_is_true(self, tmp_path):
         out = str(tmp_path / "o")
         code = run(["full", "--scenario", "schwarzschild_m1", "--out", out,
-                    "--levels", "24", "--quad", "32x64", "--tol", "1e-3",
-                    "--span", "20"])
+                    "--levels", "24", "--tol", "1e-3", "--span", "20"])
         assert code == 0
         rep = json.loads((tmp_path / "o" / "israel_report.json").read_text())
         assert rep["verdict"] == "isometric"
@@ -700,7 +702,7 @@ class TestBundledSuitePartition:
     def test_schwarzschild_m2_israel_is_true(self, tmp_path):
         out = str(tmp_path / "o")
         code = run(["israel", "--scenario", "schwarzschild_m2", "--out", out,
-                    "--levels", "24", "--quad", "32x64", "--tol", "1e-3"])
+                    "--levels", "24", "--tol", "1e-3"])
         assert code == 0
         rep = json.loads((tmp_path / "o" / "israel_report.json").read_text())
         assert rep["verdict"] == "isometric"

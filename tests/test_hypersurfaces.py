@@ -85,10 +85,10 @@ class TestShape:
 def test_sample_names_the_first_non_finite_leaf():
     # r^2 overflows on the second leaf alone: the error names its radius as
     # one number, and no RuntimeWarning escapes (they are errors here)
-    surface = hs.lapse_level_set(ST, np.array([[3.0], [3e300], [4e300]]))
+    surface = hs.lapse_level_set(ST, np.array([3.0, 3e300, 4e300]))
     with pytest.raises(DomainError, match=r"level-set r0 = 3e\+300 has "
                        "non-finite shape data or induced metric"):
-        hs.sample(surface, 8)
+        hs.sample(surface)
 
 
 class TestGaussResidual:

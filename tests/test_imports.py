@@ -263,10 +263,13 @@ def _module_literal(path, name):
 
 
 def test_traced_names_exist():
-    """The functions and methods perfbench/tracing.py wraps by name: a
-    rename would otherwise fail only the benchmark's traced run."""
+    """The functions and methods perfbench/tracing.py wraps by name, and the
+    cache of ``quadrature.sphere_grid`` whose hits perfbench/run.py counts:
+    a rename would otherwise fail only the benchmark's traced run."""
     tracing = ROOT / "perfbench" / "tracing.py"
-    missing = []
+    grid = importlib.import_module("photonsphere.quadrature").sphere_grid
+    missing = [] if hasattr(grid, "cache_info") else [
+        "quadrature.sphere_grid.cache_info"]
     for module, names in _module_literal(tracing, "TIMED").items():
         mod = importlib.import_module(f"photonsphere.{module}")
         missing += [f"{module}.{n}" for n in names if not hasattr(mod, n)]
@@ -292,7 +295,7 @@ with open(table, "w") as fh:
     json.dump({"schema": 1, "pipeline": "full", "scan": [2.2, 50.0],
                "profile": {"kind": "table", "samples": rows},
                "tail_radius": 100.0}, fh)
-coarse = ["--levels", "12", "--quad", "8x16", "--span", "2"]
+coarse = ["--levels", "12", "--span", "2"]
 runs = {"table": ["full", "--scenario", table] + coarse,
         "full": ["full", "--scenario", "schwarzschild_m1"] + coarse,
         "reconstruct": ["reconstruct", "--scenario", "schwarzschild_m1"]}

@@ -30,7 +30,7 @@ N0 = 1.0 / math.sqrt(3.0)
 
 @pytest.fixture(scope="module")
 def foliation24():
-    return isr.build_foliation(ST, N0, levels=24, n_theta=32)
+    return isr.build_foliation(ST, N0, levels=24)
 
 
 class TestFoliation:
@@ -38,13 +38,12 @@ class TestFoliation:
         fol = foliation24
         assert abs(fol.N[0] - N0) < 1e-14
         assert abs(fol.area_radius[0] - 3.0) < 1e-9
-        assert abs(fol.mean(fol.rho)[0] - 9.0) < 1e-8       # rho = r^2/m
-        assert abs(fol.mean(fol.nuN)[0] - oracles.NU_N0_M1) < 1e-12
-        assert abs(fol.mean(fol.H)[0] - oracles.H0_M1) < 1e-10
-        assert fol.std(fol.rho)[0] < 1e-12
+        assert abs(fol.rho[0] - 9.0) < 1e-8       # rho = r^2/m
+        assert abs(fol.nuN[0] - oracles.NU_N0_M1) < 1e-12
+        assert abs(fol.H[0] - oracles.H0_M1) < 1e-10
 
     def test_rho_matches_r_squared_over_m_on_all_levels(self, foliation24):
-        rho = foliation24.mean(foliation24.rho)
+        rho = foliation24.rho
         assert np.all(np.abs(rho - foliation24.area_radius ** 2) < 1e-6 * rho)
 
     def test_gauss_bonnet_every_leaf(self, foliation24):
@@ -59,16 +58,14 @@ class TestFoliation:
         mink = StaticSpacetime.schwarzschild(0.0)
         # N0 < 1 is not flat: the lapse is 1 at the tail radius only
         with pytest.raises(DomainError, match="tail_radius = 50.0"):
-            isr.build_foliation(mink, 0.9, levels=8, n_theta=8,
-                                tail_radius=50.0)
+            isr.build_foliation(mink, 0.9, levels=8, tail_radius=50.0)
 
     def test_hint_above_the_photon_sphere_is_not_bracketed(self):
         # every level shares one bracket from the hint up; above the
         # photon sphere N > N0 there, so level 0 has no root in it
         with pytest.raises(DomainError,
                            match=r"lapse level not bracketed.*bracket 0, "):
-            isr.build_foliation(ST, N0, levels=8, n_theta=8,
-                                r_hint=4.0)
+            isr.build_foliation(ST, N0, levels=8, r_hint=4.0)
 
 
 def _dense_variables(coords, order=2):
@@ -102,8 +99,8 @@ LEAF_PROFILES = {
 }
 
 
-FIELDS = ("jacobian", "sqrt_s", "rho", "H", "nuN", "tracefree", "gauss_k")
-LEVEL_VECTORS = ("s", "N", "r_coord", "dN_ds", "area")
+FIELDS = ("sqrt_s", "rho", "H", "nuN", "tracefree", "gauss_k")
+LEVEL_VECTORS = ("s", "N", "r_coord", "dN_ds")
 
 
 def _first_levels(foliation, n):
@@ -114,84 +111,120 @@ def _first_levels(foliation, n):
 
 @pytest.mark.parametrize("name", sorted(LEAF_PROFILES))
 def test_leaf_fields_equal_the_dense_grid(name, monkeypatch):
-    # a stacked block of three leaves: the lazy seeds, which keep r at one
-    # value per level, give every field the bits of the dense evaluation,
-    # whose seeds carry every node
+    # a stacked block of three leaves: the lazy seeds, which keep theta
+    # and phi at one number, give every field the bits of the dense
+    # evaluation, whose seeds carry every leaf
     profile, r_level = LEAF_PROFILES[name]
     st = StaticSpacetime(profile)
     radii = r_level * np.array([1.0, 1.1, 1.3])
-    lazy = isr._leaf_block(st, radii, 12)
+    lazy = isr._leaf_block(st, radii)
     monkeypatch.setattr(jets, "variables", _dense_variables)
-    dense = isr._leaf_block(st, radii, 12)
-    assert lazy[0].shape == (3,) and np.array_equal(lazy[0], dense[0])
-    for a, b in zip(lazy[1:], dense[1:]):
-        assert a.shape == b.shape == (3, 12) and np.array_equal(a, b)
+    dense = isr._leaf_block(st, radii)
+    assert len(lazy) == len(FIELDS)
+    for a, b in zip(lazy, dense):
+        assert a.shape == b.shape == (3,) and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", ["schwarzschild-1", "reissner-perturbed",
                                   "table"])
 def test_leaf_geometry_does_not_depend_on_phi(name):
-    # the foliation samples every leaf at phi = 0 alone; a stacked block of
-    # three leaves gives the same bits at any other phi
+    # the foliation samples every leaf at theta = pi/2, phi = 0 alone.  A
+    # stacked block of three leaves gives the same bits at any other phi,
+    # and at 16 other theta the same values to rounding: within 1e-14 of
+    # the field's largest magnitude, and for the trace-free norm, which is
+    # rounding itself, of the mean curvature's.  The chart's cot(theta)
+    # terms amplify the rounding of the scalar curvature toward the poles
+    # (1.7e-14 at theta = 0.088), so the 16 values keep 0.25 from them
     profile, r_level = LEAF_PROFILES[name]
     surface = hs.lapse_level_set(StaticSpacetime(profile),
-                                 r_level * np.array([[1.0], [1.1], [1.3]]))
-    theta, _, _ = quad.sphere_grid(12)
+                                 r_level * np.array([1.0, 1.1, 1.3]))
 
-    def fields(phi):
+    def fields(theta, phi):
         sd = hs.shape(surface, (theta, phi))
         bundle = calc.curvature(surface.induced_sampler(), (theta, phi))
-        return [getattr(sd, f.name) for f in dataclasses.fields(sd)] + [
-            getattr(bundle, f.name) for f in dataclasses.fields(bundle)
-            if f.name not in ("dim", "coords")]
+        return {**{f.name: getattr(sd, f.name) for f in dataclasses.fields(sd)},
+                **{f.name: getattr(bundle, f.name)
+                   for f in dataclasses.fields(bundle)
+                   if f.name not in ("dim", "coords")}}
 
-    at_zero = fields(0.0)
-    assert at_zero[0].shape == (3, 12)
+    theta = np.linspace(0.25, math.pi - 0.25, 16)
+    at_zero = fields(theta[:, None], 0.0)
+    assert at_zero["mean_curvature"].shape == (16, 3)
     for phi in (1.0, math.pi, 5.5):
-        for a, b in zip(at_zero, fields(phi)):
-            assert a.shape == b.shape and np.array_equal(a, b), phi
+        for name, values in fields(theta[:, None], phi).items():
+            assert np.array_equal(at_zero[name], values), (name, phi)
+
+    equator = fields(0.5 * math.pi, 0.0)
+    assert equator["mean_curvature"].shape == (3,)
+    for name in ("mean_curvature", "tracefree_norm", "normal_rate", "scalar"):
+        scale = np.max(np.abs(equator["mean_curvature" if name == "tracefree_norm"
+                                      else name]))
+        assert np.max(np.abs(at_zero[name] - equator[name])) <= 1e-14 * scale, name
 
 
-def _single_leaf(st, r, n_theta):
-    """H, tracefree, nu(N) and Gauss curvature of one leaf, sampled alone
-    on the unstacked theta axis at phi = 0."""
-    sd, induced = hs.sample(hs.lapse_level_set(st, r), n_theta)
+def _single_leaf(st, r):
+    """H, tracefree, nu(N) and Gauss curvature of one leaf, sampled alone."""
+    sd, induced = hs.sample(hs.lapse_level_set(st, r))
     return {"H": sd.mean_curvature, "tracefree": sd.tracefree_norm,
             "nuN": sd.normal_rate, "gauss_k": 0.5 * induced.scalar}
 
 
 @pytest.mark.parametrize("name", sorted(LEAF_PROFILES))
-def test_stacked_blocks_equal_single_leaves(name, monkeypatch):
-    # 37 levels of 64 theta rows: blocks of 16, 16 and a partial 5
+def test_stacked_blocks_equal_single_leaves(name):
+    # one stacked evaluation of 37 leaves gives each leaf the bits of that
+    # leaf sampled alone
     profile, r_level = LEAF_PROFILES[name]
     st = StaticSpacetime(profile)
     n0 = float(profile.lapse(r_level))
-    build = lambda: isr.build_foliation(st, n0, levels=37, n_theta=64,
-                                        r_hint=r_level)
-    stacked = build()
-    monkeypatch.setattr(isr, "BLOCK_ROWS", 64)      # one leaf per block
-    per_leaf = build()
-    for field in LEVEL_VECTORS + FIELDS:
-        a, b = getattr(stacked, field), getattr(per_leaf, field)
-        assert a.shape == b.shape and np.array_equal(a, b), field
-    for j in (0, 15, 16, 31, 32, 36):
-        alone = _single_leaf(st, stacked.r_coord[j], 64)
-        for field, values in alone.items():
-            assert np.array_equal(getattr(stacked, field)[j],
-                                  np.broadcast_to(values, (64,))), (j, field)
+    stacked = isr.build_foliation(st, n0, levels=37, r_hint=r_level)
+    for j in range(37):
+        alone = _single_leaf(st, stacked.r_coord[j])
+        for field, value in alone.items():
+            assert getattr(stacked, field)[j] == value, (j, field)
 
 
-def test_stored_fields_are_theta_only():
-    # a radial profile's leaf fields keep one value per (level, theta) node,
-    # and the quadrature weights one per theta node: nothing has a phi axis
-    fol = isr.build_foliation(ST, N0, levels=8, n_theta=64,
-                              tail_radius=50.0)
+def test_stored_fields_are_one_per_level():
+    # a radial profile's leaf fields keep one value per level: nothing has
+    # a theta or a phi axis
+    fol = isr.build_foliation(ST, N0, levels=8, tail_radius=50.0)
     assert len(fol) == 8
-    assert fol.weights.shape == (64,)
-    for name in FIELDS:
-        assert getattr(fol, name).shape == (8, 64), name
-    for name in LEVEL_VECTORS:
+    for name in FIELDS + LEVEL_VECTORS:
         assert getattr(fol, name).shape == (8,), name
+    assert np.array_equal(fol.integral(fol.rho), fol.rho * fol.area)
+    assert np.array_equal(fol.area, 4.0 * math.pi * fol.sqrt_s)
+
+
+@pytest.mark.parametrize("name", ["schwarzschild-1", "reissner-perturbed"])
+def test_leaf_integral_equals_the_sphere_quadrature(name):
+    # a leaf integral, the value at the one sample point times the leaf
+    # area, equals the 64-node Gauss-Legendre integral of the field sampled
+    # over the whole leaf
+    profile, r_level = LEAF_PROFILES[name]
+    st = StaticSpacetime(profile)
+    fol = isr.build_foliation(st, float(profile.lapse(r_level)), levels=8,
+                              r_hint=r_level)
+    theta, _, w = quad.sphere_grid(64)
+    surface = hs.lapse_level_set(st, fol.r_coord[:, None])
+    sd = hs.shape(surface, (theta, 0.0))
+    induced = calc.curvature(surface.induced_sampler(), (theta, 0.0))
+    sigma = induced.metric_dd
+    jac = np.sqrt(sigma[..., 0, 0] * sigma[..., 1, 1]) / np.sin(theta)
+    assert np.allclose(fol.area, np.sum(jac * w, axis=1), rtol=1e-13, atol=0)
+    for field, values in (("H", sd.mean_curvature), ("nuN", sd.normal_rate),
+                          ("gauss_k", 0.5 * induced.scalar)):
+        assert np.allclose(fol.integral(getattr(fol, field)),
+                           np.sum(jac * values * w, axis=1),
+                           rtol=1e-13, atol=0), field
+
+
+def test_zero_or_non_finite_leaf_area_is_a_named_error():
+    # m = 1e152: sigma = diag(r^2, r^2) at theta = pi/2 is finite at
+    # r = 1e154, but the leaf area 4 pi r^2 overflows there, and the error
+    # names that leaf
+    st = StaticSpacetime.schwarzschild(1e152)
+    with pytest.raises(DomainError, match=r"level-set r0 = 1e\+154 has zero "
+                       "or non-finite area"):
+        isr._leaf_block(st, np.array([3e152, 1e154, 1.1e154]))
 
 
 class _FlatSpotProfile(RadialProfile):
@@ -218,21 +251,19 @@ class _FlatSpotProfile(RadialProfile):
 
 
 def test_foliation_error_names_a_leaf_inside_a_block():
-    # level 21 of 64 lies inside the second block of 16; its lapse gradient
-    # vanishes, so the error must name that leaf, not the block
-    regular = isr.build_foliation(ST, N0, levels=64, n_theta=64,
-                                  r_hint=3.0)
+    # level 21 of 64 lies inside the one stacked evaluation of every leaf;
+    # its lapse gradient vanishes, so the error must name that leaf
+    regular = isr.build_foliation(ST, N0, levels=64, r_hint=3.0)
     r_flat = float(regular.r_coord[21])
     st = StaticSpacetime(_FlatSpotProfile(r_flat))
     with pytest.raises(FoliationError, match="foliation failure") as err:
-        isr.build_foliation(st, N0, levels=64, n_theta=64, r_hint=3.0)
+        isr.build_foliation(st, N0, levels=64, r_hint=3.0)
     assert str(err.value).endswith(f"at level {r_flat}")
 
 
 def test_build_foliation_evaluates_one_block_at_a_time(monkeypatch):
-    # 64 levels of 64 theta rows make four blocks of 16 leaves: one sample,
-    # so one shape (with one lapse gradient inside it) and one induced
-    # curvature, per block
+    # 64 levels make one block of 64 leaves: one sample, so one shape (with
+    # one lapse gradient inside it) and one induced curvature
     calls = {"sample": 0, "shape": 0, "curvature": 0, "scalar_taylor": 0}
 
     def counted(module, name):
@@ -247,11 +278,10 @@ def test_build_foliation_evaluates_one_block_at_a_time(monkeypatch):
     counted(hs, "shape")
     counted(hs, "curvature")
     counted(hs, "scalar_taylor")
-    fol = isr.build_foliation(ST, N0, levels=64, n_theta=64,
-                              r_hint=3.0)
+    fol = isr.build_foliation(ST, N0, levels=64, r_hint=3.0)
     assert len(fol) == 64
-    assert calls == {"sample": 4, "shape": 4, "curvature": 4,
-                     "scalar_taylor": 4}
+    assert calls == {"sample": 1, "shape": 1, "curvature": 1,
+                     "scalar_taylor": 1}
 
 
 class TestMassFlux:
@@ -264,8 +294,7 @@ class TestMassFlux:
     def test_m2_level_r10(self):
         st2 = StaticSpacetime.schwarzschild(2.0)
         fol = isr.build_foliation(st2, math.sqrt(1 - 0.4), levels=8,
-                                  n_theta=16, r_hint=10.0,
-                                  tail_radius=100.0)
+                                  r_hint=10.0, tail_radius=100.0)
         assert abs(isr.mass_flux(fol)[0] - 2.0) < 1e-8
 
 
@@ -273,16 +302,14 @@ class TestIdentities:
     def test_schwarzschild_residuals_small(self, foliation24):
         # transverse differencing error scales like (log-spacing)^4: the
         # 1e-5 budget belongs to the 64-level acceptance configuration
-        ids = isr.identity_residuals(foliation24, 1,
-                                     isr._leaf_terms(foliation24))
+        ids = isr.identity_residuals(foliation24, 1)
         assert ids.sup() < 5e-4
         assert np.max(ids.evolution) < 5e-4
 
     def test_interior_level_r5(self, foliation24):
         # the level nearest r = 5
         j = int(np.argmin(np.abs(foliation24.area_radius - 5.0)))
-        ids = isr.identity_residuals(foliation24, 1,
-                                     isr._leaf_terms(foliation24))
+        ids = isr.identity_residuals(foliation24, 1)
         assert np.max(ids.res31[j]) < 5e-4
         assert np.max(ids.res32[j]) < 5e-4
         assert np.max(ids.res33[j]) < 5e-4
@@ -302,16 +329,15 @@ class TestIdentities:
                                mass_hint=1.0)
         strn = StaticSpacetime(rn)
         n_ps = rn.lapse_d1(oracles.RN_PHOTON_SPHERE_Q01)[0]
-        fol = isr.build_foliation(strn, n_ps, levels=16, n_theta=16,
+        fol = isr.build_foliation(strn, n_ps, levels=16,
                                   r_hint=oracles.RN_PHOTON_SPHERE_Q01)
-        ids = isr.identity_residuals(fol, 1, isr._leaf_terms(fol))
+        ids = isr.identity_residuals(fol, 1)
         assert ids.sup() > 1e-3
 
 
 class TestInequalities:
     def test_schwarzschild_sharpness(self, foliation24):
-        sl = isr.inequality_slacks(foliation24, 1, 1.0,
-                                   isr._leaf_terms(foliation24))
+        sl = isr.inequality_slacks(foliation24, 1, 1.0)
         assert sl.sup34() < 1e-4
         assert sl.sup35() < 1e-4
         assert abs(sl.ineq37) < 1e-10 and abs(sl.ineq39) < 1e-10
@@ -320,34 +346,33 @@ class TestInequalities:
 
     def test_synthetic_inhomogeneous_rho_gives_positive_brackets(self,
                                                                  foliation24):
-        # leaf-inhomogeneous rho perturbation: the square brackets are
-        # manifest sums of squares and must come out strictly positive
-        factor = 1.0 + 0.1 * foliation24.x_nodes   # 1 + 0.1 cos(theta)
-        fol = dataclasses.replace(foliation24, rho=foliation24.rho * factor)
-        assert fol.rho.shape == (24, 32)
-        gsq = quad.sphere_grad_sq(fol.rho, fol.x_nodes,
-                                  fol.area_radius[:, None])
-        brackets = gsq / fol.rho ** 2 + 2.0 * fol.tracefree ** 2
-        bracket_mean = np.mean([np.mean(b) for b in brackets])
-        assert bracket_mean > 1e-5
+        # leaf-inhomogeneous rho, 1 + 0.1 cos(theta) times the leaf's, on
+        # 32 theta nodes: the square brackets are manifest sums of squares
+        # and must come out strictly positive
+        _, x, _ = quad.sphere_grid(32)
+        fol = foliation24
+        rho = fol.rho[:, None] * (1.0 + 0.1 * x)
+        gsq = quad.sphere_grad_sq(rho, x, fol.area_radius[:, None])
+        brackets = gsq / rho ** 2 + 2.0 * fol.tracefree[:, None] ** 2
+        assert brackets.shape == (24, 32)
+        assert np.mean(brackets) > 1e-5
         assert np.min(brackets) >= 0.0
-        # identities no longer hold on the tampered data
-        ids = isr.identity_residuals(fol, 1, isr._leaf_terms(fol))
-        assert ids.sup() > 1e-3
-        # and the would-be slack carried by the brackets is strictly positive
-        n = fol.N[:, None]
-        slack_via_brackets = [
-            float(np.mean(level)) for level in
-            fol.sqrt_s * np.sqrt(fol.rho) / (2 * n) * brackets]
-        assert len(slack_via_brackets) == 24
-        assert min(slack_via_brackets) > 0.0
+        # the would-be slack carried by the brackets is strictly positive
+        # on every leaf
+        slack_via_brackets = np.mean(
+            (fol.sqrt_s * np.sqrt(fol.rho) / (2 * fol.N))[:, None] * brackets,
+            axis=1)
+        assert np.min(slack_via_brackets) > 0.0
+        # rho as read at the first theta node, 1.0997 times the leaf's on
+        # every level: the identities no longer hold
+        tampered = dataclasses.replace(fol, rho=rho[:, 0])
+        assert isr.identity_residuals(tampered, 1).sup() > 1e-3
 
     def test_needs_dense_foliation(self):
-        fol = isr.build_foliation(ST, N0, levels=8, n_theta=8,
-                                  tail_radius=50.0)
+        fol = isr.build_foliation(ST, N0, levels=8, tail_radius=50.0)
         clipped = _first_levels(fol, 4)
         with pytest.raises(ValueError):
-            isr.inequality_slacks(clipped, 1, 1.0, isr._leaf_terms(clipped))
+            isr.inequality_slacks(clipped, 1, 1.0)
 
 
 class TestSignAnalysis:
@@ -394,8 +419,8 @@ class TestBoundaryConstraints:
 
     def test_scale_invariance_m5(self):
         st5 = StaticSpacetime.schwarzschild(5.0)
-        fol = isr.build_foliation(st5, N0, levels=12, n_theta=16,
-                                  r_hint=15.0, tail_radius=500.0)
+        fol = isr.build_foliation(st5, N0, levels=12, r_hint=15.0,
+                                  tail_radius=500.0)
         b = isr.boundary_constraints(st5, fol, 5.0)
         assert abs(b.r0 - 15.0) < 1e-7
         assert abs(b.n0 - N0) < 1e-12                     # scale invariant
@@ -460,11 +485,9 @@ class TestReconstruction:
 
 class TestRigidityVerdict:
     def test_coarse_pipeline_still_isometric(self):
-        # a coarse foliation, 24 levels on a 16x32 grid, checked at a
-        # coarse tolerance
+        # a coarse foliation, 24 levels, checked at a coarse tolerance
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
-                                      n_theta=16, tail_radius=100.0,
-                                      tol=1e-3)
+                                      tail_radius=100.0, tol=1e-3)
         assert rep.verdict == "isometric"
         assert abs(rep.mass - 1.0) < 1e-8
         names = {g.name for g in rep.gates}
@@ -477,23 +500,21 @@ class TestRigidityVerdict:
         # whose residuals are normalized by the floor of one, below the
         # default tol
         rep = isr.run_israel_pipeline(StaticSpacetime.schwarzschild(m), N0,
-                                      3.0 * m, levels=64, n_theta=16,
+                                      3.0 * m, levels=64,
                                       tail_radius=None, tol=isr.TOL_LVL)
         assert rep.verdict == "isometric", [g for g in rep.gates if not g.passed]
 
     def test_gates_report_margin_and_level(self, tmp_path):
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
-                                      n_theta=16, tail_radius=100.0,
-                                      tol=1e-3)
+                                      tail_radius=100.0, tol=1e-3)
         gates = {g.name: g for g in rep.gates}
         ids = rep.identities
-        # the residual fields are (levels, n_theta): the sup over the three
-        # identities and every node of each level
-        per_level = np.max([ids.res31, ids.res32, ids.res33], axis=(0, 2))
+        # the residual fields are (levels,): the sup over the three
+        # identities of each level
+        per_level = np.max([ids.res31, ids.res32, ids.res33], axis=0)
         assert gates["identities"].level == int(np.argmax(per_level))
         assert gates["identities"].value == per_level[gates["identities"].level]
-        assert gates["evolution-factor"].level == int(
-            np.argmax(np.max(ids.evolution, axis=1)))
+        assert gates["evolution-factor"].level == int(np.argmax(ids.evolution))
         assert gates["H-positive"].level is None
         path = tmp_path / "israel_report.json"
         cli._write_json(path, cli._israel_payload(rep))
@@ -508,85 +529,68 @@ class TestRigidityVerdict:
 
     def test_gates_report_the_node_of_a_perturbed_leaf(self, monkeypatch,
                                                        tmp_path):
-        # H raised on theta node 5 of level 10 reaches the level-derivative
-        # gates only through that node; a tracefree spike at theta node 3 of
-        # level 7 is read by its gate there
-        fol = isr.build_foliation(ST, N0, levels=24, n_theta=16,
-                                  tail_radius=100.0)
+        # a leaf is one node, so a gate names it by its level, and writes no
+        # other index.  H raised on level 10 fails the level-derivative
+        # gates; a trace-free norm on level 7 alone is read by its gate there
+        fol = isr.build_foliation(ST, N0, levels=24, tail_radius=100.0)
         h = fol.H.copy()
-        h[10, 5] *= 1.01
+        h[10] *= 1.01
         tracefree = fol.tracefree.copy()
-        tracefree[7] = 0.0
-        tracefree[7, 3] = 1e-3  # small beside the H step in the identities
+        tracefree[7] = 1e-3  # small beside the H step in the identities
         perturbed = dataclasses.replace(fol, H=h, tracefree=tracefree)
         monkeypatch.setattr(isr, "build_foliation", lambda *a, **k: perturbed)
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
-                                      n_theta=16, tail_radius=100.0,
-                                      tol=1e-3)
+                                      tail_radius=100.0, tol=1e-3)
         gates = {g.name: g for g in rep.gates}
         for name in ("identities", "evolution-factor", "sharpness-34",
                      "sharpness-35"):
-            assert not gates[name].passed and gates[name].node == 5, name
+            assert not gates[name].passed, name
         tf = gates["leaf-constancy-tracefree"]
         # the gate reads the dimensionless r_area |h_tracefree|
-        assert (tf.value, tf.level, tf.node) == (
-            fol.area_radius[7] * 1e-3, 7, 3)
-        assert all(g.node is None for g in rep.gates if g.name not in (
-            "identities", "evolution-factor", "sharpness-34", "sharpness-35",
-            "leaf-constancy-tracefree"))
+        assert (tf.value, tf.level) == (fol.area_radius[7] * 1e-3, 7)
         path = tmp_path / "israel_report.json"
         cli._write_json(path, cli._israel_payload(rep))
-        nodes = {g["name"]: g["node"]
-                 for g in json.loads(path.read_text())["gates"]}
-        assert nodes == {g.name: g.node for g in rep.gates}
+        written = json.loads(path.read_text())["gates"]
+        assert {g["name"]: g["level"] for g in written} == {
+            g.name: g.level for g in rep.gates}
+        assert all(set(g) == {"name", "value", "threshold", "passed", "margin",
+                              "level"} for g in written)
 
     def test_leaf_constancy_gates_can_fail(self, monkeypatch):
-        # rho tilted in theta on level 9 and the trace-free norm peaked at
-        # theta node 6 of level 14: both leaf-constancy gates fail there
-        fol = isr.build_foliation(ST, N0, levels=24, n_theta=16,
-                                  tail_radius=100.0)
-        rho, tracefree = fol.rho.copy(), fol.tracefree.copy()
-        rho[9] *= 1.0 + 0.01 * fol.x_nodes
-        tracefree[14] = 1e-3 * (1.0 - np.abs(np.arange(16) - 6) / 16)
-        perturbed = dataclasses.replace(fol, rho=rho, tracefree=tracefree)
+        # the trace-free norm raised on level 14 fails the leaf-constancy
+        # gate there; rho is one value per leaf, so no gate reads its spread
+        fol = isr.build_foliation(ST, N0, levels=24, tail_radius=100.0)
+        tracefree = fol.tracefree.copy()
+        tracefree[14] = 1e-3
+        perturbed = dataclasses.replace(fol, tracefree=tracefree)
         monkeypatch.setattr(isr, "build_foliation", lambda *a, **k: perturbed)
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=24,
-                                      n_theta=16, tail_radius=100.0,
-                                      tol=1e-3)
+                                      tail_radius=100.0, tol=1e-3)
         assert rep.verdict == "not-isometric"
         gates = {g.name: g for g in rep.gates}
-        rho_gate = gates["leaf-constancy-rho"]
-        # the spread of rho over a leaf has no node
-        assert (rho_gate.passed, rho_gate.level, rho_gate.node) == (False, 9, None)
-        assert rho_gate.value == pytest.approx(0.01 / math.sqrt(3.0), rel=1e-2)
+        assert "leaf-constancy-rho" not in gates
         tf = gates["leaf-constancy-tracefree"]
-        assert (tf.passed, tf.value, tf.level, tf.node) == (
-            False, fol.area_radius[14] * 1e-3, 14, 6)
+        assert (tf.passed, tf.value, tf.level) == (
+            False, fol.area_radius[14] * 1e-3, 14)
 
     def test_leaf_terms_computed_once_per_leaf(self, monkeypatch):
-        calls = {"_leaf_terms": 0, "sphere_laplacian": 0}
+        calls = {"sample": 0}
+        sample = hs.sample
 
-        def counted(module, name):
-            fn = getattr(module, name)
+        def counted(*args, **kwargs):
+            calls["sample"] += 1
+            return sample(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(isr, "_leaf_terms")
-        counted(quad, "sphere_laplacian")
+        monkeypatch.setattr(hs, "sample", counted)
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=64,
-                                      n_theta=16, tail_radius=None,
-                                      tol=isr.TOL_LVL)
-        # one stacked pass over all 64 leaves, shared by both checks
-        assert calls == {"_leaf_terms": 1, "sphere_laplacian": 2}
-        # the shared terms give what each check computes on its own
+                                      tail_radius=None, tol=isr.TOL_LVL)
+        # one stacked sample of all 64 leaves, and one of the photon
+        # cylinder; the checks read the foliation's stored fields
+        assert calls == {"sample": 2}
+        # which give what each check computes on its own
         monkeypatch.undo()
-        terms = isr._leaf_terms(rep.foliation)
-        ids = isr.identity_residuals(rep.foliation, rep.sign.lam, terms)
-        slacks = isr.inequality_slacks(rep.foliation, rep.sign.lam, rep.mass,
-                                       terms)
+        ids = isr.identity_residuals(rep.foliation, rep.sign.lam)
+        slacks = isr.inequality_slacks(rep.foliation, rep.sign.lam, rep.mass)
         for field in ("res31", "res32", "res33", "evolution"):
             assert np.array_equal(getattr(ids, field),
                                   getattr(rep.identities, field))
@@ -600,14 +604,13 @@ class TestRigidityVerdict:
         """The pipeline's report and gates by name on a given foliation."""
         monkeypatch.setattr(isr, "build_foliation", lambda *a, **k: foliation)
         rep = isr.run_israel_pipeline(ST, N0, 3.0, levels=len(foliation),
-                                      n_theta=16, tail_radius=100.0, tol=1e-3)
+                                      tail_radius=100.0, tol=1e-3)
         return rep, {g.name: g for g in rep.gates}
 
     def test_missing_tail_detected_as_structural(self, monkeypatch):
         # the first 12 of 16 levels stop short of the tail radius: the
         # structural tail gate fails, so the verdict is inconclusive
-        fol = isr.build_foliation(ST, N0, levels=16, n_theta=16,
-                                  tail_radius=100.0)
+        fol = isr.build_foliation(ST, N0, levels=16, tail_radius=100.0)
         _, gates = self._gates_on(fol, monkeypatch)
         assert gates["tail"].passed
         rep, gates = self._gates_on(_first_levels(fol, 12), monkeypatch)
@@ -622,8 +625,7 @@ class TestRigidityVerdict:
         # the gate reads r / t, so it fails
         r, t = 645077.3879184923, 651593.3211297903
         assert r >= isr.TAIL_REACH * t and r / t < isr.TAIL_REACH
-        fol = isr.build_foliation(ST, N0, levels=24, n_theta=16,
-                                  tail_radius=100.0)
+        fol = isr.build_foliation(ST, N0, levels=24, tail_radius=100.0)
         r_coord = fol.r_coord.copy()
         r_coord[-1] = r
         rep, gates = self._gates_on(
@@ -632,18 +634,17 @@ class TestRigidityVerdict:
         assert rep.verdict == "inconclusive"
 
     def test_a_nan_fails_the_identities_at_its_node(self, monkeypatch):
-        # a nan Gauss curvature on level 5, node 3 enters res32 there: the
-        # gate's sup counts it as the largest value, so it fails with a nan
-        # value at that level and node
-        fol = isr.build_foliation(ST, N0, levels=24, n_theta=16,
-                                  tail_radius=100.0)
+        # a nan Gauss curvature on level 5, the one node of that leaf,
+        # enters res32 there: the gate's sup counts it as the largest value,
+        # so it fails with a nan value at that level
+        fol = isr.build_foliation(ST, N0, levels=24, tail_radius=100.0)
         gauss_k = fol.gauss_k.copy()
-        gauss_k[5, 3] = np.nan
+        gauss_k[5] = np.nan
         rep, gates = self._gates_on(
             dataclasses.replace(fol, gauss_k=gauss_k), monkeypatch)
         ids = gates["identities"]
         assert math.isnan(ids.value) and not ids.passed
-        assert (ids.level, ids.node) == (5, 3)
+        assert ids.level == 5
         assert math.isnan(rep.identities.sup())
         assert rep.verdict == "not-isometric"
 
@@ -651,11 +652,10 @@ class TestRigidityVerdict:
         mink = StaticSpacetime.schwarzschild(0.0)
         with pytest.raises(isr.FlatnessError):
             isr.run_israel_pipeline(mink, 0.9, 3.0, levels=8,
-                                    n_theta=8, tail_radius=None,
-                                    tol=isr.TOL_LVL)
+                                    tail_radius=None, tol=isr.TOL_LVL)
 
 
 def test_identity_residuals_need_enough_levels(foliation24):
     clipped = _first_levels(foliation24, 5)
     with pytest.raises(ValueError):
-        isr.identity_residuals(clipped, 1, isr._leaf_terms(clipped))
+        isr.identity_residuals(clipped, 1)

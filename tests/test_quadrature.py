@@ -1,8 +1,9 @@
-"""Sphere integrals and tangential derivatives of fields constant in phi.
+"""Sphere integrals and tangential derivatives of fields constant in phi,
+and root bisection.
 
-A leaf field of a radial profile is stored as one value per Gauss-Legendre
-theta node; the sphere integral and the tangential operators take a stack
-of such leaves at once, each row equal to the same leaf alone.
+On the Gauss-Legendre theta grid a field constant in phi is one value per
+node; the tangential operators take a stack of such fields at once, each
+row equal to the same field alone.
 """
 
 import numpy as np
@@ -38,20 +39,11 @@ def test_laplacian_of_a_zonal_harmonic():
 
 
 def test_sphere_integral_of_a_theta_only_field():
-    # Int x^2 dmu = 4 pi / 3 with x = cos theta, scaled by 1 + j on leaf j
-    # of a stack; each leaf of the stack equals the same leaf alone
-    x, f = _theta_only_field()
-    _, _, w = quad.sphere_grid(N_THETA)
-    assert abs(quad.sphere_integral(x ** 2, w) - 4.0 * np.pi / 3.0) < 1e-14
-    stack = np.arange(1.0, 6.0)[:, None] * x ** 2
-    total = quad.sphere_integral(stack, w)
-    assert total.shape == (5,)
-    assert np.allclose(total, np.arange(1.0, 6.0) * 4.0 * np.pi / 3.0,
-                       rtol=1e-14, atol=0.0)
-    for j in range(5):
-        assert quad.sphere_integral(stack[j], w) == total[j]
-    dense = quad.sphere_integral(np.broadcast_to(f, (N_LEAVES, N_THETA)), w)
-    assert np.all(dense == quad.sphere_integral(f, w))
+    # the weights carry the phi integral: Int 1 dmu = 4 pi and
+    # Int x^2 dmu = 4 pi / 3 on the unit sphere, x = cos theta
+    _, x, w = quad.sphere_grid(N_THETA)
+    assert abs(np.sum(w) - 4.0 * np.pi) < 1e-13
+    assert abs(np.sum(x ** 2 * w) - 4.0 * np.pi / 3.0) < 1e-14
 
 
 # ---------------------------------------------------------------------------
