@@ -14,7 +14,6 @@ from .spacetimes import (
     ExpressionProfile,
     RadialProfile,
     SchwarzschildProfile,
-    StaticSpacetime,
     TableProfile,
     load_profile,
 )

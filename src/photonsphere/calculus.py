@@ -182,12 +182,12 @@ class VacuumResidual:
     laplace_residual: float
 
 
-def vacuum_residual(spacetime, point):
+def vacuum_residual(profile, point):
     """Residuals of N Ric - Hess N, |R| and |Lap N| on the time slice."""
     coords = point.coords3() if isinstance(point, ChartPoint) else tuple(point)
-    spacetime.profile.check_point(coords[0])
-    return vacuum_residual_general(spacetime.metric3, spacetime.lapse_field3(),
-                                   coords)
+    profile.check_point(coords[0])
+    return vacuum_residual_general(profile.metric3,
+                                   lambda xs: profile.lapse(xs[0]), coords)
 
 
 def vacuum_residual_general(sampler, lapse, coords):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import geodesics, hypersurfaces, israel, photon
 from .calculus import curvature
-from .spacetimes import ChartPoint, DomainError, StaticSpacetime, load_profile
+from .spacetimes import ChartPoint, RadialProfile, load_profile
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -46,10 +46,10 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated scenario file contents."""
+    """Validated scenario file contents; ``profile`` is built once, at load."""
 
     name: str
-    profile_spec: dict
+    profile: RadialProfile
     pipeline: str
     scan: tuple
     levels: int
@@ -59,10 +59,6 @@ class Scenario:
     surface_r0: float
     trace_start: tuple
     trace_direction: tuple
-
-    @property
-    def profile(self):
-        return load_profile(self.profile_spec)
 
 
 def _finite(value):
@@ -132,7 +128,6 @@ def load_scenario(path, overrides=None):
     positive, four = "a finite number > 0", _sequence(_finite, 4)
     return Scenario(
         name=str(data.get("name", os.path.basename(path))),
-        profile_spec=data["profile"],
         pipeline=data["pipeline"],
         scan=_field(data, "scan", (2.2, 50.0), tuple,
                     lambda v: _sequence(_finite, 2)(v) and v[0] < v[1],
@@ -150,6 +145,8 @@ def load_scenario(path, overrides=None):
                            tuple, four, "4 finite numbers", "trace.start"),
         trace_direction=_field(trace, "direction", (1.0, -0.8, 0.0, 0.0), tuple,
                                four, "4 finite numbers", "trace.direction"),
+        # last: a field above that is not valid is reported before the profile
+        profile=load_profile(data["profile"]),
     )
 
 
@@ -266,11 +263,11 @@ def _curvature_payload(bundle):
 # Pipelines
 # ---------------------------------------------------------------------------
 
-def _run_trace(scn, spacetime, out):
+def _run_trace(scn, out):
     state = geodesics.GeodesicState(
         ChartPoint(*scn.trace_start), tuple(scn.trace_direction))
     tol = geodesics.DEFAULT_TOL
-    traj = geodesics.integrate_null(spacetime, state, scn.span, tol=tol)
+    traj = geodesics.integrate_null(scn.profile, state, scn.span, tol=tol)
     _write_table(os.path.join(out, "trajectory.csv"),
                  ["lambda", "t", "r", "theta", "phi", "vt", "vr", "vtheta",
                   "vphi", "null_residual", "energy"],
@@ -294,8 +291,7 @@ def _run_trace(scn, spacetime, out):
     return EXIT_TRUE if traj.status in ("completed", "domain-exit") else EXIT_ERROR
 
 
-def _run_detect(scn, spacetime, out):
-    loc = photon.locate_photon_sphere(spacetime.profile, scn.scan)
+def _run_detect(scn, loc, out):
     _write_json(os.path.join(out, "location.json"), {
         "scenario": scn.name,
         "found": loc.found,
@@ -303,38 +299,36 @@ def _run_detect(scn, spacetime, out):
         "multiplicity": loc.multiplicity, "roots": list(loc.roots),
         "scan": list(loc.scan),
     })
-    return (EXIT_TRUE if loc.found else EXIT_FALSE), loc
+    return EXIT_TRUE if loc.found else EXIT_FALSE
 
 
-def _run_certify(scn, spacetime, out, r0=None):
-    r0 = r0 if r0 is not None else scn.surface_r0
+def _run_certify(scn, r0, out):
     if r0 is None:
         raise ScenarioError("certify pipeline needs 'surface_r0' (or a detect hit)")
-    surface = hypersurfaces.cylinder(spacetime, r0)
-    cert = photon.certify_photon_surface(spacetime, surface, span=scn.span)
+    surface = hypersurfaces.cylinder(scn.profile, r0)
+    cert = photon.certify_photon_surface(surface, span=scn.span)
     _write_json(os.path.join(out, "certificate.json"), _certificate_payload(cert))
-    code = {"certified": EXIT_TRUE, "refuted": EXIT_FALSE}.get(cert.verdict,
-                                                               EXIT_ERROR)
-    return code, cert
+    return {"certified": EXIT_TRUE, "refuted": EXIT_FALSE}.get(cert.verdict,
+                                                              EXIT_ERROR)
 
 
-def _run_israel(scn, spacetime, out, loc=None):
-    if loc is None:
-        loc = photon.locate_photon_sphere(spacetime.profile, scn.scan)
-    if not loc.found:
-        # a flat slice raises FlatnessError: ``run_scenario`` reports it
-        israel.check_not_flat(spacetime.profile, np.geomspace(
-            max(scn.scan[0], 1e-6), scn.scan[1], 5))
-        _write_json(os.path.join(out, "israel_report.json"), {
-            "scenario": scn.name, "status": "no-photon-sphere",
-            "scan": list(scn.scan),
-        })
-        return EXIT_FALSE, None
-    report = israel.run_israel_pipeline(
-        spacetime, loc.lapse_at_ps, loc.r_ps, levels=scn.levels,
-        tail_radius=scn.tail_radius, tol=scn.tolerance)
-    _write_json(os.path.join(out, "israel_report.json"),
-                {"scenario": scn.name, **_israel_payload(report)})
+def _run_israel(scn, loc, out):
+    """The israel report of a run; a flat slice is ``rejected-flat``, exit 2."""
+    path = os.path.join(out, "israel_report.json")
+    try:
+        if not loc.found:
+            israel.check_not_flat(scn.profile, np.geomspace(*scn.scan, 5))
+            _write_json(path, {"scenario": scn.name, "status": "no-photon-sphere",
+                               "scan": list(scn.scan)})
+            return EXIT_FALSE
+        report = israel.run_israel_pipeline(
+            scn.profile, loc.lapse_at_ps, loc.r_ps, levels=scn.levels,
+            tail_radius=scn.tail_radius, tol=scn.tolerance)
+    except israel.FlatnessError as exc:
+        _write_json(path, {"scenario": scn.name, "status": "rejected-flat",
+                           "detail": str(exc)})
+        return EXIT_ERROR
+    _write_json(path, {"scenario": scn.name, **_israel_payload(report)})
     columns = _level_table(report)
     _write_table(os.path.join(out, "israel_levels.csv"), list(columns),
                  columns.values())
@@ -342,21 +336,18 @@ def _run_israel(scn, spacetime, out, loc=None):
     _write_table(os.path.join(out, "slacks_of_N.csv"),
                  ["N", "slack34", "slack35"],
                  [columns["N"], report.slacks.slack34, report.slacks.slack35])
-    code = {"isometric": EXIT_TRUE, "not-isometric": EXIT_FALSE}.get(
+    return {"isometric": EXIT_TRUE, "not-isometric": EXIT_FALSE}.get(
         report.verdict, EXIT_ERROR)
-    return code, report
 
 
-def _run_reconstruct(scn, spacetime, out, loc=None):
-    if loc is None:
-        loc = photon.locate_photon_sphere(spacetime.profile, scn.scan)
+def _run_reconstruct(scn, loc, out):
     if not loc.found:
         _write_json(os.path.join(out, "reconstruction.json"),
                     {"scenario": scn.name, "status": "no-photon-sphere"})
-        return EXIT_FALSE, None
-    mass = spacetime.profile.mass_hint
+        return EXIT_FALSE
+    mass = scn.profile.mass_hint
     if mass is None:
-        fol = israel.build_foliation(spacetime, loc.lapse_at_ps, levels=8,
+        fol = israel.build_foliation(scn.profile, loc.lapse_at_ps, levels=8,
                                      r_hint=loc.r_ps)
         mass = float(israel.mass_flux(fol)[0])
     rec = israel.reconstruct_lapse(mass, loc.lapse_at_ps, loc.r_ps,
@@ -369,49 +360,39 @@ def _run_reconstruct(scn, spacetime, out, loc=None):
     })
     _write_table(os.path.join(out, "reconstructed_lapse.csv"),
                  ["r", "N"], [rec.r_grid, rec.lapse_profile])
-    return EXIT_TRUE, rec
+    return EXIT_TRUE
 
 
 def run_scenario(scn, out_dir, dump_curvature=None):
+    """Run the scenario's pipeline.  A curvature dump and every pipeline but
+    trace and certify read the run's one photon-sphere location."""
     os.makedirs(out_dir, exist_ok=True)
-    spacetime = StaticSpacetime(scn.profile)
+    loc = None
+    if dump_curvature is not None or scn.pipeline not in ("trace", "certify"):
+        loc = photon.locate_photon_sphere(scn.profile, scn.scan)
     if dump_curvature is not None:
-        _dump_curvature(scn, spacetime, dump_curvature)
+        r = loc.r_ps if loc.found else 0.5 * (scn.scan[0] + scn.scan[1])
+        bundle = curvature(scn.profile.metric4, (0.0, r, math.pi / 3, 0.0))
+        _write_json(dump_curvature, _curvature_payload(bundle))
     if scn.pipeline == "trace":
-        return _run_trace(scn, spacetime, out_dir)
+        return _run_trace(scn, out_dir)
     if scn.pipeline == "detect":
-        return _run_detect(scn, spacetime, out_dir)[0]
+        return _run_detect(scn, loc, out_dir)
     if scn.pipeline == "certify":
-        return _run_certify(scn, spacetime, out_dir)[0]
+        return _run_certify(scn, scn.surface_r0, out_dir)
     if scn.pipeline == "israel":
-        try:
-            return _run_israel(scn, spacetime, out_dir)[0]
-        except israel.FlatnessError as exc:
-            _write_json(os.path.join(out_dir, "israel_report.json"),
-                        {"scenario": scn.name, "status": "rejected-flat",
-                         "detail": str(exc)})
-            return EXIT_ERROR
+        return _run_israel(scn, loc, out_dir)
     if scn.pipeline == "reconstruct":
-        return _run_reconstruct(scn, spacetime, out_dir)[0]
+        return _run_reconstruct(scn, loc, out_dir)
     # full: detect -> certify -> israel -> reconstruct
-    code, loc = _run_detect(scn, spacetime, out_dir)
+    _run_detect(scn, loc, out_dir)
     if not loc.found:
         return EXIT_FALSE
-    cert_code, _ = _run_certify(scn, spacetime, out_dir, r0=loc.r_ps)
-    try:
-        code, report = _run_israel(scn, spacetime, out_dir, loc=loc)
-    except israel.FlatnessError:
-        return EXIT_ERROR
-    _run_reconstruct(scn, spacetime, out_dir, loc=loc)
+    cert_code = _run_certify(scn, loc.r_ps, out_dir)
+    code = _run_israel(scn, loc, out_dir)
+    _run_reconstruct(scn, loc, out_dir)
     # the run is as good as its weakest verdict: 0 < 1 < 2
     return max(cert_code, code)
-
-
-def _dump_curvature(scn, spacetime, path):
-    loc = photon.locate_photon_sphere(spacetime.profile, scn.scan)
-    r = loc.r_ps if loc.found else 0.5 * (scn.scan[0] + scn.scan[1])
-    bundle = curvature(spacetime.metric4, (0.0, r, math.pi / 3, 0.0))
-    _write_json(path, _curvature_payload(bundle))
 
 
 def bundled_scenario_path(name):
@@ -454,14 +435,10 @@ def main(argv=None):
                  if (value := getattr(args, key, None)) is not None}
     overrides["pipeline"] = args.command
     try:
-        scn = load_scenario(path, overrides)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    try:
-        return run_scenario(scn, args.out, args.dump_curvature)
-    except (DomainError, hypersurfaces.FoliationError, ValueError) as exc:
+        return run_scenario(load_scenario(path, overrides), args.out,
+                            args.dump_curvature)
+    # ScenarioError and spacetimes.DomainError are ValueErrors
+    except (ValueError, hypersurfaces.FoliationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -440,7 +440,7 @@ def _integrate_plane(profile, y0, span, tol):
     return np.array(rows), np.array(residuals), run
 
 
-def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL):
+def integrate_null(profile, initial, span, tol=DEFAULT_TOL):
     """Integrate a null geodesic over an affine interval [0, span].
 
     The initial velocity is projected onto the null cone (rejected if the
@@ -449,7 +449,6 @@ def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL):
     when the profile stops being real or finite, or when the adaptive step
     underflows.  The in-plane samples are rotated back into the chart.
     """
-    profile = spacetime.profile
     basis, plane = _into_plane(initial)
     rows, residuals, run = _integrate_plane(profile, plane, span, tol)
     samples = _to_chart(basis, rows)
@@ -458,7 +457,7 @@ def integrate_null(spacetime, initial, span, tol=DEFAULT_TOL):
                               lapse, run)
 
 
-def null_state(spacetime, position, spatial_velocity):
+def null_state(profile, position, spatial_velocity):
     """Build an exactly null state from a spatial velocity.
 
     The time component is solved from g(v, v) = 0, future directed.
@@ -466,7 +465,7 @@ def null_state(spacetime, position, spatial_velocity):
     vr, vth, vph = spatial_velocity
     _, y = _into_plane(GeodesicState(position, (0.0, vr, vth, vph)))
     with np.errstate(all="ignore"):
-        y, _, _ = null_project(spacetime.profile, y)
+        y, _, _ = null_project(profile, y)
     vt = float(y[3])
     if not math.isfinite(vt):
         raise ValueError(f"no real null direction at r = {position.r:.6g}")
@@ -510,11 +509,11 @@ class TangencyReport:
 TANGENCY_TOL = 1e-16
 
 
-def tangency_persistence(spacetime, surface, span):
+def tangency_persistence(surface, span):
     """Integrate the null geodesic tangent to a radial cylinder and report
     its worst deviation |r - r0| from the surface.
 
-    ``surface`` is a cylinder hypersurface of radius r0.  By spherical
+    ``surface`` is a cylinder {r = r0} of its profile.  By spherical
     symmetry every null geodesic tangent to the cylinder, scaled to
     tdot = 1 (one affine unit is one unit of coordinate time), is a
     rotation of one orbit, whose in-plane state is (t, r0, 0, 1, 0, N0/r0);
@@ -527,8 +526,8 @@ def tangency_persistence(spacetime, surface, span):
     order 1e2 requires local errors near the roundoff floor.
     """
     r0 = surface.level_value
-    n0 = spacetime.profile.lapse_d1(r0)[0]
+    n0 = surface.profile.lapse_d1(r0)[0]
     start = GeodesicState(ChartPoint(0.0, r0, 0.5 * math.pi, 0.0),
                           (1.0, 0.0, n0 / r0, 0.0))
-    orbit = integrate_null(spacetime, start, span, TANGENCY_TOL)
+    orbit = integrate_null(surface.profile, start, span, TANGENCY_TOL)
     return TangencyReport(float(np.max(np.abs(orbit.r - r0))), span, orbit.run)

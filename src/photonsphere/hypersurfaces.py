@@ -27,7 +27,7 @@ import numpy as np
 
 from .calculus import (_christoffel_from, _inverse_metric, curvature, metric_taylor,
                        scalar_taylor)
-from .spacetimes import DomainError, MetricSampler
+from .spacetimes import DomainError, MetricSampler, RadialProfile
 
 FOLIATION_DN_FLOOR = 1e-12   # on r |dN| on a leaf, on |dr| on a cylinder
 
@@ -46,14 +46,14 @@ class Hypersurface:
 
     kind            : "cylinder", a level set of r in the spacetime, or
                       "level-set", a level set of the lapse in the slice
-    spacetime       : ambient StaticSpacetime
+    profile         : the radial profile, the spacetime that holds the surface
     ambient         : MetricSampler of the ambient manifold
     tangent_axes    : ambient coordinate axes tangent to the surface
     level_value     : held coordinate value r0, or an array of them
     """
 
     kind: str
-    spacetime: object
+    profile: RadialProfile
     ambient: MetricSampler
     tangent_axes: tuple
     level_value: float
@@ -85,17 +85,16 @@ class Hypersurface:
         return MetricSampler(self.surface_dim, components)
 
 
-def cylinder(spacetime, r0):
-    spacetime.profile.check_point(r0)
-    return Hypersurface("cylinder", spacetime, spacetime.metric4, (0, 2, 3),
-                        float(r0))
+def cylinder(profile, r0):
+    profile.check_point(r0)
+    return Hypersurface("cylinder", profile, profile.metric4, (0, 2, 3), float(r0))
 
 
-def lapse_level_set(spacetime, r0):
+def lapse_level_set(profile, r0):
     """Level set of the lapse (a round sphere {r = r0}) inside the time
     slice; an array ``r0`` of shape (L,) stacks L of them."""
-    spacetime.profile.check_point(r0)
-    return Hypersurface("level-set", spacetime, spacetime.metric3, (1, 2),
+    profile.check_point(r0)
+    return Hypersurface("level-set", profile, profile.metric3, (1, 2),
                         np.asarray(r0, dtype=float))
 
 
@@ -108,7 +107,7 @@ def _level_function(surface):
     field over ambient coords: the lapse for a leaf, r for the cylinder."""
     r_axis = surface.normal_axis
     if surface.kind == "level-set":
-        return "lapse", lambda coords: surface.spacetime.profile.lapse(coords[r_axis])
+        return "lapse", lambda coords: surface.profile.lapse(coords[r_axis])
     return "r", lambda coords: coords[r_axis] + 0.0 * coords[r_axis]
 
 

@@ -83,7 +83,7 @@ def check_not_flat(profile, radii):
                  f"radii in [{r.min():.6g}, {r.max():.6g}]")
 
 
-def _leaf_block(spacetime, r_levels):
+def _leaf_block(profile, r_levels):
     """The leaf fields of the levels at radii ``r_levels``, each (levels,):
     sqrt(det sigma), rho, H, nu(N), the trace-free norm and the Gauss
     curvature at theta = pi/2, phi = 0.
@@ -97,7 +97,7 @@ def _leaf_block(spacetime, r_levels):
     a leaf area that is 0 or not finite raises DomainError naming the first
     leaf radius where it is.
     """
-    surface = hs.lapse_level_set(spacetime, r_levels)
+    surface = hs.lapse_level_set(profile, r_levels)
     sd, induced = hs.sample(surface)
     sigma = induced.metric_dd
     with np.errstate(all="ignore"):
@@ -110,7 +110,7 @@ def _leaf_block(spacetime, r_levels):
             sd.normal_rate, sd.tracefree_norm, 0.5 * induced.scalar)
 
 
-def build_foliation(spacetime, n0, levels, tail_radius=None, r_hint=None):
+def build_foliation(profile, n0, levels, tail_radius=None, r_hint=None):
     """Foliate [N0, N(tail_radius)] by lapse level sets.
 
     Levels sit at the Chebyshev points of s in the geometric level map
@@ -121,7 +121,6 @@ def build_foliation(spacetime, n0, levels, tail_radius=None, r_hint=None):
     a ``tail_radius`` where N is 1 to rounding, and FoliationError when
     |dN| degenerates.
     """
-    profile = spacetime.profile
     mass_scale = abs(profile.mass_hint) if profile.mass_hint else None
     if tail_radius is None:
         base = mass_scale if mass_scale else (r_hint or 1.0) / 3.0
@@ -152,7 +151,7 @@ def build_foliation(spacetime, n0, levels, tail_radius=None, r_hint=None):
         raise DomainError(f"lapse level not bracketed, one bracket per level "
                           f"from N0 = {n0!r}: {exc}") from exc
 
-    return Foliation(s, n_values, radii, dn_ds, *_leaf_block(spacetime, radii),
+    return Foliation(s, n_values, radii, dn_ds, *_leaf_block(profile, radii),
                      float(tail_radius))
 
 
@@ -400,7 +399,7 @@ class BoundaryConstraints:
     scalar_p_cross: float        # |R_p - (2/3) frakH^2|
 
 
-def boundary_constraints(spacetime, foliation, mass):
+def boundary_constraints(profile, foliation, mass):
     """The closed-form relations at the photon-sphere level, on the
     lambda = 1 branch that ``sign_analysis`` leaves."""
     fol = foliation
@@ -410,7 +409,7 @@ def boundary_constraints(spacetime, foliation, mass):
     nu0 = float(fol.nuN[0])
     r_sigma = 2.0 * float(fol.gauss_k[0])
 
-    sd, induced = hs.sample(hs.cylinder(spacetime, fol.r_coord[0]))
+    sd, induced = hs.sample(hs.cylinder(profile, fol.r_coord[0]))
     frak_h = float(sd.mean_curvature)
     r_p = float(induced.scalar)
 
@@ -568,19 +567,18 @@ class IsraelReport:
     tol: float
 
 
-def run_israel_pipeline(spacetime, n0, r_ps, levels, tail_radius, tol):
+def run_israel_pipeline(profile, n0, r_ps, levels, tail_radius, tol):
     """Full proof-chain verification on a located photon sphere.
 
     Raises FlatnessError for m = 0 inputs (flat slice).  Returns an
     IsraelReport whose verdict is the conjunction of the gate list.
     """
-    check_not_flat(spacetime.profile, (r_ps, 10.0 * r_ps))
-    foliation = build_foliation(spacetime, n0, levels, tail_radius,
-                                r_hint=r_ps)
+    check_not_flat(profile, (r_ps, 10.0 * r_ps))
+    foliation = build_foliation(profile, n0, levels, tail_radius, r_hint=r_ps)
 
     fluxes = mass_flux(foliation)
     mass = float(fluxes[0])
-    bnd = boundary_constraints(spacetime, foliation, mass)
+    bnd = boundary_constraints(profile, foliation, mass)
     sign = sign_analysis(foliation, mass, bnd.frak_h, tol)
     ids = identity_residuals(foliation, sign.lam)
     slacks = inequality_slacks(foliation, sign.lam, mass)

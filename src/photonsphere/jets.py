@@ -164,10 +164,6 @@ class Jet:
         s, c = np.sin(self.val), np.cos(self.val)
         return self._chain(s, c, -s)
 
-    def cos(self):
-        s, c = np.sin(self.val), np.cos(self.val)
-        return self._chain(c, -s, -c)
-
     # numpy ufunc protocol: lets samplers call np.sqrt etc. on jets, and
     # numpy arrays and scalars combine with jets on either side
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -187,8 +183,7 @@ class Jet:
 # ufunc -> the reflected method for a jet second operand
 _UFUNC_METHODS = {np.add: Jet.__add__, np.subtract: Jet.__sub__,
                   np.multiply: Jet.__mul__, np.divide: Jet.__truediv__,
-                  np.power: Jet.__pow__, np.sqrt: Jet.sqrt, np.exp: Jet.exp,
-                  np.log: Jet.log, np.sin: Jet.sin, np.cos: Jet.cos}
+                  np.power: Jet.__pow__, np.sqrt: Jet.sqrt, np.sin: Jet.sin}
 _REFLECTED_UFUNC_METHODS = {np.add: Jet.__radd__, np.subtract: Jet.__rsub__,
                             np.multiply: Jet.__rmul__,
                             np.divide: Jet.__rtruediv__, np.power: Jet.__rpow__}

@@ -114,13 +114,14 @@ class PhotonSurfaceCertificate:
     tangency_deviation: float    # max |r - r0| / r0
 
 
-def certify_photon_surface(spacetime, surface, span):
-    """Certify (or refute) a cylinder as a photon surface.
+def certify_photon_surface(surface, span):
+    """Certify (or refute) a cylinder, which holds its profile, as a photon
+    surface.
 
     Umbilicity is sampled through the hypersurface machinery, tangency by
-    integrating the tangent null orbit; both must agree for a "certified"
-    or "refuted" verdict.  Candidates whose induced metric is not timelike
-    are rejected outright.
+    integrating the tangent null orbit over [0, span]; both must agree for
+    a "certified" or "refuted" verdict.  Candidates whose induced metric is
+    not timelike are rejected outright.
     """
     if surface.kind != "cylinder":
         raise ValueError("certification expects a cylinder hypersurface")
@@ -138,7 +139,7 @@ def certify_photon_surface(spacetime, surface, span):
     expected_rp = (2.0 / 3.0) * h ** 2
     scalar_residual = r0 ** 2 * abs(r_p - expected_rp)
 
-    tangency = geodesics.tangency_persistence(spacetime, surface, span)
+    tangency = geodesics.tangency_persistence(surface, span)
     deviation = tangency.max_deviation / r0
 
     umbilic = umb_sup < TOL_CERT

@@ -1,11 +1,12 @@
 """Static spherically symmetric spacetimes on radial charts.
 
-A spacetime is assembled from a radial profile (lapse N(r) and radial
-metric factor g_rr(r)) as the block metric
+A radial profile (lapse N(r) and radial metric factor g_rr(r)) is the
+spacetime: it is the static data (M^3, g, N), and it gives the block metric
 
     -N(r)^2 dt^2 + g_rr(r) dr^2 + r^2 (dtheta^2 + sin^2(theta) dphi^2)
 
-in geometric units G = c = 1; the mass parameter carries length units.
+(``metric4``) and its time slice (``metric3``) in geometric units
+G = c = 1; the mass parameter carries length units.
 Profiles can be closed-form, interpolated tables, or parsed arithmetic
 expressions, and all of them evaluate transparently on floats, arrays and
 jets (for derivatives).  Their slopes come from first-order jets, one
@@ -55,14 +56,24 @@ class ChartPoint:
 
 
 class RadialProfile:
-    """Base class: lapse N(r) > 0 and radial factor g_rr(r) > 0 on (r_min, inf).
+    """Base class of the static spacetime -N^2 dt^2 + g, which every layer takes.
 
+    The lapse N(r) > 0 and radial factor g_rr(r) > 0 live on (r_min, inf).
     Subclasses implement ``lapse`` and ``radial_factor`` so that they accept
-    floats, numpy arrays and jets.
+    floats, numpy arrays and jets.  Immutable and side-effect free; safe to
+    share across threads.
     """
 
     r_min = 0.0
     mass_hint = None
+
+    @property
+    def metric4(self):
+        return MetricSampler(4, _block_metric4(self))
+
+    @property
+    def metric3(self):
+        return MetricSampler(3, _slice_metric3(self))
 
     def lapse(self, r):
         raise NotImplementedError
@@ -243,6 +254,9 @@ class ExpressionProfile(RadialProfile):
     _fns: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if not self.r_min >= 0.0:
+            raise ValueError(f"profile field 'r_min' must be >= 0, not "
+                             f"{self.r_min!r}: an areal radius is positive")
         fns = (compile_expression(self.lapse_src),
                compile_expression(self.radial_factor_src))
         object.__setattr__(self, "_fns", fns)
@@ -319,6 +333,9 @@ class TableProfile(RadialProfile):
         r = samples[:, 0]
         if not np.all(np.diff(r) > 0):
             raise ValueError("table profile radii must be strictly increasing")
+        if not r[0] > 0.0:
+            raise ValueError(f"table profile radii must be positive, not "
+                             f"{r[0]!r}: an areal radius is positive")
         if np.any(samples[:, 1] <= 0) or np.any(samples[:, 2] <= 0):
             raise ValueError("table profile N and g_rr must be positive")
         self._r = r
@@ -414,7 +431,7 @@ def load_profile(spec):
 
 
 # ---------------------------------------------------------------------------
-# Metric samplers and the spacetime wrapper
+# Metric samplers
 # ---------------------------------------------------------------------------
 
 class MetricSampler:
@@ -452,29 +469,3 @@ def _slice_metric3(profile):
                 [0.0, r * r, 0.0],
                 [0.0, 0.0, r * r * np.sin(theta) ** 2]]
     return components
-
-
-@dataclass(frozen=True)
-class StaticSpacetime:
-    """Static spacetime -N^2 dt^2 + g assembled from a radial profile.
-
-    Immutable and side-effect free; safe to share across threads.
-    """
-
-    profile: RadialProfile
-
-    @staticmethod
-    def schwarzschild(m):
-        return StaticSpacetime(SchwarzschildProfile(m))
-
-    @property
-    def metric4(self):
-        return MetricSampler(4, _block_metric4(self.profile))
-
-    @property
-    def metric3(self):
-        return MetricSampler(3, _slice_metric3(self.profile))
-
-    def lapse_field3(self):
-        """The lapse as a scalar field over slice coordinates (r, theta, phi)."""
-        return lambda coords: self.profile.lapse(coords[0])

@@ -177,7 +177,7 @@ def lower_riemann(bundle):
                      bundle.metric_dd)
 
 
-def tangent_null_seeds(spacetime, r0, count, rng_seed):
+def tangent_null_seeds(profile, r0, count, rng_seed):
     """Null chart states tangent to the cylinder {r = r0}.
 
     Base points are drawn from a seeded RNG, theta in (0.3 pi, 0.7 pi) and
@@ -186,7 +186,7 @@ def tangent_null_seeds(spacetime, r0, count, rng_seed):
     orbit at alpha = pi.  Velocities are scaled to tdot = 1.
     """
     rng = np.random.default_rng(rng_seed)
-    n0, _ = spacetime.profile.lapse_d1(r0)
+    n0, _ = profile.lapse_d1(r0)
     seeds = []
     for k in range(count):
         theta = math.pi * rng.uniform(0.3, 0.7)

@@ -20,9 +20,9 @@ from photonsphere import photon as ph
 from photonsphere import quadrature as quad
 from photonsphere.calculus import curvature, vacuum_residual
 from photonsphere.spacetimes import (ChartPoint, ExpressionProfile,
-                                     SchwarzschildProfile, StaticSpacetime)
+                                     SchwarzschildProfile)
 
-ST = StaticSpacetime.schwarzschild(1.0)
+ST = SchwarzschildProfile(1.0)
 N0 = 1.0 / math.sqrt(3.0)
 RNG_SEED = 20259121
 
@@ -68,7 +68,7 @@ def test_criterion_2_tangency_persistence():
         seeds[r0] = [float(np.max(np.abs(geo.integrate_null(
             ST, s, 100.0, geo.TANGENCY_TOL).r - r0)))
             for s in oracles.tangent_null_seeds(ST, r0, 32, rng_seed=RNG_SEED)]
-        orbit[r0] = geo.tangency_persistence(ST, hs.cylinder(ST, r0),
+        orbit[r0] = geo.tangency_persistence(hs.cylinder(ST, r0),
                                              100.0).max_deviation
     elapsed = time.time() - t0
     ok = (max(seeds[3.0]) < 1e-5 and orbit[3.0] < 1e-5
@@ -116,8 +116,8 @@ def test_criterion_4_vacuum_verification():
               rng.uniform(0.0, 2 * math.pi, 500))
     vr = vacuum_residual(ST, coords)
     worst = max(vr.hessian_residual, vr.scalar_residual, vr.laplace_residual)
-    rn = StaticSpacetime(ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)",
-                                           "1/(1 - 2/r + 0.1/r^2)", r_min=1.95))
+    rn = ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)", "1/(1 - 2/r + 0.1/r^2)",
+                           r_min=1.95)
     vr_rn = vacuum_residual(rn, ChartPoint(r=3.0, theta=1.0))
     flagged = max(vr_rn.hessian_residual, vr_rn.scalar_residual,
                   vr_rn.laplace_residual)
@@ -131,7 +131,7 @@ def test_criterion_5_mass_flux(m1_report):
     rep, _ = m1_report
     idx = np.linspace(0, len(rep.foliation) - 1, 10).astype(int)
     flux1 = list(isr.mass_flux(rep.foliation)[idx])
-    st2 = StaticSpacetime.schwarzschild(2.0)
+    st2 = SchwarzschildProfile(2.0)
     fol2 = isr.build_foliation(st2, N0, levels=10, r_hint=6.0,
                                tail_radius=200.0)
     flux2 = list(isr.mass_flux(fol2))
@@ -161,7 +161,7 @@ def test_criterion_6_boundary_identities(m1_report):
                   f"m recovered from frakH = {b.mass_from_frakH:.9f}")
 
 
-def _theta_reduction(spacetime, foliation):
+def _theta_reduction(profile, foliation):
     """How far the leaves of ``foliation`` are from one point each, sampled
     at the 64 Gauss-Legendre theta nodes: the largest theta spread of a
     leaf field over its largest magnitude on the leaf (of the trace-free
@@ -170,7 +170,7 @@ def _theta_reduction(spacetime, foliation):
     -(2 / sqrt(rho)) Lap sqrt(rho), -Lap log(rho) and |grad rho|^2 / rho^2,
     over the Gauss term R_sigma."""
     theta, x, _ = quad.sphere_grid(64)
-    surface = hs.lapse_level_set(spacetime, foliation.r_coord[:, None])
+    surface = hs.lapse_level_set(profile, foliation.r_coord[:, None])
     sd = hs.shape(surface, (theta, 0.0))
     induced = curvature(surface.induced_sampler(), (theta, 0.0))
     sigma = induced.metric_dd
@@ -199,8 +199,8 @@ def test_criterion_7_identities_and_inequalities(m1_report):
     # the leaves are round: sampled on 64 theta nodes, every leaf field is
     # constant and the leaf terms the pipeline leaves out vanish, to rounding
     scn = cli.load_scenario(cli.bundled_scenario_path("reissner_perturbed"))
-    rn = StaticSpacetime(scn.profile)
-    loc = ph.locate_photon_sphere(scn.profile, scn.scan)
+    rn = scn.profile
+    loc = ph.locate_photon_sphere(rn, scn.scan)
     rn_fol = isr.build_foliation(rn, loc.lapse_at_ps, scn.levels,
                                  scn.tail_radius, r_hint=loc.r_ps)
     spread, dropped = np.max([_theta_reduction(ST, rep.foliation),

@@ -11,7 +11,10 @@ reads fails this suite, not only a benchmark run.
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -40,3 +43,57 @@ def test_anchor_case_passes_the_benchmark_oracle(workload, tmp_path):
             headrooms.append(outcome.headroom)
     # the anchor's headroom is the benchmark's gate_headroom_dec
     assert headrooms and math.isfinite(min(headrooms)) and min(headrooms) > 0
+
+
+# In a fresh interpreter, because ``tracing.install`` rebinds the package's
+# module attributes: the benchmark's tracer wraps the package, each
+# workload's anchor case runs through ``cli.main``, and the child prints
+# every traced name and the names each anchor reached (called or counted).
+TRACED_CHILD = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import tracing, workloads
+from photonsphere import cli
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+names = {f"{m}.{a}" for m, attrs in tracing.TIMED.items() for a in attrs}
+names |= {f"{m}.{a}" for (m, _), attrs in tracing.TIMED_METHODS.items()
+          for a in attrs}
+names |= {f"spacetimes.{a}" for a in tracing.COUNTED_PROFILE_METHODS}
+reached = {}
+for workload in workloads.WORKLOADS:
+    before = dict(tracer.counts)
+    for k, call in enumerate(workloads.anchor_case(workload).calls):
+        path = os.path.join(sys.argv[2], f"{workload}{k}.json")
+        with open(path, "w") as fh:
+            json.dump(call.scenario, fh)
+        cli.main([call.command, "--scenario", path,
+                  "--out", os.path.join(sys.argv[2], f"{workload}{k}")])
+    reached[workload] = sorted(n for n in names
+                               if tracer.counts[n] > before.get(n, 0))
+print(json.dumps({"names": sorted(names), "reached": reached}))
+"""
+
+
+def test_the_tracer_sees_every_layer_each_anchor_reaches(tmp_path):
+    """A call that routes around a traced function would read 0 in its
+    per-layer figures; the names each anchor case reaches are pinned."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_CHILD, str(ROOT / "perfbench"), str(tmp_path)],
+        env=env, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out)
+    names = result["names"]
+
+    def all_but(*prefixes):
+        return [n for n in names if not n.startswith(prefixes)]
+
+    assert result["reached"] == {
+        "foliation": all_but("quadrature.sphere_laplacian"),
+        "tangency": all_but("israel.", "quadrature.", "photon.locate_photon_sphere"),
+        "refute": all_but("geodesics.", "quadrature.sphere_laplacian",
+                          "photon.certify_photon_surface",
+                          "spacetimes.metric_factors_d1"),
+    }

@@ -11,8 +11,9 @@ import pytest
 import oracles
 from photonsphere import cli
 from photonsphere import geodesics as geo
+from photonsphere import photon
 from photonsphere.calculus import curvature
-from photonsphere.spacetimes import ChartPoint, StaticSpacetime
+from photonsphere.spacetimes import ChartPoint, SchwarzschildProfile
 
 
 def run(args):
@@ -182,6 +183,47 @@ class TestExitCodes:
         out = str(tmp_path / "o")
         assert run(["israel", "--scenario", "minkowski", "--out", out]) == 2
         rep = json.loads((tmp_path / "o" / "israel_report.json").read_text())
+        assert rep["status"] == "rejected-flat"
+
+    @pytest.mark.parametrize("pipeline", ["israel", "full"])
+    def test_vanishing_flux_is_rejected_flat_by_both_pipelines(
+            self, tmp_path, capsys, pipeline):
+        # g_rr = 1e20 keeps the m = 1 lapse but makes the mass flux 1.7e-10:
+        # both pipelines write the same rejected-flat report, and full then
+        # reconstructs, as the reconstruct pipeline does
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": pipeline, "scan": [2.2, 50.0],
+            "levels": 16, "tail_radius": 30.0, "span": 4.0,
+            "profile": {"kind": "expression", "lapse": "sqrt(1 - 2/r)",
+                        "radial_factor": "1e20", "r_min": 2.0001}}))
+        out = tmp_path / "o"
+        assert run([pipeline, "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == ""
+        rep = json.loads((out / "israel_report.json").read_text())
+        assert rep["status"] == "rejected-flat"
+        assert rep["detail"].startswith("the mass flux 1.73e-10 vanishes")
+        if pipeline == "full":
+            alone = tmp_path / "reconstruct"
+            assert run(["reconstruct", "--scenario", str(scn),
+                        "--out", str(alone)]) == cli.EXIT_TRUE
+            for name in ("reconstruction.json", "reconstructed_lapse.csv"):
+                assert (out / name).read_bytes() == (alone / name).read_bytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_flat_table_is_rejected_flat_at_every_scale(self, tmp_path, scale):
+        # N = g_rr = 1 on radii in [1e-9, 1e-7] times the scale: the flatness
+        # probe reads the lapse inside the scan, so inside the table
+        rows = [[r, 1.0, 1.0] for r in (scale * np.geomspace(1e-9, 1e-7, 20)).tolist()]
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "israel", "scan": [2e-9 * scale, 5e-8 * scale],
+            "profile": {"kind": "table", "samples": rows}}))
+        out = tmp_path / "o"
+        assert run(["israel", "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        rep = json.loads((out / "israel_report.json").read_text())
         assert rep["status"] == "rejected-flat"
 
     def test_negative_mass_israel_no_anchor(self, tmp_path):
@@ -433,7 +475,7 @@ class TestOutputs:
         scn = cli.load_scenario(cli.bundled_scenario_path("schwarzschild_m1"),
                                 {"pipeline": "trace", "span": 5.0})
         tr = geo.integrate_null(
-            StaticSpacetime(scn.profile),
+            scn.profile,
             geo.GeodesicState(ChartPoint(*scn.trace_start), scn.trace_direction),
             scn.span)
         # CRLF line ends, as every csv table the CLI writes
@@ -496,6 +538,24 @@ class TestOutputs:
                     "--out", str(tmp_path / "o")]) == cli.EXIT_FALSE
         assert calls == [40.0]
 
+    @pytest.mark.parametrize("command", ["detect", "full", "israel",
+                                         "reconstruct"])
+    def test_one_photon_sphere_location_per_run(self, tmp_path, monkeypatch,
+                                                command):
+        calls = []
+        locate = photon.locate_photon_sphere
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return locate(*args, **kwargs)
+
+        monkeypatch.setattr(photon, "locate_photon_sphere", counted)
+        flags = (["--dump-curvature", str(tmp_path / "curv.json")]
+                 if command == "detect" else [])
+        assert run([command, "--scenario", "schwarzschild_m1",
+                    "--out", str(tmp_path / "o"), *flags]) == cli.EXIT_TRUE
+        assert calls == [(2.2, 50.0)]
+
     def test_curvature_dump_flag(self, tmp_path):
         out = str(tmp_path / "o")
         dump = str(tmp_path / "bundle.json")
@@ -513,7 +573,7 @@ class TestOutputs:
     def test_curvature_dump_keys_do_not_depend_on_roundoff(self):
         # three k < i Riemann components that are exactly 0.0 at r = 3.0
         # read -2.8e-17 a few ulp off 3m: every one is written either way
-        st = StaticSpacetime.schwarzschild(1.0)
+        st = SchwarzschildProfile(1.0)
         dumps = [cli._curvature_payload(curvature(st.metric4,
                                                (0.0, r, math.pi / 3, 0.0)))
                  for r in (3.0, 3.000000000001233)]

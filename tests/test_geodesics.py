@@ -26,15 +26,15 @@ from photonsphere.geodesics import (_A, _B, _E3, _E5, DEFAULT_TOL,
                                     DOMAIN_GUARD_RTOL, TOL_NULL,
                                     GeodesicTrajectory, RunSummary)
 from photonsphere.spacetimes import (ChartPoint, ExpressionProfile,
-                                     StaticSpacetime, TableProfile)
+                                     SchwarzschildProfile, TableProfile)
 
-ST = StaticSpacetime.schwarzschild(1.0)
-MINK = StaticSpacetime.schwarzschild(0.0)
+ST = SchwarzschildProfile(1.0)
+MINK = SchwarzschildProfile(0.0)
 RNG_SEED = 20259121   # the criterion-2 seeds
 
 
-def radial_null_state(spacetime, r0, ingoing=True):
-    a = spacetime.profile.metric_factors_d1(r0)[0]
+def radial_null_state(profile, r0, ingoing=True):
+    a = profile.metric_factors_d1(r0)[0]
     vr = -a if ingoing else a
     return geo.GeodesicState(ChartPoint(0.0, r0, 1.2, 0.3), (1.0, vr, 0.0, 0.0))
 
@@ -116,7 +116,7 @@ def scalar_error_norm(e5, e3, y_old, y_new, atol, rtol):
     return 0.0 if denom == 0.0 else e5_sq / denom
 
 
-def scalar_integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=2_000_000):
+def scalar_integrate_null(profile, initial, span, tol=DEFAULT_TOL, max_steps=2_000_000):
     """Integrate a null geodesic over an affine interval [0, span].
 
     The initial velocity is projected onto the null cone (rejected if the
@@ -124,7 +124,6 @@ def scalar_integrate_null(spacetime, initial, span, tol=DEFAULT_TOL, max_steps=2
     early with a descriptive status when the domain boundary or a pole is
     approached, or when the adaptive step underflows.
     """
-    profile = spacetime.profile
     y = chart_row(initial).tolist()
     profile.check_point(y[1])
     y0 = tuple(y)
@@ -227,7 +226,7 @@ class TestIntegration:
         # at theta = 1e-300 the distance from the polar axis squares to 0:
         # the phi rate of a radial ray must still come out 0, not 0/0 with
         # a RuntimeWarning
-        a = ST.profile.metric_factors_d1(10.0)[0]
+        a = ST.metric_factors_d1(10.0)[0]
         s = geo.GeodesicState(ChartPoint(0.0, 10.0, 1e-300, 0.0),
                               (1.0, -a, 0.0, 0.0))
         tr = geo.integrate_null(ST, s, 5.0)
@@ -269,7 +268,7 @@ class TestEnergyLaw:
         assert np.max(np.abs(ratio - n[0] / n[mask])) < 1e-8
         # r falls linearly at the rate a = N(10)^2 = 0.8 on a radial ray, so a
         # ray of span 5/a ends at r = 5 and the endpoint gives E(5)
-        a = ST.profile.metric_factors_d1(10.0)[0]
+        a = ST.metric_factors_d1(10.0)[0]
         to_5 = geo.integrate_null(ST, radial_null_state(ST, 10.0), 5.0 / a)
         assert abs(to_5.r[-1] - 5.0) < 1e-9
         assert abs(to_5.energies[-1] / to_5.energies[0]
@@ -331,17 +330,17 @@ class TestTimeReversal:
 
 class TestTangency:
     def test_photon_sphere_seeds_stay(self):
-        rep = geo.tangency_persistence(ST, hs.cylinder(ST, 3.0), 40.0)
+        rep = geo.tangency_persistence(hs.cylinder(ST, 3.0), 40.0)
         assert rep.max_deviation < 1e-6
         assert rep.run.status == "completed"
 
     def test_off_sphere_seeds_leave(self):
-        rep = geo.tangency_persistence(ST, hs.cylinder(ST, 4.0), 40.0)
+        rep = geo.tangency_persistence(hs.cylinder(ST, 4.0), 40.0)
         assert rep.max_deviation > 1e-1
 
     def test_minkowski_cylinder_deviation_grows_linearly(self):
-        r20 = geo.tangency_persistence(MINK, hs.cylinder(MINK, 3.0), 20.0)
-        r40 = geo.tangency_persistence(MINK, hs.cylinder(MINK, 3.0), 40.0)
+        r20 = geo.tangency_persistence(hs.cylinder(MINK, 3.0), 20.0)
+        r40 = geo.tangency_persistence(hs.cylinder(MINK, 3.0), 40.0)
         assert r20.max_deviation > 1.0
         assert 1.5 < r40.max_deviation / r20.max_deviation < 2.5
 
@@ -359,7 +358,7 @@ class TestTangency:
         # of the one in-plane state (0, r0, 0, 1, 0, N0/r0) that
         # ``tangency_persistence`` integrates: exactly, up to the last bits
         # of the angular speed hypot(vtheta, sin(theta) vphi)
-        vpsi = ST.profile.lapse_d1(r0)[0] / r0
+        vpsi = ST.lapse_d1(r0)[0] / r0
         seeds = [*oracles.tangent_null_seeds(ST, r0, 32, rng_seed=RNG_SEED),
                  *(s for count in (1, 3, 5, 7)
                    for s in oracles.tangent_null_seeds(ST, r0, count, count))]
@@ -392,10 +391,10 @@ def equatorial_twin(state):
                              (vt, vr, vpsi, 0.0))
 
 
-def assert_same_as_twin(spacetime, state, traj, span, **kw):
+def assert_same_as_twin(profile, state, traj, span, **kw):
     """The trajectory steps bit for bit as its equatorial twin: the stepping
     sees only the in-plane state, never the chart orientation."""
-    twin = geo.integrate_null(spacetime, equatorial_twin(state), span, **kw)
+    twin = geo.integrate_null(profile, equatorial_twin(state), span, **kw)
     assert np.array_equal(traj.samples[:, RADIAL_COLUMNS],
                           twin.samples[:, RADIAL_COLUMNS])
     assert np.array_equal(traj.null_residuals, twin.null_residuals)
@@ -439,7 +438,7 @@ def assert_near_reference(ref, samples, run):
 
 def canonical_orbit(r0, span):
     """The trajectory of the in-plane state (0, r0, 0, 1, 0, N0/r0)."""
-    n0 = ST.profile.lapse_d1(r0)[0]
+    n0 = ST.lapse_d1(r0)[0]
     state = geo.GeodesicState(ChartPoint(0.0, r0, 0.5 * math.pi, 0.0),
                               (1.0, 0.0, n0 / r0, 0.0))
     return geo.integrate_null(ST, state, span, geo.TANGENCY_TOL)
@@ -463,7 +462,7 @@ class TestBatchMatchesScalarReference:
 
     @pytest.mark.parametrize("r0", [3.0, 4.0])
     def test_tangency_deviations_exact(self, r0):
-        rep = geo.tangency_persistence(ST, hs.cylinder(ST, r0),
+        rep = geo.tangency_persistence(hs.cylinder(ST, r0),
                                        CRITERION2_SPAN)
         orbit = canonical_orbit(r0, CRITERION2_SPAN)
         assert rep.max_deviation == float(np.max(np.abs(orbit.r - r0)))
@@ -476,13 +475,13 @@ class TestBatchMatchesScalarReference:
     def test_single_trajectory_bit_identical(self, case, monkeypatch):
         """Bit for bit the same as its equatorial twin, and near the scalar
         reference, which takes its step budget as ``kw``."""
-        spacetime, span, kw = ST, 30.0, {}
+        profile, span, kw = ST, 30.0, {}
         if case == "minkowski-ray":
-            spacetime = MINK
+            profile = MINK
             state = geo.null_state(MINK, ChartPoint(0.0, 5.0, 1.0, 0.0),
                                    (0.4, 0.1, 0.05))
         elif case == "minkowski-seed":
-            spacetime = MINK
+            profile = MINK
             state = oracles.tangent_null_seeds(MINK, 3.0, 4, rng_seed=3)[1]
         elif case == "radial-infall":
             state = radial_null_state(ST, 10.0)
@@ -495,13 +494,13 @@ class TestBatchMatchesScalarReference:
             monkeypatch.setattr(geo, "MAX_STEPS", 5)
             kw = {"max_steps": 5}
         else:
-            spacetime = StaticSpacetime(ExpressionProfile(
-                "sqrt(1 - 2/r + 0.1/r^2)", "1/(1 - 2/r + 0.1/r^2)", r_min=1.95))
-            state = geo.null_state(spacetime, ChartPoint(0.0, 4.0, 1.1, 0.3),
+            profile = ExpressionProfile(
+                "sqrt(1 - 2/r + 0.1/r^2)", "1/(1 - 2/r + 0.1/r^2)", r_min=1.95)
+            state = geo.null_state(profile, ChartPoint(0.0, 4.0, 1.1, 0.3),
                                    (0.01, 0.03, 0.05))
-        ref = scalar_integrate_null(spacetime, state, span, **kw)
-        traj = geo.integrate_null(spacetime, state, span)
-        assert_same_as_twin(spacetime, state, traj, span)
+        ref = scalar_integrate_null(profile, state, span, **kw)
+        traj = geo.integrate_null(profile, state, span)
+        assert_same_as_twin(profile, state, traj, span)
         assert_near_reference(ref, traj.samples, traj.run)
         expected = {"radial-infall": "domain-exit",
                     "max-steps": "stiff"}.get(case, "completed")
@@ -530,37 +529,35 @@ class TestBatchMatchesScalarReference:
         # jets, at a float radius in the stepping loop and in the reference
         profile = ExpressionProfile("1 - 2/r + 0.3/r^2.5",
                                     "1/(1 - 2/r + 0.3/r^2.5)", r_min=1.95)
-        spacetime = StaticSpacetime(profile)
-        states = [geo.null_state(spacetime, ChartPoint(0.0, 10.0, 1.2, 0.3),
+        states = [geo.null_state(profile, ChartPoint(0.0, 10.0, 1.2, 0.3),
                                  (-0.8, 0.0, 0.0)),
-                  geo.null_state(spacetime, ChartPoint(0.0, 8.0, 0.4, 0.2),
+                  geo.null_state(profile, ChartPoint(0.0, 8.0, 0.4, 0.2),
                                  (0.0, -0.05, 1e-9)),
-                  *oracles.tangent_null_seeds(spacetime, 5.0, 3, rng_seed=2)]
-        runs = [geo.integrate_null(spacetime, state, 30.0) for state in states]
+                  *oracles.tangent_null_seeds(profile, 5.0, 3, rng_seed=2)]
+        runs = [geo.integrate_null(profile, state, 30.0) for state in states]
         assert [tr.status for tr in runs] == [
             "domain-exit", "completed", "completed", "completed", "completed"]
         for state, tr in zip(states, runs):
-            assert_same_as_twin(spacetime, state, tr, 30.0)
-            assert_near_reference(scalar_integrate_null(spacetime, state, 30.0),
+            assert_same_as_twin(profile, state, tr, 30.0)
+            assert_near_reference(scalar_integrate_null(profile, state, 30.0),
                                   tr.samples, tr.run)
 
     def test_table_profile_failure_ends_in_domain_exit(self):
         rs = np.linspace(2.5, 12.0, 400)
-        table = TableProfile(np.stack([rs, np.sqrt(1 - 2 / rs),
-                                       1 / (1 - 2 / rs)], axis=1))
-        spacetime = StaticSpacetime(table)
-        seed = oracles.tangent_null_seeds(spacetime, 3.0, 3, rng_seed=4)[0]
-        tr = geo.integrate_null(spacetime, seed, 10.0)
-        assert_near_reference(scalar_integrate_null(spacetime, seed, 10.0),
+        profile = TableProfile(np.stack([rs, np.sqrt(1 - 2 / rs),
+                                         1 / (1 - 2 / rs)], axis=1))
+        seed = oracles.tangent_null_seeds(profile, 3.0, 3, rng_seed=4)[0]
+        tr = geo.integrate_null(profile, seed, 10.0)
+        assert_near_reference(scalar_integrate_null(profile, seed, 10.0),
                               tr.samples, tr.run)
         # a ray whose stages leave the table: the same end row as the
         # reference, at the table edge, reached as a domain exit instead of
         # a step-size underflow.  Both loops crawl up to r = 12 in steps near
         # the roundoff floor, whose number the last bits decide.
-        leaving = radial_null_state(spacetime, 11.0, ingoing=False)
-        tr = geo.integrate_null(spacetime, leaving, 10.0)
-        assert_same_as_twin(spacetime, leaving, tr, 10.0)
-        ref = scalar_integrate_null(spacetime, leaving, 10.0)
+        leaving = radial_null_state(profile, 11.0, ingoing=False)
+        tr = geo.integrate_null(profile, leaving, 10.0)
+        assert_same_as_twin(profile, leaving, tr, 10.0)
+        ref = scalar_integrate_null(profile, leaving, 10.0)
         assert_rows_near(tr.samples[-1], ref.samples[-1])
         assert abs(tr.samples[-1, 2] - 12.0) < 1e-6
         assert (ref.status, ref.reason) == ("stiff", "step size underflow")
@@ -583,7 +580,7 @@ def test_observed_order_of_the_tableau():
 
     def step(y, h):
         # atol 1 and rtol 0: the norm of the unscaled estimates
-        return geo._dop853_step(MINK.profile, y, h, geo._rhs(MINK.profile, y),
+        return geo._dop853_step(MINK, y, h, geo._rhs(MINK, y),
                                 1.0, 0.0)
 
     def r_error(n):
@@ -646,7 +643,7 @@ RS = np.linspace(2.5, 30.0, 200)
 
 
 @pytest.mark.parametrize("profile", [
-    ST.profile,
+    ST,
     ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)", "1/(1 - 2/r + 0.1/r^2)",
                       r_min=1.95),
     TableProfile(np.stack([RS, np.sqrt(1 - 2 / RS), 1 / (1 - 2 / RS)], axis=1)),
@@ -690,8 +687,8 @@ class TestRobustness:
     SQRT_PROFILE = ExpressionProfile("sqrt(1-2/r)", "1/(1-2/r)")
 
     def test_non_real_lapse_ends_in_domain_exit(self):
-        spacetime = StaticSpacetime(self.SQRT_PROFILE)
-        tr = geo.integrate_null(spacetime, radial_null_state(spacetime, 10.0),
+        profile = self.SQRT_PROFILE
+        tr = geo.integrate_null(profile, radial_null_state(profile, 10.0),
                                 100.0, tol=1e-3)
         assert tr.status == "domain-exit"
         assert "r = 2" in tr.reason
@@ -727,10 +724,10 @@ class TestRobustness:
         y = (0.0, 3.0, 0.0, 1.0, 1.0, 0.0)
         assert math.isnan(geo._rhs(no_lapse, y)[3])
         assert math.isnan(geo.null_project(no_lapse, y)[0][3])
-        assert all(math.isnan(v) for v in geo._factors(ST.profile, 2.0))
+        assert all(math.isnan(v) for v in geo._factors(ST, 2.0))
 
     def test_constant_expression_profile_is_flat(self):
-        flat = StaticSpacetime(ExpressionProfile("1", "1"))
+        flat = ExpressionProfile("1", "1")
         state = geo.null_state(flat, ChartPoint(0.0, 5.0, 1.0, 0.0),
                                (0.4, 0.1, 0.05))
         ref = geo.integrate_null(MINK, state, 20.0)
@@ -738,14 +735,14 @@ class TestRobustness:
         assert np.array_equal(tr.samples, ref.samples)
 
     def test_no_real_null_direction_is_named(self):
-        spacetime = StaticSpacetime(self.SQRT_PROFILE)
+        profile = self.SQRT_PROFILE
         with pytest.raises(ValueError, match="no real null direction"):
-            geo.null_state(spacetime, ChartPoint(0.0, 1.5, 1.0, 0.0),
+            geo.null_state(profile, ChartPoint(0.0, 1.5, 1.0, 0.0),
                            (0.1, 0.0, 0.0))
         inside = geo.GeodesicState(ChartPoint(0.0, 1.5, 1.0, 0.0),
                                    (1.0, 0.1, 0.0, 0.0))
         with pytest.raises(ValueError, match="no real null direction"):
-            geo.integrate_null(spacetime, inside, 1.0)
+            geo.integrate_null(profile, inside, 1.0)
 
 
 def test_trajectory_reports_step_counts():

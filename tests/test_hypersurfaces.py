@@ -9,10 +9,10 @@ import pytest
 import oracles
 from photonsphere import calculus as calc
 from photonsphere import hypersurfaces as hs
-from photonsphere.spacetimes import DomainError, StaticSpacetime
+from photonsphere.spacetimes import DomainError, SchwarzschildProfile
 
-ST = StaticSpacetime.schwarzschild(1.0)
-MINK = StaticSpacetime.schwarzschild(0.0)
+ST = SchwarzschildProfile(1.0)
+MINK = SchwarzschildProfile(0.0)
 
 
 class TestShape:
@@ -33,7 +33,7 @@ class TestShape:
         # 2N/r + dN/dr on a cylinder, whose time direction adds eta(N)/N
         for surf, pt, extra in ((hs.cylinder(ST, 3.5), (0.0, 1.1, 0.3), 1.0),
                                 (hs.lapse_level_set(ST, 5.0), (0.7, 2.0), 0.0)):
-            n, n1 = ST.profile.lapse_d1(surf.level_value)
+            n, n1 = ST.lapse_d1(surf.level_value)
             trace = 2.0 * n / surf.level_value + extra * n1
             assert abs(trace - hs.shape(surf, pt).mean_curvature) < 1e-12
 
@@ -102,7 +102,7 @@ class TestGaussResidual:
         g, _, _ = calc.metric_taylor(ST.metric3, coords)
         _, eta_u, _ = hs.normal_data(lvl, coords, np.linalg.inv(g))
         ric_nn = np.einsum("ab,a,b->", bundle.ricci_dd, eta_u, eta_u)
-        n5 = ST.profile.lapse(5.0)
+        n5 = ST.lapse(5.0)
         h5 = hs.shape(lvl, (1.0, 0.3)).mean_curvature
         nu_n5 = 1.0 / 25.0  # m/r^2
         assert abs(n5 * ric_nn + h5 * nu_n5) < 1e-12
@@ -117,7 +117,7 @@ def test_nu_of_lapse_constant_on_level_sets():
     coords = lvl.embed((tg, pg))
     g, _, _ = calc.metric_taylor(lvl.ambient, coords)
     _, eta_u, _ = hs.normal_data(lvl, coords, np.linalg.inv(g))
-    _, dn, _ = calc.scalar_taylor(lambda c: ST.profile.lapse(c[0]), coords)
+    _, dn, _ = calc.scalar_taylor(lambda c: ST.lapse(c[0]), coords)
     nu_n = np.einsum("...a,...a->...", eta_u, dn)
     assert np.std(nu_n) < 1e-14
     assert np.isclose(np.mean(nu_n), oracles.NU_N0_M1)

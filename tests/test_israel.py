@@ -22,9 +22,9 @@ from photonsphere import quadrature as quad
 from photonsphere.hypersurfaces import FoliationError
 from photonsphere.spacetimes import (DomainError, ExpressionProfile,
                                      RadialProfile, SchwarzschildProfile,
-                                     StaticSpacetime, TableProfile)
+                                     TableProfile)
 
-ST = StaticSpacetime.schwarzschild(1.0)
+ST = SchwarzschildProfile(1.0)
 N0 = 1.0 / math.sqrt(3.0)
 
 
@@ -55,7 +55,7 @@ class TestFoliation:
         assert np.all(np.diff(foliation24.area_radius) > 0)
 
     def test_flat_lapse_fails_foliation(self):
-        mink = StaticSpacetime.schwarzschild(0.0)
+        mink = SchwarzschildProfile(0.0)
         # N0 < 1 is not flat: the lapse is 1 at the tail radius only
         with pytest.raises(DomainError, match="tail_radius = 50.0"):
             isr.build_foliation(mink, 0.9, levels=8, tail_radius=50.0)
@@ -115,11 +115,10 @@ def test_leaf_fields_equal_the_dense_grid(name, monkeypatch):
     # and phi at one number, give every field the bits of the dense
     # evaluation, whose seeds carry every leaf
     profile, r_level = LEAF_PROFILES[name]
-    st = StaticSpacetime(profile)
     radii = r_level * np.array([1.0, 1.1, 1.3])
-    lazy = isr._leaf_block(st, radii)
+    lazy = isr._leaf_block(profile, radii)
     monkeypatch.setattr(jets, "variables", _dense_variables)
-    dense = isr._leaf_block(st, radii)
+    dense = isr._leaf_block(profile, radii)
     assert len(lazy) == len(FIELDS)
     for a, b in zip(lazy, dense):
         assert a.shape == b.shape == (3,) and np.array_equal(a, b)
@@ -136,8 +135,7 @@ def test_leaf_geometry_does_not_depend_on_phi(name):
     # terms amplify the rounding of the scalar curvature toward the poles
     # (1.7e-14 at theta = 0.088), so the 16 values keep 0.25 from them
     profile, r_level = LEAF_PROFILES[name]
-    surface = hs.lapse_level_set(StaticSpacetime(profile),
-                                 r_level * np.array([1.0, 1.1, 1.3]))
+    surface = hs.lapse_level_set(profile, r_level * np.array([1.0, 1.1, 1.3]))
 
     def fields(theta, phi):
         sd = hs.shape(surface, (theta, phi))
@@ -162,9 +160,9 @@ def test_leaf_geometry_does_not_depend_on_phi(name):
         assert np.max(np.abs(at_zero[name] - equator[name])) <= 1e-14 * scale, name
 
 
-def _single_leaf(st, r):
+def _single_leaf(profile, r):
     """H, tracefree, nu(N) and Gauss curvature of one leaf, sampled alone."""
-    sd, induced = hs.sample(hs.lapse_level_set(st, r))
+    sd, induced = hs.sample(hs.lapse_level_set(profile, r))
     return {"H": sd.mean_curvature, "tracefree": sd.tracefree_norm,
             "nuN": sd.normal_rate, "gauss_k": 0.5 * induced.scalar}
 
@@ -174,11 +172,10 @@ def test_stacked_blocks_equal_single_leaves(name):
     # one stacked evaluation of 37 leaves gives each leaf the bits of that
     # leaf sampled alone
     profile, r_level = LEAF_PROFILES[name]
-    st = StaticSpacetime(profile)
     n0 = float(profile.lapse(r_level))
-    stacked = isr.build_foliation(st, n0, levels=37, r_hint=r_level)
+    stacked = isr.build_foliation(profile, n0, levels=37, r_hint=r_level)
     for j in range(37):
-        alone = _single_leaf(st, stacked.r_coord[j])
+        alone = _single_leaf(profile, stacked.r_coord[j])
         for field, value in alone.items():
             assert getattr(stacked, field)[j] == value, (j, field)
 
@@ -200,11 +197,10 @@ def test_leaf_integral_equals_the_sphere_quadrature(name):
     # area, equals the 64-node Gauss-Legendre integral of the field sampled
     # over the whole leaf
     profile, r_level = LEAF_PROFILES[name]
-    st = StaticSpacetime(profile)
-    fol = isr.build_foliation(st, float(profile.lapse(r_level)), levels=8,
+    fol = isr.build_foliation(profile, float(profile.lapse(r_level)), levels=8,
                               r_hint=r_level)
     theta, _, w = quad.sphere_grid(64)
-    surface = hs.lapse_level_set(st, fol.r_coord[:, None])
+    surface = hs.lapse_level_set(profile, fol.r_coord[:, None])
     sd = hs.shape(surface, (theta, 0.0))
     induced = calc.curvature(surface.induced_sampler(), (theta, 0.0))
     sigma = induced.metric_dd
@@ -221,7 +217,7 @@ def test_zero_or_non_finite_leaf_area_is_a_named_error():
     # m = 1e152: sigma = diag(r^2, r^2) at theta = pi/2 is finite at
     # r = 1e154, but the leaf area 4 pi r^2 overflows there, and the error
     # names that leaf
-    st = StaticSpacetime.schwarzschild(1e152)
+    st = SchwarzschildProfile(1e152)
     with pytest.raises(DomainError, match=r"level-set r0 = 1e\+154 has zero "
                        "or non-finite area"):
         isr._leaf_block(st, np.array([3e152, 1e154, 1.1e154]))
@@ -255,7 +251,7 @@ def test_foliation_error_names_a_leaf_inside_a_block():
     # its lapse gradient vanishes, so the error must name that leaf
     regular = isr.build_foliation(ST, N0, levels=64, r_hint=3.0)
     r_flat = float(regular.r_coord[21])
-    st = StaticSpacetime(_FlatSpotProfile(r_flat))
+    st = _FlatSpotProfile(r_flat)
     with pytest.raises(FoliationError, match="foliation failure") as err:
         isr.build_foliation(st, N0, levels=64, r_hint=3.0)
     assert str(err.value).endswith(f"at level {r_flat}")
@@ -292,7 +288,7 @@ class TestMassFlux:
         assert np.max(fluxes) - np.min(fluxes) < 1e-8
 
     def test_m2_level_r10(self):
-        st2 = StaticSpacetime.schwarzschild(2.0)
+        st2 = SchwarzschildProfile(2.0)
         fol = isr.build_foliation(st2, math.sqrt(1 - 0.4), levels=8,
                                   r_hint=10.0, tail_radius=100.0)
         assert abs(isr.mass_flux(fol)[0] - 2.0) < 1e-8
@@ -327,9 +323,8 @@ class TestIdentities:
         rn = ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)",
                                "1/(1 - 2/r + 0.1/r^2)", r_min=1.95,
                                mass_hint=1.0)
-        strn = StaticSpacetime(rn)
         n_ps = rn.lapse_d1(oracles.RN_PHOTON_SPHERE_Q01)[0]
-        fol = isr.build_foliation(strn, n_ps, levels=16,
+        fol = isr.build_foliation(rn, n_ps, levels=16,
                                   r_hint=oracles.RN_PHOTON_SPHERE_Q01)
         ids = isr.identity_residuals(fol, 1)
         assert ids.sup() > 1e-3
@@ -397,7 +392,7 @@ class TestSignAnalysis:
 def test_one_flatness_rule(m, flat):
     # the lapse is flat where the Schwarzschild mass r (1 - N^2) / 2 of its
     # value is below 1e-10 r, as sign_analysis reads the mass flux at r0
-    profile = StaticSpacetime.schwarzschild(m).profile
+    profile = SchwarzschildProfile(m)
     if flat:
         with pytest.raises(isr.FlatnessError, match="lapse is 1 at 2 radii"):
             isr.check_not_flat(profile, (1.0, 1.0))
@@ -418,7 +413,7 @@ class TestBoundaryConstraints:
         assert abs(b.mass_from_frakH - 1.0) < 1e-7
 
     def test_scale_invariance_m5(self):
-        st5 = StaticSpacetime.schwarzschild(5.0)
+        st5 = SchwarzschildProfile(5.0)
         fol = isr.build_foliation(st5, N0, levels=12, r_hint=15.0,
                                   tail_radius=500.0)
         b = isr.boundary_constraints(st5, fol, 5.0)
@@ -499,7 +494,7 @@ class TestRigidityVerdict:
         # the level derivatives must keep the identities of a light mass,
         # whose residuals are normalized by the floor of one, below the
         # default tol
-        rep = isr.run_israel_pipeline(StaticSpacetime.schwarzschild(m), N0,
+        rep = isr.run_israel_pipeline(SchwarzschildProfile(m), N0,
                                       3.0 * m, levels=64,
                                       tail_radius=None, tol=isr.TOL_LVL)
         assert rep.verdict == "isometric", [g for g in rep.gates if not g.passed]
@@ -649,7 +644,7 @@ class TestRigidityVerdict:
         assert rep.verdict == "not-isometric"
 
     def test_m0_pipeline_rejected_flat(self):
-        mink = StaticSpacetime.schwarzschild(0.0)
+        mink = SchwarzschildProfile(0.0)
         with pytest.raises(isr.FlatnessError):
             isr.run_israel_pipeline(mink, 0.9, 3.0, levels=8,
                                     tail_radius=None, tol=isr.TOL_LVL)

@@ -49,7 +49,7 @@ def test_second_derivatives_match_finite_differences():
     pts = rng.uniform(0.5, 3.0, size=(50, 2))
 
     def f(u, v):
-        return np.sin(u * v) / (u + v) + np.sqrt(u) * np.cos(v)
+        return np.sin(u * v) / (u + v) + np.sqrt(u) * np.sin(2.0 * v)
 
     x, y = variables([pts[:, 0], pts[:, 1]])
     jet = f(x, y)
@@ -73,13 +73,15 @@ def test_numpy_ufunc_dispatch_both_orders():
     assert np.allclose(y.val, 9.0) and np.allclose(y.grad[..., 0], 9.0 * np.log(3.0))
     z = np.subtract(np.float64(5.0), x)
     assert np.isclose(z.val, 3.0) and z.grad[0] == -1.0
-    for ufunc, method in ((np.exp, Jet.exp), (np.log, Jet.log), (np.cos, Jet.cos)):
+    for ufunc, method in ((np.sqrt, Jet.sqrt), (np.sin, Jet.sin)):
         a, b = ufunc(x), method(x)
         for u, v in ((a.val, b.val), (a.grad, b.grad), (a.hess, b.hess)):
             assert np.array_equal(u, v)
     assert +x is x
-    with pytest.raises(TypeError):
-        np.tan(x)
+    # only the ufuncs that package code applies to a jet dispatch
+    for ufunc in (np.tan, np.exp, np.log, np.cos):
+        with pytest.raises(TypeError):
+            ufunc(x)
 
 
 def test_integer_power_edge_cases():

@@ -10,10 +10,9 @@ from photonsphere import geodesics as geo
 from photonsphere import hypersurfaces as hs
 from photonsphere import photon as ph
 from photonsphere.spacetimes import (DomainError, ExpressionProfile,
-                                     SchwarzschildProfile, StaticSpacetime,
-                                     TableProfile)
+                                     SchwarzschildProfile, TableProfile)
 
-ST = StaticSpacetime.schwarzschild(1.0)
+ST = SchwarzschildProfile(1.0)
 RN_PROFILE = ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)",
                                "1/(1 - 2/r + 0.1/r^2)", r_min=1.95)
 
@@ -75,7 +74,7 @@ class TestLocator:
         loc = ph.locate_photon_sphere(SchwarzschildProfile(1.0), (2.2, 10.0))
         devs = {}
         for r0 in (2.5, 2.75, loc.r_ps, 3.25, 3.5):
-            rep = geo.tangency_persistence(ST, hs.cylinder(ST, r0), 20.0)
+            rep = geo.tangency_persistence(hs.cylinder(ST, r0), 20.0)
             devs[r0] = rep.max_deviation
         assert devs[loc.r_ps] < 1e-7
         for r0, dev in devs.items():
@@ -85,7 +84,7 @@ class TestLocator:
 
 @pytest.fixture(scope="module")
 def cert3():
-    return ph.certify_photon_surface(ST, hs.cylinder(ST, 3.0), span=30.0)
+    return ph.certify_photon_surface(hs.cylinder(ST, 3.0), span=30.0)
 
 
 class TestCertification:
@@ -99,20 +98,19 @@ class TestCertification:
         assert cert3.scalar_residual < 1e-10
 
     def test_off_sphere_refuted(self):
-        cert = ph.certify_photon_surface(ST, hs.cylinder(ST, 4.0), span=30.0)
+        cert = ph.certify_photon_surface(hs.cylinder(ST, 4.0), span=30.0)
         assert cert.verdict == "refuted"
         assert cert.umbilicity_sup > 1e-2
         assert cert.tangency.max_deviation > 1e-1
 
     def test_locator_certifier_agreement(self):
         loc = ph.locate_photon_sphere(RN_PROFILE, (2.0, 20.0))
-        strn = StaticSpacetime(RN_PROFILE)
-        cert = ph.certify_photon_surface(strn, hs.cylinder(strn, loc.r_ps),
+        cert = ph.certify_photon_surface(hs.cylinder(RN_PROFILE, loc.r_ps),
                                          span=30.0)
         assert cert.verdict == "certified"
         for factor in (0.8, 1.2):
             cert_off = ph.certify_photon_surface(
-                strn, hs.cylinder(strn, loc.r_ps * factor), span=30.0)
+                hs.cylinder(RN_PROFILE, loc.r_ps * factor), span=30.0)
             assert cert_off.verdict == "refuted"
 
     @pytest.mark.parametrize("seeds", [1, 3, 5, 7])
@@ -120,7 +118,7 @@ class TestCertification:
         # an odd count of tangent seeds has one at direction angle pi, whose
         # orbit is polar: in its orbit plane it completes and stays like the
         # one orbit the certificate integrates
-        cert = ph.certify_photon_surface(ST, hs.cylinder(ST, 3.0), span=40.0)
+        cert = ph.certify_photon_surface(hs.cylinder(ST, 3.0), span=40.0)
         assert cert.tangency.run.status == "completed"
         assert cert.verdict == "certified"
         polar = oracles.tangent_null_seeds(ST, 3.0, seeds, seeds)[seeds // 2]
@@ -131,4 +129,4 @@ class TestCertification:
 
     def test_non_timelike_rejected(self):
         with pytest.raises(ValueError, match="cylinder"):
-            ph.certify_photon_surface(ST, hs.lapse_level_set(ST, 3.0), 40.0)
+            ph.certify_photon_surface(hs.lapse_level_set(ST, 3.0), 40.0)

@@ -14,13 +14,13 @@ from photonsphere import cli
 from photonsphere.calculus import metric_taylor
 from photonsphere.spacetimes import (ChartPoint, DomainError,
                                      ExpressionProfile, SchwarzschildProfile,
-                                     StaticSpacetime, TableProfile,
+                                     TableProfile,
                                      _CubicSpline, compile_expression,
                                      load_profile)
 
 
 def metric4_at(m, point):
-    return metric_taylor(StaticSpacetime.schwarzschild(m).metric4, point.coords4())[0]
+    return metric_taylor(SchwarzschildProfile(m).metric4, point.coords4())[0]
 
 
 def test_schwarzschild_components_at_r3():
@@ -56,11 +56,10 @@ def test_signature_one_negative_three_positive():
     rn = ExpressionProfile("sqrt(1 - 2/r + 0.1/r^2)",
                            "1/(1 - 2/r + 0.1/r^2)", r_min=1.95)
     for prof in (SchwarzschildProfile(1.0), SchwarzschildProfile(0.0), rn):
-        st = StaticSpacetime(prof)
         for _ in range(50):
             p = ChartPoint(r=rng.uniform(2.2, 50.0),
                            theta=rng.uniform(0.2, 2.9))
-            w = np.linalg.eigvalsh(metric_taylor(st.metric4, p.coords4())[0])
+            w = np.linalg.eigvalsh(metric_taylor(prof.metric4, p.coords4())[0])
             assert np.sum(w < 0) == 1 and np.sum(w > 0) == 3
 
 
@@ -293,6 +292,20 @@ def test_load_profile_kinds():
 ])
 def test_bad_profile_field_is_a_named_value_error(spec, field):
     with pytest.raises(ValueError, match=f"'{field}'"):
+        load_profile(spec)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "expression", "lapse": "1", "radial_factor": "1", "r_min": -1e-300},
+     "profile field 'r_min' must be >= 0"),
+    ({"kind": "table", "samples": [[r, 1, 1] for r in (0.0, 1.0, 2.0, 3.0)]},
+     "table profile radii must be positive"),
+    ({"kind": "table", "samples": [[r, 1, 1] for r in (-2.0, -1.0, 1.0, 2.0)]},
+     "table profile radii must be positive"),
+])
+def test_a_radius_that_is_not_positive_is_a_named_value_error(spec, message):
+    # an areal radius is positive: the domain of a profile starts above 0
+    with pytest.raises(ValueError, match=message):
         load_profile(spec)
 
 
