@@ -304,7 +304,7 @@ def _run_detect(scn, loc, out):
 
 def _run_certify(scn, r0, out):
     if r0 is None:
-        raise ScenarioError("certify pipeline needs 'surface_r0' (or a detect hit)")
+        raise ScenarioError("certify pipeline needs 'surface_r0'")
     surface = hypersurfaces.cylinder(scn.profile, r0)
     cert = photon.certify_photon_surface(surface, span=scn.span)
     _write_json(os.path.join(out, "certificate.json"), _certificate_payload(cert))
@@ -313,21 +313,23 @@ def _run_certify(scn, r0, out):
 
 
 def _run_israel(scn, loc, out):
-    """The israel report of a run; a flat slice is ``rejected-flat``, exit 2."""
+    """Write the israel files of a run; return its exit code and report.
+    A flat slice is ``rejected-flat``, exit 2.  The report is None where no
+    foliation was run: no photon sphere, or a flat slice."""
     path = os.path.join(out, "israel_report.json")
     try:
         if not loc.found:
             israel.check_not_flat(scn.profile, np.geomspace(*scn.scan, 5))
             _write_json(path, {"scenario": scn.name, "status": "no-photon-sphere",
                                "scan": list(scn.scan)})
-            return EXIT_FALSE
+            return EXIT_FALSE, None
         report = israel.run_israel_pipeline(
             scn.profile, loc.lapse_at_ps, loc.r_ps, levels=scn.levels,
             tail_radius=scn.tail_radius, tol=scn.tolerance)
     except israel.FlatnessError as exc:
         _write_json(path, {"scenario": scn.name, "status": "rejected-flat",
                            "detail": str(exc)})
-        return EXIT_ERROR
+        return EXIT_ERROR, None
     _write_json(path, {"scenario": scn.name, **_israel_payload(report)})
     columns = _level_table(report)
     _write_table(os.path.join(out, "israel_levels.csv"), list(columns),
@@ -336,31 +338,27 @@ def _run_israel(scn, loc, out):
     _write_table(os.path.join(out, "slacks_of_N.csv"),
                  ["N", "slack34", "slack35"],
                  [columns["N"], report.slacks.slack34, report.slacks.slack35])
-    return {"isometric": EXIT_TRUE, "not-isometric": EXIT_FALSE}.get(
+    code = {"isometric": EXIT_TRUE, "not-isometric": EXIT_FALSE}.get(
         report.verdict, EXIT_ERROR)
+    return code, report
 
 
 def _run_reconstruct(scn, loc, out):
-    if not loc.found:
-        _write_json(os.path.join(out, "reconstruction.json"),
-                    {"scenario": scn.name, "status": "no-photon-sphere"})
-        return EXIT_FALSE
-    mass = scn.profile.mass_hint
-    if mass is None:
-        fol = israel.build_foliation(scn.profile, loc.lapse_at_ps, levels=8,
-                                     r_hint=loc.r_ps)
-        mass = float(israel.mass_flux(fol)[0])
-    rec = israel.reconstruct_lapse(mass, loc.lapse_at_ps, loc.r_ps,
-                                   r_max=scn.tail_radius)
-    _write_json(os.path.join(out, "reconstruction.json"), {
-        "scenario": scn.name,
-        "A_ode": rec.a_ode, "B_ode": rec.b_ode,
-        "A_closed_form": rec.a_closed, "B_closed_form": rec.b_closed,
-        "sup_deviation": rec.sup_deviation, "mass": mass,
-    })
-    _write_table(os.path.join(out, "reconstructed_lapse.csv"),
-                 ["r", "N"], [rec.r_grid, rec.lapse_profile])
-    return EXIT_TRUE
+    """The israel files of a run, then the reconstruction files of their
+    report, its rigidity solve from the flux mass.  Returns the israel exit
+    code and report, None where there is no report to reconstruct from."""
+    code, report = _run_israel(scn, loc, out)
+    if report is not None:
+        rec = report.reconstruction
+        _write_json(os.path.join(out, "reconstruction.json"), {
+            "scenario": scn.name,
+            "A_ode": rec.a_ode, "B_ode": rec.b_ode,
+            "A_closed_form": rec.a_closed, "B_closed_form": rec.b_closed,
+            "sup_deviation": rec.sup_deviation, "mass": report.mass,
+        })
+        _write_table(os.path.join(out, "reconstructed_lapse.csv"),
+                     ["r", "N"], [rec.r_grid, rec.lapse_profile])
+    return code, report
 
 
 def run_scenario(scn, out_dir, dump_curvature=None):
@@ -381,16 +379,20 @@ def run_scenario(scn, out_dir, dump_curvature=None):
     if scn.pipeline == "certify":
         return _run_certify(scn, scn.surface_r0, out_dir)
     if scn.pipeline == "israel":
-        return _run_israel(scn, loc, out_dir)
+        return _run_israel(scn, loc, out_dir)[0]
     if scn.pipeline == "reconstruct":
-        return _run_reconstruct(scn, loc, out_dir)
+        if not loc.found:
+            _write_json(os.path.join(out_dir, "reconstruction.json"),
+                        {"scenario": scn.name, "status": "no-photon-sphere"})
+            return EXIT_FALSE
+        code, report = _run_reconstruct(scn, loc, out_dir)
+        return code if report is None else EXIT_TRUE
     # full: detect -> certify -> israel -> reconstruct
     _run_detect(scn, loc, out_dir)
     if not loc.found:
         return EXIT_FALSE
     cert_code = _run_certify(scn, loc.r_ps, out_dir)
-    code = _run_israel(scn, loc, out_dir)
-    _run_reconstruct(scn, loc, out_dir)
+    code = _run_reconstruct(scn, loc, out_dir)[0]
     # the run is as good as its weakest verdict: 0 < 1 < 2
     return max(cert_code, code)
 

@@ -348,7 +348,8 @@ def _integrate_plane(profile, y0, span, tol):
     trajectory ends in "domain-exit" when an accepted step has r within a
     relative DOMAIN_GUARD_RTOL of r_min or A = N^2 <= DOMAIN_GUARD_RTOL, or
     when its step underflows after a failed stage with no step accepted
-    since.
+    since; a step underflows below 1e-14 of the span, so the floor scales
+    with the orbit.
 
     Returns the rows (lambda, t, r, psi, vt, vr, vpsi) of the projected
     initial state and of every accepted step, the pre-projection |g(v, v)|
@@ -378,7 +379,7 @@ def _integrate_plane(profile, y0, span, tol):
     r_stop = profile.r_min * (1.0 + DOMAIN_GUARD_RTOL) if profile.r_min > 0 else 0.0
     # stop at r <= r_stop (1 + 1e-12), or at r < 1e-9 when there is no r_min
     r_exit = r_stop * (1.0 + 1e-12) if r_stop > 0.0 else math.nextafter(1e-9, 0.0)
-    h_floor = 1e-14 * max(1.0, span)
+    h_floor = 1e-14 * span
     atol = rtol = tol
     lam, step, taken, h_min = 0.0, 0, 0, math.inf   # step: attempted steps
     halted = False     # reached the domain edge

@@ -110,21 +110,22 @@ def _leaf_block(profile, r_levels):
             sd.normal_rate, sd.tracefree_norm, 0.5 * induced.scalar)
 
 
-def build_foliation(profile, n0, levels, tail_radius=None, r_hint=None):
+def build_foliation(profile, n0, levels, tail_radius=None, *, r_hint):
     """Foliate [N0, N(tail_radius)] by lapse level sets.
 
-    Levels sit at the Chebyshev points of s in the geometric level map
-    u = 1 - N^2 = u0 ratio^s (see module docstring).  The radii of all
-    levels are bisected at once, in one ``quad.bisect`` call on one shared
-    bracket; the leaves are then sampled together, each at its one point.
-    Raises DomainError naming the first level the bracket does not hold or
-    a ``tail_radius`` where N is 1 to rounding, and FoliationError when
-    |dN| degenerates.
+    ``r_hint`` is the photon-sphere radius, where N = N0; the default
+    ``tail_radius`` is TAIL_RADIUS_FACTOR r_hint / 3, which is
+    TAIL_RADIUS_FACTOR m on Schwarzschild.  Levels sit at the Chebyshev
+    points of s in the geometric level map u = 1 - N^2 = u0 ratio^s (see
+    module docstring).  The radii of all levels are bisected at once, in
+    one ``quad.bisect`` call on one shared bracket from ``r_hint`` up; the
+    leaves are then sampled together, each at its one point.  Raises
+    DomainError naming the first level the bracket does not hold or a
+    ``tail_radius`` where N is 1 to rounding, and FoliationError when |dN|
+    degenerates.
     """
-    mass_scale = abs(profile.mass_hint) if profile.mass_hint else None
     if tail_radius is None:
-        base = mass_scale if mass_scale else (r_hint or 1.0) / 3.0
-        tail_radius = TAIL_RADIUS_FACTOR * base
+        tail_radius = TAIL_RADIUS_FACTOR * r_hint / 3.0
 
     n_end = float(profile.lapse(tail_radius))
     if abs(n_end - 1.0) < 1e-13:  # N0 < 1 is required below: not a flat slice
@@ -142,8 +143,7 @@ def build_foliation(profile, n0, levels, tail_radius=None, r_hint=None):
     dn_ds = -u * math.log(ratio) / (2.0 * n_values)
 
     # the lapse is monotone, so one bracket holds the root of every level
-    r_lo = r_hint if r_hint else profile.r_min * (1.0 + 1e-6) + 1e-12
-    r_lo, r_hi = r_lo * (1.0 - 1e-12), 1.01 * tail_radius
+    r_lo, r_hi = r_hint * (1.0 - 1e-12), 1.01 * tail_radius
     try:
         radii = quad.bisect(lambda r: profile.lapse(r) - n_values,
                             np.full(levels, r_lo), np.full(levels, r_hi))
@@ -452,7 +452,7 @@ class ReconstructionResult:
     lapse_profile: np.ndarray
 
 
-def reconstruct_lapse(mass, n0, r0, r_max=None):
+def reconstruct_lapse(mass, n0, r0, r_max):
     """Solve the rigidity ODE and fit the Schwarzschild constants.
 
     In s = log r the ODE reads u_ss + u_s = 0.  It is collocated on
@@ -466,15 +466,9 @@ def reconstruct_lapse(mass, n0, r0, r_max=None):
 
     The nodes resolve e^{-s} to about 1e-13 only while |log(r_max/r0)| <=
     log(RECONSTRUCTION_MAX_RATIO), and a wider range raises ValueError.
+    The one caller, ``run_israel_pipeline``, passes the photon-sphere leaf's
+    N0 in (0, 1) and area radius r0 > 0, and the tail radius as r_max > r0.
     """
-    if not 0.0 < n0 < 1.0:
-        raise ValueError(f"N0 = {n0} outside the maximum-principle range (0, 1)")
-    if r0 <= 0.0:
-        raise ValueError("r0 must be positive")
-    if r_max is None:
-        r_max = TAIL_RADIUS_FACTOR * max(abs(mass), r0 / 3.0)
-    if r_max == r0:
-        raise ValueError("r_max must differ from r0")
     if abs(math.log(r_max / r0)) > math.log(RECONSTRUCTION_MAX_RATIO):
         raise ValueError(
             f"radius ratio r_max/r0 = {r_max / r0:.6g} is outside "
@@ -552,7 +546,9 @@ def _field_gate(name, tol, *fields):
 class IsraelReport:
     """The pipeline's results.  ``tracefree`` holds the dimensionless
     trace-free norm r_area |h_tracefree| of each leaf, computed once for its
-    gate and the written tables."""
+    gate and the written tables; ``reconstruction`` is the one rigidity
+    solve of the run, from the flux mass, which the ``reconstruction`` gate
+    reads."""
 
     mass: float
     flux_by_level: tuple
@@ -562,6 +558,7 @@ class IsraelReport:
     slacks: InequalitySlacks
     sign: GlobalSign
     foliation: Foliation
+    reconstruction: ReconstructionResult
     gates: tuple
     verdict: str          # "isometric" | "not-isometric" | "inconclusive"
     tol: float
@@ -616,4 +613,4 @@ def run_israel_pipeline(profile, n0, r_ps, levels, tail_radius, tol):
     verdict = ("inconclusive" if True in failed
                else "not-isometric" if failed else "isometric")
     return IsraelReport(mass, tuple(fluxes.tolist()), tracefree, bnd, ids,
-                        slacks, sign, foliation, gates, verdict, tol)
+                        slacks, sign, foliation, recon, gates, verdict, tol)

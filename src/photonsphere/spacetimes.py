@@ -65,7 +65,6 @@ class RadialProfile:
     """
 
     r_min = 0.0
-    mass_hint = None
 
     @property
     def metric4(self):
@@ -141,10 +140,6 @@ class SchwarzschildProfile(RadialProfile):
     @property
     def r_min(self):
         return self.m * (2.0 + HORIZON_EDGE_RTOL) if self.m > 0 else 0.0
-
-    @property
-    def mass_hint(self):
-        return self.m
 
     def lapse(self, r):
         return np.sqrt(1.0 - 2.0 * self.m / r)
@@ -250,7 +245,6 @@ class ExpressionProfile(RadialProfile):
     lapse_src: str
     radial_factor_src: str
     r_min: float = 0.0
-    mass_hint: float = None
     _fns: tuple = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
@@ -321,7 +315,7 @@ class TableProfile(RadialProfile):
     sampled range.
     """
 
-    def __init__(self, samples, mass_hint=None):
+    def __init__(self, samples):
         try:
             samples = np.asarray(samples, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -343,7 +337,6 @@ class TableProfile(RadialProfile):
         self._b = _CubicSpline(r, samples[:, 2])
         self.r_min = float(r[0])
         self.r_max = float(r[-1])
-        self.mass_hint = mass_hint
         self._samples = samples
 
     def _inside(self, v):
@@ -411,7 +404,9 @@ def load_profile(spec):
     """Build a profile from a dict, the ``profile`` object of a scenario.
 
     A spec that is not a dict, or a field that is missing or of the wrong
-    type, raises ValueError naming the field.
+    type, raises ValueError naming the field.  A key that names no field of
+    its kind, such as the ``m`` of an ``expression`` or ``table`` spec, is
+    ignored: only a ``schwarzschild`` profile is defined by its mass.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"profile must be a JSON object, not {type(spec).__name__}")
@@ -421,12 +416,11 @@ def load_profile(spec):
     if kind == "table":
         if "samples" not in spec:
             raise ValueError("profile field 'samples' is missing")
-        return TableProfile(spec["samples"], mass_hint=_spec_number(spec, "m", None))
+        return TableProfile(spec["samples"])
     if kind == "expression":
         return ExpressionProfile(_spec_expression(spec, "lapse"),
                                  _spec_expression(spec, "radial_factor"),
-                                 r_min=_spec_number(spec, "r_min", 0.0),
-                                 mass_hint=_spec_number(spec, "m", None))
+                                 r_min=_spec_number(spec, "r_min", 0.0))
     raise ValueError(f"unknown profile kind {kind!r}")
 
 

@@ -11,6 +11,7 @@ import pytest
 import oracles
 from photonsphere import cli
 from photonsphere import geodesics as geo
+from photonsphere import israel
 from photonsphere import photon
 from photonsphere.calculus import curvature
 from photonsphere.spacetimes import ChartPoint, SchwarzschildProfile
@@ -50,8 +51,7 @@ class TestScenarioValidation:
         ('{"profile": {"kind": "expression", "radial_factor": "1"}}', "'lapse'"),
         ('{"profile": {"kind": "schwarzschild"}}', "'m'"),
         ('{"profile": {"kind": "schwarzschild", "m": null}}', "'m'"),
-        ('{"profile": {"kind": "expression", "lapse": "sqrt(1-2/r)", '
-         '"radial_factor": "1/(1-2/r)", "r_min": 2.01, "m": "two"}}', "'m'"),
+        ('{"profile": {"kind": "schwarzschild", "m": "two"}}', "'m'"),
         ('{"profile": {"kind": "schwarzschild", "m": 1}, "trace": [1]}', "'trace'"),
         ('{"profile": {"kind": "schwarzschild", "m": 1%s}}' % ("0" * 5000),
          "unreadable scenario"),
@@ -127,33 +127,44 @@ class TestScenarioValidation:
 
     def test_seed_keys_are_ignored(self, tmp_path):
         # scenario files written for a seeded certificate still load, and
-        # their seed keys change no output
-        outs = []
-        for extra in ({}, {"seeds": 32, "rng_seed": 7}):
-            scn = tmp_path / f"scn{len(extra)}.json"
-            scn.write_text(json.dumps({
-                "schema": 1, "name": "r3m", "pipeline": "full",
-                "scan": [2.2, 50.0], "levels": 8, "span": 20.0, "profile": {"kind": "schwarzschild", "m": 1},
-                **extra}))
-            outs.append(tmp_path / f"o{len(extra)}")
-            assert run(["full", "--scenario", str(scn),
-                        "--out", str(outs[-1])]) == cli.EXIT_FALSE
-        names = sorted(os.listdir(outs[0]))
-        assert names == sorted(os.listdir(outs[1]))
-        assert "certificate.json" in names
-        for name in names:
-            assert ((outs[0] / name).read_bytes()
-                    == (outs[1] / name).read_bytes()), name
+        # their seed keys change no output; nor does the ``m`` key of an
+        # expression or table profile, whose mass is the measured flux
+        r = np.geomspace(2.05, 130.0, 160)
+        profiles = [
+            {"kind": "expression", "lapse": "sqrt(1 - 2/r)",
+             "radial_factor": "1/(1 - 2/r)", "r_min": 2.0},
+            {"kind": "table", "samples": np.column_stack(
+                [r, np.sqrt(1 - 2 / r), 1 / (1 - 2 / r)]).tolist()}]
+        schw = {"profile": {"kind": "schwarzschild", "m": 1}}
+        pairs = [(schw, {**schw, "seeds": 32, "rng_seed": 7})] + [
+            ({"profile": p}, {"profile": {**p, "m": 2.0}}) for p in profiles]
+        for k, pair in enumerate(pairs):
+            outs = []
+            for extra in pair:
+                scn = tmp_path / f"scn{k}-{len(outs)}.json"
+                scn.write_text(json.dumps({
+                    "schema": 1, "name": "r3m", "pipeline": "full",
+                    "scan": [2.2, 50.0], "levels": 8, "span": 20.0, **extra}))
+                outs.append(tmp_path / f"o{k}-{len(outs)}")
+                assert run(["full", "--scenario", str(scn),
+                            "--out", str(outs[-1])]) == cli.EXIT_FALSE
+            names = sorted(os.listdir(outs[0]))
+            assert names == sorted(os.listdir(outs[1]))
+            assert "reconstruction.json" in names
+            for name in names:
+                assert ((outs[0] / name).read_bytes()
+                        == (outs[1] / name).read_bytes()), (k, name)
 
     def test_certify_with_no_integration_is_inconclusive(self, tmp_path):
-        # the orbit's first step underflows: it does not show tangency
+        # the orbit's first step is below 1e-14 of the span: it does not
+        # show tangency
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
             "schema": 1, "pipeline": "certify", "surface_r0": 3.0,
             "profile": {"kind": "schwarzschild", "m": 1}}))
         out = tmp_path / "o"
         assert run(["certify", "--scenario", str(scn), "--out", str(out),
-                    "--span", "1e-300"]) == cli.EXIT_ERROR
+                    "--span", "1e300"]) == cli.EXIT_ERROR
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["verdict"] == "inconclusive"
         tangency = cert["tangency"]
@@ -189,8 +200,8 @@ class TestExitCodes:
     def test_vanishing_flux_is_rejected_flat_by_both_pipelines(
             self, tmp_path, capsys, pipeline):
         # g_rr = 1e20 keeps the m = 1 lapse but makes the mass flux 1.7e-10:
-        # both pipelines write the same rejected-flat report, and full then
-        # reconstructs, as the reconstruct pipeline does
+        # both pipelines write the same rejected-flat report, and neither
+        # full nor reconstruct writes a reconstruction without a report
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
             "schema": 1, "pipeline": pipeline, "scan": [2.2, 50.0],
@@ -207,9 +218,13 @@ class TestExitCodes:
         if pipeline == "full":
             alone = tmp_path / "reconstruct"
             assert run(["reconstruct", "--scenario", str(scn),
-                        "--out", str(alone)]) == cli.EXIT_TRUE
-            for name in ("reconstruction.json", "reconstructed_lapse.csv"):
-                assert (out / name).read_bytes() == (alone / name).read_bytes()
+                        "--out", str(alone)]) == cli.EXIT_ERROR
+            assert capsys.readouterr().err == ""
+            assert os.listdir(alone) == ["israel_report.json"]
+            assert ((alone / "israel_report.json").read_bytes()
+                    == (out / "israel_report.json").read_bytes())
+            assert sorted(os.listdir(out)) == [
+                "certificate.json", "israel_report.json", "location.json"]
 
     @pytest.mark.parametrize("scale", [1.0, 1e8])
     def test_flat_table_is_rejected_flat_at_every_scale(self, tmp_path, scale):
@@ -263,7 +278,7 @@ class TestExitCodes:
         # the Israel verdict is isometric, but the orbit does not integrate
         out = tmp_path / "o"
         assert run(["full", "--scenario", "schwarzschild_m1", "--out", str(out),
-                    "--span", "1e-300", "--levels", "24", "--tol", "1e-3"]
+                    "--span", "1e300", "--levels", "24", "--tol", "1e-3"]
                    ) == cli.EXIT_ERROR
         cert = json.loads((out / "certificate.json").read_text())
         assert cert["verdict"] == "inconclusive"
@@ -272,16 +287,20 @@ class TestExitCodes:
 
     def test_reconstruct_past_the_collocation_range_is_a_named_error(
             self, tmp_path, capsys):
-        # r_max/r0 = 1e16/3 is beyond the 1e12 that the rigidity ODE's
-        # collocation nodes resolve
+        # r_max/r0 = 1e13/9 is beyond the 1e12 that the rigidity ODE's
+        # collocation nodes resolve.  The lapse 1 - 2/sqrt(r), whose photon
+        # sphere is r = 9, keeps r |dN| above the foliation's floor out to
+        # the tail; a Schwarzschild lapse falls below it first
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
-            "schema": 1, "pipeline": "reconstruct", "tail_radius": 1e16,
-            "profile": {"kind": "schwarzschild", "m": 1}}))
+            "schema": 1, "pipeline": "reconstruct", "scan": [5.0, 50.0],
+            "tail_radius": 1e13,
+            "profile": {"kind": "expression", "lapse": "1 - 2/sqrt(r)",
+                        "radial_factor": "1", "r_min": 4.5}}))
         out = tmp_path / "o"
         assert run(["reconstruct", "--scenario", str(scn),
                     "--out", str(out)]) == cli.EXIT_ERROR
-        assert "radius ratio r_max/r0 = 3.33333e+15" in capsys.readouterr().err
+        assert "radius ratio r_max/r0 = 1.11111e+12" in capsys.readouterr().err
         assert not (out / "reconstruction.json").exists()
 
     @staticmethod
@@ -314,8 +333,8 @@ class TestExitCodes:
     def test_israel_verdict_is_scale_covariant(self, tmp_path, m):
         self._assert_isometric_at_scale(tmp_path, m)
 
-    @pytest.mark.parametrize("m", [1e-13, 1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7,
-                                   1e80])
+    @pytest.mark.parametrize("m", [1e-150, 1e-100, 1e-20, 1e-14, 1e-13,
+                                   1e-12, 1e-9, 1e4, 1e5, 3e5, 1e7, 1e80])
     def test_certify_verdict_is_scale_covariant(self, tmp_path, m):
         # the m = 1 detect and certify runs with every length scaled by m:
         # the certificate gates r0 |h_tracefree| and |r - r0| / r0, and
@@ -556,6 +575,34 @@ class TestOutputs:
                     "--out", str(tmp_path / "o"), *flags]) == cli.EXIT_TRUE
         assert calls == [(2.2, 50.0)]
 
+    @pytest.mark.parametrize("command", ["full", "reconstruct"])
+    def test_one_rigidity_solve_per_run(self, tmp_path, monkeypatch, command):
+        # the reconstruction is the israel pipeline's own, from the flux mass
+        masses = []
+        solve = israel.reconstruct_lapse
+
+        def counted(*args, **kwargs):
+            masses.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(israel, "reconstruct_lapse", counted)
+        out = tmp_path / "o"
+        assert run([command, "--scenario", "schwarzschild_m1",
+                    "--out", str(out)]) == cli.EXIT_TRUE
+        rep = json.loads((out / "israel_report.json").read_text())
+        assert masses == [rep["mass"]]
+
+    def test_reconstruction_files_hold_the_reports_solve(self, tmp_path):
+        # the flux mass of a non-vacuum profile is not its m = 1 lapse term
+        out = tmp_path / "o"
+        assert run(["full", "--scenario", "reissner_perturbed",
+                    "--out", str(out)]) == cli.EXIT_FALSE
+        rep = json.loads((out / "israel_report.json").read_text())
+        rec = json.loads((out / "reconstruction.json").read_text())
+        gate = next(g for g in rep["gates"] if g["name"] == "reconstruction")
+        assert rec["mass"] == rep["mass"] != 1.0
+        assert rec["sup_deviation"] == gate["value"]
+
     def test_curvature_dump_flag(self, tmp_path):
         out = str(tmp_path / "o")
         dump = str(tmp_path / "bundle.json")
@@ -767,6 +814,33 @@ class TestBundledSuitePartition:
         rep = json.loads((tmp_path / "o" / "israel_report.json").read_text())
         assert rep["verdict"] == "isometric"
         assert abs(rep["mass"] - 2.0) < 1e-8
+
+    # the exit code of each pipeline on each bundled scenario, in the order
+    # of cli.PIPELINES: trace, detect, certify, israel, reconstruct, full
+    BUNDLED_EXIT_CODES = {
+        "schwarzschild_m1": (0, 0, 2, 0, 0, 0),
+        "schwarzschild_m2": (2, 0, 2, 0, 0, 0),
+        "minkowski": (2, 1, 2, 2, 1, 1),
+        "negative_mass": (2, 1, 2, 1, 1, 1),
+        "reissner_perturbed": (2, 0, 2, 1, 0, 1),
+        "r4m_cylinder": (0, 0, 1, 0, 0, 0),
+    }
+
+    def test_every_bundled_run_is_pinned(self, tmp_path, capsys):
+        # 6 scenarios x 6 pipelines, detect with a curvature dump: each run
+        # keeps its exit code, and its stderr is empty or one error line
+        for name, expected in self.BUNDLED_EXIT_CODES.items():
+            codes = []
+            for command in cli.PIPELINES:
+                out = tmp_path / f"{name}-{command}"
+                dump = (["--dump-curvature", str(out / "curvature.json")]
+                        if command == "detect" else [])
+                codes.append(run([command, "--scenario", name,
+                                  "--out", str(out), *dump]))
+                err = capsys.readouterr().err
+                assert err == "" or re.fullmatch(r"error: [^\n]*\n", err), (
+                    name, command, err)
+            assert tuple(codes) == expected, name
 
     def test_partition_of_negative_scenarios(self, tmp_path):
         codes = {}
