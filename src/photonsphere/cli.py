@@ -1,6 +1,6 @@
 """Scenario-driven command line front end.
 
-Subcommands: trace, detect, certify, israel, reconstruct, full.  Each takes
+Subcommands: trace, detect, certify, israel, full.  Each takes
 a JSON scenario file plus optional overrides, writes its reports and data
 tables under --out, and exits 0 for certified/true verdicts, 1 for
 refuted/false and 2 for inconclusive results or errors.  Nothing is
@@ -31,7 +31,7 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
 
-PIPELINES = ("trace", "detect", "certify", "israel", "reconstruct", "full")
+PIPELINES = ("trace", "detect", "certify", "israel", "full")
 TOLERANCE_PIPELINES = ("israel", "full")  # the ones that read the tolerance
 MIN_LEVELS = 8  # the identities need 7 levels and the inequality slacks 8
 # The level derivative builds a levels x levels matrix, and one jet
@@ -200,12 +200,13 @@ def _certificate_payload(cert):
 def _level_table(report):
     """The per-level columns by name, in the order of ``israel_levels.csv``:
     N, area radius, rho, H, the dimensionless trace-free norm
-    r_area |h_tracefree| and the three identity residuals, each one value
-    per leaf."""
-    fol, ids = report.foliation, report.identities
+    r_area |h_tracefree|, the three identity residuals and the two
+    pointwise slacks, each one value per leaf."""
+    fol, ids, slacks = report.foliation, report.identities, report.slacks
     return {"N": fol.N, "r": fol.area_radius, "rho": fol.rho, "H": fol.H,
             "tracefree_sup": report.tracefree, "res31": ids.res31,
-            "res32": ids.res32, "res33": ids.res33}
+            "res32": ids.res32, "res33": ids.res33,
+            "slack34": slacks.slack34, "slack35": slacks.slack35}
 
 
 def _israel_payload(report):
@@ -313,52 +314,39 @@ def _run_certify(scn, r0, out):
 
 
 def _run_israel(scn, loc, out):
-    """Write the israel files of a run; return its exit code and report.
-    A flat slice is ``rejected-flat``, exit 2.  The report is None where no
-    foliation was run: no photon sphere, or a flat slice."""
+    """Write the israel report of a run, its level table and the report's
+    rigidity solve, from the flux mass; return the exit code.  Where no
+    photon sphere is found, or the slice is flat (``rejected-flat``, exit
+    2), the report alone."""
     path = os.path.join(out, "israel_report.json")
     try:
         if not loc.found:
             israel.check_not_flat(scn.profile, np.geomspace(*scn.scan, 5))
             _write_json(path, {"scenario": scn.name, "status": "no-photon-sphere",
                                "scan": list(scn.scan)})
-            return EXIT_FALSE, None
+            return EXIT_FALSE
         report = israel.run_israel_pipeline(
             scn.profile, loc.lapse_at_ps, loc.r_ps, levels=scn.levels,
             tail_radius=scn.tail_radius, tol=scn.tolerance)
     except israel.FlatnessError as exc:
         _write_json(path, {"scenario": scn.name, "status": "rejected-flat",
                            "detail": str(exc)})
-        return EXIT_ERROR, None
+        return EXIT_ERROR
     _write_json(path, {"scenario": scn.name, **_israel_payload(report)})
     columns = _level_table(report)
     _write_table(os.path.join(out, "israel_levels.csv"), list(columns),
                  columns.values())
-    # plot-ready: the two pointwise slacks against N
-    _write_table(os.path.join(out, "slacks_of_N.csv"),
-                 ["N", "slack34", "slack35"],
-                 [columns["N"], report.slacks.slack34, report.slacks.slack35])
-    code = {"isometric": EXIT_TRUE, "not-isometric": EXIT_FALSE}.get(
+    rec = report.reconstruction
+    _write_json(os.path.join(out, "reconstruction.json"), {
+        "scenario": scn.name,
+        "A_ode": rec.a_ode, "B_ode": rec.b_ode,
+        "A_closed_form": rec.a_closed, "B_closed_form": rec.b_closed,
+        "sup_deviation": rec.sup_deviation, "mass": report.mass,
+    })
+    _write_table(os.path.join(out, "reconstructed_lapse.csv"),
+                 ["r", "N"], [rec.r_grid, rec.lapse_profile])
+    return {"isometric": EXIT_TRUE, "not-isometric": EXIT_FALSE}.get(
         report.verdict, EXIT_ERROR)
-    return code, report
-
-
-def _run_reconstruct(scn, loc, out):
-    """The israel files of a run, then the reconstruction files of their
-    report, its rigidity solve from the flux mass.  Returns the israel exit
-    code and report, None where there is no report to reconstruct from."""
-    code, report = _run_israel(scn, loc, out)
-    if report is not None:
-        rec = report.reconstruction
-        _write_json(os.path.join(out, "reconstruction.json"), {
-            "scenario": scn.name,
-            "A_ode": rec.a_ode, "B_ode": rec.b_ode,
-            "A_closed_form": rec.a_closed, "B_closed_form": rec.b_closed,
-            "sup_deviation": rec.sup_deviation, "mass": report.mass,
-        })
-        _write_table(os.path.join(out, "reconstructed_lapse.csv"),
-                     ["r", "N"], [rec.r_grid, rec.lapse_profile])
-    return code, report
 
 
 def run_scenario(scn, out_dir, dump_curvature=None):
@@ -379,22 +367,14 @@ def run_scenario(scn, out_dir, dump_curvature=None):
     if scn.pipeline == "certify":
         return _run_certify(scn, scn.surface_r0, out_dir)
     if scn.pipeline == "israel":
-        return _run_israel(scn, loc, out_dir)[0]
-    if scn.pipeline == "reconstruct":
-        if not loc.found:
-            _write_json(os.path.join(out_dir, "reconstruction.json"),
-                        {"scenario": scn.name, "status": "no-photon-sphere"})
-            return EXIT_FALSE
-        code, report = _run_reconstruct(scn, loc, out_dir)
-        return code if report is None else EXIT_TRUE
-    # full: detect -> certify -> israel -> reconstruct
+        return _run_israel(scn, loc, out_dir)
+    # full: detect -> certify -> israel
     _run_detect(scn, loc, out_dir)
     if not loc.found:
         return EXIT_FALSE
     cert_code = _run_certify(scn, loc.r_ps, out_dir)
-    code = _run_reconstruct(scn, loc, out_dir)[0]
     # the run is as good as its weakest verdict: 0 < 1 < 2
-    return max(cert_code, code)
+    return max(cert_code, _run_israel(scn, loc, out_dir))
 
 
 def bundled_scenario_path(name):

@@ -129,10 +129,10 @@ def normal_data(surface, x, ginv):
         name, scale = f"r {name}", x[surface.normal_axis] ** 2
     bad = np.abs(q) * scale < FOLIATION_DN_FLOOR ** 2
     if np.any(bad):
-        level = np.broadcast_to(surface.level_value, bad.shape)[bad][0]
+        r0 = float(np.broadcast_to(surface.level_value, bad.shape)[bad][0])
         raise FoliationError(
             f"foliation failure: {name} < {FOLIATION_DN_FLOOR} "
-            f"on {surface.kind} at level {level}")
+            f"on the {surface.kind} r0 = {r0!r}")
     eta_d = w / np.sqrt(q)[..., None]
     eta_u = np.einsum("...ab,...b->...a", ginv, eta_d)
     # outward orientation: eta(r) > 0

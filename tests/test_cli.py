@@ -193,6 +193,8 @@ class TestExitCodes:
     def test_minkowski_israel_rejected_flat(self, tmp_path):
         out = str(tmp_path / "o")
         assert run(["israel", "--scenario", "minkowski", "--out", out]) == 2
+        # the report alone: no foliation, so no level table or reconstruction
+        assert os.listdir(out) == ["israel_report.json"]
         rep = json.loads((tmp_path / "o" / "israel_report.json").read_text())
         assert rep["status"] == "rejected-flat"
 
@@ -200,8 +202,8 @@ class TestExitCodes:
     def test_vanishing_flux_is_rejected_flat_by_both_pipelines(
             self, tmp_path, capsys, pipeline):
         # g_rr = 1e20 keeps the m = 1 lapse but makes the mass flux 1.7e-10:
-        # both pipelines write the same rejected-flat report, and neither
-        # full nor reconstruct writes a reconstruction without a report
+        # both pipelines write the same rejected-flat report and neither
+        # writes a level table or reconstruction
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
             "schema": 1, "pipeline": pipeline, "scan": [2.2, 50.0],
@@ -215,16 +217,9 @@ class TestExitCodes:
         rep = json.loads((out / "israel_report.json").read_text())
         assert rep["status"] == "rejected-flat"
         assert rep["detail"].startswith("the mass flux 1.73e-10 vanishes")
-        if pipeline == "full":
-            alone = tmp_path / "reconstruct"
-            assert run(["reconstruct", "--scenario", str(scn),
-                        "--out", str(alone)]) == cli.EXIT_ERROR
-            assert capsys.readouterr().err == ""
-            assert os.listdir(alone) == ["israel_report.json"]
-            assert ((alone / "israel_report.json").read_bytes()
-                    == (out / "israel_report.json").read_bytes())
-            assert sorted(os.listdir(out)) == [
-                "certificate.json", "israel_report.json", "location.json"]
+        assert sorted(os.listdir(out)) == (
+            ["certificate.json", "israel_report.json", "location.json"]
+            if pipeline == "full" else ["israel_report.json"])
 
     @pytest.mark.parametrize("scale", [1.0, 1e8])
     def test_flat_table_is_rejected_flat_at_every_scale(self, tmp_path, scale):
@@ -293,15 +288,15 @@ class TestExitCodes:
         # the tail; a Schwarzschild lapse falls below it first
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
-            "schema": 1, "pipeline": "reconstruct", "scan": [5.0, 50.0],
+            "schema": 1, "pipeline": "israel", "scan": [5.0, 50.0],
             "tail_radius": 1e13,
             "profile": {"kind": "expression", "lapse": "1 - 2/sqrt(r)",
                         "radial_factor": "1", "r_min": 4.5}}))
         out = tmp_path / "o"
-        assert run(["reconstruct", "--scenario", str(scn),
+        assert run(["israel", "--scenario", str(scn),
                     "--out", str(out)]) == cli.EXIT_ERROR
         assert "radius ratio r_max/r0 = 1.11111e+12" in capsys.readouterr().err
-        assert not (out / "reconstruction.json").exists()
+        assert os.listdir(out) == []
 
     @staticmethod
     def _assert_isometric_at_scale(tmp_path, m):
@@ -457,8 +452,7 @@ class TestExitCodes:
         assert err == "error: initial velocity has no spatial direction\n"
         assert not (out / "trace.json").exists()
 
-    @pytest.mark.parametrize("pipeline", ["detect", "israel", "full",
-                                          "reconstruct"])
+    @pytest.mark.parametrize("pipeline", ["detect", "israel", "full"])
     def test_scan_to_the_end_of_the_float_range_is_clean(
             self, tmp_path, capsys, pipeline):
         # r * r overflows in the lapse slope at the scan's far end, where
@@ -510,9 +504,13 @@ class TestOutputs:
             [tr.samples, tr.null_residuals, tr.energies]))
 
     def test_reconstruct_outputs(self, tmp_path):
+        # israel writes its report's rigidity solve next to the report
         out = str(tmp_path / "o")
-        assert run(["reconstruct", "--scenario", "schwarzschild_m1",
+        assert run(["israel", "--scenario", "schwarzschild_m1",
                     "--out", out]) == 0
+        assert sorted(os.listdir(out)) == [
+            "israel_levels.csv", "israel_report.json", "reconstructed_lapse.csv",
+            "reconstruction.json"]
         rec = json.loads((tmp_path / "o" / "reconstruction.json").read_text())
         assert abs(rec["A_ode"] - 1.0) < 1e-8
         assert abs(rec["B_ode"] + 2.0) < 1e-8
@@ -535,7 +533,7 @@ class TestOutputs:
                        + flags + dump) == code
         assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
         if flags:
-            assert len(os.listdir(out1)) == 8
+            assert len(os.listdir(out1)) == 7
         for name in sorted(os.listdir(out1)):
             with open(os.path.join(out1, name), "rb") as fa, \
                     open(os.path.join(out2, name), "rb") as fb:
@@ -557,8 +555,7 @@ class TestOutputs:
                     "--out", str(tmp_path / "o")]) == cli.EXIT_FALSE
         assert calls == [40.0]
 
-    @pytest.mark.parametrize("command", ["detect", "full", "israel",
-                                         "reconstruct"])
+    @pytest.mark.parametrize("command", ["detect", "full", "israel"])
     def test_one_photon_sphere_location_per_run(self, tmp_path, monkeypatch,
                                                 command):
         calls = []
@@ -575,7 +572,7 @@ class TestOutputs:
                     "--out", str(tmp_path / "o"), *flags]) == cli.EXIT_TRUE
         assert calls == [(2.2, 50.0)]
 
-    @pytest.mark.parametrize("command", ["full", "reconstruct"])
+    @pytest.mark.parametrize("command", ["israel", "full"])
     def test_one_rigidity_solve_per_run(self, tmp_path, monkeypatch, command):
         # the reconstruction is the israel pipeline's own, from the flux mass
         masses = []
@@ -592,10 +589,12 @@ class TestOutputs:
         rep = json.loads((out / "israel_report.json").read_text())
         assert masses == [rep["mass"]]
 
-    def test_reconstruction_files_hold_the_reports_solve(self, tmp_path):
+    @pytest.mark.parametrize("command", ["israel", "full"])
+    def test_reconstruction_files_hold_the_reports_solve(self, tmp_path,
+                                                         command):
         # the flux mass of a non-vacuum profile is not its m = 1 lapse term
         out = tmp_path / "o"
-        assert run(["full", "--scenario", "reissner_perturbed",
+        assert run([command, "--scenario", "reissner_perturbed",
                     "--out", str(out)]) == cli.EXIT_FALSE
         rep = json.loads((out / "israel_report.json").read_text())
         rec = json.loads((out / "reconstruction.json").read_text())
@@ -632,23 +631,18 @@ class TestOutputs:
 
     def test_per_level_columns_are_named_once(self, tmp_path):
         # each per-level fact is in one file: israel_levels.csv holds the
-        # leaf columns, slacks_of_N.csv the two pointwise slacks against N,
-        # and the JSON report neither
+        # leaf columns and the two pointwise slacks, the JSON report neither
         out = tmp_path / "o"
         assert run(["israel", "--scenario", "schwarzschild_m2",
                     "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "israel_levels.csv", "israel_report.json", "slacks_of_N.csv"]
         report = json.loads((out / "israel_report.json").read_text())
-        levels, slacks = ([line.split(",") for line in
-                           (out / name).read_bytes().decode().split("\r\n")[:-1]]
-                          for name in ("israel_levels.csv", "slacks_of_N.csv"))
+        levels = [line.split(",") for line in
+                  (out / "israel_levels.csv").read_bytes().decode()
+                  .split("\r\n")[:-1]]
         assert levels[0] == ["N", "r", "rho", "H", "tracefree_sup", "res31",
-                             "res32", "res33"]
-        assert slacks[0] == ["N", "slack34", "slack35"]
-        assert len(levels) == len(slacks) == 65
-        assert [row[0] for row in levels] == [row[0] for row in slacks]
-        assert not set(report) & set(levels[0] + slacks[0] + ["per_level"])
+                             "res32", "res33", "slack34", "slack35"]
+        assert len(levels) == 65 and {len(row) for row in levels} == {10}
+        assert not set(report) & set(levels[0] + ["per_level"])
 
     def test_quad_override_parsing(self, tmp_path, capsys):
         # a leaf is sampled at one point: there is no quadrature to set
@@ -676,8 +670,7 @@ class TestOutputs:
         assert "israel_report.json" in trees[0]
         assert all(tree == trees[0] for tree in trees)
 
-    @pytest.mark.parametrize("command", ["trace", "detect", "certify",
-                                         "reconstruct"])
+    @pytest.mark.parametrize("command", ["trace", "detect", "certify"])
     def test_tol_rejected_where_no_tolerance_is_read(self, tmp_path, capsys,
                                                      command):
         with pytest.raises(SystemExit) as exc:
@@ -686,6 +679,25 @@ class TestOutputs:
         assert exc.value.code == cli.EXIT_ERROR
         assert "--tol" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_reconstruct_is_no_subcommand(self, tmp_path, capsys):
+        # israel writes the reconstruction; there is no second pipeline
+        with pytest.raises(SystemExit) as exc:
+            run(["reconstruct", "--scenario", "schwarzschild_m1",
+                 "--out", str(tmp_path / "o")])
+        assert exc.value.code == cli.EXIT_ERROR
+        assert "invalid choice: 'reconstruct'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_reconstruct_is_no_scenario_pipeline(self, tmp_path, capsys):
+        with open(cli.bundled_scenario_path("schwarzschild_m1")) as fh:
+            scn = {**json.load(fh), "pipeline": "reconstruct"}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(scn))
+        assert run(["israel", "--scenario", str(path),
+                    "--out", str(tmp_path / "o")]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: scenario field 'pipeline' must be one of {cli.PIPELINES}\n")
 
     def test_tol_overrides_the_israel_gates(self, tmp_path):
         out = tmp_path / "o"
@@ -816,19 +828,20 @@ class TestBundledSuitePartition:
         assert abs(rep["mass"] - 2.0) < 1e-8
 
     # the exit code of each pipeline on each bundled scenario, in the order
-    # of cli.PIPELINES: trace, detect, certify, israel, reconstruct, full
+    # of cli.PIPELINES: trace, detect, certify, israel, full
     BUNDLED_EXIT_CODES = {
-        "schwarzschild_m1": (0, 0, 2, 0, 0, 0),
-        "schwarzschild_m2": (2, 0, 2, 0, 0, 0),
-        "minkowski": (2, 1, 2, 2, 1, 1),
-        "negative_mass": (2, 1, 2, 1, 1, 1),
-        "reissner_perturbed": (2, 0, 2, 1, 0, 1),
-        "r4m_cylinder": (0, 0, 1, 0, 0, 0),
+        "schwarzschild_m1": (0, 0, 2, 0, 0),
+        "schwarzschild_m2": (2, 0, 2, 0, 0),
+        "minkowski": (2, 1, 2, 2, 1),
+        "negative_mass": (2, 1, 2, 1, 1),
+        "reissner_perturbed": (2, 0, 2, 1, 1),
+        "r4m_cylinder": (0, 0, 1, 0, 0),
     }
 
     def test_every_bundled_run_is_pinned(self, tmp_path, capsys):
-        # 6 scenarios x 6 pipelines, detect with a curvature dump: each run
+        # 6 scenarios x 5 pipelines, detect with a curvature dump: each run
         # keeps its exit code, and its stderr is empty or one error line
+        assert cli.PIPELINES == ("trace", "detect", "certify", "israel", "full")
         for name, expected in self.BUNDLED_EXIT_CODES.items():
             codes = []
             for command in cli.PIPELINES:

@@ -281,7 +281,7 @@ def test_traced_names_exist():
 
 # Three pipelines in one fresh interpreter: a table profile through `full`,
 # the bundled Schwarzschild scenario through `full` with coarse flags, and
-# `reconstruct`.  Each must reach its reconstruction, and none load scipy.
+# `israel`.  Each must reach its reconstruction, and none load scipy.
 NO_SCIPY_CHILD = """
 import json, os, sys
 import numpy as np
@@ -298,7 +298,7 @@ with open(table, "w") as fh:
 coarse = ["--levels", "12", "--span", "2"]
 runs = {"table": ["full", "--scenario", table] + coarse,
         "full": ["full", "--scenario", "schwarzschild_m1"] + coarse,
-        "reconstruct": ["reconstruct", "--scenario", "schwarzschild_m1"]}
+        "israel": ["israel", "--scenario", "schwarzschild_m1"]}
 codes = {}
 for name, args in runs.items():
     out = os.path.join(tmp, name)

@@ -254,7 +254,7 @@ def test_foliation_error_names_a_leaf_inside_a_block():
     st = _FlatSpotProfile(r_flat)
     with pytest.raises(FoliationError, match="foliation failure") as err:
         isr.build_foliation(st, N0, levels=64, r_hint=3.0)
-    assert str(err.value).endswith(f"at level {r_flat}")
+    assert str(err.value).endswith(f"on the level-set r0 = {r_flat!r}")
 
 
 def test_build_foliation_evaluates_one_block_at_a_time(monkeypatch):
