@@ -199,13 +199,11 @@ def _certificate_payload(cert):
 
 def _level_table(report):
     """The per-level columns by name, in the order of ``israel_levels.csv``:
-    N, area radius, rho, H, the dimensionless trace-free norm
-    r_area |h_tracefree|, the three identity residuals and the two
+    N, area radius, rho, H, the three identity residuals and the two
     pointwise slacks, each one value per leaf."""
     fol, ids, slacks = report.foliation, report.identities, report.slacks
     return {"N": fol.N, "r": fol.area_radius, "rho": fol.rho, "H": fol.H,
-            "tracefree_sup": report.tracefree, "res31": ids.res31,
-            "res32": ids.res32, "res33": ids.res33,
+            "res31": ids.res31, "res32": ids.res32, "res33": ids.res33,
             "slack34": slacks.slack34, "slack35": slacks.slack35}
 
 
@@ -221,8 +219,7 @@ def _israel_payload(report):
                    "ineq37": slacks.ineq37,
                    "ineq39": slacks.ineq39,
                    "chain36": slacks.chain36,
-                   "chain38": slacks.chain38,
-                   "bracket_min": slacks.bracket_min},
+                   "chain38": slacks.chain38},
         "invariants": {"frakH_r0": b.frak_h * b.r0,
                        "m_frakH": report.mass * b.frak_h,
                        "N0_schwarz_residual": b.n0_schwarzschild,
@@ -273,8 +270,6 @@ def _run_trace(scn, out):
                  ["lambda", "t", "r", "theta", "phi", "vt", "vr", "vtheta",
                   "vphi", "null_residual", "energy"],
                  [*traj.samples.T, traj.null_residuals, traj.energies])
-    _write_table(os.path.join(out, "geodesic_r_of_lambda.csv"),
-                 ["lambda", "r"], [traj.affine, traj.r])
     verdict = geodesics.energy_constancy_verdict(traj)
     _write_json(os.path.join(out, "trace.json"), {
         "scenario": scn.name,

@@ -12,18 +12,21 @@ those points (``quadrature.barycentric_diff_matrix``), spectrally
 accurate in the level count.
 
 Per level the pipeline computes leaf geometry (area radius, rho = 1/|nu(N)|,
-mean curvature, trace-free norm, Gauss curvature).  Every input is a
-radial profile, so every leaf is a round sphere {r = r0} and each leaf
-field is the same at every point of it: a leaf is sampled at the one point
-theta = pi/2, phi = 0, and a leaf integral is the value there times the
-leaf area.  The leaf Laplacian and gradient terms of the identities then
-vanish, and they are not computed.  The leaf radii of all levels are
-bisected together (``quadrature.bisect``), and one ``hypersurfaces.sample``
-call (one ``shape``, the lapse gradient inside it, and one induced
-``curvature``) evaluates every leaf as one (levels,) jet coordinate (see
-:mod:`.jets`); each of its entries equals the same leaf evaluated alone bit
-for bit.  A ``Foliation`` holds each field as one (levels,) array, and the
-checks below read the arrays whole.  The pipeline then checks
+mean curvature, Gauss curvature).  Every input is a radial profile, so
+every leaf is a round sphere {r = r0} and each leaf field is the same at
+every point of it: a leaf is sampled at the one point theta = pi/2,
+phi = 0, and a leaf integral is the value there times the leaf area.  The
+leaf Laplacian and gradient terms of the identities then vanish, and they
+are not computed.  Nor is the trace-free norm of the second fundamental
+form: at theta = pi/2, where sin^2 theta is 1, the leaf's two principal
+curvatures have the same bits, so a round leaf is umbilic exactly.  The
+leaf radii of all levels are bisected together (``quadrature.bisect``),
+and one ``hypersurfaces.sample`` call (one ``shape``, the lapse gradient
+inside it, and one induced ``curvature``) evaluates every leaf as one
+(levels,) jet coordinate (see :mod:`.jets`); each of its entries equals
+the same leaf evaluated alone bit for bit.  A ``Foliation`` holds each
+field as one (levels,) array, and the checks below read the arrays whole.
+The pipeline then checks
 
 * the mass flux integral (level independent in vacuum),
 * the three transverse identities coupling rho, H and N,
@@ -85,8 +88,8 @@ def check_not_flat(profile, radii):
 
 def _leaf_block(profile, r_levels):
     """The leaf fields of the levels at radii ``r_levels``, each (levels,):
-    sqrt(det sigma), rho, H, nu(N), the trace-free norm and the Gauss
-    curvature at theta = pi/2, phi = 0.
+    sqrt(det sigma), rho, H, nu(N) and the Gauss curvature at
+    theta = pi/2, phi = 0.
 
     Each leaf is the coordinate sphere {r = r0}: its normal is the gradient
     of the lapse, with no tangential component, and its induced metric
@@ -107,7 +110,7 @@ def _leaf_block(profile, r_levels):
                       np.isfinite(area) & (area > 0.0))
     # |nu(N)| = |dN|, which ``hs.sample`` checked against the DN floor
     return (sqrt_s, 1.0 / np.abs(sd.normal_rate), sd.mean_curvature,
-            sd.normal_rate, sd.tracefree_norm, 0.5 * induced.scalar)
+            sd.normal_rate, 0.5 * induced.scalar)
 
 
 def build_foliation(profile, n0, levels, tail_radius=None, *, r_hint):
@@ -175,7 +178,6 @@ class Foliation:
     rho: np.ndarray
     H: np.ndarray
     nuN: np.ndarray
-    tracefree: np.ndarray     # |h_tracefree|
     gauss_k: np.ndarray
     tail_radius: float
 
@@ -237,20 +239,14 @@ def _transverse_derivative(foliation, values):
     return quad.level_derivative(values, d) / foliation.dN_ds
 
 
-def _bracket(foliation):
-    """The sum-of-squares bracket |grad rho|^2 / rho^2 + 2 |h_tracefree|^2
-    on every leaf; rho is constant on a round leaf, so its gradient term is
-    zero."""
-    return 2.0 * foliation.tracefree ** 2
-
-
 def identity_residuals(foliation, lam):
     """Residuals of the three static-vacuum identities on every level.
 
     Each residual is normalized by its largest participating term
     (floored at 1), one value per level.  The leaf Laplacian terms
-    -(2 / sqrt(rho)) Lap sqrt(rho) and -Lap log(rho) vanish on a round
-    leaf and are left out.
+    -(2 / sqrt(rho)) Lap sqrt(rho) and -Lap log(rho) and the sum-of-squares
+    bracket |grad rho|^2 / rho^2 + 2 |h_tracefree|^2 vanish on a round,
+    umbilic leaf and are left out.
     """
     if len(foliation) < 7:
         raise ValueError("transverse derivatives need at least 7 levels")
@@ -258,28 +254,25 @@ def identity_residuals(foliation, lam):
     h_n = _transverse_derivative(foliation, h)
     rho_n = _transverse_derivative(foliation, rho)
     ss_n = _transverse_derivative(foliation, foliation.sqrt_s)
-    bracket = _bracket(foliation)
     r_sigma = 2.0 * foliation.gauss_k
 
     t_a1 = (lam / rho) * (h / n)
     t_a2 = -(lam / rho) * h_n
     t_a3 = -0.5 * h ** 2
-    t_a4 = -0.5 * bracket
-    res31 = t_a1 + t_a2 + t_a3 + t_a4
+    res31 = t_a1 + t_a2 + t_a3
 
     t_b1 = (lam / rho) * (3.0 * h / n)
     t_b2 = -(lam / rho) * h_n
     t_b3 = -r_sigma
-    t_b4 = -bracket
-    res32 = t_b1 + t_b2 + t_b3 + t_b4
+    res32 = t_b1 + t_b2 + t_b3
 
     t_c1 = rho_n
     t_c2 = -lam * rho ** 2 * h
 
     t_e1 = ss_n
     t_e2 = -lam * foliation.sqrt_s * h * rho
-    return IdentityResiduals(_normalized(res31, t_a1, t_a2, t_a3, t_a4),
-                             _normalized(res32, t_b1, t_b2, t_b3, t_b4),
+    return IdentityResiduals(_normalized(res31, t_a1, t_a2, t_a3),
+                             _normalized(res32, t_b1, t_b2, t_b3),
                              _normalized(t_c1 + t_c2, t_c1, t_c2),
                              _normalized(t_e1 + t_e2, t_e1, t_e2))
 
@@ -289,16 +282,14 @@ class InequalitySlacks:
     """Pointwise and integrated slack (RHS - LHS >= 0) of the inequality chain.
 
     ``slack34`` (over sqrt(r0), so dimensionless) and ``slack35`` are
-    (levels,) fields, ``sup34``/``sup35`` their largest |slack|;
-    ``bracket_min`` is the most negative sum-of-squares bracket seen
-    (analytically >= 0).  The integrated chains are evaluated both through
-    the leaf integrals + asymptotic-tail route (``chain36``, ``chain38``)
-    and in their simplified boundary forms (``ineq37``, ``ineq39``).
+    (levels,) fields, ``sup34``/``sup35`` their largest |slack|.  The
+    integrated chains are evaluated both through the leaf integrals +
+    asymptotic-tail route (``chain36``, ``chain38``) and in their
+    simplified boundary forms (``ineq37``, ``ineq39``).
     """
 
     slack34: np.ndarray
     slack35: np.ndarray
-    bracket_min: float
     chain36: float
     ineq37: float
     chain38: float
@@ -316,11 +307,11 @@ def inequality_slacks(foliation, lam, mass):
 
     Pointwise: slack = RHS - LHS of the two differential inequalities,
     which equals a positive multiple of the sum-of-squares bracket when
-    the identities hold (zero exactly on Schwarzschild data); their leaf
-    Laplacian terms vanish on a round leaf and are left out.  Integrated:
-    the asymptotic ends are replaced by their closed-form limits
-    (H -> 2/r, rho -> r^2/|m|), giving 8 pi sqrt|m| for the first chain
-    and 0 for the second.
+    the identities hold; that bracket and the leaf Laplacian terms vanish
+    on a round, umbilic leaf, so the slack is zero where the identities
+    hold.  Integrated: the asymptotic ends are replaced by their
+    closed-form limits (H -> 2/r, rho -> r^2/|m|), giving 8 pi sqrt|m| for
+    the first chain and 0 for the second.
     """
     if len(foliation) < 8:
         raise ValueError("inequality integration needs a dense foliation")
@@ -344,8 +335,7 @@ def inequality_slacks(foliation, lam, mass):
     g_n0 = float(foliation.integral((h * n0 + 4.0 * lam / rho) / rho)[0])
     chain38 = (g_n0 - 4.0 * math.pi * (1.0 - n0 ** 2)) / (4.0 * math.pi)
     ineq39 = abs(mass) * (h0 * n0 + 4.0 * mass / r0 ** 2) - (1.0 - n0 ** 2)
-    return InequalitySlacks(s34, s35, float(np.min(_bracket(foliation))),
-                            chain36, ineq37, chain38, ineq39)
+    return InequalitySlacks(s34, s35, chain36, ineq37, chain38, ineq39)
 
 
 # ---------------------------------------------------------------------------
@@ -544,15 +534,12 @@ def _field_gate(name, tol, *fields):
 
 @dataclass(frozen=True)
 class IsraelReport:
-    """The pipeline's results.  ``tracefree`` holds the dimensionless
-    trace-free norm r_area |h_tracefree| of each leaf, computed once for its
-    gate and the written tables; ``reconstruction`` is the one rigidity
+    """The pipeline's results.  ``reconstruction`` is the one rigidity
     solve of the run, from the flux mass, which the ``reconstruction`` gate
     reads."""
 
     mass: float
     flux_by_level: tuple
-    tracefree: np.ndarray
     boundary: BoundaryConstraints
     identities: IdentityResiduals
     slacks: InequalitySlacks
@@ -582,8 +569,6 @@ def run_israel_pipeline(profile, n0, r_ps, levels, tail_radius, tol):
     recon = reconstruct_lapse(mass, bnd.n0, bnd.r0,
                               r_max=foliation.tail_radius)
 
-    # r_area |h_tracefree|: dimensionless, as the gate's tol is
-    tracefree = foliation.area_radius * foliation.tracefree
     # relative to the mass, so the gate reads the same at every mass scale
     flux_spread = float(np.max(fluxes) - np.min(fluxes)) / abs(mass)
     n_in_range = (float(np.min(foliation.N)) >= n0 - 1e-12
@@ -598,8 +583,6 @@ def run_israel_pipeline(profile, n0, r_ps, levels, tail_radius, tol):
         Gate("sharpness-37", abs(slacks.ineq37), tol),
         Gate("sharpness-38-chain", abs(slacks.chain38), tol),
         Gate("sharpness-39", abs(slacks.ineq39), tol),
-        Gate("bracket-nonnegative", slacks.bracket_min, -1e-14, ">="),
-        _field_gate("leaf-constancy-tracefree", tol, tracefree),
         Gate("H-positive", float(np.min(foliation.H)), 0.0, ">"),
         Gate("sign-consistency", 0.0 if sign.consistent else 1.0, 0.5),
         Gate("lambda-exclusion", sign.exclusion_slack, -tol, ">="),
@@ -612,5 +595,5 @@ def run_israel_pipeline(profile, n0, r_ps, levels, tail_radius, tol):
     failed = {g.structural for g in gates if not g.passed}
     verdict = ("inconclusive" if True in failed
                else "not-isometric" if failed else "isometric")
-    return IsraelReport(mass, tuple(fluxes.tolist()), tracefree, bnd, ids,
-                        slacks, sign, foliation, recon, gates, verdict, tol)
+    return IsraelReport(mass, tuple(fluxes.tolist()), bnd, ids, slacks, sign,
+                        foliation, recon, gates, verdict, tol)

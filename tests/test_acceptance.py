@@ -205,13 +205,19 @@ def test_criterion_7_identities_and_inequalities(m1_report):
                                  scn.tail_radius, r_hint=loc.r_ps)
     spread, dropped = np.max([_theta_reduction(ST, rep.foliation),
                               _theta_reduction(rn, rn_fol)], axis=0)
+    # and umbilic: at the one sample point the trace-free norm, and with it
+    # the sum-of-squares bracket, is exactly 0.0 on every pipeline leaf
+    tracefree = max(
+        float(np.max(hs.sample(hs.lapse_level_set(p, fol.r_coord))[0]
+                     .tracefree_norm))
+        for p, fol in ((ST, rep.foliation), (rn, rn_fol)))
     ok = (ids_sup < 1e-5 and integrated < 1e-5 and sharp < 1e-5
-          and slacks.bracket_min >= -1e-14 and spread < 1e-12
+          and tracefree == 0.0 and spread < 1e-12
           and dropped < 1e-9 and elapsed < 120.0)
     report(7, ok, f"identity residual sup {ids_sup:.2e} (tol 1e-5); "
                   f"integrated slacks {integrated:.2e}, pointwise sharpness "
-                  f"{sharp:.2e} (tol 1e-5); bracket min {slacks.bracket_min:.1e} "
-                  f">= -1e-14; on m1 and reissner_perturbed at 64 theta nodes, "
+                  f"{sharp:.2e} (tol 1e-5); leaf trace-free norm {tracefree!r} "
+                  f"(== 0.0); on m1 and reissner_perturbed at 64 theta nodes, "
                   f"leaf field spread {spread:.1e} (< 1e-12) and dropped leaf "
                   f"terms {dropped:.1e} of R_sigma (< 1e-9); {elapsed:.0f}s "
                   f"(< 120 s)")

@@ -639,9 +639,9 @@ class TestOutputs:
         levels = [line.split(",") for line in
                   (out / "israel_levels.csv").read_bytes().decode()
                   .split("\r\n")[:-1]]
-        assert levels[0] == ["N", "r", "rho", "H", "tracefree_sup", "res31",
-                             "res32", "res33", "slack34", "slack35"]
-        assert len(levels) == 65 and {len(row) for row in levels} == {10}
+        assert levels[0] == ["N", "r", "rho", "H", "res31", "res32", "res33",
+                             "slack34", "slack35"]
+        assert len(levels) == 65 and {len(row) for row in levels} == {9}
         assert not set(report) & set(levels[0] + ["per_level"])
 
     def test_quad_override_parsing(self, tmp_path, capsys):
@@ -735,11 +735,14 @@ class TestOutputs:
 
     def test_plot_tables_on_empty_run(self, tmp_path):
         # detect-only scenarios write no foliation tables; trace writes r(l)
+        # as the lambda and r columns of trajectory.csv, and no other table
         out = str(tmp_path / "o")
         run(["trace", "--scenario", "schwarzschild_m1", "--out", out,
              "--span", "2"])
-        table = (tmp_path / "o" / "geodesic_r_of_lambda.csv").read_text()
-        assert table.splitlines()[0] == "lambda,r"
+        assert sorted(os.listdir(out)) == ["trace.json", "trajectory.csv"]
+        table = (tmp_path / "o" / "trajectory.csv").read_text()
+        header = table.splitlines()[0].split(",")
+        assert (header[0], header[2]) == ("lambda", "r")
 
 
 @pytest.fixture(scope="module")
