@@ -15,7 +15,6 @@ from .spacetimes import (
     RadialProfile,
     SchwarzschildProfile,
     TableProfile,
-    load_profile,
 )
 from .calculus import (
     CurvatureBundle,

@@ -7,9 +7,11 @@ refuted/false and 2 for inconclusive results or errors.  Nothing is
 drawn at random: re-running a scenario reproduces every output byte for
 byte.  A scenario file's keys that name no field are ignored.
 
-This is the one module that spells the output formats: the payload of each
-report file and the columns of each table are assembled here from the
-result objects, which hold no output keys.
+This is the one module that spells the scenario format and the output
+formats.  Every scenario field, the profile object's included, is read
+here by one reader, ``_field``, under one rule for null and missing
+fields; the payload of each report file and the columns of each table are
+assembled here from the result objects, which hold no output keys.
 """
 
 import argparse
@@ -25,13 +27,15 @@ import numpy as np
 
 from . import geodesics, hypersurfaces, israel, photon
 from .calculus import curvature
-from .spacetimes import ChartPoint, RadialProfile, load_profile
+from .spacetimes import (ChartPoint, ExpressionProfile, RadialProfile,
+                         SchwarzschildProfile, TableProfile)
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_ERROR = 2
 
 PIPELINES = ("trace", "detect", "certify", "israel", "full")
+PROFILE_KINDS = ("schwarzschild", "expression", "table")
 TOLERANCE_PIPELINES = ("israel", "full")  # the ones that read the tolerance
 MIN_LEVELS = 8  # the identities need 7 levels and the inequality slacks 8
 # The level derivative builds a levels x levels matrix, and one jet
@@ -83,22 +87,61 @@ def _sequence(valid, count):
                       and all(map(valid, v)))
 
 
+def _instance(typ):
+    return lambda v: isinstance(v, typ)
+
+
 def _field(data, key, default, typ, valid, rule, label=None):
-    """``typ`` of the field's value; a field whose default is None may be null."""
+    """``typ`` of the field's value.  A field whose default is ``...`` is
+    required, and only one whose default is None may be null."""
+    label = label or key
+    if default is ... and key not in data:
+        raise ScenarioError(f"scenario field '{label}' is missing")
     value = data.get(key, default)
     if value is None and default is None:
         return None
     if not valid(value):
-        raise ScenarioError(f"scenario field '{label or key}' must be {rule}, "
+        raise ScenarioError(f"scenario field '{label}' must be {rule}, "
                             f"got {value!r:.60}")
     return typ(value)
+
+
+def load_profile(spec):
+    """Build a profile from ``spec``, the ``profile`` object of a scenario.
+
+    Its fields are read like every other field, and an error names them
+    ``profile.<key>``; the profile classes then check their values (a
+    table's rows, an expression's grammar and ``r_min >= 0``).  A key that
+    names no field of its kind, such as the ``m`` of an ``expression`` or
+    ``table`` spec, is ignored: only a ``schwarzschild`` profile is defined
+    by its mass.
+    """
+    kind = _field(spec, "kind", ..., str, PROFILE_KINDS.__contains__,
+                  f"one of {PROFILE_KINDS}", "profile.kind")
+    if kind == "schwarzschild":
+        return SchwarzschildProfile(_field(spec, "m", ..., float, _finite,
+                                           "a finite number", "profile.m"))
+    if kind == "table":
+        return TableProfile(_field(spec, "samples", ..., list, _instance(list),
+                                   "a list of [r, N, g_rr] rows",
+                                   "profile.samples"))
+    text = "an expression string"
+    return ExpressionProfile(
+        _field(spec, "lapse", ..., str, _instance(str), text, "profile.lapse"),
+        _field(spec, "radial_factor", ..., str, _instance(str), text,
+               "profile.radial_factor"),
+        r_min=_field(spec, "r_min", 0.0, float, _finite, "a finite number",
+                     "profile.r_min"))
 
 
 def load_scenario(path, overrides=None):
     """Read and validate a scenario file.
 
-    ``overrides`` (command line values, by field name) replace the file's
-    fields before validation; the file must still name a valid pipeline.
+    Every field, the ``profile`` object's included, is read by ``_field``
+    under one rule for null, for missing fields and for finite numbers; the
+    profile is read last.  ``overrides`` (command line values, by field
+    name) replace the file's fields before validation; the file must still
+    name a valid pipeline.
     """
     try:
         with open(path) as fh:
@@ -113,21 +156,15 @@ def load_scenario(path, overrides=None):
         raise ScenarioError(f"unreadable scenario: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    if data.get("schema") != 1:
-        raise ScenarioError("scenario field 'schema' must be 1")
-    if "pipeline" not in data:
-        raise ScenarioError("scenario field 'pipeline' is missing")
-    if data["pipeline"] not in PIPELINES:
-        raise ScenarioError(f"scenario field 'pipeline' must be one of {PIPELINES}")
+    _field(data, "schema", ..., int, lambda v: v == 1, "1")
+    _field(data, "pipeline", ..., str, PIPELINES.__contains__,
+           f"one of {PIPELINES}")
     data = {**data, **(overrides or {})}
-    if "profile" not in data or not isinstance(data["profile"], dict):
-        raise ScenarioError("scenario field 'profile' must be an object")
-    trace = data.get("trace", {})
-    if not isinstance(trace, dict):
-        raise ScenarioError("scenario field 'trace' must be an object")
+    trace = _field(data, "trace", {}, dict, _instance(dict), "an object")
     positive, four = "a finite number > 0", _sequence(_finite, 4)
     return Scenario(
-        name=str(data.get("name", os.path.basename(path))),
+        name=_field(data, "name", os.path.basename(path), str, lambda v: True,
+                    "anything"),
         pipeline=data["pipeline"],
         scan=_field(data, "scan", (2.2, 50.0), tuple,
                     lambda v: _sequence(_finite, 2)(v) and v[0] < v[1],
@@ -146,7 +183,8 @@ def load_scenario(path, overrides=None):
         trace_direction=_field(trace, "direction", (1.0, -0.8, 0.0, 0.0), tuple,
                                four, "4 finite numbers", "trace.direction"),
         # last: a field above that is not valid is reported before the profile
-        profile=load_profile(data["profile"]),
+        profile=load_profile(_field(data, "profile", ..., dict, _instance(dict),
+                                    "an object")),
     )
 
 

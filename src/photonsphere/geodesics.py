@@ -161,10 +161,6 @@ class GeodesicTrajectory:
         return self.run.reason
 
     @property
-    def affine(self):
-        return self.samples[:, 0]
-
-    @property
     def r(self):
         return self.samples[:, 2]
 

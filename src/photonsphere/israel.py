@@ -81,7 +81,8 @@ def check_not_flat(profile, radii):
     ``radii``: the Schwarzschild mass r (1 - N^2) / 2 that gives the lapse
     its value N there is zero at that radius (``_reject_flat``)."""
     r = np.asarray(radii, dtype=float)
-    n = profile.lapse_d1(r)[0]
+    with np.errstate(all="ignore"):  # the slope, which may overflow, is unread
+        n = profile.lapse_d1(r)[0]
     _reject_flat(0.5 * r * (1.0 - n * n), r, f"the lapse is 1 at {r.size} "
                  f"radii in [{r.min():.6g}, {r.max():.6g}]")
 
@@ -123,9 +124,9 @@ def build_foliation(profile, n0, levels, tail_radius=None, *, r_hint):
     module docstring).  The radii of all levels are bisected at once, in
     one ``quad.bisect`` call on one shared bracket from ``r_hint`` up; the
     leaves are then sampled together, each at its one point.  Raises
-    DomainError naming the first level the bracket does not hold or a
-    ``tail_radius`` where N is 1 to rounding, and FoliationError when |dN|
-    degenerates.
+    DomainError naming the first level the bracket does not hold, a
+    ``tail_radius`` where N is 1 to rounding or an N0 whose square is 0 to
+    rounding, and FoliationError when |dN| degenerates.
     """
     if tail_radius is None:
         tail_radius = TAIL_RADIUS_FACTOR * r_hint / 3.0
@@ -139,6 +140,9 @@ def build_foliation(profile, n0, levels, tail_radius=None, *, r_hint):
         raise DomainError(f"invalid lapse range [{n0}, {n_end}]")
 
     u0, u_end = 1.0 - n0 ** 2, 1.0 - n_end ** 2
+    if not u0 < 1.0:
+        raise DomainError(f"1 - N0^2 rounds to 1 at N0 = {n0!r}: the level "
+                          f"map would put the first level at N = 0")
     ratio = u_end / u0
     s = quad.chebyshev_nodes(levels, 0.0, 1.0)
     u = u0 * ratio ** s

@@ -120,17 +120,14 @@ def certify_photon_surface(surface, span):
 
     Umbilicity is sampled through the hypersurface machinery, tangency by
     integrating the tangent null orbit over [0, span]; both must agree for
-    a "certified" or "refuted" verdict.  Candidates whose induced metric is
-    not timelike are rejected outright.
+    a "certified" or "refuted" verdict.  The cylinder is timelike wherever
+    ``hypersurfaces.sample`` returns: its induced metric diag(-N^2, r0^2,
+    r0^2) is then finite, and N is not 0, since the ambient metric was
+    invertible.
     """
     if surface.kind != "cylinder":
         raise ValueError("certification expects a cylinder hypersurface")
     sd, induced = hypersurfaces.sample(surface)
-    signs = np.sign(np.linalg.eigvalsh(induced.metric_dd))
-    if not np.all(signs == (-1.0, 1.0, 1.0)):
-        raise DomainError(
-            f"surface is not timelike: induced signature {signs.tolist()} "
-            f"(expected (-,+,+))")
 
     r0 = surface.level_value
     umb_sup = r0 * float(sd.tracefree_norm)

@@ -15,7 +15,6 @@ evaluation path for a float radius and an array of radii alike.
 
 import ast
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +92,8 @@ class RadialProfile:
         evaluation equals the float evaluation bit for bit.  A value that
         is not real comes back nan.  A float radius outside a table raises
         DomainError, and one where a closed form divides by zero raises
-        ZeroDivisionError; an array entry there comes back non-finite.
+        ZeroDivisionError, or ValueError for an expression; an array entry
+        there comes back non-finite.
         Subclasses with closed forms override it.
         """
         n, n1 = self._d1(self.lapse, r)
@@ -216,7 +216,7 @@ def compile_expression(source):
 
     Constants are floats.  A malformed expression, or a constant part that
     divides by zero, overflows or is not real, raises ValueError here; an
-    evaluation that overflows raises ValueError.
+    evaluation that overflows or divides by zero raises ValueError.
     """
     try:
         tree = ast.parse(source.replace("^", "**"), mode="eval")
@@ -235,6 +235,9 @@ def compile_expression(source):
             return eval(code, env, {"r": r})
         except OverflowError as exc:
             raise ValueError(f"expression {source!r} overflows: {exc}") from exc
+        except ZeroDivisionError as exc:  # float arithmetic; numpy's gives inf
+            raise ValueError(f"expression {source!r} divides by zero at "
+                             f"r = {r!r}") from exc
     return evaluate
 
 
@@ -368,60 +371,6 @@ class TableProfile(RadialProfile):
             return float(f), float(f1)
         f, f1, _ = spline(np.where((v < self._r[0]) | (v > self._r[-1]), np.nan, v))
         return f, f1
-
-
-_REQUIRED = object()
-
-
-def _spec_number(spec, key, default=_REQUIRED):
-    """Finite real number field of a profile spec; null counts as missing."""
-    value = spec.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ValueError(f"profile field {key!r} is missing or null")
-        return default
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:   # an integer beyond the float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ValueError(f"profile field {key!r} must be a finite number, not {value!r}")
-
-
-def _spec_expression(spec, key):
-    if key not in spec:
-        raise ValueError(f"profile field {key!r} is missing")
-    value = spec[key]
-    if not isinstance(value, str):
-        raise ValueError(f"profile field {key!r} must be an expression string, "
-                         f"not {value!r}")
-    return value
-
-
-def load_profile(spec):
-    """Build a profile from a dict, the ``profile`` object of a scenario.
-
-    A spec that is not a dict, or a field that is missing or of the wrong
-    type, raises ValueError naming the field.  A key that names no field of
-    its kind, such as the ``m`` of an ``expression`` or ``table`` spec, is
-    ignored: only a ``schwarzschild`` profile is defined by its mass.
-    """
-    if not isinstance(spec, dict):
-        raise ValueError(f"profile must be a JSON object, not {type(spec).__name__}")
-    kind = spec.get("kind")
-    if kind == "schwarzschild":
-        return SchwarzschildProfile(_spec_number(spec, "m"))
-    if kind == "table":
-        if "samples" not in spec:
-            raise ValueError("profile field 'samples' is missing")
-        return TableProfile(spec["samples"])
-    if kind == "expression":
-        return ExpressionProfile(_spec_expression(spec, "lapse"),
-                                 _spec_expression(spec, "radial_factor"),
-                                 r_min=_spec_number(spec, "r_min", 0.0))
-    raise ValueError(f"unknown profile kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -47,11 +47,30 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("text, field", [
         ('[1, 2]', "JSON object"),
         ('{"profile": {"kind": "expression", "lapse": 1, "radial_factor": "1"}}',
-         "'lapse'"),
-        ('{"profile": {"kind": "expression", "radial_factor": "1"}}', "'lapse'"),
-        ('{"profile": {"kind": "schwarzschild"}}', "'m'"),
-        ('{"profile": {"kind": "schwarzschild", "m": null}}', "'m'"),
-        ('{"profile": {"kind": "schwarzschild", "m": "two"}}', "'m'"),
+         "'profile.lapse' must be an expression string"),
+        ('{"profile": {"kind": "expression", "radial_factor": "1"}}',
+         "'profile.lapse' is missing"),
+        ('{"profile": {"kind": "schwarzschild"}}', "'profile.m' is missing"),
+        ('{"profile": {"kind": "schwarzschild", "m": null}}',
+         "'profile.m' must be a finite number"),
+        ('{"profile": {"kind": "schwarzschild", "m": "two"}}',
+         "'profile.m' must be a finite number"),
+        # null is a value only where the default is null: r_min's is 0
+        ('{"profile": {"kind": "expression", "lapse": "1", "radial_factor": "1", '
+         '"r_min": null}}', "'profile.r_min' must be a finite number"),
+        ('{"profile": {"kind": "nope"}}', "'profile.kind' must be one of"),
+        # a profile is an object: a string, JSON or not, names the field
+        ('{"profile": "{\\"kind\\": \\"schwarzschild\\", \\"m\\": 0.5}"}',
+         "'profile' must be an object"),
+        ('{"profile": "no-such-profile.json"}', "'profile' must be an object"),
+        ('{"profile": {"kind": "table", "samples": [[1, 1, 1]]}}',
+         "table profile needs >= 4 rows"),
+        ('{"profile": {"kind": "table", "samples": '
+         '[[1, 1, 1], [2, 1, 1], [3, NaN, 1], [4, 1, 1]]}}',
+         "table profile samples must be finite"),
+        ('{"profile": {"kind": "table", "samples": '
+         '[[1, 1, 1], [2, 1, 1], [3, 1, 0], [4, 1, 1]]}}',
+         "table profile N and g_rr must be positive"),
         ('{"profile": {"kind": "schwarzschild", "m": 1}, "trace": [1]}', "'trace'"),
         ('{"profile": {"kind": "schwarzschild", "m": 1%s}}' % ("0" * 5000),
          "unreadable scenario"),
@@ -72,6 +91,8 @@ class TestScenarioValidation:
         (SCHW + '"trace": {"start": [0, 10]}}', "'trace.start'"),
         (SCHW + '"trace": {"direction": [1, -0.8, 0, "0"]}}', "'trace.direction'"),
     ], ids=["array", "lapse-int", "no-lapse", "no-m", "m-null", "m-two",
+            "r-min-null", "kind-nope", "profile-json-string",
+            "profile-path-string", "table-1-row", "table-nan", "table-g-rr-0",
             "trace-list", "huge-int", "levels-negative", "levels-fraction",
             "levels-bool", "levels-7", "levels-1025", "scan-short",
             "scan-decreasing", "scan-nan", "span-string",
@@ -106,6 +127,9 @@ class TestScenarioValidation:
         # bounded before anything is allocated: 20000 levels would need a
         # 3 GB differentiation matrix
         ("israel", "--levels", "20000", "'levels'"),
+        # the last --scenario wins: a path that is neither a file nor a
+        # bundled scenario
+        ("detect", "--scenario", "no-such-scenario.json", "cannot read scenario"),
     ])
     def test_bad_flag_exits_2_naming_its_field(self, command, flag, value, field,
                                                tmp_path, capsys):
@@ -371,6 +395,50 @@ class TestExitCodes:
         assert "tail_radius = 1e+20" in capsys.readouterr().err
         assert not (out / "israel_report.json").exists()
 
+    @pytest.mark.parametrize("fields, message", [
+        # the tail lapse is evaluated at the float radius 100
+        ({"profile": {"kind": "expression", "radial_factor": "1", "r_min": 0,
+                      "lapse": "sqrt(1-2/r) + 0*(1/(r-100))"}},
+         "error: expression 'sqrt(1-2/r) + 0*(1/(r-100))' divides by zero at "
+         "r = 100.0\n"),
+        # N0^2 underflows: the first level would sit at N = 0
+        ({"levels": 8, "tail_radius": 30,
+          "profile": {"kind": "expression", "lapse": "1e-300*r",
+                      "radial_factor": "1", "r_min": 0}},
+         "error: 1 - N0^2 rounds to 1 at N0 = 2.2000000000000004e-300: the "
+         "level map would put the first level at N = 0\n"),
+        # r N' - N = 2/r - 3 vanishes at r = 2/3, where N0 = 1.5
+        ({"scan": [0.5, 5.0],
+          "profile": {"kind": "expression", "lapse": "3 - 1/r",
+                      "radial_factor": "1", "r_min": 0}},
+         "error: invalid lapse range [1.5, 2.955]\n"),
+    ], ids=["tail-divides-by-zero", "lapse-square-underflows", "lapse-above-1"])
+    def test_bad_foliation_range_is_one_named_error(self, tmp_path, capsys,
+                                                    fields, message):
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({"schema": 1, "pipeline": "israel", **fields}))
+        out = tmp_path / "o"
+        assert run(["israel", "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_ERROR
+        assert capsys.readouterr().err == message
+        assert os.listdir(out) == []
+
+    def test_negative_mass_at_the_end_of_the_float_range_is_clean(
+            self, tmp_path, capsys):
+        # r^2 N overflows in the lapse slope, which the flatness probe of a
+        # run with no photon sphere does not read
+        m = -8.434852634760676e156
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({
+            "schema": 1, "pipeline": "israel", "scan": [2.53e157, 8.43e157],
+            "profile": {"kind": "schwarzschild", "m": m}}))
+        out = tmp_path / "o"
+        assert run(["israel", "--scenario", str(scn),
+                    "--out", str(out)]) == cli.EXIT_FALSE
+        assert capsys.readouterr().err == ""
+        rep = json.loads((out / "israel_report.json").read_text())
+        assert rep["status"] == "no-photon-sphere"
+
     def test_singular_metric_is_a_named_error(self, tmp_path, capsys):
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
@@ -384,8 +452,7 @@ class TestExitCodes:
         assert "metric is singular" in err
 
     def test_singular_cylinder_is_a_named_error(self, tmp_path, capsys):
-        # N(2) = 0: the cylinder's metric is singular and its induced
-        # metric has no time direction, so either names the failure
+        # N(2) = 0: the cylinder's metric is singular
         scn = tmp_path / "scn.json"
         scn.write_text(json.dumps({
             "schema": 1, "pipeline": "certify", "surface_r0": 2,
@@ -396,7 +463,7 @@ class TestExitCodes:
                     "--out", str(out)]) == cli.EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "metric is singular" in err or "not timelike" in err
+        assert "metric is singular" in err
         assert not (out / "certificate.json").exists()
 
     @pytest.mark.parametrize("profile, r0", [
@@ -404,7 +471,15 @@ class TestExitCodes:
         ({"kind": "schwarzschild", "m": 1e300}, 3e300),
         # the lapse is nan at every r > 0
         ({"kind": "expression", "lapse": "sqrt(-r)", "radial_factor": "1",
-          "r_min": 0}, 3.0)], ids=["overflow", "nan-lapse"])
+          "r_min": 0}, 3.0),
+        # the induced metric evaluates the lapse at the float r0, where
+        # Python's float arithmetic raises and numpy's gives inf
+        ({"kind": "expression", "lapse": "1/(r-3)", "radial_factor": "1",
+          "r_min": 0}, 3.0),
+        ({"kind": "expression", "lapse": "r^1000", "radial_factor": "1",
+          "r_min": 0}, 3.0)],
+        ids=["overflow", "nan-lapse", "divides-by-zero-at-r0",
+             "overflows-at-r0"])
     def test_non_finite_cylinder_is_one_named_error(self, tmp_path, capsys,
                                                     profile, r0):
         # the cylinder is sampled with floating-point warnings off, so the
@@ -697,7 +772,8 @@ class TestOutputs:
         assert run(["israel", "--scenario", str(path),
                     "--out", str(tmp_path / "o")]) == cli.EXIT_ERROR
         assert capsys.readouterr().err == (
-            f"error: scenario field 'pipeline' must be one of {cli.PIPELINES}\n")
+            f"error: scenario field 'pipeline' must be one of {cli.PIPELINES}, "
+            f"got 'reconstruct'\n")
 
     def test_tol_overrides_the_israel_gates(self, tmp_path):
         out = tmp_path / "o"

@@ -219,7 +219,7 @@ class TestIntegration:
                               (1.0, 1.0, 0.0, 0.0))
         tr = geo.integrate_null(MINK, s, 20.0)
         assert tr.status == "completed"
-        assert np.max(np.abs(tr.r - (5.0 + tr.affine))) < 1e-9
+        assert np.max(np.abs(tr.r - (5.0 + tr.samples[:, 0]))) < 1e-9
         assert np.max(np.abs(tr.energies - tr.energies[0])) < 1e-12
 
     def test_radial_ray_next_to_the_pole_has_zero_phi_rate(self):
@@ -236,7 +236,7 @@ class TestIntegration:
 
     def test_affine_parameters_strictly_increasing(self):
         tr = geo.integrate_null(ST, radial_null_state(ST, 10.0), 10.0)
-        assert np.all(np.diff(tr.affine) > 0)
+        assert np.all(np.diff(tr.samples[:, 0]) > 0)
 
     def test_null_residual_after_projection(self):
         seeds = oracles.tangent_null_seeds(ST, 3.0, 2, rng_seed=1)
@@ -312,7 +312,7 @@ class TestTimeReversal:
         fwd = geo.integrate_null(ST, state, span)
         end = end_state(fwd)
         back = geo.GeodesicState(end.position, tuple(-v for v in end.velocity))
-        bwd = geo.integrate_null(ST, back, fwd.affine[-1])
+        bwd = geo.integrate_null(ST, back, fwd.samples[-1, 0])
         err = np.abs(chart_row(end_state(bwd))[:4] - chart_row(state)[:4])
         assert np.max(err) < 1e-6
 
@@ -323,7 +323,7 @@ class TestTimeReversal:
         fwd = geo.integrate_null(ST, s, 10.0)
         end = end_state(fwd)
         back = geo.GeodesicState(end.position, tuple(-v for v in end.velocity))
-        bwd = geo.integrate_null(ST, back, fwd.affine[-1])
+        bwd = geo.integrate_null(ST, back, fwd.samples[-1, 0])
         err = np.abs(chart_row(end_state(bwd))[:4] - chart_row(s)[:4])
         assert np.max(err) < 1e-6
 
@@ -749,4 +749,5 @@ def test_trajectory_reports_step_counts():
     tr = geo.integrate_null(ST, radial_null_state(ST, 10.0), 30.0)
     assert tr.run.accepted_steps == len(tr.samples) - 1
     assert tr.run.rejected_steps >= 0
-    assert tr.run.min_step == pytest.approx(np.min(np.diff(tr.affine)), rel=1e-6)
+    assert tr.run.min_step == pytest.approx(np.min(np.diff(tr.samples[:, 0])),
+                                            rel=1e-6)

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from photonsphere import cli
 from photonsphere.calculus import metric_taylor
+from photonsphere.cli import load_profile
 from photonsphere.spacetimes import (ChartPoint, DomainError,
                                      ExpressionProfile, SchwarzschildProfile,
                                      TableProfile,
-                                     _CubicSpline, compile_expression,
-                                     load_profile)
+                                     _CubicSpline, compile_expression)
 
 
 def metric4_at(m, point):
@@ -268,10 +268,6 @@ def test_load_profile_kinds():
     assert abs(p3.lapse(10.0) - math.sqrt(0.8)) < 1e-6
     with pytest.raises(ValueError):
         load_profile({"kind": "nope"})
-    # a profile is a dict: a string, JSON or not, is a named ValueError
-    for spec in ('{"kind": "schwarzschild", "m": 0.5}', "no-such-profile.json"):
-        with pytest.raises(ValueError, match="must be a JSON object"):
-            load_profile(spec)
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -290,7 +286,8 @@ def test_load_profile_kinds():
     ({"kind": "schwarzschild", "m": [1.0]}, "m"),
 ])
 def test_bad_profile_field_is_a_named_value_error(spec, field):
-    with pytest.raises(ValueError, match=f"'{field}'"):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"scenario field 'profile.{field}' ")):
         load_profile(spec)
 
 
