@@ -11,7 +11,8 @@ This is the one module that spells the scenario format and the output
 formats.  Every scenario field, the profile object's included, is read
 here by one reader, ``_field``, under one rule for null and missing
 fields; the payload of each report file and the columns of each table are
-assembled here from the result objects, which hold no output keys.
+assembled here, each input of the run from the scenario and each computed
+value from the result objects, which hold no output keys and no inputs.
 """
 
 import argparse
@@ -37,7 +38,6 @@ EXIT_ERROR = 2
 PIPELINES = ("trace", "detect", "certify", "israel", "full")
 PROFILE_KINDS = ("schwarzschild", "expression", "table")
 TOLERANCE_PIPELINES = ("israel", "full")  # the ones that read the tolerance
-MIN_LEVELS = 8  # the identities need 7 levels and the inequality slacks 8
 # The level derivative builds a levels x levels matrix, and one jet
 # evaluation covers every leaf.  With 1024 levels, an israel run peaks near
 # 50 MB of resident memory.
@@ -163,14 +163,15 @@ def load_scenario(path, overrides=None):
     trace = _field(data, "trace", {}, dict, _instance(dict), "an object")
     positive, four = "a finite number > 0", _sequence(_finite, 4)
     return Scenario(
-        name=_field(data, "name", os.path.basename(path), str, lambda v: True,
-                    "anything"),
+        name=_field(data, "name", os.path.basename(path), str, _instance(str),
+                    "a string"),
         pipeline=data["pipeline"],
-        scan=_field(data, "scan", (2.2, 50.0), tuple,
+        scan=_field(data, "scan", (2.2, 50.0), lambda v: tuple(map(float, v)),
                     lambda v: _sequence(_finite, 2)(v) and v[0] < v[1],
                     "two finite, increasing numbers"),
-        levels=_field(data, "levels", 64, int, _integer(MIN_LEVELS, MAX_LEVELS),
-                      f"an integer in [{MIN_LEVELS}, {MAX_LEVELS}]"),
+        levels=_field(data, "levels", 64, int,
+                      _integer(israel.MIN_LEVELS, MAX_LEVELS),
+                      f"an integer in [{israel.MIN_LEVELS}, {MAX_LEVELS}]"),
         span=_field(data, "span", 40.0, float, _positive, positive),
         tail_radius=_field(data, "tail_radius", None, float, _positive,
                            "null or " + positive),
@@ -208,11 +209,11 @@ def _write_table(path, header, columns):
 # Payloads: what each report file holds
 # ---------------------------------------------------------------------------
 
-def _certificate_payload(cert):
+def _certificate_payload(cert, r0, span):
     tan = cert.tangency
     return {
-        "surface": cert.surface,
-        "r0": cert.r0,
+        "surface": f"r-cylinder r0={r0:.12g}",
+        "r0": r0,
         "verdict": cert.verdict,
         "umbilicity_sup": cert.umbilicity_sup,
         # the spread of H over the one sample point
@@ -220,7 +221,7 @@ def _certificate_payload(cert):
         "scalar": {"value": cert.scalar_curvature,
                    "expected": cert.scalar_expected,
                    "residual": cert.scalar_residual},
-        "tangency": {"span": tan.span,
+        "tangency": {"span": span,
                      "deviation": cert.tangency_deviation,
                      "integrator": geodesics.INTEGRATOR,
                      "integrator_tol": geodesics.TANGENCY_TOL,
@@ -245,11 +246,11 @@ def _level_table(report):
             "slack34": slacks.slack34, "slack35": slacks.slack35}
 
 
-def _israel_payload(report):
+def _israel_payload(report, tolerance):
     b, slacks = report.boundary, report.slacks
     return {
         "mass": report.mass,
-        "flux_by_level": list(report.flux_by_level),
+        "flux_by_level": report.flux_by_level.tolist(),
         "boundary": {"N0": b.n0, "r0": b.r0, "H0": b.h0, "nuN0": b.nuN0,
                      "frakH": b.frak_h},
         "slacks": {"ineq34_sup": slacks.sup34(),
@@ -268,7 +269,7 @@ def _israel_payload(report):
                    "margin": g.margin, "level": g.level}
                   for g in report.gates],
         "verdict": report.verdict,
-        "tolerance": report.tol,
+        "tolerance": tolerance,
     }
 
 
@@ -311,7 +312,7 @@ def _run_trace(scn, out):
     verdict = geodesics.energy_constancy_verdict(traj)
     _write_json(os.path.join(out, "trace.json"), {
         "scenario": scn.name,
-        "status": traj.status, "reason": traj.reason,
+        "status": traj.run.status, "reason": traj.run.reason,
         "samples": int(len(traj.samples)),
         "energy_times_lapse_drift": traj.energy_times_lapse_drift(),
         "energy_constant": verdict.constant,
@@ -322,7 +323,7 @@ def _run_trace(scn, out):
         "max_null_residual": float(np.max(traj.null_residuals)),
         "integrator": geodesics.INTEGRATOR, "integrator_tol": tol,
     })
-    return EXIT_TRUE if traj.status in ("completed", "domain-exit") else EXIT_ERROR
+    return EXIT_TRUE if traj.run.status in ("completed", "domain-exit") else EXIT_ERROR
 
 
 def _run_detect(scn, loc, out):
@@ -330,8 +331,8 @@ def _run_detect(scn, loc, out):
         "scenario": scn.name,
         "found": loc.found,
         "r_ps": loc.r_ps, "lapse_at_ps": loc.lapse_at_ps,
-        "multiplicity": loc.multiplicity, "roots": list(loc.roots),
-        "scan": list(loc.scan),
+        "multiplicity": len(loc.roots), "roots": list(loc.roots),
+        "scan": list(scn.scan),
     })
     return EXIT_TRUE if loc.found else EXIT_FALSE
 
@@ -341,7 +342,8 @@ def _run_certify(scn, r0, out):
         raise ScenarioError("certify pipeline needs 'surface_r0'")
     surface = hypersurfaces.cylinder(scn.profile, r0)
     cert = photon.certify_photon_surface(surface, span=scn.span)
-    _write_json(os.path.join(out, "certificate.json"), _certificate_payload(cert))
+    _write_json(os.path.join(out, "certificate.json"),
+                _certificate_payload(cert, surface.level_value, scn.span))
     return {"certified": EXIT_TRUE, "refuted": EXIT_FALSE}.get(cert.verdict,
                                                               EXIT_ERROR)
 
@@ -365,7 +367,8 @@ def _run_israel(scn, loc, out):
         _write_json(path, {"scenario": scn.name, "status": "rejected-flat",
                            "detail": str(exc)})
         return EXIT_ERROR
-    _write_json(path, {"scenario": scn.name, **_israel_payload(report)})
+    _write_json(path, {"scenario": scn.name,
+                       **_israel_payload(report, scn.tolerance)})
     columns = _level_table(report)
     _write_table(os.path.join(out, "israel_levels.csv"), list(columns),
                  columns.values())
@@ -452,8 +455,8 @@ def main(argv=None):
     try:
         return run_scenario(load_scenario(path, overrides), args.out,
                             args.dump_curvature)
-    # ScenarioError and spacetimes.DomainError are ValueErrors
-    except (ValueError, hypersurfaces.FoliationError) as exc:
+    # ScenarioError, DomainError and FoliationError are ValueErrors
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -153,14 +153,6 @@ class GeodesicTrajectory:
     run: RunSummary
 
     @property
-    def status(self):
-        return self.run.status
-
-    @property
-    def reason(self):
-        return self.run.reason
-
-    @property
     def r(self):
         return self.samples[:, 2]
 
@@ -495,7 +487,6 @@ def energy_constancy_verdict(trajectory):
 @dataclass(frozen=True)
 class TangencyReport:
     max_deviation: float      # sup of |r - r0| along the orbit
-    span: float
     run: RunSummary
 
 
@@ -527,4 +518,4 @@ def tangency_persistence(surface, span):
     start = GeodesicState(ChartPoint(0.0, r0, 0.5 * math.pi, 0.0),
                           (1.0, 0.0, n0 / r0, 0.0))
     orbit = integrate_null(surface.profile, start, span, TANGENCY_TOL)
-    return TangencyReport(float(np.max(np.abs(orbit.r - r0))), span, orbit.run)
+    return TangencyReport(float(np.max(np.abs(orbit.r - r0))), orbit.run)

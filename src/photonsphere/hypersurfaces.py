@@ -32,7 +32,7 @@ from .spacetimes import DomainError, MetricSampler, RadialProfile
 FOLIATION_DN_FLOOR = 1e-12   # on r |dN| on a leaf, on |dr| on a cylinder
 
 
-class FoliationError(RuntimeError):
+class FoliationError(DomainError):
     """Raised when a level-set normal degenerates (|dN| too small)."""
 
 

@@ -55,6 +55,7 @@ from . import quadrature as quad
 from .spacetimes import DomainError
 
 TOL_LVL = 1e-5
+MIN_LEVELS = 8   # the fewest levels the identities and the slacks are read on
 TAIL_RADIUS_FACTOR = 100.0
 RECONSTRUCTION_NODES = 32   # Chebyshev collocation nodes of the rigidity ODE
 RECONSTRUCTION_MAX_RATIO = 1e12   # largest r_max/r0 (or r0/r_max) they resolve
@@ -236,6 +237,12 @@ class IdentityResiduals:
         return float(np.max([self.res31, self.res32, self.res33]))
 
 
+def _require_levels(foliation):
+    if len(foliation) < MIN_LEVELS:
+        raise ValueError(f"the level derivatives need at least {MIN_LEVELS} "
+                         f"levels, not {len(foliation)}")
+
+
 def _transverse_derivative(foliation, values):
     """d/dN of the leaf values ``values``, one per level: the derivative in
     s of their interpolant through the level nodes, over dN/ds."""
@@ -252,8 +259,7 @@ def identity_residuals(foliation, lam):
     bracket |grad rho|^2 / rho^2 + 2 |h_tracefree|^2 vanish on a round,
     umbilic leaf and are left out.
     """
-    if len(foliation) < 7:
-        raise ValueError("transverse derivatives need at least 7 levels")
+    _require_levels(foliation)
     n, rho, h = foliation.N, foliation.rho, foliation.H
     h_n = _transverse_derivative(foliation, h)
     rho_n = _transverse_derivative(foliation, rho)
@@ -317,8 +323,7 @@ def inequality_slacks(foliation, lam, mass):
     closed-form limits (H -> 2/r, rho -> r^2/|m|), giving 8 pi sqrt|m| for
     the first chain and 0 for the second.
     """
-    if len(foliation) < 8:
-        raise ValueError("inequality integration needs a dense foliation")
+    _require_levels(foliation)
     sqrt_s, h, rho, n = foliation.sqrt_s, foliation.H, foliation.rho, foliation.N
     p_n = _transverse_derivative(foliation, sqrt_s * h * lam / (np.sqrt(rho) * n))
     q_n = _transverse_derivative(foliation,
@@ -543,7 +548,7 @@ class IsraelReport:
     reads."""
 
     mass: float
-    flux_by_level: tuple
+    flux_by_level: np.ndarray
     boundary: BoundaryConstraints
     identities: IdentityResiduals
     slacks: InequalitySlacks
@@ -552,7 +557,6 @@ class IsraelReport:
     reconstruction: ReconstructionResult
     gates: tuple
     verdict: str          # "isometric" | "not-isometric" | "inconclusive"
-    tol: float
 
 
 def run_israel_pipeline(profile, n0, r_ps, levels, tail_radius, tol):
@@ -599,5 +603,5 @@ def run_israel_pipeline(profile, n0, r_ps, levels, tail_radius, tol):
     failed = {g.structural for g in gates if not g.passed}
     verdict = ("inconclusive" if True in failed
                else "not-isometric" if failed else "isometric")
-    return IsraelReport(mass, tuple(fluxes.tolist()), bnd, ids, slacks, sign,
-                        foliation, recon, gates, verdict, tol)
+    return IsraelReport(mass, fluxes, bnd, ids, slacks, sign, foliation, recon,
+                        gates, verdict)

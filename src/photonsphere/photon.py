@@ -35,9 +35,7 @@ class PhotonSphereLocation:
 
     r_ps: float          # smallest root, or None
     lapse_at_ps: float   # N(r_ps), or None
-    multiplicity: int
     roots: tuple
-    scan: tuple
 
     @property
     def found(self):
@@ -76,10 +74,9 @@ def locate_photon_sphere(profile, scan):
     roots = tuple(sorted(rs[vals == 0.0].tolist() + quad.bisect(
         f, rs[:-1][change], rs[1:][change]).tolist()))
     if not roots:
-        return PhotonSphereLocation(None, None, 0, (), (r_lo, r_hi))
+        return PhotonSphereLocation(None, None, ())
     r_ps = roots[0]
-    return PhotonSphereLocation(r_ps, float(profile.lapse_d1(r_ps)[0]),
-                                len(roots), roots, (r_lo, r_hi))
+    return PhotonSphereLocation(r_ps, float(profile.lapse_d1(r_ps)[0]), roots)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +99,6 @@ class PhotonSurfaceCertificate:
     where every field takes the value it has on the whole surface.
     """
 
-    surface: str
-    r0: float
     verdict: str                 # "certified" | "refuted" | "inconclusive"
     umbilicity_sup: float        # r0 |h_tracefree|
     mean_curvature: float
@@ -152,8 +147,6 @@ def certify_photon_surface(surface, span):
         verdict = "inconclusive"
 
     return PhotonSurfaceCertificate(
-        surface=f"r-cylinder r0={r0:.12g}",
-        r0=r0,
         verdict=verdict,
         umbilicity_sup=umb_sup,
         mean_curvature=h,

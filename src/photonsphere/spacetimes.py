@@ -252,7 +252,7 @@ class ExpressionProfile(RadialProfile):
 
     def __post_init__(self):
         if not self.r_min >= 0.0:
-            raise ValueError(f"profile field 'r_min' must be >= 0, not "
+            raise ValueError(f"expression profile r_min must be >= 0, not "
                              f"{self.r_min!r}: an areal radius is positive")
         fns = (compile_expression(self.lapse_src),
                compile_expression(self.radial_factor_src))
@@ -339,8 +339,6 @@ class TableProfile(RadialProfile):
         self._n = _CubicSpline(r, samples[:, 1])
         self._b = _CubicSpline(r, samples[:, 2])
         self.r_min = float(r[0])
-        self.r_max = float(r[-1])
-        self._samples = samples
 
     def _inside(self, v):
         """Radii outside the table raise DomainError."""

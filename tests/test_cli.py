@@ -90,6 +90,9 @@ class TestScenarioValidation:
         (SCHW + '"surface_r0": 0}', "'surface_r0'"),
         (SCHW + '"trace": {"start": [0, 10]}}', "'trace.start'"),
         (SCHW + '"trace": {"direction": [1, -0.8, 0, "0"]}}', "'trace.direction'"),
+        # a report's scenario is a name: null is not one, nor is a number
+        (SCHW + '"name": null}', "scenario field 'name' must be a string, got None"),
+        (SCHW + '"name": 5}', "scenario field 'name' must be a string, got 5"),
     ], ids=["array", "lapse-int", "no-lapse", "no-m", "m-null", "m-two",
             "r-min-null", "kind-nope", "profile-json-string",
             "profile-path-string", "table-1-row", "table-nan", "table-g-rr-0",
@@ -98,7 +101,7 @@ class TestScenarioValidation:
             "scan-decreasing", "scan-nan", "span-string",
             "span-inf", "span-past-float", "tolerance-nan", "tail-negative",
             "surface-0", "trace-start-2",
-            "trace-direction-string"])
+            "trace-direction-string", "name-null", "name-int"])
     def test_bad_field_exits_2_naming_it(self, text, field, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         if text.startswith("{"):
@@ -412,7 +415,12 @@ class TestExitCodes:
           "profile": {"kind": "expression", "lapse": "3 - 1/r",
                       "radial_factor": "1", "r_min": 0}},
          "error: invalid lapse range [1.5, 2.955]\n"),
-    ], ids=["tail-divides-by-zero", "lapse-square-underflows", "lapse-above-1"])
+        # past r ~ 1e12 m, r |dN| = m / r falls below the leaf-normal floor
+        ({"tail_radius": 5e12, "profile": {"kind": "schwarzschild", "m": 1}},
+         "error: foliation failure: r |dlapse| < 1e-12 on the level-set "
+         "r0 = 1240769958498.3564\n"),
+    ], ids=["tail-divides-by-zero", "lapse-square-underflows", "lapse-above-1",
+            "tail-past-the-normal-floor"])
     def test_bad_foliation_range_is_one_named_error(self, tmp_path, capsys,
                                                     fields, message):
         scn = tmp_path / "scn.json"
@@ -646,6 +654,21 @@ class TestOutputs:
         assert run([command, "--scenario", "schwarzschild_m1",
                     "--out", str(tmp_path / "o"), *flags]) == cli.EXIT_TRUE
         assert calls == [(2.2, 50.0)]
+
+    def test_each_reported_input_has_one_source(self, tmp_path):
+        # the scan of a run with no photon sphere, written by two reports,
+        # is the scenario's, read as two floats
+        scn = tmp_path / "scn.json"
+        scn.write_text(json.dumps({"schema": 1, "pipeline": "detect",
+                                   "scan": [1, 50],
+                                   "profile": {"kind": "schwarzschild", "m": -1}}))
+        for command, name in (("detect", "location.json"),
+                              ("israel", "israel_report.json")):
+            out = tmp_path / command
+            assert run([command, "--scenario", str(scn),
+                        "--out", str(out)]) == cli.EXIT_FALSE
+            written = json.loads((out / name).read_text())["scan"]
+            assert repr(written) == "[1.0, 50.0]", name
 
     @pytest.mark.parametrize("command", ["israel", "full"])
     def test_one_rigidity_solve_per_run(self, tmp_path, monkeypatch, command):

@@ -528,7 +528,7 @@ class TestRigidityVerdict:
         assert gates["evolution-factor"].level == int(np.argmax(ids.evolution))
         assert gates["H-positive"].level is None
         path = tmp_path / "israel_report.json"
-        cli._write_json(path, cli._israel_payload(rep))
+        cli._write_json(path, cli._israel_payload(rep, 1e-3))
         report = json.loads(path.read_text())
         for g in report["gates"]:
             gate = gates[g["name"]]
@@ -555,7 +555,7 @@ class TestRigidityVerdict:
                      "sharpness-35"):
             assert not gates[name].passed, name
         path = tmp_path / "israel_report.json"
-        cli._write_json(path, cli._israel_payload(rep))
+        cli._write_json(path, cli._israel_payload(rep, 1e-3))
         written = json.loads(path.read_text())["gates"]
         assert {g["name"]: g["level"] for g in written} == {
             g.name: g.level for g in rep.gates}
@@ -648,6 +648,8 @@ class TestRigidityVerdict:
 
 
 def test_identity_residuals_need_enough_levels(foliation24):
-    clipped = _first_levels(foliation24, 5)
-    with pytest.raises(ValueError):
-        isr.identity_residuals(clipped, 1)
+    # one minimum for the identities and the slacks: MIN_LEVELS = 8
+    for n in (5, 7):
+        clipped = _first_levels(foliation24, n)
+        with pytest.raises(ValueError, match=f"at least 8 levels, not {n}"):
+            isr.identity_residuals(clipped, 1)

@@ -293,7 +293,7 @@ def test_bad_profile_field_is_a_named_value_error(spec, field):
 
 @pytest.mark.parametrize("spec, message", [
     ({"kind": "expression", "lapse": "1", "radial_factor": "1", "r_min": -1e-300},
-     "profile field 'r_min' must be >= 0"),
+     "expression profile r_min must be >= 0"),
     ({"kind": "table", "samples": [[r, 1, 1] for r in (0.0, 1.0, 2.0, 3.0)]},
      "table profile radii must be positive"),
     ({"kind": "table", "samples": [[r, 1, 1] for r in (-2.0, -1.0, 1.0, 2.0)]},
